@@ -45,15 +45,6 @@ class CatalogInstance:
     def binding(self) -> dict:
         return self.spec.binding()
 
-    def g_value(self, t: float) -> float:
-        return self.G.eval(t, self.spec.binding())
-
-    def w_value(self, t: float) -> float:
-        return self.spec.w.eval(t, self.spec.binding())
-
-    def target_value(self, t: float) -> float:
-        return self.spec.W.eval(t, self.spec.binding())
-
 
 @dataclass(frozen=True)
 class CatalogEntry:

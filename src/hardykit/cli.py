@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import __version__
-from .catalog import entry_names, instantiate, list_catalog
+from .catalog import instantiate, list_catalog
 from .config import emit_config, parse_config
 from .errors import HardykitError
 from .exprdsl import parse as parse_expr
@@ -25,8 +25,8 @@ from .riccati import certify, solve_ivp
 from .spectral import spectral_lambda1
 from .specfun import bessel_zero
 from .testfuncs import gaussian_type, power_cutoff, random_bumps, talenti
-from .verifier import (additive_margin, ckn_margin, margin_violated, sharpness_sweep,
-                       up_margin)
+from .verifier import (InequalityMargin, additive_margin, ckn_margin, margin_violated,
+                       scaled_family, scaled_params, sharpness_sweep, up_margin)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,20 +150,7 @@ def _cmd_solve_riccati(args) -> int:
     return EXIT_OK
 
 
-def _make_family(family_spec: str, geo: ModelGeometry, inequality: str, params: dict):
-    if family_spec == "default":
-        if inequality == "hardy" or inequality in entry_names():
-            if inequality == "hardy":
-                from .verifier import hardy_default_family
-                return hardy_default_family(geo, alpha=params.get("alpha", 0.0))
-            return random_bumps(20, seed=7)
-        if inequality == "up":
-            return [gaussian_type(params.get("alpha", 1.0), geo.p, scale=s)
-                    for s in (0.5, 1.0, 2.0, 4.0)]
-        if inequality == "ckn":
-            return [talenti(params.get("alpha", 1.0), geo.p, params.get("r", 3.0),
-                            scale=s) for s in (0.5, 1.0, 2.0, 4.0)]
-        raise SystemExit(f"no default family for {inequality!r}")
+def _make_family(family_spec: str, geo: ModelGeometry):
     kind, _, kv = family_spec.partition(":")
     opts = _parse_kv(kv)
     if kind == "bumps":
@@ -173,11 +160,11 @@ def _make_family(family_spec: str, geo: ModelGeometry, inequality: str, params: 
     if kind == "power_cutoff":
         return [power_cutoff(opts["eps"], opts["r0"], opts["R"], geo.n, geo.p,
                              alpha=opts.get("alpha", 0.0))]
+    alpha, r = scaled_params(opts)
     if kind == "gaussian":
-        return [gaussian_type(opts.get("alpha", 1.0), geo.p, scale=opts.get("scale", 1.0))]
+        return [gaussian_type(alpha, geo.p, scale=opts.get("scale", 1.0))]
     if kind == "talenti":
-        return [talenti(opts.get("alpha", 1.0), geo.p, opts.get("r", 3.0),
-                        scale=opts.get("scale", 1.0))]
+        return [talenti(alpha, geo.p, r, scale=opts.get("scale", 1.0))]
     raise SystemExit(f"unknown family spec {family_spec!r}")
 
 
@@ -188,12 +175,10 @@ def _cmd_verify(args) -> int:
     members = []
     worst = math.inf
     if inequality in ("up", "ckn"):
-        family = _make_family(args.family, geo, inequality, rest)
+        given = None if args.family == "default" else _make_family(args.family, geo)
+        alpha, r, family = scaled_family(inequality, geo, rest, given)
         for u in family:
-            if inequality == "up":
-                m = up_margin(geo, u, rest.get("alpha", 1.0))
-            else:
-                m = ckn_margin(geo, u, rest.get("alpha", 1.0), rest.get("r", 3.0))
+            m = up_margin(geo, u, alpha) if inequality == "up" else ckn_margin(geo, u, alpha, r)
             members.append((u.params.get("scale", math.nan), m))
     elif inequality == "generic":
         if not args.spec:
@@ -202,7 +187,7 @@ def _cmd_verify(args) -> int:
         with open(args.spec) as fh:
             spec, G = parse_config(fh.read())
         H = parse_expr(args.H, var="s") if args.H else None
-        family = _make_family(args.family, spec.geo, "bumps", rest) \
+        family = _make_family(args.family, spec.geo) \
             if args.family != "default" else random_bumps(20, seed=7)
         for u in family:
             m = additive_margin(spec.geo, G, u, H=H, binding=spec.binding())
@@ -214,7 +199,7 @@ def _cmd_verify(args) -> int:
             family = random_bumps(20, seed=7, lo=lo, hi=hi,
                                   span=min(10.0, (hi - lo) if math.isfinite(hi) else 10.0))
         else:
-            family = _make_family(args.family, geo, inequality, rest)
+            family = _make_family(args.family, geo)
         for u in family:
             m = additive_margin(None, inst, u)
             members.append((u.params.get("center", u.params.get("eps", math.nan)), m))
@@ -275,14 +260,9 @@ def _cmd_sweep(args) -> int:
     for r in sw.rows:
         note = f"  [{r.note}]" if r.note else ""
         print(f"  member {r.family_param:<10g} ratio {r.ratio:.6g}{note}")
-    violated = any(margin_violated_row(r) for r in sw.rows)
+    violated = any(margin_violated(InequalityMargin(r.lhs, r.rhs, r.margin, r.quad_error))
+                   for r in sw.rows)
     return EXIT_FAILED if violated else EXIT_OK
-
-
-def margin_violated_row(r) -> bool:
-    if not math.isfinite(r.margin):
-        return False
-    return r.margin < -10.0 * (r.quad_error / max(abs(r.rhs), 1e-300) + 1e-12)
 
 
 def _cmd_spectrum(args) -> int:

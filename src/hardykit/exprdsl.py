@@ -26,6 +26,7 @@ where their reciprocal is taken).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -45,8 +46,6 @@ __all__ = [
     "ParamBinding",
     "Dual",
     "parse",
-    "evaluate",
-    "evaluate_d",
     "BUILTIN_ARITY",
 ]
 
@@ -540,20 +539,112 @@ def _collect_params(node: Node, out: set[str]) -> None:
             _collect_params(a, out)
 
 
+def _value_div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+# What distinguishes value from dual evaluation; _compile's node walk is shared.
+# const lifts a number (at compile time) or a parameter value, var is the leaf
+# closure for the expression variable, builtin indexes the _BUILTINS entries.
+# A lifted number is one object shared by every call, so a Dual is never mutated.
+_VALUE = {
+    "const": lambda c: c, "var": lambda t, binding: t, "neg": operator.neg,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _value_div,
+    "^": _pow_value, "builtin": 1,
+}
+_DUAL = {
+    "const": lambda c: Dual(c, 0.0), "var": lambda t, binding: Dual(t, 1.0),
+    "neg": lambda a: Dual(-a.v, -a.d),
+    "+": lambda a, b: Dual(a.v + b.v, a.d + b.d), "-": lambda a, b: Dual(a.v - b.v, a.d - b.d),
+    "*": _dual_mul, "/": _dual_div, "^": _pow_dual, "builtin": 2,
+}
+
+# errors from an operator or builtin are rewrapped with the node's source fragment
+_REWRAPPED = (HardykitError, ArithmeticError)
+
+
+def _rewrap(exc: Exception, fragment: str) -> EvalError:
+    if isinstance(exc, EvalError) and exc.fragment:
+        return exc
+    kind = type(exc) if isinstance(exc, EvalError) else EvalError
+    return kind(str(exc), fragment)
+
+
+def _compile(node: Node, source: str, mode: dict) -> Callable:
+    """Compile an AST into a closure (t, binding) -> float or Dual, per mode."""
+    if isinstance(node, Num):
+        c = mode["const"](node.value)
+        return lambda t, binding: c
+    if isinstance(node, Var):
+        return mode["var"]
+    if isinstance(node, Param):
+        name, lift = node.name, mode["const"]
+
+        def param(t, binding):
+            try:
+                return lift(binding[name])
+            except KeyError:
+                raise UnboundParameterError(f"unbound parameter {name!r}") from None
+
+        return param
+    if isinstance(node, Neg):
+        operand, neg = _compile(node.operand, source, mode), mode["neg"]
+        return lambda t, binding: neg(operand(t, binding))
+    fragment = source[node.span[0]:node.span[1]]
+    if isinstance(node, Bin):
+        left = _compile(node.left, source, mode)
+        right = _compile(node.right, source, mode)
+        op = mode[node.op]
+
+        def binary(t, binding):
+            a = left(t, binding)
+            b = right(t, binding)
+            try:
+                return op(a, b)
+            except _REWRAPPED as exc:
+                raise _rewrap(exc, fragment) from None
+
+        return binary
+    if isinstance(node, Call):
+        args = tuple(_compile(a, source, mode) for a in node.args)
+        impl = _BUILTINS[node.name][mode["builtin"]]
+
+        def call(t, binding):
+            values = [f(t, binding) for f in args]
+            try:
+                return impl(values, binding)
+            except _REWRAPPED as exc:
+                raise _rewrap(exc, fragment) from None
+
+        return call
+    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+
 @dataclass(frozen=True)
 class ScalarExpr:
-    """Parsed, immutable expression over one variable and named parameters."""
+    """Parsed, immutable expression over one variable and named parameters.
+
+    The AST is compiled once, here, into a value closure and a dual closure.
+    """
 
     ast: Node
     source: str
     var: str
     params_required: frozenset[str]
+    _value: Callable = field(init=False, repr=False, compare=False)
+    _dual: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_value", _compile(self.ast, self.source, _VALUE))
+        object.__setattr__(self, "_dual", _compile(self.ast, self.source, _DUAL))
 
     def eval(self, t: float, binding: ParamBinding | None = None) -> float:
-        return _eval_value(self.ast, self, t, binding or {})
+        return self._value(t, binding or {})
 
     def eval_d(self, t: float, binding: ParamBinding | None = None) -> tuple[float, float]:
-        out = _eval_dual(self.ast, self, t, binding or {})
+        out = self._dual(t, binding or {})
         return out.v, out.d
 
     def to_source(self) -> str:
@@ -570,100 +661,6 @@ def parse(source: str, var: str = "t") -> ScalarExpr:
     names: set[str] = set()
     _collect_params(node, names)
     return ScalarExpr(ast=node, source=source, var=var, params_required=frozenset(names))
-
-
-def evaluate(e: ScalarExpr, t: float, binding: ParamBinding | None = None) -> float:
-    return e.eval(t, binding)
-
-
-def evaluate_d(e: ScalarExpr, t: float, binding: ParamBinding | None = None) -> tuple[float, float]:
-    return e.eval_d(t, binding)
-
-
-def _fragment(expr: ScalarExpr, node: Node) -> str:
-    return expr.source[node.span[0]:node.span[1]]
-
-
-def _rewrap(expr: ScalarExpr, node: Node, exc: Exception) -> EvalError:
-    if isinstance(exc, EvalError) and exc.fragment:
-        return exc
-    kind = type(exc) if isinstance(exc, EvalError) else EvalError
-    return kind(str(exc), _fragment(expr, node))
-
-
-def _eval_value(node: Node, expr: ScalarExpr, t: float, binding: ParamBinding) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return t
-    if isinstance(node, Param):
-        try:
-            return binding[node.name]
-        except KeyError:
-            raise UnboundParameterError(f"unbound parameter {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -_eval_value(node.operand, expr, t, binding)
-    if isinstance(node, Bin):
-        a = _eval_value(node.left, expr, t, binding)
-        b = _eval_value(node.right, expr, t, binding)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if b == 0.0:
-                    raise EvalError("division by zero")
-                return a / b
-            return _pow_value(a, b)
-        except (EvalError, HardykitError, ArithmeticError) as exc:
-            raise _rewrap(expr, node, exc) from None
-    if isinstance(node, Call):
-        args = [_eval_value(a, expr, t, binding) for a in node.args]
-        try:
-            return _BUILTINS[node.name][1](args, binding)
-        except (EvalError, HardykitError, ArithmeticError) as exc:
-            raise _rewrap(expr, node, exc) from None
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-
-def _eval_dual(node: Node, expr: ScalarExpr, t: float, binding: ParamBinding) -> Dual:
-    if isinstance(node, Num):
-        return Dual(node.value, 0.0)
-    if isinstance(node, Var):
-        return Dual(t, 1.0)
-    if isinstance(node, Param):
-        try:
-            return Dual(binding[node.name], 0.0)
-        except KeyError:
-            raise UnboundParameterError(f"unbound parameter {node.name!r}") from None
-    if isinstance(node, Neg):
-        inner = _eval_dual(node.operand, expr, t, binding)
-        return Dual(-inner.v, -inner.d)
-    if isinstance(node, Bin):
-        a = _eval_dual(node.left, expr, t, binding)
-        b = _eval_dual(node.right, expr, t, binding)
-        try:
-            if node.op == "+":
-                return Dual(a.v + b.v, a.d + b.d)
-            if node.op == "-":
-                return Dual(a.v - b.v, a.d - b.d)
-            if node.op == "*":
-                return _dual_mul(a, b)
-            if node.op == "/":
-                return _dual_div(a, b)
-            return _pow_dual(a, b)
-        except (EvalError, HardykitError, ArithmeticError) as exc:
-            raise _rewrap(expr, node, exc) from None
-    if isinstance(node, Call):
-        args = [_eval_dual(a, expr, t, binding) for a in node.args]
-        try:
-            return _BUILTINS[node.name][2](args, binding)
-        except (EvalError, HardykitError, ArithmeticError) as exc:
-            raise _rewrap(expr, node, exc) from None
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
 
 def _print(node: Node, var: str) -> str:

@@ -223,34 +223,16 @@ def comparison_L(
     psi: "ScalarExpr | None" = None,
     binding: dict | None = None,
 ) -> float:
-    """Laplacian lower-bound function L(t) of the given kind.
-
-    constant_curvature: (n-1) ct_kappa(t), the exact model-space Laplacian.
-    constant_floor:     (n-1) sqrt(-kappa), the large-t floor (kappa < 0 only).
-    psi:                (n-1) psi'(t)/psi(t) for a user-supplied profile psi.
-    """
-    if kind == "constant_curvature":
-        return (geo.n - 1) * ct_value(geo.kappa, t)
-    if kind == "constant_floor":
-        if geo.kappa >= 0.0:
-            raise ParameterError("constant_floor comparison needs kappa < 0")
-        return (geo.n - 1) * math.sqrt(-geo.kappa)
-    if kind == "psi":
-        if psi is None:
-            raise ParameterError("psi comparison kind needs the psi expression")
-        b = dict(binding or {})
-        b.setdefault("kappa", geo.kappa)
-        b.setdefault("n", float(geo.n))
-        b.setdefault("p", geo.p)
-        v, dv = psi.eval_d(t, b)
-        if v <= 0.0:
-            raise DomainError(f"psi({t!r}) = {v!r} <= 0")
-        return (geo.n - 1) * dv / v
-    raise ParameterError(f"unknown comparison kind {kind!r}")
+    """Laplacian lower-bound function L(t) of the given kind (see ComparisonL)."""
+    return ComparisonL(geo, kind, psi).eval(t, binding)
 
 
 class ComparisonL:
     """Comparison-function L wrapped as an evaluable object.
+
+    constant_curvature: (n-1) ct_kappa(t), the exact model-space Laplacian.
+    constant_floor:     (n-1) sqrt(-kappa), the large-t floor (kappa < 0 only).
+    psi:                (n-1) psi'(t)/psi(t) for a user-supplied profile psi.
 
     Carries the kind tag so catalog entries and config files can round-trip
     it without flattening to an expression string.
@@ -268,7 +250,19 @@ class ComparisonL:
         self.psi = psi
 
     def eval(self, t: float, binding: dict | None = None) -> float:
-        return comparison_L(self.geo, self.kind, t, psi=self.psi, binding=binding)
+        geo = self.geo
+        if self.kind == "constant_curvature":
+            return (geo.n - 1) * ct_value(geo.kappa, t)
+        if self.kind == "constant_floor":
+            return (geo.n - 1) * math.sqrt(-geo.kappa)
+        b = dict(binding or {})
+        b.setdefault("kappa", geo.kappa)
+        b.setdefault("n", float(geo.n))
+        b.setdefault("p", geo.p)
+        v, dv = self.psi.eval_d(t, b)
+        if v <= 0.0:
+            raise DomainError(f"psi({t!r}) = {v!r} <= 0")
+        return (geo.n - 1) * dv / v
 
     def __repr__(self):
         return f"ComparisonL({self.kind})"

@@ -84,7 +84,7 @@ class RiccatiPairSpec:
     the Laplacian of the distance function), -1 requires G <= 0 (triples
     built on a superharmonic distance-to-boundary), and 0 means no sign
     restriction (L is the exact model Laplacian, where the comparison step
-    is an identity).  require_G_nonneg mirrors the +1 case as a boolean.
+    is an identity).
     """
 
     geo: ModelGeometry
@@ -103,10 +103,6 @@ class RiccatiPairSpec:
             raise ParameterError(f"invalid interval ({self.t_lo!r}, {self.t_hi!r})")
         if self.g_sign_required not in (-1, 0, 1):
             raise ParameterError("g_sign_required must be -1, 0 or +1")
-
-    @property
-    def require_G_nonneg(self) -> bool:
-        return self.g_sign_required == 1
 
     def binding(self) -> dict:
         b = self.geo.binding()

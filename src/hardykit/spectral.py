@@ -9,9 +9,11 @@ v(R) = 0.  Discretization is a cell-centered finite-volume scheme on the
 shifted grid t_j = (j + 1/2) h: the flux coefficient at the leftmost face
 sits exactly at t = 0 where the density vanishes, so the natural boundary
 needs no special casing and the scheme stays O(h^2).  The smallest
-eigenvalue comes from inverse power iteration with tridiagonal solves,
-accelerated by Rayleigh-quotient shifts, and the returned estimate is the
-Richardson extrapolation of the N/2 and N solves.
+eigenvalue of the pencil is located by Sturm bisection (LDL^T inertia
+counts below a shift, started from a Gershgorin bound); inverse iteration
+with tridiagonal solves, shifted just below it, only supplies the
+eigenvector.  The returned estimate is the Richardson extrapolation of the
+N/2 and N solves.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ __all__ = [
     "SweepResult",
     "margin_violated",
     "hardy_default_family",
+    "scaled_family",
 ]
 
 _MARGIN_FLOOR = 1e-300
@@ -304,6 +305,36 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction, upow: float, tpow: floa
 # uncertainty / interpolation margins
 
 
+def _scaled_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
+                   mass_pow: float, rhs_pow: float, rhs_key: str,
+                   rel_tol: float) -> InequalityMargin:
+    """lhs = (energy)^(1/p) (integral t^(p' alpha)|u|^mass_pow dmu)^(1/p'),
+    rhs = (n+alpha-1)/rhs_pow * integral (1 + (n-1)/(n+alpha-1) D_kappa)
+    t^(alpha-1)|u|^rhs_pow dmu; the up and ckn margins differ only in the
+    two exponents and in the extras key of the right-side integral."""
+    n, p = geo.n, geo.p
+    pc = geo.p_conj
+    const = (n + alpha - 1.0) / rhs_pow
+    dcoef = (n - 1.0) / (n + alpha - 1.0)
+
+    energy, e_err = _log_mass(geo, u, p, 0.0, use_du=True, rel_tol=rel_tol)
+    mass2, m2_err = _log_mass(geo, u, mass_pow, pc * alpha, rel_tol=rel_tol)
+
+    def deficit_factor(t: float) -> float:
+        return 1.0 + dcoef * deficit_value(geo.kappa, t)
+
+    dint, d_err = _log_mass(geo, u, rhs_pow, alpha - 1.0, extra=deficit_factor,
+                            rel_tol=rel_tol)
+
+    lhs = energy ** (1.0 / p) * mass2 ** (1.0 / pc)
+    rhs = const * dint
+    rel_err = e_err / max(energy, _MARGIN_FLOOR) / p \
+        + m2_err / max(mass2, _MARGIN_FLOOR) / pc + d_err / max(dint, _MARGIN_FLOOR)
+    return _margin_of(lhs, rhs, rel_err * max(abs(rhs), lhs),
+                      {"energy": energy, "mass2": mass2, rhs_key: dint,
+                       "i_term": rhs, "j_term": mass2, "p": p})
+
+
 def up_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
               rel_tol: float = 1e-11) -> InequalityMargin:
     """Three-factor uncertainty margin with the curvature deficit term.
@@ -316,25 +347,7 @@ def up_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
         raise HypothesisError("n > p > 1", f"n={n!r}, p={p!r}")
     if not (-p + 1.0 < alpha <= 1.0):
         raise HypothesisError("-p + 1 < alpha <= 1", f"alpha={alpha!r}")
-    pc = geo.p_conj
-    const = (n + alpha - 1.0) / p
-    dcoef = (n - 1.0) / (n + alpha - 1.0)
-
-    energy, e_err = _log_mass(geo, u, p, 0.0, use_du=True, rel_tol=rel_tol)
-    mass2, m2_err = _log_mass(geo, u, p, pc * alpha, rel_tol=rel_tol)
-
-    def deficit_factor(t: float) -> float:
-        return 1.0 + dcoef * deficit_value(geo.kappa, t)
-
-    dint, d_err = _log_mass(geo, u, p, alpha - 1.0, extra=deficit_factor, rel_tol=rel_tol)
-
-    lhs = energy ** (1.0 / p) * mass2 ** (1.0 / pc)
-    rhs = const * dint
-    rel_err = e_err / max(energy, _MARGIN_FLOOR) / p \
-        + m2_err / max(mass2, _MARGIN_FLOOR) / pc + d_err / max(dint, _MARGIN_FLOOR)
-    return _margin_of(lhs, rhs, rel_err * max(abs(rhs), lhs),
-                      {"energy": energy, "mass2": mass2, "deficit_integral": dint,
-                       "i_term": rhs, "j_term": mass2, "p": p})
+    return _scaled_margin(geo, u, alpha, p, p, "deficit_integral", rel_tol)
 
 
 def ckn_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float, r: float,
@@ -348,25 +361,7 @@ def ckn_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float, r: float
     if not (p * (n + alpha - 1.0) > r * (n - p) > 0.0):
         raise HypothesisError("p(n+alpha-1) > r(n-p) > 0",
                               f"n={n!r}, p={p!r}, r={r!r}, alpha={alpha!r}")
-    pc = geo.p_conj
-    const = (n + alpha - 1.0) / r
-    dcoef = (n - 1.0) / (n + alpha - 1.0)
-
-    energy, e_err = _log_mass(geo, u, p, 0.0, use_du=True, rel_tol=rel_tol)
-    mass2, m2_err = _log_mass(geo, u, pc * (r - 1.0), pc * alpha, rel_tol=rel_tol)
-
-    def deficit_factor(t: float) -> float:
-        return 1.0 + dcoef * deficit_value(geo.kappa, t)
-
-    dint, d_err = _log_mass(geo, u, r, alpha - 1.0, extra=deficit_factor, rel_tol=rel_tol)
-
-    lhs = energy ** (1.0 / p) * mass2 ** (1.0 / pc)
-    rhs = const * dint
-    rel_err = e_err / max(energy, _MARGIN_FLOOR) / p \
-        + m2_err / max(mass2, _MARGIN_FLOOR) / pc + d_err / max(dint, _MARGIN_FLOOR)
-    return _margin_of(lhs, rhs, rel_err * max(abs(rhs), lhs),
-                      {"energy": energy, "mass2": mass2, "rhs_integral": dint,
-                       "i_term": rhs, "j_term": mass2, "p": p})
+    return _scaled_margin(geo, u, alpha, geo.p_conj * (r - 1.0), r, "rhs_integral", rel_tol)
 
 
 def _osc_profile(c: float, x: float) -> float:
@@ -546,6 +541,28 @@ def hardy_default_family(geo: ModelGeometry, alpha: float = 0.0,
     return out
 
 
+def scaled_params(params: dict) -> tuple[float, float]:
+    """(alpha, r) of an 'up' or 'ckn' check: the one table of their defaults, 1 and 3."""
+    return params.get("alpha", 1.0), params.get("r", 3.0)
+
+
+def scaled_family(inequality: str, geo: ModelGeometry, params: dict,
+                  family: Sequence[RadialTestFunction] | None = None,
+                  ) -> tuple[float, float, Sequence[RadialTestFunction]]:
+    """(alpha, r, family) of an 'up' or 'ckn' check.
+
+    Without a given family the members are gaussian_type ('up') or talenti
+    ('ckn') profiles at scales 0.5, 1, 2, 4.
+    """
+    alpha, r = scaled_params(params)
+    if family is None:
+        if inequality == "up":
+            family = [gaussian_type(alpha, geo.p, scale=lam) for lam in (0.5, 1.0, 2.0, 4.0)]
+        else:
+            family = [talenti(alpha, geo.p, r, scale=lam) for lam in (0.5, 1.0, 2.0, 4.0)]
+    return alpha, r, family
+
+
 def _hardy_ratio(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
                  rel_tol: float) -> tuple[float, float, float]:
     """(energy, singular mass, combined relative error) for the Hardy quotient."""
@@ -589,28 +606,15 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
                                  rel * max(rhs, energy), ratio))
         achieved = min((r.ratio for r in rows if math.isfinite(r.ratio)), default=math.nan)
     elif inequality in ("up", "ckn"):
-        alpha = params.get("alpha", 1.0)
-        scales = params.get("scales", (0.5, 1.0, 2.0, 4.0))
-        if inequality == "up":
-            sharp = (geo.n + alpha - 1.0) / geo.p
-        else:
-            r = params.get("r", 3.0)
-            sharp = (geo.n + alpha - 1.0) / r
-        members: list[tuple[float, RadialTestFunction]]
-        if family is None:
-            if inequality == "up":
-                members = [(lam, gaussian_type(alpha, geo.p, scale=lam)) for lam in scales]
-            else:
-                members = [(lam, talenti(alpha, geo.p, params.get("r", 3.0), scale=lam))
-                           for lam in scales]
-        else:
-            members = [(u.params.get("scale", math.nan), u) for u in family]
-        for lam, u in members:
+        alpha, r, family = scaled_family(inequality, geo, params, family)
+        sharp = (geo.n + alpha - 1.0) / (geo.p if inequality == "up" else r)
+        for u in family:
+            lam = u.params.get("scale", math.nan)
             try:
                 if inequality == "up":
                     m = up_margin(geo, u, alpha, rel_tol=rel_tol)
                 else:
-                    m = ckn_margin(geo, u, alpha, params.get("r", 3.0), rel_tol=rel_tol)
+                    m = ckn_margin(geo, u, alpha, r, rel_tol=rel_tol)
             except (DomainError, HypothesisError, ParameterError) as exc:
                 rows.append(SweepRow(lam, math.nan, math.nan, math.nan, math.nan,
                                      math.nan, note=f"skipped: {exc}"))

@@ -83,13 +83,13 @@ class TestSharpConstants:
     def test_hardy_example(self):
         inst = instantiate("hardy", E3, {"alpha": 0.0, "C": 2.0})
         assert inst.sharp_constant == pytest.approx(0.25)
-        assert inst.target_value(1.0) == pytest.approx(0.25)
-        assert inst.target_value(2.0) == pytest.approx(1.0 / 16.0)
+        assert inst.spec.W.eval(1.0, inst.binding()) == pytest.approx(0.25)
+        assert inst.spec.W.eval(2.0, inst.binding()) == pytest.approx(1.0 / 16.0)
 
     def test_mckean_quarter(self):
         inst = instantiate("mckean", H2, {})
         assert inst.sharp_constant == pytest.approx(0.25)
-        assert inst.target_value(17.0) == pytest.approx(0.25)
+        assert inst.spec.W.eval(17.0, inst.binding()) == pytest.approx(0.25)
 
     def test_brezis_vazquez_spectral_constant(self):
         inst = instantiate("brezis_vazquez", E3, {"nu": 0.0, "D": 1.0})
@@ -226,7 +226,7 @@ class TestStructuralInvariants:
         inst = instantiate("ghoussoub_moradifam", E4,
                            {"a": 1.0, "b": 1.0, "alpha": 0.5, "beta": 0.5, "m": 0.3})
         assert inst.metadata["in_thm422_region"]
-        assert inst.spec.require_G_nonneg
+        assert inst.spec.g_sign_required == 1
         out = instantiate("ghoussoub_moradifam", E4,
                           {"a": 1.0, "b": 1.0, "alpha": 2.0, "beta": 2.0, "m": 0.3})
         assert not out.metadata["in_thm422_region"]

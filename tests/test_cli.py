@@ -7,6 +7,7 @@ from hardykit.config import emit_config, parse_config
 from hardykit.catalog import instantiate
 from hardykit.geometry import ModelGeometry
 from hardykit.riccati import certify
+from hardykit.verifier import sharpness_sweep
 
 
 class TestCertifyCommand:
@@ -143,6 +144,24 @@ class TestOtherCommands:
             assert member["margin"] >= -1e-9
         assert set(payload["members"][0]) == {"family_param", "lhs", "rhs",
                                               "margin", "quad_error"}
+        # the default family is the sweep's: same members, same margins
+        sw = sharpness_sweep("up", ModelGeometry(0.0, 3, 2.0), {"alpha": 1.0})
+        assert [(m["family_param"], m["lhs"], m["rhs"], m["margin"], m["quad_error"])
+                for m in payload["members"]] == \
+            [(r.family_param, r.lhs, r.rhs, r.margin, r.quad_error) for r in sw.rows]
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_scales_param_is_not_an_option(self, command, tmp_path, capsys):
+        # the default up family has fixed scales; a 'scales' key is ignored like
+        # any other unknown key, not iterated
+        runs = []
+        for extra in ("", ",scales=2"):
+            out = tmp_path / f"{command}{extra}.json"
+            rc = main([command, "--inequality", "up",
+                       "--params", "kappa=0,n=3,p=2,alpha=1" + extra, "--out", str(out)])
+            runs.append((rc, capsys.readouterr().out,
+                         json.loads(out.read_text()).get("members")))
+        assert runs[0] == runs[1]
 
     def test_verify_catalog_entry_with_bumps(self, tmp_path):
         out = tmp_path / "mk.json"

@@ -147,9 +147,12 @@ class TestEval:
             parse("sqrt(t - 2)").eval(1.0)
 
     def test_error_identifies_subexpression(self):
-        with pytest.raises(EvalError) as err:
-            parse("1 + log(1 - t)").eval(2.0)
-        assert "log(1 - t)" in str(err.value)
+        e = parse("1 + log(1 - t)")
+        for evaluate in (e.eval, e.eval_d):
+            with pytest.raises(EvalError) as err:
+                evaluate(2.0)
+            assert "log(1 - t)" in str(err.value)
+            assert err.value.fragment == "log(1 - t)"
 
     def test_referential_transparency(self):
         e = parse("exp(sinh(t)/2) + besselj(1, t) - c*t^3")
@@ -227,6 +230,7 @@ class TestDerivativePropertySuite:
         checked = 0
         attempts = 0
         failures = []
+        value_mismatches = []
         while checked < 1000 and attempts < 40000:
             attempts += 1
             src = _random_expr(rng, rng.choice([2, 3, 4]))
@@ -235,10 +239,14 @@ class TestDerivativePropertySuite:
                 e = parse(src)
                 h = 1e-6 * (1.0 + abs(t))
                 v, d = e.eval_d(t, binding)
+                v0 = e.eval(t, binding)
                 vm = e.eval(t - h, binding)
                 vp = e.eval(t + h, binding)
             except EvalError:
                 continue
+            # the value and dual evaluators agree bitwise on the value
+            if repr(v0) != repr(v):
+                value_mismatches.append((src, t, v0, v))
             if not all(map(math.isfinite, (v, d, vm, vp))):
                 continue
             if max(abs(v), abs(vm), abs(vp)) > 1e6 or abs(d) > 1e8:
@@ -249,6 +257,7 @@ class TestDerivativePropertySuite:
             checked += 1
         assert checked == 1000, f"could not generate 1000 valid samples ({checked})"
         assert not failures, f"{len(failures)} derivative mismatches, first: {failures[0]}"
+        assert not value_mismatches, f"eval differs from eval_d: {value_mismatches[0]}"
 
 
 class TestPrintRoundTrip:

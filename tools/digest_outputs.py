@@ -1,0 +1,265 @@
+"""Print a digest of hardykit's numeric outputs for a bitwise comparison.
+
+Run it in two checkouts and diff the two outputs; a refactor that promises
+identical results must leave the digest unchanged:
+
+    PYTHONPATH=src python tools/digest_outputs.py > digest.txt
+
+Covered: the residual list of ``certify`` for two instances of every
+catalog entry (log and uniform grids, 512 and 1024 points); additive,
+multiplicative, uncertainty, interpolation-exponent and oscillatory margins
+on seeded families; sharpness sweeps and extremal-identity checks; value
+and derivative of 2000 seeded random expressions, with the type and message
+of every error raised; and exit code, stdout, stderr and file artifacts of
+every command in the README.  Floats are printed with ``repr``; long lists
+are hashed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+import random
+import sys
+import tempfile
+
+from hardykit import cli
+from hardykit.catalog import instantiate
+from hardykit.exprdsl import parse
+from hardykit.geometry import ModelGeometry
+from hardykit.riccati import certify
+from hardykit.testfuncs import gaussian_type, random_bumps, talenti
+from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_check,
+                               multiplicative_margin, sc_margin, sharpness_sweep, up_margin)
+
+E3 = ModelGeometry(0.0, 3, 2.0)
+E4 = ModelGeometry(0.0, 4, 2.0)
+H2 = ModelGeometry(-1.0, 2, 2.0)
+H3 = ModelGeometry(-1.0, 3, 2.0)
+H4 = ModelGeometry(-1.0, 4, 2.0)
+
+CATALOG_CASES = [
+    ("caccioppoli", E3, {"alpha": 0.0, "R": 1.0}),
+    ("caccioppoli", ModelGeometry(0.0, 2, 3.0), {"alpha": -1.5, "R": 2.0}),
+    ("caccioppoli_improved", ModelGeometry(0.0, 3, 1.5), {"R": 2.0}),
+    ("caccioppoli_improved", E3, {"R": 0.7}),
+    ("hardy", E3, {"alpha": 0.0, "C": 2.0}),
+    ("hardy", ModelGeometry(-1.0, 4, 2.5), {"alpha": 1.0, "C": 3.0}),
+    ("hardy_log", E3, {"alpha": 0.0}),
+    ("hardy_log", ModelGeometry(0.0, 4, 3.0), {"alpha": 1.2}),
+    ("acr", E3, {"D": 1.0}),
+    ("acr", H4, {"D": 2.5}),
+    ("brezis_vazquez", E3, {"nu": 0.0, "D": 1.0}),
+    ("brezis_vazquez", H4, {"nu": 0.7, "D": 2.0}),
+    ("faber_krahn", ModelGeometry(0.0, 2, 2.0), {"R": 1.0}),
+    ("faber_krahn", E4, {"R": 3.0}),
+    ("mckean", H2, {}),
+    ("mckean", ModelGeometry(-2.0, 4, 3.0), {}),
+    ("mckean_improved", H3, {}),
+    ("mckean_improved", ModelGeometry(-0.5, 2, 1.5), {}),
+    ("interpolation", H4, {"lam": 2.0}),
+    ("interpolation", H3, {"lam": 1.0}),
+    ("akutagawa_kumura", H3, {"R": 1.0}),
+    ("akutagawa_kumura", ModelGeometry(-1.5, 2, 2.0), {"R": 0.5}),
+    ("greene_wu_psi", H3, {"psi": "s(t)", "t_hi": 50.0}),
+    ("greene_wu_psi", E4, {"psi": "t + 0.1*t^3", "t_hi": 10.0}),
+    ("ghoussoub_moradifam", E4, {"a": 1.0, "b": 1.0, "alpha": 0.5, "beta": 0.5, "m": 0.3}),
+    ("ghoussoub_moradifam", ModelGeometry(0.0, 5, 2.0),
+     {"a": 0.7, "b": 2.0, "alpha": 1.3, "beta": 1.1, "m": -0.4}),
+    ("carvalho_cavalcante", ModelGeometry(0.0, 3, 2.5), {"a": 1.3, "b": 0.8}),
+    ("carvalho_cavalcante", H2, {"a": 1.0, "b": 2.0}),
+]
+
+README_COMMANDS = [
+    "certify --catalog hardy --params n=3,p=2,alpha=0,C=2",
+    "catalog show brezis_vazquez --params n=3,p=2,nu=0,D=1 > bv.cfg",
+    "certify --spec bv.cfg --grid log --points 512 --tol 1e-8",
+    "solve-riccati --spec bv.cfg --t0 0.5 --g0 1.2 --samples 0.05 0.95 40",
+    "verify --inequality up --params kappa=0,n=3,p=2,alpha=1 --out up.json",
+    "verify --inequality mckean --params kappa=-1,n=2,p=2 --family bumps:count=20,seed=7",
+    "sweep --inequality hardy --params kappa=0,n=3,p=2,alpha=0 --out sweep.json",
+    "spectrum --kappa 0 --n 2 --R 1 --N 4000",
+    "bessel-zeros --nu 0 --count 5",
+    "gm-positivity --out gm.csv",
+    # the remaining default-family and JSON paths of verify/sweep/certify
+    "verify --inequality ckn --params kappa=-1,n=3,p=2,alpha=1,r=3 --out ckn.json",
+    "verify --inequality hardy --params n=3,p=2,alpha=0,C=2 --out hardy.json",
+    "sweep --inequality up --params kappa=-1,n=3,p=2,alpha=1 --out sweep_up.json",
+    "sweep --inequality ckn --params kappa=0,n=3,p=2,alpha=1,r=3 --out sweep_ckn.json",
+    "certify --catalog mckean --params kappa=-1,n=2,p=2 --json mckean.json",
+]
+
+
+def _h(values) -> str:
+    return hashlib.sha256(repr(list(values)).encode()).hexdigest()[:16]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the digest records every error as data
+        return f"{type(exc).__name__}: {exc}"
+
+
+def digest_certify():
+    for name, geo, params in CATALOG_CASES:
+        inst = instantiate(name, geo, params)
+        for grid in ("log", "uniform"):
+            for n in (512, 1024):
+                rep = _outcome(certify, inst.spec, inst.G, grid_policy=grid, n_points=n)
+                if isinstance(rep, str):
+                    print("certify", name, grid, n, rep)
+                    continue
+                print("certify", name, grid, n, rep.verdict, repr(rep.min_residual),
+                      repr(rep.argmin_t), repr(rep.min_G), repr(rep.max_G),
+                      _h(rep.grid), _h(rep.residuals))
+
+
+def _margin_line(label, m):
+    if isinstance(m, str):
+        return f"{label} {m}"
+    extras = sorted((k, repr(v)) for k, v in m.extras.items())
+    return (f"{label} {m.lhs!r} {m.rhs!r} {m.margin!r} {m.quadrature_error_estimate!r} "
+            f"{extras}")
+
+
+def digest_margins():
+    for name, geo, params, seed in (("hardy", E3, {"alpha": 0.0, "C": 2.0}, 3),
+                                    ("mckean", H2, {}, 5),
+                                    ("interpolation", H3, {"lam": 1.0}, 11),
+                                    ("acr", E3, {"D": 1.0}, 13)):
+        inst = instantiate(name, geo, params)
+        hi = inst.spec.t_hi
+        fam = random_bumps(6, seed=seed, lo=inst.spec.t_lo, hi=hi,
+                           span=min(10.0, hi - inst.spec.t_lo) if math.isfinite(hi) else 10.0)
+        for i, u in enumerate(fam):
+            print(_margin_line(f"additive {name} {i}", _outcome(additive_margin, None, inst, u)))
+            print(_margin_line(f"multiplicative {name} {i}",
+                               _outcome(multiplicative_margin, None, inst, u)))
+    G = parse("(n-2)/2/t")
+    H = parse("s^2/2 + s^4", var="s")
+    for i, u in enumerate(random_bumps(4, seed=17)):
+        print(_margin_line(f"additive-generic {i}",
+                           _outcome(additive_margin, E3, G, u, H=H, binding={"n": 3.0})))
+    for geo in (E3, H3, ModelGeometry(-0.5, 4, 2.5)):
+        for alpha in (1.0, 0.3, -0.4):
+            for lam in (0.5, 1.0, 2.0, 4.0):
+                u = gaussian_type(alpha, geo.p, scale=lam)
+                print(_margin_line(f"up {geo} {alpha} {lam}", _outcome(up_margin, geo, u, alpha)))
+                for r in (3.0, 2.6):
+                    u = talenti(alpha, geo.p, r, scale=lam)
+                    print(_margin_line(f"ckn {geo} {alpha} {r} {lam}",
+                                       _outcome(ckn_margin, geo, u, alpha, r)))
+    for c in (0.0, 1.0, -1.0):
+        u = gaussian_type(1.0, 2.0, scale=1.5)
+        print(_margin_line(f"sc {c}", _outcome(sc_margin, H3, u, c)))
+    for geo, alpha in ((E3, 1.0), (H3, 1.0), (E4, 0.5)):
+        res = _outcome(extremal_identity_check, geo, alpha)
+        print("extremal", geo, alpha, res)
+
+
+def digest_sweeps():
+    up_h3 = [gaussian_type(0.5, H3.p, scale=lam) for lam in (0.7, 1.3)]
+    for mode, geo, params, family in (("hardy", E3, {"alpha": 0.0}, None),
+                                      ("hardy", ModelGeometry(-1.0, 4, 2.5), {"alpha": 0.5}, None),
+                                      ("up", E3, {"alpha": 1.0}, None),
+                                      ("up", H3, {"alpha": 0.5}, up_h3),
+                                      ("ckn", E3, {"alpha": 1.0, "r": 3.0}, None),
+                                      ("ckn", H4, {"alpha": 0.8, "r": 2.5}, None)):
+        sw = _outcome(sharpness_sweep, mode, geo, params, family)
+        if isinstance(sw, str):
+            print("sweep", mode, geo, sw)
+            continue
+        print("sweep", mode, geo, repr(sw.sharp_constant), repr(sw.achieved_extremum),
+              repr(sw.min_margin))
+        for r in sw.rows:
+            print("  row", repr(r.family_param), repr(r.lhs), repr(r.rhs), repr(r.margin),
+                  repr(r.quad_error), repr(r.ratio), r.note)
+
+
+def _random_expr(rng: random.Random, depth: int) -> str:
+    if depth <= 0:
+        return rng.choice(["t", "t", "a", "b", "q", f"{rng.uniform(-1.0, 2.5):.4f}"])
+    kind = rng.randrange(10)
+    if kind < 4:
+        op = rng.choice(["+", "-", "*", "/", "^"])
+        return f"({_random_expr(rng, depth - 1)} {op} {_random_expr(rng, depth - 1)})"
+    if kind == 4:
+        return f"-{_random_expr(rng, depth - 1)}"
+    if kind < 8:
+        fn = rng.choice(["exp", "log", "sinh", "cosh", "coth", "sqrt", "abs", "sin", "cos",
+                         "tanh", "ct", "s", "D", "gamma"])
+        return f"{fn}({_random_expr(rng, depth - 1)})"
+    if kind == 8:
+        return f"besselj({rng.choice(['0', '1', '2.5', 't'])}, {_random_expr(rng, depth - 1)})"
+    return rng.choice([f"besselratio(1, {_random_expr(rng, depth - 1)})",
+                       f"hyp2f1(0.5, 1, 1.5, -{_random_expr(rng, depth - 1)})",
+                       f"pow({_random_expr(rng, depth - 1)}, {_random_expr(rng, depth - 1)})"])
+
+
+def digest_expressions():
+    rng = random.Random(4242)
+    bindings = ({"a": 1.3, "b": 0.6, "q": -0.7, "kappa": -1.0},
+                {"a": 2.0, "b": -0.5, "q": 0.0, "kappa": 0.0},
+                {"a": 1.3, "b": 0.6})
+    lines = []
+    for _ in range(2000):
+        src = _random_expr(rng, rng.choice([1, 2, 3, 4]))
+        e = parse(src)
+        for binding in bindings:
+            for t in (rng.uniform(-1.0, 3.0), 0.0, 1.0):
+                lines.append(f"{src} {t!r} {_outcome(e.eval, t, binding)!r} "
+                             f"{_outcome(e.eval_d, t, binding)!r}")
+    errors = [ln for ln in lines if "Error:" in ln]
+    print("expressions", len(lines), "lines", len(errors), "with errors", _h(lines))
+    for ln in errors[:: max(1, len(errors) // 60)]:
+        print("  ", ln)
+    for src, t, binding in (("1 + log(1 - t)", 2.0, None), ("a*t", 1.0, {}),
+                            ("1/(t-1)", 1.0, None), ("ct(t)", 1.0, {}),
+                            ("exp(t) + s(t)", 1.0, None), ("gamma(t)", 2.5, None),
+                            ("besselj(t, 1)", 0.5, None), ("(t^0.5)*2", -1.0, None),
+                            ("sqrt(t)", 0.0, None), ("besselratio(0, t)", 3.0, None)):
+        e = parse(src)
+        print("error-case", src, _outcome(e.eval, t, binding), "|",
+              _outcome(e.eval_d, t, binding))
+
+
+def digest_readme_commands():
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for line in README_COMMANDS:
+                argv, _, redirect = line.partition(" > ")
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli.main(argv.split())
+                if redirect:
+                    with open(redirect, "w") as fh:
+                        fh.write(out.getvalue())
+                print("command", line, "rc", rc)
+                print("  stdout", hashlib.sha256(out.getvalue().encode()).hexdigest()[:16],
+                      out.getvalue().splitlines()[:1])
+                print("  stderr", err.getvalue().strip())
+                for name in sorted(os.listdir(tmp)):
+                    with open(name, "rb") as fh:
+                        data = fh.read()
+                    print("  file", name, hashlib.sha256(data).hexdigest()[:16], len(data))
+        finally:
+            os.chdir(cwd)
+
+
+def main() -> int:
+    digest_certify()
+    digest_margins()
+    digest_sweeps()
+    digest_expressions()
+    digest_readme_commands()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
