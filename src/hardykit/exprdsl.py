@@ -159,7 +159,7 @@ def _bj_dual(args, binding):
         if nu == 0.0 or nu > 1.0:
             return Dual(v, 0.0)
         raise EvalError(f"besselj({nu}, x) has unbounded derivative at x=0")
-    return Dual(v, _sf._bessel_j_dx(nu, x.v) * x.d)
+    return Dual(v, _sf._bessel_j_dx(nu, x.v, v) * x.d)
 
 
 def _br_value(args, binding):

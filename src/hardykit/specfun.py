@@ -2,12 +2,15 @@
 ratios, and the Gauss hypergeometric function for nonpositive argument.
 
 Everything here is scalar and deterministic.  Bessel functions are evaluated
-by the ascending power series; for arguments where float64 cancellation would
-eat the answer the same series is re-run in elevated precision (mpmath), so
-the advertised absolute-error bound holds on the whole supported box.  The
-Gauss function is evaluated through the Pfaff map w = z/(z-1) which turns
-z <= 0 into w in [0, 1); for very large |z| (slow Pfaff convergence) a
-connection formula in 1/z takes over.
+by the ascending power series up to x = 10; above that, where float64
+cancellation would eat the answer, by mpmath.besselj at 20 digits, so the
+advertised absolute-error bound holds on the whole supported box.  Bessel
+zeros come from Newton's method, seeded by asymptotic forms (McMahon's for
+k >= 2) and safeguarded by bisection in a bracket that holds only the wanted
+zero.  The Gauss function is evaluated through the Pfaff map w = z/(z-1)
+which turns z <= 0 into w in [0, 1); for very large |z| (slow Pfaff
+convergence) a connection formula in 1/z takes over, or mpmath.hyp2f1 where
+b - a is an integer and that formula has its logarithmic form.
 """
 
 from __future__ import annotations
@@ -39,8 +42,11 @@ BESSEL_NU_MAX = 50.0
 BESSEL_X_MAX = 200.0
 
 # Above this argument the float64 ascending series has lost too many digits
-# (largest term ~ e^x while J = O(1)); switch to the same series in mpmath.
+# (largest term ~ e^x while J = O(1)); switch to mpmath.besselj, which
+# raises its own precision to cover the cancellation.
 _SERIES_FLOAT_XMAX = 10.0
+# working precision of mpmath.besselj, a few digits above double
+_MP_DPS = 20
 
 _HYP_BIGZ = 40.0
 _HYP_MAX_TERMS = 200_000
@@ -98,25 +104,9 @@ def _bessel_series_float(nu: float, x: float) -> float:
             raise ConvergenceError(f"bessel series stalled at nu={nu}, x={x}")
 
 
-def _bessel_series_mp(nu: float, x: float) -> float:
-    # digits lost ~ x/ln(10); pad generously
-    dps = 25 + int(0.46 * x)
-    with mpmath.workdps(dps):
-        half = mpmath.mpf(x) / 2
-        nu_mp = mpmath.mpf(nu)
-        term = half**nu_mp / mpmath.gamma(nu_mp + 1)
-        ratio = -(half * half)
-        total = term
-        tiny = mpmath.mpf(10) ** (-dps)
-        k = 1
-        while True:
-            # k*(nu+k) must stay in mpf: a double here would poison every
-            # term with 1e-16 relative error, fatal under the cancellation
-            term *= ratio / (k * (nu_mp + k))
-            total += term
-            if abs(term) <= tiny * (abs(total) + 1) and k > x / 2:
-                return float(total)
-            k += 1
+def _bessel_mp(nu: float, x: float) -> float:
+    with mpmath.workdps(_MP_DPS):
+        return float(mpmath.besselj(nu, x))
 
 
 def _bessel_j_any(nu: float, x: float) -> float:
@@ -125,7 +115,7 @@ def _bessel_j_any(nu: float, x: float) -> float:
         return 1.0 if nu == 0.0 else 0.0
     if x <= _SERIES_FLOAT_XMAX:
         return _bessel_series_float(nu, x)
-    return _bessel_series_mp(nu, x)
+    return _bessel_mp(nu, x)
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -137,14 +127,15 @@ def bessel_j(nu: float, x: float) -> float:
     return _bessel_j_any(nu, x)
 
 
-def _bessel_j_dx(nu: float, x: float) -> float:
-    """dJ_nu/dx for x > 0, via the standard recurrences."""
+def _bessel_j_dx(nu: float, x: float, j: float) -> float:
+    """dJ_nu/dx for x > 0 from j = J_nu(x), via the standard recurrences."""
     if nu >= 1.0:
-        return _bessel_j_any(nu - 1.0, x) - (nu / x) * _bessel_j_any(nu, x)
-    return (nu / x) * _bessel_j_any(nu, x) - _bessel_j_any(nu + 1.0, x)
+        return _bessel_j_any(nu - 1.0, x) - (nu / x) * j
+    return (nu / x) * j - _bessel_j_any(nu + 1.0, x)
 
 
 def _first_zero_estimate(nu: float) -> float:
+    """j_{nu,1} to within 0.06 on 0 <= nu <= 50."""
     if nu < 1.0:
         beta = (0.75 + nu / 2.0) * math.pi
         return beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)
@@ -153,52 +144,58 @@ def _first_zero_estimate(nu: float) -> float:
     return nu + 1.8557571 * c + 1.033150 / c - 0.00397 / nu
 
 
+def _mcmahon(nu: float, k: int) -> float:
+    """McMahon's expansion of j_{nu,k}, accurate for k large against nu."""
+    mu = 4.0 * nu * nu
+    b8 = 8.0 * (k + nu / 2.0 - 0.25) * math.pi
+    return b8 / 8.0 - (mu - 1.0) / b8 - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * b8 ** 3)
+
+
 @lru_cache(maxsize=4096)
 def bessel_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu, absolute error well below 1e-10.
 
-    Sequential bracketing from an asymptotic first guess (McMahon for small
-    orders), then Newton safeguarded by bisection inside the bracket.
-    Supported for nu <= 50, k <= 20.
+    Newton from an asymptotic first guess (the large-order expansion for
+    k = 1, McMahon's for k >= 2), safeguarded by bisection inside a bracket
+    that holds the k-th zero and no other.  Supported for nu <= 50, k <= 20.
     """
     if not (0.0 <= nu <= BESSEL_NU_MAX):
         raise UnsupportedRangeError(f"bessel_zero order nu={nu!r} outside [0, {BESSEL_NU_MAX}]")
     if not (1 <= k <= 20):
         raise UnsupportedRangeError(f"bessel_zero index k={k!r} outside [1, 20]")
 
+    # On the box consecutive zeros are less than 5.7 apart (the widest gap is
+    # j_{50,1} to j_{50,2}) and more than 3.1, so (j_{k-1}, j_{k-1} + 6) holds
+    # j_k and no other zero, and the sign of J places each of its points: J
+    # has the sign of (-1)^(k-1) below j_k.  For k = 1 the guess is within
+    # 0.06 of j_1, so (guess - 2.5, guess + 2.5) holds j_1 alone.
     if k == 1:
-        lo = max(1e-3, 0.5 * _first_zero_estimate(nu))
+        x = _first_zero_estimate(nu)
+        lo, hi = max(0.0, x - 2.5), x + 2.5
     else:
-        lo = bessel_zero(nu, k - 1) + 0.2
-    # successive zeros are more than 3 apart for all nu >= 0, so a unit-step
-    # scan cannot skip one
-    f_lo = _bessel_j_any(nu, lo)
-    hi = lo
-    for _ in range(400):
-        hi = hi + 1.0
-        f_hi = _bessel_j_any(nu, hi)
-        if f_lo * f_hi < 0.0:
-            break
-        lo, f_lo = hi, f_hi
-    else:  # pragma: no cover
-        raise ConvergenceError(f"no sign change located for j_({nu},{k})")
-
-    x = 0.5 * (lo + hi)
+        lo = bessel_zero(nu, k - 1)
+        hi = lo + 6.0
+        x = min(max(_mcmahon(nu, k), lo + 0.1), hi - 0.1)
+    positive_below = k % 2 == 1
     for _ in range(80):
-        fx = _bessel_j_any(nu, x)
+        # J from mpmath at every x: below x = 10 the float series carries
+        # noise of order 1e-14, which would move the zero by as much
+        fx = _bessel_mp(nu, x)
         if fx == 0.0:
             return x
-        if f_lo * fx < 0.0:
-            hi = x
+        if (fx > 0.0) == positive_below:
+            lo = x
         else:
-            lo, f_lo = x, fx
-        step = fx / _bessel_j_dx(nu, x)
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4e-15 * x:
-            return x_new
-        x = x_new
+            hi = x
+        step = fx / _bessel_j_dx(nu, x, fx)
+        # Newton's error after a step s is about s^2 / (2 x) here (J'' = -J'/x
+        # at a zero), below 1e-16 x once |s| <= 1e-8 x; that last step is
+        # taken even if it lands on a bracket end
+        if abs(step) <= 1e-8 * x:
+            return x - step
+        x = x - step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
     return x
 
 
@@ -269,8 +266,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Standard Gauss function F(a,b;c;z) for z <= 0.
 
     Evaluated as (1-z)^(-a) F(a, c-b; c; z/(z-1)) with the series at the
-    mapped argument; for |z| > 40 (and non-integer b-a) the 1/z connection
-    formula is used instead because the mapped series converges too slowly.
+    mapped argument.  For |z| > 40 that series converges too slowly: the 1/z
+    connection formula takes over, and where b-a is an integer (within 1e-8),
+    where the formula degenerates into its logarithmic form, mpmath.hyp2f1.
     """
     if _is_nonpositive_integer(c):
         raise PoleError(f"hyp2f1 third parameter c={c!r} is a nonpositive integer")
@@ -280,10 +278,11 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         return 1.0
     if a > b:
         a, b = b, a  # series symmetry; keeps f(a,b,...) == f(b,a,...) bitwise
-    if -z > _HYP_BIGZ and abs((b - a) - round(b - a)) > 1e-8:
-        inner_c = abs(b - a) + 1.0
-        if not _is_nonpositive_integer(inner_c):
+    if -z > _HYP_BIGZ:
+        if abs((b - a) - round(b - a)) > 1e-8:
             return _hyp2f1_bigz(a, b, c, z)
+        with mpmath.workdps(_MP_DPS):
+            return float(mpmath.hyp2f1(a, b, c, z))
     w = z / (z - 1.0)
     return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, w)
 

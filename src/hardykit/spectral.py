@@ -8,12 +8,21 @@ with v bounded at 0 (the density vanishes there, a natural boundary) and
 v(R) = 0.  Discretization is a cell-centered finite-volume scheme on the
 shifted grid t_j = (j + 1/2) h: the flux coefficient at the leftmost face
 sits exactly at t = 0 where the density vanishes, so the natural boundary
-needs no special casing and the scheme stays O(h^2).  The smallest
-eigenvalue of the pencil is located by Sturm bisection (LDL^T inertia
-counts below a shift, started from a Gershgorin bound); inverse iteration
-with tridiagonal solves, shifted just below it, only supplies the
-eigenvector.  The returned estimate is the Richardson extrapolation of the
-N/2 and N solves.
+needs no special casing and the scheme stays O(h^2).
+
+The smallest eigenvalue of the pencil (A, B) is found by Newton's method on
+log det(A - sigma B), evaluated by the LDL^T pivot recurrence with the pivot
+derivative carried alongside.  The pencil's eigenvalues are real, so Newton
+started below the smallest one rises monotonically towards it, and the
+inertia count of each iterate (its negative pivots) must be 0: every iterate
+is a certified lower bound.  Counts at doubling distances from Newton's
+estimate then find where the count turns, and bisection of [0, Gershgorin
+bound] pins that to a Sturm-count bracket of relative width 1e-14, taking
+only the counts that the points counted so far leave open, a handful once
+Newton has converged.  The N/2 solve gives the eigenvalue only, and starts
+Newton at N; inverse iteration with tridiagonal solves, shifted just below
+the eigenvalue, supplies the eigenvector at N.  The returned estimate is the
+Richardson extrapolation of the N/2 and N solves.
 """
 
 from __future__ import annotations
@@ -28,6 +37,20 @@ from .geometry import ModelGeometry, s_value
 
 __all__ = ["SpectralResult", "spectral_lambda1"]
 
+# bracket width of the certified eigenvalue, relative to max(1, lambda)
+_BRACKET_REL = 1e-14
+# Newton stops when its step is this small relative to max(1, sigma): it
+# converges quadratically, so the point reached is at rounding level
+_NEWTON_REL = 1e-9
+_NEWTON_MAX_ITER = 100
+# first distance of the count search around Newton's estimate, relative to
+# max(1, lambda): about the width over which rounding blurs the count
+_GALLOP_REL = 1e-13
+# the N/2 eigenvalue lowered by this fraction starts Newton at N
+_GUESS_MARGIN = 1e-2
+# inverse iteration stops once the unit vector moves less than this
+_VECTOR_TOL = 1e-12
+
 
 @dataclass
 class SpectralResult:
@@ -39,12 +62,11 @@ class SpectralResult:
     v: np.ndarray           # eigenfunction samples, sup-normalized
 
 
-def _solve_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                   rhs: np.ndarray) -> np.ndarray:
+def _solve_tridiag(lower: list, diag: list, upper: list, rhs: list) -> list:
     """Thomas algorithm; raises on a vanishing pivot."""
-    n = diag.size
-    gam = np.empty(n)
-    x = np.empty(n)
+    n = len(diag)
+    gam = [0.0] * n
+    x = [0.0] * n
     beta = diag[0]
     if beta == 0.0:
         raise ZeroDivisionError("zero pivot")
@@ -60,83 +82,179 @@ def _solve_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     return x
 
 
-def _count_below(sym_diag: np.ndarray, sym_off: np.ndarray, b_diag: np.ndarray,
-                 sigma: float) -> int:
-    """Eigenvalues of the pencil (A, B) strictly below sigma, by LDL^T inertia.
+class _Pencil:
+    """A - sigma B, with A symmetric tridiagonal (diag, off) and B positive diagonal."""
 
-    A is symmetric tridiagonal (sym_diag, sym_off), B positive diagonal.
-    """
-    count = 0
-    d = sym_diag[0] - sigma * b_diag[0]
-    if d == 0.0:
-        d = -1e-300
-    if d < 0.0:
-        count += 1
-    for j in range(1, sym_diag.size):
-        d = sym_diag[j] - sigma * b_diag[j] - sym_off[j - 1] ** 2 / d
-        if d == 0.0:
-            d = -1e-300
-        if d < 0.0:
-            count += 1
-    return count
+    def __init__(self, diag: np.ndarray, off: np.ndarray, b: np.ndarray):
+        self.diag, self.off, self.b = diag, off, b
+        # squared couplings, with a leading 0 so the recurrence starts at d_0.
+        # ** is libm pow, which can differ from x*x by an ulp; near the
+        # eigenvalue an ulp moves the count, so the choice fixes the digits
+        # of the result (pinned by tools/digest_outputs.py)
+        self._off2 = [0.0] + [o ** 2 for o in off.tolist()]
+        self._b = b.tolist()
+
+    def count_below(self, sigma: float) -> int:
+        """Eigenvalues strictly below sigma: the negative pivots of LDL^T."""
+        count = 0
+        d = 1.0
+        for c, o2 in zip((self.diag - sigma * self.b).tolist(), self._off2):
+            d = c - o2 / d
+            if d <= 0.0:
+                if d == 0.0:
+                    d = -1e-300
+                count += 1
+        return count
+
+    def newton(self, sigma: float) -> tuple[int, float]:
+        """count_below(sigma), and the Newton step -1 / (d/dsigma log det)
+        when that count is 0 (else 0.0).
+
+        With e_j = o_{j-1}^2 / d_{j-1}, the pivots are d_j = c_j - e_j and
+        their derivatives d'_j = -b_j + e_j d'_{j-1} / d_{j-1}; the ratios
+        r_j = d'_j / d_j sum to the derivative of log det(A - sigma B).
+        """
+        count = 0
+        d = 1.0
+        r = 0.0
+        g = 0.0
+        for c, bj, o2 in zip((self.diag - sigma * self.b).tolist(), self._b, self._off2):
+            e = o2 / d
+            d = c - e
+            if d <= 0.0:
+                if d == 0.0:
+                    d = -1e-300
+                count += 1
+            r = (e * r - bj) / d
+            g += r
+        # all pivots positive makes every r_j negative, so g < 0
+        return count, (-1.0 / g if count == 0 else 0.0)
+
+    def smallest_eigenvalue(self, guess: float = 0.0) -> float:
+        """Smallest eigenvalue, certified by inertia: the midpoint of a bracket
+        [lo, hi] of width <= 1e-14 max(1, hi) holding a counted point with no
+        eigenvalue below it and one with at least one.
+
+        Newton runs from guess if 0 < guess < Gershgorin bound, else from 0;
+        a count search around its estimate (or around a guess that has
+        eigenvalues below it) leaves the bisection of [0, Gershgorin bound]
+        only the last few counts to take.
+        """
+        top = float(np.max(self.diag / self.b)     # Gershgorin bound of B^{-1} A
+                    + 2.0 * np.max(np.abs(self.off)) / np.min(self.b))
+        below, above = 0.0, top     # counted points: 0 below / >= 1 below
+        sigma = x = guess if 0.0 < guess < top else 0.0
+        for _ in range(_NEWTON_MAX_ITER):
+            count, step = self.newton(sigma)
+            if count:                   # rounding once converged, or a bad guess
+                above = x = sigma
+                break
+            below = sigma
+            x = sigma + step
+            if not (step > _NEWTON_REL * max(1.0, sigma) and x < above):
+                break
+            sigma = x
+        if below < x <= above:
+            below, above = self._gallop(x, below, above)
+        lo, hi = self._bisect(top, below, above)
+        return 0.5 * (lo + hi)
+
+    def _gallop(self, x: float, below: float, above: float) -> tuple[float, float]:
+        """Narrow the counted points (below, above) around an estimate x of
+        the eigenvalue: count at x, then at doubling distances from x on the
+        side the eigenvalue lies, until the count turns."""
+        up = self.count_below(x) == 0
+        if up:
+            below = x
+        else:
+            above = x
+        dist = _GALLOP_REL * max(1.0, x)
+        while True:
+            p = x + dist if up else x - dist
+            if not below < p < above:
+                return below, above
+            if self.count_below(p):
+                above = p
+                if up:
+                    return below, above
+            else:
+                below = p
+                if not up:
+                    return below, above
+            dist *= 2.0
+
+    def _bisect(self, top: float, below: float, above: float) -> tuple[float, float]:
+        """Bisection of [0, top] to width 1e-14 max(1, hi), taking counts only
+        strictly between below (read as 0) and above (read as >= 1)."""
+        lo, hi = 0.0, top
+        while hi - lo > _BRACKET_REL * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if mid <= below:
+                lo = mid
+            elif mid >= above:
+                hi = mid
+            elif self.count_below(mid):
+                hi = above = mid
+            else:
+                lo = below = mid
+        return lo, hi
 
 
-def _lambda1_fixed_grid(geo: ModelGeometry, R: float, N: int,
-                        max_iter: int = 10_000) -> tuple[float, np.ndarray, np.ndarray]:
+def _pencil(geo: ModelGeometry, R: float, N: int) -> tuple[np.ndarray, _Pencil]:
+    """Cell centres and the finite-volume pencil at resolution N."""
     h = R / (N + 0.5)
     ts = (np.arange(N) + 0.5) * h
     faces = np.arange(N + 1) * h          # t = 0 face carries zero density
     a_face = np.array([s_value(geo.kappa, t) ** (geo.n - 1) for t in faces])
     a_cell = np.array([s_value(geo.kappa, t) ** (geo.n - 1) for t in ts])
-
     h2 = h * h
-    sym_diag = (a_face[:N] + a_face[1:]) / h2
-    sym_off = -a_face[1:N] / h2
+    return ts, _Pencil((a_face[:N] + a_face[1:]) / h2, -a_face[1:N] / h2, a_cell)
 
-    # Sturm bisection pins the smallest pencil eigenvalue with certainty;
-    # nearby higher modes (large hyperbolic balls cluster them within a few
-    # percent) cannot capture it the way a misplaced Rayleigh shift can.
-    hi = float(np.max(sym_diag / a_cell) + 2.0 * np.max(np.abs(sym_off))
-               / np.min(a_cell))  # Gershgorin upper bound on B^{-1}A
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _count_below(sym_diag, sym_off, a_cell, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    lam = 0.5 * (lo + hi)
 
-    # eigenvector: inverse iteration shifted just below the pinned eigenvalue
-    sigma = lo - 1e-10 * max(1.0, lam)
-    lower = sym_off / a_cell[1:]
-    upper = sym_off / a_cell[:-1]
-    diag = sym_diag / a_cell - sigma
+def _eigenvector(pencil: _Pencil, lam: float, ts: np.ndarray, R: float) -> np.ndarray:
+    """Inverse iteration on B^{-1} A shifted just below lam, stopped once the
+    unit vector has converged (at most 8 solves); sup-normalized, v[0] > 0."""
+    b = pencil.b
+    lower = (pencil.off / b[1:]).tolist()
+    upper = (pencil.off / b[:-1]).tolist()
+    base = pencil.diag / b
+    sigma = lam - 1e-10 * max(1.0, lam)
+    diag = (base - sigma).tolist()
     v = np.sin(math.pi * ts / R)
     v /= np.linalg.norm(v)
     for _ in range(8):
         try:
-            w = _solve_tridiag(lower, diag, upper, v)
+            w = np.array(_solve_tridiag(lower, diag, upper, v.tolist()))
         except ZeroDivisionError:
             sigma -= 1e-8 * max(1.0, lam)
-            diag = sym_diag / a_cell - sigma
+            diag = (base - sigma).tolist()
             continue
         nrm = np.linalg.norm(w)
         if not np.isfinite(nrm) or nrm == 0.0:
             break
-        v = w / nrm
+        w /= nrm
+        moved = float(np.max(np.abs(w - v)))
+        v = w
+        if moved <= _VECTOR_TOL:
+            break
     v = v / np.max(np.abs(v))
     if v[0] < 0.0:
         v = -v
-    return lam, ts, v
+    return v
+
+
+def _lambda1_fixed_grid(geo: ModelGeometry, R: float, N: int,
+                        guess: float = 0.0) -> tuple[float, np.ndarray, np.ndarray]:
+    ts, pencil = _pencil(geo, R, N)
+    lam = pencil.smallest_eigenvalue(guess)
+    return lam, ts, _eigenvector(pencil, lam, ts, R)
 
 
 def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralResult:
     """Smallest Dirichlet eigenvalue of the radial ball of radius R.
 
-    Solves at N/2 and N and Richardson-extrapolates the O(1/N^2) error.
+    Solves at N/2 (eigenvalue only) and N and Richardson-extrapolates the
+    O(1/N^2) error.  The N/2 eigenvalue, lowered by 1%, starts Newton at N.
     """
     if geo.p != 2.0:
         raise ParameterError(f"spectral solver supports p = 2 only, got p={geo.p!r}")
@@ -144,8 +262,8 @@ def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralRes
         raise ParameterError(f"need R > 0, got {R!r}")
     if N < 200:
         raise ParameterError(f"need N >= 200, got {N!r}")
-    lam_coarse, _, _ = _lambda1_fixed_grid(geo, R, N // 2)
-    lam_fine, ts, v = _lambda1_fixed_grid(geo, R, N)
+    lam_coarse = _pencil(geo, R, N // 2)[1].smallest_eigenvalue()
+    lam_fine, ts, v = _lambda1_fixed_grid(geo, R, N, (1.0 - _GUESS_MARGIN) * lam_coarse)
     lam_extrap = lam_fine + (lam_fine - lam_coarse) / 3.0
     return SpectralResult(lambda1=lam_extrap, lambda1_raw=lam_fine,
                           lambda1_coarse=lam_coarse, N=N, ts=ts, v=v)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hardykit import specfun
 from hardykit.errors import (DomainError, PoleError, UnsupportedRangeError)
 from hardykit.specfun import (bessel_j, bessel_ratio, bessel_ratio_dx, bessel_zero,
                               gamma, hyp2f1, hyp2f1_dz, rgamma)
@@ -59,7 +60,7 @@ class TestBesselJ:
             assert bessel_j(0.5, x) == pytest.approx(ref, abs=1e-11)
 
     def test_large_argument_precision(self):
-        # elevated-precision path: same series, more digits
+        # mpmath path (x > 10)
         for nu, x in ((0.0, 50.0), (7.3, 193.0), (50.0, 200.0), (0.0, 200.0)):
             ref = math.sqrt(2.0 / (math.pi * x)) * math.cos(
                 x - nu * math.pi / 2.0 - math.pi / 4.0)
@@ -101,6 +102,41 @@ class TestBesselZero:
         for nu in (0.0, 3.0, 50.0):
             zs = [bessel_zero(nu, k) for k in range(1, 21)]
             assert all(a < b for a, b in zip(zs, zs[1:]))
+
+    def test_cold_scan_cost(self, monkeypatch):
+        # Newton from McMahon seeds takes a few J evaluations per zero, 90
+        # for this scan; a unit-step bracket scan with bisection takes ~1700
+        calls = []
+
+        def counting(f):
+            def evaluate(nu, x):
+                calls.append(x)
+                return f(nu, x)
+            return evaluate
+
+        for name in ("_bessel_series_float", "_bessel_mp"):   # every J evaluation
+            monkeypatch.setattr(specfun, name, counting(getattr(specfun, name)))
+        bessel_zero.cache_clear()
+        try:
+            zeros = [bessel_zero(8.0, k) for k in range(1, 21)]
+        finally:
+            bessel_zero.cache_clear()
+        assert len(calls) <= 500, len(calls)
+        assert all(a < b for a, b in zip(zeros, zeros[1:]))
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 8.0, 25.0, 42.0, 50.0])
+    def test_against_mpmath_zeros(self, nu):
+        import mpmath
+
+        for k in (1, 2, 5, 20):
+            ref = float(mpmath.besseljzero(nu, k))
+            assert bessel_zero(nu, k) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_readme_zeros_to_printed_digits(self):
+        import mpmath
+
+        for k in range(1, 6):
+            assert f"{bessel_zero(0.0, k):.15g}" == f"{float(mpmath.besseljzero(0, k)):.15g}"
 
     def test_range_limits(self):
         with pytest.raises(UnsupportedRangeError):
@@ -184,6 +220,29 @@ class TestHyp2f1:
                 bigz = _hyp2f1_bigz(a, b, c, z)
                 assert bigz == pytest.approx(pfaff, rel=1e-9)
 
+    @pytest.mark.parametrize("gap", [0, 1, 2, 3])
+    def test_integer_gap_large_argument_against_mpmath(self, gap):
+        # b - a an integer and -z > 40: the connection formula's logarithmic
+        # case, where the mapped series would need 200k terms or more
+        import mpmath
+
+        for a in (-0.5, 0.1, 1.0, 1.7, 3.0):
+            for c in (0.3, 1.5, 2.0, 4.9):
+                for z in (-40.5, -1e3, -3e4, -1e6):
+                    with mpmath.workdps(30):
+                        ref = float(mpmath.hyp2f1(a, a + gap, c, z))
+                    assert hyp2f1(a, a + gap, c, z) == pytest.approx(ref, rel=1e-13)
+
+    def test_integer_gap_closed_forms(self):
+        for z in (-41.0, -1e3, -1e5, -1e6):
+            # F(1,1;2;z) = log(1-z)/(-z)
+            assert hyp2f1(1.0, 1.0, 2.0, z) == pytest.approx(math.log1p(-z) / -z, rel=1e-13)
+            # F(1,2;3;z) = -2 (z + log(1-z)) / z^2
+            assert hyp2f1(1.0, 2.0, 3.0, z) == pytest.approx(
+                -2.0 * (z + math.log1p(-z)) / (z * z), rel=1e-13)
+            # F(a,b;b;z) = (1-z)^(-a)
+            assert hyp2f1(2.0, 3.0, 3.0, z) == pytest.approx((1.0 - z) ** -2.0, rel=1e-13)
+
     def test_polynomial_termination(self):
         # a = -2 gives a quadratic in z: F(-2,b;c;z)
         b, c = 1.4, 2.2
@@ -229,7 +288,8 @@ class TestHyp2f1Derivative:
 class TestBesselBoxCrossCheck:
     def test_random_sample_against_mpmath(self):
         # mpmath.besselj uses hypercomb machinery, independent of the
-        # ascending-series loop under test; the box bound is 1e-11 absolute
+        # ascending-series loop that serves x <= 10 (above that bessel_j is
+        # mpmath.besselj at 20 digits); the box bound is 1e-11 absolute
         import random
 
         import mpmath

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
+from hardykit import spectral
 from hardykit.errors import ParameterError
 from hardykit.geometry import ModelGeometry
 from hardykit.specfun import bessel_j, bessel_zero
-from hardykit.spectral import spectral_lambda1
+from hardykit.spectral import _lambda1_fixed_grid, _pencil, spectral_lambda1
 
 
 class TestFlatBalls:
@@ -67,3 +69,68 @@ class TestNumericalBehavior:
             spectral_lambda1(ModelGeometry(0.0, 2, 2.0), -1.0, 400)
         with pytest.raises(ParameterError):
             spectral_lambda1(ModelGeometry(0.0, 2, 2.0), 1.0, 100)
+
+
+def _symmetrized(pencil):
+    """B^{-1/2} A B^{-1/2} as a dense matrix."""
+    s = 1.0 / np.sqrt(pencil.b)
+    off = pencil.off * s[:-1] * s[1:]
+    return np.diag(pencil.diag * s * s) + np.diag(off, 1) + np.diag(off, -1)
+
+
+# flat, hyperbolic, and large hyperbolic balls whose low modes cluster
+# within a few percent of lambda_1 (kappa = -2, R = 20)
+SOLVER_CASES = [(k, n, R, N) for k, n, R in ((0.0, 2, 1.0), (0.0, 4, 1.0), (-1.0, 3, 2.0),
+                                             (-1.0, 2, 5.0), (-2.0, 2, 20.0), (-2.0, 4, 20.0))
+                for N in (200, 400)]
+
+
+class TestEigenSolver:
+    @pytest.mark.parametrize("kappa,n,R,N", SOLVER_CASES)
+    def test_matches_dense_eigensolver(self, kappa, n, R, N):
+        lam, _, _ = _lambda1_fixed_grid(ModelGeometry(kappa, n, 2.0), R, N)
+        T = _symmetrized(_pencil(ModelGeometry(kappa, n, 2.0), R, N)[1])
+        # taken on the inverse, where lambda_1 is the largest eigenvalue and a
+        # dense solver's absolute error (a few eps * norm) is a relative one
+        inv = np.linalg.inv(T)
+        ref = 1.0 / np.linalg.eigvalsh(0.5 * (inv + inv.T))[-1]
+        assert lam == pytest.approx(ref, rel=1e-12)
+        # the smallest eigenvalue, not a neighbour of the cluster
+        assert lam == pytest.approx(np.linalg.eigvalsh(T)[0], rel=1e-9)
+
+    @pytest.mark.parametrize("kappa,n,R,N", SOLVER_CASES)
+    def test_inertia_certifies_the_eigenvalue(self, kappa, n, R, N):
+        lam, _, _ = _lambda1_fixed_grid(ModelGeometry(kappa, n, 2.0), R, N)
+        pencil = _pencil(ModelGeometry(kappa, n, 2.0), R, N)[1]
+        assert pencil.count_below(lam * (1.0 - 1e-12)) == 0
+        assert pencil.count_below(lam * (1.0 + 1e-12)) >= 1
+
+    @pytest.mark.parametrize("kappa,n,R", [(0.0, 2, 1.0), (-2.0, 4, 20.0)])
+    def test_guesses_give_the_same_eigenvalue(self, kappa, n, R):
+        pencil = _pencil(ModelGeometry(kappa, n, 2.0), R, 400)[1]
+        lam = pencil.smallest_eigenvalue()
+        # one guess starts Newton, one above lambda_1 leaves it to the counts
+        assert pencil.smallest_eigenvalue(guess=3.0 * lam) == pytest.approx(lam, rel=1e-13)
+        assert pencil.smallest_eigenvalue(guess=0.9 * lam) == pytest.approx(lam, rel=1e-13)
+
+    @pytest.mark.parametrize("kappa,n,R", [(0.0, 2, 1.0), (-2.0, 2, 20.0), (-2.0, 4, 20.0)])
+    def test_newton_saves_most_passes(self, kappa, n, R, monkeypatch):
+        pencil = _pencil(ModelGeometry(kappa, n, 2.0), R, 400)[1]
+        passes = []
+
+        def counting(f):
+            def one_pass(sigma):
+                passes.append(sigma)
+                return f(sigma)
+            return one_pass
+
+        for name in ("newton", "count_below"):
+            monkeypatch.setattr(pencil, name, counting(getattr(pencil, name)))
+        lam = pencil.smallest_eigenvalue()
+        with_newton = len(passes)
+        passes.clear()
+        # without Newton the bisection takes every count itself, and agrees
+        monkeypatch.setattr(spectral, "_NEWTON_MAX_ITER", 0)
+        assert pencil.smallest_eigenvalue() == pytest.approx(lam, rel=1e-13)
+        # Gershgorin bounds reach 1e48 here: bisection alone takes 72-188 counts
+        assert with_newton <= len(passes) / 3, (with_newton, len(passes))

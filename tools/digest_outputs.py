@@ -11,8 +11,11 @@ multiplicative, uncertainty, interpolation-exponent and oscillatory margins
 on seeded families; sharpness sweeps and extremal-identity checks; value
 and derivative of 2000 seeded random expressions, with the type and message
 of every error raised; and exit code, stdout, stderr and file artifacts of
-every command in the README.  Floats are printed with ``repr``; long lists
-are hashed.
+every command in the README; ``spectral_lambda1`` (extrapolated, raw and
+coarse eigenvalue) on six balls, ``bessel_zero`` on a (nu, k) grid,
+``bessel_j`` on its mpmath path (x > 10) and ``hyp2f1`` on both sides of
+|z| = 40, integer b - a included.  Floats are printed with ``repr``; long
+lists are hashed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from hardykit.catalog import instantiate
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry
 from hardykit.riccati import certify
+from hardykit.specfun import bessel_j, bessel_zero, hyp2f1
+from hardykit.spectral import spectral_lambda1
 from hardykit.testfuncs import gaussian_type, random_bumps, talenti
 from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_check,
                                multiplicative_margin, sc_margin, sharpness_sweep, up_margin)
@@ -252,12 +257,29 @@ def digest_readme_commands():
             os.chdir(cwd)
 
 
+def digest_constants():
+    for kappa, n, R, N in ((0.0, 2, 1.0, 4000), (-1.0, 2, 40.0, 8000), (0.0, 3, 2.0, 800),
+                           (-1.0, 3, 20.0, 4000), (-0.5, 4, 5.0, 1200), (-2.0, 4, 20.0, 8000)):
+        res = spectral_lambda1(ModelGeometry(kappa, n, 2.0), R, N)
+        print("spectral", kappa, n, R, N, repr(res.lambda1), repr(res.lambda1_raw),
+              repr(res.lambda1_coarse))
+    for nu in (0.0, 0.5, 1.0, 2.5, 8.0, 17.5, 25.0, 42.0, 50.0):
+        print("bessel_zero", nu, [repr(bessel_zero(nu, k)) for k in (1, 2, 3, 5, 10, 20)])
+    for nu in (0.0, 0.5, 1.0, 7.3, 25.0, 50.0):
+        print("bessel_j", nu, [repr(bessel_j(nu, x)) for x in (10.5, 37.0, 99.9, 150.0, 200.0)])
+    for a, b, c in ((1.0, 1.0, 2.0), (1.0, 2.0, 3.0), (0.5, 1.5, 2.0), (2.7, 5.7, 0.3),
+                    (0.3, 1.7, 1.0), (0.25, 1.85, 1.3), (-2.0, 1.4, 2.2)):
+        print("hyp2f1", a, b, c, [repr(_outcome(hyp2f1, a, b, c, z))
+                                  for z in (-0.5, -30.0, -41.0, -1e3, -1e5)])
+
+
 def main() -> int:
     digest_certify()
     digest_margins()
     digest_sweeps()
     digest_expressions()
     digest_readme_commands()
+    digest_constants()
     return 0
 
 
