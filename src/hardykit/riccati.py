@@ -123,8 +123,11 @@ class ResidualParts:
         return self.dg + self.drift * self.g - self.convex_term - self.w_target
 
 
-def residual_parts(spec: RiccatiPairSpec, G, t: float) -> ResidualParts:
-    b = spec.binding()
+def residual_parts(spec: RiccatiPairSpec, G, t: float,
+                   binding: dict | None = None) -> ResidualParts:
+    """The terms of the residual at t; `binding` is spec.binding(), built here
+    when not given (certify builds it once for its whole grid)."""
+    b = spec.binding() if binding is None else binding
     gv, gd = G.eval_d(t, b)
     wv, wd = spec.w.eval_d(t, b)
     if not wv > 0.0:
@@ -231,9 +234,10 @@ def certify(
     min_g = math.inf
     max_g = -math.inf
     hint = spec.homogeneity_hint
+    binding = spec.binding()
     for t in grid:
         try:
-            parts = residual_parts(spec, G, t)
+            parts = residual_parts(spec, G, t, binding)
             r = parts.value
             if hint is not None and hint < 0.0:
                 scale = t ** (-hint)

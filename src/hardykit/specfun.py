@@ -7,10 +7,10 @@ cancellation would eat the answer, by mpmath.besselj at 20 digits, so the
 advertised absolute-error bound holds on the whole supported box.  Bessel
 zeros come from Newton's method, seeded by asymptotic forms (McMahon's for
 k >= 2) and safeguarded by bisection in a bracket that holds only the wanted
-zero.  The Gauss function is evaluated through the Pfaff map w = z/(z-1)
-which turns z <= 0 into w in [0, 1); for very large |z| (slow Pfaff
-convergence) a connection formula in 1/z takes over, or mpmath.hyp2f1 where
-b - a is an integer and that formula has its logarithmic form.
+zero.  The Gauss function is evaluated through the Pfaff map w = z/(z-1),
+which turns z <= 0 into w in [0, 1), up to -z = 3 and by the connection
+formula in 1/z beyond; where b - a is near an integer, and that formula
+cancels, the Pfaff map serves up to -z = 40 and mpmath.hyp2f1 above it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,16 @@ _SERIES_FLOAT_XMAX = 10.0
 # working precision of mpmath.besselj, a few digits above double
 _MP_DPS = 20
 
+# Above -z = _HYP_CONNECT the 1/z connection formula (terms shrinking by
+# 1/|z|) costs less than the Pfaff series (ratio z/(z-1) -> 1).  Near an
+# integer b - a its two Gamma-weighted terms cancel: on Ghoussoub-Moradifam
+# parameters it is within 4e-14 of mpmath at 1e-3 from an integer, but off
+# by 1e-9 and more at 2e-8.  Gaps within _HYP_GAP_GUARD keep the Pfaff series
+# up to -z = _HYP_BIGZ, past which it needs thousands of terms, and
+# mpmath.hyp2f1 above it.
+_HYP_CONNECT = 3.0
 _HYP_BIGZ = 40.0
+_HYP_GAP_GUARD = 1e-3
 _HYP_MAX_TERMS = 200_000
 
 
@@ -265,10 +274,12 @@ def _hyp2f1_bigz(a: float, b: float, c: float, z: float) -> float:
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Standard Gauss function F(a,b;c;z) for z <= 0.
 
-    Evaluated as (1-z)^(-a) F(a, c-b; c; z/(z-1)) with the series at the
-    mapped argument.  For |z| > 40 that series converges too slowly: the 1/z
-    connection formula takes over, and where b-a is an integer (within 1e-8),
-    where the formula degenerates into its logarithmic form, mpmath.hyp2f1.
+    For -z <= 3, evaluated as (1-z)^(-a) F(a, c-b; c; z/(z-1)) with the
+    series at the mapped argument.  Beyond that, where the mapped series
+    slows down, the 1/z connection formula (DLMF 15.8.2) takes over.  For
+    b-a within 1e-3 of an integer, where that formula degenerates into its
+    logarithmic form, the mapped series serves up to -z = 40 and
+    mpmath.hyp2f1 above it.
     """
     if _is_nonpositive_integer(c):
         raise PoleError(f"hyp2f1 third parameter c={c!r} is a nonpositive integer")
@@ -278,11 +289,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         return 1.0
     if a > b:
         a, b = b, a  # series symmetry; keeps f(a,b,...) == f(b,a,...) bitwise
-    if -z > _HYP_BIGZ:
-        if abs((b - a) - round(b - a)) > 1e-8:
+    if -z > _HYP_CONNECT:
+        if abs((b - a) - round(b - a)) > _HYP_GAP_GUARD:
             return _hyp2f1_bigz(a, b, c, z)
-        with mpmath.workdps(_MP_DPS):
-            return float(mpmath.hyp2f1(a, b, c, z))
+        if -z > _HYP_BIGZ:
+            with mpmath.workdps(_MP_DPS):
+                return float(mpmath.hyp2f1(a, b, c, z))
     w = z / (z - 1.0)
     return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, w)
 

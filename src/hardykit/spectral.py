@@ -19,10 +19,14 @@ is a certified lower bound.  Counts at doubling distances from Newton's
 estimate then find where the count turns, and bisection of [0, Gershgorin
 bound] pins that to a Sturm-count bracket of relative width 1e-14, taking
 only the counts that the points counted so far leave open, a handful once
-Newton has converged.  The N/2 solve gives the eigenvalue only, and starts
-Newton at N; inverse iteration with tridiagonal solves, shifted just below
-the eigenvalue, supplies the eigenvector at N.  The returned estimate is the
-Richardson extrapolation of the N/2 and N solves.
+Newton has converged.  The counts are float64 pivot signs: the bracket
+certifies where the computed count turns, which can lie up to ~2e-11
+relative from the exact eigenvalue of the same pencil (1.8e-11 at kappa = 0,
+n = 2, R = 2.98, N = 4693, against a 40-digit Newton on the pencil).  The
+N/2 solve gives the eigenvalue only, and starts Newton at N; inverse
+iteration with tridiagonal solves, shifted just below the eigenvalue,
+supplies the eigenvector at N.  The returned estimate is the Richardson
+extrapolation of the N/2 and N solves.
 """
 
 from __future__ import annotations
@@ -133,7 +137,10 @@ class _Pencil:
     def smallest_eigenvalue(self, guess: float = 0.0) -> float:
         """Smallest eigenvalue, certified by inertia: the midpoint of a bracket
         [lo, hi] of width <= 1e-14 max(1, hi) holding a counted point with no
-        eigenvalue below it and one with at least one.
+        eigenvalue below it and one with at least one.  The counts are taken
+        in float64, so the bracket holds the computed count's turning point,
+        not the exact eigenvalue of the pencil to 1e-14: the two can differ
+        by up to ~2e-11 relative.
 
         Newton runs from guess if 0 < guess < Gershgorin bound, else from 0;
         a count search around its estimate (or around a guess that has

@@ -150,6 +150,21 @@ class TestCertify:
         rep = certify(hardy_spec(), parse("1/(2*t)"), tol=1e-10)
         assert rep.tolerance_used == 1e-10
 
+    def test_residuals_are_the_pointwise_residuals(self):
+        # certify builds the binding once for its grid; each residual is
+        # bitwise the one residual_parts builds its own binding for
+        from hardykit.catalog import instantiate
+
+        inst = instantiate("ghoussoub_moradifam", ModelGeometry(0.0, 5, 2.0),
+                           {"a": 0.7, "b": 2.0, "alpha": 1.3, "beta": 1.1, "m": -0.4})
+        spec, G = inst.spec, inst.G
+        rep = certify(spec, G, n_points=64)
+        for t, r in zip(rep.grid, rep.residuals, strict=True):
+            parts = residual_parts(spec, G, t)
+            assert parts == residual_parts(spec, G, t, spec.binding())
+            scale = t ** (-spec.homogeneity_hint)
+            assert r == (parts.value * scale) / (1.0 + abs(parts.w_target * scale))
+
 
 class TestSolveIvp:
     def test_hardy_fundamental_solution(self):

@@ -261,6 +261,76 @@ class TestHyp2f1:
         with pytest.raises(UnsupportedRangeError):
             hyp2f1(1.0, 1.0, 2.0, 0.5)
 
+    def test_connection_range_against_mpmath(self):
+        # -z in [1, 40] on Ghoussoub-Moradifam-shaped parameters: the catalog
+        # calls F(A-B+s, A+B+s; 1+s; z) for s = 0, 1, 2, with a < 0 for s = 0;
+        # a fifth of the gaps sit just outside the near-integer guard
+        import random
+
+        import mpmath
+
+        rng = random.Random(4242)
+        worst, cases = 0.0, 0
+        while cases < 400:
+            A, B = rng.uniform(0.15, 1.3), rng.uniform(0.0, 1.5)
+            if rng.random() < 0.2:
+                B = (rng.randint(1, 2) + rng.choice((-1, 1)) * rng.uniform(1.001e-3, 1e-2)) / 2
+            s = rng.randint(0, 2)
+            a, b, c = A - B + s, A + B + s, 1.0 + s
+            if abs((b - a) - round(b - a)) <= specfun._HYP_GAP_GUARD:
+                continue
+            z = -math.exp(rng.uniform(0.0, math.log(40.0)))
+            with mpmath.workdps(30):
+                ref = mpmath.hyp2f1(a, b, c, z)
+            worst = max(worst, float(abs((hyp2f1(a, b, c, z) - ref) / ref)))
+            cases += 1
+        assert worst <= 1e-12, worst
+
+    def test_continuous_across_connection_threshold(self):
+        z_lo = -specfun._HYP_CONNECT               # last point of the mapped series
+        z_hi = math.nextafter(z_lo, -math.inf)     # first point of the 1/z formula
+        for (a, b, c) in ((0.25, 1.85, 1.3), (-0.4, 1.1, 2.0), (-0.9, 1.4, 1.0),
+                          (0.6, 2.1, 2.0), (1.6, 3.1, 3.0)):
+            lo, hi = hyp2f1(a, b, c, z_lo), hyp2f1(a, b, c, z_hi)
+            assert hi == pytest.approx(lo, rel=1e-13, abs=0.0)
+
+    def test_connection_formula_above_threshold(self, monkeypatch):
+        # the 1/z formula serves non-integer gaps past -z = 3, where it costs
+        # less than the mapped series; near-integer gaps never take it
+        calls = []
+
+        def counting(a, b, c, z):
+            calls.append(z)
+            return bigz(a, b, c, z)
+
+        bigz = specfun._hyp2f1_bigz
+        monkeypatch.setattr(specfun, "_hyp2f1_bigz", counting)
+        hyp2f1(0.25, 1.85, 1.3, -3.0)
+        hyp2f1(0.25, 2.25 + 1e-4, 1.3, -10.0)
+        hyp2f1(0.25, 2.25 + 1e-4, 1.3, -100.0)
+        assert calls == []
+        for z in (-3.5, -10.0, -39.0, -100.0):
+            hyp2f1(0.25, 1.85, 1.3, z)
+        assert calls == [-3.5, -10.0, -39.0, -100.0]
+
+    @pytest.mark.parametrize("gap", [0, 1, 2, 3])
+    def test_near_integer_gap_against_mpmath(self, gap):
+        # b - a within the guard of an integer: the 1/z formula's Gamma
+        # coefficients cancel (1e-9 and worse at 2e-8), so these gaps take
+        # mpmath above -z = 40 and the mapped series below it
+        import mpmath
+
+        for d in (2e-8, 1e-6, 1e-4):
+            for delta in ((d,) if gap == 0 else (d, -d)):
+                for a in (-0.5, 0.1, 1.0, 1.7):
+                    for c in (0.3, 1.0, 2.0, 3.0):
+                        b = a + gap + delta
+                        for z, rel in ((-10.0, 1e-11), (-50.0, 1e-13),
+                                       (-1e3, 1e-13), (-1e5, 1e-13)):
+                            with mpmath.workdps(30):
+                                ref = float(mpmath.hyp2f1(a, b, c, z))
+                            assert hyp2f1(a, b, c, z) == pytest.approx(ref, rel=rel)
+
 
 def _pfaff_rhs(A: float, B: float, z: float) -> float:
     # direct series for F(1-A+B, A+B; 1; w) at w = z/(1+z) in (0,1): fine as
@@ -283,6 +353,27 @@ class TestHyp2f1Derivative:
         a, b, c, z = 0.3, 1.7, 1.0, -2.0
         fd = central_diff(lambda y: hyp2f1(a, b, c, y), z, 1e-6)
         assert hyp2f1_dz(a, b, c, z) == pytest.approx(fd, abs=1e-7)
+
+    def test_connection_range_against_mpmath(self):
+        # the derivatives the Ghoussoub-Moradifam candidate takes, on -z in
+        # [1, 40], against mpmath's derivative of F at 30 digits
+        import random
+
+        import mpmath
+
+        rng = random.Random(2424)
+        worst, cases = 0.0, 0
+        while cases < 300:
+            A, B, s = rng.uniform(0.15, 1.3), rng.uniform(0.0, 1.5), rng.randint(0, 1)
+            a, b, c = A - B + s, A + B + s, 1.0 + s
+            if abs((b - a) - round(b - a)) <= specfun._HYP_GAP_GUARD:
+                continue
+            z = -math.exp(rng.uniform(0.0, math.log(40.0)))
+            with mpmath.workdps(30):
+                ref = mpmath.diff(lambda y: mpmath.hyp2f1(a, b, c, y), z)
+            worst = max(worst, float(abs((hyp2f1_dz(a, b, c, z) - ref) / ref)))
+            cases += 1
+        assert worst <= 1e-12, worst
 
 
 class TestBesselBoxCrossCheck:

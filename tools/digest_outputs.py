@@ -13,9 +13,10 @@ and derivative of 2000 seeded random expressions, with the type and message
 of every error raised; and exit code, stdout, stderr and file artifacts of
 every command in the README; ``spectral_lambda1`` (extrapolated, raw and
 coarse eigenvalue) on six balls, ``bessel_zero`` on a (nu, k) grid,
-``bessel_j`` on its mpmath path (x > 10) and ``hyp2f1`` on both sides of
-|z| = 40, integer b - a included.  Floats are printed with ``repr``; long
-lists are hashed.
+``bessel_j`` on its mpmath path (x > 10), ``hyp2f1`` on both sides of
+|z| = 40, integer b - a included, and ``hyp2f1`` and ``hyp2f1_dz`` on both
+sides of |z| = 3 for non-integer and near-integer b - a.  Floats are printed
+with ``repr``; long lists are hashed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from hardykit.catalog import instantiate
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry
 from hardykit.riccati import certify
-from hardykit.specfun import bessel_j, bessel_zero, hyp2f1
+from hardykit.specfun import bessel_j, bessel_zero, hyp2f1, hyp2f1_dz
 from hardykit.spectral import spectral_lambda1
 from hardykit.testfuncs import gaussian_type, random_bumps, talenti
 from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_check,
@@ -271,6 +272,18 @@ def digest_constants():
                     (0.3, 1.7, 1.0), (0.25, 1.85, 1.3), (-2.0, 1.4, 2.2)):
         print("hyp2f1", a, b, c, [repr(_outcome(hyp2f1, a, b, c, z))
                                   for z in (-0.5, -30.0, -41.0, -1e3, -1e5)])
+    # the 1/z formula's range below |z| = 40, then gaps 2e-8 to 5e-4 from an
+    # integer, where that formula's Gamma coefficients cancel
+    for a, b, c in ((0.3, 1.7, 1.0), (0.25, 1.85, 1.3), (-0.4, 1.1, 2.0), (-0.9, 1.4, 1.0),
+                    (0.6, 2.1, 2.0), (1.6, 3.1, 3.0)):
+        for f in (hyp2f1, hyp2f1_dz):
+            print(f.__name__, a, b, c, [repr(_outcome(f, a, b, c, z))
+                                        for z in (-2.0, -3.5, -10.0, -39.0)])
+    for a, b, c in ((1.0, 3.0 + 2e-8, 1.0), (0.5, 1.5 + 1e-6, 2.0), (0.25, 1.25 + 1e-4, 1.3),
+                    (-0.5, 1.5 - 5e-4, 1.0)):
+        for f in (hyp2f1, hyp2f1_dz):
+            print(f.__name__, a, b, c, [repr(_outcome(f, a, b, c, z))
+                                        for z in (-2.0, -3.5, -10.0, -39.0, -50.0, -1e3, -1e5)])
 
 
 def main() -> int:
