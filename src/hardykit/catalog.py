@@ -52,6 +52,8 @@ class CatalogEntry:
     citation: str
     param_schema: tuple[tuple[str, str], ...]  # (name, description)
     requires: str
+    # (geo, **params) -> (spec, G, sharp constant, model_exact_L, the parameters
+    # used, metadata); instantiate adds the name and the citation
     build: Callable
 
 
@@ -78,6 +80,21 @@ def gm_region_condition(alpha: float, beta: float, k0: float) -> bool:
     return ab + math.sqrt(ab * (ab + 2.0 * k0)) <= 2.0
 
 
+_ENTRIES: dict[str, CatalogEntry] = {}
+
+
+def _entry(name: str, citation: str, schema: tuple[tuple[str, str], ...], requires: str):
+    """Register the decorated builder as the catalog entry `name`."""
+    def register(build: Callable) -> Callable:
+        _ENTRIES[name] = CatalogEntry(name, citation, schema, requires, build)
+        return build
+    return register
+
+
+@_entry("caccioppoli",
+        "Caccioppoli-type weighted inequality (D'Ambrosio-Dipierro, superharmonic distance)",
+        (("alpha", "weight exponent, alpha < p-1"), ("R", "inradius of the ball")),
+        "p > 1, alpha < p-1, R > 0")
 def _build_caccioppoli(geo: ModelGeometry, alpha: float = 0.0, R: float = 1.0):
     p = geo.p
     _need(R > 0.0, "R > 0")
@@ -92,11 +109,13 @@ def _build_caccioppoli(geo: ModelGeometry, alpha: float = 0.0, R: float = 1.0):
         params={"alpha": alpha, "Ws": sharp, "gc": gc},
         g_sign_required=-1, homogeneity_hint=-p, rho_kind="boundary_distance")
     G = parse("-(gc)*t^(1-p)")
-    return CatalogInstance("caccioppoli", spec, G, sharp, True, False,
-                           _ENTRIES["caccioppoli"].citation,
-                           {"alpha": alpha, "R": R}, {"q": q})
+    return spec, G, sharp, False, {"alpha": alpha, "R": R}, {"q": q}
 
 
+@_entry("caccioppoli_improved",
+        "Caccioppoli inequality with logarithmic remainder (Brezis-Marcus type)",
+        (("R", "inradius of the ball"),),
+        "1 < p <= 2, R > 0")
 def _build_caccioppoli_improved(geo: ModelGeometry, R: float = 1.0):
     p = geo.p
     _need(R > 0.0, "R > 0")
@@ -111,10 +130,13 @@ def _build_caccioppoli_improved(geo: ModelGeometry, R: float = 1.0):
         params={"eR": math.e * R, "Cs": sharp, "gc": c},
         g_sign_required=-1, homogeneity_hint=-p, rho_kind="boundary_distance")
     G = parse("-(gc)*t^(1-p)*(1 + 1/log(t/eR))^(p-1)")
-    return CatalogInstance("caccioppoli_improved", spec, G, sharp, True, False,
-                           _ENTRIES["caccioppoli_improved"].citation, {"R": R}, {})
+    return spec, G, sharp, False, {"R": R}, {}
 
 
+@_entry("hardy",
+        "weighted Hardy inequality under a radial Laplacian lower bound (Carron; Kombe-Ozaydin)",
+        (("alpha", "weight exponent"), ("C", "Laplacian lower-bound coefficient C/t")),
+        "C > 0, C + 1 + alpha > p")
 def _build_hardy(geo: ModelGeometry, alpha: float = 0.0, C: float | None = None):
     p = geo.p
     if C is None:
@@ -131,11 +153,13 @@ def _build_hardy(geo: ModelGeometry, alpha: float = 0.0, C: float | None = None)
         g_sign_required=1, homogeneity_hint=-p)
     G = parse("gc*t^(1-p)")
     model_exact = geo.kappa == 0.0 and C == geo.n - 1.0
-    return CatalogInstance("hardy", spec, G, sharp, True, model_exact,
-                           _ENTRIES["hardy"].citation, {"alpha": alpha, "C": C},
-                           {"q": q})
+    return spec, G, sharp, model_exact, {"alpha": alpha, "C": C}, {"q": q}
 
 
+@_entry("hardy_log",
+        "critical-exponent Hardy inequality with logarithmic weights (Edmunds-Triebel)",
+        (("alpha", "logarithmic weight exponent, alpha + 1 < p"),),
+        "1 < p <= n, alpha + 1 < p")
 def _build_hardy_log(geo: ModelGeometry, alpha: float = 0.0):
     p = geo.p
     _need(p <= geo.n, "p <= n", f"got p={p!r}, n={geo.n!r}")
@@ -149,10 +173,13 @@ def _build_hardy_log(geo: ModelGeometry, alpha: float = 0.0):
         params={"alpha": alpha, "Ws": sharp, "gc": c},
         g_sign_required=1, homogeneity_hint=-p)
     G = parse("gc*(t*log(1/t))^(1-p)")
-    return CatalogInstance("hardy_log", spec, G, sharp, True, False,
-                           _ENTRIES["hardy_log"].citation, {"alpha": alpha}, {})
+    return spec, G, sharp, False, {"alpha": alpha}, {}
 
 
+@_entry("acr",
+        "improved Hardy inequality with sharp log remainder (Adimurthi-Chaudhuri-Ramaswamy)",
+        (("D", "outer radius of the domain"),),
+        "p = 2, n >= 3, D > 0")
 def _build_acr(geo: ModelGeometry, D: float = 1.0):
     _p2(geo)
     _need(geo.n >= 3, "n >= 3", f"got n={geo.n!r}")
@@ -163,10 +190,13 @@ def _build_acr(geo: ModelGeometry, D: float = 1.0):
         W=parse("(n-2)^2/(4*t^2) + 1/(4*t^2*log(eD/t)^2)"),
         params={"eD": math.e * D}, g_sign_required=1, homogeneity_hint=-2.0)
     G = parse("(n-2)/(2*t) + 1/(2*t*log(eD/t))")
-    return CatalogInstance("acr", spec, G, 0.25, True, geo.kappa == 0.0,
-                           _ENTRIES["acr"].citation, {"D": D}, {})
+    return spec, G, 0.25, geo.kappa == 0.0, {"D": D}, {}
 
 
+@_entry("brezis_vazquez",
+        "Hardy improvement with Bessel spectral remainder (Brezis-Vazquez)",
+        (("nu", "Bessel order in [0, (n-2)/2]"), ("D", "outer radius")),
+        "p = 2, 0 <= nu <= (n-2)/2, D > 0")
 def _build_brezis_vazquez(geo: ModelGeometry, nu: float = 0.0, D: float = 1.0):
     _p2(geo)
     _need(D > 0.0, "D > 0")
@@ -181,11 +211,13 @@ def _build_brezis_vazquez(geo: ModelGeometry, nu: float = 0.0, D: float = 1.0):
         params={"nu": nu, "C0": C, "sqrtC": math.sqrt(C)},
         g_sign_required=1, homogeneity_hint=-2.0)
     G = parse("(n - 2 - 2*nu)/(2*t) + sqrtC*besselratio(nu, sqrtC*t)")
-    return CatalogInstance("brezis_vazquez", spec, G, C, True, geo.kappa == 0.0,
-                           _ENTRIES["brezis_vazquez"].citation,
-                           {"nu": nu, "D": D}, {"j_nu_1": j1})
+    return spec, G, C, geo.kappa == 0.0, {"nu": nu, "D": D}, {"j_nu_1": j1}
 
 
+@_entry("faber_krahn",
+        "Faber-Krahn first-eigenvalue lower bound on balls",
+        (("R", "ball radius"),),
+        "p = 2, R > 0")
 def _build_faber_krahn(geo: ModelGeometry, R: float = 1.0):
     _p2(geo)
     _need(R > 0.0, "R > 0")
@@ -198,11 +230,12 @@ def _build_faber_krahn(geo: ModelGeometry, R: float = 1.0):
         params={"nu": nu, "C0": C, "sqrtC": math.sqrt(C)},
         g_sign_required=1)
     G = parse("(n - 2 - 2*nu)/(2*t) + sqrtC*besselratio(nu, sqrtC*t)")
-    return CatalogInstance("faber_krahn", spec, G, C, True, geo.kappa == 0.0,
-                           _ENTRIES["faber_krahn"].citation, {"R": R},
-                           {"j_nu_1": j1, "nu": nu})
+    return spec, G, C, geo.kappa == 0.0, {"R": R}, {"j_nu_1": j1, "nu": nu}
 
 
+@_entry("mckean",
+        "spectral gap of the p-Laplacian under negative curvature (McKean)",
+        (), "p > 1, kappa < 0")
 def _build_mckean(geo: ModelGeometry):
     _neg_curv(geo)
     p = geo.p
@@ -214,10 +247,12 @@ def _build_mckean(geo: ModelGeometry):
         w=parse("1"), L=ComparisonL(geo, "constant_floor"), W=parse("Ws + 0*t"),
         params={"Ws": sharp, "gc": gc}, g_sign_required=1)
     G = parse("gc + 0*t")
-    return CatalogInstance("mckean", spec, G, sharp, True, False,
-                           _ENTRIES["mckean"].citation, {}, {})
+    return spec, G, sharp, False, {}, {}
 
 
+@_entry("mckean_improved",
+        "McKean spectral gap with exponential-decay remainder",
+        (), "p > 1, kappa < 0")
 def _build_mckean_improved(geo: ModelGeometry):
     _neg_curv(geo)
     p = geo.p
@@ -233,10 +268,13 @@ def _build_mckean_improved(geo: ModelGeometry):
         params={"Ws": sharp, "B": remainder, "sq": sq, "gc": gc},
         g_sign_required=0)
     G = parse("gc + 0*t")
-    return CatalogInstance("mckean_improved", spec, G, sharp, True, True,
-                           _ENTRIES["mckean_improved"].citation, {}, {})
+    return spec, G, sharp, True, {}, {}
 
 
+@_entry("interpolation",
+        "interpolation between Hardy and spectral gap (Berchio-Ganguly-Grillo-Pinchover)",
+        (("lam", "spectral parameter in [n-2, (n-1)^2/4]"),),
+        "p = 2, n >= 3, kappa < 0")
 def _build_interpolation(geo: ModelGeometry, lam: float | None = None):
     _p2(geo)
     _neg_curv(geo)
@@ -256,11 +294,13 @@ def _build_interpolation(geo: ModelGeometry, lam: float | None = None):
         params={"lam": lam, "kabs": kabs, "h": h, "gam": gam},
         g_sign_required=0)
     G = parse("-(h/t) + ((n-2)/2 + h)*ct(t)")
-    return CatalogInstance("interpolation", spec, G, lam * kabs, True, True,
-                           _ENTRIES["interpolation"].citation, {"lam": lam},
-                           {"gamma_n": gam, "h_n": h})
+    return spec, G, lam * kabs, True, {"lam": lam}, {"gamma_n": gam, "h_n": h}
 
 
+@_entry("akutagawa_kumura",
+        "exterior-ball Hardy/spectral inequality (Akutagawa-Kumura)",
+        (("R", "inner radius of the excluded ball"),),
+        "p = 2, kappa < 0, R > 0")
 def _build_akutagawa_kumura(geo: ModelGeometry, R: float = 1.0):
     _p2(geo)
     _neg_curv(geo)
@@ -275,11 +315,14 @@ def _build_akutagawa_kumura(geo: ModelGeometry, R: float = 1.0):
         W=parse("Ws + 1/(4*(t - R + cR)^2) + (n-1)*(n-3)/(4*s(t)^2)"),
         params={"R": R, "cR": cR, "Ws": sharp}, g_sign_required=0)
     G = parse("-(1/(2*(t - R + cR))) + ((n-1)/2)*ct(t)")
-    return CatalogInstance("akutagawa_kumura", spec, G, sharp, True, True,
-                           _ENTRIES["akutagawa_kumura"].citation, {"R": R},
-                           {"cR": cR})
+    return spec, G, sharp, True, {"R": R}, {"cR": cR}
 
 
+@_entry("greene_wu_psi",
+        "Hardy improvement under a pointwise comparison profile psi (Greene-Wu comparison)",
+        (("psi", "profile expression with psi(0)=0, psi'(0)=1"),
+         ("t_hi", "certification interval endpoint")),
+        "p = 2, n >= 3, (n-2) psi' + (n-1) t psi'' >= 0 sampled")
 def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
                          t_hi: float = 50.0):
     _p2(geo)
@@ -334,11 +377,15 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
         W=FuncEval(W_val, name="W[psi]"), params={},
         g_sign_required=1)
     G = FuncEval(G_val, G_deriv, name="G[psi]")
-    return CatalogInstance("greene_wu_psi", spec, G, 0.25, True, False,
-                           _ENTRIES["greene_wu_psi"].citation,
-                           {"psi": psi.source, "t_hi": t_hi}, {})
+    return spec, G, 0.25, False, {"psi": psi.source, "t_hi": t_hi}, {}
 
 
+@_entry("ghoussoub_moradifam",
+        "weighted inequality with two-power nonsingular weights (Ghoussoub-Moradifam)",
+        (("a", "inner weight coefficient"), ("b", "outer weight coefficient"),
+         ("alpha", "power inside the weight"), ("beta", "outer exponent"),
+         ("m", "singular exponent, m < (n-2)/2")),
+        "p = 2, a,b > 0, alpha*beta > 0, m < (n-2)/2")
 def _build_ghoussoub_moradifam(geo: ModelGeometry, a: float = 1.0, b: float = 1.0,
                                alpha: float = 0.5, beta: float = 0.5,
                                m: float = 0.3):
@@ -369,13 +416,14 @@ def _build_ghoussoub_moradifam(geo: ModelGeometry, a: float = 1.0, b: float = 1.
                   " / hyp2f1(oA - oB, oA + oB, 1, -(b/a)*t^alpha))")
     meta = {"K0": k0, "K1": k1, "A": A, "B": B, "in_thm422_region": in_region,
             "positivity_unproven": not in_region}
-    return CatalogInstance("ghoussoub_moradifam", spec, G, C, True,
-                           geo.kappa == 0.0,
-                           _ENTRIES["ghoussoub_moradifam"].citation,
-                           {"a": a, "b": b, "alpha": alpha, "beta": beta, "m": m},
-                           meta)
+    return (spec, G, C, geo.kappa == 0.0,
+            {"a": a, "b": b, "alpha": alpha, "beta": beta, "m": m}, meta)
 
 
+@_entry("carvalho_cavalcante",
+        "first-eigenvalue bound from gradient and p-Laplacian floors (Carvalho-Cavalcante)",
+        (("a", "gradient bound |grad rho| <= a"), ("b", "p-Laplacian floor")),
+        "p > 1, a > 0, b > 0")
 def _build_carvalho_cavalcante(geo: ModelGeometry, a: float = 1.0, b: float = 1.0):
     p = geo.p
     _need(a > 0.0 and b > 0.0, "a > 0 and b > 0", f"got a={a!r}, b={b!r}")
@@ -389,77 +437,7 @@ def _build_carvalho_cavalcante(geo: ModelGeometry, a: float = 1.0, b: float = 1.
         w=parse("1"), L=parse("bb + 0*t"), W=parse("Ws + 0*t"),
         params={"bb": bb, "Ws": sharp, "gc": gc}, g_sign_required=1)
     G = parse("gc + 0*t")
-    return CatalogInstance("carvalho_cavalcante", spec, G, sharp, True, False,
-                           _ENTRIES["carvalho_cavalcante"].citation,
-                           {"a": a, "b": b}, {"floor": bb})
-
-
-_ENTRIES: dict[str, CatalogEntry] = {}
-
-
-def _register(name: str, citation: str, schema: tuple[tuple[str, str], ...],
-              requires: str, build: Callable):
-    _ENTRIES[name] = CatalogEntry(name, citation, schema, requires, build)
-
-
-_register("caccioppoli",
-          "Caccioppoli-type weighted inequality (D'Ambrosio-Dipierro, superharmonic distance)",
-          (("alpha", "weight exponent, alpha < p-1"), ("R", "inradius of the ball")),
-          "p > 1, alpha < p-1, R > 0", _build_caccioppoli)
-_register("caccioppoli_improved",
-          "Caccioppoli inequality with logarithmic remainder (Brezis-Marcus type)",
-          (("R", "inradius of the ball"),),
-          "1 < p <= 2, R > 0", _build_caccioppoli_improved)
-_register("hardy",
-          "weighted Hardy inequality under a radial Laplacian lower bound (Carron; Kombe-Ozaydin)",
-          (("alpha", "weight exponent"), ("C", "Laplacian lower-bound coefficient C/t")),
-          "C > 0, C + 1 + alpha > p", _build_hardy)
-_register("hardy_log",
-          "critical-exponent Hardy inequality with logarithmic weights (Edmunds-Triebel)",
-          (("alpha", "logarithmic weight exponent, alpha + 1 < p"),),
-          "1 < p <= n, alpha + 1 < p", _build_hardy_log)
-_register("acr",
-          "improved Hardy inequality with sharp log remainder (Adimurthi-Chaudhuri-Ramaswamy)",
-          (("D", "outer radius of the domain"),),
-          "p = 2, n >= 3, D > 0", _build_acr)
-_register("brezis_vazquez",
-          "Hardy improvement with Bessel spectral remainder (Brezis-Vazquez)",
-          (("nu", "Bessel order in [0, (n-2)/2]"), ("D", "outer radius")),
-          "p = 2, 0 <= nu <= (n-2)/2, D > 0", _build_brezis_vazquez)
-_register("faber_krahn",
-          "Faber-Krahn first-eigenvalue lower bound on balls",
-          (("R", "ball radius"),),
-          "p = 2, R > 0", _build_faber_krahn)
-_register("mckean",
-          "spectral gap of the p-Laplacian under negative curvature (McKean)",
-          (), "p > 1, kappa < 0", _build_mckean)
-_register("mckean_improved",
-          "McKean spectral gap with exponential-decay remainder",
-          (), "p > 1, kappa < 0", _build_mckean_improved)
-_register("interpolation",
-          "interpolation between Hardy and spectral gap (Berchio-Ganguly-Grillo-Pinchover)",
-          (("lam", "spectral parameter in [n-2, (n-1)^2/4]"),),
-          "p = 2, n >= 3, kappa < 0", _build_interpolation)
-_register("akutagawa_kumura",
-          "exterior-ball Hardy/spectral inequality (Akutagawa-Kumura)",
-          (("R", "inner radius of the excluded ball"),),
-          "p = 2, kappa < 0, R > 0", _build_akutagawa_kumura)
-_register("greene_wu_psi",
-          "Hardy improvement under a pointwise comparison profile psi (Greene-Wu comparison)",
-          (("psi", "profile expression with psi(0)=0, psi'(0)=1"),
-           ("t_hi", "certification interval endpoint")),
-          "p = 2, n >= 3, (n-2) psi' + (n-1) t psi'' >= 0 sampled",
-          _build_greene_wu_psi)
-_register("ghoussoub_moradifam",
-          "weighted inequality with two-power nonsingular weights (Ghoussoub-Moradifam)",
-          (("a", "inner weight coefficient"), ("b", "outer weight coefficient"),
-           ("alpha", "power inside the weight"), ("beta", "outer exponent"),
-           ("m", "singular exponent, m < (n-2)/2")),
-          "p = 2, a,b > 0, alpha*beta > 0, m < (n-2)/2", _build_ghoussoub_moradifam)
-_register("carvalho_cavalcante",
-          "first-eigenvalue bound from gradient and p-Laplacian floors (Carvalho-Cavalcante)",
-          (("a", "gradient bound |grad rho| <= a"), ("b", "p-Laplacian floor")),
-          "p > 1, a > 0, b > 0", _build_carvalho_cavalcante)
+    return spec, G, sharp, False, {"a": a, "b": b}, {"floor": bb}
 
 
 def entry_names() -> list[str]:
@@ -486,4 +464,6 @@ def instantiate(name: str, geo: ModelGeometry, params: dict | None = None) -> Ca
     except KeyError:
         known = ", ".join(_ENTRIES)
         raise ParameterError(f"unknown catalog entry {name!r} (known: {known})") from None
-    return entry.build(geo, **(params or {}))
+    spec, G, sharp, model_exact, used, metadata = entry.build(geo, **(params or {}))
+    return CatalogInstance(name, spec, G, sharp, True, model_exact, entry.citation, used,
+                           metadata)

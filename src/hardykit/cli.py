@@ -180,28 +180,27 @@ def _cmd_verify(args) -> int:
         for u in family:
             m = up_margin(geo, u, alpha) if inequality == "up" else ckn_margin(geo, u, alpha, r)
             members.append((u.params.get("scale", math.nan), m))
-    elif inequality == "generic":
-        if not args.spec:
+    else:
+        # a catalog entry or a (spec, G) config: its w, interval and rho
+        if inequality != "generic":
+            target = instantiate(inequality, geo, rest)
+            spec = target.spec
+        elif args.spec:
+            with open(args.spec) as fh:
+                spec, G = parse_config(fh.read())
+            target = (spec, G)
+        else:
             print("verify generic: --spec required", file=sys.stderr)
             return EXIT_USAGE
-        with open(args.spec) as fh:
-            spec, G = parse_config(fh.read())
         H = parse_expr(args.H, var="s") if args.H else None
-        family = _make_family(args.family, spec.geo) \
-            if args.family != "default" else random_bumps(20, seed=7)
-        for u in family:
-            m = additive_margin(spec.geo, G, u, H=H, binding=spec.binding())
-            members.append((u.params.get("center", math.nan), m))
-    else:
-        inst = instantiate(inequality, geo, rest)
-        lo, hi = inst.spec.t_lo, inst.spec.t_hi
+        lo, hi = spec.t_lo, spec.t_hi
         if args.family == "default":
             family = random_bumps(20, seed=7, lo=lo, hi=hi,
                                   span=min(10.0, (hi - lo) if math.isfinite(hi) else 10.0))
         else:
-            family = _make_family(args.family, geo)
+            family = _make_family(args.family, spec.geo)
         for u in family:
-            m = additive_margin(None, inst, u)
+            m = additive_margin(None, target, u, H=H)
             members.append((u.params.get("center", u.params.get("eps", math.nan)), m))
     rows = []
     violated = False
@@ -372,7 +371,8 @@ def main(argv: list[str] | None = None) -> int:
     v.add_argument("--params", help="k=v,...")
     v.add_argument("--family", default="default")
     v.add_argument("--spec", help="config file (generic mode)")
-    v.add_argument("--H", help="nonlinearity expression in the variable s (generic mode)")
+    v.add_argument("--H", help="nonlinearity expression in the variable s "
+                               "(generic and catalog modes)")
     v.add_argument("--out", help="JSON report path")
     v.set_defaults(fn=_cmd_verify)
 

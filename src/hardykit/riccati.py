@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from . import quadrature
-from .errors import ConvergenceError, DomainError, HardykitError, ParameterError
+from .errors import (ConvergenceError, DomainError, HardykitError, ParameterError,
+                     UnsupportedDerivativeError)
 from .geometry import ModelGeometry
 from .rk45 import IntegrationOutcome, integrate_to_samples
 
@@ -66,10 +67,9 @@ class FuncEval:
         return self.fn(t)
 
     def eval_d(self, t: float, binding: dict | None = None) -> tuple[float, float]:
-        if self.dfn is not None:
-            return self.fn(t), self.dfn(t)
-        h = 1e-6 * (1.0 + abs(t))
-        return self.fn(t), (self.fn(t + h) - self.fn(t - h)) / (2.0 * h)
+        if self.dfn is None:
+            raise UnsupportedDerivativeError(f"{self.name} has no derivative")
+        return self.fn(t), self.dfn(t)
 
     def __repr__(self):
         return f"FuncEval({self.name})"

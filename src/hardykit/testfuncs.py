@@ -78,16 +78,16 @@ def compact_bump(center: float, width: float) -> RadialTestFunction:
 
 
 def power_cutoff(eps: float, r0: float, R: float, n: int, p: float,
-                 alpha: float = 0.0, cut_fraction: float = 0.01) -> RadialTestFunction:
+                 alpha: float = 0.0) -> RadialTestFunction:
     """Near-extremal Hardy profile for the weight t^alpha in dimension n.
 
     Plateau on (0, r0], power law t^(-sigma+eps) with sigma = (n+alpha-p)/p
-    on [r0, cut_fraction*R], capacitor cut to 0 at R.
+    on [r0, 0.01*R], capacitor cut to 0 at R.
     """
     sigma = (n + alpha - p) / p
     if not (r0 > 0.0 and R > r0):
         raise ParameterError(f"need 0 < r0 < R, got r0={r0!r}, R={R!r}")
-    rc = R * cut_fraction
+    rc = R * 0.01
     if rc <= r0:
         rc = math.sqrt(r0 * R)  # short power region: cut from the geometric midpoint
     if not (r0 < rc < R):
@@ -189,12 +189,12 @@ def gaussian_type(alpha: float, p: float, scale: float = 1.0) -> RadialTestFunct
         params={"alpha": alpha, "p": p, "scale": scale, "gamma": gamma})
 
 
-def talenti(alpha: float, p: float, r: float, scale: float = 1.0,
-            taper_start: float | None = None) -> RadialTestFunction:
+def talenti(alpha: float, p: float, r: float, scale: float = 1.0) -> RadialTestFunction:
     """u(t) = (1 + (scale*t)^gamma)^((p-1)/(p-r)) with a linear outer taper.
 
-    The taper starts where the algebraic tail is ~1e-5 of the peak, so its
-    contribution to every integral is far below sweep tolerances.
+    The taper runs from 200/scale to 400/scale, where the algebraic tail is
+    ~1e-5 of the peak, so its contribution to every integral is far below
+    sweep tolerances.
     """
     if not r > p:
         raise ParameterError(f"talenti profile needs r > p, got r={r!r}, p={p!r}")
@@ -202,8 +202,7 @@ def talenti(alpha: float, p: float, r: float, scale: float = 1.0,
     if gamma <= 0.0:
         raise ParameterError(f"need gamma > 0, got {gamma!r}")
     ex = (p - 1.0) / (p - r)  # negative
-    if taper_start is None:
-        taper_start = 200.0 / scale
+    taper_start = 200.0 / scale
     R = 2.0 * taper_start
 
     def core(t: float) -> float:

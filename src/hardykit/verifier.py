@@ -1,19 +1,22 @@
 """Quadrature validation of the additive and multiplicative inequalities.
 
 Everything here reduces to weighted radial integrals against the model
-measure d(mu) = n*omega_n * s_kappa^(n-1)(t) dt.  The additive margin
-compares the energy integral with the two-term right side built from a
-candidate G and a nonlinearity H; the multiplicative margin assembles
-|I_H|^p / J_H^(p-1); the uncertainty and interpolation-type modes
-specialize H and add the curvature deficit factor.  Margins carry their
-quadrature error estimates, and a margin only counts as a violation when
-it is more negative than 10x the combined error (numerical noise must
-never masquerade as a counterexample to a theorem).
+measure d(mu) = n*omega_n * s_kappa^(n-1)(t) dt, all computed by one
+helper, ``_integral``.  The additive margin compares the energy integral
+with the two-term right side built from a candidate G and a nonlinearity
+H; the multiplicative margin assembles |I_H|^p / J_H^(p-1) from the same
+integrals; the uncertainty and interpolation-type modes specialize H and
+add the curvature deficit factor.  Margins carry their quadrature error
+estimates, and a margin only counts as a violation when it is more
+negative than 10x the combined error (numerical noise must never
+masquerade as a counterexample to a theorem).  The relative quadrature
+tolerance is ``_TOL`` = 1e-10 for the additive and multiplicative margins
+and ``radial_integral``, ``_TOL_FINE`` = 1e-11 for everything else.
 
 Near-extremal Hardy test functions spread mass over hundreds of decades
 with plateau values around 1e150, so the sharpness-sweep integrals run
-through a log-space evaluation path; the generic margin helpers evaluate
-directly and expect moderate test functions (bumps, gaussians).
+through a log-space evaluation path; the direct integrals expect moderate
+test functions (bumps, gaussians).
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ __all__ = [
 ]
 
 _MARGIN_FLOOR = 1e-300
+_TOL = 1e-10
+_TOL_FINE = 1e-11
+# the near-extremal Hardy family: eps -> 0
+_HARDY_EPS = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
 
 @dataclass
@@ -65,10 +72,35 @@ def _margin_of(lhs: float, rhs: float, err: float, extras: dict | None = None) -
                             extras=extras or {})
 
 
-def margin_violated(m: InequalityMargin, scale: float = 1.0) -> bool:
+def margin_violated(m: InequalityMargin) -> bool:
     """Violation policy: negative beyond 10x the noise budget."""
-    budget = 10.0 * (m.quadrature_error_estimate / max(abs(m.rhs), _MARGIN_FLOOR) + 1e-12 * scale)
+    budget = 10.0 * (m.quadrature_error_estimate / max(abs(m.rhs), _MARGIN_FLOOR) + 1e-12)
     return m.margin < -budget
+
+
+def _integral(geo: ModelGeometry, f: Callable[[float], float], lo: float, hi: float,
+              tol: float, breakpoints: Sequence[float] = (),
+              singular_hint: float | None = None) -> tuple[float, float]:
+    """n*omega_n * integral_lo^hi f(t) dt with its error estimate."""
+    val, err = integrate(f, lo, hi, rel_tol=tol, breakpoints=breakpoints,
+                         singular_hint=singular_hint)
+    scale = geo.n * unit_ball_volume(geo.n)
+    return scale * val, scale * err
+
+
+def _direct(geo: ModelGeometry, f: Callable[[float], float], u: RadialTestFunction,
+            tol: float) -> tuple[float, float]:
+    """n*omega_n * integral f(t) s_kappa^(n-1)(t) dt over the support of u; the
+    density is skipped where f vanishes."""
+    n, kappa = geo.n, geo.kappa
+
+    def g(t: float) -> float:
+        v = f(t)
+        if v == 0.0:
+            return 0.0
+        return v * s_value(kappa, t) ** (n - 1)
+
+    return _integral(geo, g, max(u.support_lo, 0.0), u.support_hi, tol, u.breakpoints)
 
 
 def radial_integral(
@@ -77,7 +109,6 @@ def radial_integral(
     R: float,
     singular_exponent_hint: float | None = None,
     breakpoints: Sequence[float] = (),
-    rel_tol: float = 1e-10,
 ) -> tuple[float, float]:
     """n*omega_n * integral_0^R f(t) s_kappa^(n-1)(t) dt with error estimate."""
     if R <= 0.0:
@@ -91,10 +122,7 @@ def radial_integral(
     hint = None
     if singular_exponent_hint is not None:
         hint = singular_exponent_hint + (n - 1)
-    val, err = integrate(g, 0.0, R, rel_tol=rel_tol, breakpoints=breakpoints,
-                         singular_hint=hint)
-    scale = n * unit_ball_volume(n)
-    return scale * val, scale * err
+    return _integral(geo, g, 0.0, R, _TOL, breakpoints, hint)
 
 
 # ---------------------------------------------------------------------------
@@ -143,45 +171,44 @@ def _make_h(H, p: float, binding: dict):
 # additive / multiplicative margins
 
 
-def _resolve_target(target, geo, binding):
-    """Accept a CatalogInstance or a plain G evaluable; return (G, w, binding)."""
+def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
+    """(p, energy, I_H, J_H) with the three error estimates: the terms both
+    margins combine.  target is a CatalogInstance or a (RiccatiPairSpec, G)
+    pair, either carrying w, the interval and the binding, or a plain G
+    evaluable (w = 1)."""
     if isinstance(target, CatalogInstance):
-        if target.spec.rho_kind != "radial_distance":
-            raise ParameterError(
-                f"entry {target.name!r} is built on rho = {target.spec.rho_kind}; "
-                "radial quadrature does not apply")
-        if geo is not None and geo != target.spec.geo:
-            raise ParameterError("geometry mismatch between argument and catalog instance")
-        return target.G, target.spec.w, target.spec.binding(), target.spec.geo
-    if binding is None:
-        binding = geo.binding()
-    return target, None, binding, geo
-
-
-def _check_support(u: RadialTestFunction, target) -> None:
-    if isinstance(target, CatalogInstance):
-        spec = target.spec
+        what, spec, G = f"entry {target.name!r}", target.spec, target.G
+    elif isinstance(target, tuple):
+        what, (spec, G) = "spec", target
+    else:
+        spec, G, w = None, target, None
+        if binding is None:
+            binding = geo.binding()
+    if spec is not None:
+        if spec.rho_kind != "radial_distance":
+            raise ParameterError(f"{what} is built on rho = {spec.rho_kind}; "
+                                 "radial quadrature does not apply")
+        if geo is not None and geo != spec.geo:
+            raise ParameterError(f"geometry mismatch between argument and {what}")
         if u.support_lo < spec.t_lo or u.support_hi > spec.t_hi:
             raise HypothesisError(
                 "test function support inside the entry interval",
                 f"support ({u.support_lo!r}, {u.support_hi!r}) vs "
                 f"({spec.t_lo!r}, {spec.t_hi!r})")
-
-
-def _ih_jh(geo, G, w, binding, hfun, u: RadialTestFunction, rel_tol):
-    """The two integrals of the additive right side (direct evaluation)."""
+        geo, w, binding = spec.geo, spec.w, spec.binding()
     n, kappa, p = geo.n, geo.kappa, geo.p
     pc = geo.p_conj
-    lo = max(u.support_lo, 0.0)
-    hi = u.support_hi
-    scale = n * unit_ball_volume(n)
+    hfun = _make_h(H, p, binding)
 
-    def dens(t: float) -> float:
-        return s_value(kappa, t) ** (n - 1)
+    def f_e(t: float) -> float:
+        m = abs(u.du(t))
+        if m == 0.0:
+            return 0.0
+        wv = 1.0 if w is None else w.eval(t, binding)
+        return m**p * wv
 
     def f_i(t: float) -> float:
-        uv = u.u(t)
-        hval = hfun.h(uv)
+        hval = hfun.h(u.u(t))
         if hval == 0.0:
             return 0.0
         gv, gd = G.eval_d(t, binding)
@@ -190,7 +217,7 @@ def _ih_jh(geo, G, w, binding, hfun, u: RadialTestFunction, rel_tol):
         else:
             wv, wd = w.eval_d(t, binding)
             drift = (gd * wv + gv * wd) + gv * wv * (n - 1) * ct_value(kappa, t)
-        return drift * hval * dens(t)
+        return drift * hval
 
     def f_j(t: float) -> float:
         hd = hfun.habs_dp(u.u(t), pc)
@@ -198,61 +225,31 @@ def _ih_jh(geo, G, w, binding, hfun, u: RadialTestFunction, rel_tol):
             return 0.0
         gv = G.eval(t, binding)
         wv = 1.0 if w is None else w.eval(t, binding)
-        return abs(gv) ** pc * wv * hd * dens(t)
+        return abs(gv) ** pc * wv * hd
 
-    bps = u.breakpoints
-    i_val, i_err = integrate(f_i, lo, hi, rel_tol=rel_tol, breakpoints=bps)
-    j_val, j_err = integrate(f_j, lo, hi, rel_tol=rel_tol, breakpoints=bps)
-    return scale * i_val, scale * i_err, scale * j_val, scale * j_err
-
-
-def _energy(geo, w, binding, u: RadialTestFunction, rel_tol):
-    n, kappa, p = geo.n, geo.kappa, geo.p
-    lo = max(u.support_lo, 0.0)
-
-    def f(t: float) -> float:
-        m = abs(u.du(t))
-        if m == 0.0:
-            return 0.0
-        wv = 1.0 if w is None else w.eval(t, binding)
-        return m**p * wv * s_value(kappa, t) ** (n - 1)
-
-    val, err = integrate(f, lo, u.support_hi, rel_tol=rel_tol, breakpoints=u.breakpoints)
-    scale = n * unit_ball_volume(n)
-    return scale * val, scale * err
+    return (p, *_direct(geo, f_e, u, _TOL), *_direct(geo, f_i, u, _TOL),
+            *_direct(geo, f_j, u, _TOL))
 
 
 def additive_margin(geo: ModelGeometry | None, target, u: RadialTestFunction,
-                    H=None, binding: dict | None = None,
-                    rel_tol: float = 1e-10) -> InequalityMargin:
+                    H=None, binding: dict | None = None) -> InequalityMargin:
     """Margin of the additive inequality for one test function.
 
-    target is a CatalogInstance (carrying w and the binding) or a plain G
+    target is a CatalogInstance, a (RiccatiPairSpec, G) pair or a plain G
     evaluable; H defaults to |s|^p/p.  On model spaces the distance Laplacian
     is the exact (n-1) ct_kappa, which is what the right side uses.
     """
-    G, w, binding, geo = _resolve_target(target, geo, binding)
-    _check_support(u, target)
-    p = geo.p
-    hfun = _make_h(H, p, binding)
-    lhs, e_err = _energy(geo, w, binding, u, rel_tol)
-    i_val, i_err, j_val, j_err = _ih_jh(geo, G, w, binding, hfun, u, rel_tol)
+    p, lhs, e_err, i_val, i_err, j_val, j_err = _additive_terms(geo, target, u, H, binding)
     rhs = p * i_val - (p - 1.0) * j_val
     err = e_err + p * i_err + (p - 1.0) * j_err
     return _margin_of(lhs, rhs, err, {"i_term": i_val, "j_term": j_val, "p": p})
 
 
 def multiplicative_margin(geo: ModelGeometry | None, target, u: RadialTestFunction,
-                          H=None, binding: dict | None = None,
-                          rel_tol: float = 1e-10) -> InequalityMargin:
+                          H=None, binding: dict | None = None) -> InequalityMargin:
     """Margin of energy >= |I_H|^p / J_H^(p-1); needs J_H bounded away from
     its quadrature error."""
-    G, w, binding, geo = _resolve_target(target, geo, binding)
-    _check_support(u, target)
-    p = geo.p
-    hfun = _make_h(H, p, binding)
-    lhs, e_err = _energy(geo, w, binding, u, rel_tol)
-    i_val, i_err, j_val, j_err = _ih_jh(geo, G, w, binding, hfun, u, rel_tol)
+    p, lhs, e_err, i_val, i_err, j_val, j_err = _additive_terms(geo, target, u, H, binding)
     if j_val <= 10.0 * j_err:
         raise DomainError(
             f"J functional {j_val!r} indistinguishable from quadrature error {j_err!r}")
@@ -268,8 +265,8 @@ def multiplicative_margin(geo: ModelGeometry | None, target, u: RadialTestFuncti
 
 
 def _log_mass(geo: ModelGeometry, u: RadialTestFunction, upow: float, tpow: float,
-              use_du: bool = False, extra: Callable[[float], float] | None = None,
-              rel_tol: float = 1e-10) -> tuple[float, float]:
+              use_du: bool = False,
+              extra: Callable[[float], float] | None = None) -> tuple[float, float]:
     """n*omega_n * integral |b(t)|^upow t^tpow s^(n-1) extra(t) dt with
     b = u or u'; evaluated through logs so plateau values ~1e150 and
     abscissae ~1e-290 cannot overflow intermediates."""
@@ -293,12 +290,8 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction, upow: float, tpow: floa
         v = math.exp(lg)
         return v * extra(t) if extra is not None else v
 
-    lo = max(u.support_lo, 0.0)
-    val, err = integrate(f, lo, u.support_hi, rel_tol=rel_tol,
-                         breakpoints=u.breakpoints,
-                         singular_hint=u.singular_hint)
-    scale = n * unit_ball_volume(n)
-    return scale * val, scale * err
+    return _integral(geo, f, max(u.support_lo, 0.0), u.support_hi, _TOL_FINE,
+                     u.breakpoints, u.singular_hint)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +299,7 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction, upow: float, tpow: floa
 
 
 def _scaled_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
-                   mass_pow: float, rhs_pow: float, rhs_key: str,
-                   rel_tol: float) -> InequalityMargin:
+                   mass_pow: float, rhs_pow: float, rhs_key: str) -> InequalityMargin:
     """lhs = (energy)^(1/p) (integral t^(p' alpha)|u|^mass_pow dmu)^(1/p'),
     rhs = (n+alpha-1)/rhs_pow * integral (1 + (n-1)/(n+alpha-1) D_kappa)
     t^(alpha-1)|u|^rhs_pow dmu; the up and ckn margins differ only in the
@@ -317,14 +309,13 @@ def _scaled_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
     const = (n + alpha - 1.0) / rhs_pow
     dcoef = (n - 1.0) / (n + alpha - 1.0)
 
-    energy, e_err = _log_mass(geo, u, p, 0.0, use_du=True, rel_tol=rel_tol)
-    mass2, m2_err = _log_mass(geo, u, mass_pow, pc * alpha, rel_tol=rel_tol)
+    energy, e_err = _log_mass(geo, u, p, 0.0, use_du=True)
+    mass2, m2_err = _log_mass(geo, u, mass_pow, pc * alpha)
 
     def deficit_factor(t: float) -> float:
         return 1.0 + dcoef * deficit_value(geo.kappa, t)
 
-    dint, d_err = _log_mass(geo, u, rhs_pow, alpha - 1.0, extra=deficit_factor,
-                            rel_tol=rel_tol)
+    dint, d_err = _log_mass(geo, u, rhs_pow, alpha - 1.0, extra=deficit_factor)
 
     lhs = energy ** (1.0 / p) * mass2 ** (1.0 / pc)
     rhs = const * dint
@@ -335,8 +326,7 @@ def _scaled_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
                        "i_term": rhs, "j_term": mass2, "p": p})
 
 
-def up_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
-              rel_tol: float = 1e-11) -> InequalityMargin:
+def up_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float) -> InequalityMargin:
     """Three-factor uncertainty margin with the curvature deficit term.
 
     lhs = (energy)^(1/p) (integral t^(p' alpha)|u|^p dmu)^(1/p'),
@@ -347,11 +337,11 @@ def up_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
         raise HypothesisError("n > p > 1", f"n={n!r}, p={p!r}")
     if not (-p + 1.0 < alpha <= 1.0):
         raise HypothesisError("-p + 1 < alpha <= 1", f"alpha={alpha!r}")
-    return _scaled_margin(geo, u, alpha, p, p, "deficit_integral", rel_tol)
+    return _scaled_margin(geo, u, alpha, p, p, "deficit_integral")
 
 
-def ckn_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float, r: float,
-               rel_tol: float = 1e-11) -> InequalityMargin:
+def ckn_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
+               r: float) -> InequalityMargin:
     """Interpolation-type multiplicative margin with exponent r > p."""
     n, p = geo.n, geo.p
     if not (r > p > 1.0):
@@ -361,7 +351,7 @@ def ckn_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float, r: float
     if not (p * (n + alpha - 1.0) > r * (n - p) > 0.0):
         raise HypothesisError("p(n+alpha-1) > r(n-p) > 0",
                               f"n={n!r}, p={p!r}, r={r!r}, alpha={alpha!r}")
-    return _scaled_margin(geo, u, alpha, geo.p_conj * (r - 1.0), r, "rhs_integral", rel_tol)
+    return _scaled_margin(geo, u, alpha, geo.p_conj * (r - 1.0), r, "rhs_integral")
 
 
 def _osc_profile(c: float, x: float) -> float:
@@ -375,26 +365,15 @@ def _osc_profile(c: float, x: float) -> float:
     return math.sinh(rc * x) / rc
 
 
-def sc_margin(geo: ModelGeometry, u: RadialTestFunction, c: float,
-              rel_tol: float = 1e-11) -> InequalityMargin:
+def sc_margin(geo: ModelGeometry, u: RadialTestFunction, c: float) -> InequalityMargin:
     """Margin of energy >= (n-1)^2 |kappa| (int s_c(u)^2)^2 / int s_c(2u)^2."""
     if geo.p != 2.0:
         raise HypothesisError("p = 2", f"got p={geo.p!r}")
     if geo.kappa >= 0.0:
         raise HypothesisError("kappa < 0", f"got kappa={geo.kappa!r}")
-    energy, e_err = _log_mass(geo, u, 2.0, 0.0, use_du=True, rel_tol=rel_tol)
-
-    def f1(t: float) -> float:
-        return _osc_profile(c, u.u(t)) ** 2 * s_value(geo.kappa, t) ** (geo.n - 1)
-
-    def f2(t: float) -> float:
-        return _osc_profile(c, 2.0 * u.u(t)) ** 2 * s_value(geo.kappa, t) ** (geo.n - 1)
-
-    lo = max(u.support_lo, 0.0)
-    scale = geo.n * unit_ball_volume(geo.n)
-    i1, e1 = integrate(f1, lo, u.support_hi, rel_tol=rel_tol, breakpoints=u.breakpoints)
-    i2, e2 = integrate(f2, lo, u.support_hi, rel_tol=rel_tol, breakpoints=u.breakpoints)
-    i1, e1, i2, e2 = scale * i1, scale * e1, scale * i2, scale * e2
+    energy, e_err = _log_mass(geo, u, 2.0, 0.0, use_du=True)
+    i1, e1 = _direct(geo, lambda t: _osc_profile(c, u.u(t)) ** 2, u, _TOL_FINE)
+    i2, e2 = _direct(geo, lambda t: _osc_profile(c, 2.0 * u.u(t)) ** 2, u, _TOL_FINE)
     if i2 <= 10.0 * e2:
         raise DomainError("denominator integral indistinguishable from its error")
     rhs = (geo.n - 1.0) ** 2 * (-geo.kappa) * i1 * i1 / i2
@@ -417,8 +396,7 @@ class ExtremalIdentityResult:
     cutoff: float
 
 
-def extremal_identity_check(geo: ModelGeometry, alpha: float,
-                            rel_tol: float = 1e-11) -> ExtremalIdentityResult:
+def extremal_identity_check(geo: ModelGeometry, alpha: float) -> ExtremalIdentityResult:
     """Quadrature check of energy(u0) = (gamma/p)^p integral t^(p' alpha) u0^p
     for u0 = exp(-t^gamma/p): exact on model spaces by the radial chain rule.
 
@@ -446,8 +424,8 @@ def extremal_identity_check(geo: ModelGeometry, alpha: float,
     u0 = gaussian_type(alpha, p)
     u0 = RadialTestFunction(u0.kind, u0.u, u0.du, 0.0, min(R, u0.support_hi),
                             params=u0.params)
-    lhs, e_err = _log_mass(geo, u0, p, 0.0, use_du=True, rel_tol=rel_tol)
-    mass, m_err = _log_mass(geo, u0, p, pc * alpha, rel_tol=rel_tol)
+    lhs, e_err = _log_mass(geo, u0, p, 0.0, use_du=True)
+    mass, m_err = _log_mass(geo, u0, p, pc * alpha)
     rhs = (gamma / p) ** p * mass
     disc = abs(lhs - rhs) / max(abs(rhs), _MARGIN_FLOOR)
     return ExtremalIdentityResult(lhs=lhs, rhs=rhs, discrepancy=disc, gamma=gamma,
@@ -529,13 +507,11 @@ class SweepResult:
     min_margin: float
 
 
-def hardy_default_family(geo: ModelGeometry, alpha: float = 0.0,
-                         eps_list: Sequence[float] = (0.1, 0.05, 0.02, 0.01,
-                                                      0.005, 0.002, 0.001)) -> list[RadialTestFunction]:
+def hardy_default_family(geo: ModelGeometry, alpha: float = 0.0) -> list[RadialTestFunction]:
     """Near-extremal family: eps -> 0 with the plateau radius shrinking like
     exp(-0.7/eps) (clamped at the float floor)."""
     out = []
-    for eps in eps_list:
+    for eps in _HARDY_EPS:
         r0 = math.exp(max(-0.7 / eps, -660.0))
         out.append(power_cutoff(eps, r0, 100.0, geo.n, geo.p, alpha=alpha))
     return out
@@ -563,19 +539,8 @@ def scaled_family(inequality: str, geo: ModelGeometry, params: dict,
     return alpha, r, family
 
 
-def _hardy_ratio(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
-                 rel_tol: float) -> tuple[float, float, float]:
-    """(energy, singular mass, combined relative error) for the Hardy quotient."""
-    p = geo.p
-    energy, e_err = _log_mass(geo, u, p, alpha, use_du=True, rel_tol=rel_tol)
-    mass, m_err = _log_mass(geo, u, p, alpha - p, rel_tol=rel_tol)
-    rel = e_err / max(energy, _MARGIN_FLOOR) + m_err / max(mass, _MARGIN_FLOOR)
-    return energy, mass, rel
-
-
 def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = None,
-                    family: Sequence[RadialTestFunction] | None = None,
-                    rel_tol: float = 1e-11) -> SweepResult:
+                    family: Sequence[RadialTestFunction] | None = None) -> SweepResult:
     """Achieved-constant sweep over a family of test functions.
 
     Modes: 'hardy' (additive quotient vs ((C+1+alpha-p)/p)^p with C = n-1),
@@ -584,49 +549,48 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
     admissible class are recorded with a note and skipped.
     """
     params = dict(params or {})
-    rows: list[SweepRow] = []
     if inequality == "hardy":
         alpha = params.get("alpha", 0.0)
         p = geo.p
         sharp = ((geo.n + alpha - p) / p) ** p
         if family is None:
             family = hardy_default_family(geo, alpha=alpha)
-        for u in family:
-            try:
-                energy, mass, rel = _hardy_ratio(geo, u, alpha, rel_tol)
-            except (DomainError, ParameterError) as exc:
-                rows.append(SweepRow(u.params.get("eps", math.nan), math.nan,
-                                     math.nan, math.nan, math.nan, math.nan,
-                                     note=f"skipped: {exc}"))
-                continue
-            ratio = energy / mass
+        key = "eps"
+
+        def member(u: RadialTestFunction) -> tuple[InequalityMargin, float]:
+            energy, e_err = _log_mass(geo, u, p, alpha, use_du=True)
+            mass, m_err = _log_mass(geo, u, p, alpha - p)
+            rel = e_err / max(energy, _MARGIN_FLOOR) + m_err / max(mass, _MARGIN_FLOOR)
             rhs = sharp * mass
-            rows.append(SweepRow(u.params.get("eps", math.nan), energy, rhs,
-                                 (energy - rhs) / max(rhs, _MARGIN_FLOOR),
-                                 rel * max(rhs, energy), ratio))
-        achieved = min((r.ratio for r in rows if math.isfinite(r.ratio)), default=math.nan)
+            return InequalityMargin(energy, rhs, (energy - rhs) / max(rhs, _MARGIN_FLOOR),
+                                    rel * max(rhs, energy)), energy / mass
     elif inequality in ("up", "ckn"):
         alpha, r, family = scaled_family(inequality, geo, params, family)
         sharp = (geo.n + alpha - 1.0) / (geo.p if inequality == "up" else r)
-        for u in family:
-            lam = u.params.get("scale", math.nan)
-            try:
-                if inequality == "up":
-                    m = up_margin(geo, u, alpha, rel_tol=rel_tol)
-                else:
-                    m = ckn_margin(geo, u, alpha, r, rel_tol=rel_tol)
-            except (DomainError, HypothesisError, ParameterError) as exc:
-                rows.append(SweepRow(lam, math.nan, math.nan, math.nan, math.nan,
-                                     math.nan, note=f"skipped: {exc}"))
-                continue
+        key = "scale"
+
+        def member(u: RadialTestFunction) -> tuple[InequalityMargin, float]:
+            if inequality == "up":
+                m = up_margin(geo, u, alpha)
+            else:
+                m = ckn_margin(geo, u, alpha, r)
             # achieved constant: lhs over the bare rhs integral
-            ratio = m.lhs / (m.rhs / sharp)
-            rows.append(SweepRow(lam, m.lhs, m.rhs, m.margin,
-                                 m.quadrature_error_estimate, ratio))
-        achieved = min((r.ratio for r in rows if math.isfinite(r.ratio)), default=math.nan)
+            return m, m.lhs / (m.rhs / sharp)
     else:
         raise ParameterError(f"unknown sweep mode {inequality!r}")
 
+    rows: list[SweepRow] = []
+    for u in family:
+        param = u.params.get(key, math.nan)
+        try:
+            m, ratio = member(u)
+        except (DomainError, ParameterError) as exc:
+            rows.append(SweepRow(param, math.nan, math.nan, math.nan, math.nan, math.nan,
+                                 note=f"skipped: {exc}"))
+            continue
+        rows.append(SweepRow(param, m.lhs, m.rhs, m.margin, m.quadrature_error_estimate,
+                             ratio))
+    achieved = min((r.ratio for r in rows if math.isfinite(r.ratio)), default=math.nan)
     margins = [r.margin for r in rows if math.isfinite(r.margin)]
     return SweepResult(inequality=inequality, params=params, rows=rows,
                        sharp_constant=sharp, achieved_extremum=achieved,

@@ -183,6 +183,36 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["summary"]["min_margin"] >= -1e-9
 
+    def test_verify_generic_uses_the_spec_weight_and_interval(self, tmp_path, capsys):
+        main(["catalog", "show", "hardy", "--params", "n=3,p=2,alpha=1.5"])
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(capsys.readouterr().out)
+        gen, cat = tmp_path / "gen.json", tmp_path / "cat.json"
+        assert main(["verify", "--inequality", "generic", "--spec", str(cfg),
+                     "--out", str(gen)]) == 0
+        assert main(["verify", "--inequality", "hardy", "--params", "n=3,p=2,alpha=1.5",
+                     "--out", str(cat)]) == 0
+        members = json.loads(gen.read_text())["members"]
+        assert len(members) == 20
+        assert members == json.loads(cat.read_text())["members"]
+
+    def test_verify_generic_rejects_boundary_distance_spec(self, tmp_path, capsys):
+        main(["catalog", "show", "caccioppoli", "--params", "n=3,p=2"])
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(capsys.readouterr().out)
+        rc = main(["verify", "--inequality", "generic", "--spec", str(cfg)])
+        assert rc == 1
+        assert "rho = boundary_distance" in capsys.readouterr().err
+
+    def test_verify_catalog_mode_takes_H(self, tmp_path):
+        rhs = []
+        for extra in ([], ["--H", "s^2/2+s^4"]):
+            out = tmp_path / f"mk{len(extra)}.json"
+            assert main(["verify", "--inequality", "mckean", "--params", "kappa=-1,n=2,p=2",
+                         "--family", "bumps:count=5,seed=3", "--out", str(out)] + extra) == 0
+            rhs.append([m["rhs"] for m in json.loads(out.read_text())["members"]])
+        assert rhs[0] != rhs[1]
+
     def test_sweep_hardy_json(self, tmp_path):
         out = tmp_path / "sweep.json"
         rc = main(["sweep", "--inequality", "hardy",

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from hardykit.errors import ConvergenceError, DomainError, ParameterError
+from hardykit.errors import (ConvergenceError, DomainError, ParameterError,
+                             UnsupportedDerivativeError)
 from hardykit.exprdsl import parse
 from hardykit.geometry import ComparisonL, ModelGeometry
-from hardykit.riccati import (RiccatiPairSpec, bessel_to_riccati, certification_grid,
-                              certify, golden_section_max, optimize_constant,
-                              residual, residual_parts, riccati_to_bessel, solve_ivp)
+from hardykit.riccati import (FuncEval, RiccatiPairSpec, bessel_to_riccati,
+                              certification_grid, certify, golden_section_max,
+                              optimize_constant, residual, residual_parts, riccati_to_bessel,
+                              solve_ivp)
 from oracles import golden_max
 
 E3 = ModelGeometry(0.0, 3, 2.0)
@@ -343,3 +345,20 @@ class TestUniformPolicyOnCatalogEntry:
         rep = certify(inst.spec, inst.G, grid_policy="uniform")
         assert rep.verdict == "certified"
         assert rep.max_abs_residual <= 1e-10
+
+
+class TestFuncEval:
+    def test_eval_d_without_derivative_raises(self):
+        f = FuncEval(lambda t: t * t, name="sq")
+        assert f.eval(3.0) == 9.0
+        with pytest.raises(UnsupportedDerivativeError):
+            f.eval_d(3.0)
+        assert FuncEval(lambda t: t * t, lambda t: 2.0 * t).eval_d(3.0) == (9.0, 6.0)
+
+    def test_greene_wu_weight_has_no_derivative(self):
+        from hardykit.catalog import instantiate
+
+        inst = instantiate("greene_wu_psi", ModelGeometry(-1.0, 3, 2.0), {"psi": "s(t)"})
+        with pytest.raises(UnsupportedDerivativeError):
+            inst.spec.W.eval_d(1.0)
+        assert inst.G.eval_d(1.0)[1] == inst.G.dfn(1.0)

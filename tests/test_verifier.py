@@ -98,6 +98,12 @@ class TestAdditiveMargin:
                 assert m.margin >= -1e-6, (name, u)
                 assert young_holds(m.extras), (name, u)
 
+    def test_spec_pair_target_matches_catalog_instance(self):
+        inst = instantiate("hardy", E3, {"alpha": 1.5, "C": 2.0})
+        for u in random_bumps(4, seed=9):
+            for margin in (additive_margin, multiplicative_margin):
+                assert margin(None, (inst.spec, inst.G), u) == margin(None, inst, u)
+
     def test_support_outside_interval_rejected(self):
         inst = instantiate("acr", E3, {"D": 1.0})
         with pytest.raises(HypothesisError):

@@ -6,12 +6,16 @@ identical results must leave the digest unchanged:
     PYTHONPATH=src python tools/digest_outputs.py > digest.txt
 
 Covered: the residual list of ``certify`` for two instances of every
-catalog entry (log and uniform grids, 512 and 1024 points); additive,
-multiplicative, uncertainty, interpolation-exponent and oscillatory margins
-on seeded families; sharpness sweeps and extremal-identity checks; value
-and derivative of 2000 seeded random expressions, with the type and message
-of every error raised; and exit code, stdout, stderr and file artifacts of
-every command in the README; ``spectral_lambda1`` (extrapolated, raw and
+catalog entry (log and uniform grids, 512 and 1024 points);
+``radial_integral`` with and without a singular hint; additive,
+multiplicative (also with an H expression), uncertainty,
+interpolation-exponent and oscillatory margins on seeded families;
+sharpness sweeps (one whose default family cannot be built) and
+extremal-identity checks; value and derivative of 2000 seeded random
+expressions, with the type and message of every error raised; exit code,
+stdout, stderr and file artifacts of every command in the README, of
+``catalog list`` and of generic ``verify`` on three emitted specs;
+``spectral_lambda1`` (extrapolated, raw and
 coarse eigenvalue) on six balls, ``bessel_zero`` on a (nu, k) grid,
 ``bessel_j`` on its mpmath path (x > 10), ``hyp2f1`` on both sides of
 |z| = 40, integer b - a included, and ``hyp2f1`` and ``hyp2f1_dz`` on both
@@ -39,7 +43,8 @@ from hardykit.specfun import bessel_j, bessel_zero, hyp2f1, hyp2f1_dz
 from hardykit.spectral import spectral_lambda1
 from hardykit.testfuncs import gaussian_type, random_bumps, talenti
 from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_check,
-                               multiplicative_margin, sc_margin, sharpness_sweep, up_margin)
+                               multiplicative_margin, radial_integral, sc_margin,
+                               sharpness_sweep, up_margin)
 
 E3 = ModelGeometry(0.0, 3, 2.0)
 E4 = ModelGeometry(0.0, 4, 2.0)
@@ -98,6 +103,19 @@ README_COMMANDS = [
     "certify --catalog mckean --params kappa=-1,n=2,p=2 --json mckean.json",
 ]
 
+# generic verify on a w = 1 spec, a weighted spec and a boundary-distance spec
+SPEC_COMMANDS = [
+    "catalog list",
+    "catalog show mckean --params kappa=-1,n=2,p=2 > mckean.cfg",
+    "verify --inequality generic --spec mckean.cfg --out mckean_generic.json",
+    "verify --inequality generic --spec mckean.cfg --H s^2/2+s^4 --family bumps:count=5,seed=3",
+    "catalog show hardy --params n=3,p=2,alpha=1.5 > hardy.cfg",
+    "verify --inequality generic --spec hardy.cfg --out hardy_generic.json",
+    "verify --inequality hardy --params n=3,p=2,alpha=1.5 --out hardy_catalog.json",
+    "catalog show caccioppoli --params n=3,p=2 > cacc.cfg",
+    "verify --inequality generic --spec cacc.cfg --out cacc_generic.json",
+]
+
 
 def _h(values) -> str:
     return hashlib.sha256(repr(list(values)).encode()).hexdigest()[:16]
@@ -133,6 +151,12 @@ def _margin_line(label, m):
 
 
 def digest_margins():
+    for geo, label, f, R, hint in ((E3, "t", lambda t: t, 1.0, None),
+                                   (H2, "cos", math.cos, 1.5, None),
+                                   (E3, "t^-0.5", lambda t: t**-0.5, 1.0, -0.5),
+                                   (H3, "t^-0.9", lambda t: t**-0.9, 2.0, -0.9)):
+        print("radial_integral", geo, label, R, hint,
+              _outcome(radial_integral, geo, f, R, singular_exponent_hint=hint))
     for name, geo, params, seed in (("hardy", E3, {"alpha": 0.0, "C": 2.0}, 3),
                                     ("mckean", H2, {}, 5),
                                     ("interpolation", H3, {"lam": 1.0}, 11),
@@ -150,6 +174,8 @@ def digest_margins():
     for i, u in enumerate(random_bumps(4, seed=17)):
         print(_margin_line(f"additive-generic {i}",
                            _outcome(additive_margin, E3, G, u, H=H, binding={"n": 3.0})))
+        print(_margin_line(f"multiplicative-generic {i}",
+                           _outcome(multiplicative_margin, E3, G, u, H=H, binding={"n": 3.0})))
     for geo in (E3, H3, ModelGeometry(-0.5, 4, 2.5)):
         for alpha in (1.0, 0.3, -0.4):
             for lam in (0.5, 1.0, 2.0, 4.0):
@@ -171,6 +197,7 @@ def digest_sweeps():
     up_h3 = [gaussian_type(0.5, H3.p, scale=lam) for lam in (0.7, 1.3)]
     for mode, geo, params, family in (("hardy", E3, {"alpha": 0.0}, None),
                                       ("hardy", ModelGeometry(-1.0, 4, 2.5), {"alpha": 0.5}, None),
+                                      ("hardy", E3, {"alpha": 2.0}, None),  # sigma = 1.5
                                       ("up", E3, {"alpha": 1.0}, None),
                                       ("up", H3, {"alpha": 0.5}, up_h3),
                                       ("ckn", E3, {"alpha": 1.0, "r": 3.0}, None),
@@ -233,12 +260,12 @@ def digest_expressions():
               _outcome(e.eval_d, t, binding))
 
 
-def digest_readme_commands():
+def digest_commands(commands):
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for line in README_COMMANDS:
+            for line in commands:
                 argv, _, redirect = line.partition(" > ")
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -291,7 +318,8 @@ def main() -> int:
     digest_margins()
     digest_sweeps()
     digest_expressions()
-    digest_readme_commands()
+    digest_commands(README_COMMANDS)
+    digest_commands(SPEC_COMMANDS)
     digest_constants()
     return 0
 
