@@ -150,13 +150,16 @@ def _cmd_solve_riccati(args) -> int:
     return EXIT_OK
 
 
-def _make_family(family_spec: str, geo: ModelGeometry):
+def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: float = math.inf):
+    """A test family from a --family spec; (lo, hi) is the interval bumps
+    default to, the entry's or config's."""
     kind, _, kv = family_spec.partition(":")
     opts = _parse_kv(kv)
     if kind == "bumps":
+        lo, hi = opts.get("lo", lo), opts.get("hi", hi)
+        span = opts.get("span", min(10.0, hi - lo) if math.isfinite(hi) else 10.0)
         return random_bumps(int(opts.get("count", 20)), int(opts.get("seed", 7)),
-                            lo=opts.get("lo", 0.0), hi=opts.get("hi", math.inf),
-                            span=opts.get("span", 10.0))
+                            lo=lo, hi=hi, span=span)
     if kind == "power_cutoff":
         return [power_cutoff(opts["eps"], opts["r0"], opts["R"], geo.n, geo.p,
                              alpha=opts.get("alpha", 0.0))]
@@ -172,6 +175,19 @@ def _cmd_verify(args) -> int:
     params = _parse_kv(args.params)
     geo, rest = _geometry_from_params(params)
     inequality = args.inequality
+    # options a mode would ignore are refused, so a report never names an
+    # input that did not enter it
+    if inequality in ("up", "ckn") and args.H:
+        print(f"verify {inequality}: --H applies to catalog and generic modes only",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if inequality != "generic" and args.spec:
+        print(f"verify {inequality}: --spec applies to generic mode only", file=sys.stderr)
+        return EXIT_USAGE
+    if inequality == "generic" and params:
+        print("verify generic: --params not accepted; the geometry and parameters "
+              "come from the --spec config", file=sys.stderr)
+        return EXIT_USAGE
     members = []
     worst = math.inf
     if inequality in ("up", "ckn"):
@@ -193,12 +209,9 @@ def _cmd_verify(args) -> int:
             print("verify generic: --spec required", file=sys.stderr)
             return EXIT_USAGE
         H = parse_expr(args.H, var="s") if args.H else None
-        lo, hi = spec.t_lo, spec.t_hi
-        if args.family == "default":
-            family = random_bumps(20, seed=7, lo=lo, hi=hi,
-                                  span=min(10.0, (hi - lo) if math.isfinite(hi) else 10.0))
-        else:
-            family = _make_family(args.family, spec.geo)
+        # the default family is 20 bumps (seed 7) on the spec's interval
+        family = _make_family("bumps" if args.family == "default" else args.family,
+                              spec.geo, spec.t_lo, spec.t_hi)
         for u in family:
             m = additive_margin(None, target, u, H=H)
             members.append((u.params.get("center", u.params.get("eps", math.nan)), m))

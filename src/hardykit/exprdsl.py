@@ -15,8 +15,14 @@ time).  Note that the grammar attaches unary minus below '^', so '-x^2'
 parses as '(-x)^2'; write '-(x^2)' when the other reading is meant.
 
 Evaluation is pure: a parsed ScalarExpr is immutable, evaluating it twice
-with the same binding gives bit-identical results, and the exact first
+with the same binding gives bit-identical results (unless the binding was
+changed in place in between to an equal value of another sign of zero or
+type, such as 0.0 to -0.0: see ScalarExpr), and the exact first
 derivative d/dt comes from dual-number propagation through every builtin.
+An expression is compiled into closures lazily, once per binding and mode
+(value or dual).  Each maximal subtree free of the variable is then folded
+into the value or Dual it has under that binding, which purity makes exact;
+a subtree that raises is left to raise at evaluation.
 Division by zero and log of a nonpositive number are hard errors rather
 than IEEE infinities, so certification never silently saturates; overflow
 of exp/sinh/cosh saturates to inf (such terms only ever appear in positions
@@ -182,9 +188,10 @@ def _hyp_dual(args, binding):
     b = _const_arg(args[1], "hyp2f1 parameter")
     c = _const_arg(args[2], "hyp2f1 parameter")
     z = args[3]
-    v = _sf.hyp2f1(a, b, c, z.v)
-    d = _sf.hyp2f1_dz(a, b, c, z.v) * z.d if z.d != 0.0 else 0.0
-    return Dual(v, d)
+    if z.d == 0.0:
+        return Dual(_sf.hyp2f1(a, b, c, z.v), 0.0)
+    v, dz = _sf.hyp2f1_with_dz(a, b, c, z.v)
+    return Dual(v, dz * z.d)
 
 
 def _gamma_dual(args, binding):
@@ -572,13 +579,35 @@ def _rewrap(exc: Exception, fragment: str) -> EvalError:
     return kind(str(exc), fragment)
 
 
-def _compile(node: Node, source: str, mode: dict) -> Callable:
-    """Compile an AST into a closure (t, binding) -> float or Dual, per mode."""
+def _compile(node: Node, source: str, mode: dict, binding: ParamBinding) -> Callable:
+    """Compile an AST into a closure (t, binding) -> float or Dual, per mode,
+    for one binding.
+
+    Each maximal subtree that does not contain the variable is folded into the
+    object its own closure returns for this binding, so the closure returns
+    exactly what the unfolded one would.  A subtree whose evaluation raises
+    here stays unfolded, and raises at evaluation with its fragment.
+    """
+    fn, free = _build(node, source, mode, binding)
+    return _fold(fn, binding) if free else fn
+
+
+def _fold(fn: Callable, binding: ParamBinding) -> Callable:
+    try:
+        c = fn(0.0, binding)
+    except Exception:  # deferred: the unfolded closure raises it again at evaluation
+        return fn
+    return lambda t, binding: c
+
+
+def _build(node: Node, source: str, mode: dict, binding: ParamBinding) -> tuple[Callable, bool]:
+    """The closure of a node and whether it is free of the variable; only the
+    variable-free children of a node that is not are folded."""
     if isinstance(node, Num):
         c = mode["const"](node.value)
-        return lambda t, binding: c
+        return (lambda t, binding: c), True
     if isinstance(node, Var):
-        return mode["var"]
+        return mode["var"], False
     if isinstance(node, Param):
         name, lift = node.name, mode["const"]
 
@@ -588,14 +617,14 @@ def _compile(node: Node, source: str, mode: dict) -> Callable:
             except KeyError:
                 raise UnboundParameterError(f"unbound parameter {name!r}") from None
 
-        return param
+        return param, True
     if isinstance(node, Neg):
-        operand, neg = _compile(node.operand, source, mode), mode["neg"]
-        return lambda t, binding: neg(operand(t, binding))
+        (operand,), free = _build_children((node.operand,), source, mode, binding)
+        neg = mode["neg"]
+        return (lambda t, binding: neg(operand(t, binding))), free
     fragment = source[node.span[0]:node.span[1]]
     if isinstance(node, Bin):
-        left = _compile(node.left, source, mode)
-        right = _compile(node.right, source, mode)
+        (left, right), free = _build_children((node.left, node.right), source, mode, binding)
         op = mode[node.op]
 
         def binary(t, binding):
@@ -606,9 +635,9 @@ def _compile(node: Node, source: str, mode: dict) -> Callable:
             except _REWRAPPED as exc:
                 raise _rewrap(exc, fragment) from None
 
-        return binary
+        return binary, free
     if isinstance(node, Call):
-        args = tuple(_compile(a, source, mode) for a in node.args)
+        args, free = _build_children(node.args, source, mode, binding)
         impl = _BUILTINS[node.name][mode["builtin"]]
 
         def call(t, binding):
@@ -618,33 +647,79 @@ def _compile(node: Node, source: str, mode: dict) -> Callable:
             except _REWRAPPED as exc:
                 raise _rewrap(exc, fragment) from None
 
-        return call
+        return call, free
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+
+def _build_children(nodes, source, mode, binding) -> tuple[tuple[Callable, ...], bool]:
+    built = [_build(n, source, mode, binding) for n in nodes]
+    if all(free for _, free in built):
+        return tuple(fn for fn, _ in built), True
+    return tuple(_fold(fn, binding) if free else fn for fn, free in built), False
+
+
+# the compile modes, by their index in a ScalarExpr's cache entry
+_MODES = (_VALUE, _DUAL)
+_NO_KEY = object()
 
 
 @dataclass(frozen=True)
 class ScalarExpr:
     """Parsed, immutable expression over one variable and named parameters.
 
-    The AST is compiled once, here, into a value closure and a dual closure.
+    The AST is compiled lazily, once per binding and mode (value or dual),
+    with its variable-free subtrees folded for that binding.  A one-entry
+    cache keeps the closures of the last binding, matched by the values of
+    the parameters the expression reads (``params_required``).  The same
+    binding object matches while those values compare equal, so one changed
+    in place recompiles.  Another binding object matches only if its values
+    are equal and of one type, with zeros of one sign (0.0 and -0.0 differ
+    under a division), so a freshly built but equal binding does not
+    recompile.  The one case that keeps stale closures is a binding changed
+    in place to a value that compares equal but is not the same, such as
+    0.0 to -0.0.
     """
 
     ast: Node
     source: str
     var: str
     params_required: frozenset[str]
-    _value: Callable = field(init=False, repr=False, compare=False)
-    _dual: Callable = field(init=False, repr=False, compare=False)
+    _key: Callable = field(init=False, repr=False, compare=False)
+    _cache: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_value", _compile(self.ast, self.source, _VALUE))
-        object.__setattr__(self, "_dual", _compile(self.ast, self.source, _DUAL))
+        names = sorted(self.params_required)
+        key = operator.itemgetter(*names) if names else (lambda binding: None)
+        object.__setattr__(self, "_key", key)
+        # [the last binding, its key, its value closure, its dual closure]; a
+        # binding with another key starts a new list
+        object.__setattr__(self, "_cache", [None, _NO_KEY, None, None])
+
+    def _closure(self, binding: ParamBinding, mode: int) -> Callable:
+        try:
+            key = self._key(binding)
+        except KeyError:  # an unbound parameter: it raises at evaluation
+            return _compile(self.ast, self.source, _MODES[mode], binding)
+        entry = self._cache
+        if binding is not entry[0] or key != entry[1]:
+            # repr tells 0.0 from -0.0 and 1 from 1.0, which compare equal
+            if key == entry[1] and repr(key) == repr(entry[1]):
+                entry[0] = binding
+            else:
+                entry = [binding, key, None, None]
+                object.__setattr__(self, "_cache", entry)
+        fn = entry[2 + mode]
+        if fn is None:
+            fn = entry[2 + mode] = _compile(self.ast, self.source, _MODES[mode], binding)
+        return fn
 
     def eval(self, t: float, binding: ParamBinding | None = None) -> float:
-        return self._value(t, binding or {})
+        binding = binding or {}
+        return self._closure(binding, 0)(t, binding)
 
     def eval_d(self, t: float, binding: ParamBinding | None = None) -> tuple[float, float]:
-        out = self._dual(t, binding or {})
+        binding = binding or {}
+        out = self._closure(binding, 1)(t, binding)
         return out.v, out.d
 
     def to_source(self) -> str:

@@ -11,6 +11,9 @@ zero.  The Gauss function is evaluated through the Pfaff map w = z/(z-1),
 which turns z <= 0 into w in [0, 1), up to -z = 3 and by the connection
 formula in 1/z beyond; where b - a is near an integer, and that formula
 cancels, the Pfaff map serves up to -z = 40 and mpmath.hyp2f1 above it.
+hyp2f1_with_dz returns dF/dz beside F from one series pass: the loop that
+sums F also sums k times each term, for a few terms more once F has
+converged, and a closed form turns that into the derivative.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "bessel_ratio",
     "bessel_ratio_dx",
     "hyp2f1",
+    "hyp2f1_with_dz",
     "hyp2f1_dz",
 ]
 
@@ -230,45 +234,92 @@ def bessel_ratio_dx(nu: float, x: float, ratio: float | None = None) -> float:
     return 1.0 - (2.0 * nu + 1.0) * r / x + r * r
 
 
-def _series_2f1(a: float, b: float, c: float, x: float) -> float:
-    """Plain ascending Gauss series at argument x, |x| < 1."""
+def _series_2f1(a: float, b: float, c: float, x: float) -> tuple[float, float]:
+    """Plain ascending Gauss series at argument x, |x| < 1: its sum S, and
+    D = sum k term_k = x dS/dx from the same terms."""
     total = 1.0
     comp = 0.0
+    dsum = 0.0
     term = 1.0
-    k = 0
+    k = 0.0  # a float counter: k + 1.0 is formed once, for the term and for D
     small = 0
     while k < _HYP_MAX_TERMS:
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
+        k1 = k + 1.0
+        term *= (a + k) * (b + k) / ((c + k) * k1) * x
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
+        dsum += k1 * term
         if term == 0.0:
-            return total
+            return total, dsum
         if abs(term) <= 1e-17 * (abs(total) + 1e-300):
             small += 1
             if small >= 3:
-                return total
+                break
         else:
             small = 0
-        k += 1
-    raise ConvergenceError(
-        f"hypergeometric series did not converge at x={x!r} "
-        f"(parameters {a!r}, {b!r}, {c!r})"
-    )
+        k = k1
+    else:
+        raise ConvergenceError(
+            f"hypergeometric series did not converge at x={x!r} "
+            f"(parameters {a!r}, {b!r}, {c!r})"
+        )
+    # D's terms are k times S's, so D's tail outlasts S's stopping rule; past
+    # it the terms shrink geometrically, and the first one below 1e-17 of D
+    # ends D's sum
+    while abs(k1 * term) > 1e-17 * (abs(dsum) + 1e-300):
+        k = k1
+        k1 = k + 1.0
+        term *= (a + k) * (b + k) / ((c + k) * k1) * x
+        dsum += k1 * term
+    return total, dsum
 
 
-def _hyp2f1_bigz(a: float, b: float, c: float, z: float) -> float:
-    """Connection formula in 1/z for z -> -inf; needs b - a non-integer."""
+def _hyp2f1_bigz(a: float, b: float, c: float, z: float) -> tuple[float, float]:
+    """Connection formula in 1/z for z -> -inf, and its derivative; needs
+    b - a non-integer.  Each term C (-z)^(-a_i) S_i(1/z) has derivative
+    C (-z)^(-a_i) (-a_i S_i - D_i) / z."""
     inv = 1.0 / z
     coef_a = gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a)
     coef_b = gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b)
     out = 0.0
+    dout = 0.0
     if coef_a != 0.0:
-        out += coef_a * (-z) ** (-a) * _series_2f1(a, a - c + 1.0, a - b + 1.0, inv)
+        scale = coef_a * (-z) ** (-a)
+        s, d = _series_2f1(a, a - c + 1.0, a - b + 1.0, inv)
+        out += scale * s
+        dout += scale * (-a * s - d)
     if coef_b != 0.0:
-        out += coef_b * (-z) ** (-b) * _series_2f1(b, b - c + 1.0, b - a + 1.0, inv)
-    return out
+        scale = coef_b * (-z) ** (-b)
+        s, d = _series_2f1(b, b - c + 1.0, b - a + 1.0, inv)
+        out += scale * s
+        dout += scale * (-b * s - d)
+    return out, inv * dout
+
+
+def _hyp2f1_pair(a: float, b: float, c: float, z: float) -> tuple[float, float | None]:
+    """F and dF/dz from one series pass; dF/dz is None on the mpmath branch."""
+    if _is_nonpositive_integer(c):
+        raise PoleError(f"hyp2f1 third parameter c={c!r} is a nonpositive integer")
+    if z > 0.0:
+        raise UnsupportedRangeError(f"hyp2f1 argument z={z!r} > 0 unsupported")
+    if z == 0.0:
+        return 1.0, a * b / c
+    if a > b:
+        a, b = b, a  # series symmetry; keeps f(a,b,...) == f(b,a,...) bitwise
+    if -z > _HYP_CONNECT:
+        if abs((b - a) - round(b - a)) > _HYP_GAP_GUARD:
+            return _hyp2f1_bigz(a, b, c, z)
+        if -z > _HYP_BIGZ:
+            with mpmath.workdps(_MP_DPS):
+                return float(mpmath.hyp2f1(a, b, c, z)), None
+    # F = q^(-a) S(w) with q = 1 - z, w = z/(z-1) and dw/dz = -1/q^2, so
+    # dF/dz = q^(-a-1) (a S + D/z) with D = w dS/dw
+    q = 1.0 - z
+    qa = q ** (-a)
+    s, d = _series_2f1(a, c - b, c, z / (z - 1.0))
+    return qa * s, qa / q * (a * s + d / z)
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
@@ -281,24 +332,24 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     logarithmic form, the mapped series serves up to -z = 40 and
     mpmath.hyp2f1 above it.
     """
-    if _is_nonpositive_integer(c):
-        raise PoleError(f"hyp2f1 third parameter c={c!r} is a nonpositive integer")
-    if z > 0.0:
-        raise UnsupportedRangeError(f"hyp2f1 argument z={z!r} > 0 unsupported")
-    if z == 0.0:
-        return 1.0
-    if a > b:
-        a, b = b, a  # series symmetry; keeps f(a,b,...) == f(b,a,...) bitwise
-    if -z > _HYP_CONNECT:
-        if abs((b - a) - round(b - a)) > _HYP_GAP_GUARD:
-            return _hyp2f1_bigz(a, b, c, z)
-        if -z > _HYP_BIGZ:
-            with mpmath.workdps(_MP_DPS):
-                return float(mpmath.hyp2f1(a, b, c, z))
-    w = z / (z - 1.0)
-    return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, w)
+    return _hyp2f1_pair(a, b, c, z)[0]
+
+
+def hyp2f1_with_dz(a: float, b: float, c: float, z: float) -> tuple[float, float]:
+    """(F(a,b;c;z), dF/dz) for z <= 0, both from one series pass.
+
+    F is bitwise hyp2f1(a, b, c, z).  On the mapped and the 1/z series the
+    derivative is summed from the same terms as F (D = sum k term_k), so it
+    costs no second evaluation; on the mpmath branch it is the contiguous
+    relation dF/dz = (a b / c) F(a+1, b+1; c+1; z).
+    """
+    f, dz = _hyp2f1_pair(a, b, c, z)
+    if dz is None:
+        dz = (a * b / c) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
+    return f, dz
 
 
 def hyp2f1_dz(a: float, b: float, c: float, z: float) -> float:
-    """dF/dz via the contiguous relation dF/dz = (a b / c) F(a+1,b+1;c+1;z)."""
-    return (a * b / c) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
+    """dF/dz for z <= 0: the second component of hyp2f1_with_dz, summed in
+    the same series pass as F."""
+    return hyp2f1_with_dz(a, b, c, z)[1]

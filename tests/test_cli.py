@@ -172,6 +172,41 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["summary"]["min_margin"] >= -1e-9
 
+    def test_verify_bumps_default_to_the_entry_interval(self, tmp_path):
+        # acr lives on (0, D); bumps without lo/hi are drawn there, like the
+        # default family, whose first members they are
+        outs = {}
+        for family in ("bumps:count=3", "default"):
+            out = tmp_path / f"{family[:5]}.json"
+            assert main(["verify", "--inequality", "acr", "--params", "n=3,p=2,D=1",
+                         "--family", family, "--out", str(out)]) == 0
+            outs[family] = json.loads(out.read_text())["members"]
+        assert outs["bumps:count=3"] == outs["default"][:3]
+
+    @pytest.mark.parametrize("inequality, option", [("up", "--H"), ("ckn", "--H"),
+                                                    ("up", "--spec"), ("hardy", "--spec")])
+    def test_verify_rejects_options_its_mode_ignores(self, inequality, option, tmp_path,
+                                                      capsys):
+        out = tmp_path / "r.json"
+        value = "s^4" if option == "--H" else str(tmp_path / "any.cfg")
+        rc = main(["verify", "--inequality", inequality, "--params",
+                   "kappa=0,n=3,p=2,alpha=1,r=3,C=2", option, value, "--out", str(out)])
+        assert rc == 1
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_generic_rejects_params(self, tmp_path, capsys):
+        # the report would name a geometry the run did not use
+        main(["catalog", "show", "mckean", "--params", "kappa=-1,n=2,p=2"])
+        cfg = tmp_path / "mk.cfg"
+        cfg.write_text(capsys.readouterr().out)
+        out = tmp_path / "gen.json"
+        rc = main(["verify", "--inequality", "generic", "--spec", str(cfg),
+                   "--params", "kappa=-2,n=5", "--out", str(out)])
+        assert rc == 1
+        assert "--params" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_generic_mode(self, tmp_path, capsys):
         main(["catalog", "show", "hardy", "--params", "n=3,p=2,alpha=0,C=2"])
         cfg = tmp_path / "h.cfg"

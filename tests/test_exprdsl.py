@@ -5,7 +5,8 @@ import pytest
 
 from hardykit.errors import (EvalError, ExprSyntaxError, UnboundParameterError,
                              UnsupportedDerivativeError)
-from hardykit.exprdsl import BUILTIN_ARITY, parse
+from hardykit import exprdsl
+from hardykit.exprdsl import BUILTIN_ARITY, ScalarExpr, parse
 from oracles import central_diff, coth_exp
 
 
@@ -308,3 +309,127 @@ class TestParserFuzz:
     def test_deep_nesting_parses(self):
         src = "(" * 60 + "t" + ")" * 60
         assert parse(src).eval(2.5) == 2.5
+
+
+def _outcomes(e, t, binding):
+    """Value, dual and error type, message and fragment, as exact reprs."""
+    out = []
+    for evaluate in (e.eval, e.eval_d):
+        try:
+            out.append(repr(evaluate(t, binding)))
+        except Exception as exc:
+            out.append((type(exc).__name__, str(exc), getattr(exc, "fragment", None)))
+    return out
+
+
+def _any_builtin_expr(rng: random.Random, depth: int) -> str:
+    # every builtin, parameters bound to zero or missing, and error-prone forms
+    if depth <= 0:
+        return rng.choice(["t", "t", "a", "b", "q", f"{rng.uniform(-1.0, 2.5):.4f}"])
+    kind = rng.randrange(10)
+    sub = lambda: _any_builtin_expr(rng, depth - 1)  # noqa: E731
+    if kind < 4:
+        return f"({sub()} {rng.choice(['+', '-', '*', '/', '^'])} {sub()})"
+    if kind == 4:
+        return f"-{sub()}"
+    if kind < 8:
+        fn = rng.choice(["exp", "log", "sinh", "cosh", "coth", "sqrt", "abs", "sin", "cos",
+                         "tanh", "ct", "s", "D", "gamma"])
+        return f"{fn}({sub()})"
+    if kind == 8:
+        return f"besselj({rng.choice(['0', '1', '2.5', 't', 'a'])}, {sub()})"
+    return rng.choice([f"besselratio(1, {sub()})", f"hyp2f1(0.5, b, 1.5, -{sub()})",
+                       f"hyp2f1(a, 1, 2, -(t^2 + {sub()}))", f"pow({sub()}, {sub()})"])
+
+
+class TestBindTimeFolding:
+    def test_folded_equals_unfolded_over_random_expressions(self, monkeypatch):
+        # the reference compiles the same ASTs with folding switched off
+        rng = random.Random(5150)
+        bindings = ({"a": 1.3, "b": 0.6, "q": -0.7, "kappa": -1.0},
+                    {"a": 2.0, "b": -0.5, "q": 0.0, "kappa": 0.0},
+                    {"a": 1.3, "b": 0.6})
+        cases = []
+        for _ in range(600):
+            e = parse(_any_builtin_expr(rng, rng.choice([1, 2, 3, 4])))
+            for binding in bindings:
+                for t in (rng.uniform(-1.0, 3.0), 0.0, 1.0):
+                    cases.append((e, t, binding, _outcomes(e, t, binding)))
+        monkeypatch.setattr(exprdsl, "_fold", lambda fn, binding: fn)
+        errors = 0
+        for e, t, binding, folded in cases:
+            plain = ScalarExpr(ast=e.ast, source=e.source, var=e.var,
+                               params_required=e.params_required)
+            assert _outcomes(plain, t, binding) == folded, (e.source, t, binding)
+            errors += sum(isinstance(o, tuple) for o in folded)
+        assert errors > 1000  # the error paths are exercised, not only values
+
+    def test_error_in_a_variable_free_subtree_raises_at_eval(self):
+        e = parse("t + log(a - 1)")
+        for _ in range(2):  # the cached compile raises again, each time
+            for evaluate in (e.eval, e.eval_d):
+                with pytest.raises(EvalError) as err:
+                    evaluate(2.0, {"a": 0.5})
+                assert err.value.fragment == "log(a - 1)"
+        assert e.eval(2.0, {"a": 3.0}) == 2.0 + math.log(2.0)
+
+    def test_unbound_parameter_still_raises(self):
+        e = parse("t*c + exp(c)")
+        for _ in range(2):
+            with pytest.raises(UnboundParameterError):
+                e.eval(1.0, {"d": 1.0})
+            with pytest.raises(UnboundParameterError):
+                e.eval_d(1.0)
+        assert e.eval(1.0, {"c": 0.0}) == 1.0
+
+    def test_alternating_and_mutated_bindings(self):
+        e = parse("a*t + exp(a) + hyp2f1(a, 1, 2, -t)")
+
+        def fresh(t, binding):
+            plain = ScalarExpr(ast=e.ast, source=e.source, var=e.var,
+                               params_required=e.params_required)
+            return plain.eval(t, binding), plain.eval_d(t, binding)
+
+        b1, b2 = {"a": 0.5}, {"a": 2.0}
+        for t in (0.3, 1.7, 4.0):
+            for b in (b1, b2, b1, b2):
+                assert (e.eval(t, b), e.eval_d(t, b)) == fresh(t, b)
+        b = {"a": 0.5}
+        first = e.eval(1.0, b)
+        b["a"] = 2.0  # changed in place: the cached compile is not reused
+        assert e.eval(1.0, b) == fresh(1.0, {"a": 2.0})[0] != first
+
+    def test_signed_zero_and_type_are_part_of_the_binding(self):
+        # equal values that differ in the sign of zero or in type compile apart
+        for src, bindings in (("a*t", ({"a": 0.0}, {"a": -0.0}, {"a": 0.0})),
+                              ("a", ({"a": 1.0}, {"a": 1}, {"a": 1.0}))):
+            e = parse(src)
+            for b in bindings:
+                plain = ScalarExpr(ast=e.ast, source=e.source, var=e.var,
+                                   params_required=e.params_required)
+                assert _outcomes(e, 2.0, b) == _outcomes(plain, 2.0, b), (src, b)
+
+    def test_one_compile_per_expression_binding_and_mode(self, monkeypatch):
+        # a certify and a margin on one instance: each (expression, mode)
+        # compiles once, the margin's equal binding reuses the certify's
+        from hardykit.catalog import instantiate
+        from hardykit.geometry import ModelGeometry
+        from hardykit.riccati import certify
+        from hardykit.testfuncs import random_bumps
+        from hardykit.verifier import additive_margin
+
+        compiled = []
+        compile_ = exprdsl._compile
+
+        def counting(node, source, mode, binding):
+            compiled.append((source, mode is exprdsl._DUAL))
+            return compile_(node, source, mode, binding)
+
+        monkeypatch.setattr(exprdsl, "_compile", counting)
+        inst = instantiate("ghoussoub_moradifam", ModelGeometry(0.0, 4, 2.0),
+                           {"a": 0.8, "b": 1.7, "alpha": 0.9, "beta": 0.6, "m": 0.1})
+        assert certify(inst.spec, inst.G).verdict == "certified"
+        after_certify = len(compiled)
+        additive_margin(None, inst, random_bumps(1, 3)[0])
+        assert len(compiled) == len(set(compiled))
+        assert after_certify >= 4

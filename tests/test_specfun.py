@@ -5,7 +5,7 @@ import pytest
 from hardykit import specfun
 from hardykit.errors import (DomainError, PoleError, UnsupportedRangeError)
 from hardykit.specfun import (bessel_j, bessel_ratio, bessel_ratio_dx, bessel_zero,
-                              gamma, hyp2f1, hyp2f1_dz, rgamma)
+                              gamma, hyp2f1, hyp2f1_dz, hyp2f1_with_dz, rgamma)
 from oracles import (bessel_series_direct, bisect_root, central_diff,
                      gauss_series_direct, mittag_leffler_ratio)
 
@@ -216,8 +216,8 @@ class TestHyp2f1:
         for (a, b, c) in ((0.25, 1.85, 1.3), (0.3, 1.7, 1.0), (-0.4, 1.1, 2.0)):
             for z in (-50.0, -100.0, -2000.0):
                 w = z / (z - 1.0)
-                pfaff = (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, w)
-                bigz = _hyp2f1_bigz(a, b, c, z)
+                pfaff = (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, w)[0]
+                bigz = _hyp2f1_bigz(a, b, c, z)[0]
                 assert bigz == pytest.approx(pfaff, rel=1e-9)
 
     @pytest.mark.parametrize("gap", [0, 1, 2, 3])
@@ -374,6 +374,62 @@ class TestHyp2f1Derivative:
             worst = max(worst, float(abs((hyp2f1_dz(a, b, c, z) - ref) / ref)))
             cases += 1
         assert worst <= 1e-12, worst
+
+
+    def test_value_is_hyp2f1_bitwise(self):
+        # every branch: z = 0, the mapped series, the 1/z formula, and near-
+        # integer gaps on the mapped series and in mpmath; (a, b) swapped too
+        import random
+
+        rng = random.Random(777)
+        for i in range(400):
+            a = rng.uniform(-1.0, 3.0)
+            b = a + (rng.randint(0, 3) + rng.uniform(-1e-4, 1e-4) if i % 3 == 0
+                     else rng.uniform(0.05, 3.0))
+            c = rng.uniform(0.3, 5.0)
+            z = 0.0 if i % 50 == 0 else -(10.0 ** rng.uniform(-3.0, 4.0))
+            for x, y in ((a, b), (b, a)):
+                f, dz = hyp2f1_with_dz(x, y, c, z)
+                assert repr(f) == repr(hyp2f1(a, b, c, z))
+                assert repr(dz) == repr(hyp2f1_dz(x, y, c, z))
+        assert hyp2f1_with_dz(0.7, 1.9, 2.4, 0.0) == (1.0, 0.7 * 1.9 / 2.4)
+
+    def test_constants_shape_no_worse_than_contiguous_relation(self):
+        # the constants workload's parameter box, a third of the gaps within
+        # 1e-3 of an integer and a third integer; the one-pass derivative
+        # against (a b / c) F(a+1, b+1; c+1; z) on the same draws
+        import random
+
+        import mpmath
+
+        rng = random.Random(6060)
+        one_pass, contiguous = [], []
+        for i in range(240):
+            a = rng.uniform(0.1, 3.0)
+            gap = (rng.uniform(0.05, 3.0), rng.randint(0, 3) + rng.choice((-1, 1)) *
+                   10.0 ** rng.uniform(-8.0, -3.0), rng.randint(0, 3))[i % 3]
+            b, c = a + gap, rng.uniform(0.3, 5.0)
+            z = -(10.0 ** rng.uniform(-3.0, 6.0))
+            with mpmath.workdps(30):
+                ref = mpmath.diff(lambda y: mpmath.hyp2f1(a, b, c, y), z)
+            one_pass.append(float(abs((hyp2f1_dz(a, b, c, z) - ref) / ref)))
+            contig = (a * b / c) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
+            contiguous.append(float(abs((contig - ref) / ref)))
+        assert max(one_pass) <= max(contiguous), (max(one_pass), max(contiguous))
+        assert sum(e > 1e-12 for e in one_pass) <= sum(e > 1e-12 for e in contiguous)
+        assert max(one_pass) <= 1e-11
+        for i, (e, ref_e) in enumerate(zip(one_pass, contiguous)):
+            assert e <= max(10.0 * ref_e, 1e-14), (i, e, ref_e)
+
+    def test_derivative_tail_outlasts_the_value_series(self):
+        # near-integer gaps on the mapped series at w = 39/40: the terms of
+        # D = sum k term_k are k times F's and outlast F's stopping rule
+        import mpmath
+
+        for a, b, c, z in ((0.25, 1.2501, 1.3, -39.0), (0.5, 1.500001, 2.0, -39.0)):
+            with mpmath.workdps(40):
+                ref = mpmath.diff(lambda y: mpmath.hyp2f1(a, b, c, y), z)
+            assert abs((hyp2f1_dz(a, b, c, z) - ref) / ref) <= 2e-15
 
 
 class TestBesselBoxCrossCheck:

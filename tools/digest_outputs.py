@@ -8,7 +8,8 @@ identical results must leave the digest unchanged:
 Covered: the residual list of ``certify`` for two instances of every
 catalog entry (log and uniform grids, 512 and 1024 points);
 ``radial_integral`` with and without a singular hint; additive,
-multiplicative (also with an H expression), uncertainty,
+multiplicative (also with an H expression; Ghoussoub-Moradifam on a flat
+and a hyperbolic geometry), uncertainty,
 interpolation-exponent and oscillatory margins on seeded families;
 sharpness sweeps (one whose default family cannot be built) and
 extremal-identity checks; value and derivative of 2000 seeded random
@@ -160,7 +161,12 @@ def digest_margins():
     for name, geo, params, seed in (("hardy", E3, {"alpha": 0.0, "C": 2.0}, 3),
                                     ("mckean", H2, {}, 5),
                                     ("interpolation", H3, {"lam": 1.0}, 11),
-                                    ("acr", E3, {"D": 1.0}, 13)):
+                                    ("acr", E3, {"D": 1.0}, 13),
+                                    ("ghoussoub_moradifam", E4,
+                                     {"a": 1.0, "b": 1.0, "alpha": 0.5, "beta": 0.5, "m": 0.3}, 19),
+                                    ("ghoussoub_moradifam", ModelGeometry(-1.0, 5, 2.0),
+                                     {"a": 0.7, "b": 2.0, "alpha": 1.3, "beta": 1.1, "m": -0.4},
+                                     23)):
         inst = instantiate(name, geo, params)
         hi = inst.spec.t_hi
         fam = random_bumps(6, seed=seed, lo=inst.spec.t_lo, hi=hi,
