@@ -8,21 +8,32 @@ Grammar (EBNF):
     unary   := '-' unary | primary
     primary := NUMBER | IDENT | IDENT '(' expr {',' expr} ')' | '(' expr ')'
 
-NUMBER is a decimal with optional exponent.  An IDENT that is not in the
-builtin table is a parameter; the reserved variable is 't' (an alternative
-variable name, e.g. 's' for nonlinearity profiles H, can be chosen at parse
-time).  Note that the grammar attaches unary minus below '^', so '-x^2'
-parses as '(-x)^2'; write '-(x^2)' when the other reading is meant.
+NUMBER is a decimal with optional exponent; one that overflows a float is a
+syntax error.  An IDENT that is not in the builtin table is a parameter;
+the reserved variable is 't' (an alternative variable name, e.g. 's' for
+nonlinearity profiles H, can be chosen at parse time).  Note that the
+grammar attaches unary minus below '^', so '-x^2' parses as '(-x)^2'; write
+'-(x^2)' when the other reading is meant.  Parentheses, call arguments,
+unary minus and the right operand of '^' nest at most MAX_NESTING (100)
+levels deep; sums and products of any length are fine.
 
 Evaluation is pure: a parsed ScalarExpr is immutable, evaluating it twice
 with the same binding gives bit-identical results (unless the binding was
 changed in place in between to an equal value of another sign of zero or
 type, such as 0.0 to -0.0: see ScalarExpr), and the exact first
 derivative d/dt comes from dual-number propagation through every builtin.
-An expression is compiled into closures lazily, once per binding and mode
-(value or dual).  Each maximal subtree free of the variable is then folded
-into the value or Dual it has under that binding, which purity makes exact;
-a subtree that raises is left to raise at evaluation.
+An expression is compiled lazily, once per binding and mode (value or
+dual), into one generated Python function: a flat run of statements, one
+local per AST node, the derivative carried as a second float local in dual
+mode.  Each maximal subtree free of the variable is first folded into the
+value (and derivative) it has under that binding, which purity makes
+exact; a subtree that raises is left inline to raise at evaluation.  The
+source is generated from the shape of the tree alone (node kinds,
+operators, builtin and parameter names, the fold pattern) and compiled
+once per shape and mode; numbers, folded constants and source fragments
+are bound as default arguments of the function made for each binding.
+Every operator and builtin call sits in its own try, so an error is
+rewrapped as an EvalError naming the fragment of the source it came from.
 Division by zero and log of a nonpositive number are hard errors rather
 than IEEE infinities, so certification never silently saturates; overflow
 of exp/sinh/cosh saturates to inf (such terms only ever appear in positions
@@ -31,9 +42,11 @@ where their reciprocal is taken).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -74,17 +87,6 @@ class Dual:
         return f"Dual({self.v!r}, {self.d!r})"
 
 
-def _dual_mul(a: Dual, b: Dual) -> Dual:
-    return Dual(a.v * b.v, a.d * b.v + a.v * b.d)
-
-
-def _dual_div(a: Dual, b: Dual) -> Dual:
-    if b.v == 0.0:
-        raise EvalError("division by zero")
-    v = a.v / b.v
-    return Dual(v, (a.d - v * b.d) / b.v)
-
-
 def _safe_exp(x: float) -> float:
     try:
         return math.exp(x)
@@ -110,21 +112,21 @@ def _pow_value(x: float, y: float) -> float:
         raise EvalError(f"power overflow at {x!r}^{y!r}")
 
 
-def _pow_dual(a: Dual, b: Dual) -> Dual:
-    v = _pow_value(a.v, b.v)
+def _pow_dual(av: float, ad: float, bv: float, bd: float) -> tuple[float, float]:
+    v = _pow_value(av, bv)
     d = 0.0
-    if a.d != 0.0:
-        if a.v == 0.0:
-            if b.v < 1.0:
-                raise EvalError(f"derivative of 0^{b.v!r} is unbounded")
-            d += 0.0 if b.v > 1.0 else a.d
+    if ad != 0.0:
+        if av == 0.0:
+            if bv < 1.0:
+                raise EvalError(f"derivative of 0^{bv!r} is unbounded")
+            d += 0.0 if bv > 1.0 else ad
         else:
-            d += b.v * _pow_value(a.v, b.v - 1.0) * a.d
-    if b.d != 0.0:
-        if a.v <= 0.0:
-            raise EvalError(f"derivative through exponent needs positive base, got {a.v!r}")
-        d += v * math.log(a.v) * b.d
-    return Dual(v, d)
+            d += bv * _pow_value(av, bv - 1.0) * ad
+    if bd != 0.0:
+        if av <= 0.0:
+            raise EvalError(f"derivative through exponent needs positive base, got {av!r}")
+        d += v * math.log(av) * bd
+    return v, d
 
 
 # ---------------------------------------------------------------------------
@@ -149,71 +151,39 @@ def _const_arg(d: Dual, what: str) -> float:
     return d.v
 
 
-def _bj_value(args, binding):
-    return _sf.bessel_j(args[0], args[1])
-
-
-def _bj_dual(args, binding):
-    nu = _const_arg(args[0], "besselj order")
-    x = args[1]
+def _bj_dual(order: Dual, x: Dual) -> tuple[float, float]:
+    nu = _const_arg(order, "besselj order")
     v = _sf.bessel_j(nu, x.v)
     if x.d == 0.0:
-        return Dual(v, 0.0)
+        return v, 0.0
     if x.v == 0.0:
         if nu == 1.0:
-            return Dual(v, 0.5 * x.d)
+            return v, 0.5 * x.d
         if nu == 0.0 or nu > 1.0:
-            return Dual(v, 0.0)
+            return v, 0.0
         raise EvalError(f"besselj({nu}, x) has unbounded derivative at x=0")
-    return Dual(v, _sf._bessel_j_dx(nu, x.v, v) * x.d)
+    return v, _sf._bessel_j_dx(nu, x.v, v) * x.d
 
 
-def _br_value(args, binding):
-    return _sf.bessel_ratio(args[0], args[1])
-
-
-def _br_dual(args, binding):
-    nu = _const_arg(args[0], "besselratio order")
-    x = args[1]
+def _br_dual(order: Dual, x: Dual) -> tuple[float, float]:
+    nu = _const_arg(order, "besselratio order")
     r = _sf.bessel_ratio(nu, x.v)
-    return Dual(r, _sf.bessel_ratio_dx(nu, x.v, r) * x.d)
+    return r, _sf.bessel_ratio_dx(nu, x.v, r) * x.d
 
 
-def _hyp_value(args, binding):
-    return _sf.hyp2f1(args[0], args[1], args[2], args[3])
-
-
-def _hyp_dual(args, binding):
-    a = _const_arg(args[0], "hyp2f1 parameter")
-    b = _const_arg(args[1], "hyp2f1 parameter")
-    c = _const_arg(args[2], "hyp2f1 parameter")
+def _hyp_dual(*args: Dual) -> tuple[float, float]:
+    a, b, c = (_const_arg(p, "hyp2f1 parameter") for p in args[:3])
     z = args[3]
     if z.d == 0.0:
-        return Dual(_sf.hyp2f1(a, b, c, z.v), 0.0)
+        return _sf.hyp2f1(a, b, c, z.v), 0.0
     v, dz = _sf.hyp2f1_with_dz(a, b, c, z.v)
-    return Dual(v, dz * z.d)
+    return v, dz * z.d
 
 
-def _gamma_dual(args, binding):
-    x = args[0]
+def _gamma_dual(x: Dual) -> tuple[float, float]:
     if x.d != 0.0:
         raise UnsupportedDerivativeError("gamma is excluded from differentiation paths")
-    return Dual(_sf.gamma(x.v), 0.0)
-
-
-def _u1(fv: Callable[[float], float], fd: Callable[[float, float], float]):
-    """Make a (value, dual) implementation pair for a unary chain rule fd(x, v)."""
-
-    def value(args, binding):
-        return fv(args[0])
-
-    def dual(args, binding):
-        x = args[0]
-        v = fv(x.v)
-        d = fd(x.v, v) * x.d if x.d != 0.0 else 0.0
-        return Dual(v, d)
-
-    return value, dual
+    return _sf.gamma(x.v), 0.0
 
 
 def _log_v(x: float) -> float:
@@ -248,89 +218,70 @@ def _cosh_v(x: float) -> float:
         return math.inf
 
 
-def _ct_pair():
-    def value(args, binding):
-        return _geo.ct_value(_need_kappa(binding), args[0])
-
-    def dual(args, binding):
-        kappa = _need_kappa(binding)
-        x = args[0]
-        v = _geo.ct_value(kappa, x.v)
-        return Dual(v, (-kappa - v * v) * x.d if x.d != 0.0 else 0.0)
-
-    return value, dual
-
-
-def _s_pair():
-    def value(args, binding):
-        return _geo.s_value(_need_kappa(binding), args[0])
-
-    def dual(args, binding):
-        kappa = _need_kappa(binding)
-        x = args[0]
-        v = _geo.s_value(kappa, x.v)
-        return Dual(v, _geo.s_value_dt(kappa, x.v) * x.d if x.d != 0.0 else 0.0)
-
-    return value, dual
-
-
-def _d_pair():
-    def value(args, binding):
-        return _geo.deficit_value(_need_kappa(binding), args[0])
-
-    def dual(args, binding):
-        kappa = _need_kappa(binding)
-        x = args[0]
-        v = _geo.deficit_value(kappa, x.v)
-        return Dual(v, _geo.deficit_value_dt(kappa, x.v) * x.d if x.d != 0.0 else 0.0)
-
-    return value, dual
-
-
-def _pow_fn_value(args, binding):
-    return _pow_value(args[0], args[1])
-
-
-def _pow_fn_dual(args, binding):
-    return _pow_dual(args[0], args[1])
-
-
-_abs = _u1(abs, lambda x, v: math.copysign(1.0, x) if x != 0.0 else 0.0)
-_sqrt = _u1(_sqrt_v, _sqrt_d)
-_exp = _u1(_safe_exp, lambda x, v: v)
-_log = _u1(_log_v, lambda x, v: 1.0 / x)
-_sin = _u1(math.sin, lambda x, v: math.cos(x))
-_cos = _u1(math.cos, lambda x, v: -math.sin(x))
-_sinh = _u1(_sinh_v, lambda x, v: _cosh_v(x))
-_cosh = _u1(_cosh_v, lambda x, v: _sinh_v(x))
-_tanh = _u1(math.tanh, lambda x, v: 1.0 - v * v)
-_coth = _u1(_coth_value, lambda x, v: 1.0 - v * v)
-
-# name -> (arity, value implementation, dual implementation)
+# name -> (arity, value, dual rule), as Python source over this module's
+# names.  The value is an expression in the argument values {0}, {1}, ...
+# and the binding's kappa {k}.  A unary builtin's dual rule is its f'(x) in
+# terms of {0} = x, {v} = f(x) and {k}, which the chain rule multiplies by
+# dx/dt where that is nonzero.  Any other dual rule names a function from
+# the arguments' Duals to (value, derivative); pow is compiled as '^'.
+# specfun and geometry are reached through their module attributes, so each
+# call looks the function up when it runs.
 _BUILTINS = {
-    "abs": (1, *_abs),
-    "sqrt": (1, *_sqrt),
-    "exp": (1, *_exp),
-    "log": (1, *_log),
-    "pow": (2, _pow_fn_value, _pow_fn_dual),
-    "sin": (1, *_sin),
-    "cos": (1, *_cos),
-    "sinh": (1, *_sinh),
-    "cosh": (1, *_cosh),
-    "tanh": (1, *_tanh),
-    "coth": (1, *_coth),
-    "ct": (1, *_ct_pair()),
-    "s": (1, *_s_pair()),
-    "D": (1, *_d_pair()),
-    "besselj": (2, _bj_value, _bj_dual),
-    "besselratio": (2, _br_value, _br_dual),
-    "hyp2f1": (4, _hyp_value, _hyp_dual),
-    "gamma": (1, lambda args, binding: _sf.gamma(args[0]), _gamma_dual),
+    "abs": (1, "abs({0})", "math.copysign(1.0, {0}) if {0} != 0.0 else 0.0"),
+    "sqrt": (1, "_sqrt_v({0})", "_sqrt_d({0}, {v})"),
+    "exp": (1, "_safe_exp({0})", "{v}"),
+    "log": (1, "_log_v({0})", "1.0 / {0}"),
+    "pow": (2, "_pow_value({0}, {1})", None),  # compiled as '^'
+    "sin": (1, "math.sin({0})", "math.cos({0})"),
+    "cos": (1, "math.cos({0})", "-math.sin({0})"),
+    "sinh": (1, "_sinh_v({0})", "_cosh_v({0})"),
+    "cosh": (1, "_cosh_v({0})", "_sinh_v({0})"),
+    "tanh": (1, "math.tanh({0})", "1.0 - {v} * {v}"),
+    "coth": (1, "_coth_value({0})", "1.0 - {v} * {v}"),
+    "ct": (1, "_geo.ct_value({k}, {0})", "-{k} - {v} * {v}"),
+    "s": (1, "_geo.s_value({k}, {0})", "_geo.s_value_dt({k}, {0})"),
+    "D": (1, "_geo.deficit_value({k}, {0})", "_geo.deficit_value_dt({k}, {0})"),
+    "besselj": (2, "_sf.bessel_j({0}, {1})", "_bj_dual"),
+    "besselratio": (2, "_sf.bessel_ratio({0}, {1})", "_br_dual"),
+    "hyp2f1": (4, "_sf.hyp2f1({0}, {1}, {2}, {3})", "_hyp_dual"),
+    "gamma": (1, "_sf.gamma({0})", "_gamma_dual"),
 }
 
 BUILTIN_ARITY = {name: spec[0] for name, spec in _BUILTINS.items()}
 
 _KAPPA_BUILTINS = frozenset({"ct", "s", "D"})
+
+
+# Statements of each operator and builtin, for value and for dual mode,
+# over the argument values {0}, {1}, ..., their derivatives {d0}, {d1}, ...
+# and the binding's kappa {k}; they assign the value to {v} and, in dual
+# mode, the derivative to {d}.  A unary builtin's rule is the chain rule.
+_DIVIDE = "if {1} == 0.0:\n    raise EvalError('division by zero')\n{v} = {0} / {1}"
+_STATEMENTS = {
+    "+": ("{v} = {0} + {1}", "{v} = {0} + {1}\n{d} = {d0} + {d1}"),
+    "-": ("{v} = {0} - {1}", "{v} = {0} - {1}\n{d} = {d0} - {d1}"),
+    "*": ("{v} = {0} * {1}", "{v} = {0} * {1}\n{d} = {d0} * {1} + {0} * {d1}"),
+    "/": (_DIVIDE, _DIVIDE + "\n{d} = ({d0} - {v} * {d1}) / {1}"),
+    "^": ("{v} = _pow_value({0}, {1})", "{v}, {d} = _pow_dual({0}, {d0}, {1}, {d1})"),
+}
+
+
+def _builtin_statements(name: str, arity: int, value: str, rule: str | None) -> tuple[str, str]:
+    """The value-mode and dual-mode statements of a builtin's _BUILTINS entry."""
+    if rule is None:
+        return _STATEMENTS["^"]
+    if rule.isidentifier():
+        duals = ", ".join(f"Dual({{{j}}}, {{d{j}}})" for j in range(arity))
+        return "{v} = " + value, f"{{v}}, {{d}} = {rule}({duals})"
+    kappa = "kappa = _need_kappa(binding)\n" if name in _KAPPA_BUILTINS else ""
+    return "{v} = " + value, (f"{kappa}{{v}} = {value}\n"
+                              f"{{d}} = ({rule}) * {{d0}} if {{d0}} != 0.0 else 0.0")
+
+
+_STATEMENTS.update((name, _builtin_statements(name, *spec)) for name, spec in _BUILTINS.items())
+_PARAM = ("try:\n    {v} = binding[{name}]\nexcept KeyError:\n"
+          "    raise UnboundParameterError('unbound parameter ' + repr({name})) from None")
+_TRY = "try:\n    {}\nexcept _REWRAPPED as exc:\n    raise _rewrap(exc, fragments[{}]) from None"
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +291,9 @@ _KAPPA_BUILTINS = frozenset({"ct", "s", "D"})
 @dataclass(frozen=True)
 class Node:
     span: tuple[int, int] = field(repr=False)
+
+    def children(self) -> tuple[Node, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -361,6 +315,9 @@ class Param(Node):
 class Neg(Node):
     operand: Node = None
 
+    def children(self) -> tuple[Node, ...]:
+        return (self.operand,)
+
 
 @dataclass(frozen=True)
 class Bin(Node):
@@ -368,15 +325,25 @@ class Bin(Node):
     left: Node = None
     right: Node = None
 
+    def children(self) -> tuple[Node, ...]:
+        return self.left, self.right
+
 
 @dataclass(frozen=True)
 class Call(Node):
     name: str = ""
     args: tuple[Node, ...] = ()
 
+    def children(self) -> tuple[Node, ...]:
+        return self.args
+
 
 # ---------------------------------------------------------------------------
 # tokenizer / parser
+
+# parentheses, call arguments, unary minus and the right operand of '^' each
+# nest one level; the parser recurses once per level
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"""
@@ -424,6 +391,7 @@ class _Parser:
         self.var = var
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -471,22 +439,37 @@ class _Parser:
         node = self.unary()
         if self.at_op("^"):
             self.advance()
-            rhs = self.factor()  # right associative
+            rhs = self.nested(self.factor)  # right associative
             node = Bin((node.span[0], rhs.span[1]), "^", node, rhs)
         return node
 
     def unary(self) -> Node:
         if self.at_op("-"):
             tok = self.advance()
-            inner = self.unary()
+            inner = self.nested(self.unary)
             return Neg((tok.pos, inner.span[1]), inner)
         return self.primary()
+
+    def nested(self, rule: Callable[[], Node]) -> Node:
+        """Parse one level deeper, within MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
+                                  tok.line, tok.col)
+        self.depth += 1
+        node = rule()
+        self.depth -= 1
+        return node
 
     def primary(self) -> Node:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num((tok.pos, tok.pos + len(tok.text)), float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"numeric literal {tok.text!r} overflows a float",
+                                      tok.line, tok.col)
+            return Num((tok.pos, tok.pos + len(tok.text)), value)
         if tok.kind == "ident":
             self.advance()
             if self.at_op("("):
@@ -499,7 +482,7 @@ class _Parser:
             return Param((tok.pos, tok.pos + len(tok.text)), tok.text)
         if self.at_op("("):
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr)
             closing = self.expect(")")
             return type(node)(**{**_node_fields(node), "span": (tok.pos, closing.pos + 1)})
         raise ExprSyntaxError(f"expected a number, name or '(', found {tok.text or 'end of input'!r}",
@@ -511,10 +494,10 @@ class _Parser:
             raise ExprSyntaxError(f"unknown function {name!r}", name_tok.line, name_tok.col)
         arity = _BUILTINS[name][0]
         self.expect("(")
-        args = [self.expr()]
+        args = [self.nested(self.expr)]
         while self.at_op(","):
             self.advance()
-            args.append(self.expr())
+            args.append(self.nested(self.expr))
         closing = self.expect(")")
         if len(args) != arity:
             raise ExprSyntaxError(
@@ -531,42 +514,23 @@ def _node_fields(node: Node) -> dict:
 # evaluation
 
 
-def _collect_params(node: Node, out: set[str]) -> None:
-    if isinstance(node, Param):
-        out.add(node.name)
-    elif isinstance(node, Neg):
-        _collect_params(node.operand, out)
-    elif isinstance(node, Bin):
-        _collect_params(node.left, out)
-        _collect_params(node.right, out)
-    elif isinstance(node, Call):
-        if node.name in _KAPPA_BUILTINS:
-            out.add("kappa")
-        for a in node.args:
-            _collect_params(a, out)
+def _postorder(root: Node, leaves=()) -> list[Node]:
+    """The nodes of a tree, each after its children, left to right; the
+    nodes whose id is in ``leaves`` are not entered.  Iterative, so a long
+    expression does not exhaust the interpreter's stack."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if id(node) not in leaves:
+            stack.extend(node.children())
+    out.reverse()
+    return out
 
 
-def _value_div(a: float, b: float) -> float:
-    if b == 0.0:
-        raise EvalError("division by zero")
-    return a / b
-
-
-# What distinguishes value from dual evaluation; _compile's node walk is shared.
-# const lifts a number (at compile time) or a parameter value, var is the leaf
-# closure for the expression variable, builtin indexes the _BUILTINS entries.
-# A lifted number is one object shared by every call, so a Dual is never mutated.
-_VALUE = {
-    "const": lambda c: c, "var": lambda t, binding: t, "neg": operator.neg,
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _value_div,
-    "^": _pow_value, "builtin": 1,
-}
-_DUAL = {
-    "const": lambda c: Dual(c, 0.0), "var": lambda t, binding: Dual(t, 1.0),
-    "neg": lambda a: Dual(-a.v, -a.d),
-    "+": lambda a, b: Dual(a.v + b.v, a.d + b.d), "-": lambda a, b: Dual(a.v - b.v, a.d - b.d),
-    "*": _dual_mul, "/": _dual_div, "^": _pow_dual, "builtin": 2,
-}
+# the compile modes, by their index in a ScalarExpr's cache entry
+_VALUE, _DUAL = "value", "dual"
+_MODES = (_VALUE, _DUAL)
 
 # errors from an operator or builtin are rewrapped with the node's source fragment
 _REWRAPPED = (HardykitError, ArithmeticError)
@@ -579,87 +543,142 @@ def _rewrap(exc: Exception, fragment: str) -> EvalError:
     return kind(str(exc), fragment)
 
 
-def _compile(node: Node, source: str, mode: dict, binding: ParamBinding) -> Callable:
-    """Compile an AST into a closure (t, binding) -> float or Dual, per mode,
-    for one binding.
+def _compile(node: Node, source: str, mode: str, binding: ParamBinding) -> Callable:
+    """Compile an AST into one function (t, binding) -> value, or
+    (value, d/dt) in dual mode, for one binding.
 
-    Each maximal subtree that does not contain the variable is folded into the
-    object its own closure returns for this binding, so the closure returns
+    Each maximal subtree that does not contain the variable is folded into
+    what its own function returns for this binding, so the function returns
     exactly what the unfolded one would.  A subtree whose evaluation raises
     here stays unfolded, and raises at evaluation with its fragment.
     """
-    fn, free = _build(node, source, mode, binding)
-    return _fold(fn, binding) if free else fn
+    order = _postorder(node)
+    free: set[int] = set()
+    folded: dict[int, object] = {}
+    for n in order:
+        children = n.children()
+        if not isinstance(n, Var) and all(id(c) in free for c in children):
+            free.add(id(n))
+            continue
+        for c in children:
+            if id(c) in free and not isinstance(c, Num):
+                fn = _function(_postorder(c), source, mode, {})
+                const = _fold(fn, binding)
+                if const is not fn:
+                    folded[id(c)] = const(0.0, binding)
+    fn = _function(_postorder(node, folded) if folded else order, source, mode, folded)
+    return _fold(fn, binding) if id(node) in free else fn
 
 
 def _fold(fn: Callable, binding: ParamBinding) -> Callable:
     try:
         c = fn(0.0, binding)
-    except Exception:  # deferred: the unfolded closure raises it again at evaluation
+    except Exception:  # deferred: the unfolded function raises it again at evaluation
         return fn
     return lambda t, binding: c
 
 
-def _build(node: Node, source: str, mode: dict, binding: ParamBinding) -> tuple[Callable, bool]:
-    """The closure of a node and whether it is free of the variable; only the
-    variable-free children of a node that is not are folded."""
-    if isinstance(node, Num):
-        c = mode["const"](node.value)
-        return (lambda t, binding: c), True
-    if isinstance(node, Var):
-        return mode["var"], False
-    if isinstance(node, Param):
-        name, lift = node.name, mode["const"]
-
-        def param(t, binding):
-            try:
-                return lift(binding[name])
-            except KeyError:
-                raise UnboundParameterError(f"unbound parameter {name!r}") from None
-
-        return param, True
-    if isinstance(node, Neg):
-        (operand,), free = _build_children((node.operand,), source, mode, binding)
-        neg = mode["neg"]
-        return (lambda t, binding: neg(operand(t, binding))), free
-    fragment = source[node.span[0]:node.span[1]]
-    if isinstance(node, Bin):
-        (left, right), free = _build_children((node.left, node.right), source, mode, binding)
-        op = mode[node.op]
-
-        def binary(t, binding):
-            a = left(t, binding)
-            b = right(t, binding)
-            try:
-                return op(a, b)
-            except _REWRAPPED as exc:
-                raise _rewrap(exc, fragment) from None
-
-        return binary, free
-    if isinstance(node, Call):
-        args, free = _build_children(node.args, source, mode, binding)
-        impl = _BUILTINS[node.name][mode["builtin"]]
-
-        def call(t, binding):
-            values = [f(t, binding) for f in args]
-            try:
-                return impl(values, binding)
-            except _REWRAPPED as exc:
-                raise _rewrap(exc, fragment) from None
-
-        return call, free
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+def _function(order: list[Node], source: str, mode: str, folded: dict) -> Callable:
+    """The generated function of a tree, given in post-order with the folded
+    subtrees (by id) as constant leaves."""
+    shape, defaults = _shape(order, source, mode, folded)
+    return types.FunctionType(_code(mode, shape), globals(), "expr", defaults)
 
 
-def _build_children(nodes, source, mode, binding) -> tuple[tuple[Callable, ...], bool]:
-    built = [_build(n, source, mode, binding) for n in nodes]
-    if all(free for _, free in built):
-        return tuple(fn for fn, _ in built), True
-    return tuple(_fold(fn, binding) if free else fn for fn, free in built), False
+def _shape(order: list[Node], source: str, mode: str, folded: dict) -> tuple[tuple, tuple]:
+    """The shape of a tree in post-order, one token per node, and the default
+    arguments of its function: the numbers and folded constants, then the
+    source fragments of its operators and calls, in order.
+
+    A token is '#' for a number, '=' for a folded subtree, '@' for the
+    variable, '$' and the name for a parameter, '~' for unary minus, and the
+    operator or builtin name otherwise; so it holds no number or fragment of
+    the source, and the shape, with the arities, fixes the tree."""
+    dual = mode is _DUAL
+    shape, defaults, spans = [], [], []
+    for node in order:
+        if id(node) in folded:
+            shape.append("=")
+            defaults += folded[id(node)] if dual else (folded[id(node)],)
+        elif isinstance(node, Num):
+            shape.append("#")
+            defaults.append(node.value)
+        elif isinstance(node, Var):
+            shape.append("@")
+        elif isinstance(node, Param):
+            shape.append("$" + node.name)
+        elif isinstance(node, Neg):
+            shape.append("~")
+        else:
+            shape.append(node.op if isinstance(node, Bin) else node.name)
+            spans.append(node.span)
+    defaults.append(_Fragments(source, tuple(spans)))
+    return tuple(shape), tuple(defaults)
 
 
-# the compile modes, by their index in a ScalarExpr's cache entry
-_MODES = (_VALUE, _DUAL)
+@dataclass(frozen=True)
+class _Fragments:
+    """The source fragments of a function's operators and calls, by index;
+    each is sliced only when an error needs it."""
+
+    source: str
+    spans: tuple
+
+    def __getitem__(self, i: int) -> str:
+        start, end = self.spans[i]
+        return self.source[start:end]
+
+
+@functools.lru_cache(maxsize=512)
+def _code(mode: str, shape: tuple) -> types.CodeType:
+    """One code object per expression shape (fold pattern included) and mode."""
+    module = compile(_source(mode, shape), "<hardykit.exprdsl>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
+def _source(mode: str, shape: tuple) -> str:
+    """Python source of the function (t, binding) -> value, or (value, d/dt)
+    in dual mode, of a shape: one flat run of statements in evaluation
+    order, with a local per node, or two (value and derivative) in dual
+    mode, and a try around each operator and builtin call.  Parameter names
+    enter the text through repr(); numbers, folded constants and fragments
+    are the default arguments _shape gives."""
+    dual = mode is _DUAL
+    kappa = "kappa" if dual else "_need_kappa(binding)"
+    names, body, fragments = [], [], 0
+    atoms: list[tuple[str, str]] = []  # (value, derivative) expressions of pending nodes
+    for i, tok in enumerate(shape):
+        v, d = f"v{i}", f"d{i}"
+        if tok == "#":
+            names.append(f"c{i}")
+            atoms.append((f"c{i}", "0.0"))
+        elif tok == "=":
+            names += (f"c{i}", f"e{i}") if dual else (f"c{i}",)
+            atoms.append((f"c{i}", f"e{i}"))
+        elif tok == "@":
+            atoms.append(("t", "1.0"))
+        elif tok[0] == "$":
+            body.append(_PARAM.format(v=v, name=repr(tok[1:])))
+            atoms.append((v, "0.0"))
+        elif tok == "~":
+            a, ad = atoms.pop()
+            body.append(f"{v} = -{a}\n{d} = -{ad}" if dual else f"{v} = -{a}")
+            atoms.append((v, d))
+        else:
+            n = BUILTIN_ARITY.get(tok, 2)
+            args = atoms[len(atoms) - n:]
+            del atoms[len(atoms) - n:]
+            op = _STATEMENTS[tok][dual].format(*(a for a, _ in args), v=v, d=d, k=kappa,
+                                               **{f"d{j}": ad for j, (_, ad) in enumerate(args)})
+            body.append(_TRY.format(op.replace("\n", "\n    "), fragments))
+            fragments += 1
+            atoms.append((v, d))
+    v, d = atoms.pop()
+    body.append(f"return {v}, {d}" if dual else f"return {v}")
+    text = "\n".join(body).replace("\n", "\n    ")
+    return f"def expr(t, binding, {', '.join(names + ['fragments'])}):\n    {text}\n"
+
+
 _NO_KEY = object()
 
 
@@ -668,16 +687,19 @@ class ScalarExpr:
     """Parsed, immutable expression over one variable and named parameters.
 
     The AST is compiled lazily, once per binding and mode (value or dual),
-    with its variable-free subtrees folded for that binding.  A one-entry
-    cache keeps the closures of the last binding, matched by the values of
-    the parameters the expression reads (``params_required``).  The same
-    binding object matches while those values compare equal, so one changed
-    in place recompiles.  Another binding object matches only if its values
-    are equal and of one type, with zeros of one sign (0.0 and -0.0 differ
+    into one generated function (see the module docstring) with its
+    variable-free subtrees folded for that binding; ``eval`` returns its
+    value and ``eval_d`` its (value, d/dt).  A one-entry cache keeps the
+    functions of the last binding, matched by the values of the parameters
+    the expression reads (``params_required``).  The same binding object
+    matches while those values compare equal, so one changed in place
+    recompiles.  Another binding object matches only if its values are
+    equal and of one type, with zeros of one sign (0.0 and -0.0 differ
     under a division), so a freshly built but equal binding does not
-    recompile.  The one case that keeps stale closures is a binding changed
-    in place to a value that compares equal but is not the same, such as
-    0.0 to -0.0.
+    recompile.  The one case that keeps stale functions is a binding
+    changed in place to a value that compares equal but is not the same,
+    such as 0.0 to -0.0.  A binding that lacks a parameter is compiled
+    afresh at each call, and the evaluation raises UnboundParameterError.
     """
 
     ast: Node
@@ -691,11 +713,11 @@ class ScalarExpr:
         names = sorted(self.params_required)
         key = operator.itemgetter(*names) if names else (lambda binding: None)
         object.__setattr__(self, "_key", key)
-        # [the last binding, its key, its value closure, its dual closure]; a
+        # [the last binding, its key, its value function, its dual function]; a
         # binding with another key starts a new list
         object.__setattr__(self, "_cache", [None, _NO_KEY, None, None])
 
-    def _closure(self, binding: ParamBinding, mode: int) -> Callable:
+    def _compiled(self, binding: ParamBinding, mode: int) -> Callable:
         try:
             key = self._key(binding)
         except KeyError:  # an unbound parameter: it raises at evaluation
@@ -715,15 +737,16 @@ class ScalarExpr:
 
     def eval(self, t: float, binding: ParamBinding | None = None) -> float:
         binding = binding or {}
-        return self._closure(binding, 0)(t, binding)
+        return self._compiled(binding, 0)(t, binding)
 
     def eval_d(self, t: float, binding: ParamBinding | None = None) -> tuple[float, float]:
         binding = binding or {}
-        out = self._closure(binding, 1)(t, binding)
-        return out.v, out.d
+        return self._compiled(binding, 1)(t, binding)
 
     def to_source(self) -> str:
-        """Canonical fully parenthesized printout; re-parses to the same values."""
+        """Canonical printout, parenthesized only where the grammar needs it;
+        it re-parses to the same tree, so to the same values, and nests no
+        deeper than the source."""
         return _print(self.ast, self.var)
 
     def __repr__(self):
@@ -734,21 +757,40 @@ def parse(source: str, var: str = "t") -> ScalarExpr:
     """Parse an expression; unknown identifiers become parameter references."""
     node = _Parser(source, var).parse()
     names: set[str] = set()
-    _collect_params(node, names)
+    for n in _postorder(node):
+        if isinstance(n, Param):
+            names.add(n.name)
+        elif isinstance(n, Call) and n.name in _KAPPA_BUILTINS:
+            names.add("kappa")
     return ScalarExpr(ast=node, source=source, var=var, params_required=frozenset(names))
 
 
-def _print(node: Node, var: str) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return var
-    if isinstance(node, Param):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_print(node.operand, var)})"
-    if isinstance(node, Bin):
-        return f"({_print(node.left, var)} {node.op} {_print(node.right, var)})"
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(_print(a, var) for a in node.args)})"
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+# binding strength of each operator, unary minus and the primaries
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3, "neg": 4, "primary": 5}
+
+
+def _print(root: Node, var: str) -> str:
+    done: dict[int, tuple[str, int]] = {}  # id(node) -> (printout, precedence)
+
+    def operand(node: Node, least: int) -> str:
+        text, precedence = done.pop(id(node))
+        return text if precedence >= least else f"({text})"
+
+    for node in _postorder(root):
+        if isinstance(node, Num):
+            out = repr(node.value), _PRECEDENCE["primary"]
+        elif isinstance(node, Var):
+            out = var, _PRECEDENCE["primary"]
+        elif isinstance(node, Param):
+            out = node.name, _PRECEDENCE["primary"]
+        elif isinstance(node, Neg):
+            out = f"-{operand(node.operand, _PRECEDENCE['neg'])}", _PRECEDENCE["neg"]
+        elif isinstance(node, Bin):
+            p = _PRECEDENCE[node.op]
+            # '+ -' and '* /' associate to the left, '^' to the right over a unary
+            left, right = (p, p + 1) if node.op != "^" else (_PRECEDENCE["neg"], p)
+            out = f"{operand(node.left, left)} {node.op} {operand(node.right, right)}", p
+        else:
+            out = f"{node.name}({', '.join(operand(a, 0) for a in node.args)})", _PRECEDENCE["primary"]
+        done[id(node)] = out
+    return done[id(root)][0]

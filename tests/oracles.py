@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from hardykit.errors import EvalError, HardykitError, UnboundParameterError
+
 
 def coth_exp(x: float) -> float:
     """coth via the exponential, valid away from 0 and overflow."""
@@ -135,3 +137,155 @@ def simpson(f, lo: float, hi: float, n: int = 4096) -> float:
     for i in range(1, n):
         total += f(lo + i * h) * (4.0 if i % 2 else 2.0)
     return total * h / 3.0
+
+
+# ---------------------------------------------------------------------------
+# reference evaluator for the expression language: a plain recursive walk of
+# the parsed AST (read through its attributes, by class name), with the
+# documented semantics: division by zero, log of a nonpositive value, sqrt
+# of a negative one and the undefined powers raise EvalError naming the
+# fragment of the source; exp, sinh and cosh overflow to inf; d/dt follows
+# the chain rule through every node.  It covers + - * / ^, unary minus, pow
+# and the elementary builtins below.
+
+
+def _ref_exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _ref_sinh(x):
+    try:
+        return math.sinh(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _ref_cosh(x):
+    try:
+        return math.cosh(x)
+    except OverflowError:
+        return math.inf
+
+
+def _ref_log(x):
+    if x <= 0.0:
+        raise EvalError(f"log of nonpositive value {x!r}")
+    return math.log(x)
+
+
+def _ref_sqrt(x):
+    if x < 0.0:
+        raise EvalError(f"sqrt of negative value {x!r}")
+    return math.sqrt(x)
+
+
+def _ref_sqrt_dx(x, v):
+    if x == 0.0:
+        raise EvalError("derivative of sqrt is unbounded at 0")
+    return 0.5 / v
+
+
+# name -> (f(x), f'(x) given x and f(x))
+REFERENCE_UNARY = {
+    "abs": (abs, lambda x, v: math.copysign(1.0, x) if x != 0.0 else 0.0),
+    "sqrt": (_ref_sqrt, _ref_sqrt_dx),
+    "exp": (_ref_exp, lambda x, v: v),
+    "log": (_ref_log, lambda x, v: 1.0 / x),
+    "sin": (math.sin, lambda x, v: math.cos(x)),
+    "cos": (math.cos, lambda x, v: -math.sin(x)),
+    "sinh": (_ref_sinh, lambda x, v: _ref_cosh(x)),
+    "cosh": (_ref_cosh, lambda x, v: _ref_sinh(x)),
+    "tanh": (math.tanh, lambda x, v: 1.0 - v * v),
+}
+
+
+def _ref_pow(x, y):
+    if x > 0.0:
+        try:
+            return x**y
+        except OverflowError:
+            return math.inf
+    if x == 0.0:
+        if y > 0.0:
+            return 0.0
+        raise EvalError(f"0.0 raised to nonpositive power {y!r}")
+    if y != round(y):
+        raise EvalError(f"negative base {x!r} with non-integer exponent {y!r}")
+    try:
+        return x**y
+    except (OverflowError, ZeroDivisionError):
+        raise EvalError(f"power overflow at {x!r}^{y!r}")
+
+
+def _ref_op(op, args, dual):
+    """(value, derivative) of one operator or builtin; the derivative is 0.0
+    and unchecked in value mode."""
+    (av, ad) = args[0]
+    if op in REFERENCE_UNARY:
+        f, df = REFERENCE_UNARY[op]
+        v = f(av)
+        return v, (df(av, v) * ad if ad != 0.0 else 0.0) if dual else 0.0
+    (bv, bd) = args[1]
+    if op == "+":
+        return av + bv, ad + bd if dual else 0.0
+    if op == "-":
+        return av - bv, ad - bd if dual else 0.0
+    if op == "*":
+        return av * bv, ad * bv + av * bd if dual else 0.0
+    if op == "/":
+        if bv == 0.0:
+            raise EvalError("division by zero")
+        v = av / bv
+        return v, (ad - v * bd) / bv if dual else 0.0
+    assert op in ("^", "pow"), op
+    v = _ref_pow(av, bv)
+    d = 0.0
+    if dual and ad != 0.0:
+        if av == 0.0:
+            if bv < 1.0:
+                raise EvalError(f"derivative of 0^{bv!r} is unbounded")
+            d += 0.0 if bv > 1.0 else ad
+        else:
+            d += bv * _ref_pow(av, bv - 1.0) * ad
+    if dual and bd != 0.0:
+        if av <= 0.0:
+            raise EvalError(f"derivative through exponent needs positive base, got {av!r}")
+        d += v * math.log(av) * bd
+    return v, d
+
+
+def _ref_walk(node, source, t, binding, dual):
+    kind = type(node).__name__
+    if kind == "Num":
+        return node.value, 0.0
+    if kind == "Var":
+        return t, 1.0
+    if kind == "Param":
+        if node.name not in binding:
+            raise UnboundParameterError(f"unbound parameter {node.name!r}")
+        return binding[node.name], 0.0
+    if kind == "Neg":
+        v, d = _ref_walk(node.operand, source, t, binding, dual)
+        return -v, -d
+    children = (node.left, node.right) if kind == "Bin" else node.args
+    args = [_ref_walk(c, source, t, binding, dual) for c in children]
+    try:
+        return _ref_op(node.op if kind == "Bin" else node.name, args, dual)
+    except (HardykitError, ArithmeticError) as exc:
+        if isinstance(exc, EvalError) and exc.fragment:
+            raise
+        kind = type(exc) if isinstance(exc, EvalError) else EvalError
+        raise kind(str(exc), source[node.span[0]:node.span[1]]) from None
+
+
+def reference_eval(expr, t, binding):
+    """Value of a parsed expression by a recursive walk of its AST."""
+    return _ref_walk(expr.ast, expr.source, t, binding, False)[0]
+
+
+def reference_eval_d(expr, t, binding):
+    """(value, d/dt) of a parsed expression by a recursive walk of its AST."""
+    return _ref_walk(expr.ast, expr.source, t, binding, True)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,8 @@ from hardykit.errors import (EvalError, ExprSyntaxError, UnboundParameterError,
                              UnsupportedDerivativeError)
 from hardykit import exprdsl
 from hardykit.exprdsl import BUILTIN_ARITY, ScalarExpr, parse
-from oracles import central_diff, coth_exp
+from oracles import (REFERENCE_UNARY, central_diff, coth_exp, reference_eval,
+                     reference_eval_d)
 
 
 class TestParse:
@@ -433,3 +435,164 @@ class TestBindTimeFolding:
         additive_margin(None, inst, random_bumps(1, 3)[0])
         assert len(compiled) == len(set(compiled))
         assert after_certify >= 4
+
+
+def _elementary_expr(rng: random.Random, depth: int) -> str:
+    # the operators and builtins the reference evaluator covers; the large
+    # literals reach the overflow of exp, sinh, cosh and '^'
+    if depth <= 0:
+        return rng.choice(["t", "t", "a", "b", "q", f"{rng.uniform(-1.0, 2.5):.4f}",
+                           f"{rng.uniform(700.0, 760.0):.2f}"])
+    kind = rng.randrange(9)
+    sub = lambda: _elementary_expr(rng, depth - 1)  # noqa: E731
+    if kind < 4:
+        return f"({sub()} {rng.choice(['+', '-', '*', '/', '^'])} {sub()})"
+    if kind == 4:
+        return f"-{sub()}"
+    if kind == 5:
+        return f"pow({sub()}, {sub()})"
+    return f"{rng.choice(sorted(REFERENCE_UNARY))}({sub()})"
+
+
+def _reference_outcomes(e, t, binding):
+    out = []
+    for evaluate in (reference_eval, reference_eval_d):
+        try:
+            out.append(repr(evaluate(e, t, binding)))
+        except Exception as exc:
+            out.append((type(exc).__name__, str(exc), getattr(exc, "fragment", None)))
+    return out
+
+
+class TestReferenceEvaluator:
+    def test_generated_functions_match_a_recursive_walk(self):
+        # bitwise values and derivatives, and the same error class, message
+        # and fragment, against tests/oracles.py, which shares no code with
+        # the code generator
+        rng = random.Random(8086)
+        bindings = ({"a": 1.3, "b": 0.6, "q": -0.7},
+                    {"a": 2.0, "b": -0.5, "q": 0.0},
+                    {"a": 1.3, "b": 0.6})
+        errors = values = 0
+        for _ in range(600):
+            e = parse(_elementary_expr(rng, rng.choice([1, 2, 3, 4])))
+            for binding in bindings:
+                for t in (rng.uniform(-1.0, 3.0), 0.0, 1.0):
+                    got = _outcomes(e, t, binding)
+                    assert got == _reference_outcomes(e, t, binding), (e.source, t, binding)
+                    errors += sum(isinstance(o, tuple) for o in got)
+                    values += sum(isinstance(o, str) for o in got)
+        assert errors > 1000 and values > 4000  # both paths are exercised
+
+
+class TestLongExpressions:
+    def test_two_thousand_term_sum(self):
+        e = parse(" + ".join(["t"] * 2000))
+        assert e.eval(1.0) == 2000.0
+        assert e.eval_d(1.0) == (2000.0, 2000.0)
+        assert parse(e.to_source()).eval_d(0.5) == (1000.0, 2000.0)
+
+    def test_long_product_with_parameters_and_errors(self):
+        e = parse(" * ".join(["(t + a)"] * 1500) + " / (t - 1)")
+        assert e.params_required == {"a"}
+        assert e.eval(0.0, {"a": 1.0}) == -1.0
+        with pytest.raises(EvalError) as err:
+            e.eval_d(1.0, {"a": 0.0})
+        assert err.value.fragment == e.source
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        n = exprdsl.MAX_NESTING
+        assert parse("(" * n + "t" + ")" * n).eval(2.0) == 2.0
+        expected = 0.5
+        for _ in range(n):
+            expected = math.sin(expected)
+        assert parse("sin(" * n + "t" + ")" * n).eval(0.5) == expected
+        for depth in (n + 1, 250, 5000):
+            for src in ("(" * depth + "t" + ")" * depth, "-" * depth + "t",
+                        "^".join(["t"] * (depth + 1)), "sin(" * depth + "t" + ")" * depth):
+                with pytest.raises(ExprSyntaxError, match="nested deeper than"):
+                    parse(src)
+
+
+class TestLiterals:
+    def test_overflowing_literal_is_rejected_at_its_position(self):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse("1e999*t + 2")
+        assert (err.value.line, err.value.col) == (1, 1)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse("t +\n  3.5e308")
+        assert (err.value.line, err.value.col) == (2, 3)
+
+    def test_extreme_literals_round_trip_through_to_source(self):
+        e = parse("1.7976931348623157e308*t^(-1) + 5e-324*t + 1e-999 - 0.1")
+        printed = e.to_source()
+        assert "inf" not in printed
+        e2 = parse(printed)
+        assert e2.to_source() == printed
+        for t in (0.5, 1.0, 3.0):
+            assert e2.eval_d(t) == e.eval_d(t)
+
+
+class TestCodeCache:
+    def test_literals_and_parameter_values_share_one_code_object(self):
+        e1 = parse("2.5*t + exp(-a*t) + log(a + 1.5)")
+        e2 = parse("0.125*t + exp(-a*t) + log(a + 7)")
+        e1.eval_d(1.0, {"a": 1.0}), e1.eval(1.0, {"a": 1.0})
+        e2.eval_d(2.0, {"a": 3.0}), e2.eval(2.0, {"a": 3.0})
+        for mode in (0, 1):
+            assert e1._cache[2 + mode].__code__ is e2._cache[2 + mode].__code__
+        assert e1.eval(1.0, {"a": 1.0}) != e2.eval(1.0, {"a": 1.0})
+
+    def test_cache_is_bounded(self):
+        rng = random.Random(17)
+        before = exprdsl._code.cache_info()
+        for _ in range(10_000):  # greene_wu_psi profiles, psi = t*exp(c*t)
+            psi = parse(f"t*exp({rng.uniform(-3.0, 3.0)!r}*t)")
+            psi.eval_d(rng.uniform(0.01, 5.0), {"kappa": -1.0})
+        after = exprdsl._code.cache_info()
+        assert after.misses - before.misses <= 2  # one shape per mode
+        for j in range(exprdsl._code.cache_info().maxsize + 50):  # distinct shapes
+            parse(f"t*p{j}").eval(1.0, {f"p{j}": 1.0})
+        info = exprdsl._code.cache_info()
+        assert info.currsize <= info.maxsize
+
+    def test_generated_source_holds_no_number_or_fragment(self, monkeypatch):
+        import ast as pyast
+        import builtins
+
+        texts = []
+        source_of = exprdsl._source
+        monkeypatch.setattr(exprdsl, "_source", lambda mode, shape: texts.append(
+            source_of(mode, shape)) or texts[-1])
+        exprdsl._code.cache_clear()
+        src = ("0.4173*t^2.25 + exp(-alpha_9*t)/(t + 17.75) + besselj(3, 3.625*t) "
+               "- sqrt(exc*binding) + hyp2f1(0.3125, 1.5, 2.875, -t) + ct(t)")
+        e = parse(src)
+        binding = {"alpha_9": 0.5, "exc": 2.0, "binding": 3.0, "kappa": -1.0}
+        e.eval(1.5, binding), e.eval_d(1.5, binding)
+        for evaluate in (e.eval, e.eval_d):  # sqrt(exc*binding) is not folded
+            with pytest.raises(EvalError):
+                evaluate(1.5, {**binding, "exc": -2.0})
+        plain = ScalarExpr(ast=e.ast, source=e.source, var=e.var,
+                           params_required=e.params_required)
+        monkeypatch.setattr(exprdsl, "_fold", lambda fn, binding: fn)
+        plain.eval(1.5, binding), plain.eval_d(1.5, binding)
+        assert len(texts) >= 6
+        fragments = {src[n.span[0]:n.span[1]] for n in exprdsl._postorder(e.ast)
+                     if isinstance(n, (exprdsl.Bin, exprdsl.Call))}
+        for text in texts:
+            for literal in ("0.4173", "2.25", "17.75", "3.625", "0.3125", "2.875", "1.5"):
+                assert literal not in text
+            assert not any(f in text for f in fragments)
+            for node in pyast.walk(pyast.parse(text)):
+                if isinstance(node, pyast.Constant):
+                    # floats come from the dual rules, ints index the fragments,
+                    # strings are parameter names and fixed messages
+                    assert (node.value in (0.0, 1.0, None) or type(node.value) is int
+                            or node.value in {*binding, "division by zero",
+                                              "unbound parameter "}), node.value
+                elif isinstance(node, pyast.Name):
+                    # locals, arguments, exprdsl's names and builtins; never alpha_9
+                    assert (re.fullmatch(r"[vdce]\d+", node.id) or hasattr(exprdsl, node.id)
+                            or hasattr(builtins, node.id)
+                            or node.id in {"t", "binding", "fragments", "kappa", "exc"}), node.id

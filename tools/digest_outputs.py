@@ -20,8 +20,9 @@ stdout, stderr and file artifacts of every command in the README, of
 coarse eigenvalue) on six balls, ``bessel_zero`` on a (nu, k) grid,
 ``bessel_j`` on its mpmath path (x > 10), ``hyp2f1`` on both sides of
 |z| = 40, integer b - a included, and ``hyp2f1`` and ``hyp2f1_dz`` on both
-sides of |z| = 3 for non-integer and near-integer b - a.  Floats are printed
-with ``repr``; long lists are hashed.
+sides of |z| = 3 for non-integer and near-integer b - a; last, a 2000-term
+sum and an overflowing literal.  Floats are printed with ``repr``; long
+lists are hashed.
 """
 
 from __future__ import annotations
@@ -319,6 +320,13 @@ def digest_constants():
                                         for z in (-2.0, -3.5, -10.0, -39.0, -50.0, -1e3, -1e5)])
 
 
+def digest_long_and_overflowing_expressions():
+    # appended after the lines above, which stay as they were
+    long_sum = parse(" + ".join(["t"] * 2000))
+    print("sum of 2000 t", repr(long_sum.eval(1.0)), repr(long_sum.eval_d(1.0)))
+    print("literal 1e999", _outcome(parse, "1e999*t + 2"))
+
+
 def main() -> int:
     digest_certify()
     digest_margins()
@@ -327,6 +335,7 @@ def main() -> int:
     digest_commands(README_COMMANDS)
     digest_commands(SPEC_COMMANDS)
     digest_constants()
+    digest_long_and_overflowing_expressions()
     return 0
 
 
