@@ -16,6 +16,7 @@ balls), which flips the requirement to G <= 0.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -55,6 +56,7 @@ class CatalogEntry:
     # (geo, **params) -> (spec, G, sharp constant, model_exact_L, the parameters
     # used, metadata); instantiate adds the name and the citation
     build: Callable
+    required: tuple[str, ...]   # the parameters build has no default for
 
 
 def _need(cond: bool, predicate: str, detail: str = ""):
@@ -86,7 +88,9 @@ _ENTRIES: dict[str, CatalogEntry] = {}
 def _entry(name: str, citation: str, schema: tuple[tuple[str, str], ...], requires: str):
     """Register the decorated builder as the catalog entry `name`."""
     def register(build: Callable) -> Callable:
-        _ENTRIES[name] = CatalogEntry(name, citation, schema, requires, build)
+        required = tuple(p.name for p in list(inspect.signature(build).parameters.values())[1:]
+                         if p.default is p.empty)
+        _ENTRIES[name] = CatalogEntry(name, citation, schema, requires, build, required)
         return build
     return register
 
@@ -464,6 +468,14 @@ def instantiate(name: str, geo: ModelGeometry, params: dict | None = None) -> Ca
     except KeyError:
         known = ", ".join(_ENTRIES)
         raise ParameterError(f"unknown catalog entry {name!r} (known: {known})") from None
-    spec, G, sharp, model_exact, used, metadata = entry.build(geo, **(params or {}))
+    params = params or {}
+    names = [n for n, _ in entry.param_schema]
+    problems = [f"unknown parameter {k!r}" for k in params if k not in names]
+    problems += [f"missing parameter {k!r}" for k in entry.required if k not in params]
+    if problems:
+        takes = ", ".join(n + " (required)" * (n in entry.required) for n in names)
+        raise ParameterError(f"catalog entry {name!r}: {'; '.join(problems)}; "
+                             f"it takes {takes or 'no parameters'}")
+    spec, G, sharp, model_exact, used, metadata = entry.build(geo, **params)
     return CatalogInstance(name, spec, G, sharp, True, model_exact, entry.citation, used,
                            metadata)

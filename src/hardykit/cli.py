@@ -150,11 +150,24 @@ def _cmd_solve_riccati(args) -> int:
     return EXIT_OK
 
 
+# the keys each --family kind must be given; every value is a number
+_FAMILY_REQUIRED = {"bumps": (), "power_cutoff": ("eps", "r0", "R"),
+                    "gaussian": (), "talenti": ()}
+
+
 def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: float = math.inf):
     """A test family from a --family spec; (lo, hi) is the interval bumps
     default to, the entry's or config's."""
     kind, _, kv = family_spec.partition(":")
+    if kind not in _FAMILY_REQUIRED:
+        raise SystemExit(f"unknown family spec {family_spec!r}")
     opts = _parse_kv(kv)
+    required = _FAMILY_REQUIRED[kind]
+    problems = [f"missing key {k!r}" for k in required if k not in opts]
+    problems += [f"non-numeric {k}={v!r}" for k, v in opts.items() if isinstance(v, str)]
+    if problems:
+        raise SystemExit(f"bad family spec {family_spec!r}: {'; '.join(problems)} "
+                         f"(required keys of {kind}: {', '.join(required) or 'none'})")
     if kind == "bumps":
         lo, hi = opts.get("lo", lo), opts.get("hi", hi)
         span = opts.get("span", min(10.0, hi - lo) if math.isfinite(hi) else 10.0)
@@ -166,9 +179,7 @@ def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: floa
     alpha, r = scaled_params(opts)
     if kind == "gaussian":
         return [gaussian_type(alpha, geo.p, scale=opts.get("scale", 1.0))]
-    if kind == "talenti":
-        return [talenti(alpha, geo.p, r, scale=opts.get("scale", 1.0))]
-    raise SystemExit(f"unknown family spec {family_spec!r}")
+    return [talenti(alpha, geo.p, r, scale=opts.get("scale", 1.0))]
 
 
 def _cmd_verify(args) -> int:

@@ -702,10 +702,12 @@ class ScalarExpr:
     afresh at each call, and the evaluation raises UnboundParameterError.
     """
 
-    ast: Node
+    # equality and hash read (source, var), which fix the tree: comparing
+    # the tree itself would recurse once per level of a long sum
+    ast: Node = field(compare=False)
     source: str
     var: str
-    params_required: frozenset[str]
+    params_required: frozenset[str] = field(compare=False)
     _key: Callable = field(init=False, repr=False, compare=False)
     _cache: list = field(init=False, repr=False, compare=False)
 

@@ -31,7 +31,6 @@ __all__ = [
     "volume_density",
     "ball_volume",
     "unit_ball_volume",
-    "comparison_L",
     "ComparisonL",
 ]
 
@@ -214,17 +213,6 @@ def ball_volume(geo: ModelGeometry, R: float) -> float:
             total += c * m**k * R ** (n + 2 * k) / (n + 2 * k)
         return n * wn * total
     return n * wn * _sinh_power_integral(n - 1, x) / r**n
-
-
-def comparison_L(
-    geo: ModelGeometry,
-    kind: str,
-    t: float,
-    psi: "ScalarExpr | None" = None,
-    binding: dict | None = None,
-) -> float:
-    """Laplacian lower-bound function L(t) of the given kind (see ComparisonL)."""
-    return ComparisonL(geo, kind, psi).eval(t, binding)
 
 
 class ComparisonL:

@@ -23,15 +23,12 @@ Newton has converged.  The counts are float64 pivot signs: the bracket
 certifies where the computed count turns, which can lie up to ~2e-11
 relative from the exact eigenvalue of the same pencil (1.8e-11 at kappa = 0,
 n = 2, R = 2.98, N = 4693, against a 40-digit Newton on the pencil).  The
-N/2 solve gives the eigenvalue only, and starts Newton at N; inverse
-iteration with tridiagonal solves, shifted just below the eigenvalue,
-supplies the eigenvector at N.  The returned estimate is the Richardson
-extrapolation of the N/2 and N solves.
+N/2 eigenvalue starts Newton at N, and the returned estimate is the
+Richardson extrapolation of the N/2 and N eigenvalues.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +49,6 @@ _NEWTON_MAX_ITER = 100
 _GALLOP_REL = 1e-13
 # the N/2 eigenvalue lowered by this fraction starts Newton at N
 _GUESS_MARGIN = 1e-2
-# inverse iteration stops once the unit vector moves less than this
-_VECTOR_TOL = 1e-12
 
 
 @dataclass
@@ -62,28 +57,6 @@ class SpectralResult:
     lambda1_raw: float      # plain estimate at resolution N
     lambda1_coarse: float   # estimate at resolution N/2
     N: int
-    ts: np.ndarray          # grid abscissae at resolution N
-    v: np.ndarray           # eigenfunction samples, sup-normalized
-
-
-def _solve_tridiag(lower: list, diag: list, upper: list, rhs: list) -> list:
-    """Thomas algorithm; raises on a vanishing pivot."""
-    n = len(diag)
-    gam = [0.0] * n
-    x = [0.0] * n
-    beta = diag[0]
-    if beta == 0.0:
-        raise ZeroDivisionError("zero pivot")
-    x[0] = rhs[0] / beta
-    for i in range(1, n):
-        gam[i] = upper[i - 1] / beta
-        beta = diag[i] - lower[i - 1] * gam[i]
-        if beta == 0.0:
-            raise ZeroDivisionError("zero pivot")
-        x[i] = (rhs[i] - lower[i - 1] * x[i - 1]) / beta
-    for i in range(n - 2, -1, -1):
-        x[i] -= gam[i + 1] * x[i + 1]
-    return x
 
 
 class _Pencil:
@@ -207,61 +180,22 @@ class _Pencil:
         return lo, hi
 
 
-def _pencil(geo: ModelGeometry, R: float, N: int) -> tuple[np.ndarray, _Pencil]:
-    """Cell centres and the finite-volume pencil at resolution N."""
+def _pencil(geo: ModelGeometry, R: float, N: int) -> _Pencil:
+    """The finite-volume pencil at resolution N."""
     h = R / (N + 0.5)
-    ts = (np.arange(N) + 0.5) * h
+    ts = (np.arange(N) + 0.5) * h         # cell centres
     faces = np.arange(N + 1) * h          # t = 0 face carries zero density
     a_face = np.array([s_value(geo.kappa, t) ** (geo.n - 1) for t in faces])
     a_cell = np.array([s_value(geo.kappa, t) ** (geo.n - 1) for t in ts])
     h2 = h * h
-    return ts, _Pencil((a_face[:N] + a_face[1:]) / h2, -a_face[1:N] / h2, a_cell)
-
-
-def _eigenvector(pencil: _Pencil, lam: float, ts: np.ndarray, R: float) -> np.ndarray:
-    """Inverse iteration on B^{-1} A shifted just below lam, stopped once the
-    unit vector has converged (at most 8 solves); sup-normalized, v[0] > 0."""
-    b = pencil.b
-    lower = (pencil.off / b[1:]).tolist()
-    upper = (pencil.off / b[:-1]).tolist()
-    base = pencil.diag / b
-    sigma = lam - 1e-10 * max(1.0, lam)
-    diag = (base - sigma).tolist()
-    v = np.sin(math.pi * ts / R)
-    v /= np.linalg.norm(v)
-    for _ in range(8):
-        try:
-            w = np.array(_solve_tridiag(lower, diag, upper, v.tolist()))
-        except ZeroDivisionError:
-            sigma -= 1e-8 * max(1.0, lam)
-            diag = (base - sigma).tolist()
-            continue
-        nrm = np.linalg.norm(w)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            break
-        w /= nrm
-        moved = float(np.max(np.abs(w - v)))
-        v = w
-        if moved <= _VECTOR_TOL:
-            break
-    v = v / np.max(np.abs(v))
-    if v[0] < 0.0:
-        v = -v
-    return v
-
-
-def _lambda1_fixed_grid(geo: ModelGeometry, R: float, N: int,
-                        guess: float = 0.0) -> tuple[float, np.ndarray, np.ndarray]:
-    ts, pencil = _pencil(geo, R, N)
-    lam = pencil.smallest_eigenvalue(guess)
-    return lam, ts, _eigenvector(pencil, lam, ts, R)
+    return _Pencil((a_face[:N] + a_face[1:]) / h2, -a_face[1:N] / h2, a_cell)
 
 
 def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralResult:
     """Smallest Dirichlet eigenvalue of the radial ball of radius R.
 
-    Solves at N/2 (eigenvalue only) and N and Richardson-extrapolates the
-    O(1/N^2) error.  The N/2 eigenvalue, lowered by 1%, starts Newton at N.
+    Solves at N/2 and N and Richardson-extrapolates the O(1/N^2) error.
+    The N/2 eigenvalue, lowered by 1%, starts Newton at N.
     """
     if geo.p != 2.0:
         raise ParameterError(f"spectral solver supports p = 2 only, got p={geo.p!r}")
@@ -269,8 +203,8 @@ def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralRes
         raise ParameterError(f"need R > 0, got {R!r}")
     if N < 200:
         raise ParameterError(f"need N >= 200, got {N!r}")
-    lam_coarse = _pencil(geo, R, N // 2)[1].smallest_eigenvalue()
-    lam_fine, ts, v = _lambda1_fixed_grid(geo, R, N, (1.0 - _GUESS_MARGIN) * lam_coarse)
+    lam_coarse = _pencil(geo, R, N // 2).smallest_eigenvalue()
+    lam_fine = _pencil(geo, R, N).smallest_eigenvalue((1.0 - _GUESS_MARGIN) * lam_coarse)
     lam_extrap = lam_fine + (lam_fine - lam_coarse) / 3.0
     return SpectralResult(lambda1=lam_extrap, lambda1_raw=lam_fine,
-                          lambda1_coarse=lam_coarse, N=N, ts=ts, v=v)
+                          lambda1_coarse=lam_coarse, N=N)

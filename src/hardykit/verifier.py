@@ -546,7 +546,8 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
     Modes: 'hardy' (additive quotient vs ((C+1+alpha-p)/p)^p with C = n-1),
     'up' (three-factor uncertainty quotient vs (n+alpha-1)/p), 'ckn'
     (exponent-r quotient vs (n+alpha-1)/r).  Family members outside the
-    admissible class are recorded with a note and skipped.
+    admissible class (a DomainError) are recorded with a note and skipped;
+    parameters violating the mode's hypotheses raise.
     """
     params = dict(params or {})
     if inequality == "hardy":
@@ -584,7 +585,7 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
         param = u.params.get(key, math.nan)
         try:
             m, ratio = member(u)
-        except (DomainError, ParameterError) as exc:
+        except DomainError as exc:
             rows.append(SweepRow(param, math.nan, math.nan, math.nan, math.nan, math.nan,
                                  note=f"skipped: {exc}"))
             continue

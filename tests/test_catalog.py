@@ -67,6 +67,18 @@ class TestListing:
         with pytest.raises(ParameterError):
             instantiate("unknown", E3, {})
 
+    def test_unknown_parameter_names_the_schema(self):
+        with pytest.raises(ParameterError, match=r"'hardy': unknown parameter 'bogus'; "
+                                                 r"it takes alpha, C$"):
+            instantiate("hardy", E3, {"alpha": 0.0, "bogus": 1.0})
+        with pytest.raises(ParameterError, match="'mckean'.*it takes no parameters"):
+            instantiate("mckean", H2, {"R": 1.0})
+
+    def test_missing_required_parameter(self):
+        with pytest.raises(ParameterError, match=r"'greene_wu_psi': missing parameter 'psi'; "
+                                                 r"it takes psi \(required\), t_hi$"):
+            instantiate("greene_wu_psi", H3, {"t_hi": 10.0})
+
 
 class TestEqualityRegression:
     @pytest.mark.parametrize("name,geo,params", REGRESSION_CASES,

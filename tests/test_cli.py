@@ -115,6 +115,41 @@ class TestOtherCommands:
         rc = main(["catalog", "show", "unknown"])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--catalog", "hardy", "--params", "n=3,p=2,bogus=1"],
+         "catalog entry 'hardy': unknown parameter 'bogus'; it takes alpha, C"),
+        (["catalog", "show", "hardy", "--params", "n=3,bogus=1"],
+         "catalog entry 'hardy': unknown parameter 'bogus'; it takes alpha, C"),
+        (["certify", "--catalog", "greene_wu_psi", "--params", "n=3,p=2"],
+         "catalog entry 'greene_wu_psi': missing parameter 'psi'; "
+         "it takes psi (required), t_hi"),
+    ], ids=["certify-unknown", "show-unknown", "certify-missing"])
+    def test_catalog_parameter_names_checked(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family, message", [
+        ("power_cutoff:eps=0.1", "bad family spec 'power_cutoff:eps=0.1': missing key 'r0'; "
+                                 "missing key 'R' (required keys of power_cutoff: eps, r0, R)"),
+        ("bumps:count=x", "bad family spec 'bumps:count=x': non-numeric count='x' "
+                          "(required keys of bumps: none)"),
+    ], ids=["missing-key", "non-numeric"])
+    def test_bad_family_spec_exits_one(self, family, message):
+        # a string SystemExit code is printed to stderr, and the exit status is 1
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--inequality", "hardy", "--params", "n=3,p=2", "--family", family])
+        assert exc.value.code == message
+
+    def test_sweep_hypothesis_violation_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        rc = main(["sweep", "--inequality", "up", "--params", "n=3,p=2,alpha=5",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "hypothesis violated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum(self, capsys):
         rc = main(["spectrum", "--kappa", "0", "--n", "2", "--R", "1", "--N", "500"])
         assert rc == 0

@@ -492,6 +492,13 @@ class TestLongExpressions:
         assert e.eval_d(1.0) == (2000.0, 2000.0)
         assert parse(e.to_source()).eval_d(0.5) == (1000.0, 2000.0)
 
+    def test_two_thousand_term_sum_compares_and_hashes(self):
+        src = " + ".join(["t"] * 2000)
+        e, e2 = parse(src), parse(src)
+        assert e == e2 and hash(e) == hash(e2)
+        assert len({e, e2}) == 1
+        assert e != parse(src + " + t") and e != parse(src, var="s")
+
     def test_long_product_with_parameters_and_errors(self):
         e = parse(" * ".join(["(t + a)"] * 1500) + " / (t - 1)")
         assert e.params_required == {"a"}

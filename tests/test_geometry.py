@@ -4,8 +4,8 @@ import pytest
 
 from hardykit.errors import DomainError, ParameterError
 from hardykit.exprdsl import parse
-from hardykit.geometry import (ComparisonL, ModelGeometry, ball_volume, comparison_L,
-                               ct, d_deficit, s, unit_ball_volume, volume_density)
+from hardykit.geometry import (ComparisonL, ModelGeometry, ball_volume, ct, d_deficit, s,
+                               unit_ball_volume, volume_density)
 from oracles import coth_exp, simpson, sinh_series
 
 E2 = ModelGeometry(0.0, 2, 2.0)
@@ -151,40 +151,40 @@ class TestVolumes:
 
 class TestComparisonL:
     def test_flat_curvature_kind(self):
-        assert comparison_L(E3, "constant_curvature", 1.0) == 2.0
+        assert ComparisonL(E3, "constant_curvature").eval(1.0) == 2.0
 
     def test_floor_value(self):
-        assert comparison_L(H1_4, "constant_floor", 123.0) == 3.0
+        assert ComparisonL(H1_4, "constant_floor").eval(123.0) == 3.0
 
     def test_floor_rejected_for_flat(self):
         with pytest.raises(ParameterError):
-            comparison_L(E3, "constant_floor", 1.0)
+            ComparisonL(E3, "constant_floor").eval(1.0)
 
     def test_psi_kind_matches_curvature_kind(self):
         psi = parse("s(t)")
         for kappa in (0.0, -1.0, -2.0):
             geo = ModelGeometry(kappa, 3, 2.0)
             for t in (0.3, 1.0, 4.0):
-                a = comparison_L(geo, "psi", t, psi=psi)
-                b = comparison_L(geo, "constant_curvature", t)
+                a = ComparisonL(geo, "psi", psi).eval(t)
+                b = ComparisonL(geo, "constant_curvature").eval(t)
                 assert a == pytest.approx(b, rel=1e-12)
 
     def test_psi_sinh_explicit(self):
         psi = parse("sinh(t)")
         geo = ModelGeometry(-1.0, 2, 2.0)
-        assert comparison_L(geo, "psi", 1.0, psi=psi) == pytest.approx(
+        assert ComparisonL(geo, "psi", psi).eval(1.0) == pytest.approx(
             coth_exp(1.0), rel=1e-13)
 
     def test_psi_nonpositive_rejected(self):
         psi = parse("t - 5")
         with pytest.raises(DomainError):
-            comparison_L(E3, "psi", 1.0, psi=psi)
+            ComparisonL(E3, "psi", psi).eval(1.0)
 
     def test_curvature_dominates_floor(self):
         geo = ModelGeometry(-1.5, 4, 2.0)
         for t in log_grid(1e-3, 50.0, 50):
-            assert comparison_L(geo, "constant_curvature", t) >= \
-                comparison_L(geo, "constant_floor", t)
+            assert ComparisonL(geo, "constant_curvature").eval(t) >= \
+                ComparisonL(geo, "constant_floor").eval(t)
 
     def test_comparison_object_round_trip(self):
         layer = ComparisonL(H1_2, "constant_curvature")

@@ -252,10 +252,21 @@ class TestSweeps:
         assert 2.0 * beta1 / beta2 == pytest.approx(1.0, rel=1e-14)
 
     def test_inadmissible_member_skipped(self):
-        # r <= p member in a ckn sweep is recorded as skipped, not raised
-        fam = [gaussian_type(1.0, 2.0)]
-        sw = sharpness_sweep("ckn", E3, {"alpha": 1.5, "r": 3.0}, family=fam)
-        assert all("skipped" in r.note or math.isfinite(r.ratio) for r in sw.rows)
+        # the two narrowest talenti members overflow the integrand on H^4: each
+        # is recorded as skipped, not raised, and the wider two still count
+        sw = sharpness_sweep("ckn", H4, {"alpha": 0.8, "r": 2.5})
+        assert [r.family_param for r in sw.rows] == [0.5, 1.0, 2.0, 4.0]
+        for r in sw.rows[:2]:
+            assert r.note.startswith("skipped: integrand overflow")
+            assert math.isnan(r.ratio)
+        assert all(r.note == "" and math.isfinite(r.ratio) for r in sw.rows[2:])
+        assert sw.achieved_extremum == min(r.ratio for r in sw.rows[2:])
+
+    @pytest.mark.parametrize("mode, params", [("up", {"alpha": 5.0}),
+                                              ("ckn", {"alpha": 1.0, "r": 7.0})])
+    def test_hypothesis_violation_raises(self, mode, params):
+        with pytest.raises(HypothesisError):
+            sharpness_sweep(mode, E3, params)
 
     def test_unknown_mode(self):
         with pytest.raises(Exception):
