@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,6 +58,7 @@ class CatalogEntry:
     # used, metadata); instantiate adds the name and the citation
     build: Callable
     required: tuple[str, ...]   # the parameters build has no default for
+    numeric: dict[str, bool]   # the parameters taking a number -> whether None is taken
 
 
 def _need(cond: bool, predicate: str, detail: str = ""):
@@ -88,9 +90,10 @@ _ENTRIES: dict[str, CatalogEntry] = {}
 def _entry(name: str, citation: str, schema: tuple[tuple[str, str], ...], requires: str):
     """Register the decorated builder as the catalog entry `name`."""
     def register(build: Callable) -> Callable:
-        required = tuple(p.name for p in list(inspect.signature(build).parameters.values())[1:]
-                         if p.default is p.empty)
-        _ENTRIES[name] = CatalogEntry(name, citation, schema, requires, build, required)
+        params = list(inspect.signature(build).parameters.values())[1:]
+        required = tuple(p.name for p in params if p.default is p.empty)
+        numeric = {p.name: p.default is None for p in params if p.annotation.startswith("float")}
+        _ENTRIES[name] = CatalogEntry(name, citation, schema, requires, build, required, numeric)
         return build
     return register
 
@@ -472,6 +475,9 @@ def instantiate(name: str, geo: ModelGeometry, params: dict | None = None) -> Ca
     names = [n for n, _ in entry.param_schema]
     problems = [f"unknown parameter {k!r}" for k in params if k not in names]
     problems += [f"missing parameter {k!r}" for k in entry.required if k not in params]
+    problems += [f"non-numeric value {v!r} for parameter {k!r}" for k, v in params.items()
+                 if k in entry.numeric and not isinstance(v, numbers.Real)
+                 and not (v is None and entry.numeric[k])]
     if problems:
         takes = ", ".join(n + " (required)" * (n in entry.required) for n in names)
         raise ParameterError(f"catalog entry {name!r}: {'; '.join(problems)}; "

@@ -150,28 +150,35 @@ def _cmd_solve_riccati(args) -> int:
     return EXIT_OK
 
 
-# the keys each --family kind must be given; every value is a number
-_FAMILY_REQUIRED = {"bumps": (), "power_cutoff": ("eps", "r0", "R"),
-                    "gaussian": (), "talenti": ()}
+# (required, optional) keys of each --family kind; every value is a number
+_FAMILY_KEYS = {"bumps": ((), ("count", "seed", "lo", "hi", "span")),
+                "power_cutoff": (("eps", "r0", "R"), ("alpha",)),
+                "gaussian": ((), ("alpha", "scale")),
+                "talenti": ((), ("alpha", "r", "scale"))}
 
 
 def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: float = math.inf):
     """A test family from a --family spec; (lo, hi) is the interval bumps
     default to, the entry's or config's."""
     kind, _, kv = family_spec.partition(":")
-    if kind not in _FAMILY_REQUIRED:
+    if kind not in _FAMILY_KEYS:
         raise SystemExit(f"unknown family spec {family_spec!r}")
     opts = _parse_kv(kv)
-    required = _FAMILY_REQUIRED[kind]
+    required, optional = _FAMILY_KEYS[kind]
     problems = [f"missing key {k!r}" for k in required if k not in opts]
+    problems += [f"unknown key {k!r}" for k in opts if k not in required + optional]
     problems += [f"non-numeric {k}={v!r}" for k, v in opts.items() if isinstance(v, str)]
+    count = opts.get("count", 20.0)
+    if not isinstance(count, str) and not (count >= 1.0 and count.is_integer()):
+        problems.append(f"count={count!r} is not a positive integer")
     if problems:
+        takes = ", ".join([k + " (required)" for k in required] + list(optional))
         raise SystemExit(f"bad family spec {family_spec!r}: {'; '.join(problems)} "
-                         f"(required keys of {kind}: {', '.join(required) or 'none'})")
+                         f"({kind} takes {takes})")
     if kind == "bumps":
         lo, hi = opts.get("lo", lo), opts.get("hi", hi)
         span = opts.get("span", min(10.0, hi - lo) if math.isfinite(hi) else 10.0)
-        return random_bumps(int(opts.get("count", 20)), int(opts.get("seed", 7)),
+        return random_bumps(int(count), int(opts.get("seed", 7)),
                             lo=lo, hi=hi, span=span)
     if kind == "power_cutoff":
         return [power_cutoff(opts["eps"], opts["r0"], opts["R"], geo.n, geo.p,

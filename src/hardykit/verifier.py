@@ -171,64 +171,98 @@ def _make_h(H, p: float, binding: dict):
 # additive / multiplicative margins
 
 
-def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
-    """(p, energy, I_H, J_H) with the three error estimates: the terms both
-    margins combine.  target is a CatalogInstance or a (RiccatiPairSpec, G)
-    pair, either carrying w, the interval and the binding, or a plain G
-    evaluable (w = 1)."""
+def _resolve_target(geo, target, u: RadialTestFunction, binding):
+    """(geo, G, w, binding) of a margin target: a CatalogInstance or a
+    (RiccatiPairSpec, G) pair, either carrying w, the interval and the
+    binding, or a plain G evaluable (w = None, the weight 1)."""
     if isinstance(target, CatalogInstance):
         what, spec, G = f"entry {target.name!r}", target.spec, target.G
     elif isinstance(target, tuple):
         what, (spec, G) = "spec", target
     else:
-        spec, G, w = None, target, None
-        if binding is None:
-            binding = geo.binding()
-    if spec is not None:
-        if spec.rho_kind != "radial_distance":
-            raise ParameterError(f"{what} is built on rho = {spec.rho_kind}; "
-                                 "radial quadrature does not apply")
-        if geo is not None and geo != spec.geo:
-            raise ParameterError(f"geometry mismatch between argument and {what}")
-        if u.support_lo < spec.t_lo or u.support_hi > spec.t_hi:
-            raise HypothesisError(
-                "test function support inside the entry interval",
-                f"support ({u.support_lo!r}, {u.support_hi!r}) vs "
-                f"({spec.t_lo!r}, {spec.t_hi!r})")
-        geo, w, binding = spec.geo, spec.w, spec.binding()
+        return geo, target, None, geo.binding() if binding is None else binding
+    if spec.rho_kind != "radial_distance":
+        raise ParameterError(f"{what} is built on rho = {spec.rho_kind}; "
+                             "radial quadrature does not apply")
+    if geo is not None and geo != spec.geo:
+        raise ParameterError(f"geometry mismatch between argument and {what}")
+    if u.support_lo < spec.t_lo or u.support_hi > spec.t_hi:
+        raise HypothesisError(
+            "test function support inside the entry interval",
+            f"support ({u.support_lo!r}, {u.support_hi!r}) vs "
+            f"({spec.t_lo!r}, {spec.t_hi!r})")
+    return spec.geo, G, spec.w, spec.binding()
+
+
+def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
+    """(p, energy, I_H, J_H) with the three error estimates: the terms both
+    margins combine, for a target as ``_resolve_target`` takes it.
+
+    The three integrals share their mesh seeds and so most nodes.  I_H runs
+    first and records u, G, w (1.0 for w = None) and s_kappa^(n-1) where h(u)
+    is not 0; the energy and J_H read them there, and J_H never needs G'.  A
+    recorded value is the float its reader would compute (eval(t) equals
+    eval_d(t)[0] bitwise), so every result and mesh is that of independent
+    integrals.  An error of the energy integral, which came first, still
+    wins over one of I_H."""
+    geo, G, w, binding = _resolve_target(geo, target, u, binding)
     n, kappa, p = geo.n, geo.kappa, geo.p
     pc = geo.p_conj
     hfun = _make_h(H, p, binding)
+    seen: dict[float, tuple[float, float, float, float]] = {}  # t -> (u, G, w, density)
+
+    def f_i(t: float) -> float:
+        uv = u.u(t)
+        hval = hfun.h(uv)
+        if hval == 0.0:
+            return 0.0
+        gv, gd = G.eval_d(t, binding)
+        if w is None:
+            wv = 1.0
+            drift = gd + gv * (n - 1) * ct_value(kappa, t)
+        else:
+            wv, wd = w.eval_d(t, binding)
+            drift = (gd * wv + gv * wd) + gv * wv * (n - 1) * ct_value(kappa, t)
+        density = s_value(kappa, t) ** (n - 1)
+        seen[t] = (uv, gv, wv, density)
+        v = drift * hval
+        return 0.0 if v == 0.0 else v * density
 
     def f_e(t: float) -> float:
         m = abs(u.du(t))
         if m == 0.0:
             return 0.0
-        wv = 1.0 if w is None else w.eval(t, binding)
-        return m**p * wv
-
-    def f_i(t: float) -> float:
-        hval = hfun.h(u.u(t))
-        if hval == 0.0:
+        node = seen.get(t)
+        wv = node[2] if node is not None else 1.0 if w is None else w.eval(t, binding)
+        v = m**p * wv
+        if v == 0.0:
             return 0.0
-        gv, gd = G.eval_d(t, binding)
-        if w is None:
-            drift = gd + gv * (n - 1) * ct_value(kappa, t)
-        else:
-            wv, wd = w.eval_d(t, binding)
-            drift = (gd * wv + gv * wd) + gv * wv * (n - 1) * ct_value(kappa, t)
-        return drift * hval
+        return v * (s_value(kappa, t) ** (n - 1) if node is None else node[3])
 
     def f_j(t: float) -> float:
-        hd = hfun.habs_dp(u.u(t), pc)
+        node = seen.get(t)
+        hd = hfun.habs_dp(u.u(t) if node is None else node[0], pc)
         if hd == 0.0:
             return 0.0
-        gv = G.eval(t, binding)
-        wv = 1.0 if w is None else w.eval(t, binding)
-        return abs(gv) ** pc * wv * hd
+        if node is None:
+            gv = G.eval(t, binding)
+            wv = 1.0 if w is None else w.eval(t, binding)
+        else:
+            gv, wv = node[1], node[2]
+        v = abs(gv) ** pc * wv * hd
+        if v == 0.0:
+            return 0.0
+        return v * (s_value(kappa, t) ** (n - 1) if node is None else node[3])
 
-    return (p, *_direct(geo, f_e, u, _TOL), *_direct(geo, f_i, u, _TOL),
-            *_direct(geo, f_j, u, _TOL))
+    def integral(f: Callable[[float], float]) -> tuple[float, float]:
+        return _integral(geo, f, max(u.support_lo, 0.0), u.support_hi, _TOL, u.breakpoints)
+
+    try:
+        i_term = integral(f_i)
+    except Exception:
+        integral(f_e)  # raises the energy's own error first, if it has one
+        raise
+    return (p, *integral(f_e), *i_term, *integral(f_j))
 
 
 def additive_margin(geo: ModelGeometry | None, target, u: RadialTestFunction,

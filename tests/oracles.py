@@ -289,3 +289,53 @@ def reference_eval(expr, t, binding):
 def reference_eval_d(expr, t, binding):
     """(value, d/dt) of a parsed expression by a recursive walk of its AST."""
     return _ref_walk(expr.ast, expr.source, t, binding, True)
+
+
+
+# ---------------------------------------------------------------------------
+# the additive terms as three independent integrals, in their former order:
+# J_H and the energy evaluate u, G, w and the volume density at every node of
+# their own.  The quadrature, the target resolution and the nonlinearity are
+# the verifier's; only the sharing of node values between the integrals is
+# left out, so a margin computed with this in place of
+# verifier._additive_terms must agree with the verifier's to the last bit.
+
+
+def unshared_additive_terms(geo, target, u, H, binding):
+    from hardykit.geometry import ct_value
+    from hardykit.verifier import _TOL, _direct, _make_h, _resolve_target
+
+    geo, G, w, binding = _resolve_target(geo, target, u, binding)
+    n, kappa, p = geo.n, geo.kappa, geo.p
+    pc = geo.p_conj
+    hfun = _make_h(H, p, binding)
+
+    def f_e(t):
+        m = abs(u.du(t))
+        if m == 0.0:
+            return 0.0
+        wv = 1.0 if w is None else w.eval(t, binding)
+        return m**p * wv
+
+    def f_i(t):
+        hval = hfun.h(u.u(t))
+        if hval == 0.0:
+            return 0.0
+        gv, gd = G.eval_d(t, binding)
+        if w is None:
+            drift = gd + gv * (n - 1) * ct_value(kappa, t)
+        else:
+            wv, wd = w.eval_d(t, binding)
+            drift = (gd * wv + gv * wd) + gv * wv * (n - 1) * ct_value(kappa, t)
+        return drift * hval
+
+    def f_j(t):
+        hd = hfun.habs_dp(u.u(t), pc)
+        if hd == 0.0:
+            return 0.0
+        gv = G.eval(t, binding)
+        wv = 1.0 if w is None else w.eval(t, binding)
+        return abs(gv) ** pc * wv * hd
+
+    return (p, *_direct(geo, f_e, u, _TOL), *_direct(geo, f_i, u, _TOL),
+            *_direct(geo, f_j, u, _TOL))

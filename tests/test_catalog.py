@@ -79,6 +79,18 @@ class TestListing:
                                                  r"it takes psi \(required\), t_hi$"):
             instantiate("greene_wu_psi", H3, {"t_hi": 10.0})
 
+    def test_non_numeric_value_of_numeric_parameter(self):
+        with pytest.raises(ParameterError, match=r"'hardy': non-numeric value 'abc' for "
+                                                 r"parameter 'alpha'; it takes alpha, C$"):
+            instantiate("hardy", E3, {"alpha": "abc"})
+        with pytest.raises(ParameterError, match=r"'greene_wu_psi': non-numeric value "
+                                                 r"'x' for parameter 't_hi'"):
+            instantiate("greene_wu_psi", H3, {"psi": "s(t)", "t_hi": "x"})
+        # psi is an expression; None is the default of hardy's C
+        assert instantiate("greene_wu_psi", H3, {"psi": "s(t)", "t_hi": 10}).name == \
+            "greene_wu_psi"
+        assert instantiate("hardy", E3, {"C": None}).spec.params["C"] == 2.0
+
 
 class TestEqualityRegression:
     @pytest.mark.parametrize("name,geo,params", REGRESSION_CASES,

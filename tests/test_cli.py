@@ -123,7 +123,10 @@ class TestOtherCommands:
         (["certify", "--catalog", "greene_wu_psi", "--params", "n=3,p=2"],
          "catalog entry 'greene_wu_psi': missing parameter 'psi'; "
          "it takes psi (required), t_hi"),
-    ], ids=["certify-unknown", "show-unknown", "certify-missing"])
+        (["certify", "--catalog", "hardy", "--params", "n=3,p=2,alpha=abc"],
+         "catalog entry 'hardy': non-numeric value 'abc' for parameter 'alpha'; "
+         "it takes alpha, C"),
+    ], ids=["certify-unknown", "show-unknown", "certify-missing", "certify-non-numeric"])
     def test_catalog_parameter_names_checked(self, argv, message, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -132,10 +135,22 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("family, message", [
         ("power_cutoff:eps=0.1", "bad family spec 'power_cutoff:eps=0.1': missing key 'r0'; "
-                                 "missing key 'R' (required keys of power_cutoff: eps, r0, R)"),
+                                 "missing key 'R' (power_cutoff takes eps (required), "
+                                 "r0 (required), R (required), alpha)"),
         ("bumps:count=x", "bad family spec 'bumps:count=x': non-numeric count='x' "
-                          "(required keys of bumps: none)"),
-    ], ids=["missing-key", "non-numeric"])
+                          "(bumps takes count, seed, lo, hi, span)"),
+        # a family of no members would pass having checked nothing
+        ("bumps:count=0", "bad family spec 'bumps:count=0': count=0.0 is not a positive "
+                          "integer (bumps takes count, seed, lo, hi, span)"),
+        ("bumps:count=-2", "bad family spec 'bumps:count=-2': count=-2.0 is not a positive "
+                           "integer (bumps takes count, seed, lo, hi, span)"),
+        # an ignored key would silently keep the default it was meant to change
+        ("bumps:count=3,bogus=1", "bad family spec 'bumps:count=3,bogus=1': unknown key "
+                                  "'bogus' (bumps takes count, seed, lo, hi, span)"),
+        ("bumps:count=3,sed=3", "bad family spec 'bumps:count=3,sed=3': unknown key 'sed' "
+                                "(bumps takes count, seed, lo, hi, span)"),
+    ], ids=["missing-key", "non-numeric", "count-zero", "count-negative", "unknown-key",
+            "misspelt-key"])
     def test_bad_family_spec_exits_one(self, family, message):
         # a string SystemExit code is printed to stderr, and the exit status is 1
         with pytest.raises(SystemExit) as exc:

@@ -1,23 +1,27 @@
+import dataclasses
 import math
 
 import pytest
 
+from hardykit import quadrature, verifier
 from hardykit.catalog import instantiate
 from hardykit.errors import DomainError, HypothesisError
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry, unit_ball_volume
+from hardykit.riccati import FuncEval
 from hardykit.testfuncs import (compact_bump, from_expr, gaussian_type, power_cutoff,
                                 random_bumps, talenti)
 from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_check,
                                gm_positivity_study, hardy_default_family,
                                margin_violated, multiplicative_margin, radial_integral,
                                sc_margin, sharpness_sweep, up_margin)
-from oracles import simpson
+from oracles import simpson, unshared_additive_terms
 
 E2 = ModelGeometry(0.0, 2, 2.0)
 E3 = ModelGeometry(0.0, 3, 2.0)
 H2 = ModelGeometry(-1.0, 2, 2.0)
 H4 = ModelGeometry(-1.0, 4, 2.0)
+E4 = ModelGeometry(0.0, 4, 2.0)
 
 
 def young_holds(extras, tol=1e-9):
@@ -309,3 +313,116 @@ class TestQuadratureConsistencyAcrossModules:
         val, _ = radial_integral(E2, lambda t: u.u(t), 2.0)
         ref = 2.0 * math.pi * simpson(lambda t: t * (2 - t) * t, 0.0, 2.0, 2048)
         assert val == pytest.approx(ref, rel=1e-9)
+
+
+# one instance of each of the 12 radial catalog entries
+RADIAL_CASES = [
+    ("hardy", E3, {"alpha": 0.0, "C": 2.0}),
+    ("hardy_log", ModelGeometry(0.0, 4, 3.0), {"alpha": 1.2}),
+    ("acr", E3, {"D": 1.0}),
+    ("brezis_vazquez", H4, {"nu": 0.7, "D": 2.0}),
+    ("faber_krahn", E3, {"R": 1.0}),
+    ("mckean", H2, {}),
+    ("mckean_improved", ModelGeometry(-1.0, 3, 2.0), {}),
+    ("interpolation", H4, {"lam": 2.0}),
+    ("akutagawa_kumura", ModelGeometry(-1.5, 2, 2.0), {"R": 0.5}),
+    ("greene_wu_psi", ModelGeometry(-1.0, 3, 2.0), {"psi": "s(t)", "t_hi": 50.0}),
+    ("ghoussoub_moradifam", ModelGeometry(-1.0, 5, 2.0),
+     {"a": 0.7, "b": 2.0, "alpha": 1.3, "beta": 1.1, "m": -0.4}),
+    ("carvalho_cavalcante", ModelGeometry(0.0, 3, 2.5), {"a": 1.3, "b": 0.8}),
+]
+
+
+def _bumps(inst, count, seed):
+    lo, hi = inst.spec.t_lo, inst.spec.t_hi
+    return random_bumps(count, seed, lo=lo, hi=hi,
+                        span=min(10.0, hi - lo) if math.isfinite(hi) else 10.0)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class _CountingG:
+    """A G evaluable that records the nodes of its value and dual calls."""
+
+    def __init__(self, G):
+        self.G, self.values, self.duals = G, [], []
+
+    def eval(self, t, binding=None):
+        self.values.append(t)
+        return self.G.eval(t, binding)
+
+    def eval_d(self, t, binding=None):
+        self.duals.append(t)
+        return self.G.eval_d(t, binding)
+
+
+class TestSharedNodeValues:
+    """The three integrals of one additive or multiplicative margin share
+    their node values; every result, and every error, must equal to the last
+    bit that of three independent integrals."""
+
+    @staticmethod
+    def _outcomes():
+        out = []
+        for name, geo, params in RADIAL_CASES:
+            inst = instantiate(name, geo, params)
+            for i, u in enumerate(_bumps(inst, 3, seed=41)):
+                for margin in (additive_margin, multiplicative_margin):
+                    out.append((name, i, margin.__name__, _outcome(margin, None, inst, u)))
+            u = _bumps(inst, 1, seed=43)[0]
+            out.append((name, "pair", _outcome(additive_margin, None, (inst.spec, inst.G), u)))
+        G, H = parse("(n-2)/2/t"), parse("s^2/2 + s^4", var="s")
+        for u in random_bumps(2, seed=17):
+            for margin in (additive_margin, multiplicative_margin):
+                out.append(("plain G", _outcome(margin, E3, G, u, H=H, binding={"n": 3.0})))
+        # failing cases: a G without derivative, a J functional at its error,
+        # and an energy integral that fails as I_H fails with another error
+        u = compact_bump(1.0, 0.5)
+        no_dual = FuncEval(lambda t: 0.5 / t)
+        out.append(("no G'", _outcome(additive_margin, E3, no_dual, u)))
+        out.append(("J = 0", _outcome(multiplicative_margin, E3, parse("0*t"), u)))
+        spec = dataclasses.replace(instantiate("hardy", E3, {}).spec, w=parse("log(t - 5)"))
+        out.append(("bad w", _outcome(additive_margin, None, (spec, no_dual), u)))
+        return out
+
+    def test_margins_equal_independent_integrals(self, monkeypatch):
+        shared = self._outcomes()
+        monkeypatch.setattr(verifier, "_additive_terms", unshared_additive_terms)
+        reference = self._outcomes()
+        assert len(shared) == len(reference) == 12 * 7 + 4 + 3
+        for got, want in zip(shared, reference):
+            assert got == want
+        failed = {o[0] for o in shared if "Error" in o[-1]}
+        assert failed == {"no G'", "J = 0", "bad w"}
+
+    def test_j_term_reads_g_from_the_i_term(self, monkeypatch):
+        inst = instantiate("ghoussoub_moradifam", E4,
+                           {"a": 1.0, "b": 1.0, "alpha": 0.5, "beta": 0.5, "m": 0.3})
+        u = _bumps(inst, 1, seed=19)[0]
+        panels = []
+        real_panel = quadrature.kronrod_panel
+
+        def counted_panel(f, a, b):
+            panels.append((a, b))
+            return real_panel(f, a, b)
+
+        monkeypatch.setattr(quadrature, "kronrod_panel", counted_panel)
+        runs = []
+        for terms in (verifier._additive_terms, unshared_additive_terms):
+            monkeypatch.setattr(verifier, "_additive_terms", terms)
+            G = _CountingG(inst.G)
+            panels.clear()
+            m = additive_margin(None, (inst.spec, G), u)
+            runs.append((m, G, sorted(panels)))
+        (shared, G, panels_shared), (reference, G_ref, panels_ref) = runs
+        assert repr(shared) == repr(reference) == repr(additive_margin(None, inst, u))
+        # the same panels, so the same nodes; J_H evaluates G only where I_H did not
+        assert panels_shared == panels_ref
+        assert sorted(G.duals) == sorted(G_ref.duals)
+        assert not set(G.values) & set(G.duals)
+        assert len(set(G_ref.values) & set(G_ref.duals)) > 0.9 * len(G_ref.values) > 0

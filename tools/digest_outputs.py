@@ -20,8 +20,10 @@ stdout, stderr and file artifacts of every command in the README, of
 coarse eigenvalue) on six balls, ``bessel_zero`` on a (nu, k) grid,
 ``bessel_j`` on its mpmath path (x > 10), ``hyp2f1`` on both sides of
 |z| = 40, integer b - a included, and ``hyp2f1`` and ``hyp2f1_dz`` on both
-sides of |z| = 3 for non-integer and near-integer b - a; last, a 2000-term
-sum and an overflowing literal.  Floats are printed with ``repr``; long
+sides of |z| = 3 for non-integer and near-integer b - a; then a 2000-term
+sum and an overflowing literal; last, additive and multiplicative margins
+of the radial entries the margin section leaves out, so that all 12 radial
+entries are covered.  Floats are printed with ``repr``; long
 lists are hashed.
 """
 
@@ -152,6 +154,17 @@ def _margin_line(label, m):
             f"{extras}")
 
 
+def digest_catalog_margins(name, geo, params, seed):
+    inst = instantiate(name, geo, params)
+    hi = inst.spec.t_hi
+    fam = random_bumps(6, seed=seed, lo=inst.spec.t_lo, hi=hi,
+                       span=min(10.0, hi - inst.spec.t_lo) if math.isfinite(hi) else 10.0)
+    for i, u in enumerate(fam):
+        print(_margin_line(f"additive {name} {i}", _outcome(additive_margin, None, inst, u)))
+        print(_margin_line(f"multiplicative {name} {i}",
+                           _outcome(multiplicative_margin, None, inst, u)))
+
+
 def digest_margins():
     for geo, label, f, R, hint in ((E3, "t", lambda t: t, 1.0, None),
                                    (H2, "cos", math.cos, 1.5, None),
@@ -168,14 +181,7 @@ def digest_margins():
                                     ("ghoussoub_moradifam", ModelGeometry(-1.0, 5, 2.0),
                                      {"a": 0.7, "b": 2.0, "alpha": 1.3, "beta": 1.1, "m": -0.4},
                                      23)):
-        inst = instantiate(name, geo, params)
-        hi = inst.spec.t_hi
-        fam = random_bumps(6, seed=seed, lo=inst.spec.t_lo, hi=hi,
-                           span=min(10.0, hi - inst.spec.t_lo) if math.isfinite(hi) else 10.0)
-        for i, u in enumerate(fam):
-            print(_margin_line(f"additive {name} {i}", _outcome(additive_margin, None, inst, u)))
-            print(_margin_line(f"multiplicative {name} {i}",
-                               _outcome(multiplicative_margin, None, inst, u)))
+        digest_catalog_margins(name, geo, params, seed)
     G = parse("(n-2)/2/t")
     H = parse("s^2/2 + s^4", var="s")
     for i, u in enumerate(random_bumps(4, seed=17)):
@@ -327,6 +333,21 @@ def digest_long_and_overflowing_expressions():
     print("literal 1e999", _outcome(parse, "1e999*t + 2"))
 
 
+def digest_more_catalog_margins():
+    # appended after the lines above: the radial entries the margin section
+    # leaves out, so that every radial entry has margin lines
+    for name, geo, params, seed in (
+            ("greene_wu_psi", H3, {"psi": "s(t)", "t_hi": 50.0}, 29),
+            ("greene_wu_psi", E4, {"psi": "t + 0.1*t^3", "t_hi": 10.0}, 31),
+            ("brezis_vazquez", H4, {"nu": 0.7, "D": 2.0}, 37),
+            ("faber_krahn", E4, {"R": 3.0}, 41),
+            ("hardy_log", ModelGeometry(0.0, 4, 3.0), {"alpha": 1.2}, 43),
+            ("mckean_improved", H3, {}, 47),
+            ("akutagawa_kumura", ModelGeometry(-1.5, 2, 2.0), {"R": 0.5}, 53),
+            ("carvalho_cavalcante", ModelGeometry(0.0, 3, 2.5), {"a": 1.3, "b": 0.8}, 59)):
+        digest_catalog_margins(name, geo, params, seed)
+
+
 def main() -> int:
     digest_certify()
     digest_margins()
@@ -336,6 +357,7 @@ def main() -> int:
     digest_commands(SPEC_COMMANDS)
     digest_constants()
     digest_long_and_overflowing_expressions()
+    digest_more_catalog_margins()
     return 0
 
 
