@@ -366,10 +366,12 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
         v, d = psi_d(t)
         return -0.5 / t + half_ratio * d / v
 
-    def G_deriv(t: float) -> float:
+    def G_dual(t: float) -> tuple[float, float]:
+        # one psi evaluation at t serves G and G'; the stencil adds two more
         v, d = psi_d(t)
+        g = -0.5 / t + half_ratio * d / v
         r = d / v
-        return 0.5 / (t * t) + half_ratio * (psi_dd(t) / v - r * r)
+        return g, 0.5 / (t * t) + half_ratio * (psi_dd(t) / v - r * r)
 
     def W_val(t: float) -> float:
         v, d = psi_d(t)
@@ -383,7 +385,7 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
         w=parse("1"), L=ComparisonL(geo, "psi", psi),
         W=FuncEval(W_val, name="W[psi]"), params={},
         g_sign_required=1)
-    G = FuncEval(G_val, G_deriv, name="G[psi]")
+    G = FuncEval(G_val, G_dual, name="G[psi]")
     return spec, G, 0.25, False, {"psi": psi.source, "t_hi": t_hi}, {}
 
 

@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .catalog import instantiate, list_catalog
 from .config import emit_config, parse_config
-from .errors import HardykitError
+from .errors import HardykitError, ParameterError
 from .exprdsl import parse as parse_expr
 from .geometry import ModelGeometry
 from .riccati import certify, solve_ivp
@@ -58,12 +58,17 @@ def _parse_kv(text: str | None) -> dict:
 
 
 def _geometry_from_params(params: dict) -> tuple[ModelGeometry, dict]:
-    """Split kappa/n/p off a parameter dict; the input is left untouched."""
+    """Split kappa/n/p off a _parse_kv dict; the input is left untouched.  A
+    value that is not a number, or an n that is not an integer, is refused
+    rather than truncated."""
     rest = dict(params)
-    kappa = float(rest.pop("kappa", 0.0))
-    n = int(rest.pop("n", 3))
-    p = float(rest.pop("p", 2.0))
-    return ModelGeometry(kappa, n, p), rest
+    geo = {k: rest.pop(k, default) for k, default in (("kappa", 0.0), ("n", 3.0), ("p", 2.0))}
+    for k, v in geo.items():
+        if isinstance(v, str):
+            raise ParameterError(f"geometry parameter {k}={v!r} is not a number")
+    if not geo["n"].is_integer():
+        raise ParameterError(f"geometry parameter n={geo['n']!r} is not an integer")
+    return ModelGeometry(geo["kappa"], int(geo["n"]), geo["p"]), rest
 
 
 def _report_json(payload: dict, path: str | None):
@@ -168,9 +173,11 @@ def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: floa
     problems = [f"missing key {k!r}" for k in required if k not in opts]
     problems += [f"unknown key {k!r}" for k in opts if k not in required + optional]
     problems += [f"non-numeric {k}={v!r}" for k, v in opts.items() if isinstance(v, str)]
-    count = opts.get("count", 20.0)
+    count, seed = opts.get("count", 20.0), opts.get("seed", 7.0)
     if not isinstance(count, str) and not (count >= 1.0 and count.is_integer()):
         problems.append(f"count={count!r} is not a positive integer")
+    if not isinstance(seed, str) and not seed.is_integer():
+        problems.append(f"seed={seed!r} is not an integer")
     if problems:
         takes = ", ".join([k + " (required)" for k in required] + list(optional))
         raise SystemExit(f"bad family spec {family_spec!r}: {'; '.join(problems)} "
@@ -178,7 +185,7 @@ def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: floa
     if kind == "bumps":
         lo, hi = opts.get("lo", lo), opts.get("hi", hi)
         span = opts.get("span", min(10.0, hi - lo) if math.isfinite(hi) else 10.0)
-        return random_bumps(int(count), int(opts.get("seed", 7)),
+        return random_bumps(int(count), int(seed),
                             lo=lo, hi=hi, span=span)
     if kind == "power_cutoff":
         return [power_cutoff(opts["eps"], opts["r0"], opts["R"], geo.n, geo.p,

@@ -65,6 +65,7 @@ __all__ = [
     "ParamBinding",
     "Dual",
     "parse",
+    "evaluator",
     "BUILTIN_ARITY",
 ]
 
@@ -753,6 +754,17 @@ class ScalarExpr:
 
     def __repr__(self):
         return f"ScalarExpr({self.source!r})"
+
+
+def evaluator(e, binding: ParamBinding | None = None, dual: bool = False) -> Callable:
+    """The function (t, binding) -> e.eval(t, binding), or e.eval_d when
+    dual, resolved once for a loop over t under one binding.  For a
+    ScalarExpr it is the generated function eval/eval_d call, which must
+    then be given ``binding or {}``; for any other evaluable, the bound
+    method.  Every evaluation error raises at a call, not here."""
+    if isinstance(e, ScalarExpr):
+        return e._compiled(binding or {}, int(dual))
+    return e.eval_d if dual else e.eval
 
 
 def parse(source: str, var: str = "t") -> ScalarExpr:

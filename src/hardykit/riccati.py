@@ -9,7 +9,11 @@ when the pair is admissible; the residual is the left side minus W.
 Certification samples the residual on a dense grid (512 log-spaced points
 plus endpoint refinement), normalizes by 1 + |W| so the verdict is relative
 near singular endpoints and absolute elsewhere, and checks the sign
-condition on G required when L is a strict Laplacian lower bound.
+condition on G required when L is a strict Laplacian lower bound.  Each
+call resolves G, w, L and W once, for the spec's binding, to the functions
+their eval/eval_d call (exprdsl.evaluator), and runs the grid over those;
+residual_parts computes its terms with the same code, so certify's
+residuals are its values to the bit.
 
 The equality case of the inequality is a Riccati ODE; solve_ivp integrates
 it with blow-up detection (a blow-up abscissa approximates a zero of the
@@ -27,6 +31,7 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 from . import quadrature
 from .errors import (ConvergenceError, DomainError, HardykitError, ParameterError,
                      UnsupportedDerivativeError)
+from .exprdsl import evaluator
 from .geometry import ModelGeometry
 from .rk45 import IntegrationOutcome, integrate_to_samples
 
@@ -54,22 +59,24 @@ class Evaluable(Protocol):
 
 
 class FuncEval:
-    """Adapter presenting plain Python callables as expression-like objects."""
+    """Adapter presenting plain Python callables as expression-like objects:
+    fn(t) is the value, dual(t) the pair (value, derivative), whose value
+    must be fn(t) to the bit."""
 
     def __init__(self, fn: Callable[[float], float],
-                 dfn: Callable[[float], float] | None = None,
+                 dual: Callable[[float], tuple[float, float]] | None = None,
                  name: str = "<function>"):
         self.fn = fn
-        self.dfn = dfn
+        self.dual = dual
         self.name = name
 
     def eval(self, t: float, binding: dict | None = None) -> float:
         return self.fn(t)
 
     def eval_d(self, t: float, binding: dict | None = None) -> tuple[float, float]:
-        if self.dfn is None:
+        if self.dual is None:
             raise UnsupportedDerivativeError(f"{self.name} has no derivative")
-        return self.fn(t), self.dfn(t)
+        return self.dual(t)
 
     def __repr__(self):
         return f"FuncEval({self.name})"
@@ -117,27 +124,39 @@ class ResidualParts:
     drift: float        # w'/w + L
     convex_term: float  # (p-1)|G|^{p'}
     w_target: float     # W(t)
+    value: float        # dg + drift g - convex_term - w_target
 
-    @property
-    def value(self) -> float:
-        return self.dg + self.drift * self.g - self.convex_term - self.w_target
+
+def _residual_fn(spec: RiccatiPairSpec, G, binding: dict) -> Callable:
+    """t -> the fields of ResidualParts at t, with G, w, L and W resolved to
+    their evaluators once for `binding`.  w > 0 is checked before L and W
+    are evaluated."""
+    g_d = evaluator(G, binding, dual=True)
+    w_d = evaluator(spec.w, binding, dual=True)
+    l_v = evaluator(spec.L, binding)
+    w_v = evaluator(spec.W, binding)
+    pm1, pc = spec.geo.p - 1.0, spec.geo.p_conj
+
+    def parts(t: float) -> tuple[float, float, float, float, float, float]:
+        gv, gd = g_d(t, binding)
+        wv, wd = w_d(t, binding)
+        if not wv > 0.0:
+            raise DomainError(f"weight w({t!r}) = {wv!r} is not positive")
+        lv = l_v(t, binding)
+        wt = w_v(t, binding)
+        convex = pm1 * abs(gv) ** pc
+        drift = wd / wv + lv
+        return gv, gd, drift, convex, wt, gd + drift * gv - convex - wt
+
+    return parts
 
 
 def residual_parts(spec: RiccatiPairSpec, G, t: float,
                    binding: dict | None = None) -> ResidualParts:
     """The terms of the residual at t; `binding` is spec.binding(), built here
-    when not given (certify builds it once for its whole grid)."""
+    when not given."""
     b = spec.binding() if binding is None else binding
-    gv, gd = G.eval_d(t, b)
-    wv, wd = spec.w.eval_d(t, b)
-    if not wv > 0.0:
-        raise DomainError(f"weight w({t!r}) = {wv!r} is not positive")
-    lv = spec.L.eval(t, b)
-    wtarget = spec.W.eval(t, b)
-    p = spec.geo.p
-    convex = (p - 1.0) * abs(gv) ** spec.geo.p_conj
-    return ResidualParts(g=gv, dg=gd, drift=wd / wv + lv, convex_term=convex,
-                         w_target=wtarget)
+    return ResidualParts(*_residual_fn(spec, G, b)(t))
 
 
 def residual(spec: RiccatiPairSpec, G, t: float) -> float:
@@ -234,20 +253,19 @@ def certify(
     min_g = math.inf
     max_g = -math.inf
     hint = spec.homogeneity_hint
-    binding = spec.binding()
+    parts = _residual_fn(spec, G, spec.binding())
     for t in grid:
         try:
-            parts = residual_parts(spec, G, t, binding)
-            r = parts.value
+            g, _, _, _, wt, r = parts(t)
             if hint is not None and hint < 0.0:
                 scale = t ** (-hint)
-                rn = (r * scale) / (1.0 + abs(parts.w_target * scale))
+                rn = (r * scale) / (1.0 + abs(wt * scale))
             else:
-                rn = r / (1.0 + abs(parts.w_target))
-            if not (math.isfinite(rn) and math.isfinite(parts.g)):
+                rn = r / (1.0 + abs(wt))
+            if not (math.isfinite(rn) and math.isfinite(g)):
                 raise DomainError("non-finite residual")
-            if not parts.w_target > 0.0:
-                raise DomainError(f"target W({t!r}) = {parts.w_target!r} is not positive")
+            if not wt > 0.0:
+                raise DomainError(f"target W({t!r}) = {wt!r} is not positive")
         except HardykitError as exc:
             return CertificationReport(
                 grid=grid, residuals=residuals, min_residual=min_r, argmin_t=argmin,
@@ -259,8 +277,8 @@ def certify(
         if rn < min_r:
             min_r, argmin = rn, t
         max_abs = max(max_abs, abs(rn))
-        min_g = min(min_g, parts.g)
-        max_g = max(max_g, parts.g)
+        min_g = min(min_g, g)
+        max_g = max(max_g, g)
 
     ok = min_r >= -tol
     reason = ""
@@ -300,7 +318,8 @@ def solve_ivp(
     sample_ts: Sequence[float] | None = None,
     rel_tol: float = 1e-10,
 ) -> RiccatiTrajectory:
-    """Integrate the equality ODE G' = W + (p-1)|G|^{p'} - (w'/w + L) G.
+    """Integrate the equality ODE G' = W + (p-1)|G|^{p'} - (w'/w + L) G,
+    with w, L and W resolved to their evaluators once per call.
 
     A reported blow-up abscissa approximates a zero of the positive solution
     of the associated second-order equation.
@@ -308,14 +327,16 @@ def solve_ivp(
     if direction not in ("forward", "backward"):
         raise ParameterError(f"direction must be forward or backward, got {direction!r}")
     b = spec.binding()
-    p = spec.geo.p
-    pp = spec.geo.p_conj
+    w_d = evaluator(spec.w, b, dual=True)
+    l_v = evaluator(spec.L, b)
+    w_v = evaluator(spec.W, b)
+    pm1, pp = spec.geo.p - 1.0, spec.geo.p_conj
 
     def f(t: float, g: float) -> float:
-        wv, wd = spec.w.eval_d(t, b)
-        lv = spec.L.eval(t, b)
-        wt = spec.W.eval(t, b)
-        return wt + (p - 1.0) * abs(g) ** pp - (wd / wv + lv) * g
+        wv, wd = w_d(t, b)
+        lv = l_v(t, b)
+        wt = w_v(t, b)
+        return wt + pm1 * abs(g) ** pp - (wd / wv + lv) * g
 
     if sample_ts is None:
         lo = max(spec.t_lo * 1.001, t0 / 10.0) if spec.t_lo > 0 else t0 / 10.0

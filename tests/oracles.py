@@ -339,3 +339,92 @@ def unshared_additive_terms(geo, target, u, H, binding):
 
     return (p, *_direct(geo, f_e, u, _TOL), *_direct(geo, f_i, u, _TOL),
             *_direct(geo, f_j, u, _TOL))
+
+
+# certify as a per-point loop over residual terms built from each object's
+# own eval/eval_d at every t, in their former order: G' and G, w' and w (w > 0
+# checked first), L, W; the residual G' + (w'/w + L) G - (p-1)|G|^{p'} - W.
+# The grid, the checks, their messages and the report are certify's, so
+# riccati.certify must return a report repr-equal to this one.
+
+
+def reference_certify(spec, G, grid_policy="log", tol=1e-8, n_points=512, custom_grid=None):
+    from hardykit.errors import DomainError
+    from hardykit.riccati import CertificationReport, certification_grid
+
+    def terms(t, b):
+        gv, gd = G.eval_d(t, b)
+        wv, wd = spec.w.eval_d(t, b)
+        if not wv > 0.0:
+            raise DomainError(f"weight w({t!r}) = {wv!r} is not positive")
+        lv = spec.L.eval(t, b)
+        wtarget = spec.W.eval(t, b)
+        p = spec.geo.p
+        convex = (p - 1.0) * abs(gv) ** spec.geo.p_conj
+        drift = wd / wv + lv
+        return gv, gd + drift * gv - convex - wtarget, wtarget
+
+    grid = certification_grid(spec.t_lo, spec.t_hi, n=n_points, policy=grid_policy,
+                              custom=custom_grid)
+    residuals = []
+    min_r, argmin, max_abs = math.inf, grid[0], 0.0
+    min_g, max_g = math.inf, -math.inf
+    hint = spec.homogeneity_hint
+    binding = spec.binding()
+    for t in grid:
+        try:
+            g, r, wt = terms(t, binding)
+            if hint is not None and hint < 0.0:
+                scale = t ** (-hint)
+                rn = (r * scale) / (1.0 + abs(wt * scale))
+            else:
+                rn = r / (1.0 + abs(wt))
+            if not (math.isfinite(rn) and math.isfinite(g)):
+                raise DomainError("non-finite residual")
+            if not wt > 0.0:
+                raise DomainError(f"target W({t!r}) = {wt!r} is not positive")
+        except HardykitError as exc:
+            return CertificationReport(
+                grid=grid, residuals=residuals, min_residual=min_r, argmin_t=argmin,
+                max_abs_residual=max_abs, min_G=min_g, max_G=max_g,
+                verdict="inconclusive", witness_t=t,
+                reason=f"evaluation failed at t={t!r}: {exc}", tolerance_used=tol,
+                g_sign_required=spec.g_sign_required)
+        residuals.append(rn)
+        if rn < min_r:
+            min_r, argmin = rn, t
+        max_abs = max(max_abs, abs(rn))
+        min_g = min(min_g, g)
+        max_g = max(max_g, g)
+
+    ok = min_r >= -tol
+    reason, witness = "", None
+    if not ok:
+        witness = argmin
+        reason = f"residual {min_r:.6g} below -tol at t={argmin:.6g}"
+    if ok and spec.g_sign_required == 1 and min_g < -tol:
+        ok, witness = False, argmin
+        reason = f"sign condition violated: min G = {min_g:.6g} < -tol"
+    if ok and spec.g_sign_required == -1 and max_g > tol:
+        ok, witness = False, argmin
+        reason = f"sign condition violated: max G = {max_g:.6g} > tol"
+    return CertificationReport(
+        grid=grid, residuals=residuals, min_residual=min_r, argmin_t=argmin,
+        max_abs_residual=max_abs, min_G=min_g, max_G=max_g,
+        verdict="certified" if ok else "failed", witness_t=witness, reason=reason,
+        tolerance_used=tol, g_sign_required=spec.g_sign_required)
+
+
+def reference_riccati_rhs(spec):
+    """The equality ODE's right-hand side with every term through eval/eval_d."""
+    b = spec.binding()
+    p = spec.geo.p
+    pp = spec.geo.p_conj
+
+    def f(t, g):
+        wv, wd = spec.w.eval_d(t, b)
+        lv = spec.L.eval(t, b)
+        wt = spec.W.eval(t, b)
+        return wt + (p - 1.0) * abs(g) ** pp - (wd / wv + lv) * g
+
+    return f

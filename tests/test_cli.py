@@ -133,6 +133,27 @@ class TestOtherCommands:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        # n = 3.7 was truncated to 3 and certified
+        (["certify", "--catalog", "hardy", "--params", "n=3.7,p=2,alpha=0,C=2"],
+         "geometry parameter n=3.7 is not an integer"),
+        (["certify", "--catalog", "hardy", "--params", "n=abc,p=2"],
+         "geometry parameter n='abc' is not a number"),
+        (["certify", "--catalog", "mckean", "--params", "kappa=x,n=2,p=2"],
+         "geometry parameter kappa='x' is not a number"),
+        (["verify", "--inequality", "up", "--params", "kappa=0,n=3,p=abc,alpha=1"],
+         "geometry parameter p='abc' is not a number"),
+        (["sweep", "--inequality", "hardy", "--params", "n=2.5,p=2,alpha=0"],
+         "geometry parameter n=2.5 is not an integer"),
+    ], ids=["n-fraction", "n-non-numeric", "kappa-non-numeric", "p-non-numeric",
+            "sweep-n-fraction"])
+    def test_geometry_parameters_checked(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("family, message", [
         ("power_cutoff:eps=0.1", "bad family spec 'power_cutoff:eps=0.1': missing key 'r0'; "
                                  "missing key 'R' (power_cutoff takes eps (required), "
@@ -149,8 +170,11 @@ class TestOtherCommands:
                                   "'bogus' (bumps takes count, seed, lo, hi, span)"),
         ("bumps:count=3,sed=3", "bad family spec 'bumps:count=3,sed=3': unknown key 'sed' "
                                 "(bumps takes count, seed, lo, hi, span)"),
+        # seed 7.5 was truncated to seed 7
+        ("bumps:count=3,seed=7.5", "bad family spec 'bumps:count=3,seed=7.5': seed=7.5 is "
+                                   "not an integer (bumps takes count, seed, lo, hi, span)"),
     ], ids=["missing-key", "non-numeric", "count-zero", "count-negative", "unknown-key",
-            "misspelt-key"])
+            "misspelt-key", "seed-fraction"])
     def test_bad_family_spec_exits_one(self, family, message):
         # a string SystemExit code is printed to stderr, and the exit status is 1
         with pytest.raises(SystemExit) as exc:

@@ -353,7 +353,7 @@ class TestFuncEval:
         assert f.eval(3.0) == 9.0
         with pytest.raises(UnsupportedDerivativeError):
             f.eval_d(3.0)
-        assert FuncEval(lambda t: t * t, lambda t: 2.0 * t).eval_d(3.0) == (9.0, 6.0)
+        assert FuncEval(lambda t: t * t, lambda t: (t * t, 2.0 * t)).eval_d(3.0) == (9.0, 6.0)
 
     def test_greene_wu_weight_has_no_derivative(self):
         from hardykit.catalog import instantiate
@@ -361,4 +361,34 @@ class TestFuncEval:
         inst = instantiate("greene_wu_psi", ModelGeometry(-1.0, 3, 2.0), {"psi": "s(t)"})
         with pytest.raises(UnsupportedDerivativeError):
             inst.spec.W.eval_d(1.0)
-        assert inst.G.eval_d(1.0)[1] == inst.G.dfn(1.0)
+        assert inst.G.eval_d(1.0)[1] == inst.G.dual(1.0)[1]
+
+    def test_greene_wu_G_evaluates_psi_once_per_point(self, monkeypatch):
+        # G and G' share psi at t; psi'' adds t + h and t - h
+        from hardykit.catalog import instantiate
+        from hardykit.exprdsl import ScalarExpr
+
+        geo = ModelGeometry(-1.0, 3, 2.0)
+        inst = instantiate("greene_wu_psi", geo, {"psi": "s(t) + 0.1*t^3", "t_hi": 20.0})
+        psi = parse("s(t) + 0.1*t^3")
+        b = geo.binding()
+        seen = []
+        eval_d = ScalarExpr.eval_d
+
+        def counted(self, t, binding=None):
+            if self.source == psi.source:
+                seen.append(t)
+            return eval_d(self, t, binding)
+
+        monkeypatch.setattr(ScalarExpr, "eval_d", counted)
+        for t in (0.3, 1.3, 7.0):
+            seen.clear()
+            g, dg = inst.G.eval_d(t)
+            h = min(1e-5 * (1.0 + t), 0.5 * t)
+            assert seen == [t, t + h, t - h]
+            # bitwise the separate value and derivative formulas
+            v, d = psi.eval_d(t, b)
+            r = d / v
+            ypp = (psi.eval_d(t + h, b)[1] - psi.eval_d(t - h, b)[1]) / (2.0 * h)
+            assert g == -0.5 / t + 1.0 * d / v == inst.G.eval(t)
+            assert dg == 0.5 / (t * t) + 1.0 * (ypp / v - r * r)

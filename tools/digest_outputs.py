@@ -23,8 +23,14 @@ coarse eigenvalue) on six balls, ``bessel_zero`` on a (nu, k) grid,
 sides of |z| = 3 for non-integer and near-integer b - a; then a 2000-term
 sum and an overflowing literal; last, additive and multiplicative margins
 of the radial entries the margin section leaves out, so that all 12 radial
-entries are covered.  Floats are printed with ``repr``; long
-lists are hashed.
+entries are covered; then ``certify`` on failing and inconclusive
+candidates (an evaluation error in each of G, w, L and W, w <= 0 beside an
+error in L, W <= 0, a non-finite residual, a residual below -tol, both sign
+conditions, unbound parameters, a power overflow) with each report's
+reason, witness and max |residual|; last, forward and backward
+``solve_ivp`` trajectories for every radial entry a config file can hold,
+and one that blows up.  Floats are printed with ``repr``; long lists are
+hashed.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from hardykit import cli
 from hardykit.catalog import instantiate
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry
-from hardykit.riccati import certify
+from hardykit.riccati import FuncEval, RiccatiPairSpec, certify, solve_ivp
 from hardykit.specfun import bessel_j, bessel_zero, hyp2f1, hyp2f1_dz
 from hardykit.spectral import spectral_lambda1
 from hardykit.testfuncs import gaussian_type, random_bumps, talenti
@@ -348,6 +354,74 @@ def digest_more_catalog_margins():
         digest_catalog_margins(name, geo, params, seed)
 
 
+def _pair(w="1", L="2/t", W="1/(4*t^2)", t_hi=2.0, **kw):
+    return RiccatiPairSpec(geo=E3, t_lo=0.0, t_hi=t_hi, w=parse(w), L=parse(L), W=parse(W),
+                           **kw)
+
+
+def digest_certify_failures():
+    # appended after the lines above: reports that are not "certified"
+    for label, spec, G in (
+            ("G-error", _pair(), parse("1/(2*t) + 0*log(1.5 - t)")),
+            ("w-error", _pair(w="1 + 0*sqrt(1.5 - t)"), parse("1/(2*t)")),
+            ("L-error", _pair(L="2/t + 0*log(1.5 - t)"), parse("1/(2*t)")),
+            ("W-error", _pair(W="1/(4*t^2) + 0*log(1.5 - t)"), parse("1/(2*t)")),
+            ("G-and-w-error", _pair(w="1 + 0*sqrt(1.5 - t)"),
+             parse("1/(2*t) + 0*log(1.5 - t)")),
+            ("L-and-W-error", _pair(L="2/t + 0*log(1.5 - t)",
+                                    W="1/(4*t^2) + 0*sqrt(1.5 - t)"), parse("1/(2*t)")),
+            ("w-nonpositive-and-L-error", _pair(w="1.5 - t", L="2/t + 0*log(1.5 - t)"),
+             parse("1/(2*t)")),
+            ("first-point-error", _pair(), parse("log(t - 1)")),
+            ("W-nonpositive", _pair(W="1/(4*t^2) - 1"), parse("1/(2*t)")),
+            ("non-finite", _pair(W="1/(4*t^2) + exp(1000*t)"), parse("1/(2*t)")),
+            ("below-tol", _pair(t_hi=math.inf, homogeneity_hint=-2.0), parse("1.5/(2*t)")),
+            ("below-tol-unhinted", _pair(), parse("1.5/(2*t)")),
+            ("sign-plus", _pair(L="0", t_hi=1.0, homogeneity_hint=-2.0), parse("-1/(2*t)")),
+            ("sign-minus", _pair(t_hi=math.inf, g_sign_required=-1, homogeneity_hint=-2.0),
+             parse("1/(2*t)")),
+            ("unbound-G", _pair(), parse("c/t")),
+            ("unbound-L", _pair(L="c/t"), parse("1/(2*t)")),
+            ("no-derivative", _pair(), FuncEval(lambda t: 0.5 / t, name="half")),
+            ("power-overflow", _pair(), parse("1e200 + t"))):
+        for grid in ("log", "uniform"):
+            rep = _outcome(certify, spec, G, grid_policy=grid, n_points=256)
+            if isinstance(rep, str):
+                print("certify-failure", label, grid, rep)
+                continue
+            print("certify-failure", label, grid, rep.verdict, repr(rep.reason),
+                  repr(rep.witness_t), repr(rep.max_abs_residual), repr(rep.min_residual),
+                  repr(rep.argmin_t), repr(rep.min_G), repr(rep.max_G), len(rep.residuals),
+                  _h(rep.residuals))
+
+
+def digest_trajectories():
+    # appended after the lines above: the equality ODE from a point of G,
+    # both ways, on the interior window the perfbench solves use
+    for name, geo, params in CATALOG_CASES:
+        if name.startswith("caccioppoli") or name == "greene_wu_psi":
+            continue
+        inst = instantiate(name, geo, params)
+        lo, hi = inst.spec.t_lo, inst.spec.t_hi
+        a, b = (lo + 1.0, lo + 4.0) if math.isinf(hi) else (lo + 0.25 * (hi - lo),
+                                                             lo + 0.85 * (hi - lo))
+        t0 = a + 0.4 * (b - a)
+        g0 = inst.G.eval(t0, inst.spec.binding())
+        for direction, samples in (("forward", [t0 + (b - t0) * (i + 1) / 8.0 for i in range(8)]),
+                                   ("backward", [a + (t0 - a) * i / 8.0 for i in range(8)])):
+            tr = _outcome(solve_ivp, inst.spec, t0, g0, direction, samples)
+            if isinstance(tr, str):
+                print("trajectory", name, geo, direction, tr)
+                continue
+            print("trajectory", name, geo, direction, len(tr.ts), tr.blew_up,
+                  repr(tr.blow_up_t), repr(tr.reason), [repr(g) for g in tr.gs])
+    spec = RiccatiPairSpec(geo=ModelGeometry(0.0, 2, 2.0), t_lo=0.0, t_hi=1.5, w=parse("1"),
+                           L=parse("1/t"), W=parse("7 + 0*t"))
+    tr = solve_ivp(spec, 0.1, 0.3, "forward", [0.1 + i * 0.9 / 63 for i in range(64)])
+    print("trajectory blow-up", len(tr.ts), tr.blew_up, repr(tr.blow_up_t), repr(tr.reason),
+          _h(tr.ts), _h(tr.gs))
+
+
 def main() -> int:
     digest_certify()
     digest_margins()
@@ -358,6 +432,8 @@ def main() -> int:
     digest_constants()
     digest_long_and_overflowing_expressions()
     digest_more_catalog_margins()
+    digest_certify_failures()
+    digest_trajectories()
     return 0
 
 
