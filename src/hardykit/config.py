@@ -22,12 +22,6 @@ from .riccati import RiccatiPairSpec
 __all__ = ["parse_config", "emit_config"]
 
 
-def _float_or_inf(s: str) -> float:
-    if s.strip().lower() == "inf":
-        return math.inf
-    return float(s)
-
-
 def parse_config(text: str) -> tuple[RiccatiPairSpec, ScalarExpr]:
     """Parse a config file into (RiccatiPairSpec, G)."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -42,18 +36,29 @@ def parse_config(text: str) -> tuple[RiccatiPairSpec, ScalarExpr]:
             raise ParameterError(f"config missing [{section}] {key}")
         return cp.get(section, key)
 
-    geo = ModelGeometry(
-        kappa=float(need("geometry", "kappa")),
-        n=int(float(need("geometry", "n"))),
-        p=float(need("geometry", "p")),
-    )
-    t_lo = _float_or_inf(need("interval", "lo"))
-    t_hi = _float_or_inf(need("interval", "hi"))
+    def number(section: str, key: str) -> float:
+        try:
+            return float(need(section, key))  # "inf" included
+        except ValueError:
+            raise ParameterError(f"config [{section}] {key} = {need(section, key)!r} "
+                                 "is not a number") from None
+
+    def integer(section: str, key: str) -> int:
+        x = number(section, key)
+        if not x.is_integer():
+            raise ParameterError(f"config [{section}] {key} = {need(section, key)!r} "
+                                 "is not an integer")
+        return int(x)
+
+    geo = ModelGeometry(kappa=number("geometry", "kappa"), n=integer("geometry", "n"),
+                        p=number("geometry", "p"))
+    t_lo = number("interval", "lo")
+    t_hi = number("interval", "hi")
 
     params: dict[str, float] = {}
     if cp.has_section("params"):
-        for k, v in cp.items("params"):
-            params[k] = float(v)
+        for k in cp.options("params"):
+            params[k] = number("params", k)
 
     w = parse_expr(need("expressions", "w"))
     W = parse_expr(need("expressions", "W"))
@@ -72,11 +77,16 @@ def parse_config(text: str) -> tuple[RiccatiPairSpec, ScalarExpr]:
     rho_kind = "radial_distance"
     if cp.has_section("flags"):
         if cp.has_option("flags", "require_G_nonneg"):
-            g_sign = 1 if cp.getboolean("flags", "require_G_nonneg") else 0
+            try:
+                g_sign = 1 if cp.getboolean("flags", "require_G_nonneg") else 0
+            except ValueError:
+                text = need("flags", "require_G_nonneg")
+                raise ParameterError(f"config [flags] require_G_nonneg = {text!r} "
+                                     "is not a boolean") from None
         if cp.has_option("flags", "g_sign_required"):
-            g_sign = int(cp.get("flags", "g_sign_required"))
+            g_sign = integer("flags", "g_sign_required")
         if cp.has_option("flags", "homogeneity_hint"):
-            hint = float(cp.get("flags", "homogeneity_hint"))
+            hint = number("flags", "homogeneity_hint")
         if cp.has_option("flags", "rho_kind"):
             rho_kind = cp.get("flags", "rho_kind").strip()
 
@@ -97,8 +107,10 @@ def emit_config(spec: RiccatiPairSpec, G) -> str:
     if not isinstance(G, ScalarExpr):
         raise ParameterError(
             "only expression-backed candidates can be written to a config file")
-    for name, obj in (("w", spec.w), ("W", spec.W)):
-        if not isinstance(obj, (ScalarExpr, ComparisonL)):
+    # w and W are written as expressions, L as one or as a comparison kind
+    for name, obj, kinds in (("w", spec.w, ScalarExpr), ("L", spec.L, (ScalarExpr, ComparisonL)),
+                             ("W", spec.W, ScalarExpr)):
+        if not isinstance(obj, kinds):
             raise ParameterError(f"{name} is not expression-backed; cannot emit config")
 
     out = io.StringIO()

@@ -21,7 +21,9 @@ Evaluation is pure: a parsed ScalarExpr is immutable, evaluating it twice
 with the same binding gives bit-identical results (unless the binding was
 changed in place in between to an equal value of another sign of zero or
 type, such as 0.0 to -0.0: see ScalarExpr), and the exact first
-derivative d/dt comes from dual-number propagation through every builtin.
+derivative d/dt is carried beside the value through every node: one table,
+_BUILTINS, describes each builtin by its value and its dual-mode
+statements, and the operators have theirs beside it.
 An expression is compiled lazily, once per binding and mode (value or
 dual), into one generated Python function: a flat run of statements, one
 local per AST node, the derivative carried as a second float local in dual
@@ -63,7 +65,6 @@ from .errors import (
 __all__ = [
     "ScalarExpr",
     "ParamBinding",
-    "Dual",
     "parse",
     "evaluator",
     "BUILTIN_ARITY",
@@ -72,20 +73,7 @@ __all__ = [
 ParamBinding = Mapping[str, float]
 
 # ---------------------------------------------------------------------------
-# dual numbers
-
-
-class Dual:
-    """Value plus first derivative with respect to the expression variable."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v: float, d: float = 0.0):
-        self.v = v
-        self.d = d
-
-    def __repr__(self):
-        return f"Dual({self.v!r}, {self.d!r})"
+# the functions the generated code calls
 
 
 def _safe_exp(x: float) -> float:
@@ -146,47 +134,6 @@ def _need_kappa(binding: ParamBinding) -> float:
         raise UnboundParameterError("builtin needs 'kappa' in the binding") from None
 
 
-def _const_arg(d: Dual, what: str) -> float:
-    if d.d != 0.0:
-        raise UnsupportedDerivativeError(f"no derivative rule through the {what} argument")
-    return d.v
-
-
-def _bj_dual(order: Dual, x: Dual) -> tuple[float, float]:
-    nu = _const_arg(order, "besselj order")
-    v = _sf.bessel_j(nu, x.v)
-    if x.d == 0.0:
-        return v, 0.0
-    if x.v == 0.0:
-        if nu == 1.0:
-            return v, 0.5 * x.d
-        if nu == 0.0 or nu > 1.0:
-            return v, 0.0
-        raise EvalError(f"besselj({nu}, x) has unbounded derivative at x=0")
-    return v, _sf._bessel_j_dx(nu, x.v, v) * x.d
-
-
-def _br_dual(order: Dual, x: Dual) -> tuple[float, float]:
-    nu = _const_arg(order, "besselratio order")
-    r = _sf.bessel_ratio(nu, x.v)
-    return r, _sf.bessel_ratio_dx(nu, x.v, r) * x.d
-
-
-def _hyp_dual(*args: Dual) -> tuple[float, float]:
-    a, b, c = (_const_arg(p, "hyp2f1 parameter") for p in args[:3])
-    z = args[3]
-    if z.d == 0.0:
-        return _sf.hyp2f1(a, b, c, z.v), 0.0
-    v, dz = _sf.hyp2f1_with_dz(a, b, c, z.v)
-    return v, dz * z.d
-
-
-def _gamma_dual(x: Dual) -> tuple[float, float]:
-    if x.d != 0.0:
-        raise UnsupportedDerivativeError("gamma is excluded from differentiation paths")
-    return _sf.gamma(x.v), 0.0
-
-
 def _log_v(x: float) -> float:
     if x <= 0.0:
         raise EvalError(f"log of nonpositive value {x!r}")
@@ -219,67 +166,87 @@ def _cosh_v(x: float) -> float:
         return math.inf
 
 
-# name -> (arity, value, dual rule), as Python source over this module's
-# names.  The value is an expression in the argument values {0}, {1}, ...
-# and the binding's kappa {k}.  A unary builtin's dual rule is its f'(x) in
-# terms of {0} = x, {v} = f(x) and {k}, which the chain rule multiplies by
-# dx/dt where that is nonzero.  Any other dual rule names a function from
-# the arguments' Duals to (value, derivative); pow is compiled as '^'.
-# specfun and geometry are reached through their module attributes, so each
-# call looks the function up when it runs.
+def _unary(value: str, derivative: str) -> tuple[int, str, str]:
+    """The entry of a unary builtin: its dual statements are its value, then
+    the chain rule, f'(x) times dx/dt where that is nonzero."""
+    return 1, value, f"{{v}} = {value}\n{{d}} = ({derivative}) * {{d0}} if {{d0}} != 0.0 else 0.0"
+
+
+def _refuse(moving: str, message: str) -> str:
+    """Dual statements that raise first if an argument that admits no
+    derivative moves."""
+    return f"if {moving}:\n    raise UnsupportedDerivativeError({message!r})\n"
+
+
+# The dual statements of the builtins with arguments that admit no
+# derivative: each refuses a moving one before it computes the value.
+_BESSELJ_DUAL = _refuse("{d0} != 0.0", "no derivative rule through the besselj order argument") + (
+    "{v} = _sf.bessel_j({0}, {1})\n"
+    "if {d1} == 0.0:\n    {d} = 0.0\n"
+    "elif {1} != 0.0:\n    {d} = _sf._bessel_j_dx({0}, {1}, {v}) * {d1}\n"
+    "elif {0} == 1.0:\n    {d} = 0.5 * {d1}\n"
+    "elif {0} == 0.0 or {0} > 1.0:\n    {d} = 0.0\n"
+    "else:\n    raise EvalError(f'besselj({{{0}}}, x) has unbounded derivative at x=0')")
+_BESSELRATIO_DUAL = _refuse(
+    "{d0} != 0.0", "no derivative rule through the besselratio order argument") + (
+    "{v} = _sf.bessel_ratio({0}, {1})\n{d} = _sf.bessel_ratio_dx({0}, {1}, {v}) * {d1}")
+# one series pass gives F and dF/dz where z moves; F alone where it does not
+_HYP2F1_DUAL = _refuse("{d0} != 0.0 or {d1} != 0.0 or {d2} != 0.0",
+                       "no derivative rule through the hyp2f1 parameter argument") + (
+    "if {d3} == 0.0:\n    {v} = _sf.hyp2f1({0}, {1}, {2}, {3})\n    {d} = 0.0\n"
+    "else:\n    {v}, {d} = _sf.hyp2f1_with_dz({0}, {1}, {2}, {3})\n    {d} = {d} * {d3}")
+_GAMMA_DUAL = _refuse("{d0} != 0.0", "gamma is excluded from differentiation paths") + (
+    "{v} = _sf.gamma({0})\n{d} = 0.0")
+
+# name -> (arity, value, dual statements), as Python source over this
+# module's names: the one description of each builtin.  The value is an
+# expression in the argument values {0}, {1}, ... and the binding's kappa
+# {k}.  The dual statements, over the same and the arguments' derivatives
+# {d0}, {d1}, ..., assign the value to {v} and the derivative to {d}; a
+# unary builtin's are the chain rule of its f'(x), in terms of {0} = x,
+# {v} = f(x) and {k}.  specfun and geometry are reached through their
+# module attributes, so each call looks the function up when it runs.
 _BUILTINS = {
-    "abs": (1, "abs({0})", "math.copysign(1.0, {0}) if {0} != 0.0 else 0.0"),
-    "sqrt": (1, "_sqrt_v({0})", "_sqrt_d({0}, {v})"),
-    "exp": (1, "_safe_exp({0})", "{v}"),
-    "log": (1, "_log_v({0})", "1.0 / {0}"),
-    "pow": (2, "_pow_value({0}, {1})", None),  # compiled as '^'
-    "sin": (1, "math.sin({0})", "math.cos({0})"),
-    "cos": (1, "math.cos({0})", "-math.sin({0})"),
-    "sinh": (1, "_sinh_v({0})", "_cosh_v({0})"),
-    "cosh": (1, "_cosh_v({0})", "_sinh_v({0})"),
-    "tanh": (1, "math.tanh({0})", "1.0 - {v} * {v}"),
-    "coth": (1, "_coth_value({0})", "1.0 - {v} * {v}"),
-    "ct": (1, "_geo.ct_value({k}, {0})", "-{k} - {v} * {v}"),
-    "s": (1, "_geo.s_value({k}, {0})", "_geo.s_value_dt({k}, {0})"),
-    "D": (1, "_geo.deficit_value({k}, {0})", "_geo.deficit_value_dt({k}, {0})"),
-    "besselj": (2, "_sf.bessel_j({0}, {1})", "_bj_dual"),
-    "besselratio": (2, "_sf.bessel_ratio({0}, {1})", "_br_dual"),
-    "hyp2f1": (4, "_sf.hyp2f1({0}, {1}, {2}, {3})", "_hyp_dual"),
-    "gamma": (1, "_sf.gamma({0})", "_gamma_dual"),
+    "abs": _unary("abs({0})", "math.copysign(1.0, {0}) if {0} != 0.0 else 0.0"),
+    "sqrt": _unary("_sqrt_v({0})", "_sqrt_d({0}, {v})"),
+    "exp": _unary("_safe_exp({0})", "{v}"),
+    "log": _unary("_log_v({0})", "1.0 / {0}"),
+    "pow": (2, "_pow_value({0}, {1})", "{v}, {d} = _pow_dual({0}, {d0}, {1}, {d1})"),
+    "sin": _unary("math.sin({0})", "math.cos({0})"),
+    "cos": _unary("math.cos({0})", "-math.sin({0})"),
+    "sinh": _unary("_sinh_v({0})", "_cosh_v({0})"),
+    "cosh": _unary("_cosh_v({0})", "_sinh_v({0})"),
+    "tanh": _unary("math.tanh({0})", "1.0 - {v} * {v}"),
+    "coth": _unary("_coth_value({0})", "1.0 - {v} * {v}"),
+    "ct": _unary("_geo.ct_value({k}, {0})", "-{k} - {v} * {v}"),
+    "s": _unary("_geo.s_value({k}, {0})", "_geo.s_value_dt({k}, {0})"),
+    "D": _unary("_geo.deficit_value({k}, {0})", "_geo.deficit_value_dt({k}, {0})"),
+    "besselj": (2, "_sf.bessel_j({0}, {1})", _BESSELJ_DUAL),
+    "besselratio": (2, "_sf.bessel_ratio({0}, {1})", _BESSELRATIO_DUAL),
+    "hyp2f1": (4, "_sf.hyp2f1({0}, {1}, {2}, {3})", _HYP2F1_DUAL),
+    "gamma": (1, "_sf.gamma({0})", _GAMMA_DUAL),
 }
 
 BUILTIN_ARITY = {name: spec[0] for name, spec in _BUILTINS.items()}
 
-_KAPPA_BUILTINS = frozenset({"ct", "s", "D"})
+_KAPPA_BUILTINS = frozenset(name for name, (_, value, _) in _BUILTINS.items() if "{k}" in value)
 
 
 # Statements of each operator and builtin, for value and for dual mode,
 # over the argument values {0}, {1}, ..., their derivatives {d0}, {d1}, ...
 # and the binding's kappa {k}; they assign the value to {v} and, in dual
-# mode, the derivative to {d}.  A unary builtin's rule is the chain rule.
+# mode, the derivative to {d}.  In dual mode kappa is read once, first.
 _DIVIDE = "if {1} == 0.0:\n    raise EvalError('division by zero')\n{v} = {0} / {1}"
 _STATEMENTS = {
     "+": ("{v} = {0} + {1}", "{v} = {0} + {1}\n{d} = {d0} + {d1}"),
     "-": ("{v} = {0} - {1}", "{v} = {0} - {1}\n{d} = {d0} - {d1}"),
     "*": ("{v} = {0} * {1}", "{v} = {0} * {1}\n{d} = {d0} * {1} + {0} * {d1}"),
     "/": (_DIVIDE, _DIVIDE + "\n{d} = ({d0} - {v} * {d1}) / {1}"),
-    "^": ("{v} = _pow_value({0}, {1})", "{v}, {d} = _pow_dual({0}, {d0}, {1}, {d1})"),
 }
-
-
-def _builtin_statements(name: str, arity: int, value: str, rule: str | None) -> tuple[str, str]:
-    """The value-mode and dual-mode statements of a builtin's _BUILTINS entry."""
-    if rule is None:
-        return _STATEMENTS["^"]
-    if rule.isidentifier():
-        duals = ", ".join(f"Dual({{{j}}}, {{d{j}}})" for j in range(arity))
-        return "{v} = " + value, f"{{v}}, {{d}} = {rule}({duals})"
-    kappa = "kappa = _need_kappa(binding)\n" if name in _KAPPA_BUILTINS else ""
-    return "{v} = " + value, (f"{kappa}{{v}} = {value}\n"
-                              f"{{d}} = ({rule}) * {{d0}} if {{d0}} != 0.0 else 0.0")
-
-
-_STATEMENTS.update((name, _builtin_statements(name, *spec)) for name, spec in _BUILTINS.items())
+_STATEMENTS.update((name, ("{v} = " + value,
+                           ("kappa = _need_kappa(binding)\n" if name in _KAPPA_BUILTINS else "")
+                           + dual)) for name, (_, value, dual) in _BUILTINS.items())
+_STATEMENTS["^"] = _STATEMENTS["pow"]
 _PARAM = ("try:\n    {v} = binding[{name}]\nexcept KeyError:\n"
           "    raise UnboundParameterError('unbound parameter ' + repr({name})) from None")
 _TRY = "try:\n    {}\nexcept _REWRAPPED as exc:\n    raise _rewrap(exc, fragments[{}]) from None"

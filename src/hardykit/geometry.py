@@ -85,12 +85,6 @@ def ct_value(kappa: float, t: float) -> float:
     return r * _coth(r * t)
 
 
-def ct_value_dt(kappa: float, t: float) -> float:
-    """d/dt ct_kappa(t) = -kappa - ct_kappa(t)^2 (equals -1/t^2 at kappa=0)."""
-    c = ct_value(kappa, t)
-    return -kappa - c * c
-
-
 def s_value(kappa: float, t: float) -> float:
     """s_kappa(t): t for kappa = 0, sinh(sqrt(-kappa) t)/sqrt(-kappa) below."""
     if t < 0.0:

@@ -250,8 +250,8 @@ def certify(
     min_r = math.inf
     argmin = grid[0]
     max_abs = 0.0
-    min_g = math.inf
-    max_g = -math.inf
+    min_g, t_min_g = math.inf, None  # t_min_g, t_max_g: where G is least, greatest
+    max_g, t_max_g = -math.inf, None
     hint = spec.homogeneity_hint
     parts = _residual_fn(spec, G, spec.binding())
     for t in grid:
@@ -277,8 +277,10 @@ def certify(
         if rn < min_r:
             min_r, argmin = rn, t
         max_abs = max(max_abs, abs(rn))
-        min_g = min(min_g, g)
-        max_g = max(max_g, g)
+        if g < min_g:
+            min_g, t_min_g = g, t
+        if g > max_g:
+            max_g, t_max_g = g, t
 
     ok = min_r >= -tol
     reason = ""
@@ -288,11 +290,11 @@ def certify(
         reason = f"residual {min_r:.6g} below -tol at t={argmin:.6g}"
     if ok and spec.g_sign_required == 1 and min_g < -tol:
         ok = False
-        witness = argmin
+        witness = t_min_g
         reason = f"sign condition violated: min G = {min_g:.6g} < -tol"
     if ok and spec.g_sign_required == -1 and max_g > tol:
         ok = False
-        witness = argmin
+        witness = t_max_g
         reason = f"sign condition violated: max G = {max_g:.6g} > tol"
     return CertificationReport(
         grid=grid, residuals=residuals, min_residual=min_r, argmin_t=argmin,

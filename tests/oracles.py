@@ -2,14 +2,18 @@
 
 Everything here is deliberately primitive (exponentials, bisection, direct
 partial sums, central differences) and shares no code with the
-implementations it checks.
+implementations it checks.  The expression reference calls the geometry
+and specfun kernels for the builtins that need them; those kernels are
+checked against mpmath in their own tests.
 """
 
 from __future__ import annotations
 
 import math
 
-from hardykit.errors import EvalError, HardykitError, UnboundParameterError
+from hardykit import geometry, specfun
+from hardykit.errors import (EvalError, HardykitError, UnboundParameterError,
+                             UnsupportedDerivativeError)
 
 
 def coth_exp(x: float) -> float:
@@ -146,7 +150,10 @@ def simpson(f, lo: float, hi: float, n: int = 4096) -> float:
 # of a negative one and the undefined powers raise EvalError naming the
 # fragment of the source; exp, sinh and cosh overflow to inf; d/dt follows
 # the chain rule through every node.  It covers + - * / ^, unary minus, pow
-# and the elementary builtins below.
+# and every builtin: the elementary ones below, and those that call the
+# geometry and specfun kernels (ct, s and D read kappa from the binding; the
+# order of besselj and besselratio, a, b, c of hyp2f1 and the argument of
+# gamma admit no derivative).
 
 
 def _ref_exp(x):
@@ -220,12 +227,88 @@ def _ref_pow(x, y):
         raise EvalError(f"power overflow at {x!r}^{y!r}")
 
 
-def _ref_op(op, args, dual):
+def _ref_coth(x):
+    if x == 0.0:
+        raise EvalError("coth(0) undefined")
+    return geometry._coth(x) if x > 0.0 else -geometry._coth(-x)
+
+
+def _ref_constant(d, what):
+    if d != 0.0:
+        raise UnsupportedDerivativeError(f"no derivative rule through the {what} argument")
+
+
+def _ref_besselj(args, dual):
+    (nu, nud), (x, xd) = args
+    if dual:
+        _ref_constant(nud, "besselj order")
+    v = specfun.bessel_j(nu, x)
+    if not dual or xd == 0.0:
+        return v, 0.0
+    if x != 0.0:
+        return v, specfun._bessel_j_dx(nu, x, v) * xd
+    # at x = 0: J_1' = 1/2, J_0' = J_nu' = 0 for nu > 1, unbounded otherwise
+    if nu == 1.0:
+        return v, 0.5 * xd
+    if nu == 0.0 or nu > 1.0:
+        return v, 0.0
+    raise EvalError(f"besselj({nu}, x) has unbounded derivative at x=0")
+
+
+def _ref_besselratio(args, dual):
+    (nu, nud), (x, xd) = args
+    if dual:
+        _ref_constant(nud, "besselratio order")
+    r = specfun.bessel_ratio(nu, x)
+    return r, specfun.bessel_ratio_dx(nu, x, r) * xd if dual else 0.0
+
+
+def _ref_hyp2f1(args, dual):
+    (a, ad), (b, bd), (c, cd), (z, zd) = args
+    if dual:
+        for d in (ad, bd, cd):
+            _ref_constant(d, "hyp2f1 parameter")
+    if not dual or zd == 0.0:
+        return specfun.hyp2f1(a, b, c, z), 0.0
+    v, dz = specfun.hyp2f1_with_dz(a, b, c, z)
+    return v, dz * zd
+
+
+def _ref_gamma(args, dual):
+    (x, xd), = args
+    if dual and xd != 0.0:
+        raise UnsupportedDerivativeError("gamma is excluded from differentiation paths")
+    return specfun.gamma(x), 0.0
+
+
+_REFERENCE_ALL_UNARY = {**REFERENCE_UNARY, "coth": (_ref_coth, lambda x, v: 1.0 - v * v)}
+
+_REFERENCE_SPECIAL = {"besselj": _ref_besselj, "besselratio": _ref_besselratio,
+                      "hyp2f1": _ref_hyp2f1, "gamma": _ref_gamma}
+
+# name -> (f(kappa, x), f'(kappa, x) given f(x)) of the builtins that read kappa
+_REFERENCE_KAPPA_UNARY = {
+    "ct": (geometry.ct_value, lambda k, x, v: -k - v * v),
+    "s": (geometry.s_value, lambda k, x, v: geometry.s_value_dt(k, x)),
+    "D": (geometry.deficit_value, lambda k, x, v: geometry.deficit_value_dt(k, x)),
+}
+
+
+def _ref_op(op, args, dual, binding):
     """(value, derivative) of one operator or builtin; the derivative is 0.0
     and unchecked in value mode."""
+    if op in _REFERENCE_SPECIAL:
+        return _REFERENCE_SPECIAL[op](args, dual)
     (av, ad) = args[0]
-    if op in REFERENCE_UNARY:
-        f, df = REFERENCE_UNARY[op]
+    if op in _REFERENCE_KAPPA_UNARY:
+        if "kappa" not in binding:
+            raise UnboundParameterError("builtin needs 'kappa' in the binding")
+        kappa = binding["kappa"]
+        f, df = _REFERENCE_KAPPA_UNARY[op]
+        v = f(kappa, av)
+        return v, (df(kappa, av, v) * ad if ad != 0.0 else 0.0) if dual else 0.0
+    if op in _REFERENCE_ALL_UNARY:
+        f, df = _REFERENCE_ALL_UNARY[op]
         v = f(av)
         return v, (df(av, v) * ad if ad != 0.0 else 0.0) if dual else 0.0
     (bv, bd) = args[1]
@@ -273,7 +356,7 @@ def _ref_walk(node, source, t, binding, dual):
     children = (node.left, node.right) if kind == "Bin" else node.args
     args = [_ref_walk(c, source, t, binding, dual) for c in children]
     try:
-        return _ref_op(node.op if kind == "Bin" else node.name, args, dual)
+        return _ref_op(node.op if kind == "Bin" else node.name, args, dual, binding)
     except (HardykitError, ArithmeticError) as exc:
         if isinstance(exc, EvalError) and exc.fragment:
             raise
@@ -368,7 +451,7 @@ def reference_certify(spec, G, grid_policy="log", tol=1e-8, n_points=512, custom
                               custom=custom_grid)
     residuals = []
     min_r, argmin, max_abs = math.inf, grid[0], 0.0
-    min_g, max_g = math.inf, -math.inf
+    min_g, max_g, t_min_g, t_max_g = math.inf, -math.inf, None, None
     hint = spec.homogeneity_hint
     binding = spec.binding()
     for t in grid:
@@ -394,8 +477,10 @@ def reference_certify(spec, G, grid_policy="log", tol=1e-8, n_points=512, custom
         if rn < min_r:
             min_r, argmin = rn, t
         max_abs = max(max_abs, abs(rn))
-        min_g = min(min_g, g)
-        max_g = max(max_g, g)
+        if g < min_g:
+            min_g, t_min_g = g, t
+        if g > max_g:
+            max_g, t_max_g = g, t
 
     ok = min_r >= -tol
     reason, witness = "", None
@@ -403,10 +488,10 @@ def reference_certify(spec, G, grid_policy="log", tol=1e-8, n_points=512, custom
         witness = argmin
         reason = f"residual {min_r:.6g} below -tol at t={argmin:.6g}"
     if ok and spec.g_sign_required == 1 and min_g < -tol:
-        ok, witness = False, argmin
+        ok, witness = False, t_min_g
         reason = f"sign condition violated: min G = {min_g:.6g} < -tol"
     if ok and spec.g_sign_required == -1 and max_g > tol:
-        ok, witness = False, argmin
+        ok, witness = False, t_max_g
         reason = f"sign condition violated: max G = {max_g:.6g} > tol"
     return CertificationReport(
         grid=grid, residuals=residuals, min_residual=min_r, argmin_t=argmin,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -88,6 +89,53 @@ class TestConfigRoundTrip:
         assert rep1.verdict == rep2.verdict == "certified"
         assert rep1.min_residual == rep2.min_residual
         assert rep1.grid == rep2.grid
+
+    @pytest.mark.parametrize("line, message", [
+        # n = 3.7 was truncated to 3 and certified
+        ("n = 3.7", "config [geometry] n = '3.7' is not an integer"),
+        ("n = three", "config [geometry] n = 'three' is not a number"),
+        ("kappa = x", "config [geometry] kappa = 'x' is not a number"),
+        ("p = 2,5", "config [geometry] p = '2,5' is not a number"),
+        ("lo = zero", "config [interval] lo = 'zero' is not a number"),
+        ("hi = infinite", "config [interval] hi = 'infinite' is not a number"),
+        ("C = abc", "config [params] C = 'abc' is not a number"),
+        ("g_sign_required = yes", "config [flags] g_sign_required = 'yes' is not a number"),
+        ("g_sign_required = 0.5", "config [flags] g_sign_required = '0.5' is not an integer"),
+        ("homogeneity_hint = -two", "config [flags] homogeneity_hint = '-two' is not a number"),
+        ("require_G_nonneg = maybe",
+         "config [flags] require_G_nonneg = 'maybe' is not a boolean"),
+    ], ids=["n-fraction", "n-word", "kappa", "p", "lo", "hi", "param", "sign-word",
+            "sign-fraction", "hint", "require-nonneg"])
+    def test_malformed_value_exits_one(self, line, message, tmp_path, capsys):
+        text = ("[geometry]\nkappa = 0\nn = 3\np = 2\n\n[interval]\nlo = 0\nhi = inf\n\n"
+                "[expressions]\nw = 1\nL = 2/t\nW = C^2/(4*t^2)\nG = C/(2*t)\n\n"
+                "[params]\nC = 1\n\n[flags]\ng_sign_required = 1\nhomogeneity_hint = -2\n")
+        key = line.split(" = ")[0]
+        if f"\n{key} = " in text:
+            text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
+        else:  # [flags] comes last
+            text += line + "\n"
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(text)
+        assert main(["certify", "--spec", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field", ["w", "L", "W"])
+    def test_emit_refuses_what_the_format_cannot_write(self, field):
+        from dataclasses import replace
+
+        from hardykit.errors import ParameterError
+        from hardykit.geometry import ComparisonL
+        from hardykit.riccati import FuncEval
+
+        inst = instantiate("hardy", ModelGeometry(0.0, 3, 2.0), {"alpha": 0.0, "C": 2.0})
+        other = (FuncEval(lambda t: 2.0 / t, name="2/t") if field == "L"
+                 else ComparisonL(inst.spec.geo, "constant_curvature"))
+        with pytest.raises(ParameterError, match=f"^{field} is not expression-backed"):
+            emit_config(replace(inst.spec, **{field: other}), inst.G)
 
     def test_greene_wu_show_reports_unexpressible(self, capsys):
         rc = main(["catalog", "show", "greene_wu_psi",

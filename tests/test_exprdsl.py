@@ -484,6 +484,55 @@ class TestReferenceEvaluator:
                     values += sum(isinstance(o, str) for o in got)
         assert errors > 1000 and values > 4000  # both paths are exercised
 
+    def test_every_builtin_matches_a_recursive_walk(self):
+        # the same comparison over expressions drawn from every builtin, with
+        # and without kappa in the binding, plus the special cases by hand
+        rng = random.Random(2718)
+        bindings = ({"a": 1.3, "b": 0.6, "q": -0.7, "kappa": -1.0},
+                    {"a": 2.0, "b": -0.5, "q": 0.0, "kappa": 0.0},
+                    {"a": 1.3, "b": 0.6})
+        sources = [_any_builtin_expr(rng, rng.choice([1, 2, 3, 4])) for _ in range(600)]
+        sources += ["besselj(1, t)", "besselj(0, t)", "besselj(2.5, t)", "besselj(0.5, t)",
+                    "besselj(1, 2*t)", "besselj(a, t)", "besselj(t, 1)", "besselratio(t, 1)",
+                    "besselratio(0.5, t)", "hyp2f1(t, 1, 2, -1)", "hyp2f1(1, t, 2, -1)",
+                    "hyp2f1(1, 1, t, -1)", "hyp2f1(a, b, 2, -t)", "hyp2f1(a, b, 2, -a)*t",
+                    "gamma(t)", "gamma(a)*t", "ct(t)", "s(t)", "D(t)", "coth(t)", "coth(-t)"]
+        seen: dict[str, int] = {}
+        for src in sources:
+            e = parse(src)
+            names = {n.name for n in exprdsl._postorder(e.ast) if isinstance(n, exprdsl.Call)}
+            for binding in bindings:
+                for t in (rng.uniform(-1.0, 3.0), 0.0, 1.0, 0.5):
+                    got = _outcomes(e, t, binding)
+                    assert got == _reference_outcomes(e, t, binding), (src, t, binding)
+                    for o in got:
+                        kind = o[0] if isinstance(o, tuple) else "value"
+                        seen[kind] = seen.get(kind, 0) + 1
+                    for name in names:
+                        seen[name] = seen.get(name, 0) + 1
+        assert set(BUILTIN_ARITY) <= set(seen)
+        assert seen["value"] > 4000
+        # kernel errors (range, domain, pole) are rewrapped as EvalError
+        for kind in ("EvalError", "UnsupportedDerivativeError", "UnboundParameterError"):
+            assert seen.get(kind, 0) > 100, (kind, seen.get(kind))
+
+    def test_builtin_special_cases(self):
+        # the cases the reference must reproduce, pinned by value
+        assert parse("besselj(1, t)").eval_d(0.0) == (0.0, 0.5)
+        assert parse("besselj(0, t)").eval_d(0.0) == (1.0, 0.0)
+        assert repr(parse("besselj(2.5, -t)").eval_d(0.0)) == "(0.0, 0.0)"
+        with pytest.raises(EvalError, match=r"besselj\(0.5, x\) has unbounded") as err:
+            parse("besselj(0.5, t)").eval_d(0.0)
+        assert err.value.fragment == "besselj(0.5, t)"
+        with pytest.raises(UnsupportedDerivativeError, match="gamma is excluded"):
+            parse("gamma(t)").eval_d(0.0)  # refused before the pole is reached
+        with pytest.raises(UnboundParameterError, match="needs 'kappa'") as err:
+            parse("1 + ct(t)").eval(1.0)
+        assert err.value.fragment == "ct(t)"
+        for src in ("besselj(t, 1)", "besselratio(t, 1)", "hyp2f1(1, t, 2, -1)"):
+            with pytest.raises(UnsupportedDerivativeError, match="no derivative rule"):
+                parse(src).eval_d(0.5)
+
 
 class TestLongExpressions:
     def test_two_thousand_term_sum(self):
@@ -563,6 +612,13 @@ class TestCodeCache:
         info = exprdsl._code.cache_info()
         assert info.currsize <= info.maxsize
 
+    # the refusals and the besselj message of the special builtins' dual rules
+    FIXED_MESSAGES = {"no derivative rule through the besselj order argument",
+                      "no derivative rule through the besselratio order argument",
+                      "no derivative rule through the hyp2f1 parameter argument",
+                      "gamma is excluded from differentiation paths",
+                      "besselj(", ", x) has unbounded derivative at x=0"}
+
     def test_generated_source_holds_no_number_or_fragment(self, monkeypatch):
         import ast as pyast
         import builtins
@@ -595,9 +651,9 @@ class TestCodeCache:
                 if isinstance(node, pyast.Constant):
                     # floats come from the dual rules, ints index the fragments,
                     # strings are parameter names and fixed messages
-                    assert (node.value in (0.0, 1.0, None) or type(node.value) is int
+                    assert (node.value in (0.0, 0.5, 1.0, None) or type(node.value) is int
                             or node.value in {*binding, "division by zero",
-                                              "unbound parameter "}), node.value
+                                              "unbound parameter ", *self.FIXED_MESSAGES}), node.value
                 elif isinstance(node, pyast.Name):
                     # locals, arguments, exprdsl's names and builtins; never alpha_9
                     assert (re.fullmatch(r"[vdce]\d+", node.id) or hasattr(exprdsl, node.id)

@@ -140,6 +140,22 @@ class TestCertify:
         assert rep.verdict == "certified"
         assert rep.max_G <= 0.0
 
+    def test_sign_witness_is_where_G_breaks_the_sign(self):
+        # the residual 2/t^2 is least at the right end, G = -1/t at the left
+        spec = RiccatiPairSpec(geo=E3, t_lo=1.0, t_hi=10.0, w=parse("1"), L=parse("-3/t"),
+                               W=parse("1/t^2"))
+        rep = certify(spec, parse("-1/t"))
+        assert rep.verdict == "failed" and "min G = -1 " in rep.reason
+        assert rep.argmin_t > 9.9
+        assert rep.witness_t == rep.grid[0] and parse("-1/t").eval(rep.witness_t) == rep.min_G
+        # G = t <= 0 is required; the normalized residual 1/2 is least at the
+        # first node it is computed at, G is greatest at the right end
+        spec = RiccatiPairSpec(geo=E3, t_lo=1.0, t_hi=10.0, w=parse("1"), L=parse("t + 1/t"),
+                               W=parse("1"), g_sign_required=-1)
+        rep = certify(spec, parse("t"))
+        assert rep.verdict == "failed" and "max G = " in rep.reason
+        assert rep.witness_t == rep.grid[-1] == rep.max_G != rep.argmin_t
+
     def test_evaluation_failure_is_inconclusive(self):
         spec = RiccatiPairSpec(geo=E3, t_lo=0.0, t_hi=2.0, w=parse("1"),
                                L=parse("2/t"), W=parse("1/(4*t^2)"))
