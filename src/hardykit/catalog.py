@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import HypothesisError, ParameterError
-from .exprdsl import ScalarExpr, parse
+from .exprdsl import ScalarExpr, evaluator, parse
 from .geometry import ComparisonL, ModelGeometry, ct_value
 from .riccati import FuncEval, RiccatiPairSpec
 from .specfun import bessel_zero
@@ -339,9 +339,10 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
     if isinstance(psi, str):
         psi = parse(psi)
     binding = geo.binding()
+    psi_dual = evaluator(psi, binding, dual=True)
 
     def psi_d(t: float) -> tuple[float, float]:
-        return psi.eval_d(t, binding)
+        return psi_dual(t, binding)
 
     def psi_dd(t: float) -> float:
         h = min(1e-5 * (1.0 + t), 0.5 * t)  # keep the stencil inside t > 0

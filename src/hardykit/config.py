@@ -59,6 +59,9 @@ def parse_config(text: str) -> tuple[RiccatiPairSpec, ScalarExpr]:
     if cp.has_section("params"):
         for k in cp.options("params"):
             params[k] = number("params", k)
+            if not math.isfinite(params[k]):
+                raise ParameterError(f"config [params] {k} = {need('params', k)!r} "
+                                     "is not a finite number")
 
     w = parse_expr(need("expressions", "w"))
     W = parse_expr(need("expressions", "W"))

@@ -42,13 +42,16 @@ _TAYLOR_CUT = 1e-4
 
 @dataclass(frozen=True)
 class ModelGeometry:
-    """Curvature bound kappa <= 0, dimension n >= 2, exponent p > 1."""
+    """Finite curvature bound kappa <= 0, dimension n >= 2, exponent p > 1."""
 
     kappa: float
     n: int
     p: float
 
     def __post_init__(self):
+        for name in ("kappa", "n", "p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name}={getattr(self, name)!r} is not a finite number")
         if self.kappa > 0.0:
             raise ParameterError(f"kappa={self.kappa!r} > 0 rejected (model range is kappa <= 0)")
         if self.n < 2 or int(self.n) != self.n:
@@ -230,6 +233,7 @@ class ComparisonL:
         self.geo = geo
         self.kind = kind
         self.psi = psi
+        self._geo_binding = geo.binding()  # for psi, unless eval's binding overrides it
 
     def eval(self, t: float, binding: dict | None = None) -> float:
         geo = self.geo
@@ -237,10 +241,7 @@ class ComparisonL:
             return (geo.n - 1) * ct_value(geo.kappa, t)
         if self.kind == "constant_floor":
             return (geo.n - 1) * math.sqrt(-geo.kappa)
-        b = dict(binding or {})
-        b.setdefault("kappa", geo.kappa)
-        b.setdefault("n", float(geo.n))
-        b.setdefault("p", geo.p)
+        b = {**self._geo_binding, **(binding or {})}
         v, dv = self.psi.eval_d(t, b)
         if v <= 0.0:
             raise DomainError(f"psi({t!r}) = {v!r} <= 0")

@@ -21,6 +21,9 @@ from .errors import QuadratureError
 
 __all__ = ["integrate", "kronrod_panel"]
 
+# the error estimate below which any integral is accepted, whatever its value
+_ABS_TOL = 1e-300
+
 # 15-point Kronrod abscissae (positive half) with weights, and the embedded
 # 7-point Gauss weights on the shared nodes.  Values generated from the
 # defining orthogonality conditions in exact/50-digit arithmetic and checked
@@ -110,7 +113,6 @@ def integrate(
     lo: float,
     hi: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = 1e-300,
     breakpoints: Iterable[float] = (),
     singular_hint: float | None = None,
     max_subdivisions: int = 2000,
@@ -134,7 +136,7 @@ def integrate(
         heapq.heappush(heap, (-err, a, b, val))
 
     for _ in range(max_subdivisions):
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
+        if total_err <= max(_ABS_TOL, rel_tol * abs(total)):
             return total, total_err
         neg_err, a, b, val = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -148,7 +150,7 @@ def integrate(
         heapq.heappush(heap, (-e1, a, mid, v1))
         heapq.heappush(heap, (-e2, mid, b, v2))
 
-    if total_err <= max(abs_tol, rel_tol * abs(total)):
+    if total_err <= max(_ABS_TOL, rel_tol * abs(total)):
         return total, total_err
     raise QuadratureError(
         f"tolerance not reached after {max_subdivisions} subdivisions "

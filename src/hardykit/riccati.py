@@ -318,7 +318,6 @@ def solve_ivp(
     G0: float,
     direction: str = "forward",
     sample_ts: Sequence[float] | None = None,
-    rel_tol: float = 1e-10,
 ) -> RiccatiTrajectory:
     """Integrate the equality ODE G' = W + (p-1)|G|^{p'} - (w'/w + L) G,
     with w, L and W resolved to their evaluators once per call.
@@ -351,7 +350,7 @@ def solve_ivp(
         if behind_start or not ahead:
             raise ConvergenceError(
                 f"samples must lie {direction} of t0={t0!r}")
-    out: IntegrationOutcome = integrate_to_samples(f, t0, G0, samples, rel_tol=rel_tol)
+    out: IntegrationOutcome = integrate_to_samples(f, t0, G0, samples)
     ts, gs = out.ts, out.ys
     if direction == "backward":
         ts, gs = ts[::-1], gs[::-1]
@@ -370,9 +369,10 @@ class GFromSolution:
         self.y = y
         self.p = p
         self.binding = dict(binding or {})
+        self._y_d = evaluator(y, self.binding, dual=True)
 
     def _yv_yd(self, t: float) -> tuple[float, float]:
-        yv, yd = self.y.eval_d(t, self.binding)
+        yv, yd = self._y_d(t, self.binding)
         if not yv > 0.0:
             raise DomainError(f"profile y({t!r}) = {yv!r} is not positive")
         return yv, yd
@@ -386,8 +386,8 @@ class GFromSolution:
         yv, yd = self._yv_yd(t)
         p = self.p
         h = 1e-6 * (1.0 + abs(t))
-        ydp = self.y.eval_d(t + h, self.binding)[1]
-        ydm = self.y.eval_d(t - h, self.binding)[1]
+        ydp = self._y_d(t + h, self.binding)[1]
+        ydm = self._y_d(t - h, self.binding)[1]
         ypp = (ydp - ydm) / (2.0 * h)
         g = -math.copysign(abs(yd) ** (p - 1.0), yd) / yv ** (p - 1.0)
         if yd == 0.0:
@@ -416,10 +416,11 @@ class YFromG:
         self.p = p
         self.t_anchor = t_anchor
         self.binding = dict(binding or {})
+        self._g_v = evaluator(G, self.binding)
         self._cache: dict[float, float] = {t_anchor: 0.0}
 
     def _integrand(self, s: float) -> float:
-        g = self.G.eval(s, self.binding)
+        g = self._g_v(s, self.binding)
         return math.copysign(abs(g) ** (1.0 / (self.p - 1.0)), g)
 
     def eval(self, t: float, binding: dict | None = None) -> float:

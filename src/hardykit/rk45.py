@@ -33,6 +33,8 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 
 BLOWUP_CAP = 1e12
 _MIN_STEP_FRACTION = 1e-14
 _MAX_STEPS = 1_000_000
+# a step is accepted when |y5 - y4| <= _ABS_TOL + _REL_TOL * max(|y|, |y5|)
+_REL_TOL, _ABS_TOL = 1e-10, 1e-12
 
 
 @dataclass
@@ -49,8 +51,6 @@ def integrate_to_samples(
     t0: float,
     y0: float,
     sample_ts: Sequence[float],
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
 ) -> IntegrationOutcome:
     """Integrate y' = f(t, y) from (t0, y0), landing on each sample abscissa.
 
@@ -110,7 +110,7 @@ def integrate_to_samples(
             y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
             y4 = y + h * sum(b * k for b, k in zip(_B4, ks))
             err = abs(y5 - y4)
-            scale = abs_tol + rel_tol * max(abs(y), abs(y5))
+            scale = _ABS_TOL + _REL_TOL * max(abs(y), abs(y5))
         if failed or not math.isfinite(y5):
             h *= 0.5
             if abs(h) < _MIN_STEP_FRACTION * max(abs(t), 1e-30):

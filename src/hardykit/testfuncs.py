@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ParameterError
-from .exprdsl import ScalarExpr
+from .exprdsl import ScalarExpr, evaluator
 
 __all__ = [
     "RadialTestFunction",
@@ -255,11 +255,12 @@ def random_bumps(count: int, seed: int, lo: float = 0.0, hi: float = math.inf,
 def from_expr(expr: ScalarExpr, R: float, binding: dict | None = None) -> RadialTestFunction:
     """Wrap a parsed expression of t as a test function on (0, R]."""
     b = dict(binding or {})
+    value, dual = evaluator(expr, b), evaluator(expr, b, dual=True)
 
     def u(t: float) -> float:
-        return expr.eval(t, b) if t < R else 0.0
+        return value(t, b) if t < R else 0.0
 
     def du(t: float) -> float:
-        return expr.eval_d(t, b)[1] if t < R else 0.0
+        return dual(t, b)[1] if t < R else 0.0
 
     return RadialTestFunction("dsl", u, du, 0.0, R, params={"source": expr.source})

@@ -3,15 +3,17 @@
 Everything here reduces to weighted radial integrals against the model
 measure d(mu) = n*omega_n * s_kappa^(n-1)(t) dt, all computed by one
 helper, ``_integral``.  The additive margin compares the energy integral
-with the two-term right side built from a candidate G and a nonlinearity
-H; the multiplicative margin assembles |I_H|^p / J_H^(p-1) from the same
-integrals; the uncertainty and interpolation-type modes specialize H and
-add the curvature deficit factor.  Margins carry their quadrature error
-estimates, and a margin only counts as a violation when it is more
-negative than 10x the combined error (numerical noise must never
-masquerade as a counterexample to a theorem).  The relative quadrature
-tolerance is ``_TOL`` = 1e-10 for the additive and multiplicative margins
-and ``radial_integral``, ``_TOL_FINE`` = 1e-11 for everything else.
+with the two-term right side built from a candidate G, its weight w (the
+constant 1 for a plain G) and a nonlinearity H, each resolved to its
+evaluator once per margin; the multiplicative margin assembles
+|I_H|^p / J_H^(p-1) from the same integrals; the uncertainty and
+interpolation-type modes specialize H and add the curvature deficit
+factor.  Margins carry their quadrature error estimates, and a margin only
+counts as a violation when it is more negative than 10x the combined error
+(numerical noise must never masquerade as a counterexample to a theorem).
+The relative quadrature tolerance is ``_TOL`` = 1e-10 for the additive and
+multiplicative margins and ``radial_integral``, ``_TOL_FINE`` = 1e-11 for
+everything else.
 
 Near-extremal Hardy test functions spread mass over hundreds of decades
 with plateau values around 1e150, so the sharpness-sweep integrals run
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 
 from .catalog import CatalogInstance
 from .errors import DomainError, HypothesisError, ParameterError
-from .exprdsl import ScalarExpr
+from .exprdsl import evaluator, parse
 from .geometry import ModelGeometry, ct_value, deficit_value, s_value, unit_ball_volume
 from .quadrature import integrate
 from .testfuncs import RadialTestFunction, gaussian_type, power_cutoff, talenti
@@ -126,61 +128,38 @@ def radial_integral(
 
 
 # ---------------------------------------------------------------------------
-# nonlinearity H
-
-
-class _PowerH:
-    """H(s) = |s|^p / p, the choice reducing the additive form to a Hardy
-    inequality: p H(s) = |H'(s)|^{p'} = |s|^p."""
-
-    def __init__(self, p: float):
-        self.p = p
-
-    def h(self, s_val: float) -> float:
-        return abs(s_val) ** self.p / self.p
-
-    def habs_dp(self, s_val: float, p_conj: float) -> float:
-        return abs(s_val) ** self.p
-
-
-class _ExprH:
-    def __init__(self, expr: ScalarExpr, binding: dict):
-        self.expr = expr
-        self.binding = binding
-        v0, d0 = expr.eval_d(0.0, binding)
-        if abs(v0) > 1e-12 or abs(d0) > 1e-12:
-            raise HypothesisError("H(0) = H'(0) = 0",
-                                  f"H(0) = {v0!r}, H'(0) = {d0!r}")
-
-    def h(self, s_val: float) -> float:
-        return self.expr.eval(s_val, self.binding)
-
-    def habs_dp(self, s_val: float, p_conj: float) -> float:
-        return abs(self.expr.eval_d(s_val, self.binding)[1]) ** p_conj
-
-
-def _make_h(H, p: float, binding: dict):
-    if H is None:
-        return _PowerH(p)
-    if isinstance(H, ScalarExpr):
-        return _ExprH(H, binding)
-    return H
-
-
-# ---------------------------------------------------------------------------
 # additive / multiplicative margins
+
+# the weight of a plain G target
+_UNIT_WEIGHT = parse("1")
+
+
+def _nonlinearity(H, p: float, pc: float, binding: dict):
+    """(h, h_dp): the functions s -> H(s) and s -> |H'(s)|^{p'}.
+
+    H = None is |s|^p/p, the choice reducing the additive form to a Hardy
+    inequality: p H(s) = |H'(s)|^{p'} = |s|^p.  Any other H is an evaluable
+    in s with H(0) = H'(0) = 0, resolved once for the binding."""
+    if H is None:
+        return (lambda s: abs(s) ** p / p), (lambda s: abs(s) ** p)
+    h_d = evaluator(H, binding, dual=True)
+    v0, d0 = h_d(0.0, binding)
+    if abs(v0) > 1e-12 or abs(d0) > 1e-12:
+        raise HypothesisError("H(0) = H'(0) = 0", f"H(0) = {v0!r}, H'(0) = {d0!r}")
+    h_v = evaluator(H, binding)
+    return (lambda s: h_v(s, binding)), (lambda s: abs(h_d(s, binding)[1]) ** pc)
 
 
 def _resolve_target(geo, target, u: RadialTestFunction, binding):
     """(geo, G, w, binding) of a margin target: a CatalogInstance or a
     (RiccatiPairSpec, G) pair, either carrying w, the interval and the
-    binding, or a plain G evaluable (w = None, the weight 1)."""
+    binding, or a plain G evaluable, whose weight is the constant 1."""
     if isinstance(target, CatalogInstance):
         what, spec, G = f"entry {target.name!r}", target.spec, target.G
     elif isinstance(target, tuple):
         what, (spec, G) = "spec", target
     else:
-        return geo, target, None, geo.binding() if binding is None else binding
+        return geo, target, _UNIT_WEIGHT, geo.binding() if binding is None else binding
     if spec.rho_kind != "radial_distance":
         raise ParameterError(f"{what} is built on rho = {spec.rho_kind}; "
                              "radial quadrature does not apply")
@@ -198,9 +177,10 @@ def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
     """(p, energy, I_H, J_H) with the three error estimates: the terms both
     margins combine, for a target as ``_resolve_target`` takes it.
 
-    The three integrals share their mesh seeds and so most nodes.  I_H runs
-    first and records u, G, w (1.0 for w = None) and s_kappa^(n-1) where h(u)
-    is not 0; the energy and J_H read them there, and J_H never needs G'.  A
+    G, w and H are resolved to their evaluators once, as certify resolves
+    its own.  The three integrals share their mesh seeds and so most nodes.
+    I_H runs first and records u, G, w and s_kappa^(n-1) where h(u) is not
+    0; the energy and J_H read them there, and J_H never needs G'.  A
     recorded value is the float its reader would compute (eval(t) equals
     eval_d(t)[0] bitwise), so every result and mesh is that of independent
     integrals.  An error of the energy integral, which came first, still
@@ -208,21 +188,19 @@ def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
     geo, G, w, binding = _resolve_target(geo, target, u, binding)
     n, kappa, p = geo.n, geo.kappa, geo.p
     pc = geo.p_conj
-    hfun = _make_h(H, p, binding)
+    h, h_dp = _nonlinearity(H, p, pc, binding)
+    g_d, g_v = evaluator(G, binding, dual=True), evaluator(G, binding)
+    w_d, w_v = evaluator(w, binding, dual=True), evaluator(w, binding)
     seen: dict[float, tuple[float, float, float, float]] = {}  # t -> (u, G, w, density)
 
     def f_i(t: float) -> float:
         uv = u.u(t)
-        hval = hfun.h(uv)
+        hval = h(uv)
         if hval == 0.0:
             return 0.0
-        gv, gd = G.eval_d(t, binding)
-        if w is None:
-            wv = 1.0
-            drift = gd + gv * (n - 1) * ct_value(kappa, t)
-        else:
-            wv, wd = w.eval_d(t, binding)
-            drift = (gd * wv + gv * wd) + gv * wv * (n - 1) * ct_value(kappa, t)
+        gv, gd = g_d(t, binding)
+        wv, wd = w_d(t, binding)
+        drift = (gd * wv + gv * wd) + gv * wv * (n - 1) * ct_value(kappa, t)
         density = s_value(kappa, t) ** (n - 1)
         seen[t] = (uv, gv, wv, density)
         v = drift * hval
@@ -233,22 +211,17 @@ def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
         if m == 0.0:
             return 0.0
         node = seen.get(t)
-        wv = node[2] if node is not None else 1.0 if w is None else w.eval(t, binding)
-        v = m**p * wv
+        v = m**p * (w_v(t, binding) if node is None else node[2])
         if v == 0.0:
             return 0.0
         return v * (s_value(kappa, t) ** (n - 1) if node is None else node[3])
 
     def f_j(t: float) -> float:
         node = seen.get(t)
-        hd = hfun.habs_dp(u.u(t) if node is None else node[0], pc)
+        hd = h_dp(u.u(t) if node is None else node[0])
         if hd == 0.0:
             return 0.0
-        if node is None:
-            gv = G.eval(t, binding)
-            wv = 1.0 if w is None else w.eval(t, binding)
-        else:
-            gv, wv = node[1], node[2]
+        gv, wv = (g_v(t, binding), w_v(t, binding)) if node is None else node[1:3]
         v = abs(gv) ** pc * wv * hd
         if v == 0.0:
             return 0.0
@@ -506,11 +479,12 @@ def gm_positivity_study(t_points: int = 120) -> list[GmStudyRow]:
                                 "ghoussoub_moradifam", geo,
                                 {"a": a, "b": b, "alpha": alpha, "beta": beta, "m": m})
                             binding = inst.spec.binding()
+                            g_v = evaluator(inst.G, binding)
                             tstar = (a / b) ** (1.0 / alpha)
                             best, argmin = math.inf, math.nan
                             for i in range(t_points):
                                 t = tstar * 10.0 ** (-2.0 + 4.0 * i / (t_points - 1))
-                                g = inst.G.eval(t, binding)
+                                g = g_v(t, binding)
                                 if g < best:
                                     best, argmin = g, t
                             rows.append(GmStudyRow(
@@ -597,8 +571,7 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
             mass, m_err = _log_mass(geo, u, p, alpha - p)
             rel = e_err / max(energy, _MARGIN_FLOOR) + m_err / max(mass, _MARGIN_FLOOR)
             rhs = sharp * mass
-            return InequalityMargin(energy, rhs, (energy - rhs) / max(rhs, _MARGIN_FLOOR),
-                                    rel * max(rhs, energy)), energy / mass
+            return _margin_of(energy, rhs, rel * max(rhs, energy)), energy / mass
     elif inequality in ("up", "ckn"):
         alpha, r, family = scaled_family(inequality, geo, params, family)
         sharp = (geo.n + alpha - 1.0) / (geo.p if inequality == "up" else r)

@@ -379,33 +379,39 @@ def reference_eval_d(expr, t, binding):
 # the additive terms as three independent integrals, in their former order:
 # J_H and the energy evaluate u, G, w and the volume density at every node of
 # their own.  The quadrature, the target resolution and the nonlinearity are
-# the verifier's; only the sharing of node values between the integrals is
-# left out, so a margin computed with this in place of
-# verifier._additive_terms must agree with the verifier's to the last bit.
+# the verifier's.  Left out are the sharing of node values between the
+# integrals and the evaluators resolved once; and a plain G keeps its former
+# drift without w, where the verifier multiplies by the weight 1.  A margin
+# computed with this in place of verifier._additive_terms must agree with
+# the verifier's to the last bit.
 
 
 def unshared_additive_terms(geo, target, u, H, binding):
+    from hardykit.catalog import CatalogInstance
     from hardykit.geometry import ct_value
-    from hardykit.verifier import _TOL, _direct, _make_h, _resolve_target
+    from hardykit.verifier import _TOL, _direct, _nonlinearity, _resolve_target
 
+    # a plain G is neither an entry nor a (spec, G) pair; it has weight 1 and
+    # the drift G' + G (n-1) ct, without the w and w' products
+    plain = not isinstance(target, (CatalogInstance, tuple))
     geo, G, w, binding = _resolve_target(geo, target, u, binding)
     n, kappa, p = geo.n, geo.kappa, geo.p
     pc = geo.p_conj
-    hfun = _make_h(H, p, binding)
+    h, h_dp = _nonlinearity(H, p, pc, binding)
 
     def f_e(t):
         m = abs(u.du(t))
         if m == 0.0:
             return 0.0
-        wv = 1.0 if w is None else w.eval(t, binding)
+        wv = 1.0 if plain else w.eval(t, binding)
         return m**p * wv
 
     def f_i(t):
-        hval = hfun.h(u.u(t))
+        hval = h(u.u(t))
         if hval == 0.0:
             return 0.0
         gv, gd = G.eval_d(t, binding)
-        if w is None:
+        if plain:
             drift = gd + gv * (n - 1) * ct_value(kappa, t)
         else:
             wv, wd = w.eval_d(t, binding)
@@ -413,11 +419,11 @@ def unshared_additive_terms(geo, target, u, H, binding):
         return drift * hval
 
     def f_j(t):
-        hd = hfun.habs_dp(u.u(t), pc)
+        hd = h_dp(u.u(t))
         if hd == 0.0:
             return 0.0
         gv = G.eval(t, binding)
-        wv = 1.0 if w is None else w.eval(t, binding)
+        wv = 1.0 if plain else w.eval(t, binding)
         return abs(gv) ** pc * wv * hd
 
     return (p, *_direct(geo, f_e, u, _TOL), *_direct(geo, f_i, u, _TOL),

@@ -104,8 +104,14 @@ class TestConfigRoundTrip:
         ("homogeneity_hint = -two", "config [flags] homogeneity_hint = '-two' is not a number"),
         ("require_G_nonneg = maybe",
          "config [flags] require_G_nonneg = 'maybe' is not a boolean"),
+        # a geometry or parameter that is not a finite number certified
+        ("kappa = nan", "kappa=nan is not a finite number"),
+        ("p = inf", "p=inf is not a finite number"),
+        ("C = nan", "config [params] C = 'nan' is not a finite number"),
+        ("C = -inf", "config [params] C = '-inf' is not a finite number"),
     ], ids=["n-fraction", "n-word", "kappa", "p", "lo", "hi", "param", "sign-word",
-            "sign-fraction", "hint", "require-nonneg"])
+            "sign-fraction", "hint", "require-nonneg", "kappa-nan", "p-inf", "param-nan",
+            "param-inf"])
     def test_malformed_value_exits_one(self, line, message, tmp_path, capsys):
         text = ("[geometry]\nkappa = 0\nn = 3\np = 2\n\n[interval]\nlo = 0\nhi = inf\n\n"
                 "[expressions]\nw = 1\nL = 2/t\nW = C^2/(4*t^2)\nG = C/(2*t)\n\n"
@@ -193,8 +199,15 @@ class TestOtherCommands:
          "geometry parameter p='abc' is not a number"),
         (["sweep", "--inequality", "hardy", "--params", "n=2.5,p=2,alpha=0"],
          "geometry parameter n=2.5 is not an integer"),
+        # a geometry that is not a number certified
+        (["certify", "--catalog", "hardy", "--params", "kappa=nan,n=3,p=2,alpha=0,C=2"],
+         "kappa=nan is not a finite number"),
+        (["certify", "--catalog", "hardy", "--params", "kappa=-inf,n=3,p=2,alpha=0,C=2"],
+         "kappa=-inf is not a finite number"),
+        (["verify", "--inequality", "up", "--params", "kappa=0,n=3,p=inf,alpha=1"],
+         "p=inf is not a finite number"),
     ], ids=["n-fraction", "n-non-numeric", "kappa-non-numeric", "p-non-numeric",
-            "sweep-n-fraction"])
+            "sweep-n-fraction", "kappa-nan", "kappa-minus-inf", "p-inf"])
     def test_geometry_parameters_checked(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

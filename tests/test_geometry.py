@@ -30,6 +30,14 @@ class TestModelGeometry:
         with pytest.raises(ParameterError):
             ModelGeometry(0.0, 3, 1.0)
 
+    @pytest.mark.parametrize("kappa, n, p", [
+        (math.nan, 3, 2.0), (-math.inf, 3, 2.0), (0.0, math.nan, 2.0), (0.0, math.inf, 2.0),
+        (0.0, 3, math.inf), (0.0, 3, math.nan)])
+    def test_rejects_a_geometry_that_is_not_a_finite_number(self, kappa, n, p):
+        # kappa = nan and p = inf (p' = nan) were accepted; n = nan raised a ValueError
+        with pytest.raises(ParameterError, match="is not a finite number"):
+            ModelGeometry(kappa, n, p)
+
     def test_conjugate_exponent(self):
         geo = ModelGeometry(0.0, 3, 3.0)
         assert geo.p_conj == pytest.approx(1.5)

@@ -380,23 +380,28 @@ class TestFuncEval:
         assert inst.G.eval_d(1.0)[1] == inst.G.dual(1.0)[1]
 
     def test_greene_wu_G_evaluates_psi_once_per_point(self, monkeypatch):
-        # G and G' share psi at t; psi'' adds t + h and t - h
-        from hardykit.catalog import instantiate
-        from hardykit.exprdsl import ScalarExpr
+        # G and G' share psi at t; psi'' adds t + h and t - h; psi is
+        # resolved once, so its evaluations are counted at its evaluator
+        from hardykit import catalog
 
         geo = ModelGeometry(-1.0, 3, 2.0)
-        inst = instantiate("greene_wu_psi", geo, {"psi": "s(t) + 0.1*t^3", "t_hi": 20.0})
         psi = parse("s(t) + 0.1*t^3")
         b = geo.binding()
         seen = []
-        eval_d = ScalarExpr.eval_d
+        evaluator = catalog.evaluator
 
-        def counted(self, t, binding=None):
-            if self.source == psi.source:
+        def counted_evaluator(e, binding=None, dual=False):
+            fn = evaluator(e, binding, dual)
+
+            def counted(t, binding):
                 seen.append(t)
-            return eval_d(self, t, binding)
+                return fn(t, binding)
 
-        monkeypatch.setattr(ScalarExpr, "eval_d", counted)
+            return counted if e.source == psi.source else fn
+
+        monkeypatch.setattr(catalog, "evaluator", counted_evaluator)
+        inst = catalog.instantiate("greene_wu_psi", geo,
+                                   {"psi": "s(t) + 0.1*t^3", "t_hi": 20.0})
         for t in (0.3, 1.3, 7.0):
             seen.clear()
             g, dg = inst.G.eval_d(t)

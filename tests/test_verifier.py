@@ -361,6 +361,49 @@ class _CountingG:
         return self.G.eval_d(t, binding)
 
 
+class TestEvaluatorsResolvedOnce:
+    """A margin resolves G, w and H to their evaluators once, and the
+    positivity study each instance's G once: no expression is looked up in
+    its compile cache again for the same mode and binding within one call."""
+
+    @staticmethod
+    def _lookups(monkeypatch, call):
+        from hardykit.exprdsl import ScalarExpr
+
+        seen = []
+        compiled = ScalarExpr._compiled
+
+        def counted(self, binding, mode):
+            seen.append((self.source, mode, repr(sorted(binding.items()))))
+            return compiled(self, binding, mode)
+
+        monkeypatch.setattr(ScalarExpr, "_compiled", counted)
+        call()
+        monkeypatch.setattr(ScalarExpr, "_compiled", compiled)
+        return seen
+
+    def test_gm_margins(self, monkeypatch):
+        inst = instantiate("ghoussoub_moradifam", E4,
+                           {"a": 1.0, "b": 1.0, "alpha": 0.5, "beta": 0.5, "m": 0.3})
+        u = _bumps(inst, 1, seed=19)[0]
+        for margin in (additive_margin, multiplicative_margin):
+            seen = self._lookups(monkeypatch, lambda: margin(None, inst, u))
+            # G and w, each in value and dual mode
+            assert len(seen) == len(set(seen)) == 4
+
+    def test_plain_G_with_H(self, monkeypatch):
+        G, H = parse("(n-2)/2/t"), parse("s^2/2 + s^4", var="s")
+        u = random_bumps(1, seed=17)[0]
+        seen = self._lookups(monkeypatch,
+                             lambda: additive_margin(E3, G, u, H=H, binding={"n": 3.0}))
+        # G, H and the weight 1, each in value and dual mode
+        assert len(seen) == len(set(seen)) == 6
+
+    def test_gm_positivity_study(self, monkeypatch):
+        seen = self._lookups(monkeypatch, lambda: gm_positivity_study(t_points=10))
+        assert len(seen) == len(set(seen)) == 216
+
+
 class TestSharedNodeValues:
     """The three integrals of one additive or multiplicative margin share
     their node values; every result, and every error, must equal to the last
