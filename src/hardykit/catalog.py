@@ -338,11 +338,7 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
     _need(t_hi > 0.0, "t_hi > 0")
     if isinstance(psi, str):
         psi = parse(psi)
-    binding = geo.binding()
-    psi_dual = evaluator(psi, binding, dual=True)
-
-    def psi_d(t: float) -> tuple[float, float]:
-        return psi_dual(t, binding)
+    psi_d = evaluator(psi, geo.binding(), dual=True)
 
     def psi_dd(t: float) -> float:
         h = min(1e-5 * (1.0 + t), 0.5 * t)  # keep the stencil inside t > 0

@@ -3,9 +3,11 @@
 Sections: [geometry] kappa/n/p, [interval] lo/hi ("inf" is the only
 non-numeric bound), [expressions] w/L/W/G (either L = <expr> or
 L_kind = constant_curvature|constant_floor|psi with psi = <expr>),
-[params] free name=value pairs, [flags] g_sign_required, homogeneity_hint,
-rho_kind.  Emission and ingestion round-trip: a file written by
-emit_config certifies identically when read back.
+[params] free name=value pairs, [flags] require_G_nonneg, g_sign_required,
+homogeneity_hint, rho_kind.  Any other section, or any other key outside
+[params], is refused.  A ';' after whitespace starts a comment, inline too.
+Emission and ingestion round-trip: a file written by emit_config certifies
+identically when read back.
 """
 
 from __future__ import annotations
@@ -21,15 +23,29 @@ from .riccati import RiccatiPairSpec
 
 __all__ = ["parse_config", "emit_config"]
 
+# the keys of each section; [params] takes any name
+_KEYS = {"geometry": ("kappa", "n", "p"), "interval": ("lo", "hi"),
+         "expressions": ("w", "L", "L_kind", "psi", "W", "G"), "params": None,
+         "flags": ("require_G_nonneg", "g_sign_required", "homogeneity_hint", "rho_kind")}
+
 
 def parse_config(text: str) -> tuple[RiccatiPairSpec, ScalarExpr]:
     """Parse a config file into (RiccatiPairSpec, G)."""
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     cp.optionxform = str
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ParameterError(f"config parse error: {exc}") from exc
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ParameterError(f"config has unknown section [{section}] "
+                                 f"(sections are {', '.join(_KEYS)})")
+        keys = _KEYS[section]
+        for key in cp.options(section):
+            if keys is not None and key not in keys:
+                raise ParameterError(f"config [{section}] has unknown key {key!r} "
+                                     f"([{section}] takes {', '.join(keys)})")
 
     def need(section: str, key: str) -> str:
         if not cp.has_option(section, key):

@@ -18,22 +18,25 @@ unary minus and the right operand of '^' nest at most MAX_NESTING (100)
 levels deep; sums and products of any length are fine.
 
 Evaluation is pure: a parsed ScalarExpr is immutable, evaluating it twice
-with the same binding gives bit-identical results (unless the binding was
-changed in place in between to an equal value of another sign of zero or
-type, such as 0.0 to -0.0: see ScalarExpr), and the exact first
-derivative d/dt is carried beside the value through every node: one table,
-_BUILTINS, describes each builtin by its value and its dual-mode
+with the same parameter values gives bit-identical results, and the exact
+first derivative d/dt is carried beside the value through every node: one
+table, _BUILTINS, describes each builtin by its value and its dual-mode
 statements, and the operators have theirs beside it.
 An expression is compiled lazily, once per binding and mode (value or
-dual), into one generated Python function: a flat run of statements, one
-local per AST node, the derivative carried as a second float local in dual
-mode.  Each maximal subtree free of the variable is first folded into the
-value (and derivative) it has under that binding, which purity makes
-exact; a subtree that raises is left inline to raise at evaluation.  The
+dual), into one generated Python function of t alone: a flat run of
+statements, one local per AST node, the derivative carried as a second
+float local in dual mode.  The function reads a snapshot of the binding
+taken when it is compiled, and the compile is cached under the repr of
+the parameter values it read, so a binding changed in place recompiles
+whenever a value's repr changes, 0.0 to -0.0 included.  Each maximal
+subtree free of the variable is first folded into the value (and
+derivative) it has under that binding, which purity makes exact; a
+subtree that raises is left inline to raise at evaluation.  The
 source is generated from the shape of the tree alone (node kinds,
 operators, builtin and parameter names, the fold pattern) and compiled
-once per shape and mode; numbers, folded constants and source fragments
-are bound as default arguments of the function made for each binding.
+once per shape and mode; numbers, folded constants, the binding snapshot
+and source fragments are bound as default arguments of the function made
+for each binding.
 Every operator and builtin call sits in its own try, so an error is
 rewrapped as an EvalError naming the fragment of the source it came from.
 Division by zero and log of a nonpositive number are hard errors rather
@@ -512,14 +515,15 @@ def _rewrap(exc: Exception, fragment: str) -> EvalError:
 
 
 def _compile(node: Node, source: str, mode: str, binding: ParamBinding) -> Callable:
-    """Compile an AST into one function (t, binding) -> value, or
-    (value, d/dt) in dual mode, for one binding.
+    """Compile an AST into one function t -> value, or (value, d/dt) in
+    dual mode, over a snapshot of the binding taken here.
 
     Each maximal subtree that does not contain the variable is folded into
     what its own function returns for this binding, so the function returns
     exactly what the unfolded one would.  A subtree whose evaluation raises
     here stays unfolded, and raises at evaluation with its fragment.
     """
+    binding = dict(binding)
     order = _postorder(node)
     free: set[int] = set()
     folded: dict[int, object] = {}
@@ -530,33 +534,35 @@ def _compile(node: Node, source: str, mode: str, binding: ParamBinding) -> Calla
             continue
         for c in children:
             if id(c) in free and not isinstance(c, Num):
-                fn = _function(_postorder(c), source, mode, {})
-                const = _fold(fn, binding)
+                fn = _function(_postorder(c), source, mode, {}, binding)
+                const = _fold(fn)
                 if const is not fn:
-                    folded[id(c)] = const(0.0, binding)
-    fn = _function(_postorder(node, folded) if folded else order, source, mode, folded)
-    return _fold(fn, binding) if id(node) in free else fn
+                    folded[id(c)] = const(0.0)
+    fn = _function(_postorder(node, folded) if folded else order, source, mode, folded, binding)
+    return _fold(fn) if id(node) in free else fn
 
 
-def _fold(fn: Callable, binding: ParamBinding) -> Callable:
+def _fold(fn: Callable) -> Callable:
     try:
-        c = fn(0.0, binding)
+        c = fn(0.0)
     except Exception:  # deferred: the unfolded function raises it again at evaluation
         return fn
-    return lambda t, binding: c
+    return lambda t: c
 
 
-def _function(order: list[Node], source: str, mode: str, folded: dict) -> Callable:
+def _function(order: list[Node], source: str, mode: str, folded: dict,
+              binding: ParamBinding) -> Callable:
     """The generated function of a tree, given in post-order with the folded
     subtrees (by id) as constant leaves."""
-    shape, defaults = _shape(order, source, mode, folded)
+    shape, defaults = _shape(order, source, mode, folded, binding)
     return types.FunctionType(_code(mode, shape), globals(), "expr", defaults)
 
 
-def _shape(order: list[Node], source: str, mode: str, folded: dict) -> tuple[tuple, tuple]:
+def _shape(order: list[Node], source: str, mode: str, folded: dict,
+           binding: ParamBinding) -> tuple[tuple, tuple]:
     """The shape of a tree in post-order, one token per node, and the default
     arguments of its function: the numbers and folded constants, then the
-    source fragments of its operators and calls, in order.
+    binding, then the source fragments of its operators and calls, in order.
 
     A token is '#' for a number, '=' for a folded subtree, '@' for the
     variable, '$' and the name for a parameter, '~' for unary minus, and the
@@ -580,7 +586,7 @@ def _shape(order: list[Node], source: str, mode: str, folded: dict) -> tuple[tup
         else:
             shape.append(node.op if isinstance(node, Bin) else node.name)
             spans.append(node.span)
-    defaults.append(_Fragments(source, tuple(spans)))
+    defaults += (binding, _Fragments(source, tuple(spans)))
     return tuple(shape), tuple(defaults)
 
 
@@ -605,11 +611,11 @@ def _code(mode: str, shape: tuple) -> types.CodeType:
 
 
 def _source(mode: str, shape: tuple) -> str:
-    """Python source of the function (t, binding) -> value, or (value, d/dt)
-    in dual mode, of a shape: one flat run of statements in evaluation
-    order, with a local per node, or two (value and derivative) in dual
-    mode, and a try around each operator and builtin call.  Parameter names
-    enter the text through repr(); numbers, folded constants and fragments
+    """Python source of the function t -> value, or (value, d/dt) in dual
+    mode, of a shape: one flat run of statements in evaluation order, with
+    a local per node, or two (value and derivative) in dual mode, and a try
+    around each operator and builtin call.  Parameter names enter the text
+    through repr(); numbers, folded constants, the binding and fragments
     are the default arguments _shape gives."""
     dual = mode is _DUAL
     kappa = "kappa" if dual else "_need_kappa(binding)"
@@ -644,10 +650,7 @@ def _source(mode: str, shape: tuple) -> str:
     v, d = atoms.pop()
     body.append(f"return {v}, {d}" if dual else f"return {v}")
     text = "\n".join(body).replace("\n", "\n    ")
-    return f"def expr(t, binding, {', '.join(names + ['fragments'])}):\n    {text}\n"
-
-
-_NO_KEY = object()
+    return f"def expr(t, {', '.join(names + ['binding', 'fragments'])}):\n    {text}\n"
 
 
 @dataclass(frozen=True)
@@ -655,19 +658,17 @@ class ScalarExpr:
     """Parsed, immutable expression over one variable and named parameters.
 
     The AST is compiled lazily, once per binding and mode (value or dual),
-    into one generated function (see the module docstring) with its
+    into one generated function of t (see the module docstring) with its
     variable-free subtrees folded for that binding; ``eval`` returns its
     value and ``eval_d`` its (value, d/dt).  A one-entry cache keeps the
-    functions of the last binding, matched by the values of the parameters
-    the expression reads (``params_required``).  The same binding object
-    matches while those values compare equal, so one changed in place
-    recompiles.  Another binding object matches only if its values are
-    equal and of one type, with zeros of one sign (0.0 and -0.0 differ
-    under a division), so a freshly built but equal binding does not
-    recompile.  The one case that keeps stale functions is a binding
-    changed in place to a value that compares equal but is not the same,
-    such as 0.0 to -0.0.  A binding that lacks a parameter is compiled
-    afresh at each call, and the evaluation raises UnboundParameterError.
+    functions of the last binding, keyed on the repr of the values of the
+    parameters the expression reads (``params_required``).  The repr tells
+    apart values that compare equal but evaluate differently, such as 0.0
+    and -0.0 under a division, or 1.0 and 1.  So a fresh binding with
+    values of the same repr reuses the functions, and a binding changed in
+    place to a value of another repr recompiles.  A binding that lacks a
+    parameter is compiled afresh at each call, and the evaluation raises
+    UnboundParameterError.
     """
 
     # equality and hash read (source, var), which fix the tree: comparing
@@ -683,35 +684,29 @@ class ScalarExpr:
         names = sorted(self.params_required)
         key = operator.itemgetter(*names) if names else (lambda binding: None)
         object.__setattr__(self, "_key", key)
-        # [the last binding, its key, its value function, its dual function]; a
+        # [the repr of the last key, its value function, its dual function]; a
         # binding with another key starts a new list
-        object.__setattr__(self, "_cache", [None, _NO_KEY, None, None])
+        object.__setattr__(self, "_cache", [None, None, None])
 
     def _compiled(self, binding: ParamBinding, mode: int) -> Callable:
         try:
-            key = self._key(binding)
+            key = repr(self._key(binding))
         except KeyError:  # an unbound parameter: it raises at evaluation
             return _compile(self.ast, self.source, _MODES[mode], binding)
         entry = self._cache
-        if binding is not entry[0] or key != entry[1]:
-            # repr tells 0.0 from -0.0 and 1 from 1.0, which compare equal
-            if key == entry[1] and repr(key) == repr(entry[1]):
-                entry[0] = binding
-            else:
-                entry = [binding, key, None, None]
-                object.__setattr__(self, "_cache", entry)
-        fn = entry[2 + mode]
+        if key != entry[0]:
+            entry = [key, None, None]
+            object.__setattr__(self, "_cache", entry)
+        fn = entry[1 + mode]
         if fn is None:
-            fn = entry[2 + mode] = _compile(self.ast, self.source, _MODES[mode], binding)
+            fn = entry[1 + mode] = _compile(self.ast, self.source, _MODES[mode], binding)
         return fn
 
     def eval(self, t: float, binding: ParamBinding | None = None) -> float:
-        binding = binding or {}
-        return self._compiled(binding, 0)(t, binding)
+        return self._compiled(binding or {}, 0)(t)
 
     def eval_d(self, t: float, binding: ParamBinding | None = None) -> tuple[float, float]:
-        binding = binding or {}
-        return self._compiled(binding, 1)(t, binding)
+        return self._compiled(binding or {}, 1)(t)
 
     def to_source(self) -> str:
         """Canonical printout, parenthesized only where the grammar needs it;
@@ -724,14 +719,17 @@ class ScalarExpr:
 
 
 def evaluator(e, binding: ParamBinding | None = None, dual: bool = False) -> Callable:
-    """The function (t, binding) -> e.eval(t, binding), or e.eval_d when
+    """The function t -> e.eval(t, binding), or e.eval_d(t, binding) when
     dual, resolved once for a loop over t under one binding.  For a
-    ScalarExpr it is the generated function eval/eval_d call, which must
-    then be given ``binding or {}``; for any other evaluable, the bound
-    method.  Every evaluation error raises at a call, not here."""
+    ScalarExpr it is the generated function eval/eval_d call, compiled
+    against a snapshot of the binding; for any other evaluable, its method
+    with the binding passed along.  Every evaluation error raises at a
+    call, not here."""
+    binding = binding or {}
     if isinstance(e, ScalarExpr):
-        return e._compiled(binding or {}, int(dual))
-    return e.eval_d if dual else e.eval
+        return e._compiled(binding, int(dual))
+    method = e.eval_d if dual else e.eval
+    return lambda t: method(t, binding)
 
 
 def parse(source: str, var: str = "t") -> ScalarExpr:

@@ -25,9 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ModelGeometry",
-    "ct",
-    "s",
-    "d_deficit",
     "volume_density",
     "ball_volume",
     "unit_ball_volume",
@@ -138,18 +135,6 @@ def deficit_value_dt(kappa: float, t: float) -> float:
         return 2.0 * m * t / 3.0 - 4.0 * m * m * t * t2 / 45.0 + 12.0 * m**3 * t2 * t2 * t / 945.0
     c = ct_value(kappa, t)
     return c + t * (-kappa - c * c)
-
-
-def ct(geo: ModelGeometry, t: float) -> float:
-    return ct_value(geo.kappa, t)
-
-
-def s(geo: ModelGeometry, t: float) -> float:
-    return s_value(geo.kappa, t)
-
-
-def d_deficit(geo: ModelGeometry, t: float) -> float:
-    return deficit_value(geo.kappa, t)
 
 
 def volume_density(geo: ModelGeometry, t: float) -> float:

@@ -10,8 +10,8 @@ Certification samples the residual on a dense grid (512 log-spaced points
 plus endpoint refinement), normalizes by 1 + |W| so the verdict is relative
 near singular endpoints and absolute elsewhere, and checks the sign
 condition on G required when L is a strict Laplacian lower bound.  Each
-call resolves G, w, L and W once, for the spec's binding, to the functions
-their eval/eval_d call (exprdsl.evaluator), and runs the grid over those;
+call resolves G, w, L and W once, for the spec's binding, to functions of
+t alone (exprdsl.evaluator), and runs the grid over those;
 residual_parts computes its terms with the same code, so certify's
 residuals are its values to the bit.
 
@@ -138,12 +138,12 @@ def _residual_fn(spec: RiccatiPairSpec, G, binding: dict) -> Callable:
     pm1, pc = spec.geo.p - 1.0, spec.geo.p_conj
 
     def parts(t: float) -> tuple[float, float, float, float, float, float]:
-        gv, gd = g_d(t, binding)
-        wv, wd = w_d(t, binding)
+        gv, gd = g_d(t)
+        wv, wd = w_d(t)
         if not wv > 0.0:
             raise DomainError(f"weight w({t!r}) = {wv!r} is not positive")
-        lv = l_v(t, binding)
-        wt = w_v(t, binding)
+        lv = l_v(t)
+        wt = w_v(t)
         convex = pm1 * abs(gv) ** pc
         drift = wd / wv + lv
         return gv, gd, drift, convex, wt, gd + drift * gv - convex - wt
@@ -334,9 +334,9 @@ def solve_ivp(
     pm1, pp = spec.geo.p - 1.0, spec.geo.p_conj
 
     def f(t: float, g: float) -> float:
-        wv, wd = w_d(t, b)
-        lv = l_v(t, b)
-        wt = w_v(t, b)
+        wv, wd = w_d(t)
+        lv = l_v(t)
+        wt = w_v(t)
         return wt + pm1 * abs(g) ** pp - (wd / wv + lv) * g
 
     if sample_ts is None:
@@ -368,11 +368,10 @@ class GFromSolution:
     def __init__(self, y, p: float, binding: dict | None = None):
         self.y = y
         self.p = p
-        self.binding = dict(binding or {})
-        self._y_d = evaluator(y, self.binding, dual=True)
+        self._y_d = evaluator(y, binding, dual=True)
 
     def _yv_yd(self, t: float) -> tuple[float, float]:
-        yv, yd = self._y_d(t, self.binding)
+        yv, yd = self._y_d(t)
         if not yv > 0.0:
             raise DomainError(f"profile y({t!r}) = {yv!r} is not positive")
         return yv, yd
@@ -386,8 +385,8 @@ class GFromSolution:
         yv, yd = self._yv_yd(t)
         p = self.p
         h = 1e-6 * (1.0 + abs(t))
-        ydp = self._y_d(t + h, self.binding)[1]
-        ydm = self._y_d(t - h, self.binding)[1]
+        ydp = self._y_d(t + h)[1]
+        ydm = self._y_d(t - h)[1]
         ypp = (ydp - ydm) / (2.0 * h)
         g = -math.copysign(abs(yd) ** (p - 1.0), yd) / yv ** (p - 1.0)
         if yd == 0.0:
@@ -415,12 +414,11 @@ class YFromG:
         self.G = G
         self.p = p
         self.t_anchor = t_anchor
-        self.binding = dict(binding or {})
-        self._g_v = evaluator(G, self.binding)
+        self._g_v = evaluator(G, binding)
         self._cache: dict[float, float] = {t_anchor: 0.0}
 
     def _integrand(self, s: float) -> float:
-        g = self._g_v(s, self.binding)
+        g = self._g_v(s)
         return math.copysign(abs(g) ** (1.0 / (self.p - 1.0)), g)
 
     def eval(self, t: float, binding: dict | None = None) -> float:

@@ -254,13 +254,12 @@ def random_bumps(count: int, seed: int, lo: float = 0.0, hi: float = math.inf,
 
 def from_expr(expr: ScalarExpr, R: float, binding: dict | None = None) -> RadialTestFunction:
     """Wrap a parsed expression of t as a test function on (0, R]."""
-    b = dict(binding or {})
-    value, dual = evaluator(expr, b), evaluator(expr, b, dual=True)
+    value, dual = evaluator(expr, binding), evaluator(expr, binding, dual=True)
 
     def u(t: float) -> float:
-        return value(t, b) if t < R else 0.0
+        return value(t) if t < R else 0.0
 
     def du(t: float) -> float:
-        return dual(t, b)[1] if t < R else 0.0
+        return dual(t)[1] if t < R else 0.0
 
     return RadialTestFunction("dsl", u, du, 0.0, R, params={"source": expr.source})

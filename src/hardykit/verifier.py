@@ -143,11 +143,10 @@ def _nonlinearity(H, p: float, pc: float, binding: dict):
     if H is None:
         return (lambda s: abs(s) ** p / p), (lambda s: abs(s) ** p)
     h_d = evaluator(H, binding, dual=True)
-    v0, d0 = h_d(0.0, binding)
+    v0, d0 = h_d(0.0)
     if abs(v0) > 1e-12 or abs(d0) > 1e-12:
         raise HypothesisError("H(0) = H'(0) = 0", f"H(0) = {v0!r}, H'(0) = {d0!r}")
-    h_v = evaluator(H, binding)
-    return (lambda s: h_v(s, binding)), (lambda s: abs(h_d(s, binding)[1]) ** pc)
+    return evaluator(H, binding), (lambda s: abs(h_d(s)[1]) ** pc)
 
 
 def _resolve_target(geo, target, u: RadialTestFunction, binding):
@@ -158,6 +157,8 @@ def _resolve_target(geo, target, u: RadialTestFunction, binding):
         what, spec, G = f"entry {target.name!r}", target.spec, target.G
     elif isinstance(target, tuple):
         what, (spec, G) = "spec", target
+    elif geo is None:
+        raise ParameterError("a plain G needs a geometry: geo is None")
     else:
         return geo, target, _UNIT_WEIGHT, geo.binding() if binding is None else binding
     if spec.rho_kind != "radial_distance":
@@ -198,8 +199,8 @@ def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
         hval = h(uv)
         if hval == 0.0:
             return 0.0
-        gv, gd = g_d(t, binding)
-        wv, wd = w_d(t, binding)
+        gv, gd = g_d(t)
+        wv, wd = w_d(t)
         drift = (gd * wv + gv * wd) + gv * wv * (n - 1) * ct_value(kappa, t)
         density = s_value(kappa, t) ** (n - 1)
         seen[t] = (uv, gv, wv, density)
@@ -211,7 +212,7 @@ def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
         if m == 0.0:
             return 0.0
         node = seen.get(t)
-        v = m**p * (w_v(t, binding) if node is None else node[2])
+        v = m**p * (w_v(t) if node is None else node[2])
         if v == 0.0:
             return 0.0
         return v * (s_value(kappa, t) ** (n - 1) if node is None else node[3])
@@ -221,7 +222,7 @@ def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
         hd = h_dp(u.u(t) if node is None else node[0])
         if hd == 0.0:
             return 0.0
-        gv, wv = (g_v(t, binding), w_v(t, binding)) if node is None else node[1:3]
+        gv, wv = (g_v(t), w_v(t)) if node is None else node[1:3]
         v = abs(gv) ** pc * wv * hd
         if v == 0.0:
             return 0.0
@@ -478,13 +479,12 @@ def gm_positivity_study(t_points: int = 120) -> list[GmStudyRow]:
                             inst = _instantiate(
                                 "ghoussoub_moradifam", geo,
                                 {"a": a, "b": b, "alpha": alpha, "beta": beta, "m": m})
-                            binding = inst.spec.binding()
-                            g_v = evaluator(inst.G, binding)
+                            g_v = evaluator(inst.G, inst.spec.binding())
                             tstar = (a / b) ** (1.0 / alpha)
                             best, argmin = math.inf, math.nan
                             for i in range(t_points):
                                 t = tstar * 10.0 ** (-2.0 + 4.0 * i / (t_points - 1))
-                                g = g_v(t, binding)
+                                g = g_v(t)
                                 if g < best:
                                     best, argmin = g, t
                             rows.append(GmStudyRow(
@@ -561,6 +561,8 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
     if inequality == "hardy":
         alpha = params.get("alpha", 0.0)
         p = geo.p
+        if not geo.n + alpha > p:
+            raise HypothesisError("n + alpha > p", f"n={geo.n!r}, alpha={alpha!r}, p={p!r}")
         sharp = ((geo.n + alpha - p) / p) ** p
         if family is None:
             family = hardy_default_family(geo, alpha=alpha)

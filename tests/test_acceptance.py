@@ -243,14 +243,14 @@ class TestCriterion10PropertySuites:
         _report(10, f"Young consistency on {len(pairs)} computed (I, J) pairs (part 3/4)")
 
     def test_deficit_and_interlacing_grids(self):
-        from hardykit.geometry import d_deficit
+        from hardykit.geometry import deficit_value
 
         failures = 0
         for kappa in (0.0, -0.5, -1.0, -2.0):
             geo = ModelGeometry(kappa, 2, 2.0)
             for i in range(400):
                 t = 1e-6 * (1e9) ** (i / 399)
-                if d_deficit(geo, t) < 0.0:
+                if deficit_value(geo.kappa, t) < 0.0:
                     failures += 1
         for nu in (0.0, 0.5, 1.0, 2.0, 5.0):
             if not (bessel_zero(nu, 1) < bessel_zero(nu + 1.0, 1) < bessel_zero(nu, 2)):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -109,9 +110,15 @@ class TestConfigRoundTrip:
         ("p = inf", "p=inf is not a finite number"),
         ("C = nan", "config [params] C = 'nan' is not a finite number"),
         ("C = -inf", "config [params] C = '-inf' is not a finite number"),
+        # a misspelt flag or section was read as if the line were absent
+        ("g_sign_requird = 0", "config [flags] has unknown key 'g_sign_requird' ([flags] "
+                               "takes require_G_nonneg, g_sign_required, homogeneity_hint, "
+                               "rho_kind)"),
+        ("[intervl]\nhi = 5", "config has unknown section [intervl] (sections are "
+                              "geometry, interval, expressions, params, flags)"),
     ], ids=["n-fraction", "n-word", "kappa", "p", "lo", "hi", "param", "sign-word",
             "sign-fraction", "hint", "require-nonneg", "kappa-nan", "p-inf", "param-nan",
-            "param-inf"])
+            "param-inf", "unknown-key", "unknown-section"])
     def test_malformed_value_exits_one(self, line, message, tmp_path, capsys):
         text = ("[geometry]\nkappa = 0\nn = 3\np = 2\n\n[interval]\nlo = 0\nhi = inf\n\n"
                 "[expressions]\nw = 1\nL = 2/t\nW = C^2/(4*t^2)\nG = C/(2*t)\n\n"
@@ -128,6 +135,16 @@ class TestConfigRoundTrip:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_readme_config_example_certifies(self):
+        # its inline ';' comments were read as part of the values
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        spec, G = parse_config(block)
+        assert (spec.t_hi, spec.L.source, spec.g_sign_required) == (math.inf, "C/t", 1)
+        assert certify(spec, G).verdict == "certified"
 
     @pytest.mark.parametrize("field", ["w", "L", "W"])
     def test_emit_refuses_what_the_format_cannot_write(self, field):
@@ -249,6 +266,14 @@ class TestOtherCommands:
         assert rc == 1
         assert "hypothesis violated" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_hardy_hypothesis_violation_exit_one(self, capsys):
+        # a complex sharp constant was printed, every member skipped, exit 0
+        rc = main(["sweep", "--inequality", "hardy", "--params", "n=2,p=2.5"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "hypothesis violated: n + alpha > p" in captured.err
+        assert captured.out == ""
 
     def test_spectrum(self, capsys):
         rc = main(["spectrum", "--kappa", "0", "--n", "2", "--R", "1", "--N", "500"])

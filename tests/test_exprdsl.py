@@ -357,7 +357,7 @@ class TestBindTimeFolding:
             for binding in bindings:
                 for t in (rng.uniform(-1.0, 3.0), 0.0, 1.0):
                     cases.append((e, t, binding, _outcomes(e, t, binding)))
-        monkeypatch.setattr(exprdsl, "_fold", lambda fn, binding: fn)
+        monkeypatch.setattr(exprdsl, "_fold", lambda fn: fn)
         errors = 0
         for e, t, binding, folded in cases:
             plain = ScalarExpr(ast=e.ast, source=e.source, var=e.var,
@@ -410,6 +410,31 @@ class TestBindTimeFolding:
                 plain = ScalarExpr(ast=e.ast, source=e.source, var=e.var,
                                    params_required=e.params_required)
                 assert _outcomes(e, 2.0, b) == _outcomes(plain, 2.0, b), (src, b)
+
+    def test_binding_changed_in_place_to_an_equal_value_recompiles(self):
+        # 0.0 and -0.0, 1.0 and 1 compare equal but evaluate apart
+        for src, before, after, expected in (("a*t", 0.0, -0.0, -0.0), ("a", 1.0, 1, 1)):
+            e = parse(src)
+            b = {"a": before}
+            e.eval(2.0, b), e.eval_d(2.0, b)
+            b["a"] = after
+            plain = ScalarExpr(ast=e.ast, source=e.source, var=e.var,
+                               params_required=e.params_required)
+            for got, fresh in ((e.eval(2.0, b), plain.eval(2.0, b)),
+                               (e.eval_d(2.0, b)[0], plain.eval_d(2.0, b)[0])):
+                assert repr(got) == repr(fresh) == repr(expected), (src, got)
+
+    def test_evaluator_is_a_function_of_t_over_a_snapshot(self):
+        from hardykit.riccati import FuncEval
+
+        b = {"a": 2.0}
+        value = exprdsl.evaluator(parse("a*t"), b)
+        dual = exprdsl.evaluator(parse("a*t^2"), b, dual=True)
+        b["a"] = 3.0  # resolved functions keep the binding they were given
+        assert (value(1.5), dual(1.5)) == (3.0, (4.5, 6.0))
+        f = FuncEval(lambda t: t + 1.0, lambda t: (t + 1.0, 1.0))
+        assert (exprdsl.evaluator(f, b)(2.0), exprdsl.evaluator(f, b, dual=True)(2.0)) == (
+            3.0, (3.0, 1.0))
 
     def test_one_compile_per_expression_binding_and_mode(self, monkeypatch):
         # a certify and a margin on one instance: each (expression, mode)
@@ -596,7 +621,7 @@ class TestCodeCache:
         e1.eval_d(1.0, {"a": 1.0}), e1.eval(1.0, {"a": 1.0})
         e2.eval_d(2.0, {"a": 3.0}), e2.eval(2.0, {"a": 3.0})
         for mode in (0, 1):
-            assert e1._cache[2 + mode].__code__ is e2._cache[2 + mode].__code__
+            assert e1._cache[1 + mode].__code__ is e2._cache[1 + mode].__code__
         assert e1.eval(1.0, {"a": 1.0}) != e2.eval(1.0, {"a": 1.0})
 
     def test_cache_is_bounded(self):
@@ -638,7 +663,7 @@ class TestCodeCache:
                 evaluate(1.5, {**binding, "exc": -2.0})
         plain = ScalarExpr(ast=e.ast, source=e.source, var=e.var,
                            params_required=e.params_required)
-        monkeypatch.setattr(exprdsl, "_fold", lambda fn, binding: fn)
+        monkeypatch.setattr(exprdsl, "_fold", lambda fn: fn)
         plain.eval(1.5, binding), plain.eval_d(1.5, binding)
         assert len(texts) >= 6
         fragments = {src[n.span[0]:n.span[1]] for n in exprdsl._postorder(e.ast)

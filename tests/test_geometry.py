@@ -4,8 +4,8 @@ import pytest
 
 from hardykit.errors import DomainError, ParameterError
 from hardykit.exprdsl import parse
-from hardykit.geometry import (ComparisonL, ModelGeometry, ball_volume, ct, d_deficit, s,
-                               unit_ball_volume, volume_density)
+from hardykit.geometry import (ComparisonL, ModelGeometry, ball_volume, ct_value,
+                               deficit_value, s_value, unit_ball_volume, volume_density)
 from oracles import coth_exp, simpson, sinh_series
 
 E2 = ModelGeometry(0.0, 2, 2.0)
@@ -45,22 +45,22 @@ class TestModelGeometry:
 
 class TestCt:
     def test_flat_branch(self):
-        assert ct(E3, 2.0) == 0.5
+        assert ct_value(E3.kappa, 2.0) == 0.5
 
     def test_coth_limit_at_infinity(self):
-        v = ct(H1_2, 50.0)
+        v = ct_value(H1_2.kappa, 50.0)
         assert 1.0 <= v <= 1.0 + 1e-12
 
     def test_against_exponential_oracle(self):
         # oracle: coth(1) = (e^2+1)/(e^2-1) = 1.3130352854993312
-        assert ct(H1_2, 1.0) == pytest.approx(coth_exp(1.0), abs=1e-14)
+        assert ct_value(H1_2.kappa, 1.0) == pytest.approx(coth_exp(1.0), abs=1e-14)
         assert coth_exp(1.0) == pytest.approx(1.3130352855, abs=1e-10)
 
     def test_nonpositive_t_rejected(self):
         with pytest.raises(DomainError):
-            ct(E3, 0.0)
+            ct_value(E3.kappa, 0.0)
         with pytest.raises(DomainError):
-            ct(H1_2, -1.0)
+            ct_value(H1_2.kappa, -1.0)
 
     def test_strictly_decreasing(self):
         # strict monotonicity until coth saturates at its asymptote within
@@ -68,56 +68,56 @@ class TestCt:
         for geo in (E3, H1_2, ModelGeometry(-2.0, 3, 2.0)):
             t_strict = 1e3 if geo.kappa == 0.0 else 17.5 / math.sqrt(-geo.kappa)
             grid = log_grid(1e-6, t_strict, 150)
-            vals = [ct(geo, t) for t in grid]
+            vals = [ct_value(geo.kappa, t) for t in grid]
             assert all(a > b for a, b in zip(vals, vals[1:]))
-            tail = [ct(geo, t) for t in log_grid(t_strict, 1e3, 60)]
+            tail = [ct_value(geo.kappa, t) for t in log_grid(t_strict, 1e3, 60)]
             assert all(a >= b for a, b in zip(tail, tail[1:]))
 
     def test_taylor_window_smooth(self):
         # values straddling the series/direct switch agree to full precision
         for t in (0.9e-4, 1.0e-4, 1.1e-4):
             direct = math.sqrt(1.0) / math.tanh(t)  # kappa = -1
-            assert ct(H1_2, t) == pytest.approx(direct, rel=1e-12)
+            assert ct_value(H1_2.kappa, t) == pytest.approx(direct, rel=1e-12)
 
 
 class TestS:
     def test_flat_branch(self):
-        assert s(E3, 3.0) == 3.0
+        assert s_value(E3.kappa, 3.0) == 3.0
 
     def test_zero(self):
-        assert s(H1_2, 0.0) == 0.0
+        assert s_value(H1_2.kappa, 0.0) == 0.0
 
     def test_against_series_oracle(self):
-        assert s(H1_2, 1.0) == pytest.approx(sinh_series(1.0), rel=1e-14)
+        assert s_value(H1_2.kappa, 1.0) == pytest.approx(sinh_series(1.0), rel=1e-14)
         assert sinh_series(1.0) == pytest.approx(1.1752011936, abs=1e-10)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            s(H1_2, -0.1)
+            s_value(H1_2.kappa, -0.1)
 
     def test_strictly_increasing(self):
         for geo in (E3, H1_2):
             grid = log_grid(1e-6, 1e2, 200)
-            vals = [s(geo, t) for t in grid]
+            vals = [s_value(geo.kappa, t) for t in grid]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 class TestDeficit:
     def test_zero_at_origin(self):
         for geo in (E3, H1_2, ModelGeometry(-2.0, 2, 2.0)):
-            assert d_deficit(geo, 0.0) == 0.0
+            assert deficit_value(geo.kappa, 0.0) == 0.0
 
     def test_flat_is_identically_zero(self):
-        assert d_deficit(E3, 7.0) == 0.0
+        assert deficit_value(E3.kappa, 7.0) == 0.0
 
     def test_against_ct_oracle(self):
-        assert d_deficit(H1_2, 1.0) == pytest.approx(coth_exp(1.0) - 1.0, abs=1e-13)
+        assert deficit_value(H1_2.kappa, 1.0) == pytest.approx(coth_exp(1.0) - 1.0, abs=1e-13)
 
     def test_nonnegative_on_log_grids(self):
         for kappa in (0.0, -0.5, -1.0, -2.0):
             geo = ModelGeometry(kappa, 2, 2.0)
             for t in log_grid(1e-6, 1e3, 400):
-                assert d_deficit(geo, t) >= 0.0
+                assert deficit_value(geo.kappa, t) >= 0.0
 
     def test_small_t_taylor_accuracy(self):
         # D ~ (-kappa) t^2/3; direct evaluation would cancel catastrophically
@@ -125,7 +125,7 @@ class TestDeficit:
             geo = ModelGeometry(kappa, 2, 2.0)
             for t in (1e-8, 1e-6, 5e-5):
                 expected = -kappa * t * t / 3.0
-                assert d_deficit(geo, t) == pytest.approx(expected, rel=1e-8)
+                assert deficit_value(geo.kappa, t) == pytest.approx(expected, rel=1e-8)
 
 
 class TestVolumes:
@@ -153,7 +153,7 @@ class TestVolumes:
                        (ModelGeometry(-0.3, 5, 2.0), 0.9),
                        (ModelGeometry(-1e-7, 3, 2.0), 1.0)):
             quad = geo.n * unit_ball_volume(geo.n) * simpson(
-                lambda t: s(geo, t) ** (geo.n - 1), 0.0, R, 8192)
+                lambda t: s_value(geo.kappa, t) ** (geo.n - 1), 0.0, R, 8192)
             assert ball_volume(geo, R) == pytest.approx(quad, rel=1e-10)
 
 

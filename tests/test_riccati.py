@@ -393,9 +393,9 @@ class TestFuncEval:
         def counted_evaluator(e, binding=None, dual=False):
             fn = evaluator(e, binding, dual)
 
-            def counted(t, binding):
+            def counted(t):
                 seen.append(t)
-                return fn(t, binding)
+                return fn(t)
 
             return counted if e.source == psi.source else fn
 

@@ -5,7 +5,7 @@ import pytest
 
 from hardykit import quadrature, verifier
 from hardykit.catalog import instantiate
-from hardykit.errors import DomainError, HypothesisError
+from hardykit.errors import DomainError, HypothesisError, ParameterError
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry, unit_ball_volume
 from hardykit.riccati import FuncEval
@@ -70,6 +70,12 @@ class TestAdditiveMargin:
         m = additive_margin(E3, parse("0*t"), u, H=H)
         assert m.rhs == 0.0
         assert m.lhs > 0.0
+
+    @pytest.mark.parametrize("margin", [additive_margin, multiplicative_margin])
+    def test_plain_G_needs_a_geometry(self, margin):
+        # an AttributeError on None was raised from the target's resolution
+        with pytest.raises(ParameterError, match="a plain G needs a geometry"):
+            margin(None, parse("0.5/t"), compact_bump(1.0, 0.5))
 
     def test_mckean_rayleigh_quotient(self):
         inst = instantiate("mckean", H2, {})
@@ -266,8 +272,11 @@ class TestSweeps:
         assert all(r.note == "" and math.isfinite(r.ratio) for r in sw.rows[2:])
         assert sw.achieved_extremum == min(r.ratio for r in sw.rows[2:])
 
+    # hardy reported the sharp constant ((n + alpha - p)/p)^p = 0 and 0.0625
     @pytest.mark.parametrize("mode, params", [("up", {"alpha": 5.0}),
-                                              ("ckn", {"alpha": 1.0, "r": 7.0})])
+                                              ("ckn", {"alpha": 1.0, "r": 7.0}),
+                                              ("hardy", {"alpha": -1.0}),
+                                              ("hardy", {"alpha": -1.5})])
     def test_hypothesis_violation_raises(self, mode, params):
         with pytest.raises(HypothesisError):
             sharpness_sweep(mode, E3, params)
