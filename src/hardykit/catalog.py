@@ -417,9 +417,10 @@ def _build_ghoussoub_moradifam(geo: ModelGeometry, a: float = 1.0, b: float = 1.
     if beta == 0.0:
         G = parse("K0h/t")
     else:
+        # hyp2f1ratio(oA - oB, oA + oB, 1, z) is
+        # F(oA - oB + 1, oA + oB + 1; 2; z) / F(oA - oB, oA + oB; 1; z)
         G = parse("K0h/t * (1 - beta*(b/a)*t^alpha"
-                  " * hyp2f1(oA - oB + 1, oA + oB + 1, 2, -(b/a)*t^alpha)"
-                  " / hyp2f1(oA - oB, oA + oB, 1, -(b/a)*t^alpha))")
+                  " * hyp2f1ratio(oA - oB, oA + oB, 1, -(b/a)*t^alpha))")
     meta = {"K0": k0, "K1": k1, "A": A, "B": B, "in_thm422_region": in_region,
             "positivity_unproven": not in_region}
     return (spec, G, C, geo.kappa == 0.0,

@@ -193,11 +193,19 @@ _BESSELJ_DUAL = _refuse("{d0} != 0.0", "no derivative rule through the besselj o
 _BESSELRATIO_DUAL = _refuse(
     "{d0} != 0.0", "no derivative rule through the besselratio order argument") + (
     "{v} = _sf.bessel_ratio({0}, {1})\n{d} = _sf.bessel_ratio_dx({0}, {1}, {v}) * {d1}")
-# one series pass gives F and dF/dz where z moves; F alone where it does not
-_HYP2F1_DUAL = _refuse("{d0} != 0.0 or {d1} != 0.0 or {d2} != 0.0",
-                       "no derivative rule through the hyp2f1 parameter argument") + (
-    "if {d3} == 0.0:\n    {v} = _sf.hyp2f1({0}, {1}, {2}, {3})\n    {d} = 0.0\n"
-    "else:\n    {v}, {d} = _sf.hyp2f1_with_dz({0}, {1}, {2}, {3})\n    {d} = {d} * {d3}")
+
+
+def _z_dual(name: str) -> str:
+    """Dual statements of a builtin f(a, b, c, z) differentiable in z alone:
+    one series pass gives f and df/dz where z moves; f alone where it does
+    not."""
+    return _refuse("{d0} != 0.0 or {d1} != 0.0 or {d2} != 0.0",
+                   f"no derivative rule through the {name} parameter argument") + (
+        f"if {{d3}} == 0.0:\n    {{v}} = _sf.{name}({{0}}, {{1}}, {{2}}, {{3}})\n    {{d}} = 0.0\n"
+        f"else:\n    {{v}}, {{d}} = _sf.{name}_with_dz({{0}}, {{1}}, {{2}}, {{3}})\n"
+        "    {d} = {d} * {d3}")
+
+
 _GAMMA_DUAL = _refuse("{d0} != 0.0", "gamma is excluded from differentiation paths") + (
     "{v} = _sf.gamma({0})\n{d} = 0.0")
 
@@ -226,7 +234,8 @@ _BUILTINS = {
     "D": _unary("_geo.deficit_value({k}, {0})", "_geo.deficit_value_dt({k}, {0})"),
     "besselj": (2, "_sf.bessel_j({0}, {1})", _BESSELJ_DUAL),
     "besselratio": (2, "_sf.bessel_ratio({0}, {1})", _BESSELRATIO_DUAL),
-    "hyp2f1": (4, "_sf.hyp2f1({0}, {1}, {2}, {3})", _HYP2F1_DUAL),
+    "hyp2f1": (4, "_sf.hyp2f1({0}, {1}, {2}, {3})", _z_dual("hyp2f1")),
+    "hyp2f1ratio": (4, "_sf.hyp2f1ratio({0}, {1}, {2}, {3})", _z_dual("hyp2f1ratio")),
     "gamma": (1, "_sf.gamma({0})", _GAMMA_DUAL),
 }
 
@@ -722,12 +731,16 @@ def evaluator(e, binding: ParamBinding | None = None, dual: bool = False) -> Cal
     """The function t -> e.eval(t, binding), or e.eval_d(t, binding) when
     dual, resolved once for a loop over t under one binding.  For a
     ScalarExpr it is the generated function eval/eval_d call, compiled
-    against a snapshot of the binding; for any other evaluable, its method
-    with the binding passed along.  Every evaluation error raises at a
-    call, not here."""
+    against a snapshot of the binding; for a psi-comparison L, its ratio over
+    psi's function resolved so; for any other evaluable, its method with the
+    binding passed along.  Every evaluation error raises at a call, not
+    here."""
     binding = binding or {}
     if isinstance(e, ScalarExpr):
         return e._compiled(binding, int(dual))
+    if not dual and isinstance(e, _geo.ComparisonL) and e.kind == "psi":
+        # psi resolved once here, not merged with the binding at each call
+        return e._psi_ratio(evaluator(e.psi, {**e._geo_binding, **binding}, dual=True))
     method = e.eval_d if dual else e.eval
     return lambda t: method(t, binding)
 

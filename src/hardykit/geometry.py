@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, ParameterError
 from .specfun import gamma
@@ -227,10 +227,18 @@ class ComparisonL:
         if self.kind == "constant_floor":
             return (geo.n - 1) * math.sqrt(-geo.kappa)
         b = {**self._geo_binding, **(binding or {})}
-        v, dv = self.psi.eval_d(t, b)
-        if v <= 0.0:
-            raise DomainError(f"psi({t!r}) = {v!r} <= 0")
-        return (geo.n - 1) * dv / v
+        return self._psi_ratio(lambda s: self.psi.eval_d(s, b))(t)
+
+    def _psi_ratio(self, psi_d) -> Callable[[float], float]:
+        """The psi kind's L as a function of t, from psi_d: t -> (psi, psi')."""
+        scale = self.geo.n - 1
+
+        def L(t: float) -> float:
+            v, dv = psi_d(t)
+            if v <= 0.0:
+                raise DomainError(f"psi({t!r}) = {v!r} <= 0")
+            return scale * dv / v
+        return L
 
     def __repr__(self):
         return f"ComparisonL({self.kind})"

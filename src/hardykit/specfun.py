@@ -11,9 +11,16 @@ zero.  The Gauss function is evaluated through the Pfaff map w = z/(z-1),
 which turns z <= 0 into w in [0, 1), up to -z = 3 and by the connection
 formula in 1/z beyond; where b - a is near an integer, and that formula
 cancels, the Pfaff map serves up to -z = 40 and mpmath.hyp2f1 above it.
+Where c - b is near a negative integer and the Pfaff series in a would sum
+to a small remainder, the other Pfaff form, the series in b, is summed.
 hyp2f1_with_dz returns dF/dz beside F from one series pass: the loop that
 sums F also sums k times each term, for a few terms more once F has
 converged, and a closed form turns that into the derivative.
+hyp2f1ratio and hyp2f1ratio_with_dz give the contiguous ratio
+F(a+1, b+1; c+1; z) / F(a, b; c; z), which is (c / ab) F'/F (DLMF 15.5.1),
+and its z-derivative from one series pass of the denominator: that pass
+also sums k (k-1) times each term, from which d2F/dz2 follows the same
+way, only when a caller asks for it, so plain hyp2f1 keeps its cost.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ __all__ = [
     "hyp2f1",
     "hyp2f1_with_dz",
     "hyp2f1_dz",
+    "hyp2f1ratio",
+    "hyp2f1ratio_with_dz",
 ]
 
 BESSEL_NU_MAX = 50.0
@@ -62,6 +71,9 @@ _MP_DPS = 20
 _HYP_CONNECT = 3.0
 _HYP_BIGZ = 40.0
 _HYP_GAP_GUARD = 1e-3
+# Where c - a is within this of an integer, and c - b near a negative one,
+# the Pfaff series in b is summed rather than the one in a (_hyp2f1_pair)
+_HYP_SWAP_GAP = 1e-2
 _HYP_MAX_TERMS = 200_000
 
 
@@ -234,12 +246,16 @@ def bessel_ratio_dx(nu: float, x: float, ratio: float | None = None) -> float:
     return 1.0 - (2.0 * nu + 1.0) * r / x + r * r
 
 
-def _series_2f1(a: float, b: float, c: float, x: float) -> tuple[float, float]:
-    """Plain ascending Gauss series at argument x, |x| < 1: its sum S, and
-    D = sum k term_k = x dS/dx from the same terms."""
+def _series_2f1(a: float, b: float, c: float, x: float,
+                second: bool = False) -> tuple[float, float, float]:
+    """Plain ascending Gauss series at argument x, |x| < 1: its sum S,
+    D = sum k term_k = x dS/dx and, when ``second`` is set,
+    E = sum k (k-1) term_k = x^2 d2S/dx2, all from the same terms; E is 0.0
+    unless asked for, and S and D do not depend on whether it was."""
     total = 1.0
     comp = 0.0
     dsum = 0.0
+    esum = 0.0
     term = 1.0
     k = 0.0  # a float counter: k + 1.0 is formed once, for the term and for D
     small = 0
@@ -251,8 +267,10 @@ def _series_2f1(a: float, b: float, c: float, x: float) -> tuple[float, float]:
         comp = (t - total) - y
         total = t
         dsum += k1 * term
+        if second:
+            esum += k * k1 * term
         if term == 0.0:
-            return total, dsum
+            return total, dsum, esum
         if abs(term) <= 1e-17 * (abs(total) + 1e-300):
             small += 1
             if small >= 3:
@@ -267,59 +285,93 @@ def _series_2f1(a: float, b: float, c: float, x: float) -> tuple[float, float]:
         )
     # D's terms are k times S's, so D's tail outlasts S's stopping rule; past
     # it the terms shrink geometrically, and the first one below 1e-17 of D
-    # ends D's sum
+    # ends D's sum.  E's terms are k - 1 times D's, so E's tail goes on the
+    # same way past D's.
     while abs(k1 * term) > 1e-17 * (abs(dsum) + 1e-300):
         k = k1
         k1 = k + 1.0
         term *= (a + k) * (b + k) / ((c + k) * k1) * x
         dsum += k1 * term
-    return total, dsum
+        if second:
+            esum += k * k1 * term
+    if second:
+        while abs(k * k1 * term) > 1e-17 * (abs(esum) + 1e-300):
+            k = k1
+            k1 = k + 1.0
+            term *= (a + k) * (b + k) / ((c + k) * k1) * x
+            esum += k * k1 * term
+    return total, dsum, esum
 
 
-def _hyp2f1_bigz(a: float, b: float, c: float, z: float) -> tuple[float, float]:
-    """Connection formula in 1/z for z -> -inf, and its derivative; needs
-    b - a non-integer.  Each term C (-z)^(-a_i) S_i(1/z) has derivative
-    C (-z)^(-a_i) (-a_i S_i - D_i) / z."""
+def _hyp2f1_bigz(a: float, b: float, c: float, z: float,
+                 second: bool = False) -> tuple[float, float, float]:
+    """Connection formula in 1/z for z -> -inf, and its first two
+    derivatives (the second 0.0 unless ``second`` is set); needs b - a
+    non-integer.  Each term C (-z)^(-a_i) S_i(1/z) has derivative
+    C (-z)^(-a_i) (-a_i S_i - D_i) / z and second derivative
+    C (-z)^(-a_i) (a_i (a_i+1) S_i + 2 (a_i+1) D_i + E_i) / z^2."""
     inv = 1.0 / z
     coef_a = gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a)
     coef_b = gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b)
     out = 0.0
     dout = 0.0
+    ddout = 0.0
     if coef_a != 0.0:
         scale = coef_a * (-z) ** (-a)
-        s, d = _series_2f1(a, a - c + 1.0, a - b + 1.0, inv)
+        s, d, e = _series_2f1(a, a - c + 1.0, a - b + 1.0, inv, second)
         out += scale * s
         dout += scale * (-a * s - d)
+        if second:
+            ddout += scale * (a * (a + 1.0) * s + 2.0 * (a + 1.0) * d + e)
     if coef_b != 0.0:
         scale = coef_b * (-z) ** (-b)
-        s, d = _series_2f1(b, b - c + 1.0, b - a + 1.0, inv)
+        s, d, e = _series_2f1(b, b - c + 1.0, b - a + 1.0, inv, second)
         out += scale * s
         dout += scale * (-b * s - d)
-    return out, inv * dout
+        if second:
+            ddout += scale * (b * (b + 1.0) * s + 2.0 * (b + 1.0) * d + e)
+    return out, inv * dout, inv * inv * ddout
 
 
-def _hyp2f1_pair(a: float, b: float, c: float, z: float) -> tuple[float, float | None]:
-    """F and dF/dz from one series pass; dF/dz is None on the mpmath branch."""
+def _hyp2f1_pair(a: float, b: float, c: float, z: float,
+                 second: bool = False) -> tuple[float, float | None, float | None]:
+    """F, dF/dz and, when ``second`` is set, d2F/dz2 (else 0.0), all from one
+    series pass; both derivatives are None on the mpmath branch."""
     if _is_nonpositive_integer(c):
         raise PoleError(f"hyp2f1 third parameter c={c!r} is a nonpositive integer")
     if z > 0.0:
         raise UnsupportedRangeError(f"hyp2f1 argument z={z!r} > 0 unsupported")
     if z == 0.0:
-        return 1.0, a * b / c
+        slope = a * b / c
+        return 1.0, slope, slope * ((a + 1.0) * (b + 1.0) / (c + 1.0)) if second else 0.0
     if a > b:
         a, b = b, a  # series symmetry; keeps f(a,b,...) == f(b,a,...) bitwise
     if -z > _HYP_CONNECT:
         if abs((b - a) - round(b - a)) > _HYP_GAP_GUARD:
-            return _hyp2f1_bigz(a, b, c, z)
+            return _hyp2f1_bigz(a, b, c, z, second)
         if -z > _HYP_BIGZ:
             with mpmath.workdps(_MP_DPS):
-                return float(mpmath.hyp2f1(a, b, c, z)), None
+                return float(mpmath.hyp2f1(a, b, c, z)), None, None
+    # Where c - b is near a negative integer -m, the mapped series
+    # F(a, c-b; c; w) tends to (c-a)_m / (c)_m as w -> 1 (Chu-Vandermonde),
+    # a small remainder of O(1) terms if c - a is near one of 0, -1, ...,
+    # 1-m.  The other Pfaff form, (1-z)^(-b) F(c-a, b; c; w), has no such
+    # remainder there, so it is summed instead; elsewhere the first form
+    # stays, since the second's dF/dz cancels to about eps b/a for small a.
+    cb, ca = c - b, c - a
+    if (cb <= _HYP_GAP_GUARD - 1.0 and abs(cb - round(cb)) <= _HYP_GAP_GUARD
+            and round(cb) < round(ca) <= 0 and abs(ca - round(ca)) <= _HYP_SWAP_GAP):
+        a, b = b, a
     # F = q^(-a) S(w) with q = 1 - z, w = z/(z-1) and dw/dz = -1/q^2, so
-    # dF/dz = q^(-a-1) (a S + D/z) with D = w dS/dw
+    # dF/dz = q^(-a-1) (a S + D/z) with D = w dS/dw, and
+    # d2F/dz2 = q^(-a-2) (a (a+1) S + 2 (a+1) D/z + E/z^2) with E = w^2 d2S/dw2
     q = 1.0 - z
     qa = q ** (-a)
-    s, d = _series_2f1(a, c - b, c, z / (z - 1.0))
-    return qa * s, qa / q * (a * s + d / z)
+    s, d, e = _series_2f1(a, c - b, c, z / (z - 1.0), second)
+    dz = qa / q * (a * s + d / z)
+    if not second:
+        return qa * s, dz, 0.0
+    return qa * s, dz, qa / (q * q) * (a * (a + 1.0) * s + 2.0 * (a + 1.0) * d / z + e / (z * z))
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
@@ -343,7 +395,7 @@ def hyp2f1_with_dz(a: float, b: float, c: float, z: float) -> tuple[float, float
     costs no second evaluation; on the mpmath branch it is the contiguous
     relation dF/dz = (a b / c) F(a+1, b+1; c+1; z).
     """
-    f, dz = _hyp2f1_pair(a, b, c, z)
+    f, dz, _ = _hyp2f1_pair(a, b, c, z)
     if dz is None:
         dz = (a * b / c) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
     return f, dz
@@ -353,3 +405,48 @@ def hyp2f1_dz(a: float, b: float, c: float, z: float) -> float:
     """dF/dz for z <= 0: the second component of hyp2f1_with_dz, summed in
     the same series pass as F."""
     return hyp2f1_with_dz(a, b, c, z)[1]
+
+
+def _hyp2f1ratio(a: float, b: float, c: float, z: float,
+                 with_dz: bool) -> tuple[float, float | None]:
+    """r = F(a+1, b+1; c+1; z) / F(a, b; c; z) and, when ``with_dz``,
+    dr/dz (else None), from one series pass of the denominator."""
+    if a * b == 0.0:  # F(a, b; c; z) = 1: r is the numerator itself
+        if with_dz:
+            return hyp2f1_with_dz(a + 1.0, b + 1.0, c + 1.0, z)
+        return hyp2f1(a + 1.0, b + 1.0, c + 1.0, z), None
+    f, f1, f2 = _hyp2f1_pair(a, b, c, z, with_dz)
+    slope = a * b / c  # dF/dz at z = 0, and F' / F(a+1, b+1; c+1; z)
+    if f1 is None:  # the mpmath branch: the contiguous relations
+        f1 = slope * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
+        if with_dz:
+            f2 = slope * ((a + 1.0) * (b + 1.0) / (c + 1.0)) * hyp2f1(a + 2.0, b + 2.0, c + 2.0, z)
+    if f == 0.0:
+        raise DomainError(f"hyp2f1ratio denominator F({a!r}, {b!r}; {c!r}; {z!r}) is zero")
+    g = f1 / f
+    if not with_dz:
+        return g / slope, None
+    return g / slope, (f2 / f - g * g) / slope
+
+
+def hyp2f1ratio(a: float, b: float, c: float, z: float) -> float:
+    """The contiguous ratio F(a+1, b+1; c+1; z) / F(a, b; c; z) for z <= 0.
+
+    The numerator is (c / (a b)) dF/dz of the denominator (DLMF 15.5.1), so
+    both come from the denominator's one series pass, except on hyp2f1's
+    mpmath branch, where the numerator is evaluated itself.  For a b = 0
+    the denominator is 1 and the numerator is returned.  A zero denominator
+    raises DomainError.
+    """
+    return _hyp2f1ratio(a, b, c, z, False)[0]
+
+
+def hyp2f1ratio_with_dz(a: float, b: float, c: float, z: float) -> tuple[float, float]:
+    """(r, dr/dz) for r = hyp2f1ratio(a, b, c, z), both from one series pass.
+
+    r is bitwise hyp2f1ratio(a, b, c, z).  With F and its derivatives F', F''
+    summed from the same terms, r = (c / ab) F'/F and
+    dr/dz = (c / ab) (F''/F - (F'/F)^2); F'' comes from a third accumulator,
+    not from the hypergeometric equation, which cancels near z = 0.
+    """
+    return _hyp2f1ratio(a, b, c, z, True)

@@ -152,8 +152,8 @@ def simpson(f, lo: float, hi: float, n: int = 4096) -> float:
 # the chain rule through every node.  It covers + - * / ^, unary minus, pow
 # and every builtin: the elementary ones below, and those that call the
 # geometry and specfun kernels (ct, s and D read kappa from the binding; the
-# order of besselj and besselratio, a, b, c of hyp2f1 and the argument of
-# gamma admit no derivative).
+# order of besselj and besselratio, a, b, c of hyp2f1 and hyp2f1ratio and the
+# argument of gamma admit no derivative).
 
 
 def _ref_exp(x):
@@ -274,6 +274,17 @@ def _ref_hyp2f1(args, dual):
     return v, dz * zd
 
 
+def _ref_hyp2f1ratio(args, dual):
+    (a, ad), (b, bd), (c, cd), (z, zd) = args
+    if dual:
+        for d in (ad, bd, cd):
+            _ref_constant(d, "hyp2f1ratio parameter")
+    if not dual or zd == 0.0:
+        return specfun.hyp2f1ratio(a, b, c, z), 0.0
+    v, dz = specfun.hyp2f1ratio_with_dz(a, b, c, z)
+    return v, dz * zd
+
+
 def _ref_gamma(args, dual):
     (x, xd), = args
     if dual and xd != 0.0:
@@ -284,7 +295,8 @@ def _ref_gamma(args, dual):
 _REFERENCE_ALL_UNARY = {**REFERENCE_UNARY, "coth": (_ref_coth, lambda x, v: 1.0 - v * v)}
 
 _REFERENCE_SPECIAL = {"besselj": _ref_besselj, "besselratio": _ref_besselratio,
-                      "hyp2f1": _ref_hyp2f1, "gamma": _ref_gamma}
+                      "hyp2f1": _ref_hyp2f1, "hyp2f1ratio": _ref_hyp2f1ratio,
+                      "gamma": _ref_gamma}
 
 # name -> (f(kappa, x), f'(kappa, x) given f(x)) of the builtins that read kappa
 _REFERENCE_KAPPA_UNARY = {

@@ -415,3 +415,20 @@ class TestIndependentPipelineCrossCheck:
                 v, d = inst.G.eval_d(t, binding)
                 assert v == pytest.approx(ref, rel=1e-11)
                 assert d == pytest.approx(ref_d, rel=1e-9, abs=1e-12)
+
+
+class TestGMWorkCount:
+    def test_one_series_pass_per_grid_node(self, monkeypatch):
+        # G's contiguous ratio comes from one pass of its denominator's
+        # series: one _hyp2f1_pair call per grid node (1040 at 1024 points)
+        from hardykit import specfun
+
+        inst = instantiate("ghoussoub_moradifam", E4,
+                           {"a": 1.0, "b": 1.0, "alpha": 0.5, "beta": 0.5, "m": 0.3})
+        calls = []
+        pair = specfun._hyp2f1_pair
+        monkeypatch.setattr(specfun, "_hyp2f1_pair",
+                            lambda *args: calls.append(args[3]) or pair(*args))
+        rep = certify(inst.spec, inst.G, n_points=1024)
+        assert rep.verdict == "certified"
+        assert len(calls) == len(set(calls)) == 1040

@@ -94,7 +94,7 @@ class TestGrammarShape:
     def test_builtin_table_contents(self):
         expected = {"abs", "sqrt", "exp", "log", "pow", "sin", "cos", "sinh",
                     "cosh", "tanh", "coth", "ct", "s", "D", "besselj",
-                    "besselratio", "hyp2f1", "gamma"}
+                    "besselratio", "hyp2f1", "hyp2f1ratio", "gamma"}
         assert set(BUILTIN_ARITY) == expected
 
 
@@ -341,7 +341,9 @@ def _any_builtin_expr(rng: random.Random, depth: int) -> str:
     if kind == 8:
         return f"besselj({rng.choice(['0', '1', '2.5', 't', 'a'])}, {sub()})"
     return rng.choice([f"besselratio(1, {sub()})", f"hyp2f1(0.5, b, 1.5, -{sub()})",
-                       f"hyp2f1(a, 1, 2, -(t^2 + {sub()}))", f"pow({sub()}, {sub()})"])
+                       f"hyp2f1(a, 1, 2, -(t^2 + {sub()}))", f"pow({sub()}, {sub()})",
+                       f"hyp2f1ratio(b, 0.75, 1, -{sub()})",
+                       f"hyp2f1ratio(a - 1.3, 1.5, 1, -(t^2 + {sub()}))"])
 
 
 class TestBindTimeFolding:
@@ -521,6 +523,8 @@ class TestReferenceEvaluator:
                     "besselj(1, 2*t)", "besselj(a, t)", "besselj(t, 1)", "besselratio(t, 1)",
                     "besselratio(0.5, t)", "hyp2f1(t, 1, 2, -1)", "hyp2f1(1, t, 2, -1)",
                     "hyp2f1(1, 1, t, -1)", "hyp2f1(a, b, 2, -t)", "hyp2f1(a, b, 2, -a)*t",
+                    "hyp2f1ratio(t, 1, 2, -1)", "hyp2f1ratio(a, b, 1, -t)",
+                    "hyp2f1ratio(q, b, 1, -t)", "hyp2f1ratio(a, b, 2, -a)*t",
                     "gamma(t)", "gamma(a)*t", "ct(t)", "s(t)", "D(t)", "coth(t)", "coth(-t)"]
         seen: dict[str, int] = {}
         for src in sources:
@@ -641,6 +645,7 @@ class TestCodeCache:
     FIXED_MESSAGES = {"no derivative rule through the besselj order argument",
                       "no derivative rule through the besselratio order argument",
                       "no derivative rule through the hyp2f1 parameter argument",
+                      "no derivative rule through the hyp2f1ratio parameter argument",
                       "gamma is excluded from differentiation paths",
                       "besselj(", ", x) has unbounded derivative at x=0"}
 

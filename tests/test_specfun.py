@@ -5,7 +5,8 @@ import pytest
 from hardykit import specfun
 from hardykit.errors import (DomainError, PoleError, UnsupportedRangeError)
 from hardykit.specfun import (bessel_j, bessel_ratio, bessel_ratio_dx, bessel_zero,
-                              gamma, hyp2f1, hyp2f1_dz, hyp2f1_with_dz, rgamma)
+                              gamma, hyp2f1, hyp2f1_dz, hyp2f1_with_dz, hyp2f1ratio,
+                              hyp2f1ratio_with_dz, rgamma)
 from oracles import (bessel_series_direct, bisect_root, central_diff,
                      gauss_series_direct, mittag_leffler_ratio)
 
@@ -299,9 +300,9 @@ class TestHyp2f1:
         # less than the mapped series; near-integer gaps never take it
         calls = []
 
-        def counting(a, b, c, z):
+        def counting(a, b, c, z, *rest):
             calls.append(z)
-            return bigz(a, b, c, z)
+            return bigz(a, b, c, z, *rest)
 
         bigz = specfun._hyp2f1_bigz
         monkeypatch.setattr(specfun, "_hyp2f1_bigz", counting)
@@ -430,6 +431,176 @@ class TestHyp2f1Derivative:
             with mpmath.workdps(40):
                 ref = mpmath.diff(lambda y: mpmath.hyp2f1(a, b, c, y), z)
             assert abs((hyp2f1_dz(a, b, c, z) - ref) / ref) <= 2e-15
+
+
+class TestHyp2f1PfaffForm:
+    """Where c - b is near a negative integer -m and c - a near one of 0,
+    -1, ..., 1-m, the mapped series in a sums to a small remainder of O(1)
+    terms; the Pfaff form in b is summed instead."""
+
+    def test_closed_form_case(self):
+        # F(1, b; 1; z) = (1 - z)^(-b): with b = 4 + 2e-8 the series in a
+        # sums to about (1 - w)^3, the one in b is exactly 1
+        import mpmath
+
+        b = 4.0 + 2e-8
+        for z in (-2.0, -10.0, -39.0):
+            with mpmath.workdps(40):
+                ref = (1 - mpmath.mpf(z)) ** -mpmath.mpf(b)
+                ref_dz = b * (1 - mpmath.mpf(z)) ** -(mpmath.mpf(b) + 1)
+            f, dz = hyp2f1_with_dz(1.0, b, 1.0, z)
+            assert abs((f - ref) / ref) <= 1e-15
+            assert abs((dz - ref_dz) / ref_dz) <= 1e-15
+
+    def test_near_integer_sweep_against_mpmath(self):
+        import random
+
+        import mpmath
+
+        rng = random.Random(1414)
+        worst = 0.0
+        for _ in range(150):
+            m = rng.randint(1, 3)
+            a = rng.uniform(-1.0, 3.0)
+            c = a - rng.randint(0, m - 1) + rng.uniform(-1e-2, 1e-2)
+            if c < 0.1:
+                continue
+            b = c + m + rng.uniform(-1e-3, 1e-3)
+            z = -math.exp(rng.uniform(math.log(1e-3), math.log(40.0)))
+            with mpmath.workdps(40):
+                ref = mpmath.hyp2f1(a, b, c, z)
+                ref_dz = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z)
+            f, dz = hyp2f1_with_dz(a, b, c, z)
+            worst = max(worst, float(abs((f - ref) / ref)), float(abs((dz - ref_dz) / ref_dz)))
+        assert worst <= 1e-13, worst
+
+
+def _gm_shape(rng):
+    """(a, b, c) of the Ghoussoub-Moradifam ratio F(a+1, b+1; 2; z)/F(a, b; 1; z),
+    drawn as perfbench draws the entry's parameters: a = A - B, b = A + B."""
+    alpha, beta, k0 = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.6), 2.0 * rng.uniform(0.1, 1.2)
+    A = beta / 2.0
+    B = math.sqrt(alpha * beta * (alpha * beta + 2.0 * k0)) / (2.0 * alpha)
+    return A - B, A + B, 1.0
+
+
+def _ratio_ref(a, b, c, z):
+    """r = F(a+1, b+1; c+1; z)/F(a, b; c; z) and dr/dz at 40 digits, from
+    mpmath's F at three contiguous parameter sets."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, b, c, z = (mpmath.mpf(x) for x in (a, b, c, z))
+        f = mpmath.hyp2f1(a, b, c, z)
+        r = mpmath.hyp2f1(a + 1, b + 1, c + 1, z) / f
+        dr = ((a + 1) * (b + 1) / (c + 1) * mpmath.hyp2f1(a + 2, b + 2, c + 2, z) / f
+              - a * b / c * r * r)
+        return r, dr
+
+
+class TestHyp2f1Ratio:
+    BOUND = 1e-13  # relative, on r and on dr/dz
+
+    @staticmethod
+    def _worst(cases):
+        worst = 0.0
+        for a, b, c, z in cases:
+            r, dr = hyp2f1ratio_with_dz(a, b, c, z)
+            ref, ref_dr = _ratio_ref(a, b, c, z)
+            worst = max(worst, float(abs((r - ref) / ref)), float(abs((dr - ref_dr) / ref_dr)))
+        return worst
+
+    def test_gm_shape_against_mpmath(self):
+        import random
+
+        rng = random.Random(1401)
+        cases = [(*_gm_shape(rng), -(10.0 ** rng.uniform(-6.0, 4.0))) for _ in range(300)]
+        assert self._worst(cases) <= self.BOUND
+
+    def test_each_branch_against_mpmath(self, monkeypatch):
+        # the mapped series (-z <= 3), the 1/z formula (-z > 3) and, for
+        # b - a within 1e-3 of an integer, the mapped series up to -z = 40
+        # and mpmath above it, where the numerator and F(a+2, b+2; c+2; z)
+        # are evaluated too; the branch is checked by counting
+        import random
+
+        import mpmath
+
+        calls = {"bigz": 0, "mpmath": 0}
+        bigz, mp_hyp2f1 = specfun._hyp2f1_bigz, mpmath.hyp2f1
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        rng = random.Random(1402)
+        for branch, lo, hi, expected in (
+                ("pfaff", -6.0, math.log10(3.0), {"bigz": 0, "mpmath": 0}),
+                ("bigz", 0.5, 4.0, {"bigz": 60, "mpmath": 0}),
+                ("near", -1.0, math.log10(40.0), {"bigz": 0, "mpmath": 0}),
+                ("mpmath", 1.7, 4.0, {"bigz": 0, "mpmath": 180})):
+            cases = []
+            while len(cases) < 60:
+                a, b, c = _gm_shape(rng)
+                if branch in ("near", "mpmath"):
+                    A, gap = (a + b) / 2.0, rng.randint(1, 3) + rng.uniform(-1e-3, 1e-3)
+                    a, b = A - gap / 2.0, A + gap / 2.0
+                elif abs((b - a) - round(b - a)) <= specfun._HYP_GAP_GUARD:
+                    continue
+                cases.append((a, b, c, -(10.0 ** rng.uniform(lo, hi))))
+            calls.update(bigz=0, mpmath=0)
+            monkeypatch.setattr(specfun, "_hyp2f1_bigz", counting("bigz", bigz))
+            monkeypatch.setattr(mpmath, "hyp2f1", counting("mpmath", mp_hyp2f1))
+            for case in cases:
+                hyp2f1ratio_with_dz(*case)
+            monkeypatch.undo()
+            assert calls == expected, branch
+            assert self._worst(cases) <= self.BOUND, branch
+
+    def test_denominator_one(self):
+        # a b = 0: F(a, b; c; z) = 1, so r is the numerator and its derivative
+        for a, b, c, z in ((0.0, 1.3, 1.0, -2.0), (0.7, 0.0, 2.0, -50.0), (0.0, 0.0, 1.0, -0.5)):
+            assert hyp2f1ratio(a, b, c, z) == hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
+            assert hyp2f1ratio_with_dz(a, b, c, z) == hyp2f1_with_dz(a + 1.0, b + 1.0, c + 1.0, z)
+            r, dr = hyp2f1ratio_with_dz(a, b, c, z)
+            ref, ref_dr = _ratio_ref(a, b, c, z)
+            assert abs((r - ref) / ref) <= self.BOUND and abs((dr - ref_dr) / ref_dr) <= self.BOUND
+
+    def test_symmetric_and_value_bitwise(self):
+        import random
+
+        rng = random.Random(1403)
+        for i in range(300):
+            a, b, c = _gm_shape(rng)
+            if i % 3 == 0:
+                b = a + rng.randint(1, 3) + rng.uniform(-1e-4, 1e-4)
+            z = 0.0 if i % 50 == 0 else -(10.0 ** rng.uniform(-4.0, 4.0))
+            r, dr = hyp2f1ratio_with_dz(a, b, c, z)
+            assert repr(hyp2f1ratio_with_dz(b, a, c, z)) == repr((r, dr))
+            assert repr(hyp2f1ratio(a, b, c, z)) == repr(hyp2f1ratio(b, a, c, z)) == repr(r)
+
+    def test_at_zero(self):
+        a, b, c = 0.3, 1.7, 1.0
+        r, dr = hyp2f1ratio_with_dz(a, b, c, 0.0)
+        assert r == 1.0
+        assert dr == pytest.approx((a + 1) * (b + 1) / (c + 1) - a * b / c, rel=1e-15)
+
+    def test_zero_denominator_raises(self):
+        # F(-1, -1; 2; z) = 1 + z/2 vanishes at z = -2
+        for fn in (hyp2f1ratio, hyp2f1ratio_with_dz):
+            with pytest.raises(DomainError, match="denominator"):
+                fn(-1.0, -1.0, 2.0, -2.0)
+
+    def test_one_series_pass(self, monkeypatch):
+        calls = []
+        pair = specfun._hyp2f1_pair
+        monkeypatch.setattr(specfun, "_hyp2f1_pair", lambda *args: calls.append(args) or pair(*args))
+        for z in (-0.5, -2.0, -10.0, -1e3):
+            hyp2f1ratio_with_dz(-0.4, 1.3, 1.0, z)
+            hyp2f1ratio(-0.4, 1.3, 1.0, z)
+        assert len(calls) == 8
 
 
 class TestBesselBoxCrossCheck:

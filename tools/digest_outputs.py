@@ -27,9 +27,10 @@ entries are covered; then ``certify`` on failing and inconclusive
 candidates (an evaluation error in each of G, w, L and W, w <= 0 beside an
 error in L, W <= 0, a non-finite residual, a residual below -tol, both sign
 conditions, unbound parameters, a power overflow) with each report's
-reason, witness and max |residual|; last, forward and backward
+reason, witness and max |residual|; then forward and backward
 ``solve_ivp`` trajectories for every radial entry a config file can hold,
-and one that blows up.  Floats are printed with ``repr``; long lists are
+and one that blows up; last, ``hyp2f1ratio`` and ``hyp2f1ratio_with_dz``
+on Ghoussoub-Moradifam-shaped parameters on every branch of ``hyp2f1``.  Floats are printed with ``repr``; long lists are
 hashed.
 """
 
@@ -49,7 +50,8 @@ from hardykit.catalog import instantiate
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry
 from hardykit.riccati import FuncEval, RiccatiPairSpec, certify, solve_ivp
-from hardykit.specfun import bessel_j, bessel_zero, hyp2f1, hyp2f1_dz
+from hardykit.specfun import (bessel_j, bessel_zero, hyp2f1, hyp2f1_dz, hyp2f1ratio,
+                              hyp2f1ratio_with_dz)
 from hardykit.spectral import spectral_lambda1
 from hardykit.testfuncs import gaussian_type, random_bumps, talenti
 from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_check,
@@ -422,6 +424,23 @@ def digest_trajectories():
           _h(tr.ts), _h(tr.gs))
 
 
+def digest_hyp2f1ratio():
+    # appended after the lines above: the contiguous ratio and its derivative
+    # on Ghoussoub-Moradifam-shaped parameters a = A - B, b = A + B, c = 1:
+    # the mapped series up to -z = 3 and the 1/z formula beyond; b - a near
+    # an integer on the mapped series up to -z = 40 and mpmath beyond; then
+    # a b = 0, where the denominator is 1, and a zero denominator
+    for a, b, c in ((-0.25, 1.05, 1.0), (0.65, 1.35, 1.0), (-1.1, 1.7, 1.0),
+                    (-0.5 - 5e-5, 0.5 + 5e-5, 1.0), (-0.2 - 1e-6, 1.8 + 1e-6, 1.0),
+                    (0.0, 1.3, 1.0)):
+        for f in (hyp2f1ratio, hyp2f1ratio_with_dz):
+            print(f.__name__, a, b, c, [repr(_outcome(f, a, b, c, z)) for z in
+                                        (0.0, -1e-3, -0.5, -2.0, -3.5, -10.0, -39.0, -50.0,
+                                         -1e3, -1e5)])
+    print("hyp2f1ratio -1 -1 2", [_outcome(f, -1.0, -1.0, 2.0, -2.0)
+                                  for f in (hyp2f1ratio, hyp2f1ratio_with_dz)])
+
+
 def main() -> int:
     digest_certify()
     digest_margins()
@@ -434,6 +453,7 @@ def main() -> int:
     digest_more_catalog_margins()
     digest_certify_failures()
     digest_trajectories()
+    digest_hyp2f1ratio()
     return 0
 
 
