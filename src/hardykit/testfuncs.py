@@ -10,7 +10,10 @@ cut to 0 at R (the p-harmonic radial profile; for n = p a logarithmic cut,
 for n < p a linear one).  The capacitor cut matters: its energy stays O(1)
 per member while a linear cut in t costs enough to keep the achieved Hardy
 quotient above 0.2524 for every float-representable r0, blocking the
-documented 0.2510 sweep target.
+documented 0.2510 sweep target.  Its plateau value r0^(-sigma+eps) reaches
+e^(660 sigma) at the float floor r0 = e^-660, beyond float range once sigma
+exceeds about 1.05; it is never stored, and quadrature reads the profile
+through log_abs_u and log_abs_du, so every sigma > 0 is admissible.
 """
 
 from __future__ import annotations
@@ -93,9 +96,6 @@ def power_cutoff(eps: float, r0: float, R: float, n: int, p: float,
     if not (r0 < rc < R):
         raise ParameterError(f"cut start {rc!r} must lie inside (r0, R)")
     expo = -sigma + eps
-    if expo * math.log(r0) > 690.0:
-        raise ParameterError("plateau value overflows; raise r0 or lower sigma")
-    plateau = r0**expo
     u_rc = rc**expo
 
     exp_np = n + alpha - p

@@ -16,9 +16,12 @@ multiplicative margins and ``radial_integral``, ``_TOL_FINE`` = 1e-11 for
 everything else.
 
 Near-extremal Hardy test functions spread mass over hundreds of decades
-with plateau values around 1e150, so the sharpness-sweep integrals run
-through a log-space evaluation path; the direct integrals expect moderate
-test functions (bumps, gaussians).
+with plateau values far beyond float range, so the sharpness-sweep
+integrals run through a log-space evaluation path, ``_log_mass``, which
+integrates in x = ln t from the first support segment spanning more than a
+decade: one hardy sweep takes ~160 Kronrod panels there, not one panel per
+decade.  The direct integrals expect moderate test functions (bumps,
+gaussians).
 """
 
 from __future__ import annotations
@@ -276,12 +279,20 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction, upow: float, tpow: floa
               use_du: bool = False,
               extra: Callable[[float], float] | None = None) -> tuple[float, float]:
     """n*omega_n * integral |b(t)|^upow t^tpow s^(n-1) extra(t) dt with
-    b = u or u'; evaluated through logs so plateau values ~1e150 and
-    abscissae ~1e-290 cannot overflow intermediates."""
+    b = u or u'; evaluated through logs so plateau values beyond float
+    range and abscissae ~1e-290 cannot overflow intermediates.
+
+    From the first segment between edges (support ends and breakpoints)
+    that spans more than a decade, the integral runs in x = ln t, where
+    the integrand is exp(log f(e^x) + x): a near-extremal power region
+    becomes exp(p*eps*x), so a few panels cover hundreds of decades where
+    t needs one per decade.  The part before it, the plateau of a
+    power_cutoff, stays in t with the singular hint; a support without
+    such a segment is integrated in t alone."""
     n, kappa = geo.n, geo.kappa
     log_base_fn = u.log_abs_du if use_du else u.log_abs_u
 
-    def f(t: float) -> float:
+    def f(t: float, log_jac: float = 0.0) -> float:
         if log_base_fn is not None:
             lb = log_base_fn(t)
         else:
@@ -290,7 +301,7 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction, upow: float, tpow: floa
         if lb == -math.inf:
             return 0.0
         lg = upow * lb + tpow * math.log(t) \
-            + (n - 1) * math.log(s_value(kappa, t))
+            + (n - 1) * math.log(s_value(kappa, t)) + log_jac
         if lg < -700.0:
             return 0.0
         if lg > 700.0:
@@ -298,8 +309,17 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction, upow: float, tpow: floa
         v = math.exp(lg)
         return v * extra(t) if extra is not None else v
 
-    return _integral(geo, f, max(u.support_lo, 0.0), u.support_hi, _TOL_FINE,
-                     u.breakpoints, u.singular_hint)
+    lo, hi = max(u.support_lo, 0.0), u.support_hi
+    edges = sorted({lo, hi, *(b for b in u.breakpoints if lo < b < hi)})
+    wide = next((a for a, b in zip(edges, edges[1:]) if a > 0.0 and b / a > 10.0), hi)
+    val, err = 0.0, 0.0
+    if wide > lo:
+        val, err = _integral(geo, f, lo, wide, _TOL_FINE, u.breakpoints, u.singular_hint)
+    if wide < hi:
+        xv, xe = _integral(geo, lambda x: f(math.exp(x), x), math.log(wide), math.log(hi),
+                           _TOL_FINE, [math.log(b) for b in edges if wide < b < hi])
+        val, err = val + xv, err + xe
+    return val, err
 
 
 # ---------------------------------------------------------------------------

@@ -531,3 +531,52 @@ def reference_riccati_rhs(spec):
         return wt + (p - 1.0) * abs(g) ** pp - (wd / wv + lv) * g
 
     return f
+
+
+# energy and mass of a power_cutoff profile at 30 digits: mpmath.quad in
+# x = ln t over the plateau, the power region and the capacitor cut, from
+# the profile's own formulas and float breakpoints; mpmath's exponent range
+# holds plateau values far beyond float range
+
+
+def power_cutoff_masses_mp(u, geo, alpha):
+    """(n*omega_n * int |u'|^p t^alpha s^(n-1) dt, n*omega_n * int |u|^p
+    t^(alpha-p) s^(n-1) dt) for u = testfuncs.power_cutoff(...)."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        n, p, kappa = geo.n, geo.p, geo.kappa
+        # the exponents as the profile rounds them: the power region's
+        # 660 e-folds amplify their last bit to ~1e-13 of the integrals
+        expo_f = -(n + alpha - p) / p + u.params["eps"]
+        ecut_f = -(n + alpha - p) / (p - 1.0)
+        expo, expo_d = mp.mpf(expo_f), mp.mpf(expo_f - 1.0)
+        ecut, ecut_d = mp.mpf(ecut_f), mp.mpf(ecut_f - 1.0)
+        alpha, R = mp.mpf(alpha), mp.mpf(u.params["R"])
+        r0, rc = (mp.mpf(b) for b in u.breakpoints)
+        scale = rc**expo / (rc**ecut - R**ecut)
+
+        def s(t):
+            return t if kappa == 0 else mp.sinh(mp.sqrt(-kappa) * t) / mp.sqrt(-kappa)
+
+        def u_abs(t):
+            if t <= r0:
+                return r0**expo
+            return t**expo if t <= rc else scale * (t**ecut - R**ecut)
+
+        def du_abs(t):
+            if t <= r0:
+                return mp.mpf(0)
+            return -expo * t**expo_d if t <= rc else -scale * ecut * t**ecut_d
+
+        def quad(f):
+            def g(x):
+                t = mp.exp(x)
+                return f(t) * s(t) ** (n - 1) * t
+
+            return mp.quad(g, [-mp.inf, mp.log(r0), mp.log(rc), mp.log(R)])
+
+        energy = quad(lambda t: du_abs(t) ** p * t**alpha)
+        mass = quad(lambda t: u_abs(t) ** p * t ** (alpha - p))
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        return float(area * energy), float(area * mass)

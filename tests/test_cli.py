@@ -417,6 +417,13 @@ class TestOtherCommands:
         assert payload["summary"]["sharp_constant"] == 0.25
         assert payload["summary"]["achieved_ratio_extremum"] <= 0.2510
 
+    def test_sweep_hardy_sigma_above_one(self, capsys):
+        # sigma = 1.5: the profile's plateau value no longer overflows
+        rc = main(["sweep", "--inequality", "hardy", "--params", "kappa=0,n=5,p=2,alpha=0"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("hardy: sharp constant 2.25, achieved extremum 2.25259,")
+
     def test_gm_positivity_csv(self, tmp_path):
         out = tmp_path / "gm.csv"
         rc = main(["gm-positivity", "--out", str(out), "--t-points", "40"])

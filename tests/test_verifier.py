@@ -15,7 +15,7 @@ from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_ch
                                gm_positivity_study, hardy_default_family,
                                margin_violated, multiplicative_margin, radial_integral,
                                sc_margin, sharpness_sweep, up_margin)
-from oracles import simpson, unshared_additive_terms
+from oracles import power_cutoff_masses_mp, simpson, unshared_additive_terms
 
 E2 = ModelGeometry(0.0, 2, 2.0)
 E3 = ModelGeometry(0.0, 3, 2.0)
@@ -235,6 +235,55 @@ class TestSweeps:
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
         assert sw.achieved_extremum <= 0.2510
         assert sw.sharp_constant == 0.25
+
+    def test_hardy_sweep_panel_count(self, monkeypatch):
+        # the power region [e^-660, 1] and the cut [1, 100] integrate in
+        # x = ln t: 162 Kronrod panels for the 14 integrals (9310 one panel
+        # per decade in t), at a ratio within rounding of the t-domain one
+        panels = []
+        real_panel = quadrature.kronrod_panel
+        monkeypatch.setattr(quadrature, "kronrod_panel",
+                            lambda f, a, b: panels.append((a, b)) or real_panel(f, a, b))
+        sw = sharpness_sweep("hardy", E3, {"alpha": 0.0})
+        assert len(panels) <= 300
+        assert sw.achieved_extremum == pytest.approx(0.2509403426359339, rel=1e-12)
+
+    # sigma = (n + alpha - p)/p > 0 is the whole hypothesis; the plateau
+    # value r0^(-sigma+eps) overflowed a float for 660 sigma > 690
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_hardy_sweep_every_sigma(self, p, sigma):
+        for n in range(3, 11):
+            geo = ModelGeometry(0.0, n, p)
+            sw = sharpness_sweep("hardy", geo, {"alpha": p * sigma + p - n})
+            sharp = sw.sharp_constant
+            assert sharp == pytest.approx(sigma**p, rel=1e-12)
+            finite = [r.ratio for r in sw.rows if math.isfinite(r.ratio)]
+            assert all(r >= sharp - 1e-6 for r in finite)
+            # the eps = 0.001 member within 5e-2 of sharp (4.96e-2 at p = 3,
+            # sigma = 0.2); at p = 1.5, sigma = 0.2 that member overflows in
+            # its plateau panel and is skipped, leaving eps = 0.002
+            skipped = 1 if (p, sigma) == (1.5, 0.2) else 0
+            assert len(finite) >= 7 - skipped
+            assert finite[-1] == sw.achieved_extremum <= sharp * (1.0 + 5e-2)
+
+    @pytest.mark.parametrize("n, want, tol", [(5, 2.2525916, 5e-8), (8, 9.0052, 5e-5)])
+    def test_hardy_sweep_above_old_overflow(self, n, want, tol):
+        sw = sharpness_sweep("hardy", ModelGeometry(0.0, n, 2.0), {"alpha": 0.0})
+        assert sw.sharp_constant == ((n - 2.0) / 2.0) ** 2
+        assert sw.achieved_extremum == pytest.approx(want, abs=tol)
+
+    # sigma = 0.5, 1.5, 0.5 flat and 0.8, 1.5 hyperbolic
+    @pytest.mark.parametrize("kappa, n, p, alpha", [(0.0, 3, 2.0, 0.0), (0.0, 5, 2.0, 0.0),
+                                                    (0.0, 4, 3.0, 0.5), (-1.0, 4, 2.5, 0.5),
+                                                    (-1.0, 5, 2.0, 0.0)])
+    def test_hardy_sweep_against_mpmath(self, kappa, n, p, alpha):
+        geo = ModelGeometry(kappa, n, p)
+        sw = sharpness_sweep("hardy", geo, {"alpha": alpha})
+        for u, row in zip(hardy_default_family(geo, alpha=alpha), sw.rows):
+            energy, mass = power_cutoff_masses_mp(u, geo, alpha)
+            assert row.lhs == pytest.approx(energy, rel=1e-12)
+            assert row.rhs / sw.sharp_constant == pytest.approx(mass, rel=1e-12)
 
     def test_up_scaling_invariance(self):
         sw = sharpness_sweep("up", E3, {"alpha": 1.0})

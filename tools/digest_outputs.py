@@ -11,8 +11,8 @@ catalog entry (log and uniform grids, 512 and 1024 points);
 multiplicative (also with an H expression; Ghoussoub-Moradifam on a flat
 and a hyperbolic geometry), uncertainty,
 interpolation-exponent and oscillatory margins on seeded families;
-sharpness sweeps (one whose default family cannot be built) and
-extremal-identity checks; value and derivative of 2000 seeded random
+hardy sharpness sweeps from sigma = 0.5 to 3 and the up and ckn sweeps,
+and extremal-identity checks; value and derivative of 2000 seeded random
 expressions, with the type and message of every error raised; exit code,
 stdout, stderr and file artifacts of every command in the README, of
 ``catalog list`` and of generic ``verify`` on three emitted specs;
@@ -219,6 +219,8 @@ def digest_sweeps():
     for mode, geo, params, family in (("hardy", E3, {"alpha": 0.0}, None),
                                       ("hardy", ModelGeometry(-1.0, 4, 2.5), {"alpha": 0.5}, None),
                                       ("hardy", E3, {"alpha": 2.0}, None),  # sigma = 1.5
+                                      ("hardy", ModelGeometry(0.0, 8, 2.0), {"alpha": 0.0}, None),
+                                      ("hardy", ModelGeometry(0.0, 4, 3.0), {"alpha": 0.5}, None),
                                       ("up", E3, {"alpha": 1.0}, None),
                                       ("up", H3, {"alpha": 0.5}, up_h3),
                                       ("ckn", E3, {"alpha": 1.0, "r": 3.0}, None),
