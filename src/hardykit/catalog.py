@@ -358,23 +358,29 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
               f"value {c!r} at t={t!r}")
 
     half_ratio = (n - 1.0) / 2.0
+    last = [None, None]  # [t, (psi, psi', psi'')] of the last point; psi is pure
+
+    def psi_terms(t: float) -> tuple[float, float, float]:
+        # one psi evaluation at t serves G, G' and W; the stencil adds two more
+        if last[0] != t:
+            last[:] = t, (*psi_d(t), psi_dd(t))
+        return last[1]
 
     def G_val(t: float) -> float:
         v, d = psi_d(t)
         return -0.5 / t + half_ratio * d / v
 
     def G_dual(t: float) -> tuple[float, float]:
-        # one psi evaluation at t serves G and G'; the stencil adds two more
-        v, d = psi_d(t)
+        v, d, dd = psi_terms(t)
         g = -0.5 / t + half_ratio * d / v
         r = d / v
-        return g, 0.5 / (t * t) + half_ratio * (psi_dd(t) / v - r * r)
+        return g, 0.5 / (t * t) + half_ratio * (dd / v - r * r)
 
     def W_val(t: float) -> float:
-        v, d = psi_d(t)
+        v, d, dd = psi_terms(t)
         r = d / v
         # same psi'' estimate as G' so the residual identity cancels exactly
-        return (0.25 / (t * t) + half_ratio * psi_dd(t) / v
+        return (0.25 / (t * t) + half_ratio * dd / v
                 + (n - 1.0) * (n - 3.0) / 4.0 * r * r)
 
     spec = RiccatiPairSpec(

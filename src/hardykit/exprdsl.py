@@ -36,7 +36,8 @@ source is generated from the shape of the tree alone (node kinds,
 operators, builtin and parameter names, the fold pattern) and compiled
 once per shape and mode; numbers, folded constants, the binding snapshot
 and source fragments are bound as default arguments of the function made
-for each binding.
+for each binding.  fill_template inlines those statements in a caller's
+template (riccati's certify loop); a positive base's power runs inline.
 Every operator and builtin call sits in its own try, so an error is
 rewrapped as an EvalError naming the fragment of the source it came from.
 Division by zero and log of a nonpositive number are hard errors rather
@@ -70,6 +71,7 @@ __all__ = [
     "ParamBinding",
     "parse",
     "evaluator",
+    "fill_template",
     "BUILTIN_ARITY",
 ]
 
@@ -256,12 +258,20 @@ _STATEMENTS = {
     "/": (_DIVIDE, _DIVIDE + "\n{d} = ({d0} - {v} * {d1}) / {1}"),
 }
 _STATEMENTS.update((name, ("{v} = " + value,
-                           ("kappa = _need_kappa(binding)\n" if name in _KAPPA_BUILTINS else "")
+                           ("{k} = _need_kappa({b})\n" if name in _KAPPA_BUILTINS else "")
                            + dual)) for name, (_, value, dual) in _BUILTINS.items())
-_STATEMENTS["^"] = _STATEMENTS["pow"]
-_PARAM = ("try:\n    {v} = binding[{name}]\nexcept KeyError:\n"
+# x ** y inline for x > 0 (in dual mode, where y does not move); else _pow_*
+_POW_INLINE = "    try:\n        {v} = {0} ** {1}\n"
+_STATEMENTS["^"] = _STATEMENTS["pow"] = (
+    "if {0} > 0.0:\n" + _POW_INLINE + "    except OverflowError:\n        {v} = math.inf\n"
+    "else:\n    {v} = _pow_value({0}, {1})",
+    "if {0} > 0.0 and {d1} == 0.0:\n" + _POW_INLINE
+    + "        {d} = 0.0 + {1} * {0} ** ({1} - 1.0) * {d0} if {d0} != 0.0 else 0.0\n"
+    "    except OverflowError:\n        {v}, {d} = _pow_dual({0}, {d0}, {1}, {d1})\n"
+    "else:\n    {v}, {d} = _pow_dual({0}, {d0}, {1}, {d1})")
+_PARAM = ("try:\n    {v} = {b}[{name}]\nexcept KeyError:\n"
           "    raise UnboundParameterError('unbound parameter ' + repr({name})) from None")
-_TRY = "try:\n    {}\nexcept _REWRAPPED as exc:\n    raise _rewrap(exc, fragments[{}]) from None"
+_TRY = "try:\n    {}\nexcept _REWRAPPED as exc:\n    raise _rewrap(exc, {f}[{}]) from None"
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +557,14 @@ def _compile(node: Node, source: str, mode: str, binding: ParamBinding) -> Calla
                 const = _fold(fn)
                 if const is not fn:
                     folded[id(c)] = const(0.0)
-    fn = _function(_postorder(node, folded) if folded else order, source, mode, folded, binding)
-    return _fold(fn) if id(node) in free else fn
+    if id(node) in free:
+        fn = _function(order, source, mode, {}, binding)
+        const = _fold(fn)
+        if const is not fn:
+            order, folded = [node], {id(node): const(0.0)}
+    elif folded:
+        order = _postorder(node, folded)
+    return _function(order, source, mode, folded, binding)
 
 
 def _fold(fn: Callable) -> Callable:
@@ -562,9 +578,12 @@ def _fold(fn: Callable) -> Callable:
 def _function(order: list[Node], source: str, mode: str, folded: dict,
               binding: ParamBinding) -> Callable:
     """The generated function of a tree, given in post-order with the folded
-    subtrees (by id) as constant leaves."""
+    subtrees (by id) as constant leaves.  It carries its shape, and its
+    defaults are the shape's constants, for fill_template."""
     shape, defaults = _shape(order, source, mode, folded, binding)
-    return types.FunctionType(_code(mode, shape), globals(), "expr", defaults)
+    fn = types.FunctionType(_code(mode, shape), globals(), "expr", defaults)
+    fn.shape = shape
+    return fn
 
 
 def _shape(order: list[Node], source: str, mode: str, folded: dict,
@@ -621,27 +640,37 @@ def _code(mode: str, shape: tuple) -> types.CodeType:
 
 def _source(mode: str, shape: tuple) -> str:
     """Python source of the function t -> value, or (value, d/dt) in dual
-    mode, of a shape: one flat run of statements in evaluation order, with
-    a local per node, or two (value and derivative) in dual mode, and a try
-    around each operator and builtin call.  Parameter names enter the text
-    through repr(); numbers, folded constants, the binding and fragments
-    are the default arguments _shape gives."""
+    mode, of a shape (see _body)."""
+    params, body, result = _body(mode, shape)
+    text = "\n".join(body + [f"return {result}"]).replace("\n", "\n    ")
+    return f"def expr(t, {', '.join(params)}):\n    {text}\n"
+
+
+def _body(mode: str, shape: tuple, prefix: str = "") -> tuple[list[str], list[str], str]:
+    """The parameters, statements and result expression of a shape's
+    function: one flat run of statements in evaluation order, with a local
+    per node, or two (value and derivative) in dual mode, and a try around
+    each operator and builtin call.  Every local and parameter name starts
+    with the prefix.  Parameter names enter the text through repr();
+    numbers, folded constants, the binding and fragments are the parameters,
+    whose values are the default arguments _shape gives."""
     dual = mode is _DUAL
-    kappa = "kappa" if dual else "_need_kappa(binding)"
-    names, body, fragments = [], [], 0
+    binding, fragments = prefix + "binding", prefix + "fragments"
+    kappa = prefix + "kappa" if dual else f"_need_kappa({binding})"
+    names, body, n_fragments = [], [], 0
     atoms: list[tuple[str, str]] = []  # (value, derivative) expressions of pending nodes
     for i, tok in enumerate(shape):
-        v, d = f"v{i}", f"d{i}"
+        v, d, c, e = (f"{prefix}{x}{i}" for x in "vdce")
         if tok == "#":
-            names.append(f"c{i}")
-            atoms.append((f"c{i}", "0.0"))
+            names.append(c)
+            atoms.append((c, "0.0"))
         elif tok == "=":
-            names += (f"c{i}", f"e{i}") if dual else (f"c{i}",)
-            atoms.append((f"c{i}", f"e{i}"))
+            names += (c, e) if dual else (c,)
+            atoms.append((c, e))
         elif tok == "@":
             atoms.append(("t", "1.0"))
         elif tok[0] == "$":
-            body.append(_PARAM.format(v=v, name=repr(tok[1:])))
+            body.append(_PARAM.format(v=v, name=repr(tok[1:]), b=binding))
             atoms.append((v, "0.0"))
         elif tok == "~":
             a, ad = atoms.pop()
@@ -652,14 +681,56 @@ def _source(mode: str, shape: tuple) -> str:
             args = atoms[len(atoms) - n:]
             del atoms[len(atoms) - n:]
             op = _STATEMENTS[tok][dual].format(*(a for a, _ in args), v=v, d=d, k=kappa,
+                                               b=binding,
                                                **{f"d{j}": ad for j, (_, ad) in enumerate(args)})
-            body.append(_TRY.format(op.replace("\n", "\n    "), fragments))
-            fragments += 1
+            body.append(_TRY.format(op.replace("\n", "\n    "), n_fragments, f=fragments))
+            n_fragments += 1
             atoms.append((v, d))
     v, d = atoms.pop()
-    body.append(f"return {v}, {d}" if dual else f"return {v}")
-    text = "\n".join(body).replace("\n", "\n    ")
-    return f"def expr(t, {', '.join(names + ['binding', 'fragments'])}):\n    {text}\n"
+    return names + [binding, fragments], body, f"{v}, {d}" if dual else v
+
+
+def fill_template(template: str, slots: Mapping[str, tuple[object, bool]],
+                  binding: ParamBinding, env: Mapping[str, object]) -> Callable:
+    """The function a template (Python source) defines; its free names are
+    env's keys and those of slots, each mapped to (evaluable, dual).  Its
+    line `<targets> = <name>(t)` becomes the statements of a ScalarExpr
+    slot for the binding, raising the EvalErrors eval would, or calls any
+    other evaluable's evaluator.  Compiled once per template and shapes."""
+    key, defaults = [], list(env.values())
+    for name, (e, dual) in slots.items():
+        if isinstance(e, ScalarExpr):
+            fn = e._compiled(binding, int(dual))
+            key.append((name, _MODES[dual], fn.shape))
+            defaults += fn.__defaults__
+        else:
+            key.append((name, None, None))
+            defaults.append(evaluator(e, binding, dual))
+    code = _template_code(template, tuple(env), tuple(key))
+    return types.FunctionType(code, globals(), None, tuple(defaults))
+
+
+@functools.lru_cache(maxsize=64)
+def _template_code(template: str, env: tuple, slots: tuple) -> types.CodeType:
+    """The template's code with the slots' statements inlined, their names
+    prefixed with the slot's; env's and their parameters come last."""
+    params = list(env)
+    for name, mode, shape in slots:
+        if shape is None:
+            params.append(name)
+            continue
+        names, body, result = _body(mode, shape, name + "_")
+        params += names
+
+        def inline(m: re.Match) -> str:
+            indent, targets = m.groups()
+            return indent + "\n".join(body + [f"{targets} = {result}"]).replace(
+                "\n", "\n" + indent)
+
+        template = re.sub(rf"^( *)(\S.*) = {name}\(t\)$", inline, template, flags=re.M)
+    module = compile(template.replace("):\n", f", {', '.join(params)}):\n", 1),
+                     "<hardykit.exprdsl>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
 
 @dataclass(frozen=True)

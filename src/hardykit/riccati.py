@@ -7,13 +7,15 @@ satisfies the first-order differential inequality
 
 when the pair is admissible; the residual is the left side minus W.
 Certification samples the residual on a dense grid (512 log-spaced points
-plus endpoint refinement), normalizes by 1 + |W| so the verdict is relative
+plus endpoint refinement; a pure function of the interval, size and policy,
+kept in a small cache), normalizes by 1 + |W| so the verdict is relative
 near singular endpoints and absolute elsewhere, and checks the sign
 condition on G required when L is a strict Laplacian lower bound.  Each
-call resolves G, w, L and W once, for the spec's binding, to functions of
-t alone (exprdsl.evaluator), and runs the grid over those;
-residual_parts computes its terms with the same code, so certify's
-residuals are its values to the bit.
+call runs one generated function over the grid: this module's loop
+template, whose G, w, L and W slots exprdsl.fill_template fills for the
+spec's binding (an expression's statements inline, any other evaluable a
+call to its evaluator).  residual_parts runs the same function on the grid
+(t,), so certify's residuals are its values to the bit.
 
 The equality case of the inequality is a Riccati ODE; solve_ivp integrates
 it with blow-up detection (a blow-up abscissa approximates a zero of the
@@ -24,6 +26,7 @@ G = -|y'|^(p-2) y' / y^(p-1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, runtime_checkable
@@ -31,7 +34,7 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 from . import quadrature
 from .errors import (ConvergenceError, DomainError, HardykitError, ParameterError,
                      UnsupportedDerivativeError)
-from .exprdsl import evaluator
+from .exprdsl import evaluator, fill_template
 from .geometry import ModelGeometry
 from .rk45 import IntegrationOutcome, integrate_to_samples
 
@@ -127,36 +130,61 @@ class ResidualParts:
     value: float        # dg + drift g - convex_term - w_target
 
 
-def _residual_fn(spec: RiccatiPairSpec, G, binding: dict) -> Callable:
-    """t -> the fields of ResidualParts at t, with G, w, L and W resolved to
-    their evaluators once for `binding`.  w > 0 is checked before L and W
-    are evaluated."""
-    g_d = evaluator(G, binding, dual=True)
-    w_d = evaluator(spec.w, binding, dual=True)
-    l_v = evaluator(spec.L, binding)
-    w_v = evaluator(spec.W, binding)
-    pm1, pc = spec.geo.p - 1.0, spec.geo.p_conj
+# certify's loop; exprdsl.fill_template fills its lines `... = G(t)` and so
+# on.  It returns the normalized residuals, the values of G and (t, error)
+# or None; with first_terms, the terms at grid[0], raising their errors.
+_KERNEL = """\
+def certify_kernel(grid, first_terms):
+    residuals, gs = [], []
+    for t in grid:
+        try:
+            gv, gd = G(t)
+            wv, wd = w(t)
+            if not wv > 0.0:
+                raise DomainError(f"weight w({t!r}) = {wv!r} is not positive")
+            lv = L(t)
+            wt = W(t)
+            try:
+                convex = pm1 * abs(gv) ** pc
+                drift = wd / wv + lv
+                r = gd + drift * gv - convex - wt
+                if first_terms:
+                    return gv, gd, drift, convex, wt, r
+                scale = t ** nhint
+                rn = (r * scale) / (1.0 + abs(wt * scale))
+            except OverflowError:
+                raise DomainError("the residual overflows a float") from None
+            if not (isfinite(rn) and isfinite(gv)):
+                raise DomainError("non-finite residual")
+            if not wt > 0.0:
+                raise DomainError(f"target W({t!r}) = {wt!r} is not positive")
+        except HardykitError as exc:
+            if first_terms:
+                raise
+            return residuals, gs, (t, exc)
+        residuals.append(rn)
+        gs.append(gv)
+    return residuals, gs, None
+"""
 
-    def parts(t: float) -> tuple[float, float, float, float, float, float]:
-        gv, gd = g_d(t)
-        wv, wd = w_d(t)
-        if not wv > 0.0:
-            raise DomainError(f"weight w({t!r}) = {wv!r} is not positive")
-        lv = l_v(t)
-        wt = w_v(t)
-        convex = pm1 * abs(gv) ** pc
-        drift = wd / wv + lv
-        return gv, gd, drift, convex, wt, gd + drift * gv - convex - wt
 
-    return parts
+def _kernel(spec: RiccatiPairSpec, G, binding: dict) -> Callable:
+    """_KERNEL over G, w (both dual), L and W for `binding`; the residual is
+    scaled by t^(-hint) for a negative hint (else by t^0 = 1, exactly)."""
+    hint = spec.homogeneity_hint
+    env = {"pm1": spec.geo.p - 1.0, "pc": spec.geo.p_conj,
+           "nhint": -hint if hint is not None and hint < 0.0 else 0.0,
+           "isfinite": math.isfinite, "DomainError": DomainError, "HardykitError": HardykitError}
+    slots = {"G": (G, True), "w": (spec.w, True), "L": (spec.L, False), "W": (spec.W, False)}
+    return fill_template(_KERNEL, slots, binding, env)
 
 
 def residual_parts(spec: RiccatiPairSpec, G, t: float,
                    binding: dict | None = None) -> ResidualParts:
-    """The terms of the residual at t; `binding` is spec.binding(), built here
-    when not given."""
+    """The terms of the residual at t, from certify's loop over the grid
+    (t,); `binding` is spec.binding(), built here when not given."""
     b = spec.binding() if binding is None else binding
-    return ResidualParts(*_residual_fn(spec, G, b)(t))
+    return ResidualParts(*_kernel(spec, G, b)((t,), True))
 
 
 def residual(spec: RiccatiPairSpec, G, t: float) -> float:
@@ -182,6 +210,11 @@ def certification_grid(
         if pts[0] <= t_lo or pts[-1] >= t_hi:
             raise ParameterError("custom grid points must be interior to the interval")
         return pts
+    return list(_grid(t_lo, t_hi, n, policy))
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _grid(t_lo: float, t_hi: float, n: int, policy: str) -> tuple[float, ...]:
     if n < 2:
         raise ParameterError("grid needs at least 2 points")
 
@@ -206,7 +239,10 @@ def certification_grid(
     else:
         deep = (a + span * 1e-12 * (1e4 ** (k / 15.0)) for k in range(16))
         ts.extend(u / (1.0 - u) if infinite else u for u in deep)
-    return [t for t in sorted(set(ts)) if t_lo < t < t_hi]
+    grid = tuple(t for t in sorted(set(ts)) if t_lo < t < t_hi)
+    if not grid:
+        raise ParameterError(f"no {policy} grid node lies inside ({t_lo!r}, {t_hi!r})")
+    return grid
 
 
 @dataclass
@@ -246,61 +282,29 @@ def certify(
     """
     grid = certification_grid(spec.t_lo, spec.t_hi, n=n_points, policy=grid_policy,
                               custom=custom_grid)
-    residuals: list[float] = []
-    min_r = math.inf
-    argmin = grid[0]
-    max_abs = 0.0
-    min_g, t_min_g = math.inf, None  # t_min_g, t_max_g: where G is least, greatest
-    max_g, t_max_g = -math.inf, None
-    hint = spec.homogeneity_hint
-    parts = _residual_fn(spec, G, spec.binding())
-    for t in grid:
-        try:
-            g, _, _, _, wt, r = parts(t)
-            if hint is not None and hint < 0.0:
-                scale = t ** (-hint)
-                rn = (r * scale) / (1.0 + abs(wt * scale))
-            else:
-                rn = r / (1.0 + abs(wt))
-            if not (math.isfinite(rn) and math.isfinite(g)):
-                raise DomainError("non-finite residual")
-            if not wt > 0.0:
-                raise DomainError(f"target W({t!r}) = {wt!r} is not positive")
-        except HardykitError as exc:
-            return CertificationReport(
-                grid=grid, residuals=residuals, min_residual=min_r, argmin_t=argmin,
-                max_abs_residual=max_abs, min_G=min_g, max_G=max_g,
-                verdict="inconclusive", witness_t=t,
-                reason=f"evaluation failed at t={t!r}: {exc}", tolerance_used=tol,
-                g_sign_required=spec.g_sign_required)
-        residuals.append(rn)
-        if rn < min_r:
-            min_r, argmin = rn, t
-        max_abs = max(max_abs, abs(rn))
-        if g < min_g:
-            min_g, t_min_g = g, t
-        if g > max_g:
-            max_g, t_max_g = g, t
-
-    ok = min_r >= -tol
-    reason = ""
-    witness = None
-    if not ok:
-        witness = argmin
-        reason = f"residual {min_r:.6g} below -tol at t={argmin:.6g}"
-    if ok and spec.g_sign_required == 1 and min_g < -tol:
-        ok = False
-        witness = t_min_g
+    residuals, gs, failure = _kernel(spec, G, spec.binding())(grid, False)
+    min_r = min(residuals, default=math.inf)
+    argmin = grid[residuals.index(min_r)] if residuals else grid[0]
+    min_g, max_g = min(gs, default=math.inf), max(gs, default=-math.inf)
+    verdict, witness, reason = "failed", None, ""
+    if failure is not None:
+        verdict, (witness, exc) = "inconclusive", failure
+        reason = f"evaluation failed at t={witness!r}: {exc}"
+    elif not min_r >= -tol:
+        witness, reason = argmin, f"residual {min_r:.6g} below -tol at t={argmin:.6g}"
+    elif spec.g_sign_required == 1 and min_g < -tol:
+        witness = grid[gs.index(min_g)]
         reason = f"sign condition violated: min G = {min_g:.6g} < -tol"
-    if ok and spec.g_sign_required == -1 and max_g > tol:
-        ok = False
-        witness = t_max_g
+    elif spec.g_sign_required == -1 and max_g > tol:
+        witness = grid[gs.index(max_g)]
         reason = f"sign condition violated: max G = {max_g:.6g} > tol"
+    else:
+        verdict = "certified"
     return CertificationReport(
         grid=grid, residuals=residuals, min_residual=min_r, argmin_t=argmin,
-        max_abs_residual=max_abs, min_G=min_g, max_G=max_g,
-        verdict="certified" if ok else "failed", witness_t=witness, reason=reason,
-        tolerance_used=tol, g_sign_required=spec.g_sign_required)
+        max_abs_residual=max(map(abs, residuals), default=0.0), min_G=min_g, max_G=max_g,
+        verdict=verdict, witness_t=witness, reason=reason, tolerance_used=tol,
+        g_sign_required=spec.g_sign_required)
 
 
 @dataclass

@@ -46,7 +46,6 @@ __all__ = [
     "bessel_ratio_dx",
     "hyp2f1",
     "hyp2f1_with_dz",
-    "hyp2f1_dz",
     "hyp2f1ratio",
     "hyp2f1ratio_with_dz",
 ]
@@ -399,12 +398,6 @@ def hyp2f1_with_dz(a: float, b: float, c: float, z: float) -> tuple[float, float
     if dz is None:
         dz = (a * b / c) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
     return f, dz
-
-
-def hyp2f1_dz(a: float, b: float, c: float, z: float) -> float:
-    """dF/dz for z <= 0: the second component of hyp2f1_with_dz, summed in
-    the same series pass as F."""
-    return hyp2f1_with_dz(a, b, c, z)[1]
 
 
 def _hyp2f1ratio(a: float, b: float, c: float, z: float,

@@ -444,7 +444,8 @@ def unshared_additive_terms(geo, target, u, H, binding):
 
 # certify as a per-point loop over residual terms built from each object's
 # own eval/eval_d at every t, in their former order: G' and G, w' and w (w > 0
-# checked first), L, W; the residual G' + (w'/w + L) G - (p-1)|G|^{p'} - W.
+# checked first), L, W; the residual G' + (w'/w + L) G - (p-1)|G|^{p'} - W,
+# a DomainError where it or the hint's scale overflows a float.
 # The grid, the checks, their messages and the report are certify's, so
 # riccati.certify must return a report repr-equal to this one.
 
@@ -461,7 +462,10 @@ def reference_certify(spec, G, grid_policy="log", tol=1e-8, n_points=512, custom
         lv = spec.L.eval(t, b)
         wtarget = spec.W.eval(t, b)
         p = spec.geo.p
-        convex = (p - 1.0) * abs(gv) ** spec.geo.p_conj
+        try:
+            convex = (p - 1.0) * abs(gv) ** spec.geo.p_conj
+        except OverflowError:
+            raise DomainError("the residual overflows a float") from None
         drift = wd / wv + lv
         return gv, gd + drift * gv - convex - wtarget, wtarget
 
@@ -476,7 +480,10 @@ def reference_certify(spec, G, grid_policy="log", tol=1e-8, n_points=512, custom
         try:
             g, r, wt = terms(t, binding)
             if hint is not None and hint < 0.0:
-                scale = t ** (-hint)
+                try:
+                    scale = t ** (-hint)
+                except OverflowError:
+                    raise DomainError("the residual overflows a float") from None
                 rn = (r * scale) / (1.0 + abs(wt * scale))
             else:
                 rn = r / (1.0 + abs(wt))
