@@ -36,8 +36,14 @@ source is generated from the shape of the tree alone (node kinds,
 operators, builtin and parameter names, the fold pattern) and compiled
 once per shape and mode; numbers, folded constants, the binding snapshot
 and source fragments are bound as default arguments of the function made
-for each binding.  fill_template inlines those statements in a caller's
-template (riccati's certify loop); a positive base's power runs inline.
+for each binding.  What a compile takes from the tree alone is done once
+per process: parse memoizes the tree of each (source, var), and a plan per
+tree and mode holds the subtrees to fold with their code, and the code and
+layout of the function for each pattern of folds that raised; so a compile
+for a new binding only evaluates the folds and makes the functions.
+Both caches are bounded and filled lazily, never at import.
+fill_template inlines those statements in a caller's template (riccati's
+certify loop); a positive base's power runs inline.
 Every operator and builtin call sits in its own try, so an error is
 rewrapped as an EvalError naming the fragment of the source it came from.
 Division by zero and log of a nonpositive number are hard errors rather
@@ -49,6 +55,7 @@ where their reciprocal is taken).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -278,53 +285,54 @@ _TRY = "try:\n    {}\nexcept _REWRAPPED as exc:\n    raise _rewrap(exc, {f}[{}])
 # AST
 
 
-@dataclass(frozen=True)
+# nodes compare and hash by identity: a tree is the key of its compile plans
+@dataclass(frozen=True, eq=False)
 class Node:
     span: tuple[int, int] = field(repr=False)
 
-    def children(self) -> tuple[Node, ...]:
+    def _children(self) -> tuple[Node, ...]:
         return ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Num(Node):
     value: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Param(Node):
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Node):
     operand: Node = None
 
-    def children(self) -> tuple[Node, ...]:
+    def _children(self) -> tuple[Node, ...]:
         return (self.operand,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bin(Node):
     op: str = ""
     left: Node = None
     right: Node = None
 
-    def children(self) -> tuple[Node, ...]:
+    def _children(self) -> tuple[Node, ...]:
         return self.left, self.right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Call(Node):
     name: str = ""
     args: tuple[Node, ...] = ()
 
-    def children(self) -> tuple[Node, ...]:
+    def _children(self) -> tuple[Node, ...]:
         return self.args
 
 
@@ -513,7 +521,7 @@ def _postorder(root: Node, leaves=()) -> list[Node]:
         node = stack.pop()
         out.append(node)
         if id(node) not in leaves:
-            stack.extend(node.children())
+            stack.extend(node._children())
     out.reverse()
     return out
 
@@ -540,31 +548,23 @@ def _compile(node: Node, source: str, mode: str, binding: ParamBinding) -> Calla
     Each maximal subtree that does not contain the variable is folded into
     what its own function returns for this binding, so the function returns
     exactly what the unfolded one would.  A subtree whose evaluation raises
-    here stays unfolded, and raises at evaluation with its fragment.
+    here stays unfolded, and raises at evaluation with its fragment.  All
+    that does not depend on the binding comes from the tree's _Plan.
     """
     binding = dict(binding)
-    order = _postorder(node)
-    free: set[int] = set()
-    folded: dict[int, object] = {}
-    for n in order:
-        children = n.children()
-        if not isinstance(n, Var) and all(id(c) in free for c in children):
-            free.add(id(n))
-            continue
-        for c in children:
-            if id(c) in free and not isinstance(c, Num):
-                fn = _function(_postorder(c), source, mode, {}, binding)
-                const = _fold(fn)
-                if const is not fn:
-                    folded[id(c)] = const(0.0)
-    if id(node) in free:
-        fn = _function(order, source, mode, {}, binding)
+    plan = _plan(node, source, mode)
+    pool, pattern = list(plan.numbers), []
+    for code, numbers, fragments in plan.folds:
+        fn = types.FunctionType(code, globals(), "expr", numbers + (binding, fragments))
         const = _fold(fn)
+        pattern.append(const is not fn)
         if const is not fn:
-            order, folded = [node], {id(node): const(0.0)}
-    elif folded:
-        order = _postorder(node, folded)
-    return _function(order, source, mode, folded, binding)
+            pool += const(0.0) if mode is _DUAL else (const(0.0),)
+    code, shape, picks, fragments = plan.final(tuple(pattern))
+    fn = types.FunctionType(code, globals(), "expr",
+                            tuple([pool[i] for i in picks]) + (binding, fragments))
+    fn.shape = shape
+    return fn
 
 
 def _fold(fn: Callable) -> Callable:
@@ -575,36 +575,72 @@ def _fold(fn: Callable) -> Callable:
     return lambda t: c
 
 
-def _function(order: list[Node], source: str, mode: str, folded: dict,
-              binding: ParamBinding) -> Callable:
-    """The generated function of a tree, given in post-order with the folded
-    subtrees (by id) as constant leaves.  It carries its shape, and its
-    defaults are the shape's constants, for fill_template."""
-    shape, defaults = _shape(order, source, mode, folded, binding)
-    fn = types.FunctionType(_code(mode, shape), globals(), "expr", defaults)
-    fn.shape = shape
-    return fn
+class _Plan:
+    """What compiling one tree in one mode takes from the tree alone: its
+    numbers, its maximal variable-free subtrees other than numbers (the
+    folds), each with its code, numbers and fragments, and, for each fold
+    pattern met (which folds did not raise), the layout of the tree's
+    function with those folds as constant leaves."""
+
+    def __init__(self, root: Node, source: str, mode: str):
+        order = _postorder(root)
+        free: set[int] = set()
+        heads: list[Node] = []
+        for n in order:
+            children = n._children()
+            if not isinstance(n, Var) and all(id(c) in free for c in children):
+                free.add(id(n))
+            else:
+                heads += (c for c in children if id(c) in free and not isinstance(c, Num))
+        nums = [n for n in order if isinstance(n, Num)]
+        self.root, self.source, self.mode = root, source, mode
+        self.heads = [root] if id(root) in free else heads
+        self.numbers = tuple(n.value for n in nums)
+        self.index = {id(n): i for i, n in enumerate(nums)}
+        self.folds = []
+        for h in self.heads:
+            code, _, picks, fragments = _layout(_postorder(h), source, mode, self.index, {})
+            self.folds.append((code, tuple(self.numbers[i] for i in picks), fragments))
+        self.finals: dict[tuple, tuple] = {}
+
+    def final(self, pattern: tuple) -> tuple:
+        layout = self.finals.get(pattern)
+        if layout is None:
+            if len(self.finals) == 8:  # bounded: only a few patterns ever recur
+                self.finals.clear()
+            folded, at = {}, len(self.numbers)
+            for h in itertools.compress(self.heads, pattern):
+                folded[id(h)] = at
+                at += 2 if self.mode is _DUAL else 1
+            layout = self.finals[pattern] = _layout(_postorder(self.root, folded), self.source,
+                                                    self.mode, self.index, folded)
+        return layout
 
 
-def _shape(order: list[Node], source: str, mode: str, folded: dict,
-           binding: ParamBinding) -> tuple[tuple, tuple]:
-    """The shape of a tree in post-order, one token per node, and the default
-    arguments of its function: the numbers and folded constants, then the
-    binding, then the source fragments of its operators and calls, in order.
+# keyed on the tree's identity (nodes compare by identity) and held by it
+_plan = functools.lru_cache(maxsize=512)(_Plan)
+
+
+def _layout(order: list[Node], source: str, mode: str, numbers: dict,
+            folded: dict) -> tuple:
+    """The code and shape of a tree given in post-order, the positions of
+    its constants in a pool (by node id: numbers, and folded subtrees, two
+    each in dual mode), and its source fragments.  The function's default
+    arguments are those constants, then the binding, then the fragments of
+    its operators and calls, in order.
 
     A token is '#' for a number, '=' for a folded subtree, '@' for the
     variable, '$' and the name for a parameter, '~' for unary minus, and the
     operator or builtin name otherwise; so it holds no number or fragment of
     the source, and the shape, with the arities, fixes the tree."""
-    dual = mode is _DUAL
-    shape, defaults, spans = [], [], []
+    shape, picks, spans = [], [], []
     for node in order:
         if id(node) in folded:
             shape.append("=")
-            defaults += folded[id(node)] if dual else (folded[id(node)],)
+            picks += range(folded[id(node)], folded[id(node)] + (2 if mode is _DUAL else 1))
         elif isinstance(node, Num):
             shape.append("#")
-            defaults.append(node.value)
+            picks.append(numbers[id(node)])
         elif isinstance(node, Var):
             shape.append("@")
         elif isinstance(node, Param):
@@ -614,8 +650,8 @@ def _shape(order: list[Node], source: str, mode: str, folded: dict,
         else:
             shape.append(node.op if isinstance(node, Bin) else node.name)
             spans.append(node.span)
-    defaults += (binding, _Fragments(source, tuple(spans)))
-    return tuple(shape), tuple(defaults)
+    shape = tuple(shape)
+    return _code(mode, shape), shape, tuple(picks), _Fragments(source, tuple(spans))
 
 
 @dataclass(frozen=True)
@@ -802,22 +838,38 @@ def evaluator(e, binding: ParamBinding | None = None, dual: bool = False) -> Cal
     """The function t -> e.eval(t, binding), or e.eval_d(t, binding) when
     dual, resolved once for a loop over t under one binding.  For a
     ScalarExpr it is the generated function eval/eval_d call, compiled
-    against a snapshot of the binding; for a psi-comparison L, its ratio over
-    psi's function resolved so; for any other evaluable, its method with the
-    binding passed along.  Every evaluation error raises at a call, not
-    here."""
+    against a snapshot of the binding; for a comparison L, its function of t
+    (a psi kind's ratio over psi's function resolved so); for an evaluable
+    with an ``_evaluator(dual)`` (riccati.FuncEval), what that returns; for
+    any other, its method with the binding passed along.  Every evaluation
+    error raises at a call, not here."""
     binding = binding or {}
     if isinstance(e, ScalarExpr):
         return e._compiled(binding, int(dual))
-    if not dual and isinstance(e, _geo.ComparisonL) and e.kind == "psi":
+    if not dual and isinstance(e, _geo.ComparisonL):
         # psi resolved once here, not merged with the binding at each call
-        return e._psi_ratio(evaluator(e.psi, {**e._geo_binding, **binding}, dual=True))
+        psi_d = evaluator(e.psi, {**e._geo_binding, **binding}, dual=True) \
+            if e.kind == "psi" else None
+        return e._function(psi_d)
+    direct = getattr(e, "_evaluator", None)
+    if direct is not None:
+        return direct(dual)
     method = e.eval_d if dual else e.eval
     return lambda t: method(t, binding)
 
 
 def parse(source: str, var: str = "t") -> ScalarExpr:
-    """Parse an expression; unknown identifiers become parameter references."""
+    """Parse an expression; unknown identifiers become parameter references.
+    The tree is memoized per (source, var); each call returns a new
+    ScalarExpr over it, with a compile cache of its own."""
+    node, names = _parse_tree(source, var)
+    return ScalarExpr(ast=node, source=source, var=var, params_required=names)
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_tree(source: str, var: str) -> tuple[Node, frozenset[str]]:
+    """The tree of a source and the parameters it reads; a syntax error
+    raises, and is not cached."""
     node = _Parser(source, var).parse()
     names: set[str] = set()
     for n in _postorder(node):
@@ -825,7 +877,7 @@ def parse(source: str, var: str = "t") -> ScalarExpr:
             names.add(n.name)
         elif isinstance(n, Call) and n.name in _KAPPA_BUILTINS:
             names.add("kappa")
-    return ScalarExpr(ast=node, source=source, var=var, params_required=frozenset(names))
+    return node, frozenset(names)
 
 
 # binding strength of each operator, unary minus and the primaries

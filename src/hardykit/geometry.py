@@ -221,17 +221,19 @@ class ComparisonL:
         self._geo_binding = geo.binding()  # for psi, unless eval's binding overrides it
 
     def eval(self, t: float, binding: dict | None = None) -> float:
-        geo = self.geo
-        if self.kind == "constant_curvature":
-            return (geo.n - 1) * ct_value(geo.kappa, t)
-        if self.kind == "constant_floor":
-            return (geo.n - 1) * math.sqrt(-geo.kappa)
         b = {**self._geo_binding, **(binding or {})}
-        return self._psi_ratio(lambda s: self.psi.eval_d(s, b))(t)
+        return self._function(lambda s: self.psi.eval_d(s, b))(t)
 
-    def _psi_ratio(self, psi_d) -> Callable[[float], float]:
-        """The psi kind's L as a function of t, from psi_d: t -> (psi, psi')."""
-        scale = self.geo.n - 1
+    def _function(self, psi_d) -> Callable[[float], float]:
+        """L as a function of t; for the psi kind, over psi_d: t -> (psi, psi')."""
+        geo = self.geo
+        scale = geo.n - 1
+        if self.kind == "constant_curvature":
+            kappa = geo.kappa
+            return lambda t: scale * ct_value(kappa, t)
+        if self.kind == "constant_floor":
+            floor = scale * math.sqrt(-geo.kappa)
+            return lambda t: floor
 
         def L(t: float) -> float:
             v, dv = psi_d(t)

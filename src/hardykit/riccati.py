@@ -8,9 +8,10 @@ satisfies the first-order differential inequality
 when the pair is admissible; the residual is the left side minus W.
 Certification samples the residual on a dense grid (512 log-spaced points
 plus endpoint refinement; a pure function of the interval, size and policy,
-kept in a small cache), normalizes by 1 + |W| so the verdict is relative
-near singular endpoints and absolute elsewhere, and checks the sign
-condition on G required when L is a strict Laplacian lower bound.  Each
+kept in a small cache, and mapped from fractions cached per size and
+policy), normalizes by 1 + |W| so the verdict is relative near singular
+endpoints and absolute elsewhere, and checks the sign condition on G
+required when L is a strict Laplacian lower bound.  Each
 call runs one generated function over the grid: this module's loop
 template, whose G, w, L and W slots exprdsl.fill_template fills for the
 spec's binding (an expression's statements inline, any other evaluable a
@@ -80,6 +81,10 @@ class FuncEval:
         if self.dual is None:
             raise UnsupportedDerivativeError(f"{self.name} has no derivative")
         return self.dual(t)
+
+    def _evaluator(self, dual: bool) -> Callable:  # exprdsl.evaluator's function of t
+        # without a dual, eval_d raises at the call
+        return (self.dual or self.eval_d) if dual else self.fn
 
     def __repr__(self):
         return f"FuncEval({self.name})"
@@ -223,17 +228,7 @@ def _grid(t_lo: float, t_hi: float, n: int, policy: str) -> tuple[float, ...]:
     b = 1.0 if infinite else t_hi
     span = b - a
 
-    if policy == "log":
-        s_lo, s_hi = 1e-8, 1.0 - 1e-3
-        lg_lo, lg_hi = math.log(s_lo), math.log(s_hi)
-        fracs = [math.exp(lg_lo + (lg_hi - lg_lo) * i / (n - 1)) for i in range(n)]
-    elif policy == "uniform":
-        s_lo, s_hi = 1e-6, 1.0 - 1e-3
-        fracs = [s_lo + (s_hi - s_lo) * i / (n - 1) for i in range(n)]
-    else:
-        raise ParameterError(f"unknown grid policy {policy!r}")
-
-    ts = [u / (1.0 - u) if infinite else u for u in (a + span * s for s in fracs)]
+    ts = [u / (1.0 - u) if infinite else u for u in (a + span * s for s in _fractions(n, policy))]
     if t_lo > 0.0:
         ts.extend(t_lo * (1.0 + k * 1e-3 / 16.0) for k in range(1, 17))
     else:
@@ -243,6 +238,19 @@ def _grid(t_lo: float, t_hi: float, n: int, policy: str) -> tuple[float, ...]:
     if not grid:
         raise ParameterError(f"no {policy} grid node lies inside ({t_lo!r}, {t_hi!r})")
     return grid
+
+
+@functools.lru_cache(maxsize=8)
+def _fractions(n: int, policy: str) -> tuple[float, ...]:
+    """The grid's n fractions of the (compactified) interval."""
+    if policy == "log":
+        s_lo, s_hi = 1e-8, 1.0 - 1e-3
+        lg_lo, lg_hi = math.log(s_lo), math.log(s_hi)
+        return tuple(math.exp(lg_lo + (lg_hi - lg_lo) * i / (n - 1)) for i in range(n))
+    if policy == "uniform":
+        s_lo, s_hi = 1e-6, 1.0 - 1e-3
+        return tuple(s_lo + (s_hi - s_lo) * i / (n - 1) for i in range(n))
+    raise ParameterError(f"unknown grid policy {policy!r}")
 
 
 @dataclass
@@ -383,7 +391,10 @@ class GFromSolution:
     def eval(self, t: float, binding: dict | None = None) -> float:
         yv, yd = self._yv_yd(t)
         p = self.p
-        return -math.copysign(abs(yd) ** (p - 1.0), yd) / yv ** (p - 1.0)
+        try:
+            return -math.copysign(abs(yd) ** (p - 1.0), yd) / yv ** (p - 1.0)
+        except ArithmeticError:  # a power of y underflows to 0, or one of y' overflows
+            raise DomainError(f"G is not finite at t={t!r}, y = {yv!r}") from None
 
     def eval_d(self, t: float, binding: dict | None = None) -> tuple[float, float]:
         yv, yd = self._yv_yd(t)
@@ -392,13 +403,16 @@ class GFromSolution:
         ydp = self._y_d(t + h)[1]
         ydm = self._y_d(t - h)[1]
         ypp = (ydp - ydm) / (2.0 * h)
-        g = -math.copysign(abs(yd) ** (p - 1.0), yd) / yv ** (p - 1.0)
-        if yd == 0.0:
-            if p < 2.0:
-                raise DomainError("G' singular where y' = 0 for p < 2")
-            dg = 0.0 if p > 2.0 else -(p - 1.0) * ypp / yv
-        else:
-            dg = -(p - 1.0) * abs(yd) ** (p - 2.0) * (ypp * yv - yd * yd) / yv**p
+        try:
+            g = -math.copysign(abs(yd) ** (p - 1.0), yd) / yv ** (p - 1.0)
+            if yd == 0.0:
+                if p < 2.0:
+                    raise DomainError("G' singular where y' = 0 for p < 2")
+                dg = 0.0 if p > 2.0 else -(p - 1.0) * ypp / yv
+            else:
+                dg = -(p - 1.0) * abs(yd) ** (p - 2.0) * (ypp * yv - yd * yd) / yv**p
+        except ArithmeticError:
+            raise DomainError(f"G or G' is not finite at t={t!r}, y = {yv!r}") from None
         return g, dg
 
 

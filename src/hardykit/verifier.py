@@ -133,10 +133,6 @@ def radial_integral(
 # ---------------------------------------------------------------------------
 # additive / multiplicative margins
 
-# the weight of a plain G target
-_UNIT_WEIGHT = parse("1")
-
-
 def _nonlinearity(H, p: float, pc: float, binding: dict):
     """(h, h_dp): the functions s -> H(s) and s -> |H'(s)|^{p'}.
 
@@ -163,7 +159,7 @@ def _resolve_target(geo, target, u: RadialTestFunction, binding):
     elif geo is None:
         raise ParameterError("a plain G needs a geometry: geo is None")
     else:
-        return geo, target, _UNIT_WEIGHT, geo.binding() if binding is None else binding
+        return geo, target, parse("1"), geo.binding() if binding is None else binding
     if spec.rho_kind != "radial_distance":
         raise ParameterError(f"{what} is built on rho = {spec.rho_kind}; "
                              "radial quadrature does not apply")

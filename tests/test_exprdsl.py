@@ -618,6 +618,70 @@ class TestLiterals:
             assert e2.eval_d(t) == e.eval_d(t)
 
 
+class TestParseMemoAndPlans:
+    """Each parse returns a new ScalarExpr over a memoized tree, and the
+    binding-independent part of each compile comes from the tree's plan."""
+
+    def test_each_parse_is_a_new_expression_over_one_tree(self):
+        src = "a*t + exp(-b*t)"
+        e1, e2 = parse(src), parse(src)
+        assert e1 is not e2 and e1 == e2
+        assert e1.ast is e2.ast and e1.params_required == {"a", "b"}
+        e1.eval(1.0, {"a": 1.0, "b": 2.0})
+        assert e2._cache == [None, None, None]  # the compile cache is not shared
+        assert parse(src, var="s").ast is not e1.ast
+
+    def test_two_live_instances_of_one_entry_compile_once_each(self, monkeypatch):
+        from hardykit.catalog import instantiate
+        from hardykit.geometry import ModelGeometry
+        from hardykit.riccati import certify
+
+        compiled = []
+        compile_ = exprdsl._compile
+
+        def counting(node, source, mode, binding):
+            compiled.append(source)
+            return compile_(node, source, mode, binding)
+
+        monkeypatch.setattr(exprdsl, "_compile", counting)
+        geo = ModelGeometry(0.0, 4, 2.5)
+        insts = [instantiate("hardy", geo, {"alpha": a, "C": 3.0}) for a in (1.0, 0.5)]
+        first = [certify(i.spec, i.G).residuals for i in insts]
+        after_first = len(compiled)
+        for _ in range(2):
+            assert [certify(i.spec, i.G).residuals for i in insts] == first
+        assert first[0] != first[1]
+        assert after_first >= 8 and len(compiled) == after_first
+
+    def test_equal_values_of_another_sign_or_type_compile_apart(self):
+        # the instances share a tree and its plan, never a fold
+        cases = (("a*t", 0.0, "0.0"), ("a*t", -0.0, "-0.0"), ("a", 1.0, "1.0"), ("a", 1, "1"))
+        exprs = [parse(src) for src, _, _ in cases]
+        for _ in range(2):
+            for e, (_, value, expected) in zip(exprs, cases):
+                assert repr(e.eval(2.0 if e.source == "a*t" else 0.5, {"a": value})) == expected
+                assert repr(e.eval_d(2.0, {"a": value})[0]) == expected
+
+    def test_fold_that_raises_under_one_binding_only(self):
+        exprs = [parse("t + 1/(a-1)") for _ in range(2)]
+        for _ in range(2):
+            for e in exprs:
+                assert e.eval(1.0, {"a": 2.0}) == 2.0
+                assert e.eval_d(1.0, {"a": 3.0}) == (1.5, 1.0)
+                for evaluate in (e.eval, e.eval_d):
+                    with pytest.raises(EvalError) as err:
+                        evaluate(1.0, {"a": 1.0})
+                    assert err.value.fragment == "1/(a-1)"
+
+    def test_syntax_error_raises_every_time(self):
+        before = exprdsl._parse_tree.cache_info()
+        for _ in range(3):
+            with pytest.raises(ExprSyntaxError, match="expected a number"):
+                parse("t + * 2")
+        after = exprdsl._parse_tree.cache_info()
+        assert after.misses - before.misses == 3 and after.hits == before.hits
+
+
 class TestCodeCache:
     def test_literals_and_parameter_values_share_one_code_object(self):
         e1 = parse("2.5*t + exp(-a*t) + log(a + 1.5)")
@@ -638,8 +702,9 @@ class TestCodeCache:
         assert after.misses - before.misses <= 2  # one shape per mode
         for j in range(exprdsl._code.cache_info().maxsize + 50):  # distinct shapes
             parse(f"t*p{j}").eval(1.0, {f"p{j}": 1.0})
-        info = exprdsl._code.cache_info()
-        assert info.currsize <= info.maxsize
+        for cache in (exprdsl._code, exprdsl._parse_tree, exprdsl._plan):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize < exprdsl._code.cache_info().maxsize + 50
 
     # the refusals and the besselj message of the special builtins' dual rules
     FIXED_MESSAGES = {"no derivative rule through the besselj order argument",

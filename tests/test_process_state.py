@@ -1,0 +1,85 @@
+"""What one process keeps between operations: the expression and grid
+caches are filled lazily, never at import, and an operation calls the same
+public functions whether it finds them cold or warm.
+
+Both tests run a fresh interpreter, so the caches start empty.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(code: str) -> str:
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), path]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_parses_and_plans_nothing():
+    out = run_python("import hardykit.cli\n"
+                     "from hardykit import exprdsl\n"
+                     "print(exprdsl._parse_tree.cache_info().currsize, "
+                     "exprdsl._plan.cache_info().currsize)")
+    assert out.split() == ["0", "0"]
+
+
+# A certify and margin sequence run under perfbench's tracer, which counts
+# the calls of every public hardykit function and method: cold, untraced,
+# then warm, as `perfbench/run.py --trace 1` runs its op list.
+TRACED_SEQUENCE = """
+import importlib, json, sys
+sys.path.insert(0, "perfbench")
+import tracer
+for layer in tracer.LAYERS:
+    importlib.import_module("hardykit." + layer)
+from hardykit import catalog, exprdsl, riccati, testfuncs, verifier
+from hardykit.geometry import ModelGeometry
+
+def sequence():  # through the module attributes, which the tracer rebinds
+    instantiate, parse, random_bumps = catalog.instantiate, exprdsl.parse, testfuncs.random_bumps
+    certify, residual, additive_margin = riccati.certify, riccati.residual, verifier.additive_margin
+    cases = [("hardy", ModelGeometry(0.0, 4, 2.5), {"alpha": 1.0, "C": 3.0}),
+             ("ghoussoub_moradifam", ModelGeometry(0.0, 5, 2.0),
+              {"a": 0.7, "b": 2.0, "alpha": 1.3, "beta": 1.1, "m": -0.4}),
+             ("mckean_improved", ModelGeometry(-1.0, 3, 2.0), {}),
+             ("greene_wu_psi", ModelGeometry(-1.0, 3, 2.0), {"psi": "s(t)", "t_hi": 20.0})]
+    for name, geo, params in cases:
+        inst = instantiate(name, geo, params)
+        certify(inst.spec, inst.G, n_points=64)
+        residual(inst.spec, inst.G, 0.7)
+        if name != "greene_wu_psi":
+            additive_margin(None, inst, random_bumps(1, 3, 0.1, 5.0)[0])
+    spec = instantiate(*cases[0]).spec
+    certify(spec, riccati.bessel_to_riccati(parse("t^(-0.5)"), 2.5), n_points=64)
+    certify(spec, riccati.FuncEval(lambda t: t, lambda t: (t, 1.0)), n_points=64)
+    additive_margin(ModelGeometry(0.0, 3, 2.0), parse("1/(2*t)"), random_bumps(1, 5)[0])
+
+counts = []
+for traced in (True, False, True):
+    tr = tracer.Tracer()
+    if traced:
+        tr.install()
+    try:
+        sequence()
+    finally:
+        tr.uninstall()
+    if traced:
+        counts.append(tr.deterministic_counts())
+print(json.dumps(counts))
+"""
+
+
+def test_cold_and_warm_runs_call_the_same_public_functions():
+    cold, warm = json.loads(run_python(TRACED_SEQUENCE).splitlines()[-1])
+    assert cold["calls.exprdsl.parse"] > 0 and cold["calls.riccati.certify"] == 6
+    assert cold == warm

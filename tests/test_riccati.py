@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -256,6 +257,21 @@ class TestBesselRiccatiBridge:
         g = bessel_to_riccati(parse("t - 2"), 2.0)
         with pytest.raises(DomainError):
             g.eval(1.0)
+
+    def test_profile_power_out_of_float_range_is_a_domain_error(self):
+        # y^(p-1) of y = exp(-800 t) underflows to 0 where y is still
+        # positive, and |y'|^(p-1) of y = exp(800 t) overflows
+        from hardykit.catalog import instantiate
+
+        inst = instantiate("hardy", ModelGeometry(0.0, 3, 3.0), {"alpha": 0.5, "C": 2.0})
+        spec = dataclasses.replace(inst.spec, t_lo=0.0, t_hi=2.0)
+        g = bessel_to_riccati(parse("exp(-800*t)"), 3.0)
+        rep = certify(spec, g)
+        assert rep.verdict == "inconclusive" and "is not finite" in rep.reason
+        for evaluate in (lambda t: residual(spec, g, t), g.eval, g.eval_d,
+                         bessel_to_riccati(parse("exp(800*t)"), 3.0).eval):
+            with pytest.raises(DomainError, match="is not finite"):
+                evaluate(0.8)
 
     def test_riccati_to_bessel_closed_form(self):
         y = riccati_to_bessel(parse("1/(2*t)"), 2.0, 1.0)
