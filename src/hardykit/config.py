@@ -3,9 +3,9 @@
 Sections: [geometry] kappa/n/p, [interval] lo/hi ("inf" is the only
 non-numeric bound), [expressions] w/L/W/G (either L = <expr> or
 L_kind = constant_curvature|constant_floor|psi with psi = <expr>),
-[params] free name=value pairs, [flags] require_G_nonneg, g_sign_required,
-homogeneity_hint, rho_kind.  Any other section, or any other key outside
-[params], is refused.  A ';' after whitespace starts a comment, inline too.
+[params] free name=value pairs, [flags] g_sign_required, homogeneity_hint,
+rho_kind.  Any other section, or any other key outside [params], is
+refused.  A ';' after whitespace starts a comment, inline too.
 Emission and ingestion round-trip: a file written by emit_config certifies
 identically when read back.
 """
@@ -26,7 +26,7 @@ __all__ = ["parse_config", "emit_config"]
 # the keys of each section; [params] takes any name
 _KEYS = {"geometry": ("kappa", "n", "p"), "interval": ("lo", "hi"),
          "expressions": ("w", "L", "L_kind", "psi", "W", "G"), "params": None,
-         "flags": ("require_G_nonneg", "g_sign_required", "homogeneity_hint", "rho_kind")}
+         "flags": ("g_sign_required", "homogeneity_hint", "rho_kind")}
 
 
 def parse_config(text: str) -> tuple[RiccatiPairSpec, ScalarExpr]:
@@ -95,13 +95,6 @@ def parse_config(text: str) -> tuple[RiccatiPairSpec, ScalarExpr]:
     hint = None
     rho_kind = "radial_distance"
     if cp.has_section("flags"):
-        if cp.has_option("flags", "require_G_nonneg"):
-            try:
-                g_sign = 1 if cp.getboolean("flags", "require_G_nonneg") else 0
-            except ValueError:
-                text = need("flags", "require_G_nonneg")
-                raise ParameterError(f"config [flags] require_G_nonneg = {text!r} "
-                                     "is not a boolean") from None
         if cp.has_option("flags", "g_sign_required"):
             g_sign = integer("flags", "g_sign_required")
         if cp.has_option("flags", "homogeneity_hint"):

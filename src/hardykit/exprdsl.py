@@ -28,20 +28,21 @@ statements, one local per AST node, the derivative carried as a second
 float local in dual mode.  The function reads a snapshot of the binding
 taken when it is compiled, and the compile is cached under the repr of
 the parameter values it read, so a binding changed in place recompiles
-whenever a value's repr changes, 0.0 to -0.0 included.  Each maximal
-subtree free of the variable is first folded into the value (and
-derivative) it has under that binding, which purity makes exact; a
-subtree that raises is left inline to raise at evaluation.  The
+whenever a value's repr changes, 0.0 to -0.0 included.  The maximal
+subtrees free of the variable are first folded, by one call of one
+function, into the values (and derivatives) they have under that binding,
+which purity makes exact; if that call raises, the function is compiled
+unfolded and raises at evaluation, as the language has no branches.  The
 source is generated from the shape of the tree alone (node kinds,
-operators, builtin and parameter names, the fold pattern) and compiled
+operators, builtin and parameter names, folded subtrees) and compiled
 once per shape and mode; numbers, folded constants, the binding snapshot
 and source fragments are bound as default arguments of the function made
 for each binding.  What a compile takes from the tree alone is done once
 per process: parse memoizes the tree of each (source, var), and a plan per
-tree and mode holds the subtrees to fold with their code, and the code and
-layout of the function for each pattern of folds that raised; so a compile
-for a new binding only evaluates the folds and makes the functions.
-Both caches are bounded and filled lazily, never at import.
+tree and mode holds the fold function's code and the folded function's
+code and layout; so a compile for a new binding only calls the fold and
+makes the function.  Both caches are bounded and filled lazily, never at
+import.
 fill_template inlines those statements in a caller's template (riccati's
 certify loop); a positive base's power runs inline.
 Every operator and builtin call sits in its own try, so an error is
@@ -55,7 +56,6 @@ where their reciprocal is taken).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import re
@@ -545,42 +545,39 @@ def _compile(node: Node, source: str, mode: str, binding: ParamBinding) -> Calla
     """Compile an AST into one function t -> value, or (value, d/dt) in
     dual mode, over a snapshot of the binding taken here.
 
-    Each maximal subtree that does not contain the variable is folded into
-    what its own function returns for this binding, so the function returns
-    exactly what the unfolded one would.  A subtree whose evaluation raises
-    here stays unfolded, and raises at evaluation with its fragment.  All
-    that does not depend on the binding comes from the tree's _Plan.
+    The maximal subtrees that do not contain the variable are folded into
+    what the plan's fold function returns for this binding, so the function
+    returns exactly what the unfolded one would.  If that call raises, the
+    tree is compiled unfolded: having no branches, it raises the same first
+    error, with its fragment, at every evaluation.  All that does not
+    depend on the binding comes from the tree's _Plan.
     """
     binding = dict(binding)
     plan = _plan(node, source, mode)
-    pool, pattern = list(plan.numbers), []
-    for code, numbers, fragments in plan.folds:
-        fn = types.FunctionType(code, globals(), "expr", numbers + (binding, fragments))
-        const = _fold(fn)
-        pattern.append(const is not fn)
-        if const is not fn:
-            pool += const(0.0) if mode is _DUAL else (const(0.0),)
-    code, shape, picks, fragments = plan.final(tuple(pattern))
+    layout, pool = plan.folded, plan.numbers
+    if plan.fold is not None:
+        code, numbers, fragments = plan.fold
+        try:
+            values = types.FunctionType(code, globals(), "expr",
+                                        numbers + (binding, fragments))(0.0)
+        except Exception:  # deferred: the unfolded function raises it again at evaluation
+            layout = plan.unfolded
+        else:
+            pool += values if mode is _DUAL or len(plan.heads) > 1 else (values,)
+    code, shape, picks, fragments = layout
     fn = types.FunctionType(code, globals(), "expr",
                             tuple([pool[i] for i in picks]) + (binding, fragments))
     fn.shape = shape
     return fn
 
 
-def _fold(fn: Callable) -> Callable:
-    try:
-        c = fn(0.0)
-    except Exception:  # deferred: the unfolded function raises it again at evaluation
-        return fn
-    return lambda t: c
-
-
 class _Plan:
     """What compiling one tree in one mode takes from the tree alone: its
     numbers, its maximal variable-free subtrees other than numbers (the
-    folds), each with its code, numbers and fragments, and, for each fold
-    pattern met (which folds did not raise), the layout of the tree's
-    function with those folds as constant leaves."""
+    heads), the fold function that returns all their values (and
+    derivatives) with its numbers and fragments, the layout of the tree's
+    function with the heads as constant leaves, and, built when a fold
+    raises, the layout of the unfolded function."""
 
     def __init__(self, root: Node, source: str, mode: str):
         order = _postorder(root)
@@ -597,24 +594,20 @@ class _Plan:
         self.heads = [root] if id(root) in free else heads
         self.numbers = tuple(n.value for n in nums)
         self.index = {id(n): i for i, n in enumerate(nums)}
-        self.folds = []
-        for h in self.heads:
-            code, _, picks, fragments = _layout(_postorder(h), source, mode, self.index, {})
-            self.folds.append((code, tuple(self.numbers[i] for i in picks), fragments))
-        self.finals: dict[tuple, tuple] = {}
+        self.fold = None
+        if not self.heads:
+            self.folded = self.unfolded
+            return
+        code, _, picks, fragments = _layout([n for h in self.heads for n in _postorder(h)],
+                                            source, mode, self.index, {})
+        self.fold = code, tuple(self.numbers[i] for i in picks), fragments
+        step = 2 if mode is _DUAL else 1
+        folded = {id(h): len(self.numbers) + step * i for i, h in enumerate(self.heads)}
+        self.folded = _layout(_postorder(root, folded), source, mode, self.index, folded)
 
-    def final(self, pattern: tuple) -> tuple:
-        layout = self.finals.get(pattern)
-        if layout is None:
-            if len(self.finals) == 8:  # bounded: only a few patterns ever recur
-                self.finals.clear()
-            folded, at = {}, len(self.numbers)
-            for h in itertools.compress(self.heads, pattern):
-                folded[id(h)] = at
-                at += 2 if self.mode is _DUAL else 1
-            layout = self.finals[pattern] = _layout(_postorder(self.root, folded), self.source,
-                                                    self.mode, self.index, folded)
-        return layout
+    @functools.cached_property
+    def unfolded(self) -> tuple:
+        return _layout(_postorder(self.root), self.source, self.mode, self.index, {})
 
 
 # keyed on the tree's identity (nodes compare by identity) and held by it
@@ -623,9 +616,9 @@ _plan = functools.lru_cache(maxsize=512)(_Plan)
 
 def _layout(order: list[Node], source: str, mode: str, numbers: dict,
             folded: dict) -> tuple:
-    """The code and shape of a tree given in post-order, the positions of
-    its constants in a pool (by node id: numbers, and folded subtrees, two
-    each in dual mode), and its source fragments.  The function's default
+    """The code and shape of a tree (or a run of trees) given in post-order,
+    the positions of its constants in a pool (by node id: numbers, and
+    folded subtrees, two each in dual mode), and its source fragments.  The function's default
     arguments are those constants, then the binding, then the fragments of
     its operators and calls, in order.
 
@@ -669,7 +662,7 @@ class _Fragments:
 
 @functools.lru_cache(maxsize=512)
 def _code(mode: str, shape: tuple) -> types.CodeType:
-    """One code object per expression shape (fold pattern included) and mode."""
+    """One code object per shape (folded subtrees included) and mode."""
     module = compile(_source(mode, shape), "<hardykit.exprdsl>", "exec")
     return next(c for c in module.co_consts if isinstance(c, types.CodeType))
 
@@ -686,10 +679,12 @@ def _body(mode: str, shape: tuple, prefix: str = "") -> tuple[list[str], list[st
     """The parameters, statements and result expression of a shape's
     function: one flat run of statements in evaluation order, with a local
     per node, or two (value and derivative) in dual mode, and a try around
-    each operator and builtin call.  Every local and parameter name starts
+    each operator and builtin call.  The result lists the value (and
+    derivative) of each tree the shape holds in turn: one tree, or a plan's
+    heads in its fold function.  Every local and parameter name starts
     with the prefix.  Parameter names enter the text through repr();
     numbers, folded constants, the binding and fragments are the parameters,
-    whose values are the default arguments _shape gives."""
+    whose values are the default arguments _compile gives."""
     dual = mode is _DUAL
     binding, fragments = prefix + "binding", prefix + "fragments"
     kappa = prefix + "kappa" if dual else f"_need_kappa({binding})"
@@ -722,8 +717,8 @@ def _body(mode: str, shape: tuple, prefix: str = "") -> tuple[list[str], list[st
             body.append(_TRY.format(op.replace("\n", "\n    "), n_fragments, f=fragments))
             n_fragments += 1
             atoms.append((v, d))
-    v, d = atoms.pop()
-    return names + [binding, fragments], body, f"{v}, {d}" if dual else v
+    result = ", ".join(f"{v}, {d}" if dual else v for v, d in atoms)
+    return names + [binding, fragments], body, result
 
 
 def fill_template(template: str, slots: Mapping[str, tuple[object, bool]],

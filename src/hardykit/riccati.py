@@ -22,7 +22,7 @@ The equality case of the inequality is a Riccati ODE; solve_ivp integrates
 it with blow-up detection (a blow-up abscissa approximates a zero of the
 associated second-order positive solution).  bessel_to_riccati and
 riccati_to_bessel convert between G and that positive solution y via
-G = -|y'|^(p-2) y' / y^(p-1).
+G = -|y'|^(p-2) y' / y^(p-1); each returns a FuncEval.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Sequence
 
 from . import quadrature
 from .errors import (ConvergenceError, DomainError, HardykitError, ParameterError,
@@ -55,11 +55,6 @@ __all__ = [
     "optimize_constant",
     "golden_section_max",
 ]
-
-
-@runtime_checkable
-class Evaluable(Protocol):
-    def eval(self, t: float, binding: dict | None = None) -> float: ...
 
 
 class FuncEval:
@@ -105,9 +100,9 @@ class RiccatiPairSpec:
     geo: ModelGeometry
     t_lo: float
     t_hi: float
-    w: Evaluable
-    L: Evaluable
-    W: Evaluable
+    w: object  # each a ScalarExpr, or any object exprdsl.evaluator takes
+    L: object
+    W: object
     params: dict = field(default_factory=dict)
     g_sign_required: int = 1
     homogeneity_hint: float | None = None
@@ -202,19 +197,11 @@ def certification_grid(
     t_hi: float,
     n: int = 512,
     policy: str = "log",
-    custom: Sequence[float] | None = None,
 ) -> list[float]:
     """Interior sample grid; an infinite right endpoint is handled through
     the compactification u = t/(1+t).  Log policy concentrates points at the
     left endpoint; 16 extra points probe the immediate endpoint neighborhood.
     """
-    if policy == "custom":
-        if not custom:
-            raise ParameterError("custom grid policy needs points")
-        pts = sorted(set(float(t) for t in custom))
-        if pts[0] <= t_lo or pts[-1] >= t_hi:
-            raise ParameterError("custom grid points must be interior to the interval")
-        return pts
     return list(_grid(t_lo, t_hi, n, policy))
 
 
@@ -279,7 +266,6 @@ def certify(
     grid_policy: str = "log",
     tol: float = 1e-8,
     n_points: int = 512,
-    custom_grid: Sequence[float] | None = None,
 ) -> CertificationReport:
     """Grid certification of the Riccati-pair inequality for candidate G.
 
@@ -288,8 +274,7 @@ def certify(
     tolerance is an artifact policy (the inequality itself is pointwise);
     it is recorded in the report.
     """
-    grid = certification_grid(spec.t_lo, spec.t_hi, n=n_points, policy=grid_policy,
-                              custom=custom_grid)
+    grid = certification_grid(spec.t_lo, spec.t_hi, n=n_points, policy=grid_policy)
     residuals, gs, failure = _kernel(spec, G, spec.binding())(grid, False)
     min_r = min(residuals, default=math.inf)
     argmin = grid[residuals.index(min_r)] if residuals else grid[0]
@@ -370,41 +355,36 @@ def solve_ivp(
                              blow_up_t=out.blow_up_t, reason=out.reason)
 
 
-class GFromSolution:
-    """G = -|y'|^(p-2) y' / y^(p-1) built from a positive profile y(t).
+def bessel_to_riccati(y, p: float, binding: dict | None = None) -> FuncEval:
+    """Riccati candidate G = -|y'|^(p-2) y' / y^(p-1) from a positive
+    second-order profile y.
 
     The derivative path needs y''; it is estimated by a central difference
     of the exact first derivative (O(h^2), h = 1e-6 (1+t)).
     """
+    y_d = evaluator(y, binding, dual=True)
 
-    def __init__(self, y, p: float, binding: dict | None = None):
-        self.y = y
-        self.p = p
-        self._y_d = evaluator(y, binding, dual=True)
-
-    def _yv_yd(self, t: float) -> tuple[float, float]:
-        yv, yd = self._y_d(t)
+    def positive(t: float) -> tuple[float, float]:
+        yv, yd = y_d(t)
         if not yv > 0.0:
             raise DomainError(f"profile y({t!r}) = {yv!r} is not positive")
         return yv, yd
 
-    def eval(self, t: float, binding: dict | None = None) -> float:
-        yv, yd = self._yv_yd(t)
-        p = self.p
+    def g(t: float) -> float:
+        yv, yd = positive(t)
         try:
             return -math.copysign(abs(yd) ** (p - 1.0), yd) / yv ** (p - 1.0)
         except ArithmeticError:  # a power of y underflows to 0, or one of y' overflows
             raise DomainError(f"G is not finite at t={t!r}, y = {yv!r}") from None
 
-    def eval_d(self, t: float, binding: dict | None = None) -> tuple[float, float]:
-        yv, yd = self._yv_yd(t)
-        p = self.p
+    def g_d(t: float) -> tuple[float, float]:
+        yv, yd = positive(t)
         h = 1e-6 * (1.0 + abs(t))
-        ydp = self._y_d(t + h)[1]
-        ydm = self._y_d(t - h)[1]
+        ydp = y_d(t + h)[1]
+        ydm = y_d(t - h)[1]
         ypp = (ydp - ydm) / (2.0 * h)
         try:
-            g = -math.copysign(abs(yd) ** (p - 1.0), yd) / yv ** (p - 1.0)
+            gv = -math.copysign(abs(yd) ** (p - 1.0), yd) / yv ** (p - 1.0)
             if yd == 0.0:
                 if p < 2.0:
                     raise DomainError("G' singular where y' = 0 for p < 2")
@@ -413,54 +393,42 @@ class GFromSolution:
                 dg = -(p - 1.0) * abs(yd) ** (p - 2.0) * (ypp * yv - yd * yd) / yv**p
         except ArithmeticError:
             raise DomainError(f"G or G' is not finite at t={t!r}, y = {yv!r}") from None
-        return g, dg
+        return gv, dg
+
+    return FuncEval(g, g_d, "bessel_to_riccati")
 
 
-def bessel_to_riccati(y, p: float, binding: dict | None = None) -> GFromSolution:
-    """Riccati candidate from a positive second-order profile y."""
-    return GFromSolution(y, p, binding)
+def riccati_to_bessel(G, p: float, t_anchor: float, binding: dict | None = None) -> FuncEval:
+    """Inverse of bessel_to_riccati, normalized to y(t_anchor) = 1: the
+    positive profile y(t) = exp(-integral_anchor^t sgn(G)|G|^(1/(p-1))).
 
-
-class YFromG:
-    """Positive profile y(t) = exp(-integral_anchor^t sgn(G)|G|^(1/(p-1))).
-
-    Divergence of the integral is boundary behavior (y tends to 0 or inf),
-    not a failure.
+    Each call integrates from the anchor, so y(t) does not depend on what
+    was evaluated before.  Divergence of the integral is boundary behavior
+    (y tends to 0 or inf), not a failure.
     """
+    g_v = evaluator(G, binding)
 
-    def __init__(self, G, p: float, t_anchor: float, binding: dict | None = None):
-        self.G = G
-        self.p = p
-        self.t_anchor = t_anchor
-        self._g_v = evaluator(G, binding)
-        self._cache: dict[float, float] = {t_anchor: 0.0}
+    def rate(s: float) -> float:  # -y'/y
+        g = g_v(s)
+        return math.copysign(abs(g) ** (1.0 / (p - 1.0)), g)
 
-    def _integrand(self, s: float) -> float:
-        g = self._g_v(s)
-        return math.copysign(abs(g) ** (1.0 / (self.p - 1.0)), g)
-
-    def eval(self, t: float, binding: dict | None = None) -> float:
-        anchor = min(self._cache, key=lambda x: abs(x - t))
-        if t != anchor:
-            lo, hi = (anchor, t) if t > anchor else (t, anchor)
-            val, _ = quadrature.integrate(self._integrand, lo, hi, rel_tol=1e-11)
-            acc = self._cache[anchor] + (val if t > anchor else -val)
-            self._cache[t] = acc
-        total = self._cache[t]
+    def y(t: float) -> float:
+        total = 0.0
+        if t != t_anchor:
+            lo, hi = (t_anchor, t) if t > t_anchor else (t, t_anchor)
+            val, _ = quadrature.integrate(rate, lo, hi, rel_tol=1e-11)
+            total = val if t > t_anchor else -val
         try:
             return math.exp(-total)
         except OverflowError:
             return math.inf
 
-    def eval_d(self, t: float, binding: dict | None = None) -> tuple[float, float]:
+    def y_d(t: float) -> tuple[float, float]:
         # y' = -sgn(G)|G|^(1/(p-1)) y exactly, by construction
-        yv = self.eval(t, binding)
-        return yv, -self._integrand(t) * yv
+        yv = y(t)
+        return yv, -rate(t) * yv
 
-
-def riccati_to_bessel(G, p: float, t_anchor: float, binding: dict | None = None) -> YFromG:
-    """Inverse of bessel_to_riccati, normalized to y(t_anchor) = 1."""
-    return YFromG(G, p, t_anchor, binding)
+    return FuncEval(y, y_d, "riccati_to_bessel")
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -310,25 +310,17 @@ def _hyp2f1_bigz(a: float, b: float, c: float, z: float,
     C (-z)^(-a_i) (-a_i S_i - D_i) / z and second derivative
     C (-z)^(-a_i) (a_i (a_i+1) S_i + 2 (a_i+1) D_i + E_i) / z^2."""
     inv = 1.0 / z
-    coef_a = gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a)
-    coef_b = gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b)
-    out = 0.0
-    dout = 0.0
-    ddout = 0.0
-    if coef_a != 0.0:
-        scale = coef_a * (-z) ** (-a)
-        s, d, e = _series_2f1(a, a - c + 1.0, a - b + 1.0, inv, second)
-        out += scale * s
-        dout += scale * (-a * s - d)
-        if second:
-            ddout += scale * (a * (a + 1.0) * s + 2.0 * (a + 1.0) * d + e)
-    if coef_b != 0.0:
-        scale = coef_b * (-z) ** (-b)
-        s, d, e = _series_2f1(b, b - c + 1.0, b - a + 1.0, inv, second)
-        out += scale * s
-        dout += scale * (-b * s - d)
-        if second:
-            ddout += scale * (b * (b + 1.0) * s + 2.0 * (b + 1.0) * d + e)
+    terms = ((a, b, gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a)),
+             (b, a, gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b)))
+    out = dout = ddout = 0.0
+    for ai, other, coef in terms:
+        if coef != 0.0:
+            scale = coef * (-z) ** (-ai)
+            s, d, e = _series_2f1(ai, ai - c + 1.0, ai - other + 1.0, inv, second)
+            out += scale * s
+            dout += scale * (-ai * s - d)
+            if second:
+                ddout += scale * (ai * (ai + 1.0) * s + 2.0 * (ai + 1.0) * d + e)
     return out, inv * dout, inv * inv * ddout
 
 

@@ -450,7 +450,7 @@ def unshared_additive_terms(geo, target, u, H, binding):
 # riccati.certify must return a report repr-equal to this one.
 
 
-def reference_certify(spec, G, grid_policy="log", tol=1e-8, n_points=512, custom_grid=None):
+def reference_certify(spec, G, grid_policy="log", tol=1e-8, n_points=512):
     from hardykit.errors import DomainError
     from hardykit.riccati import CertificationReport, certification_grid
 
@@ -469,8 +469,7 @@ def reference_certify(spec, G, grid_policy="log", tol=1e-8, n_points=512, custom
         drift = wd / wv + lv
         return gv, gd + drift * gv - convex - wtarget, wtarget
 
-    grid = certification_grid(spec.t_lo, spec.t_hi, n=n_points, policy=grid_policy,
-                              custom=custom_grid)
+    grid = certification_grid(spec.t_lo, spec.t_hi, n=n_points, policy=grid_policy)
     residuals = []
     min_r, argmin, max_abs = math.inf, grid[0], 0.0
     min_g, max_g, t_min_g, t_max_g = math.inf, -math.inf, None, None

@@ -103,8 +103,6 @@ class TestConfigRoundTrip:
         ("g_sign_required = yes", "config [flags] g_sign_required = 'yes' is not a number"),
         ("g_sign_required = 0.5", "config [flags] g_sign_required = '0.5' is not an integer"),
         ("homogeneity_hint = -two", "config [flags] homogeneity_hint = '-two' is not a number"),
-        ("require_G_nonneg = maybe",
-         "config [flags] require_G_nonneg = 'maybe' is not a boolean"),
         # a geometry or parameter that is not a finite number certified
         ("kappa = nan", "kappa=nan is not a finite number"),
         ("p = inf", "p=inf is not a finite number"),
@@ -112,12 +110,11 @@ class TestConfigRoundTrip:
         ("C = -inf", "config [params] C = '-inf' is not a finite number"),
         # a misspelt flag or section was read as if the line were absent
         ("g_sign_requird = 0", "config [flags] has unknown key 'g_sign_requird' ([flags] "
-                               "takes require_G_nonneg, g_sign_required, homogeneity_hint, "
-                               "rho_kind)"),
+                               "takes g_sign_required, homogeneity_hint, rho_kind)"),
         ("[intervl]\nhi = 5", "config has unknown section [intervl] (sections are "
                               "geometry, interval, expressions, params, flags)"),
     ], ids=["n-fraction", "n-word", "kappa", "p", "lo", "hi", "param", "sign-word",
-            "sign-fraction", "hint", "require-nonneg", "kappa-nan", "p-inf", "param-nan",
+            "sign-fraction", "hint", "kappa-nan", "p-inf", "param-nan",
             "param-inf", "unknown-key", "unknown-section"])
     def test_malformed_value_exits_one(self, line, message, tmp_path, capsys):
         text = ("[geometry]\nkappa = 0\nn = 3\np = 2\n\n[interval]\nlo = 0\nhi = inf\n\n"

@@ -346,6 +346,13 @@ def _any_builtin_expr(rng: random.Random, depth: int) -> str:
                        f"hyp2f1ratio(a - 1.3, 1.5, 1, -(t^2 + {sub()}))"])
 
 
+def _unfolding_plan(node, source, mode):
+    # a plan whose folded layout is the unfolded one: folding switched off
+    plan = exprdsl._Plan(node, source, mode)
+    plan.folded = plan.unfolded
+    return plan
+
+
 class TestBindTimeFolding:
     def test_folded_equals_unfolded_over_random_expressions(self, monkeypatch):
         # the reference compiles the same ASTs with folding switched off
@@ -359,7 +366,7 @@ class TestBindTimeFolding:
             for binding in bindings:
                 for t in (rng.uniform(-1.0, 3.0), 0.0, 1.0):
                     cases.append((e, t, binding, _outcomes(e, t, binding)))
-        monkeypatch.setattr(exprdsl, "_fold", lambda fn: fn)
+        monkeypatch.setattr(exprdsl, "_plan", _unfolding_plan)
         errors = 0
         for e, t, binding, folded in cases:
             plain = ScalarExpr(ast=e.ast, source=e.source, var=e.var,
@@ -694,12 +701,12 @@ class TestCodeCache:
 
     def test_cache_is_bounded(self):
         rng = random.Random(17)
-        before = exprdsl._code.cache_info()
+        exprdsl._code.cache_clear()
         for _ in range(10_000):  # greene_wu_psi profiles, psi = t*exp(c*t)
             psi = parse(f"t*exp({rng.uniform(-3.0, 3.0)!r}*t)")
             psi.eval_d(rng.uniform(0.01, 5.0), {"kappa": -1.0})
-        after = exprdsl._code.cache_info()
-        assert after.misses - before.misses <= 2  # one shape per mode
+        # three dual shapes: c >= 0, c < 0 with -c folded, and the fold of -c
+        assert exprdsl._code.cache_info().misses == 3
         for j in range(exprdsl._code.cache_info().maxsize + 50):  # distinct shapes
             parse(f"t*p{j}").eval(1.0, {f"p{j}": 1.0})
         for cache in (exprdsl._code, exprdsl._parse_tree, exprdsl._plan):
@@ -733,9 +740,12 @@ class TestCodeCache:
                 evaluate(1.5, {**binding, "exc": -2.0})
         plain = ScalarExpr(ast=e.ast, source=e.source, var=e.var,
                            params_required=e.params_required)
-        monkeypatch.setattr(exprdsl, "_fold", lambda fn: fn)
+        monkeypatch.setattr(exprdsl, "_plan", _unfolding_plan)
         plain.eval(1.5, binding), plain.eval_d(1.5, binding)
         assert len(texts) >= 6
+        # the fold function of -alpha_9 and sqrt(exc*binding) in each mode
+        assert sum(text.endswith(("return v1, v5\n", "return v1, d1, v5, d5\n"))
+                   for text in texts) == 2
         fragments = {src[n.span[0]:n.span[1]] for n in exprdsl._postorder(e.ast)
                      if isinstance(n, (exprdsl.Bin, exprdsl.Call))}
         for text in texts:

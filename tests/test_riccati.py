@@ -103,12 +103,6 @@ class TestCertificationGrid:
         # uniform spacing away from the refinement cluster
         assert max(gaps) / min(g for g in gaps if g > 1e-5) < 1.2
 
-    def test_custom_policy(self):
-        grid = certification_grid(0.0, 1.0, policy="custom", custom=[0.5, 0.1, 0.9])
-        assert grid == [0.1, 0.5, 0.9]
-        with pytest.raises(ParameterError):
-            certification_grid(0.0, 1.0, policy="custom", custom=[0.5, 1.5])
-
     def test_unknown_policy(self):
         with pytest.raises(ParameterError):
             certification_grid(0.0, 1.0, policy="banana")
@@ -277,6 +271,14 @@ class TestBesselRiccatiBridge:
         y = riccati_to_bessel(parse("1/(2*t)"), 2.0, 1.0)
         for t in (0.25, 0.5, 2.0, 4.0):
             assert y.eval(t) == pytest.approx(t**-0.5, rel=1e-9)
+
+    def test_riccati_to_bessel_does_not_depend_on_call_order(self):
+        G = parse("1/(2*t) + 0.3*sin(t)")
+        ts = [0.5 + 5.5 * i / 99 for i in range(100)]
+        fresh = [riccati_to_bessel(G, 2.0, 1.0).eval(t) for t in ts]
+        for order in (ts, ts[::-1]):
+            y = riccati_to_bessel(G, 2.0, 1.0)
+            assert {t: y.eval(t) for t in order} == dict(zip(ts, fresh))
 
     def test_zero_candidate_gives_constant_profile(self):
         y = riccati_to_bessel(parse("0*t"), 2.0, 1.0)
