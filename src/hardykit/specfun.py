@@ -21,14 +21,14 @@ F(a+1, b+1; c+1; z) / F(a, b; c; z), which is (c / ab) F'/F (DLMF 15.5.1),
 and its z-derivative from one series pass of the denominator: that pass
 also sums k (k-1) times each term, from which d2F/dz2 follows the same
 way, only when a caller asks for it, so plain hyp2f1 keeps its cost.
+mpmath is imported on first use, by the two mpmath branches, so a process
+that stays on the float paths never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import mpmath
 
 from .errors import (
     ConvergenceError,
@@ -129,6 +129,7 @@ def _bessel_series_float(nu: float, x: float) -> float:
 
 
 def _bessel_mp(nu: float, x: float) -> float:
+    import mpmath
     with mpmath.workdps(_MP_DPS):
         return float(mpmath.besselj(nu, x))
 
@@ -341,6 +342,7 @@ def _hyp2f1_pair(a: float, b: float, c: float, z: float,
         if abs((b - a) - round(b - a)) > _HYP_GAP_GUARD:
             return _hyp2f1_bigz(a, b, c, z, second)
         if -z > _HYP_BIGZ:
+            import mpmath
             with mpmath.workdps(_MP_DPS):
                 return float(mpmath.hyp2f1(a, b, c, z)), None, None
     # Where c - b is near a negative integer -m, the mapped series

@@ -25,16 +25,21 @@ relative from the exact eigenvalue of the same pencil (1.8e-11 at kappa = 0,
 n = 2, R = 2.98, N = 4693, against a 40-digit Newton on the pencil).  The
 N/2 eigenvalue starts Newton at N, and the returned estimate is the
 Richardson extrapolation of the N/2 and N eigenvalues.
+
+The pencil is held in plain float lists, and each pass forms the diagonal
+of A - sigma B inside its loop.  A ball whose pencil leaves float range
+(densities s_kappa^{n-1} that overflow, or a mesh width whose square
+overflows or underflows) raises DomainError.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ParameterError
-from .geometry import ModelGeometry, s_value
+from .errors import DomainError, ParameterError
+from .geometry import ModelGeometry, _s_powers
 
 __all__ = ["SpectralResult", "spectral_lambda1"]
 
@@ -60,23 +65,25 @@ class SpectralResult:
 
 
 class _Pencil:
-    """A - sigma B, with A symmetric tridiagonal (diag, off) and B positive diagonal."""
+    """A - sigma B, with A symmetric tridiagonal (diag, off) and B positive
+    diagonal, each a list of floats."""
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray, b: np.ndarray):
+    def __init__(self, diag: list[float], off: list[float], b: list[float]):
         self.diag, self.off, self.b = diag, off, b
         # squared couplings, with a leading 0 so the recurrence starts at d_0.
         # ** is libm pow, which can differ from x*x by an ulp; near the
         # eigenvalue an ulp moves the count, so the choice fixes the digits
         # of the result (pinned by tools/digest_outputs.py)
-        self._off2 = [0.0] + [o ** 2 for o in off.tolist()]
-        self._b = b.tolist()
+        self._off2 = [0.0] + [o ** 2 for o in off]
+        # Gershgorin bound of B^{-1} A
+        self.top = max(map(operator.truediv, diag, b)) + 2.0 * max(map(abs, off)) / min(b)
 
     def count_below(self, sigma: float) -> int:
         """Eigenvalues strictly below sigma: the negative pivots of LDL^T."""
         count = 0
         d = 1.0
-        for c, o2 in zip((self.diag - sigma * self.b).tolist(), self._off2):
-            d = c - o2 / d
+        for c, bj, o2 in zip(self.diag, self.b, self._off2):
+            d = c - sigma * bj - o2 / d
             if d <= 0.0:
                 if d == 0.0:
                     d = -1e-300
@@ -95,9 +102,9 @@ class _Pencil:
         d = 1.0
         r = 0.0
         g = 0.0
-        for c, bj, o2 in zip((self.diag - sigma * self.b).tolist(), self._b, self._off2):
+        for c, bj, o2 in zip(self.diag, self.b, self._off2):
             e = o2 / d
-            d = c - e
+            d = c - sigma * bj - e
             if d <= 0.0:
                 if d == 0.0:
                     d = -1e-300
@@ -120,8 +127,7 @@ class _Pencil:
         eigenvalues below it) leaves the bisection of [0, Gershgorin bound]
         only the last few counts to take.
         """
-        top = float(np.max(self.diag / self.b)     # Gershgorin bound of B^{-1} A
-                    + 2.0 * np.max(np.abs(self.off)) / np.min(self.b))
+        top = self.top
         below, above = 0.0, top     # counted points: 0 below / >= 1 below
         sigma = x = guess if 0.0 < guess < top else 0.0
         for _ in range(_NEWTON_MAX_ITER):
@@ -183,12 +189,19 @@ class _Pencil:
 def _pencil(geo: ModelGeometry, R: float, N: int) -> _Pencil:
     """The finite-volume pencil at resolution N."""
     h = R / (N + 0.5)
-    ts = (np.arange(N) + 0.5) * h         # cell centres
-    faces = np.arange(N + 1) * h          # t = 0 face carries zero density
-    a_face = np.array([s_value(geo.kappa, t) ** (geo.n - 1) for t in faces])
-    a_cell = np.array([s_value(geo.kappa, t) ** (geo.n - 1) for t in ts])
     h2 = h * h
-    return _Pencil((a_face[:N] + a_face[1:]) / h2, -a_face[1:N] / h2, a_cell)
+    try:
+        # the t = 0 face carries zero density
+        a_face = _s_powers(geo.kappa, [j * h for j in range(N + 1)], geo.n - 1)
+        a_cell = _s_powers(geo.kappa, [(j + 0.5) * h for j in range(N)], geo.n - 1)
+        pencil = _Pencil([(a + a_next) / h2 for a, a_next in zip(a_face, a_face[1:])],
+                         [-a / h2 for a in a_face[1:N]], a_cell)
+        if 0.0 < pencil.top < math.inf:
+            return pencil
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError(f"the pencil of the ball R={R!r} (kappa={geo.kappa!r}, n={geo.n!r}) "
+                      f"leaves float range at N={N}")
 
 
 def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralResult:
@@ -199,8 +212,12 @@ def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralRes
     """
     if geo.p != 2.0:
         raise ParameterError(f"spectral solver supports p = 2 only, got p={geo.p!r}")
-    if R <= 0.0:
-        raise ParameterError(f"need R > 0, got {R!r}")
+    if not 0.0 < R < math.inf:
+        raise ParameterError(f"need finite R > 0, got {R!r}")
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise ParameterError(f"need an integer N, got {N!r}") from None
     if N < 200:
         raise ParameterError(f"need N >= 200, got {N!r}")
     lam_coarse = _pencil(geo, R, N // 2).smallest_eigenvalue()

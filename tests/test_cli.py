@@ -278,6 +278,19 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "5.78" in out
 
+    @pytest.mark.parametrize("kappa,n,R,message", [
+        # lambda1 = nan was printed with exit code 0
+        ("0", "2", "nan", "need finite R > 0, got nan"),
+        # an OverflowError traceback
+        ("-1", "3", "400", "leaves float range"),
+    ], ids=["nan-radius", "overflowing-density"])
+    def test_spectrum_bad_ball_exits_one(self, kappa, n, R, message, capsys):
+        rc = main(["spectrum", "--kappa", kappa, "--n", n, "--R", R, "--N", "400"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_solve_riccati(self, tmp_path, capsys):
         cfg = tmp_path / "h.cfg"
         main(["catalog", "show", "hardy", "--params", "n=3,p=2,alpha=0,C=2"])

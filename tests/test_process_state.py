@@ -1,8 +1,10 @@
 """What one process keeps between operations: the expression and grid
 caches are filled lazily, never at import, and an operation calls the same
-public functions whether it finds them cold or warm.
+public functions whether it finds them cold or warm.  A cold start loads
+neither numpy, which src/ never imports, nor mpmath, which specfun imports
+on first use.
 
-Both tests run a fresh interpreter, so the caches start empty.
+Every test runs a fresh interpreter, so the caches start empty.
 """
 
 from __future__ import annotations
@@ -31,6 +33,43 @@ def test_import_parses_and_plans_nothing():
                      "print(exprdsl._parse_tree.cache_info().currsize, "
                      "exprdsl._plan.cache_info().currsize)")
     assert out.split() == ["0", "0"]
+
+
+def test_import_loads_neither_numpy_nor_mpmath():
+    out = run_python("import sys\n"
+                     "import hardykit.cli\n"
+                     "print('numpy' in sys.modules, 'mpmath' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
+def test_spectral_runs_without_numpy(tmp_path):
+    # with numpy blocked, `import numpy` raises ImportError
+    out = run_python("import json, sys\n"
+                     "sys.modules['numpy'] = None\n"
+                     "from hardykit import cli\n"
+                     "from hardykit.geometry import ModelGeometry\n"
+                     "from hardykit.spectral import spectral_lambda1\n"
+                     "print(repr(spectral_lambda1(ModelGeometry(-1.0, 3, 2.0), 2.0, 600)))\n"
+                     "cli.main(['spectrum', '--kappa', '-0.5', '--n', '4', '--R', '5',\n"
+                     f"          '--N', '1200', '--json', {str(tmp_path / 'sp.json')!r}])\n")
+    assert out.splitlines() == [
+        "SpectralResult(lambda1=3.467401098545253, lambda1_raw=3.467400295554775, "
+        "lambda1_coarse=3.467397886583341, N=600)",
+        "lambda1 = 1.64328  (raw N=1200: 1.64329, N/2: 1.64329)"]
+    report = json.loads((tmp_path / "sp.json").read_text())
+    assert [repr(report[k]) for k in ("lambda1", "lambda1_raw", "lambda1_coarse")] == [
+        "1.6432844909454107", "1.6432864411960981", "1.64329229194816"]
+
+
+def test_bessel_j_loads_mpmath_on_first_use():
+    out = run_python("import sys\n"
+                     "from hardykit.specfun import bessel_j\n"
+                     "print('mpmath' in sys.modules, repr(bessel_j(0.0, 5.0)), "
+                     "'mpmath' in sys.modules)\n"
+                     "print(repr(bessel_j(0.0, 20.0)), 'mpmath' in sys.modules)")
+    # x <= 10 stays on the float series; x = 20 takes mpmath
+    assert out.split() == ["False", "-0.1775967713143384", "False",
+                           "0.16702466434058316", "True"]
 
 
 # A certify and margin sequence run under perfbench's tracer, which counts

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardykit import spectral
-from hardykit.errors import ParameterError
+from hardykit.errors import DomainError, ParameterError
 from hardykit.geometry import ModelGeometry
 from hardykit.specfun import bessel_zero
 from hardykit.spectral import _pencil, spectral_lambda1
@@ -64,12 +64,31 @@ class TestNumericalBehavior:
         with pytest.raises(ParameterError):
             spectral_lambda1(ModelGeometry(0.0, 2, 2.0), 1.0, 100)
 
+    # R = nan or inf returned lambda1 = nan (or a numpy warning); a float N
+    # raised an untyped TypeError
+    @pytest.mark.parametrize("R,N", [(math.nan, 400), (math.inf, 400), (1.0, 400.0),
+                                     (1.0, 400.5)])
+    def test_rejects_non_finite_radius_and_non_integer_resolution(self, R, N):
+        with pytest.raises(ParameterError):
+            spectral_lambda1(ModelGeometry(0.0, 2, 2.0), R, N)
+
+    # densities s_kappa^(n-1) beyond float range raised an untyped
+    # OverflowError; a mesh width too small or too large to square returned
+    # garbage (lambda1 = 0.0 at R = 1e300)
+    @pytest.mark.parametrize("kappa,n,R", [(-1.0, 3, 400.0), (-1.0, 9, 100.0),
+                                           (-1.0, 2, 800.0), (0.0, 2, 1e-200),
+                                           (0.0, 2, 1e300)])
+    def test_pencil_beyond_float_range_is_a_domain_error(self, kappa, n, R):
+        with pytest.raises(DomainError, match="leaves float range"):
+            spectral_lambda1(ModelGeometry(kappa, n, 2.0), R, 400)
+
 
 def _symmetrized(pencil):
     """B^{-1/2} A B^{-1/2} as a dense matrix."""
-    s = 1.0 / np.sqrt(pencil.b)
-    off = pencil.off * s[:-1] * s[1:]
-    return np.diag(pencil.diag * s * s) + np.diag(off, 1) + np.diag(off, -1)
+    diag, off, b = (np.asarray(x) for x in (pencil.diag, pencil.off, pencil.b))
+    s = 1.0 / np.sqrt(b)
+    off = off * s[:-1] * s[1:]
+    return np.diag(diag * s * s) + np.diag(off, 1) + np.diag(off, -1)
 
 
 # flat, hyperbolic, and large hyperbolic balls whose low modes cluster
