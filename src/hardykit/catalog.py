@@ -38,14 +38,10 @@ class CatalogInstance:
     spec: RiccatiPairSpec
     G: object
     sharp_constant: float
-    equality_expected: bool
     model_exact_L: bool
     citation: str
     params: dict
     metadata: dict = field(default_factory=dict)
-
-    def binding(self) -> dict:
-        return self.spec.binding()
 
 
 @dataclass(frozen=True)
@@ -489,5 +485,4 @@ def instantiate(name: str, geo: ModelGeometry, params: dict | None = None) -> Ca
         raise ParameterError(f"catalog entry {name!r}: {'; '.join(problems)}; "
                              f"it takes {takes or 'no parameters'}")
     spec, G, sharp, model_exact, used, metadata = entry.build(geo, **params)
-    return CatalogInstance(name, spec, G, sharp, True, model_exact, entry.citation, used,
-                           metadata)
+    return CatalogInstance(name, spec, G, sharp, model_exact, entry.citation, used, metadata)

@@ -161,6 +161,24 @@ _FAMILY_KEYS = {"bumps": ((), ("count", "seed", "lo", "hi", "span")),
                 "gaussian": ((), ("alpha", "scale")),
                 "talenti": ((), ("alpha", "r", "scale"))}
 
+# the --params keys each sweep mode, and verify's up and ckn, read
+_MODE_KEYS = {"hardy": ("kappa", "n", "p", "alpha"), "up": ("kappa", "n", "p", "alpha"),
+              "ckn": ("kappa", "n", "p", "alpha", "r")}
+
+
+def _check_keys(what: str, kind: str, opts: dict, required: tuple, optional: tuple,
+                extra: list[str] | tuple[str, ...] = ()):
+    """Exit 1 naming each missing, unknown or non-numeric key of opts (an
+    ignored key would keep the default it was meant to change), each extra
+    problem, and the keys kind takes."""
+    problems = [f"missing key {k!r}" for k in required if k not in opts] + \
+        [f"unknown key {k!r}" for k in opts if k not in required + optional] + \
+        [f"non-numeric {k}={v!r}" for k, v in opts.items() if isinstance(v, str)] + \
+        list(extra)
+    if problems:
+        takes = ", ".join([k + " (required)" for k in required] + list(optional))
+        raise SystemExit(f"{what}: {'; '.join(problems)} ({kind} takes {takes})")
+
 
 def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: float = math.inf):
     """A test family from a --family spec; (lo, hi) is the interval bumps
@@ -169,19 +187,13 @@ def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: floa
     if kind not in _FAMILY_KEYS:
         raise SystemExit(f"unknown family spec {family_spec!r}")
     opts = _parse_kv(kv)
-    required, optional = _FAMILY_KEYS[kind]
-    problems = [f"missing key {k!r}" for k in required if k not in opts]
-    problems += [f"unknown key {k!r}" for k in opts if k not in required + optional]
-    problems += [f"non-numeric {k}={v!r}" for k, v in opts.items() if isinstance(v, str)]
+    problems = []
     count, seed = opts.get("count", 20.0), opts.get("seed", 7.0)
     if not isinstance(count, str) and not (count >= 1.0 and count.is_integer()):
         problems.append(f"count={count!r} is not a positive integer")
     if not isinstance(seed, str) and not seed.is_integer():
         problems.append(f"seed={seed!r} is not an integer")
-    if problems:
-        takes = ", ".join([k + " (required)" for k in required] + list(optional))
-        raise SystemExit(f"bad family spec {family_spec!r}: {'; '.join(problems)} "
-                         f"({kind} takes {takes})")
+    _check_keys(f"bad family spec {family_spec!r}", kind, opts, *_FAMILY_KEYS[kind], problems)
     if kind == "bumps":
         lo, hi = opts.get("lo", lo), opts.get("hi", hi)
         span = opts.get("span", min(10.0, hi - lo) if math.isfinite(hi) else 10.0)
@@ -194,6 +206,17 @@ def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: floa
     if kind == "gaussian":
         return [gaussian_type(alpha, geo.p, scale=opts.get("scale", 1.0))]
     return [talenti(alpha, geo.p, r, scale=opts.get("scale", 1.0))]
+
+
+def _margins_json(path: str | None, inequality: str, params: dict, rows: list[dict],
+                  min_margin: float, extremum: float | None, sharp: float | None):
+    """verify's and sweep's JSON report, written to path if one is given."""
+    if path:
+        _report_json({"meta": {"tool": "hardykit", "version": __version__},
+                      "inequality": inequality, "params": dict(sorted(params.items())),
+                      "members": rows,
+                      "summary": {"min_margin": min_margin, "achieved_ratio_extremum": extremum,
+                                  "sharp_constant": sharp}}, path)
 
 
 def _cmd_verify(args) -> int:
@@ -214,8 +237,8 @@ def _cmd_verify(args) -> int:
               "come from the --spec config", file=sys.stderr)
         return EXIT_USAGE
     members = []
-    worst = math.inf
     if inequality in ("up", "ckn"):
+        _check_keys(f"bad --params {args.params!r}", inequality, params, (), _MODE_KEYS[inequality])
         given = None if args.family == "default" else _make_family(args.family, geo)
         alpha, r, family = scaled_family(inequality, geo, rest, given)
         for u in family:
@@ -240,31 +263,11 @@ def _cmd_verify(args) -> int:
         for u in family:
             m = additive_margin(None, target, u, H=H)
             members.append((u.params.get("center", u.params.get("eps", math.nan)), m))
-    rows = []
-    violated = False
-    for fam_param, m in members:
-        worst = min(worst, m.margin)
-        violated = violated or margin_violated(m)
-        rows.append({
-            "family_param": fam_param,
-            "lhs": m.lhs,
-            "rhs": m.rhs,
-            "margin": m.margin,
-            "quad_error": m.quadrature_error_estimate,
-        })
-    payload = {
-        "meta": {"tool": "hardykit", "version": __version__},
-        "inequality": inequality,
-        "params": {k: v for k, v in sorted(params.items())},
-        "members": rows,
-        "summary": {
-            "min_margin": worst,
-            "achieved_ratio_extremum": None,
-            "sharp_constant": None,
-        },
-    }
-    if args.out:
-        _report_json(payload, args.out)
+    rows = [{"family_param": fam_param, "lhs": m.lhs, "rhs": m.rhs, "margin": m.margin,
+             "quad_error": m.quadrature_error_estimate} for fam_param, m in members]
+    worst = min([math.inf] + [m.margin for _, m in members])
+    violated = any(margin_violated(m) for _, m in members)
+    _margins_json(args.out, inequality, params, rows, worst, None, None)
     print(f"{inequality}: {len(rows)} member(s), min margin {worst:.6g}"
           f"{' (VIOLATED)' if violated else ''}")
     return EXIT_FAILED if violated else EXIT_OK
@@ -273,25 +276,13 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     params = _parse_kv(args.params)
     geo, rest = _geometry_from_params(params)
+    _check_keys(f"bad --params {args.params!r}", args.inequality, params, (),
+                _MODE_KEYS[args.inequality])
     sw = sharpness_sweep(args.inequality, geo, rest)
-    payload = {
-        "meta": {"tool": "hardykit", "version": __version__},
-        "inequality": args.inequality,
-        "params": {k: v for k, v in sorted(params.items())},
-        "members": [
-            {"family_param": r.family_param, "lhs": r.lhs, "rhs": r.rhs,
-             "margin": r.margin, "quad_error": r.quad_error, "ratio": r.ratio,
-             "note": r.note}
-            for r in sw.rows
-        ],
-        "summary": {
-            "min_margin": sw.min_margin,
-            "achieved_ratio_extremum": sw.achieved_extremum,
-            "sharp_constant": sw.sharp_constant,
-        },
-    }
-    if args.out:
-        _report_json(payload, args.out)
+    rows = [{"family_param": r.family_param, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
+             "quad_error": r.quad_error, "ratio": r.ratio, "note": r.note} for r in sw.rows]
+    _margins_json(args.out, args.inequality, params, rows, sw.min_margin,
+                  sw.achieved_extremum, sw.sharp_constant)
     print(f"{args.inequality}: sharp constant {sw.sharp_constant:.6g}, "
           f"achieved extremum {sw.achieved_extremum:.6g}, min margin {sw.min_margin:.6g}")
     for r in sw.rows:

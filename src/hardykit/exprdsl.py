@@ -75,14 +75,10 @@ from .errors import (
 
 __all__ = [
     "ScalarExpr",
-    "ParamBinding",
     "parse",
     "evaluator",
     "fill_template",
-    "BUILTIN_ARITY",
 ]
-
-ParamBinding = Mapping[str, float]
 
 # ---------------------------------------------------------------------------
 # the functions the generated code calls
@@ -139,7 +135,7 @@ def _coth_value(x: float) -> float:
     return _geo._coth(x) if x > 0.0 else -_geo._coth(-x)
 
 
-def _need_kappa(binding: ParamBinding) -> float:
+def _need_kappa(binding: Mapping[str, float]) -> float:
     try:
         return binding["kappa"]
     except KeyError:
@@ -247,8 +243,6 @@ _BUILTINS = {
     "hyp2f1ratio": (4, "_sf.hyp2f1ratio({0}, {1}, {2}, {3})", _z_dual("hyp2f1ratio")),
     "gamma": (1, "_sf.gamma({0})", _GAMMA_DUAL),
 }
-
-BUILTIN_ARITY = {name: spec[0] for name, spec in _BUILTINS.items()}
 
 _KAPPA_BUILTINS = frozenset(name for name, (_, value, _) in _BUILTINS.items() if "{k}" in value)
 
@@ -541,7 +535,7 @@ def _rewrap(exc: Exception, fragment: str) -> EvalError:
     return kind(str(exc), fragment)
 
 
-def _compile(node: Node, source: str, mode: str, binding: ParamBinding) -> Callable:
+def _compile(node: Node, source: str, mode: str, binding: Mapping[str, float]) -> Callable:
     """Compile an AST into one function t -> value, or (value, d/dt) in
     dual mode, over a snapshot of the binding taken here.
 
@@ -708,7 +702,7 @@ def _body(mode: str, shape: tuple, prefix: str = "") -> tuple[list[str], list[st
             body.append(f"{v} = -{a}\n{d} = -{ad}" if dual else f"{v} = -{a}")
             atoms.append((v, d))
         else:
-            n = BUILTIN_ARITY.get(tok, 2)
+            n = _BUILTINS[tok][0] if tok in _BUILTINS else 2
             args = atoms[len(atoms) - n:]
             del atoms[len(atoms) - n:]
             op = _STATEMENTS[tok][dual].format(*(a for a, _ in args), v=v, d=d, k=kappa,
@@ -722,7 +716,7 @@ def _body(mode: str, shape: tuple, prefix: str = "") -> tuple[list[str], list[st
 
 
 def fill_template(template: str, slots: Mapping[str, tuple[object, bool]],
-                  binding: ParamBinding, env: Mapping[str, object]) -> Callable:
+                  binding: Mapping[str, float], env: Mapping[str, object]) -> Callable:
     """The function a template (Python source) defines; its free names are
     env's keys and those of slots, each mapped to (evaluable, dual).  Its
     line `<targets> = <name>(t)` becomes the statements of a ScalarExpr
@@ -799,7 +793,7 @@ class ScalarExpr:
         # binding with another key starts a new list
         object.__setattr__(self, "_cache", [None, None, None])
 
-    def _compiled(self, binding: ParamBinding, mode: int) -> Callable:
+    def _compiled(self, binding: Mapping[str, float], mode: int) -> Callable:
         try:
             key = repr(self._key(binding))
         except KeyError:  # an unbound parameter: it raises at evaluation
@@ -813,23 +807,17 @@ class ScalarExpr:
             fn = entry[1 + mode] = _compile(self.ast, self.source, _MODES[mode], binding)
         return fn
 
-    def eval(self, t: float, binding: ParamBinding | None = None) -> float:
+    def eval(self, t: float, binding: Mapping[str, float] | None = None) -> float:
         return self._compiled(binding or {}, 0)(t)
 
-    def eval_d(self, t: float, binding: ParamBinding | None = None) -> tuple[float, float]:
+    def eval_d(self, t: float, binding: Mapping[str, float] | None = None) -> tuple[float, float]:
         return self._compiled(binding or {}, 1)(t)
-
-    def to_source(self) -> str:
-        """Canonical printout, parenthesized only where the grammar needs it;
-        it re-parses to the same tree, so to the same values, and nests no
-        deeper than the source."""
-        return _print(self.ast, self.var)
 
     def __repr__(self):
         return f"ScalarExpr({self.source!r})"
 
 
-def evaluator(e, binding: ParamBinding | None = None, dual: bool = False) -> Callable:
+def evaluator(e, binding: Mapping[str, float] | None = None, dual: bool = False) -> Callable:
     """The function t -> e.eval(t, binding), or e.eval_d(t, binding) when
     dual, resolved once for a loop over t under one binding.  For a
     ScalarExpr it is the generated function eval/eval_d call, compiled
@@ -873,34 +861,3 @@ def _parse_tree(source: str, var: str) -> tuple[Node, frozenset[str]]:
         elif isinstance(n, Call) and n.name in _KAPPA_BUILTINS:
             names.add("kappa")
     return node, frozenset(names)
-
-
-# binding strength of each operator, unary minus and the primaries
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3, "neg": 4, "primary": 5}
-
-
-def _print(root: Node, var: str) -> str:
-    done: dict[int, tuple[str, int]] = {}  # id(node) -> (printout, precedence)
-
-    def operand(node: Node, least: int) -> str:
-        text, precedence = done.pop(id(node))
-        return text if precedence >= least else f"({text})"
-
-    for node in _postorder(root):
-        if isinstance(node, Num):
-            out = repr(node.value), _PRECEDENCE["primary"]
-        elif isinstance(node, Var):
-            out = var, _PRECEDENCE["primary"]
-        elif isinstance(node, Param):
-            out = node.name, _PRECEDENCE["primary"]
-        elif isinstance(node, Neg):
-            out = f"-{operand(node.operand, _PRECEDENCE['neg'])}", _PRECEDENCE["neg"]
-        elif isinstance(node, Bin):
-            p = _PRECEDENCE[node.op]
-            # '+ -' and '* /' associate to the left, '^' to the right over a unary
-            left, right = (p, p + 1) if node.op != "^" else (_PRECEDENCE["neg"], p)
-            out = f"{operand(node.left, left)} {node.op} {operand(node.right, right)}", p
-        else:
-            out = f"{node.name}({', '.join(operand(a, 0) for a in node.args)})", _PRECEDENCE["primary"]
-        done[id(node)] = out
-    return done[id(root)][0]

@@ -1,10 +1,11 @@
 """Closed-form radial kernel of the model space forms with curvature <= 0.
 
 All quantities are functions of the distance t from a base point: the
-curvature-trig functions ct_kappa and s_kappa, the comparison deficit
-D_kappa(t) = t*ct_kappa(t) - 1, volume densities and ball volumes, and the
-Laplacian comparison bounds used as the lower-bound function L in Riccati
-pair specifications.
+curvature-trig functions ct_kappa and s_kappa (the radial measure is
+n*omega_n*s_kappa(t)^(n-1) dt, with omega_n = unit_ball_volume(n)), the
+comparison deficit D_kappa(t) = t*ct_kappa(t) - 1, and the Laplacian
+comparison bounds used as the lower-bound function L in Riccati pair
+specifications.
 
 Positive curvature is rejected throughout: every certified inequality in
 this toolkit lives on the kappa <= 0 range, and supporting spheres would
@@ -25,8 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ModelGeometry",
-    "volume_density",
-    "ball_volume",
     "unit_ball_volume",
     "ComparisonL",
 ]
@@ -148,64 +147,9 @@ def deficit_value_dt(kappa: float, t: float) -> float:
     return c + t * (-kappa - c * c)
 
 
-def volume_density(geo: ModelGeometry, t: float) -> float:
-    """Radial area density s_kappa(t)^(n-1); the measure is n*omega_n*density dt."""
-    if t <= 0.0:
-        raise DomainError(f"volume_density requires t > 0, got {t!r}")
-    return s_value(geo.kappa, t) ** (geo.n - 1)
-
-
 def unit_ball_volume(n: int) -> float:
     """omega_n = pi^(n/2) / Gamma(1 + n/2)."""
     return math.pi ** (n / 2.0) / gamma(1.0 + n / 2.0)
-
-
-def _sinh_power_integral(m: int, x: float) -> float:
-    """integral_0^x sinh^m(u) du by the stable reduction recurrence."""
-    if m == 0:
-        return x
-    ch = math.cosh(x)
-    sh = math.sinh(x)
-    if m == 1:
-        return ch - 1.0
-    return (sh ** (m - 1) * ch - (m - 1) * _sinh_power_integral(m - 2, x)) / m
-
-
-def _sinh_ratio_power_series(m: int, x: float, terms: int = 9) -> list[float]:
-    """Coefficients of (sinh(u)/u)^m = sum c_k u^(2k), |u| <= x small."""
-    base = [1.0 / math.factorial(2 * k + 1) for k in range(terms)]
-    out = [1.0] + [0.0] * (terms - 1)
-    for _ in range(m):
-        new = [0.0] * terms
-        for i in range(terms):
-            if out[i] == 0.0:
-                continue
-            for j in range(terms - i):
-                new[i + j] += out[i] * base[j]
-        out = new
-    return out
-
-
-def ball_volume(geo: ModelGeometry, R: float) -> float:
-    """Volume of the radius-R ball: n*omega_n * integral_0^R s_kappa^(n-1)."""
-    if R <= 0.0:
-        raise DomainError(f"ball_volume requires R > 0, got {R!r}")
-    n = geo.n
-    wn = unit_ball_volume(n)
-    if geo.kappa == 0.0:
-        return wn * R**n
-    m = -geo.kappa
-    r = math.sqrt(m)
-    x = r * R
-    if x < 0.5:
-        # the reduction recurrence cancels near 0; integrate the series of
-        # t^(n-1) * (sinh(rt)/(rt))^(n-1) term by term instead
-        coeffs = _sinh_ratio_power_series(n - 1, x)
-        total = 0.0
-        for k, c in enumerate(coeffs):
-            total += c * m**k * R ** (n + 2 * k) / (n + 2 * k)
-        return n * wn * total
-    return n * wn * _sinh_power_integral(n - 1, x) / r**n
 
 
 class ComparisonL:

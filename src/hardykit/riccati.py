@@ -52,7 +52,6 @@ __all__ = [
     "RiccatiTrajectory",
     "bessel_to_riccati",
     "riccati_to_bessel",
-    "optimize_constant",
     "golden_section_max",
 ]
 
@@ -113,6 +112,9 @@ class RiccatiPairSpec:
             raise ParameterError(f"invalid interval ({self.t_lo!r}, {self.t_hi!r})")
         if self.g_sign_required not in (-1, 0, 1):
             raise ParameterError("g_sign_required must be -1, 0 or +1")
+        if self.rho_kind not in ("radial_distance", "boundary_distance"):
+            raise ParameterError(f"rho_kind={self.rho_kind!r} is neither radial_distance "
+                                 "nor boundary_distance")
 
     def binding(self) -> dict:
         b = self.geo.binding()
@@ -198,7 +200,8 @@ def certification_grid(
     n: int = 512,
     policy: str = "log",
 ) -> list[float]:
-    """Interior sample grid; an infinite right endpoint is handled through
+    """Interior sample grid of (t_lo, t_hi), which needs 0 <= t_lo < t_hi
+    (ParameterError otherwise); an infinite right endpoint is handled through
     the compactification u = t/(1+t).  Log policy concentrates points at the
     left endpoint; 16 extra points probe the immediate endpoint neighborhood.
     """
@@ -207,6 +210,8 @@ def certification_grid(
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _grid(t_lo: float, t_hi: float, n: int, policy: str) -> tuple[float, ...]:
+    if not (0.0 <= t_lo < t_hi):
+        raise ParameterError(f"invalid interval ({t_lo!r}, {t_hi!r})")
     if n < 2:
         raise ParameterError("grid needs at least 2 points")
 
@@ -254,10 +259,6 @@ class CertificationReport:
     reason: str
     tolerance_used: float
     g_sign_required: int
-
-    @property
-    def certified(self) -> bool:
-        return self.verdict == "certified"
 
 
 def certify(
@@ -454,17 +455,3 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
-
-
-def optimize_constant(a: float, b: float, p: float) -> tuple[float, float]:
-    """Maximize c*b - (p-1) c^(p') a^p over c > 0, in closed form.
-
-    Returns (c_star, value) = ((b/(p a^p))^(p-1), b^p / (p^p a^(p(p-1)))).
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ParameterError(f"optimize_constant needs a, b > 0, got a={a!r}, b={b!r}")
-    if not p > 1.0:
-        raise ParameterError(f"optimize_constant needs p > 1, got {p!r}")
-    c_star = (b / (p * a**p)) ** (p - 1.0)
-    value = b**p / (p**p * a ** (p * (p - 1.0)))
-    return c_star, value

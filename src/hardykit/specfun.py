@@ -53,6 +53,8 @@ __all__ = [
 BESSEL_NU_MAX = 50.0
 BESSEL_X_MAX = 200.0
 
+_FLOAT_MIN = 2.2250738585072014e-308  # the smallest normal float
+
 # Above this argument the float64 ascending series has lost too many digits
 # (largest term ~ e^x while J = O(1)); switch to mpmath.besselj, which
 # raises its own precision to cover the cancellation.
@@ -111,6 +113,12 @@ def _bessel_series_float(nu: float, x: float) -> float:
         term = half**nu / math.gamma(nu + 1.0)
     except OverflowError:
         term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+    return _ascending_series(nu, half, term)
+
+
+def _ascending_series(nu: float, half: float, term: float) -> float:
+    """J_nu(2 half)'s ascending series from its first term: J_nu for term =
+    half^nu / Gamma(nu + 1), J_nu Gamma(nu + 1) / half^nu for term = 1."""
     ratio = -(half * half)
     total = term
     comp = 0.0  # Kahan carry
@@ -225,7 +233,9 @@ def bessel_zero(nu: float, k: int) -> float:
 
 
 def bessel_ratio(nu: float, x: float) -> float:
-    """J_{nu+1}(x) / J_nu(x) on 0 < x < j_{nu,1}; strictly positive there."""
+    """J_{nu+1}(x) / J_nu(x) on 0 < x < j_{nu,1}; strictly positive there.
+    Where a J is subnormal or zero, x / (2 nu + 2) times the ratio of the
+    normalized series, and at least 5e-324 (the nearest positive float)."""
     if not (0.0 <= nu <= BESSEL_NU_MAX):
         raise UnsupportedRangeError(f"bessel_ratio order nu={nu!r} outside [0, {BESSEL_NU_MAX}]")
     if not (x > 0.0):
@@ -235,7 +245,12 @@ def bessel_ratio(nu: float, x: float) -> float:
         raise DomainError(
             f"bessel_ratio needs x < first zero j_({nu},1) = {j1:.12g}, got {x!r}"
         )
-    return _bessel_j_any(nu + 1.0, x) / _bessel_j_any(nu, x)
+    num, den = _bessel_j_any(nu + 1.0, x), _bessel_j_any(nu, x)
+    if min(num, den) >= _FLOAT_MIN:
+        return num / den
+    half = 0.5 * x
+    return max(x / (2.0 * nu + 2.0) * _ascending_series(nu + 1.0, half, 1.0)
+               / _ascending_series(nu, half, 1.0), 5e-324)
 
 
 def bessel_ratio_dx(nu: float, x: float, ratio: float | None = None) -> float:

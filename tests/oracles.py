@@ -114,26 +114,6 @@ def gauss_series_direct(a: float, b: float, c: float, z: float,
     return total
 
 
-def golden_max(f, lo: float, hi: float, iters: int = 200):
-    """Golden-section maximization, independent implementation."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def simpson(f, lo: float, hi: float, n: int = 4096) -> float:
     """Composite Simpson rule (n even)."""
     h = (hi - lo) / n

@@ -113,9 +113,12 @@ class TestConfigRoundTrip:
                                "takes g_sign_required, homogeneity_hint, rho_kind)"),
         ("[intervl]\nhi = 5", "config has unknown section [intervl] (sections are "
                               "geometry, interval, expressions, params, flags)"),
+        # a misspelt rho_kind loaded, and verify blamed the spec's rho
+        ("rho_kind = radial_distanse", "rho_kind='radial_distanse' is neither "
+                                       "radial_distance nor boundary_distance"),
     ], ids=["n-fraction", "n-word", "kappa", "p", "lo", "hi", "param", "sign-word",
             "sign-fraction", "hint", "kappa-nan", "p-inf", "param-nan",
-            "param-inf", "unknown-key", "unknown-section"])
+            "param-inf", "unknown-key", "unknown-section", "rho-kind"])
     def test_malformed_value_exits_one(self, line, message, tmp_path, capsys):
         text = ("[geometry]\nkappa = 0\nn = 3\np = 2\n\n[interval]\nlo = 0\nhi = inf\n\n"
                 "[expressions]\nw = 1\nL = 2/t\nW = C^2/(4*t^2)\nG = C/(2*t)\n\n"
@@ -321,17 +324,41 @@ class TestOtherCommands:
             [(r.family_param, r.lhs, r.rhs, r.margin, r.quad_error) for r in sw.rows]
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
-    def test_scales_param_is_not_an_option(self, command, tmp_path, capsys):
-        # the default up family has fixed scales; a 'scales' key is ignored like
-        # any other unknown key, not iterated
-        runs = []
-        for extra in ("", ",scales=2"):
-            out = tmp_path / f"{command}{extra}.json"
-            rc = main([command, "--inequality", "up",
-                       "--params", "kappa=0,n=3,p=2,alpha=1" + extra, "--out", str(out)])
-            runs.append((rc, capsys.readouterr().out,
-                         json.loads(out.read_text()).get("members")))
-        assert runs[0] == runs[1]
+    def test_scales_param_is_not_an_option(self, command, tmp_path):
+        # the default up family has fixed scales; a 'scales' key is refused
+        # like any other key the mode does not read, not iterated
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--inequality", "up", "--params", "kappa=0,n=3,p=2,alpha=1",
+                     "--out", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--inequality", "up", "--params", "kappa=0,n=3,p=2,alpha=1,scales=2",
+                  "--out", str(out)])
+        assert exc.value.code == ("bad --params 'kappa=0,n=3,p=2,alpha=1,scales=2': unknown "
+                                  "key 'scales' (up takes kappa, n, p, alpha)")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--inequality", "hardy", "--params", "n=3,p=2,aplha=0.5"],
+         "bad --params 'n=3,p=2,aplha=0.5': unknown key 'aplha' (hardy takes kappa, n, p, "
+         "alpha)"),
+        (["verify", "--inequality", "up", "--params", "n=3,p=2,alhpa=0.5"],
+         "bad --params 'n=3,p=2,alhpa=0.5': unknown key 'alhpa' (up takes kappa, n, p, alpha)"),
+        # r enters ckn only
+        (["sweep", "--inequality", "up", "--params", "n=3,p=2,r=3"],
+         "bad --params 'n=3,p=2,r=3': unknown key 'r' (up takes kappa, n, p, alpha)"),
+        (["verify", "--inequality", "ckn", "--params", "n=3,p=2,alpha=1,rr=3"],
+         "bad --params 'n=3,p=2,alpha=1,rr=3': unknown key 'rr' (ckn takes kappa, n, p, "
+         "alpha, r)"),
+        (["sweep", "--inequality", "ckn", "--params", "n=3,p=2,alpha=1,r=x"],
+         "bad --params 'n=3,p=2,alpha=1,r=x': non-numeric r='x' (ckn takes kappa, n, p, "
+         "alpha, r)"),
+    ], ids=["sweep-hardy-misspelt", "verify-up-misspelt", "sweep-up-r", "verify-ckn-unknown",
+            "sweep-ckn-non-numeric"])
+    def test_unread_params_key_exits_one(self, argv, message, tmp_path):
+        # an ignored key would silently keep the default it was meant to change
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out.json")])
+        assert exc.value.code == message
+        assert not (tmp_path / "out.json").exists()
 
     def test_verify_catalog_entry_with_bumps(self, tmp_path):
         out = tmp_path / "mk.json"

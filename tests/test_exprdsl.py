@@ -7,7 +7,7 @@ import pytest
 from hardykit.errors import (EvalError, ExprSyntaxError, UnboundParameterError,
                              UnsupportedDerivativeError)
 from hardykit import exprdsl
-from hardykit.exprdsl import BUILTIN_ARITY, ScalarExpr, parse
+from hardykit.exprdsl import ScalarExpr, parse
 from oracles import (REFERENCE_UNARY, central_diff, coth_exp, reference_eval,
                      reference_eval_d)
 
@@ -92,10 +92,11 @@ class TestGrammarShape:
         assert parse("2-3-4").eval(0.0) == -5.0
 
     def test_builtin_table_contents(self):
-        expected = {"abs", "sqrt", "exp", "log", "pow", "sin", "cos", "sinh",
-                    "cosh", "tanh", "coth", "ct", "s", "D", "besselj",
-                    "besselratio", "hyp2f1", "hyp2f1ratio", "gamma"}
-        assert set(BUILTIN_ARITY) == expected
+        # name -> arity
+        expected = {**dict.fromkeys(("abs", "sqrt", "exp", "log", "sin", "cos", "sinh",
+                                     "cosh", "tanh", "coth", "ct", "s", "D", "gamma"), 1),
+                    "pow": 2, "besselj": 2, "besselratio": 2, "hyp2f1": 4, "hyp2f1ratio": 4}
+        assert {name: spec[0] for name, spec in exprdsl._BUILTINS.items()} == expected
 
 
 class TestEval:
@@ -261,38 +262,6 @@ class TestDerivativePropertySuite:
         assert checked == 1000, f"could not generate 1000 valid samples ({checked})"
         assert not failures, f"{len(failures)} derivative mismatches, first: {failures[0]}"
         assert not value_mismatches, f"eval differs from eval_d: {value_mismatches[0]}"
-
-
-class TestPrintRoundTrip:
-    def test_reparse_preserves_values(self):
-        rng = random.Random(99)
-        binding = {"a": 1.1, "b": 0.8, "kappa": -0.5}
-        done = 0
-        while done < 100:
-            src = _random_expr(rng, rng.choice([2, 3]))
-            e = parse(src)
-            e2 = parse(e.to_source())
-            ok = True
-            pts = 0
-            for _ in range(100):
-                t = rng.uniform(0.3, 2.5)
-                try:
-                    v1 = e.eval(t, binding)
-                except EvalError:
-                    continue
-                v2 = e2.eval(t, binding)
-                assert v1 == v2
-                pts += 1
-            if pts >= 50:
-                done += 1
-
-    def test_canonical_print_of_known_expression(self):
-        e = parse("-h/t + ((n-2)/2 + h)*ct(t)")
-        printed = e.to_source()
-        e2 = parse(printed)
-        b = {"h": 0.75, "n": 4.0, "kappa": -1.0}
-        for t in (0.3, 1.0, 5.0):
-            assert e.eval(t, b) == e2.eval(t, b)
 
 
 class TestParserFuzz:
@@ -546,7 +515,7 @@ class TestReferenceEvaluator:
                         seen[kind] = seen.get(kind, 0) + 1
                     for name in names:
                         seen[name] = seen.get(name, 0) + 1
-        assert set(BUILTIN_ARITY) <= set(seen)
+        assert set(exprdsl._BUILTINS) <= set(seen)
         assert seen["value"] > 4000
         # kernel errors (range, domain, pole) are rewrapped as EvalError
         for kind in ("EvalError", "UnsupportedDerivativeError", "UnboundParameterError"):
@@ -575,7 +544,7 @@ class TestLongExpressions:
         e = parse(" + ".join(["t"] * 2000))
         assert e.eval(1.0) == 2000.0
         assert e.eval_d(1.0) == (2000.0, 2000.0)
-        assert parse(e.to_source()).eval_d(0.5) == (1000.0, 2000.0)
+        assert e.eval_d(0.5) == (1000.0, 2000.0)
 
     def test_two_thousand_term_sum_compares_and_hashes(self):
         src = " + ".join(["t"] * 2000)
@@ -614,15 +583,6 @@ class TestLiterals:
         with pytest.raises(ExprSyntaxError) as err:
             parse("t +\n  3.5e308")
         assert (err.value.line, err.value.col) == (2, 3)
-
-    def test_extreme_literals_round_trip_through_to_source(self):
-        e = parse("1.7976931348623157e308*t^(-1) + 5e-324*t + 1e-999 - 0.1")
-        printed = e.to_source()
-        assert "inf" not in printed
-        e2 = parse(printed)
-        assert e2.to_source() == printed
-        for t in (0.5, 1.0, 3.0):
-            assert e2.eval_d(t) == e.eval_d(t)
 
 
 class TestParseMemoAndPlans:

@@ -4,8 +4,9 @@ import pytest
 
 from hardykit.errors import DomainError, ParameterError
 from hardykit.exprdsl import parse
-from hardykit.geometry import (ComparisonL, ModelGeometry, ball_volume, ct_value,
-                               deficit_value, s_value, unit_ball_volume, volume_density)
+from hardykit.geometry import (ComparisonL, ModelGeometry, _s_powers, ct_value, deficit_value,
+                               s_value, unit_ball_volume)
+from hardykit.verifier import radial_integral
 from oracles import coth_exp, simpson, sinh_series
 
 E2 = ModelGeometry(0.0, 2, 2.0)
@@ -130,31 +131,25 @@ class TestDeficit:
 
 class TestVolumes:
     def test_density_examples(self):
-        assert volume_density(E3, 2.0) == 4.0
-        assert volume_density(ModelGeometry(0.0, 2, 2.0), 5.0) == 5.0
-        assert volume_density(H1_2, 1.0) == pytest.approx(math.sinh(1.0), rel=1e-15)
-
-    def test_flat_ball_volumes(self):
-        assert ball_volume(E2, 1.0) == pytest.approx(math.pi, rel=1e-15)
-        assert ball_volume(E3, 2.0) == pytest.approx(4.0 * math.pi / 3.0 * 8.0, rel=1e-15)
-
-    def test_hyperbolic_disk_closed_form(self):
-        # oracle: 2 pi (cosh R - 1)
-        assert ball_volume(H1_2, 1.0) == pytest.approx(
-            2.0 * math.pi * (math.cosh(1.0) - 1.0), rel=1e-14)
+        # s_kappa(t)^(n-1), the radial density the spectral pencil weights
+        assert _s_powers(E3.kappa, [2.0], E3.n - 1) == [4.0]
+        assert _s_powers(E2.kappa, [5.0], E2.n - 1) == [5.0]
+        assert _s_powers(H1_2.kappa, [1.0], H1_2.n - 1)[0] == pytest.approx(math.sinh(1.0),
+                                                                            rel=1e-15)
 
     def test_omega_n(self):
         assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
 
     def test_matches_quadrature_of_density(self):
-        # independent oracle: composite Simpson on the density
+        # the ball volume under the radial measure n*omega_n*s^(n-1) dt, as the
+        # verifier integrates it, against composite Simpson on the density
         for geo, R in ((E3, 1.7), (H1_2, 2.3), (H1_4, 1.1),
                        (ModelGeometry(-0.3, 5, 2.0), 0.9),
                        (ModelGeometry(-1e-7, 3, 2.0), 1.0)):
             quad = geo.n * unit_ball_volume(geo.n) * simpson(
                 lambda t: s_value(geo.kappa, t) ** (geo.n - 1), 0.0, R, 8192)
-            assert ball_volume(geo, R) == pytest.approx(quad, rel=1e-10)
+            assert radial_integral(geo, lambda t: 1.0, R)[0] == pytest.approx(quad, rel=1e-10)
 
 
 class TestComparisonL:

@@ -9,10 +9,8 @@ from hardykit.errors import (ConvergenceError, DomainError, ParameterError,
 from hardykit.exprdsl import parse
 from hardykit.geometry import ComparisonL, ModelGeometry
 from hardykit.riccati import (FuncEval, RiccatiPairSpec, bessel_to_riccati,
-                              certification_grid, certify, golden_section_max,
-                              optimize_constant, residual, residual_parts, riccati_to_bessel,
-                              solve_ivp)
-from oracles import golden_max
+                              certification_grid, certify, golden_section_max, residual,
+                              residual_parts, riccati_to_bessel, solve_ivp)
 
 E3 = ModelGeometry(0.0, 3, 2.0)
 H2 = ModelGeometry(-1.0, 2, 2.0)
@@ -106,6 +104,13 @@ class TestCertificationGrid:
     def test_unknown_policy(self):
         with pytest.raises(ParameterError):
             certification_grid(0.0, 1.0, policy="banana")
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(-1.0, math.inf), (-1.0, 1.0), (2.0, 1.0),
+                                            (1.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
+    def test_invalid_interval_is_a_parameter_error(self, t_lo, t_hi):
+        # (-1, inf) divided by 1 + t_lo = 0 in the compactification
+        with pytest.raises(ParameterError, match="invalid interval"):
+            certification_grid(t_lo, t_hi)
 
 
 class TestCertify:
@@ -302,53 +307,22 @@ class TestBesselRiccatiBridge:
 
 
 class TestOptimizeConstant:
-    def test_hand_example(self):
-        # maximize 2c - c^2: c* = 1, value 1
-        assert optimize_constant(1.0, 2.0, 2.0) == (1.0, 1.0)
-
-    def test_spectral_floor_value(self):
-        # b = (n-1) sqrt(-kappa) with n=2, kappa=-1, p=2 gives 1/4
-        c, v = optimize_constant(1.0, 1.0, 2.0)
-        assert (c, v) == (0.5, 0.25)
-
-    def test_log_weight_value(self):
-        # b = p - alpha - 1 with p=2, alpha=0 gives 1/4
-        c, v = optimize_constant(1.0, 1.0, 2.0)
-        assert v == 0.25
-
-    def test_against_golden_section_oracle(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            a = rng.uniform(0.1, 10.0)
-            b = rng.uniform(0.1, 10.0)
-            p = rng.uniform(1.01, 5.0)
-            c_star, value = optimize_constant(a, b, p)
-            pc = p / (p - 1.0)
-
-            def target(logc):
-                c = math.exp(logc)
-                return b * c - (p - 1.0) * c**pc * a**p
-
-            x, fx = golden_max(target, math.log(c_star) - 3.0, math.log(c_star) + 3.0)
-            assert fx == pytest.approx(value, rel=1e-8, abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            optimize_constant(-1.0, 1.0, 2.0)
-        with pytest.raises(ParameterError):
-            optimize_constant(1.0, 1.0, 1.0)
-
     def test_internal_golden_section_agrees(self):
-        c_star, value = optimize_constant(0.7, 2.3, 1.7)
-        pc = 1.7 / 0.7
+        # c b - (p-1) c^(p') a^p is largest at c* = (b/(p a^p))^(p-1), where
+        # it is b^p / (p^p a^(p(p-1)))
+        a, b, p = 0.7, 2.3, 1.7
+        c_star = (b / (p * a**p)) ** (p - 1.0)
+        value = b**p / (p**p * a ** (p * (p - 1.0)))
+        pc = p / (p - 1.0)
 
         def target(logc):
             c = math.exp(logc)
-            return 2.3 * c - 0.7 * c**pc * 0.7**1.7
+            return b * c - (p - 1.0) * c**pc * a**p
 
         x, fx = golden_section_max(target, math.log(c_star) - 2.0,
                                    math.log(c_star) + 2.0)
         assert fx == pytest.approx(value, rel=1e-8)
+        assert math.exp(x) == pytest.approx(c_star, rel=1e-6)
 
 
 class TestBlowUpLocatesAssociatedZero:

@@ -179,6 +179,20 @@ class TestBesselRatio:
             fd = central_diff(lambda y: bessel_ratio(nu, y), x, 1e-6)
             assert bessel_ratio_dx(nu, x) == pytest.approx(fd, abs=1e-7)
 
+    @pytest.mark.parametrize("nu, x", [(0.5, 1e-300), (1.0, 1e-200), (50.0, 1e-5),
+                                       (50.0, 3e-5), (20.0, 1e-15), (2.5, 1e-150)])
+    def test_underflowing_j_against_mpmath(self, nu, x):
+        # a zero J divided by zero, a subnormal one gave 0.0 or lost digits
+        import mpmath
+        with mpmath.workdps(30):
+            ref = float(mpmath.besselj(nu + 1, x) / mpmath.besselj(nu, x))
+        assert bessel_ratio(nu, x) == pytest.approx(ref, rel=1e-14)
+
+    def test_ratio_below_float_range_is_the_smallest_subnormal(self):
+        # J_{nu+1}/J_nu ~ x/(2 nu + 2) is below 5e-324 here
+        for nu in (0.0, 0.5, 1.0):
+            assert bessel_ratio(nu, 5e-324) == 5e-324
+
 
 class TestHyp2f1:
     def test_at_zero(self):
