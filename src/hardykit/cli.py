@@ -25,8 +25,9 @@ from .riccati import certify, solve_ivp
 from .spectral import spectral_lambda1
 from .specfun import bessel_zero
 from .testfuncs import gaussian_type, power_cutoff, random_bumps, talenti
-from .verifier import (InequalityMargin, additive_margin, ckn_margin, margin_violated,
-                       scaled_family, scaled_params, sharpness_sweep, up_margin)
+from .verifier import (_MODE_KEYS, InequalityMargin, additive_margin, ckn_margin,
+                       margin_violated, scaled_family, scaled_params, sharpness_sweep,
+                       up_margin)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,10 +162,6 @@ _FAMILY_KEYS = {"bumps": ((), ("count", "seed", "lo", "hi", "span")),
                 "gaussian": ((), ("alpha", "scale")),
                 "talenti": ((), ("alpha", "r", "scale"))}
 
-# the --params keys each sweep mode, and verify's up and ckn, read
-_MODE_KEYS = {"hardy": ("kappa", "n", "p", "alpha"), "up": ("kappa", "n", "p", "alpha"),
-              "ckn": ("kappa", "n", "p", "alpha", "r")}
-
 
 def _check_keys(what: str, kind: str, opts: dict, required: tuple, optional: tuple,
                 extra: list[str] | tuple[str, ...] = ()):
@@ -238,7 +235,8 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     members = []
     if inequality in ("up", "ckn"):
-        _check_keys(f"bad --params {args.params!r}", inequality, params, (), _MODE_KEYS[inequality])
+        _check_keys(f"bad --params {args.params!r}", inequality, params, (),
+                    ("kappa", "n", "p") + _MODE_KEYS[inequality])
         given = None if args.family == "default" else _make_family(args.family, geo)
         alpha, r, family = scaled_family(inequality, geo, rest, given)
         for u in family:
@@ -277,7 +275,7 @@ def _cmd_sweep(args) -> int:
     params = _parse_kv(args.params)
     geo, rest = _geometry_from_params(params)
     _check_keys(f"bad --params {args.params!r}", args.inequality, params, (),
-                _MODE_KEYS[args.inequality])
+                ("kappa", "n", "p") + _MODE_KEYS[args.inequality])
     sw = sharpness_sweep(args.inequality, geo, rest)
     rows = [{"family_param": r.family_param, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
              "quad_error": r.quad_error, "ratio": r.ratio, "note": r.note} for r in sw.rows]

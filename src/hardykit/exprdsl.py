@@ -44,7 +44,8 @@ code and layout; so a compile for a new binding only calls the fold and
 makes the function.  Both caches are bounded and filled lazily, never at
 import.
 fill_template inlines those statements in a caller's template (riccati's
-certify loop); a positive base's power runs inline.
+certify loop, verifier's margin panel); a positive base's power runs
+inline.
 Every operator and builtin call sits in its own try, so an error is
 rewrapped as an EvalError naming the fragment of the source it came from.
 Division by zero and log of a nonpositive number are hard errors rather

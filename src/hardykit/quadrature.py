@@ -9,17 +9,22 @@ geometrically, and panels reaching down to 0 get a geometric tail.  Caller
 supplied breakpoints (kinks of piecewise test functions) are honored
 exactly.  After seeding, standard worst-panel-first refinement runs until
 the summed Kronrod-vs-Gauss error estimate meets the tolerance.
+integrate_panels is that loop over any panel function, (a, b) -> (value,
+error estimate); integrate runs it over kronrod_panel of a plain
+integrand, and a generated panel (the verifier's margins) over the same
+nodes in the same order sums its node values with kronrod_panel's code.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Callable, Iterable
 
 from .errors import QuadratureError
 
-__all__ = ["integrate", "kronrod_panel"]
+__all__ = ["integrate", "integrate_panels", "kronrod_panel"]
 
 # the error estimate below which any integral is accepted, whatever its value
 _ABS_TOL = 1e-300
@@ -57,26 +62,51 @@ _WG = (
 )
 
 
+# kronrod_panel's node order: the midpoint, then mid - dx and mid + dx with
+# dx = half * x_i for i = 1..7; node t is mid + half * _NODES[k], bitwise
+_NODES = (0.0,) + tuple(s * x for x in _XGK[1:] for s in (-1.0, 1.0))
+# per pair i = 1..7: the index of its first node, its Kronrod weight, and
+# its Gauss weight (even i) or None
+_PAIRS = tuple((2 * i - 1, _WGK[i], _WG[i // 2] if i % 2 == 0 else None) for i in range(1, 8))
+
+
 def kronrod_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """(Kronrod 15 estimate, |K15 - G7| error estimate) on [a, b]."""
+    """(Kronrod 15 estimate, |K15 - G7| error estimate) on [a, b]; a
+    non-finite value of f raises QuadratureError naming its t."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = f(mid)
-    if not math.isfinite(fc):
-        raise QuadratureError(f"integrand non-finite at t={mid!r}")
-    sk = _WGK[0] * fc
-    sg = _WG[0] * fc
-    for i in range(1, 8):
-        dx = half * _XGK[i]
-        f1 = f(mid - dx)
-        f2 = f(mid + dx)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            bad = mid - dx if not math.isfinite(f1) else mid + dx
-            raise QuadratureError(f"integrand non-finite at t={bad!r}")
-        pair = f1 + f2
-        sk += _WGK[i] * pair
-        if i % 2 == 0:
-            sg += _WG[i // 2] * pair
+    fs: list[float] = []
+    try:
+        for x in _NODES:
+            fs.append(f(mid + half * x))
+    except Exception as exc:  # re-raised unless a value before it was not finite
+        return _panel_sums(fs, mid, half, exc)
+    return _panel_sums(fs, mid, half)
+
+
+def _panel_sums(fs: list[float], mid: float, half: float,
+                exc: Exception | None = None) -> tuple[float, float]:
+    """kronrod_panel's result from its node values fs, in _NODES order.
+
+    fs ends where exc, if given, was raised.  The midpoint's value, then
+    each pair's once both are in, must be finite: the first that is not
+    raises QuadratureError naming its t; else exc is raised."""
+    if exc is None and len(fs) == 15:
+        sk = _WGK[0] * fs[0]
+        sg = _WG[0] * fs[0]
+        for k, wk, wg in _PAIRS:
+            pair = fs[k] + fs[k + 1]
+            sk += wk * pair
+            if wg is not None:
+                sg += wg * pair
+        if math.isfinite(sk):  # every value is finite
+            return sk * half, abs(sk - sg) * abs(half)
+    for k in range(0, len(fs), 2):
+        for i in (k - 1, k) if k else (0,):
+            if not math.isfinite(fs[i]):
+                raise QuadratureError(f"integrand non-finite at t={mid + half * _NODES[i]!r}")
+    if exc is not None:
+        raise exc
     return sk * half, abs(sk - sg) * abs(half)
 
 
@@ -121,8 +151,25 @@ def integrate(
 
     singular_hint declares power-law behavior f ~ t^hint near a left endpoint
     at 0 so the initial mesh is graded there.  Raises QuadratureError if the
-    tolerance is not met within max_subdivisions refinements.
+    tolerance is not met within max_subdivisions refinements.  It is
+    integrate_panels over kronrod_panel of f.
     """
+    return integrate_panels(functools.partial(kronrod_panel, f), lo, hi, rel_tol,
+                            breakpoints, singular_hint, max_subdivisions)
+
+
+def integrate_panels(
+    panel: Callable[[float, float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    rel_tol: float = 1e-10,
+    breakpoints: Iterable[float] = (),
+    singular_hint: float | None = None,
+    max_subdivisions: int = 2000,
+) -> tuple[float, float]:
+    """integrate's adaptive loop over a panel function: panel(a, b) is the
+    (value, error estimate) of the integral on [a, b], as kronrod_panel
+    gives it for a plain integrand.  Each panel is asked for once."""
     if hi <= lo:
         raise QuadratureError(f"empty integration interval [{lo!r}, {hi!r}]")
     edges = _graded_edges(lo, hi, breakpoints, singular_hint)
@@ -130,7 +177,7 @@ def integrate(
     total = 0.0
     total_err = 0.0
     for a, b in zip(edges, edges[1:]):
-        val, err = kronrod_panel(f, a, b)
+        val, err = panel(a, b)
         total += val
         total_err += err
         heapq.heappush(heap, (-err, a, b, val))
@@ -143,8 +190,8 @@ def integrate(
         if mid <= a or mid >= b:  # interval exhausted at float resolution
             heapq.heappush(heap, (neg_err * (1.0 - 1e-6), a, b, val))
             continue
-        v1, e1 = kronrod_panel(f, a, mid)
-        v2, e2 = kronrod_panel(f, mid, b)
+        v1, e1 = panel(a, mid)
+        v2, e2 = panel(mid, b)
         total += v1 + v2 - val
         total_err += e1 + e2 + neg_err  # neg_err = -old error
         heapq.heappush(heap, (-e1, a, mid, v1))

@@ -196,11 +196,13 @@ def talenti(alpha: float, p: float, r: float, scale: float = 1.0) -> RadialTestF
     ~1e-5 of the peak, so its contribution to every integral is far below
     sweep tolerances.
     """
-    if not r > p:
-        raise ParameterError(f"talenti profile needs r > p, got r={r!r}, p={p!r}")
+    if not r > p > 1.0:
+        raise ParameterError(f"talenti profile needs r > p > 1, got r={r!r}, p={p!r}")
     gamma = 1.0 + alpha / (p - 1.0)
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ParameterError(f"need gamma > 0, got {gamma!r}")
+    if not (scale > 0.0 and 0.0 < 200.0 / scale < math.inf):
+        raise ParameterError(f"need scale > 0 with 200/scale finite and positive, got {scale!r}")
     ex = (p - 1.0) / (p - r)  # negative
     taper_start = 200.0 / scale
     R = 2.0 * taper_start
@@ -214,7 +216,11 @@ def talenti(alpha: float, p: float, r: float, scale: float = 1.0) -> RadialTestF
         base = 1.0 + (scale * t) ** gamma
         return ex * base ** (ex - 1.0) * gamma * scale * (scale * t) ** (gamma - 1.0)
 
-    u_ts = core(taper_start)
+    try:
+        u_ts = core(taper_start)
+    except OverflowError:  # (scale*t)^gamma is largest there, at 200^gamma
+        raise ParameterError(f"talenti profile with gamma={gamma!r} overflows a float "
+                             f"at t={taper_start!r}") from None
     span = R - taper_start
 
     def u(t: float) -> float:

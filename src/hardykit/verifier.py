@@ -1,16 +1,20 @@
 """Quadrature validation of the additive and multiplicative inequalities.
 
 Everything here reduces to weighted radial integrals against the model
-measure d(mu) = n*omega_n * s_kappa^(n-1)(t) dt, all computed by one
-helper, ``_integral``.  The additive margin compares the energy integral
-with the two-term right side built from a candidate G, its weight w (the
-constant 1 for a plain G) and a nonlinearity H, each resolved to its
-evaluator once per margin; the multiplicative margin assembles
-|I_H|^p / J_H^(p-1) from the same integrals; the uncertainty and
-interpolation-type modes specialize H and add the curvature deficit
-factor.  Margins carry their quadrature error estimates, and a margin only
-counts as a violation when it is more negative than 10x the combined error
-(numerical noise must never masquerade as a counterexample to a theorem).
+measure d(mu) = n*omega_n * s_kappa^(n-1)(t) dt, computed by one helper,
+``_integral``, except the three of an additive or multiplicative margin.
+The additive margin compares the energy integral with the two-term right
+side built from a candidate G, its weight w (the constant 1 for a plain G)
+and a nonlinearity H; the multiplicative margin assembles
+|I_H|^p / J_H^(p-1) from the same integrals.  Their adaptive integrals run
+over one generated Kronrod panel function per margin, this module's panel
+template with G and w inlined by exprdsl.fill_template and the density
+inlined for the margin's kappa; I_H's panels also give J_H's sums from the
+same G values.  The uncertainty and interpolation-type modes specialize H
+and add the curvature deficit factor.  Margins carry their quadrature
+error estimates, and a margin only counts as a violation when it is more
+negative than 10x the combined error (numerical noise must never
+masquerade as a counterexample to a theorem).
 The relative quadrature tolerance is ``_TOL`` = 1e-10 for the additive and
 multiplicative margins and ``radial_integral``, ``_TOL_FINE`` = 1e-11 for
 everything else.
@@ -26,15 +30,17 @@ gaussians).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .catalog import CatalogInstance
 from .errors import DomainError, HypothesisError, ParameterError
-from .exprdsl import evaluator, parse
-from .geometry import ModelGeometry, ct_value, deficit_value, s_value, unit_ball_volume
-from .quadrature import integrate
+from .exprdsl import evaluator, fill_template, parse
+from .geometry import (_TAYLOR_CUT, ModelGeometry, ct_value, deficit_value, s_value,
+                       unit_ball_volume)
+from .quadrature import _NODES, _panel_sums, integrate, integrate_panels
 from .testfuncs import RadialTestFunction, gaussian_type, power_cutoff, talenti
 
 __all__ = [
@@ -133,19 +139,18 @@ def radial_integral(
 # ---------------------------------------------------------------------------
 # additive / multiplicative margins
 
-def _nonlinearity(H, p: float, pc: float, binding: dict):
-    """(h, h_dp): the functions s -> H(s) and s -> |H'(s)|^{p'}.
-
-    H = None is |s|^p/p, the choice reducing the additive form to a Hardy
-    inequality: p H(s) = |H'(s)|^{p'} = |s|^p.  Any other H is an evaluable
-    in s with H(0) = H'(0) = 0, resolved once for the binding."""
+def _nonlinearity(H, binding: dict):
+    """(h, h_d): H's value and dual functions of s, resolved once for the
+    binding, or (None, None) for H = None, which is |s|^p/p, the choice
+    reducing the additive form to a Hardy inequality: p H(s) = |H'(s)|^{p'}
+    = |s|^p.  Any other H is an evaluable in s with H(0) = H'(0) = 0."""
     if H is None:
-        return (lambda s: abs(s) ** p / p), (lambda s: abs(s) ** p)
+        return None, None
     h_d = evaluator(H, binding, dual=True)
     v0, d0 = h_d(0.0)
     if abs(v0) > 1e-12 or abs(d0) > 1e-12:
         raise HypothesisError("H(0) = H'(0) = 0", f"H(0) = {v0!r}, H'(0) = {d0!r}")
-    return evaluator(H, binding), (lambda s: abs(h_d(s)[1]) ** pc)
+    return evaluator(H, binding), h_d
 
 
 def _resolve_target(geo, target, u: RadialTestFunction, binding):
@@ -173,69 +178,122 @@ def _resolve_target(geo, target, u: RadialTestFunction, binding):
     return spec.geo, G, spec.w, spec.binding()
 
 
+# The Kronrod panel of an additive or multiplicative margin's integrals, the
+# energy (part 0), I_H (part 1) and J_H (part 2): exprdsl.fill_template
+# inlines G and w (dual), which I_H reads; w_v and g_v are their value
+# functions.  Each node value is, bit for bit, what the integrand of an
+# independent integral would give (a density only where the rest is
+# nonzero), and the sums are kronrod_panel's.  Part 1 also takes J_H's node
+# values from the same G and w, and keeps them with J_H's first error in
+# store[a, b] for part 2, which raises that error; J_H evaluates G and w in
+# value mode where I_H does not evaluate them.  G is inlined once, in the
+# node loop: unrolled per node, its compile would cost a margin of a new
+# shape tens of milliseconds.
+_PANEL = """\
+def margin_panel(part, store, a, b):
+    if part == 2 and (a, b) in store:
+        return sums(*store[a, b])
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fs, jerr = [], None
+    fjs = fs if part == 2 else []
+    try:
+        for x in nodes:
+            t = mid + half * x
+            rt = r * t
+            try:
+                s = t if flat else sinh(rt) / r
+            except OverflowError:
+                s = inf
+            if part == 0:
+                fe = abs(du(t))
+                if fe != 0.0:
+                    wv = w_v(t)
+                    fe = fe ** p * wv
+                    fe = fe * s ** nm1 if fe != 0.0 else 0.0
+                fs.append(fe)
+                continue
+            uv = u(t)
+            if h is None:
+                hd = abs(uv) ** p
+                hval = hd / p
+            if part == 1:
+                if h is not None:
+                    hval = h(uv)
+                fi = 0.0
+                if hval != 0.0:
+                    gv, gd = G(t)
+                    wv, wd = w(t)
+                    if flat and t > 0.0:
+                        ct = 1.0 / t
+                    elif cut <= rt <= 350.0:
+                        ct = r * (1.0 + 2.0 / expm1(2.0 * rt))
+                    else:
+                        ct = ct_value(kappa, t)
+                    fi = ((gd * wv + gv * wd) + gv * wv * nm1 * ct) * hval
+                    fi = fi * s ** nm1 if fi != 0.0 else 0.0
+                fs.append(fi)
+            if jerr is None:
+                try:
+                    if h is not None:
+                        hd = abs(h_d(uv)[1]) ** pc
+                    fj = 0.0
+                    if hd != 0.0:
+                        if part == 2 or hval == 0.0:
+                            gv = g_v(t)
+                            wv = w_v(t)
+                        fj = abs(gv) ** pc * wv * hd
+                        fj = fj * s ** nm1 if fj != 0.0 else 0.0
+                    fjs.append(fj)
+                except Exception as exc:
+                    jerr = exc
+                    if part == 2:
+                        break
+    except Exception as exc:
+        return sums(fs, mid, half, exc)
+    if part == 1:
+        store[a, b] = fjs, mid, half, jerr
+        jerr = None
+    return sums(fs, mid, half, jerr)
+"""
+
+
+def _margin_panel(geo: ModelGeometry, G, w, H, u: RadialTestFunction, binding: dict):
+    """_PANEL filled for G, w, the binding, the geometry and u, with H's
+    functions resolved once, as certify resolves its own:
+    panel(part, store, a, b) is a panel function of part 0, 1 or 2."""
+    n, kappa, p = geo.n, geo.kappa, geo.p
+    h, h_d = _nonlinearity(H, binding)
+    env = {"nodes": _NODES, "sums": _panel_sums, "u": u.u, "du": u.du, "h": h, "h_d": h_d,
+           "g_v": evaluator(G, binding), "w_v": evaluator(w, binding), "p": p,
+           "pc": geo.p_conj, "nm1": n - 1, "kappa": kappa, "flat": kappa == 0.0,
+           "r": math.sqrt(-kappa), "cut": _TAYLOR_CUT, "sinh": math.sinh,
+           "expm1": math.expm1, "inf": math.inf, "ct_value": ct_value}
+    return fill_template(_PANEL, {"G": (G, True), "w": (w, True)}, binding, env)
+
+
 def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
     """(p, energy, I_H, J_H) with the three error estimates: the terms both
     margins combine, for a target as ``_resolve_target`` takes it.
 
-    G, w and H are resolved to their evaluators once, as certify resolves
-    its own.  The three integrals share their mesh seeds and so most nodes.
-    I_H runs first and records u, G, w and s_kappa^(n-1) where h(u) is not
-    0; the energy and J_H read them there, and J_H never needs G'.  A
-    recorded value is the float its reader would compute (eval(t) equals
-    eval_d(t)[0] bitwise), so every result and mesh is that of independent
-    integrals.  An error of the energy integral, which came first, still
-    wins over one of I_H."""
+    The energy, I_H and J_H integrals run in this order over one
+    _margin_panel.  I_H's panels also sum J_H's node values from the same
+    G and w, so J_H evaluates G, in value mode, only on panels I_H did not
+    take and where h(u) is 0 but |H'(u)|^p' is not.  Every result, mesh and error is that of three independent
+    integrals, and an error of the energy wins over one of I_H, which wins
+    over one of J_H."""
     geo, G, w, binding = _resolve_target(geo, target, u, binding)
-    n, kappa, p = geo.n, geo.kappa, geo.p
-    pc = geo.p_conj
-    h, h_dp = _nonlinearity(H, p, pc, binding)
-    g_d, g_v = evaluator(G, binding, dual=True), evaluator(G, binding)
-    w_d, w_v = evaluator(w, binding, dual=True), evaluator(w, binding)
-    seen: dict[float, tuple[float, float, float, float]] = {}  # t -> (u, G, w, density)
+    panel = _margin_panel(geo, G, w, H, u, binding)
+    lo, hi = max(u.support_lo, 0.0), u.support_hi
+    scale = geo.n * unit_ball_volume(geo.n)
+    store: dict = {}
 
-    def f_i(t: float) -> float:
-        uv = u.u(t)
-        hval = h(uv)
-        if hval == 0.0:
-            return 0.0
-        gv, gd = g_d(t)
-        wv, wd = w_d(t)
-        drift = (gd * wv + gv * wd) + gv * wv * (n - 1) * ct_value(kappa, t)
-        density = s_value(kappa, t) ** (n - 1)
-        seen[t] = (uv, gv, wv, density)
-        v = drift * hval
-        return 0.0 if v == 0.0 else v * density
+    def integral(part: int) -> tuple[float, float]:
+        val, err = integrate_panels(functools.partial(panel, part, store), lo, hi,
+                                    rel_tol=_TOL, breakpoints=u.breakpoints)
+        return scale * val, scale * err
 
-    def f_e(t: float) -> float:
-        m = abs(u.du(t))
-        if m == 0.0:
-            return 0.0
-        node = seen.get(t)
-        v = m**p * (w_v(t) if node is None else node[2])
-        if v == 0.0:
-            return 0.0
-        return v * (s_value(kappa, t) ** (n - 1) if node is None else node[3])
-
-    def f_j(t: float) -> float:
-        node = seen.get(t)
-        hd = h_dp(u.u(t) if node is None else node[0])
-        if hd == 0.0:
-            return 0.0
-        gv, wv = (g_v(t), w_v(t)) if node is None else node[1:3]
-        v = abs(gv) ** pc * wv * hd
-        if v == 0.0:
-            return 0.0
-        return v * (s_value(kappa, t) ** (n - 1) if node is None else node[3])
-
-    def integral(f: Callable[[float], float]) -> tuple[float, float]:
-        return _integral(geo, f, max(u.support_lo, 0.0), u.support_hi, _TOL, u.breakpoints)
-
-    try:
-        i_term = integral(f_i)
-    except Exception:
-        integral(f_e)  # raises the energy's own error first, if it has one
-        raise
-    return (p, *integral(f_e), *i_term, *integral(f_j))
+    return (geo.p, *integral(0), *integral(1), *integral(2))
 
 
 def additive_margin(geo: ModelGeometry | None, target, u: RadialTestFunction,
@@ -541,6 +599,21 @@ def hardy_default_family(geo: ModelGeometry, alpha: float = 0.0) -> list[RadialT
     return out
 
 
+# the params keys each sweep mode reads, those of scaled_family for up and ckn
+_MODE_KEYS = {"hardy": ("alpha",), "up": ("alpha",), "ckn": ("alpha", "r")}
+
+
+def _check_mode_keys(inequality: str, params: dict):
+    """ParameterError for an unknown mode, or naming each key of params the
+    mode does not read: it would run the default it was meant to change."""
+    if inequality not in _MODE_KEYS:
+        raise ParameterError(f"unknown sweep mode {inequality!r}")
+    unknown = [k for k in params if k not in _MODE_KEYS[inequality]]
+    if unknown:
+        raise ParameterError(f"unknown key(s) {', '.join(map(repr, unknown))} "
+                             f"({inequality} reads {', '.join(_MODE_KEYS[inequality])})")
+
+
 def scaled_params(params: dict) -> tuple[float, float]:
     """(alpha, r) of an 'up' or 'ckn' check: the one table of their defaults, 1 and 3."""
     return params.get("alpha", 1.0), params.get("r", 3.0)
@@ -549,11 +622,13 @@ def scaled_params(params: dict) -> tuple[float, float]:
 def scaled_family(inequality: str, geo: ModelGeometry, params: dict,
                   family: Sequence[RadialTestFunction] | None = None,
                   ) -> tuple[float, float, Sequence[RadialTestFunction]]:
-    """(alpha, r, family) of an 'up' or 'ckn' check.
+    """(alpha, r, family) of an 'up' or 'ckn' check; a key of params the
+    mode does not read raises ParameterError.
 
     Without a given family the members are gaussian_type ('up') or talenti
     ('ckn') profiles at scales 0.5, 1, 2, 4.
     """
+    _check_mode_keys(inequality, params)
     alpha, r = scaled_params(params)
     if family is None:
         if inequality == "up":
@@ -571,9 +646,11 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
     'up' (three-factor uncertainty quotient vs (n+alpha-1)/p), 'ckn'
     (exponent-r quotient vs (n+alpha-1)/r).  Family members outside the
     admissible class (a DomainError) are recorded with a note and skipped;
-    parameters violating the mode's hypotheses raise.
+    parameters violating the mode's hypotheses, and keys of params the
+    mode does not read, raise.
     """
     params = dict(params or {})
+    _check_mode_keys(inequality, params)
     if inequality == "hardy":
         alpha = params.get("alpha", 0.0)
         p = geo.p
@@ -590,7 +667,7 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
             rel = e_err / max(energy, _MARGIN_FLOOR) + m_err / max(mass, _MARGIN_FLOOR)
             rhs = sharp * mass
             return _margin_of(energy, rhs, rel * max(rhs, energy)), energy / mass
-    elif inequality in ("up", "ckn"):
+    else:
         alpha, r, family = scaled_family(inequality, geo, params, family)
         sharp = (geo.n + alpha - 1.0) / (geo.p if inequality == "up" else r)
         key = "scale"
@@ -602,8 +679,6 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
                 m = ckn_margin(geo, u, alpha, r)
             # achieved constant: lhs over the bare rhs integral
             return m, m.lhs / (m.rhs / sharp)
-    else:
-        raise ParameterError(f"unknown sweep mode {inequality!r}")
 
     rows: list[SweepRow] = []
     for u in family:

@@ -369,19 +369,23 @@ def reference_eval_d(expr, t, binding):
 
 # ---------------------------------------------------------------------------
 # the additive terms as three independent integrals, in their former order:
-# J_H and the energy evaluate u, G, w and the volume density at every node of
-# their own.  The quadrature, the target resolution and the nonlinearity are
-# the verifier's.  Left out are the sharing of node values between the
+# the energy, I_H and J_H evaluate u, G, w and the volume density at every
+# node of their own, each through its own object's eval/eval_d.  The
+# quadrature, the target resolution and H's contract check are the
+# verifier's.  Left out are the sharing of node values between the
 # integrals and the evaluators resolved once; and a plain G keeps its former
 # drift without w, where the verifier multiplies by the weight 1.  A margin
 # computed with this in place of verifier._additive_terms must agree with
 # the verifier's to the last bit.
 
 
-def unshared_additive_terms(geo, target, u, H, binding):
+def unshared_integrands(geo, target, u, H, binding):
+    """(geo, f_e, f_i, f_j): the resolved geometry and the energy, I_H and
+    J_H integrands without the volume density, as verifier._direct takes
+    them."""
     from hardykit.catalog import CatalogInstance
     from hardykit.geometry import ct_value
-    from hardykit.verifier import _TOL, _direct, _nonlinearity, _resolve_target
+    from hardykit.verifier import _nonlinearity, _resolve_target
 
     # a plain G is neither an entry nor a (spec, G) pair; it has weight 1 and
     # the drift G' + G (n-1) ct, without the w and w' products
@@ -389,7 +393,13 @@ def unshared_additive_terms(geo, target, u, H, binding):
     geo, G, w, binding = _resolve_target(geo, target, u, binding)
     n, kappa, p = geo.n, geo.kappa, geo.p
     pc = geo.p_conj
-    h, h_dp = _nonlinearity(H, p, pc, binding)
+    _, h_d = _nonlinearity(H, binding)
+
+    def h(s):
+        return abs(s) ** p / p if H is None else H.eval(s, binding)
+
+    def h_dp(s):
+        return abs(s) ** p if H is None else abs(h_d(s)[1]) ** pc
 
     def f_e(t):
         m = abs(u.du(t))
@@ -418,7 +428,23 @@ def unshared_additive_terms(geo, target, u, H, binding):
         wv = 1.0 if plain else w.eval(t, binding)
         return abs(gv) ** pc * wv * hd
 
-    return (p, *_direct(geo, f_e, u, _TOL), *_direct(geo, f_i, u, _TOL),
+    return geo, f_e, f_i, f_j
+
+
+def with_density(geo, f):
+    """verifier._direct's integrand: f(t) s_kappa(t)^(n-1), the density
+    skipped where f vanishes."""
+    def g(t):
+        v = f(t)
+        return 0.0 if v == 0.0 else v * geometry.s_value(geo.kappa, t) ** (geo.n - 1)
+    return g
+
+
+def unshared_additive_terms(geo, target, u, H, binding):
+    from hardykit.verifier import _TOL, _direct
+
+    geo, f_e, f_i, f_j = unshared_integrands(geo, target, u, H, binding)
+    return (geo.p, *_direct(geo, f_e, u, _TOL), *_direct(geo, f_i, u, _TOL),
             *_direct(geo, f_j, u, _TOL))
 
 

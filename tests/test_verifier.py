@@ -1,25 +1,30 @@
 import dataclasses
 import math
+import random
+from collections import Counter
 
 import pytest
 
-from hardykit import quadrature, verifier
+from hardykit import exprdsl, quadrature, verifier
 from hardykit.catalog import instantiate
 from hardykit.errors import DomainError, HypothesisError, ParameterError
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry, unit_ball_volume
-from hardykit.riccati import FuncEval
-from hardykit.testfuncs import (compact_bump, from_expr, gaussian_type, power_cutoff,
-                                random_bumps, talenti)
+from hardykit.quadrature import kronrod_panel
+from hardykit.riccati import FuncEval, RiccatiPairSpec
+from hardykit.testfuncs import (RadialTestFunction, compact_bump, from_expr, gaussian_type,
+                                power_cutoff, random_bumps, talenti)
 from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_check,
                                gm_positivity_study, hardy_default_family,
                                margin_violated, multiplicative_margin, radial_integral,
-                               sc_margin, sharpness_sweep, up_margin)
-from oracles import power_cutoff_masses_mp, simpson, unshared_additive_terms
+                               sc_margin, scaled_family, sharpness_sweep, up_margin)
+from oracles import (power_cutoff_masses_mp, simpson, unshared_additive_terms,
+                     unshared_integrands, with_density)
 
 E2 = ModelGeometry(0.0, 2, 2.0)
 E3 = ModelGeometry(0.0, 3, 2.0)
 H2 = ModelGeometry(-1.0, 2, 2.0)
+H3 = ModelGeometry(-1.0, 3, 2.0)
 H4 = ModelGeometry(-1.0, 4, 2.0)
 E4 = ModelGeometry(0.0, 4, 2.0)
 
@@ -332,6 +337,30 @@ class TestSweeps:
         with pytest.raises(Exception):
             sharpness_sweep("nonsense", E3, {})
 
+    # a key the mode does not read would leave its default in place
+    @pytest.mark.parametrize("mode, params, unknown", [
+        ("hardy", {"aplha": 0.5}, "'aplha'"),
+        ("up", {"alpha": 1.0, "r": 3.0}, "'r'"),
+        ("ckn", {"alpha": 1.0, "r": 3.0, "scale": 2.0, "eps": 0.1}, "'scale', 'eps'")])
+    def test_unknown_key_raises(self, mode, params, unknown):
+        with pytest.raises(ParameterError, match=f"unknown key.* {unknown} "):
+            sharpness_sweep(mode, E3, params)
+        if mode != "hardy":
+            with pytest.raises(ParameterError, match=f"unknown key.* {unknown} "):
+                scaled_family(mode, E3, params)
+
+    def test_talenti_overflow_is_a_parameter_error(self):
+        # (200)^gamma leaves float range at the taper start
+        with pytest.raises(ParameterError, match="overflows"):
+            talenti(1e308, 2.0, 3.0)
+        assert talenti(130.0, 2.0, 3.0).u(1.0) == 0.5
+        # a NaN gamma, p = 1, and a scale putting the taper at 0, inf or nan
+        for args, scale in (((math.nan, 2.0, 3.0), 1.0), ((1.0, 1.0, 3.0), 1.0),
+                            ((1.0, 2.0, 3.0), 0.0), ((1.0, 2.0, 3.0), 1e-310),
+                            ((1.0, 2.0, 3.0), math.inf), ((1.0, 2.0, 3.0), math.nan)):
+            with pytest.raises(ParameterError):
+                talenti(*args, scale=scale)
+
 
 class TestMarginPolicy:
     def test_noise_never_counts_as_violation(self):
@@ -489,6 +518,12 @@ class TestEvaluatorsResolvedOnce:
         assert errors[0] == errors[1]
 
 
+def _constant_u(value, lo, hi):
+    """u = value on (lo, hi) with du = 0: no energy, and I_H and J_H read
+    the density and H at one u."""
+    return RadialTestFunction("constant", lambda t: value, lambda t: 0.0, lo, hi)
+
+
 class TestSharedNodeValues:
     """The three integrals of one additive or multiplicative margin share
     their node values; every result, and every error, must equal to the last
@@ -505,52 +540,116 @@ class TestSharedNodeValues:
             u = _bumps(inst, 1, seed=43)[0]
             out.append((name, "pair", _outcome(additive_margin, None, (inst.spec, inst.G), u)))
         G, H = parse("(n-2)/2/t"), parse("s^2/2 + s^4", var="s")
-        for u in random_bumps(2, seed=17):
-            for margin in (additive_margin, multiplicative_margin):
-                out.append(("plain G", _outcome(margin, E3, G, u, H=H, binding={"n": 3.0})))
+        for geo in (E3, H3):
+            for u in random_bumps(2, seed=17):
+                for margin in (additive_margin, multiplicative_margin):
+                    out.append(("plain G", _outcome(margin, geo, G, u, H=H, binding={"n": 3.0})))
         # failing cases: a G without derivative, a J functional at its error,
         # and an energy integral that fails as I_H fails with another error
         u = compact_bump(1.0, 0.5)
         no_dual = FuncEval(lambda t: 0.5 / t)
         out.append(("no G'", _outcome(additive_margin, E3, no_dual, u)))
         out.append(("J = 0", _outcome(multiplicative_margin, E3, parse("0*t"), u)))
-        spec = dataclasses.replace(instantiate("hardy", E3, {}).spec, w=parse("log(t - 5)"))
+        hardy = instantiate("hardy", E3, {}).spec
+        spec = dataclasses.replace(hardy, w=parse("log(t - 5)"))
         out.append(("bad w", _outcome(additive_margin, None, (spec, no_dual), u)))
+        # kappa < 0: s_kappa overflows to inf beyond t = 710.5, where the
+        # energy fails first, or I_H where u' = 0; s_kappa^2 leaves float
+        # range beyond t = 355
+        one = parse("1 + 0*t")
+        out.append(("inf density", _outcome(additive_margin, H2, one, compact_bump(705.0, 10.0))))
+        out.append(("inf density, I_H",
+                    _outcome(additive_margin, H2, one, _constant_u(0.5, 700.0, 720.0))))
+        out.append(("density overflow",
+                    _outcome(additive_margin, H3, one, _constant_u(0.5, 400.0, 420.0))))
+        # only J_H fails: a non-finite node, and OverflowError in |G|^p'
+        spec = dataclasses.replace(hardy, w=parse("1e10 + 0*t"))
+        out.append(("J non-finite", _outcome(additive_margin, None, (spec, parse("1e150 + 0*t")), u)))
+        out.append(("J overflow", _outcome(multiplicative_margin, E3, parse("1e200 + 0*t"), u)))
+        # h(u) = |u|^2/2 underflows to 0 where |u|^2 does not: J_H alone
+        # evaluates G and w there
+        tiny = _constant_u(2.2250738585072014e-162, 0.5, 1.5)
+        out.append(("h(u) = 0", _outcome(additive_margin, E3, parse("1e10 + 0*t"), tiny)))
         return out
 
     def test_margins_equal_independent_integrals(self, monkeypatch):
         shared = self._outcomes()
         monkeypatch.setattr(verifier, "_additive_terms", unshared_additive_terms)
         reference = self._outcomes()
-        assert len(shared) == len(reference) == 12 * 7 + 4 + 3
+        assert len(shared) == len(reference) == 12 * 7 + 8 + 3 + 6
         for got, want in zip(shared, reference):
             assert got == want
-        failed = {o[0] for o in shared if "Error" in o[-1]}
-        assert failed == {"no G'", "J = 0", "bad w"}
+        failed = {o[0]: o[-1].partition(":")[0] for o in shared if "Error" in o[-1]}
+        assert failed == {"no G'": "UnsupportedDerivativeError", "J = 0": "DomainError",
+                          "bad w": "EvalError", "inf density": "QuadratureError",
+                          "inf density, I_H": "QuadratureError",
+                          "density overflow": "OverflowError",
+                          "J non-finite": "QuadratureError", "J overflow": "OverflowError"}
+        assert "'i_term': 0.0, 'j_term': 0.0" not in shared[-1][-1]
 
     def test_j_term_reads_g_from_the_i_term(self, monkeypatch):
         inst = instantiate("ghoussoub_moradifam", E4,
                            {"a": 1.0, "b": 1.0, "alpha": 0.5, "beta": 0.5, "m": 0.3})
         u = _bumps(inst, 1, seed=19)[0]
-        panels = []
-        real_panel = quadrature.kronrod_panel
-
-        def counted_panel(f, a, b):
-            panels.append((a, b))
-            return real_panel(f, a, b)
-
-        monkeypatch.setattr(quadrature, "kronrod_panel", counted_panel)
+        expected = repr(additive_margin(None, inst, u))
         runs = []
         for terms in (verifier._additive_terms, unshared_additive_terms):
             monkeypatch.setattr(verifier, "_additive_terms", terms)
             G = _CountingG(inst.G)
-            panels.clear()
-            m = additive_margin(None, (inst.spec, G), u)
-            runs.append((m, G, sorted(panels)))
-        (shared, G, panels_shared), (reference, G_ref, panels_ref) = runs
-        assert repr(shared) == repr(reference) == repr(additive_margin(None, inst, u))
-        # the same panels, so the same nodes; J_H evaluates G only where I_H did not
-        assert panels_shared == panels_ref
+            runs.append((repr(additive_margin(None, (inst.spec, G), u)), G))
+        (shared, G), (reference, G_ref) = runs
+        assert shared == reference == expected
+        # G's dual runs once at each node of I_H where h(u) is not 0, and J_H
+        # reads G there: G's value mode never runs
         assert sorted(G.duals) == sorted(G_ref.duals)
-        assert not set(G.values) & set(G.duals)
-        assert len(set(G_ref.values) & set(G_ref.duals)) > 0.9 * len(G_ref.values) > 0
+        assert len(set(G.duals)) == len(G.duals) > 0
+        assert G.values == [] and len(G_ref.values) > 0
+
+
+class TestMarginPanel:
+    """The generated panel of a margin's integrals is kronrod_panel over
+    the integrands of independent integrals, to the bit, errors included."""
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    @pytest.mark.parametrize("H", [None, "s^2/2 + s^4"])
+    def test_panel_equals_kronrod_panel(self, kappa, H):
+        geo = ModelGeometry(kappa, 3, 2.0)
+        spec = RiccatiPairSpec(geo, 0.0, math.inf, w=parse("1 + t^2/4"), L=parse("0"),
+                               W=parse("1"))
+        # G is inf beyond t = 26.6, and s_kappa^2 (kappa < 0) leaves float
+        # range beyond t = 355 and s_kappa beyond 710.5
+        target = (spec, parse("(n-2)/2/t + 0.3*sin(t) + 1e-300*exp(t^2)"))
+        H = None if H is None else parse(H, var="s")
+        rng = random.Random(2026)
+        errors = Counter()
+        for _ in range(40):
+            center = math.exp(rng.uniform(math.log(0.5), math.log(800.0)))
+            u = compact_bump(center, center * rng.uniform(0.05, 0.9))
+            _, G, w, binding = verifier._resolve_target(None, target, u, None)
+            panel = verifier._margin_panel(geo, G, w, H, u, binding)
+            integrands = unshared_integrands(None, target, u, H, None)[1:]
+            for _ in range(4):
+                a = rng.uniform(u.support_lo, u.support_hi)
+                b = rng.uniform(a, u.support_hi)
+                want = [_outcome(kronrod_panel, with_density(geo, f), a, b) for f in integrands]
+                store = {}
+                got = [_outcome(panel, part, store, a, b) for part in (0, 1, 2)]
+                # J_H read from I_H's panel, and alone
+                assert got + [_outcome(panel, 2, {}, a, b)] == want + want[2:]
+                errors.update(o.partition(":")[0] for o in want if "Error" in o)
+        assert errors["QuadratureError"] > 0
+        assert errors["OverflowError"] > 0 or kappa == 0.0
+
+    def test_second_pass_compiles_no_template(self):
+        def run():
+            for name, geo, params in RADIAL_CASES:
+                inst = instantiate(name, geo, params)
+                for margin in (additive_margin, multiplicative_margin):
+                    _outcome(margin, None, inst, _bumps(inst, 1, seed=5)[0])
+            _outcome(additive_margin, E3, parse("(n-2)/2/t"), random_bumps(1, seed=5)[0],
+                     H=parse("s^2/2 + s^4", var="s"), binding={"n": 3.0})
+
+        run()
+        misses = exprdsl._template_code.cache_info().misses
+        run()
+        assert exprdsl._template_code.cache_info().misses == misses
