@@ -38,7 +38,6 @@ class CatalogInstance:
     spec: RiccatiPairSpec
     G: object
     sharp_constant: float
-    model_exact_L: bool
     citation: str
     params: dict
     metadata: dict = field(default_factory=dict)
@@ -50,8 +49,8 @@ class CatalogEntry:
     citation: str
     param_schema: tuple[tuple[str, str], ...]  # (name, description)
     requires: str
-    # (geo, **params) -> (spec, G, sharp constant, model_exact_L, the parameters
-    # used, metadata); instantiate adds the name and the citation
+    # (geo, **params) -> (spec, G, sharp constant, the parameters used,
+    # metadata); instantiate adds the name and the citation
     build: Callable
     required: tuple[str, ...]   # the parameters build has no default for
     numeric: dict[str, bool]   # the parameters taking a number -> whether None is taken
@@ -112,7 +111,7 @@ def _build_caccioppoli(geo: ModelGeometry, alpha: float = 0.0, R: float = 1.0):
         params={"alpha": alpha, "Ws": sharp, "gc": gc},
         g_sign_required=-1, homogeneity_hint=-p, rho_kind="boundary_distance")
     G = parse("-(gc)*t^(1-p)")
-    return spec, G, sharp, False, {"alpha": alpha, "R": R}, {"q": q}
+    return spec, G, sharp, {"alpha": alpha, "R": R}, {"q": q}
 
 
 @_entry("caccioppoli_improved",
@@ -133,7 +132,7 @@ def _build_caccioppoli_improved(geo: ModelGeometry, R: float = 1.0):
         params={"eR": math.e * R, "Cs": sharp, "gc": c},
         g_sign_required=-1, homogeneity_hint=-p, rho_kind="boundary_distance")
     G = parse("-(gc)*t^(1-p)*(1 + 1/log(t/eR))^(p-1)")
-    return spec, G, sharp, False, {"R": R}, {}
+    return spec, G, sharp, {"R": R}, {}
 
 
 @_entry("hardy",
@@ -155,8 +154,7 @@ def _build_hardy(geo: ModelGeometry, alpha: float = 0.0, C: float | None = None)
         params={"alpha": alpha, "C": C, "Ws": sharp, "gc": gc},
         g_sign_required=1, homogeneity_hint=-p)
     G = parse("gc*t^(1-p)")
-    model_exact = geo.kappa == 0.0 and C == geo.n - 1.0
-    return spec, G, sharp, model_exact, {"alpha": alpha, "C": C}, {"q": q}
+    return spec, G, sharp, {"alpha": alpha, "C": C}, {"q": q}
 
 
 @_entry("hardy_log",
@@ -176,7 +174,7 @@ def _build_hardy_log(geo: ModelGeometry, alpha: float = 0.0):
         params={"alpha": alpha, "Ws": sharp, "gc": c},
         g_sign_required=1, homogeneity_hint=-p)
     G = parse("gc*(t*log(1/t))^(1-p)")
-    return spec, G, sharp, False, {"alpha": alpha}, {}
+    return spec, G, sharp, {"alpha": alpha}, {}
 
 
 @_entry("acr",
@@ -193,7 +191,7 @@ def _build_acr(geo: ModelGeometry, D: float = 1.0):
         W=parse("(n-2)^2/(4*t^2) + 1/(4*t^2*log(eD/t)^2)"),
         params={"eD": math.e * D}, g_sign_required=1, homogeneity_hint=-2.0)
     G = parse("(n-2)/(2*t) + 1/(2*t*log(eD/t))")
-    return spec, G, 0.25, geo.kappa == 0.0, {"D": D}, {}
+    return spec, G, 0.25, {"D": D}, {}
 
 
 @_entry("brezis_vazquez",
@@ -214,7 +212,7 @@ def _build_brezis_vazquez(geo: ModelGeometry, nu: float = 0.0, D: float = 1.0):
         params={"nu": nu, "C0": C, "sqrtC": math.sqrt(C)},
         g_sign_required=1, homogeneity_hint=-2.0)
     G = parse("(n - 2 - 2*nu)/(2*t) + sqrtC*besselratio(nu, sqrtC*t)")
-    return spec, G, C, geo.kappa == 0.0, {"nu": nu, "D": D}, {"j_nu_1": j1}
+    return spec, G, C, {"nu": nu, "D": D}, {"j_nu_1": j1}
 
 
 @_entry("faber_krahn",
@@ -233,7 +231,7 @@ def _build_faber_krahn(geo: ModelGeometry, R: float = 1.0):
         params={"nu": nu, "C0": C, "sqrtC": math.sqrt(C)},
         g_sign_required=1)
     G = parse("(n - 2 - 2*nu)/(2*t) + sqrtC*besselratio(nu, sqrtC*t)")
-    return spec, G, C, geo.kappa == 0.0, {"R": R}, {"j_nu_1": j1, "nu": nu}
+    return spec, G, C, {"R": R}, {"j_nu_1": j1, "nu": nu}
 
 
 @_entry("mckean",
@@ -250,7 +248,7 @@ def _build_mckean(geo: ModelGeometry):
         w=parse("1"), L=ComparisonL(geo, "constant_floor"), W=parse("Ws + 0*t"),
         params={"Ws": sharp, "gc": gc}, g_sign_required=1)
     G = parse("gc + 0*t")
-    return spec, G, sharp, False, {}, {}
+    return spec, G, sharp, {}, {}
 
 
 @_entry("mckean_improved",
@@ -271,7 +269,7 @@ def _build_mckean_improved(geo: ModelGeometry):
         params={"Ws": sharp, "B": remainder, "sq": sq, "gc": gc},
         g_sign_required=0)
     G = parse("gc + 0*t")
-    return spec, G, sharp, True, {}, {}
+    return spec, G, sharp, {}, {}
 
 
 @_entry("interpolation",
@@ -297,7 +295,7 @@ def _build_interpolation(geo: ModelGeometry, lam: float | None = None):
         params={"lam": lam, "kabs": kabs, "h": h, "gam": gam},
         g_sign_required=0)
     G = parse("-(h/t) + ((n-2)/2 + h)*ct(t)")
-    return spec, G, lam * kabs, True, {"lam": lam}, {"gamma_n": gam, "h_n": h}
+    return spec, G, lam * kabs, {"lam": lam}, {"gamma_n": gam, "h_n": h}
 
 
 @_entry("akutagawa_kumura",
@@ -318,7 +316,7 @@ def _build_akutagawa_kumura(geo: ModelGeometry, R: float = 1.0):
         W=parse("Ws + 1/(4*(t - R + cR)^2) + (n-1)*(n-3)/(4*s(t)^2)"),
         params={"R": R, "cR": cR, "Ws": sharp}, g_sign_required=0)
     G = parse("-(1/(2*(t - R + cR))) + ((n-1)/2)*ct(t)")
-    return spec, G, sharp, True, {"R": R}, {"cR": cR}
+    return spec, G, sharp, {"R": R}, {"cR": cR}
 
 
 @_entry("greene_wu_psi",
@@ -385,7 +383,7 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
         W=FuncEval(W_val, name="W[psi]"), params={},
         g_sign_required=1)
     G = FuncEval(G_val, G_dual, name="G[psi]")
-    return spec, G, 0.25, False, {"psi": psi.source, "t_hi": t_hi}, {}
+    return spec, G, 0.25, {"psi": psi.source, "t_hi": t_hi}, {}
 
 
 @_entry("ghoussoub_moradifam",
@@ -425,8 +423,7 @@ def _build_ghoussoub_moradifam(geo: ModelGeometry, a: float = 1.0, b: float = 1.
                   " * hyp2f1ratio(oA - oB, oA + oB, 1, -(b/a)*t^alpha))")
     meta = {"K0": k0, "K1": k1, "A": A, "B": B, "in_thm422_region": in_region,
             "positivity_unproven": not in_region}
-    return (spec, G, C, geo.kappa == 0.0,
-            {"a": a, "b": b, "alpha": alpha, "beta": beta, "m": m}, meta)
+    return spec, G, C, {"a": a, "b": b, "alpha": alpha, "beta": beta, "m": m}, meta
 
 
 @_entry("carvalho_cavalcante",
@@ -446,7 +443,7 @@ def _build_carvalho_cavalcante(geo: ModelGeometry, a: float = 1.0, b: float = 1.
         w=parse("1"), L=parse("bb + 0*t"), W=parse("Ws + 0*t"),
         params={"bb": bb, "Ws": sharp, "gc": gc}, g_sign_required=1)
     G = parse("gc + 0*t")
-    return spec, G, sharp, False, {"a": a, "b": b}, {"floor": bb}
+    return spec, G, sharp, {"a": a, "b": b}, {"floor": bb}
 
 
 def entry_names() -> list[str]:
@@ -484,5 +481,5 @@ def instantiate(name: str, geo: ModelGeometry, params: dict | None = None) -> Ca
         takes = ", ".join(n + " (required)" * (n in entry.required) for n in names)
         raise ParameterError(f"catalog entry {name!r}: {'; '.join(problems)}; "
                              f"it takes {takes or 'no parameters'}")
-    spec, G, sharp, model_exact, used, metadata = entry.build(geo, **params)
-    return CatalogInstance(name, spec, G, sharp, model_exact, entry.citation, used, metadata)
+    spec, G, sharp, used, metadata = entry.build(geo, **params)
+    return CatalogInstance(name, spec, G, sharp, entry.citation, used, metadata)

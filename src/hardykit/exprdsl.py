@@ -11,11 +11,13 @@ Grammar (EBNF):
 NUMBER is a decimal with optional exponent; one that overflows a float is a
 syntax error.  An IDENT that is not in the builtin table is a parameter;
 the reserved variable is 't' (an alternative variable name, e.g. 's' for
-nonlinearity profiles H, can be chosen at parse time).  Note that the
-grammar attaches unary minus below '^', so '-x^2' parses as '(-x)^2'; write
-'-(x^2)' when the other reading is meant.  Parentheses, call arguments,
-unary minus and the right operand of '^' nest at most MAX_NESTING (100)
-levels deep; sums and products of any length are fine.
+nonlinearity profiles H, can be chosen at parse time).  ct, s and D take
+one argument, and the parser gives each the parameter kappa as a last
+one.  Note that the grammar attaches unary minus below '^', so '-x^2'
+parses as '(-x)^2'; write '-(x^2)' when the other reading is meant.
+Parentheses, call arguments, unary minus and the right operand of '^'
+nest at most MAX_NESTING (100) levels deep; sums and products of any
+length are fine.
 
 Evaluation is pure: a parsed ScalarExpr is immutable, evaluating it twice
 with the same parameter values gives bit-identical results, and the exact
@@ -34,18 +36,18 @@ function, into the values (and derivatives) they have under that binding,
 which purity makes exact; if that call raises, the function is compiled
 unfolded and raises at evaluation, as the language has no branches.  The
 source is generated from the shape of the tree alone (node kinds,
-operators, builtin and parameter names, folded subtrees) and compiled
-once per shape and mode; numbers, folded constants, the binding snapshot
-and source fragments are bound as default arguments of the function made
-for each binding.  What a compile takes from the tree alone is done once
-per process: parse memoizes the tree of each (source, var), and a plan per
-tree and mode holds the fold function's code and the folded function's
-code and layout; so a compile for a new binding only calls the fold and
-makes the function.  Both caches are bounded and filled lazily, never at
-import.
-fill_template inlines those statements in a caller's template (riccati's
-certify loop, verifier's margin panel); a positive base's power runs
-inline.
+operators, builtin and parameter names, folded subtrees), as the one slot
+of a fixed template, and compiled once per shape and mode; numbers,
+folded constants, the binding snapshot and source fragments are bound as
+default arguments of the function made for each binding.  What a compile
+takes from the tree alone is done once per process: parse memoizes the
+tree of each (source, var), and a plan per tree and mode holds the fold
+function's code and the folded function's code and layout; so a compile
+for a new binding only calls the fold and makes the function.  These
+caches, and the one cache of generated code, are bounded and filled
+lazily, never at import.  fill_template inlines the same statements in a
+caller's template (riccati's certify loop, verifier's margin panel); a
+positive base's power runs inline.
 Every operator and builtin call sits in its own try, so an error is
 rewrapped as an EvalError naming the fragment of the source it came from.
 Division by zero and log of a nonpositive number are hard errors rather
@@ -136,13 +138,6 @@ def _coth_value(x: float) -> float:
     return _geo._coth(x) if x > 0.0 else -_geo._coth(-x)
 
 
-def _need_kappa(binding: Mapping[str, float]) -> float:
-    try:
-        return binding["kappa"]
-    except KeyError:
-        raise UnboundParameterError("builtin needs 'kappa' in the binding") from None
-
-
 def _log_v(x: float) -> float:
     if x <= 0.0:
         raise EvalError(f"log of nonpositive value {x!r}")
@@ -175,10 +170,12 @@ def _cosh_v(x: float) -> float:
         return math.inf
 
 
-def _unary(value: str, derivative: str) -> tuple[int, str, str]:
-    """The entry of a unary builtin: its dual statements are its value, then
-    the chain rule, f'(x) times dx/dt where that is nonzero."""
-    return 1, value, f"{{v}} = {value}\n{{d}} = ({derivative}) * {{d0}} if {{d0}} != 0.0 else 0.0"
+def _unary(value: str, derivative: str, arity: int = 1) -> tuple[int, str, str]:
+    """The entry of a builtin differentiable in its first argument alone (the
+    others are kappa): its dual statements are its value, then the chain
+    rule, f'(x) times dx/dt where that is nonzero."""
+    chain = f"{{v}} = {value}\n{{d}} = ({derivative}) * {{d0}} if {{d0}} != 0.0 else 0.0"
+    return arity, value, chain
 
 
 def _refuse(moving: str, message: str) -> str:
@@ -217,12 +214,13 @@ _GAMMA_DUAL = _refuse("{d0} != 0.0", "gamma is excluded from differentiation pat
 
 # name -> (arity, value, dual statements), as Python source over this
 # module's names: the one description of each builtin.  The value is an
-# expression in the argument values {0}, {1}, ... and the binding's kappa
-# {k}.  The dual statements, over the same and the arguments' derivatives
-# {d0}, {d1}, ..., assign the value to {v} and the derivative to {d}; a
-# unary builtin's are the chain rule of its f'(x), in terms of {0} = x,
-# {v} = f(x) and {k}.  specfun and geometry are reached through their
-# module attributes, so each call looks the function up when it runs.
+# expression in the argument values {0}, {1}, ...  The dual statements,
+# over the same and the arguments' derivatives {d0}, {d1}, ..., assign the
+# value to {v} and the derivative to {d}; a unary builtin's are the chain
+# rule of its f'(x), in terms of {0} = x and {v} = f(x).  The arity counts
+# the arguments of the tree: ct, s and D take kappa as their last, {1},
+# which the parser supplies.  specfun and geometry are reached through
+# their module attributes, so each call looks the function up when it runs.
 _BUILTINS = {
     "abs": _unary("abs({0})", "math.copysign(1.0, {0}) if {0} != 0.0 else 0.0"),
     "sqrt": _unary("_sqrt_v({0})", "_sqrt_d({0}, {v})"),
@@ -235,9 +233,9 @@ _BUILTINS = {
     "cosh": _unary("_cosh_v({0})", "_sinh_v({0})"),
     "tanh": _unary("math.tanh({0})", "1.0 - {v} * {v}"),
     "coth": _unary("_coth_value({0})", "1.0 - {v} * {v}"),
-    "ct": _unary("_geo.ct_value({k}, {0})", "-{k} - {v} * {v}"),
-    "s": _unary("_geo.s_value({k}, {0})", "_geo.s_value_dt({k}, {0})"),
-    "D": _unary("_geo.deficit_value({k}, {0})", "_geo.deficit_value_dt({k}, {0})"),
+    "ct": _unary("_geo.ct_value({1}, {0})", "-{1} - {v} * {v}", 2),
+    "s": _unary("_geo.s_value({1}, {0})", "_geo.s_value_dt({1}, {0})", 2),
+    "D": _unary("_geo.deficit_value({1}, {0})", "_geo.deficit_value_dt({1}, {0})", 2),
     "besselj": (2, "_sf.bessel_j({0}, {1})", _BESSELJ_DUAL),
     "besselratio": (2, "_sf.bessel_ratio({0}, {1})", _BESSELRATIO_DUAL),
     "hyp2f1": (4, "_sf.hyp2f1({0}, {1}, {2}, {3})", _z_dual("hyp2f1")),
@@ -245,13 +243,14 @@ _BUILTINS = {
     "gamma": (1, "_sf.gamma({0})", _GAMMA_DUAL),
 }
 
-_KAPPA_BUILTINS = frozenset(name for name, (_, value, _) in _BUILTINS.items() if "{k}" in value)
+# the builtins of the curvature bound: users write their one argument, and
+# the parser adds the parameter kappa as the last
+_KAPPA_BUILTINS = frozenset(("ct", "s", "D"))
 
 
 # Statements of each operator and builtin, for value and for dual mode,
-# over the argument values {0}, {1}, ..., their derivatives {d0}, {d1}, ...
-# and the binding's kappa {k}; they assign the value to {v} and, in dual
-# mode, the derivative to {d}.  In dual mode kappa is read once, first.
+# over the argument values {0}, {1}, ... and their derivatives {d0}, {d1},
+# ...; they assign the value to {v} and, in dual mode, the derivative to {d}.
 _DIVIDE = "if {1} == 0.0:\n    raise EvalError('division by zero')\n{v} = {0} / {1}"
 _STATEMENTS = {
     "+": ("{v} = {0} + {1}", "{v} = {0} + {1}\n{d} = {d0} + {d1}"),
@@ -259,9 +258,8 @@ _STATEMENTS = {
     "*": ("{v} = {0} * {1}", "{v} = {0} * {1}\n{d} = {d0} * {1} + {0} * {d1}"),
     "/": (_DIVIDE, _DIVIDE + "\n{d} = ({d0} - {v} * {d1}) / {1}"),
 }
-_STATEMENTS.update((name, ("{v} = " + value,
-                           ("{k} = _need_kappa({b})\n" if name in _KAPPA_BUILTINS else "")
-                           + dual)) for name, (_, value, dual) in _BUILTINS.items())
+_STATEMENTS.update((name, ("{v} = " + value, dual))
+                   for name, (_, value, dual) in _BUILTINS.items())
 # x ** y inline for x > 0 (in dual mode, where y does not move); else _pow_*
 _POW_INLINE = "    try:\n        {v} = {0} ** {1}\n"
 _STATEMENTS["^"] = _STATEMENTS["pow"] = (
@@ -485,7 +483,8 @@ class _Parser:
         name = name_tok.text
         if name not in _BUILTINS:
             raise ExprSyntaxError(f"unknown function {name!r}", name_tok.line, name_tok.col)
-        arity = _BUILTINS[name][0]
+        kappa = name in _KAPPA_BUILTINS
+        arity = _BUILTINS[name][0] - kappa
         self.expect("(")
         args = [self.nested(self.expr)]
         while self.at_op(","):
@@ -496,7 +495,10 @@ class _Parser:
             raise ExprSyntaxError(
                 f"{name} takes {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
                 name_tok.line, name_tok.col)
-        return Call((name_tok.pos, closing.pos + 1), name, tuple(args))
+        span = (name_tok.pos, closing.pos + 1)
+        if kappa:
+            args.append(Param(span, "kappa"))
+        return Call(span, name, tuple(args))
 
 
 def _node_fields(node: Node) -> dict:
@@ -639,7 +641,8 @@ def _layout(order: list[Node], source: str, mode: str, numbers: dict,
             shape.append(node.op if isinstance(node, Bin) else node.name)
             spans.append(node.span)
     shape = tuple(shape)
-    return _code(mode, shape), shape, tuple(picks), _Fragments(source, tuple(spans))
+    code = _template_code(_EXPR, (), (("e", mode, shape),))
+    return code, shape, tuple(picks), _Fragments(source, tuple(spans))
 
 
 @dataclass(frozen=True)
@@ -655,22 +658,12 @@ class _Fragments:
         return self.source[start:end]
 
 
-@functools.lru_cache(maxsize=512)
-def _code(mode: str, shape: tuple) -> types.CodeType:
-    """One code object per shape (folded subtrees included) and mode."""
-    module = compile(_source(mode, shape), "<hardykit.exprdsl>", "exec")
-    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+# the template of an expression's function, and of a plan's fold function:
+# one slot, the shape's statements
+_EXPR = "def expr(t):\n    r = e(t)\n    return r\n"
 
 
-def _source(mode: str, shape: tuple) -> str:
-    """Python source of the function t -> value, or (value, d/dt) in dual
-    mode, of a shape (see _body)."""
-    params, body, result = _body(mode, shape)
-    text = "\n".join(body + [f"return {result}"]).replace("\n", "\n    ")
-    return f"def expr(t, {', '.join(params)}):\n    {text}\n"
-
-
-def _body(mode: str, shape: tuple, prefix: str = "") -> tuple[list[str], list[str], str]:
+def _body(mode: str, shape: tuple, prefix: str) -> tuple[list[str], list[str], str]:
     """The parameters, statements and result expression of a shape's
     function: one flat run of statements in evaluation order, with a local
     per node, or two (value and derivative) in dual mode, and a try around
@@ -682,7 +675,6 @@ def _body(mode: str, shape: tuple, prefix: str = "") -> tuple[list[str], list[st
     whose values are the default arguments _compile gives."""
     dual = mode is _DUAL
     binding, fragments = prefix + "binding", prefix + "fragments"
-    kappa = prefix + "kappa" if dual else f"_need_kappa({binding})"
     names, body, n_fragments = [], [], 0
     atoms: list[tuple[str, str]] = []  # (value, derivative) expressions of pending nodes
     for i, tok in enumerate(shape):
@@ -706,8 +698,7 @@ def _body(mode: str, shape: tuple, prefix: str = "") -> tuple[list[str], list[st
             n = _BUILTINS[tok][0] if tok in _BUILTINS else 2
             args = atoms[len(atoms) - n:]
             del atoms[len(atoms) - n:]
-            op = _STATEMENTS[tok][dual].format(*(a for a, _ in args), v=v, d=d, k=kappa,
-                                               b=binding,
+            op = _STATEMENTS[tok][dual].format(*(a for a, _ in args), v=v, d=d,
                                                **{f"d{j}": ad for j, (_, ad) in enumerate(args)})
             body.append(_TRY.format(op.replace("\n", "\n    "), n_fragments, f=fragments))
             n_fragments += 1
@@ -736,10 +727,12 @@ def fill_template(template: str, slots: Mapping[str, tuple[object, bool]],
     return types.FunctionType(code, globals(), None, tuple(defaults))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=576)
 def _template_code(template: str, env: tuple, slots: tuple) -> types.CodeType:
     """The template's code with the slots' statements inlined, their names
-    prefixed with the slot's; env's and their parameters come last."""
+    prefixed with the slot's; env's and their parameters come last.  The one
+    cache of generated code: expressions' functions, fold functions and
+    callers' templates."""
     params = list(env)
     for name, mode, shape in slots:
         if shape is None:
@@ -822,22 +815,18 @@ def evaluator(e, binding: Mapping[str, float] | None = None, dual: bool = False)
     """The function t -> e.eval(t, binding), or e.eval_d(t, binding) when
     dual, resolved once for a loop over t under one binding.  For a
     ScalarExpr it is the generated function eval/eval_d call, compiled
-    against a snapshot of the binding; for a comparison L, its function of t
-    (a psi kind's ratio over psi's function resolved so); for an evaluable
-    with an ``_evaluator(dual)`` (riccati.FuncEval), what that returns; for
-    any other, its method with the binding passed along.  Every evaluation
-    error raises at a call, not here."""
+    against a snapshot of the binding; for an evaluable with an
+    ``_evaluator(binding, dual)`` (riccati.FuncEval, geometry.ComparisonL),
+    what that returns; for any other, its method with the binding passed
+    along.  Every evaluation error raises at a call, not here; only the
+    derivative of an object that has none (a ComparisonL) raises
+    UnsupportedDerivativeError here."""
     binding = binding or {}
     if isinstance(e, ScalarExpr):
         return e._compiled(binding, int(dual))
-    if not dual and isinstance(e, _geo.ComparisonL):
-        # psi resolved once here, not merged with the binding at each call
-        psi_d = evaluator(e.psi, {**e._geo_binding, **binding}, dual=True) \
-            if e.kind == "psi" else None
-        return e._function(psi_d)
     direct = getattr(e, "_evaluator", None)
     if direct is not None:
-        return direct(dual)
+        return direct(binding, dual)
     method = e.eval_d if dual else e.eval
     return lambda t: method(t, binding)
 
@@ -855,10 +844,4 @@ def _parse_tree(source: str, var: str) -> tuple[Node, frozenset[str]]:
     """The tree of a source and the parameters it reads; a syntax error
     raises, and is not cached."""
     node = _Parser(source, var).parse()
-    names: set[str] = set()
-    for n in _postorder(node):
-        if isinstance(n, Param):
-            names.add(n.name)
-        elif isinstance(n, Call) and n.name in _KAPPA_BUILTINS:
-            names.add("kappa")
-    return node, frozenset(names)
+    return node, frozenset(n.name for n in _postorder(node) if isinstance(n, Param))

@@ -15,10 +15,11 @@ drag in cut-locus bookkeeping for no benefit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, UnsupportedDerivativeError
 from .specfun import gamma
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,8 +47,9 @@ class ModelGeometry:
 
     def __post_init__(self):
         for name in ("kappa", "n", "p"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name}={getattr(self, name)!r} is not a finite number")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ParameterError(f"{name}={value!r} is not a finite number")
         if self.kappa > 0.0:
             raise ParameterError(f"kappa={self.kappa!r} > 0 rejected (model range is kappa <= 0)")
         if self.n < 2 or int(self.n) != self.n:
@@ -173,14 +175,17 @@ class ComparisonL:
         self.geo = geo
         self.kind = kind
         self.psi = psi
-        self._geo_binding = geo.binding()  # for psi, unless eval's binding overrides it
+        self._geo_binding = geo.binding()  # for psi, unless the given binding overrides it
 
     def eval(self, t: float, binding: dict | None = None) -> float:
-        b = {**self._geo_binding, **(binding or {})}
-        return self._function(lambda s: self.psi.eval_d(s, b))(t)
+        return self._evaluator(binding or {}, False)(t)
 
-    def _function(self, psi_d) -> Callable[[float], float]:
-        """L as a function of t; for the psi kind, over psi_d: t -> (psi, psi')."""
+    def _evaluator(self, binding: dict, dual: bool) -> Callable[[float], float]:
+        """L as a function of t (exprdsl.evaluator's); for the psi kind, psi
+        and psi' are resolved once, under the binding merged over the
+        geometry's.  L has no derivative rule."""
+        if dual:
+            raise UnsupportedDerivativeError(f"{self!r} has no derivative rule")
         geo = self.geo
         scale = geo.n - 1
         if self.kind == "constant_curvature":
@@ -189,6 +194,8 @@ class ComparisonL:
         if self.kind == "constant_floor":
             floor = scale * math.sqrt(-geo.kappa)
             return lambda t: floor
+        from .exprdsl import evaluator  # exprdsl imports this module
+        psi_d = evaluator(self.psi, {**self._geo_binding, **binding}, dual=True)
 
         def L(t: float) -> float:
             v, dv = psi_d(t)

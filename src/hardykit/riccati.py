@@ -76,8 +76,8 @@ class FuncEval:
             raise UnsupportedDerivativeError(f"{self.name} has no derivative")
         return self.dual(t)
 
-    def _evaluator(self, dual: bool) -> Callable:  # exprdsl.evaluator's function of t
-        # without a dual, eval_d raises at the call
+    def _evaluator(self, binding: dict, dual: bool) -> Callable:
+        # exprdsl.evaluator's function of t; without a dual, eval_d raises at the call
         return (self.dual or self.eval_d) if dual else self.fn
 
     def __repr__(self):

@@ -99,19 +99,27 @@ def _integral(geo: ModelGeometry, f: Callable[[float], float], lo: float, hi: fl
     return scale * val, scale * err
 
 
-def _direct(geo: ModelGeometry, f: Callable[[float], float], u: RadialTestFunction,
-            tol: float) -> tuple[float, float]:
-    """n*omega_n * integral f(t) s_kappa^(n-1)(t) dt over the support of u; the
-    density is skipped where f vanishes."""
+def _radial(geo: ModelGeometry, f: Callable[[float], float], lo: float, hi: float,
+            tol: float, breakpoints: Sequence[float] = (),
+            singular_hint: float | None = None) -> tuple[float, float]:
+    """n*omega_n * integral_lo^hi f(t) s_kappa^(n-1)(t) dt with its error
+    estimate; the density is skipped where f vanishes, and a DomainError
+    names the t where f does not but the density leaves float range."""
     n, kappa = geo.n, geo.kappa
 
     def g(t: float) -> float:
         v = f(t)
         if v == 0.0:
             return 0.0
-        return v * s_value(kappa, t) ** (n - 1)
+        try:
+            density = s_value(kappa, t) ** (n - 1)
+        except OverflowError:
+            density = math.inf
+        if density == math.inf:
+            raise DomainError(f"integrand overflow at t={t!r}")
+        return v * density
 
-    return _integral(geo, g, max(u.support_lo, 0.0), u.support_hi, tol, u.breakpoints)
+    return _integral(geo, g, lo, hi, tol, breakpoints, singular_hint)
 
 
 def radial_integral(
@@ -122,18 +130,12 @@ def radial_integral(
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
     """n*omega_n * integral_0^R f(t) s_kappa^(n-1)(t) dt with error estimate."""
-    if R <= 0.0:
-        raise DomainError(f"radial_integral needs R > 0, got {R!r}")
-    n = geo.n
-    kappa = geo.kappa
-
-    def g(t: float) -> float:
-        return f(t) * s_value(kappa, t) ** (n - 1)
-
+    if not (R > 0.0 and math.isfinite(R)):
+        raise DomainError(f"radial_integral needs a finite R > 0, got {R!r}")
     hint = None
     if singular_exponent_hint is not None:
-        hint = singular_exponent_hint + (n - 1)
-    return _integral(geo, g, 0.0, R, _TOL, breakpoints, hint)
+        hint = singular_exponent_hint + (geo.n - 1)
+    return _radial(geo, f, 0.0, R, _TOL, breakpoints, hint)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +456,9 @@ def sc_margin(geo: ModelGeometry, u: RadialTestFunction, c: float) -> Inequality
     if geo.kappa >= 0.0:
         raise HypothesisError("kappa < 0", f"got kappa={geo.kappa!r}")
     energy, e_err = _log_mass(geo, u, 2.0, 0.0, use_du=True)
-    i1, e1 = _direct(geo, lambda t: _osc_profile(c, u.u(t)) ** 2, u, _TOL_FINE)
-    i2, e2 = _direct(geo, lambda t: _osc_profile(c, 2.0 * u.u(t)) ** 2, u, _TOL_FINE)
+    over = max(u.support_lo, 0.0), u.support_hi, _TOL_FINE, u.breakpoints
+    i1, e1 = _radial(geo, lambda t: _osc_profile(c, u.u(t)) ** 2, *over)
+    i2, e2 = _radial(geo, lambda t: _osc_profile(c, 2.0 * u.u(t)) ** 2, *over)
     if i2 <= 10.0 * e2:
         raise DomainError("denominator integral indistinguishable from its error")
     rhs = (geo.n - 1.0) ** 2 * (-geo.kappa) * i1 * i1 / i2
@@ -638,6 +641,14 @@ def scaled_family(inequality: str, geo: ModelGeometry, params: dict,
     return alpha, r, family
 
 
+def _achieved(lhs: float, bare_rhs: float) -> float:
+    """A sweep member's achieved constant; a DomainError where its right
+    side underflowed to 0."""
+    if bare_rhs == 0.0:
+        raise DomainError("right side underflows to 0")
+    return lhs / bare_rhs
+
+
 def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = None,
                     family: Sequence[RadialTestFunction] | None = None) -> SweepResult:
     """Achieved-constant sweep over a family of test functions.
@@ -666,7 +677,7 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
             mass, m_err = _log_mass(geo, u, p, alpha - p)
             rel = e_err / max(energy, _MARGIN_FLOOR) + m_err / max(mass, _MARGIN_FLOOR)
             rhs = sharp * mass
-            return _margin_of(energy, rhs, rel * max(rhs, energy)), energy / mass
+            return _margin_of(energy, rhs, rel * max(rhs, energy)), _achieved(energy, mass)
     else:
         alpha, r, family = scaled_family(inequality, geo, params, family)
         sharp = (geo.n + alpha - 1.0) / (geo.p if inequality == "up" else r)
@@ -678,7 +689,7 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
             else:
                 m = ckn_margin(geo, u, alpha, r)
             # achieved constant: lhs over the bare rhs integral
-            return m, m.lhs / (m.rhs / sharp)
+            return m, _achieved(m.lhs, m.rhs / sharp)
 
     rows: list[SweepRow] = []
     for u in family:

@@ -131,9 +131,10 @@ def simpson(f, lo: float, hi: float, n: int = 4096) -> float:
 # fragment of the source; exp, sinh and cosh overflow to inf; d/dt follows
 # the chain rule through every node.  It covers + - * / ^, unary minus, pow
 # and every builtin: the elementary ones below, and those that call the
-# geometry and specfun kernels (ct, s and D read kappa from the binding; the
-# order of besselj and besselratio, a, b, c of hyp2f1 and hyp2f1ratio and the
-# argument of gamma admit no derivative).
+# geometry and specfun kernels (ct, s and D take kappa, the parameter the
+# parser adds as their last argument; the order of besselj and besselratio,
+# a, b, c of hyp2f1 and hyp2f1ratio and the argument of gamma admit no
+# derivative).
 
 
 def _ref_exp(x):
@@ -278,7 +279,8 @@ _REFERENCE_SPECIAL = {"besselj": _ref_besselj, "besselratio": _ref_besselratio,
                       "hyp2f1": _ref_hyp2f1, "hyp2f1ratio": _ref_hyp2f1ratio,
                       "gamma": _ref_gamma}
 
-# name -> (f(kappa, x), f'(kappa, x) given f(x)) of the builtins that read kappa
+# name -> (f(kappa, x), f'(kappa, x) given f(x)) of the builtins whose last
+# argument is kappa
 _REFERENCE_KAPPA_UNARY = {
     "ct": (geometry.ct_value, lambda k, x, v: -k - v * v),
     "s": (geometry.s_value, lambda k, x, v: geometry.s_value_dt(k, x)),
@@ -286,16 +288,14 @@ _REFERENCE_KAPPA_UNARY = {
 }
 
 
-def _ref_op(op, args, dual, binding):
+def _ref_op(op, args, dual):
     """(value, derivative) of one operator or builtin; the derivative is 0.0
     and unchecked in value mode."""
     if op in _REFERENCE_SPECIAL:
         return _REFERENCE_SPECIAL[op](args, dual)
     (av, ad) = args[0]
     if op in _REFERENCE_KAPPA_UNARY:
-        if "kappa" not in binding:
-            raise UnboundParameterError("builtin needs 'kappa' in the binding")
-        kappa = binding["kappa"]
+        kappa = args[1][0]
         f, df = _REFERENCE_KAPPA_UNARY[op]
         v = f(kappa, av)
         return v, (df(kappa, av, v) * ad if ad != 0.0 else 0.0) if dual else 0.0
@@ -348,7 +348,7 @@ def _ref_walk(node, source, t, binding, dual):
     children = (node.left, node.right) if kind == "Bin" else node.args
     args = [_ref_walk(c, source, t, binding, dual) for c in children]
     try:
-        return _ref_op(node.op if kind == "Bin" else node.name, args, dual, binding)
+        return _ref_op(node.op if kind == "Bin" else node.name, args, dual)
     except (HardykitError, ArithmeticError) as exc:
         if isinstance(exc, EvalError) and exc.fragment:
             raise
@@ -381,7 +381,7 @@ def reference_eval_d(expr, t, binding):
 
 def unshared_integrands(geo, target, u, H, binding):
     """(geo, f_e, f_i, f_j): the resolved geometry and the energy, I_H and
-    J_H integrands without the volume density, as verifier._direct takes
+    J_H integrands without the volume density, as with_density takes
     them."""
     from hardykit.catalog import CatalogInstance
     from hardykit.geometry import ct_value
@@ -432,7 +432,7 @@ def unshared_integrands(geo, target, u, H, binding):
 
 
 def with_density(geo, f):
-    """verifier._direct's integrand: f(t) s_kappa(t)^(n-1), the density
+    """A margin panel's integrand: f(t) s_kappa(t)^(n-1), the density
     skipped where f vanishes."""
     def g(t):
         v = f(t)
@@ -441,11 +441,13 @@ def with_density(geo, f):
 
 
 def unshared_additive_terms(geo, target, u, H, binding):
-    from hardykit.verifier import _TOL, _direct
+    from hardykit.verifier import _TOL, _integral
 
     geo, f_e, f_i, f_j = unshared_integrands(geo, target, u, H, binding)
-    return (geo.p, *_direct(geo, f_e, u, _TOL), *_direct(geo, f_i, u, _TOL),
-            *_direct(geo, f_j, u, _TOL))
+    lo, hi = max(u.support_lo, 0.0), u.support_hi
+    (e, e_err), (i, i_err), (j, j_err) = (
+        _integral(geo, with_density(geo, f), lo, hi, _TOL, u.breakpoints) for f in (f_e, f_i, f_j))
+    return geo.p, e, e_err, i, i_err, j, j_err
 
 
 # certify as a per-point loop over residual terms built from each object's

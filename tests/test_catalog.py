@@ -261,7 +261,6 @@ class TestStructuralInvariants:
                                   ("interpolation", H4, {"lam": 2.0}),
                                   ("akutagawa_kumura", H3, {"R": 1.0})):
             inst = instantiate(name, geo, params)
-            assert inst.model_exact_L
             assert inst.spec.g_sign_required == 0
 
     def test_caccioppoli_requires_nonpositive_G(self):

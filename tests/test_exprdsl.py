@@ -34,6 +34,13 @@ class TestParse:
         assert "kappa" in parse("D(t)").params_required
         assert "kappa" not in parse("sinh(t)").params_required
 
+    def test_unbound_kappa_raises_as_any_unbound_parameter(self):
+        e = parse("1 + ct(t)")
+        for evaluate in (e.eval, e.eval_d):
+            with pytest.raises(UnboundParameterError) as err:
+                evaluate(1.0, {"a": 1.0})
+            assert str(err.value) == "unbound parameter 'kappa'" and err.value.fragment == ""
+
     def test_number_formats(self):
         assert parse("1.5e-3").eval(0.0) == 1.5e-3
         assert parse(".5").eval(0.0) == 0.5
@@ -92,11 +99,15 @@ class TestGrammarShape:
         assert parse("2-3-4").eval(0.0) == -5.0
 
     def test_builtin_table_contents(self):
-        # name -> arity
+        # name -> the arity users write; ct, s and D take kappa from the binding
         expected = {**dict.fromkeys(("abs", "sqrt", "exp", "log", "sin", "cos", "sinh",
                                      "cosh", "tanh", "coth", "ct", "s", "D", "gamma"), 1),
                     "pow": 2, "besselj": 2, "besselratio": 2, "hyp2f1": 4, "hyp2f1ratio": 4}
-        assert {name: spec[0] for name, spec in exprdsl._BUILTINS.items()} == expected
+        assert set(exprdsl._BUILTINS) == set(expected)
+        for name, arity in expected.items():
+            assert parse(f"{name}({', '.join(['t'] * arity)})").ast.name == name
+            with pytest.raises(ExprSyntaxError, match=f"^{name} takes {arity} argument"):
+                parse(f"{name}({', '.join(['1'] * (arity + 1))})")
 
 
 class TestEval:
@@ -531,9 +542,6 @@ class TestReferenceEvaluator:
         assert err.value.fragment == "besselj(0.5, t)"
         with pytest.raises(UnsupportedDerivativeError, match="gamma is excluded"):
             parse("gamma(t)").eval_d(0.0)  # refused before the pole is reached
-        with pytest.raises(UnboundParameterError, match="needs 'kappa'") as err:
-            parse("1 + ct(t)").eval(1.0)
-        assert err.value.fragment == "ct(t)"
         for src in ("besselj(t, 1)", "besselratio(t, 1)", "hyp2f1(1, t, 2, -1)"):
             with pytest.raises(UnsupportedDerivativeError, match="no derivative rule"):
                 parse(src).eval_d(0.5)
@@ -661,17 +669,18 @@ class TestCodeCache:
 
     def test_cache_is_bounded(self):
         rng = random.Random(17)
-        exprdsl._code.cache_clear()
+        code = exprdsl._template_code
+        code.cache_clear()
         for _ in range(10_000):  # greene_wu_psi profiles, psi = t*exp(c*t)
             psi = parse(f"t*exp({rng.uniform(-3.0, 3.0)!r}*t)")
             psi.eval_d(rng.uniform(0.01, 5.0), {"kappa": -1.0})
         # three dual shapes: c >= 0, c < 0 with -c folded, and the fold of -c
-        assert exprdsl._code.cache_info().misses == 3
-        for j in range(exprdsl._code.cache_info().maxsize + 50):  # distinct shapes
+        assert code.cache_info().misses == 3
+        for j in range(code.cache_info().maxsize + 50):  # distinct shapes
             parse(f"t*p{j}").eval(1.0, {f"p{j}": 1.0})
-        for cache in (exprdsl._code, exprdsl._parse_tree, exprdsl._plan):
+        for cache in (code, exprdsl._parse_tree, exprdsl._plan):
             info = cache.cache_info()
-            assert info.currsize <= info.maxsize < exprdsl._code.cache_info().maxsize + 50
+            assert info.currsize <= info.maxsize < code.cache_info().maxsize + 50
 
     # the refusals and the besselj message of the special builtins' dual rules
     FIXED_MESSAGES = {"no derivative rule through the besselj order argument",
@@ -686,10 +695,13 @@ class TestCodeCache:
         import builtins
 
         texts = []
-        source_of = exprdsl._source
-        monkeypatch.setattr(exprdsl, "_source", lambda mode, shape: texts.append(
-            source_of(mode, shape)) or texts[-1])
-        exprdsl._code.cache_clear()
+
+        def compile_and_keep(text, *args):
+            texts.append(text)
+            return compile(text, *args)
+
+        monkeypatch.setattr(exprdsl, "compile", compile_and_keep, raising=False)
+        exprdsl._template_code.cache_clear()
         src = ("0.4173*t^2.25 + exp(-alpha_9*t)/(t + 17.75) + besselj(3, 3.625*t) "
                "- sqrt(exc*binding) + hyp2f1(0.3125, 1.5, 2.875, -t) + ct(t)")
         e = parse(src)
@@ -703,8 +715,9 @@ class TestCodeCache:
         monkeypatch.setattr(exprdsl, "_plan", _unfolding_plan)
         plain.eval(1.5, binding), plain.eval_d(1.5, binding)
         assert len(texts) >= 6
-        # the fold function of -alpha_9 and sqrt(exc*binding) in each mode
-        assert sum(text.endswith(("return v1, v5\n", "return v1, d1, v5, d5\n"))
+        # the fold function of -alpha_9, sqrt(exc*binding) and ct's kappa in each mode
+        assert sum(text.endswith(("r = e_v1, e_v5, e_v6\n    return r\n",
+                                  "r = e_v1, e_d1, e_v5, e_d5, e_v6, 0.0\n    return r\n"))
                    for text in texts) == 2
         fragments = {src[n.span[0]:n.span[1]] for n in exprdsl._postorder(e.ast)
                      if isinstance(n, (exprdsl.Bin, exprdsl.Call))}
@@ -721,6 +734,6 @@ class TestCodeCache:
                                               "unbound parameter ", *self.FIXED_MESSAGES}), node.value
                 elif isinstance(node, pyast.Name):
                     # locals, arguments, exprdsl's names and builtins; never alpha_9
-                    assert (re.fullmatch(r"[vdce]\d+", node.id) or hasattr(exprdsl, node.id)
+                    assert (re.fullmatch(r"e_[vdce]\d+", node.id) or hasattr(exprdsl, node.id)
                             or hasattr(builtins, node.id)
-                            or node.id in {"t", "binding", "fragments", "kappa", "exc"}), node.id
+                            or node.id in {"t", "r", "e_binding", "e_fragments", "exc"}), node.id

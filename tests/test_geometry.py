@@ -39,6 +39,14 @@ class TestModelGeometry:
         with pytest.raises(ParameterError, match="is not a finite number"):
             ModelGeometry(kappa, n, p)
 
+    @pytest.mark.parametrize("kappa, n, p, field", [
+        ("x", 3, 2.0, "kappa"), (0.0, "3", 2.0, "n"), (0.0, 3, None, "p"),
+        (0.0, 3, 2j, "p")])
+    def test_rejects_a_field_that_is_not_a_real_number(self, kappa, n, p, field):
+        # each raised an untyped TypeError
+        with pytest.raises(ParameterError, match=f"^{field}=.* is not a finite number"):
+            ModelGeometry(kappa, n, p)
+
     def test_conjugate_exponent(self):
         geo = ModelGeometry(0.0, 3, 3.0)
         assert geo.p_conj == pytest.approx(1.5)

@@ -57,6 +57,22 @@ class TestRadialIntegral:
         exact = 3.0 * unit_ball_volume(3) / 2.5
         assert val == pytest.approx(exact, rel=1e-9)
 
+    def test_density_overflow_is_a_domain_error(self):
+        # s_kappa^8 leaves float range beyond t = 89 at kappa = -1: an untyped
+        # OverflowError escaped, also where f vanishes
+        H9 = ModelGeometry(-1.0, 9, 2.0)
+        val, _ = radial_integral(H9, lambda t: 0.0 if t > 50.0 else 1.0, 200.0)
+        assert val == pytest.approx(radial_integral(H9, lambda t: 1.0, 50.0)[0], rel=1e-9)
+        with pytest.raises(DomainError, match="integrand overflow at t="):
+            radial_integral(H9, lambda t: 1.0, 200.0)
+        with pytest.raises(DomainError, match="integrand overflow at t="):
+            radial_integral(H3, lambda t: 1.0, 800.0)  # s_kappa itself is inf
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_must_be_finite_and_positive(self, R):
+        with pytest.raises(DomainError, match="needs a finite R > 0"):
+            radial_integral(E3, lambda t: 1.0, R)
+
 
 class TestAdditiveMargin:
     def test_hardy_entry_power_cutoff(self):
@@ -229,6 +245,15 @@ class TestExtremalIdentity:
 
 
 class TestSweeps:
+    @pytest.mark.parametrize("mode, params, u", [
+        ("ckn", {"alpha": 1.0, "r": 3.0}, talenti(1.0, 2.0, 3.0, scale=1e300)),
+        ("hardy", {"alpha": 10.0}, compact_bump(1e-40, 1e-41))])
+    def test_member_whose_right_side_underflows_is_skipped(self, mode, params, u):
+        # the achieved constant divided by the 0 right side: ZeroDivisionError
+        sw = sharpness_sweep(mode, E3, params, [u])
+        assert sw.rows[0].note == "skipped: right side underflows to 0"
+        assert math.isnan(sw.rows[0].ratio) and math.isnan(sw.achieved_extremum)
+
     def test_hardy_family_shape(self):
         fam = hardy_default_family(E3)
         assert len(fam) == 7
@@ -516,6 +541,17 @@ class TestEvaluatorsResolvedOnce:
                 evaluate(3.0)
             errors.append(str(err.value))
         assert errors[0] == errors[1]
+
+    def test_comparison_has_no_derivative(self):
+        # evaluator fell back to the missing eval_d: an untyped AttributeError
+        from hardykit.errors import UnsupportedDerivativeError
+        from hardykit.exprdsl import evaluator
+        from hardykit.geometry import ComparisonL
+
+        for L in (ComparisonL(H3, "constant_curvature"), ComparisonL(H3, "constant_floor"),
+                  ComparisonL(H3, "psi", parse("s(t)"))):
+            with pytest.raises(UnsupportedDerivativeError, match="has no derivative rule"):
+                evaluator(L, dual=True)
 
 
 def _constant_u(value, lo, hi):
