@@ -23,12 +23,22 @@ also sums k (k-1) times each term, from which d2F/dz2 follows the same
 way, only when a caller asks for it, so plain hyp2f1 keeps its cost.
 mpmath is imported on first use, by the two mpmath branches, so a process
 that stays on the float paths never loads it.
+
+Certificates and margins call these kernels at every node with the same
+parameters, so what depends on them alone is kept per parameter set and
+thread, in small caches filled on first use: the term ratios of each Gauss
+series as rows of a table that the passes reading it extend, the 1/z
+formula's Gamma coefficients, and for bessel_ratio, which sums the J_(nu+1)
+and J_nu series in one lockstep loop, Gamma(nu + 1), Gamma(nu + 2) and the
+denominators k (nu + k).  The float operations and their order are the same
+with or without the caches, so every value is bitwise the same.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from threading import get_ident
 
 from .errors import (
     ConvergenceError,
@@ -76,6 +86,19 @@ _HYP_GAP_GUARD = 1e-3
 # the Pfaff series in b is summed rather than the one in a (_hyp2f1_pair)
 _HYP_SWAP_GAP = 1e-2
 _HYP_MAX_TERMS = 200_000
+# mpmath.hyp2f1's cost there grows with |a|, |b| and log(-z), and without
+# bound as c falls to 0 and below ((1.5, 0.5; -2.5; -1e100) ran over 4 s on a
+# 2 vCPU x86 host); in this box no call took 0.2 s
+_HYP_MP_AB = 20.0
+_HYP_MP_CMIN, _HYP_MP_CMAX = 1e-3, 1e3
+_HYP_MP_ZMAX = 1e8
+# At most this many least recently used parameter sets keep their state (a
+# Ghoussoub-Moradifam certify uses three), a Gauss table at most this many
+# rows, and a Bessel order's series at most this many terms.
+_HYP_TABLES = 8
+_HYP_TABLE_ROWS = 1024
+_BESSEL_ORDERS = 8
+_BESSEL_MAX_TERMS = 10_000
 
 
 def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
@@ -107,13 +130,17 @@ def rgamma(x: float) -> float:
         return 0.0
 
 
+def _first_term(nu: float, half: float, gamma1: float) -> float:
+    """half^nu / Gamma(nu + 1) for gamma1 = Gamma(nu + 1), by logarithms on overflow."""
+    try:
+        return half**nu / gamma1
+    except OverflowError:
+        return math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+
+
 def _bessel_series_float(nu: float, x: float) -> float:
     half = 0.5 * x
-    try:
-        term = half**nu / math.gamma(nu + 1.0)
-    except OverflowError:
-        term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
-    return _ascending_series(nu, half, term)
+    return _ascending_series(nu, half, _first_term(nu, half, math.gamma(nu + 1.0)))
 
 
 def _ascending_series(nu: float, half: float, term: float) -> float:
@@ -132,8 +159,51 @@ def _ascending_series(nu: float, half: float, term: float) -> float:
         if abs(term) <= 1e-18 * (abs(total) + 1e-300) and k > half:
             return total
         k += 1
-        if k > 10_000:  # series always terminates long before this on the box
-            raise ConvergenceError(f"bessel series stalled at nu={nu}, x={x}")
+        if k > _BESSEL_MAX_TERMS:  # series always terminates long before this on the box
+            raise ConvergenceError(f"bessel series stalled at nu={nu}, x={2.0 * half}")
+
+
+@lru_cache(maxsize=_BESSEL_ORDERS)
+def _bessel_order(nu: float, thread: int) -> tuple[float, float, list]:
+    """Gamma(nu + 1), Gamma(nu + 2) and the rows (k, k (nu + 1 + k), k (nu + k))
+    of J_(nu+1)'s and J_nu's series denominators, which _bessel_pair extends."""
+    nu1 = nu + 1.0
+    return math.gamma(nu + 1.0), math.gamma(nu1 + 1.0), [(1, 1 * (nu1 + 1), 1 * (nu + 1))]
+
+
+def _bessel_pair(nu: float, half: float, num: float, den: float,
+                 rows: list) -> tuple[float, float]:
+    """J_(nu+1)'s and J_nu's ascending series at x = 2 half from their first
+    terms, in one loop; each sum stops by its own rule, bitwise as in two
+    _ascending_series passes.  The pass at the last row appends the next."""
+    nu1 = nu + 1.0
+    ratio = -(half * half)
+    sn, sd = num, den
+    cn = cd = 0.0  # Kahan carries
+    fn = fd = None  # each sum, once its series has stopped
+    last = len(rows)
+    for k, dn, dd in rows:
+        if k == last and k < _BESSEL_MAX_TERMS:
+            last = k + 1
+            rows.append((last, last * (nu1 + last), last * (nu + last)))
+        num *= ratio / dn
+        y = num - cn
+        t = sn + y
+        cn = (t - sn) - y
+        sn = t
+        den *= ratio / dd
+        y = den - cd
+        t = sd + y
+        cd = (t - sd) - y
+        sd = t
+        if k > half:
+            if fn is None and abs(num) <= 1e-18 * (abs(sn) + 1e-300):
+                fn = sn
+            if fd is None and abs(den) <= 1e-18 * (abs(sd) + 1e-300):
+                fd = sd
+            if fn is not None and fd is not None:
+                return fn, fd
+    raise ConvergenceError(f"bessel series stalled at nu={nu}, x={2.0 * half}")
 
 
 def _bessel_mp(nu: float, x: float) -> float:
@@ -245,12 +315,17 @@ def bessel_ratio(nu: float, x: float) -> float:
         raise DomainError(
             f"bessel_ratio needs x < first zero j_({nu},1) = {j1:.12g}, got {x!r}"
         )
-    num, den = _bessel_j_any(nu + 1.0, x), _bessel_j_any(nu, x)
+    gamma1, gamma2, rows = _bessel_order(nu, get_ident())
+    half = 0.5 * x
+    if x <= _SERIES_FLOAT_XMAX:
+        num, den = _bessel_pair(nu, half, _first_term(nu + 1.0, half, gamma2),
+                                _first_term(nu, half, gamma1), rows)
+    else:
+        num, den = _bessel_mp(nu + 1.0, x), _bessel_mp(nu, x)
     if min(num, den) >= _FLOAT_MIN:
         return num / den
-    half = 0.5 * x
-    return max(x / (2.0 * nu + 2.0) * _ascending_series(nu + 1.0, half, 1.0)
-               / _ascending_series(nu, half, 1.0), 5e-324)
+    num, den = _bessel_pair(nu, half, 1.0, 1.0, rows)
+    return max(x / (2.0 * nu + 2.0) * num / den, 5e-324)
 
 
 def bessel_ratio_dx(nu: float, x: float, ratio: float | None = None) -> float:
@@ -261,12 +336,23 @@ def bessel_ratio_dx(nu: float, x: float, ratio: float | None = None) -> float:
     return 1.0 - (2.0 * nu + 1.0) * r / x + r * r
 
 
+@lru_cache(maxsize=_HYP_TABLES)
+def _gauss_ratios(a: float, b: float, c: float, thread: int) -> list[float]:
+    # row 0: the formula's (a + 0)(b + 0) / ((c + 0) 1) but for the sign of a
+    # zero, which changes no sum
+    return [a * b / c]
+
+
 def _series_2f1(a: float, b: float, c: float, x: float,
                 second: bool = False) -> tuple[float, float, float]:
     """Plain ascending Gauss series at argument x, |x| < 1: its sum S,
     D = sum k term_k = x dS/dx and, when ``second`` is set,
     E = sum k (k-1) term_k = x^2 d2S/dx2, all from the same terms; E is 0.0
-    unless asked for, and S and D do not depend on whether it was."""
+    unless asked for, and S and D do not depend on whether it was.  The term
+    ratios are rows of the (a, b, c) table, which passes extend; a failed pass drops
+    the tables."""
+    ratios = _gauss_ratios(a, b, c, get_ident())
+    n = float(len(ratios))
     total = 1.0
     comp = 0.0
     dsum = 0.0
@@ -274,48 +360,66 @@ def _series_2f1(a: float, b: float, c: float, x: float,
     term = 1.0
     k = 0.0  # a float counter: k + 1.0 is formed once, for the term and for D
     small = 0
-    while k < _HYP_MAX_TERMS:
-        k1 = k + 1.0
-        term *= (a + k) * (b + k) / ((c + k) * k1) * x
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        dsum += k1 * term
-        if second:
-            esum += k * k1 * term
-        if term == 0.0:
-            return total, dsum, esum
-        if abs(term) <= 1e-17 * (abs(total) + 1e-300):
-            small += 1
-            if small >= 3:
-                break
+    rows = iter(ratios)
+    try:
+        for ratio in rows:
+            k1 = k + 1.0
+            if k1 == n and n < _HYP_MAX_TERMS:
+                ratios.append((a + k1) * (b + k1) / ((c + k1) * (k1 + 1.0)))
+                n += 1.0
+            term *= ratio * x
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            dsum += k1 * term
+            if second:
+                esum += k * k1 * term
+            if term == 0.0:
+                return total, dsum, esum
+            if abs(term) <= 1e-17 * (abs(total) + 1e-300):
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+            k = k1
         else:
-            small = 0
-        k = k1
-    else:
-        raise ConvergenceError(
-            f"hypergeometric series did not converge at x={x!r} "
-            f"(parameters {a!r}, {b!r}, {c!r})"
-        )
-    # D's terms are k times S's, so D's tail outlasts S's stopping rule; past
-    # it the terms shrink geometrically, and the first one below 1e-17 of D
-    # ends D's sum.  E's terms are k - 1 times D's, so E's tail goes on the
-    # same way past D's.
-    while abs(k1 * term) > 1e-17 * (abs(dsum) + 1e-300):
-        k = k1
-        k1 = k + 1.0
-        term *= (a + k) * (b + k) / ((c + k) * k1) * x
-        dsum += k1 * term
-        if second:
-            esum += k * k1 * term
-    if second:
-        while abs(k * k1 * term) > 1e-17 * (abs(esum) + 1e-300):
+            _gauss_ratios.cache_clear()
+            raise ConvergenceError(
+                f"hypergeometric series did not converge at x={x!r} "
+                f"(parameters {a!r}, {b!r}, {c!r})"
+            )
+        # D's terms are k times S's, so D's tail outlasts S's stopping rule;
+        # past it the terms shrink geometrically, and the first one below
+        # 1e-17 of D ends D's sum.  E's terms are k - 1 times D's, so E's tail
+        # goes on the same way past D's.
+        d_open = abs(k1 * term) > 1e-17 * (abs(dsum) + 1e-300)
+        while d_open or second and abs(k * k1 * term) > 1e-17 * (abs(esum) + 1e-300):
             k = k1
             k1 = k + 1.0
-            term *= (a + k) * (b + k) / ((c + k) * k1) * x
-            esum += k * k1 * term
-    return total, dsum, esum
+            if k == n:
+                ratios.append((a + k) * (b + k) / ((c + k) * k1))
+                n += 1.0
+            term *= next(rows) * x
+            if d_open:
+                dsum += k1 * term
+                d_open = abs(k1 * term) > 1e-17 * (abs(dsum) + 1e-300)
+            if second:
+                esum += k * k1 * term
+        return total, dsum, esum
+    finally:
+        if n > _HYP_TABLE_ROWS:
+            del ratios[_HYP_TABLE_ROWS:]
+
+
+@lru_cache(maxsize=_HYP_TABLES)
+def _connection_coefficients(a: float, b: float, c: float,
+                             gamma=gamma, rgamma=rgamma) -> tuple[float, float]:
+    """The 1/z formula's two Gamma coefficients (DLMF 15.8.2); gamma and
+    rgamma are bound here, so the public calls made do not depend on caching."""
+    return (gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a),
+            gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b))
 
 
 def _hyp2f1_bigz(a: float, b: float, c: float, z: float,
@@ -326,10 +430,9 @@ def _hyp2f1_bigz(a: float, b: float, c: float, z: float,
     C (-z)^(-a_i) (-a_i S_i - D_i) / z and second derivative
     C (-z)^(-a_i) (a_i (a_i+1) S_i + 2 (a_i+1) D_i + E_i) / z^2."""
     inv = 1.0 / z
-    terms = ((a, b, gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a)),
-             (b, a, gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b)))
+    coef_a, coef_b = _connection_coefficients(a, b, c)
     out = dout = ddout = 0.0
-    for ai, other, coef in terms:
+    for ai, other, coef in ((a, b, coef_a), (b, a, coef_b)):
         if coef != 0.0:
             scale = coef * (-z) ** (-ai)
             s, d, e = _series_2f1(ai, ai - c + 1.0, ai - other + 1.0, inv, second)
@@ -344,6 +447,9 @@ def _hyp2f1_pair(a: float, b: float, c: float, z: float,
                  second: bool = False) -> tuple[float, float | None, float | None]:
     """F, dF/dz and, when ``second`` is set, d2F/dz2 (else 0.0), all from one
     series pass; both derivatives are None on the mpmath branch."""
+    if not 0.0 * a * b * c == 0.0 or z != z:  # 0 a b c is 0 when all three are finite
+        raise UnsupportedRangeError(
+            f"hyp2f1 needs finite a, b, c and a z that is not NaN, got {a!r}, {b!r}, {c!r}, {z!r}")
     if _is_nonpositive_integer(c):
         raise PoleError(f"hyp2f1 third parameter c={c!r} is a nonpositive integer")
     if z > 0.0:
@@ -357,9 +463,17 @@ def _hyp2f1_pair(a: float, b: float, c: float, z: float,
         if abs((b - a) - round(b - a)) > _HYP_GAP_GUARD:
             return _hyp2f1_bigz(a, b, c, z, second)
         if -z > _HYP_BIGZ:
+            if (abs(a) > _HYP_MP_AB or abs(b) > _HYP_MP_AB or not _HYP_MP_CMIN <= c <= _HYP_MP_CMAX
+                    or _HYP_MP_ZMAX < -z < math.inf):
+                raise UnsupportedRangeError(
+                    f"hyp2f1({a!r}, {b!r}, {c!r}, {z!r}) with b - a near an integer needs "
+                    "|a|, |b| <= 20, 1e-3 <= c <= 1e3 and -z <= 1e8")
             import mpmath
-            with mpmath.workdps(_MP_DPS):
-                return float(mpmath.hyp2f1(a, b, c, z)), None, None
+            try:
+                with mpmath.workdps(_MP_DPS):
+                    return float(mpmath.hyp2f1(a, b, c, z)), None, None
+            except (ValueError, mpmath.libmp.NoConvergence) as exc:
+                raise ConvergenceError(f"mpmath.hyp2f1({a!r}, {b!r}, {c!r}, {z!r}): {exc}") from exc
     # Where c - b is near a negative integer -m, the mapped series
     # F(a, c-b; c; w) tends to (c-a)_m / (c)_m as w -> 1 (Chu-Vandermonde),
     # a small remainder of O(1) terms if c - a is near one of 0, -1, ...,
@@ -390,7 +504,10 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     slows down, the 1/z connection formula (DLMF 15.8.2) takes over.  For
     b-a within 1e-3 of an integer, where that formula degenerates into its
     logarithmic form, the mapped series serves up to -z = 40 and
-    mpmath.hyp2f1 above it.
+    mpmath.hyp2f1 above it, for |a|, |b| <= 20, 1e-3 <= c <= 1e3 and
+    -z <= 1e8 or z = -inf only (else UnsupportedRangeError; ConvergenceError
+    where mpmath fails).  All four hyp2f1 entry points raise
+    UnsupportedRangeError for a NaN argument or an infinite a, b or c.
     """
     return _hyp2f1_pair(a, b, c, z)[0]
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 import math
 
 from hardykit import geometry, specfun
-from hardykit.errors import (EvalError, HardykitError, UnboundParameterError,
-                             UnsupportedDerivativeError)
+from hardykit.errors import (ConvergenceError, DomainError, EvalError, HardykitError,
+                             UnboundParameterError, UnsupportedDerivativeError,
+                             UnsupportedRangeError)
+from hardykit.specfun import (_FLOAT_MIN, _HYP_MAX_TERMS, _SERIES_FLOAT_XMAX, BESSEL_NU_MAX,
+                              _bessel_mp, bessel_zero)
 
 
 def coth_exp(x: float) -> float:
@@ -366,7 +369,6 @@ def reference_eval_d(expr, t, binding):
     return _ref_walk(expr.ast, expr.source, t, binding, True)
 
 
-
 # ---------------------------------------------------------------------------
 # the additive terms as three independent integrals, in their former order:
 # the energy, I_H and J_H evaluate u, G, w and the volume density at every
@@ -594,3 +596,127 @@ def power_cutoff_masses_mp(u, geo, alpha):
         mass = quad(lambda t: u_abs(t) ** p * t ** (alpha - p))
         area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
         return float(area * energy), float(area * mass)
+
+
+# ---------------------------------------------------------------------------
+# The special-function kernels as they were before their per-parameter
+# tables: specfun's float operations must stay bitwise those of these copies,
+# whatever state its tables are in.  Kept verbatim, names prefixed ref_;
+# the errors, constants and mpmath branch are specfun's own.
+
+
+def ref_series_2f1(a: float, b: float, c: float, x: float,
+                    second: bool = False) -> tuple[float, float, float]:
+    """Plain ascending Gauss series at argument x, |x| < 1: its sum S,
+    D = sum k term_k = x dS/dx and, when ``second`` is set,
+    E = sum k (k-1) term_k = x^2 d2S/dx2, all from the same terms; E is 0.0
+    unless asked for, and S and D do not depend on whether it was."""
+    total = 1.0
+    comp = 0.0
+    dsum = 0.0
+    esum = 0.0
+    term = 1.0
+    k = 0.0  # a float counter: k + 1.0 is formed once, for the term and for D
+    small = 0
+    while k < _HYP_MAX_TERMS:
+        k1 = k + 1.0
+        term *= (a + k) * (b + k) / ((c + k) * k1) * x
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        dsum += k1 * term
+        if second:
+            esum += k * k1 * term
+        if term == 0.0:
+            return total, dsum, esum
+        if abs(term) <= 1e-17 * (abs(total) + 1e-300):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+        k = k1
+    else:
+        raise ConvergenceError(
+            f"hypergeometric series did not converge at x={x!r} "
+            f"(parameters {a!r}, {b!r}, {c!r})"
+        )
+    # D's terms are k times S's, so D's tail outlasts S's stopping rule; past
+    # it the terms shrink geometrically, and the first one below 1e-17 of D
+    # ends D's sum.  E's terms are k - 1 times D's, so E's tail goes on the
+    # same way past D's.
+    while abs(k1 * term) > 1e-17 * (abs(dsum) + 1e-300):
+        k = k1
+        k1 = k + 1.0
+        term *= (a + k) * (b + k) / ((c + k) * k1) * x
+        dsum += k1 * term
+        if second:
+            esum += k * k1 * term
+    if second:
+        while abs(k * k1 * term) > 1e-17 * (abs(esum) + 1e-300):
+            k = k1
+            k1 = k + 1.0
+            term *= (a + k) * (b + k) / ((c + k) * k1) * x
+            esum += k * k1 * term
+    return total, dsum, esum
+
+
+def ref_bessel_series_float(nu: float, x: float) -> float:
+    half = 0.5 * x
+    try:
+        term = half**nu / math.gamma(nu + 1.0)
+    except OverflowError:
+        term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+    return ref_ascending_series(nu, half, term)
+
+
+def ref_ascending_series(nu: float, half: float, term: float) -> float:
+    """J_nu(2 half)'s ascending series from its first term: J_nu for term =
+    half^nu / Gamma(nu + 1), J_nu Gamma(nu + 1) / half^nu for term = 1."""
+    ratio = -(half * half)
+    total = term
+    comp = 0.0  # Kahan carry
+    k = 1
+    while True:
+        term *= ratio / (k * (nu + k))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if abs(term) <= 1e-18 * (abs(total) + 1e-300) and k > half:
+            return total
+        k += 1
+        if k > 10_000:  # series always terminates long before this on the box
+            raise ConvergenceError(f"bessel series stalled at nu={nu}, x={x}")
+
+
+def ref_bessel_j_any(nu: float, x: float) -> float:
+    """Series evaluation without the public box check (internal use)."""
+    if x == 0.0:
+        return 1.0 if nu == 0.0 else 0.0
+    if x <= _SERIES_FLOAT_XMAX:
+        return ref_bessel_series_float(nu, x)
+    return _bessel_mp(nu, x)
+
+
+def ref_bessel_ratio(nu: float, x: float) -> float:
+    """J_{nu+1}(x) / J_nu(x) on 0 < x < j_{nu,1}; strictly positive there.
+    Where a J is subnormal or zero, x / (2 nu + 2) times the ratio of the
+    normalized series, and at least 5e-324 (the nearest positive float)."""
+    if not (0.0 <= nu <= BESSEL_NU_MAX):
+        raise UnsupportedRangeError(f"bessel_ratio order nu={nu!r} outside [0, {BESSEL_NU_MAX}]")
+    if not (x > 0.0):
+        raise DomainError(f"bessel_ratio needs x > 0, got {x!r}")
+    j1 = bessel_zero(nu, 1)
+    if x >= j1:
+        raise DomainError(
+            f"bessel_ratio needs x < first zero j_({nu},1) = {j1:.12g}, got {x!r}"
+        )
+    num, den = ref_bessel_j_any(nu + 1.0, x), ref_bessel_j_any(nu, x)
+    if min(num, den) >= _FLOAT_MIN:
+        return num / den
+    half = 0.5 * x
+    return max(x / (2.0 * nu + 2.0) * ref_ascending_series(nu + 1.0, half, 1.0)
+               / ref_ascending_series(nu, half, 1.0), 5e-324)
+

@@ -92,6 +92,7 @@ def sequence():  # through the module attributes, which the tracer rebinds
     cases = [("hardy", ModelGeometry(0.0, 4, 2.5), {"alpha": 1.0, "C": 3.0}),
              ("ghoussoub_moradifam", ModelGeometry(0.0, 5, 2.0),
               {"a": 0.7, "b": 2.0, "alpha": 1.3, "beta": 1.1, "m": -0.4}),
+             ("brezis_vazquez", ModelGeometry(0.0, 3, 2.0), {"nu": 0.5, "D": 6.0}),
              ("mckean_improved", ModelGeometry(-1.0, 3, 2.0), {}),
              ("greene_wu_psi", ModelGeometry(-1.0, 3, 2.0), {"psi": "s(t)", "t_hi": 20.0})]
     for name, geo, params in cases:
@@ -122,5 +123,6 @@ print(json.dumps(counts))
 
 def test_cold_and_warm_runs_call_the_same_public_functions():
     cold, warm = json.loads(run_python(TRACED_SEQUENCE).splitlines()[-1])
-    assert cold["calls.exprdsl.parse"] > 0 and cold["calls.riccati.certify"] == 6
+    assert cold["calls.exprdsl.parse"] > 0 and cold["calls.riccati.certify"] == 7
+    assert cold["calls.specfun.bessel_ratio"] > 0
     assert cold == warm

@@ -1,14 +1,19 @@
 import math
+import random
+import signal
+from threading import get_ident
 
 import pytest
 
 from hardykit import specfun
-from hardykit.errors import (DomainError, PoleError, UnsupportedRangeError)
+from hardykit.errors import (ConvergenceError, DomainError, PoleError,
+                             UnsupportedRangeError)
 from hardykit.specfun import (bessel_j, bessel_ratio, bessel_ratio_dx, bessel_zero,
                               gamma, hyp2f1, hyp2f1_with_dz, hyp2f1ratio,
                               hyp2f1ratio_with_dz, rgamma)
 from oracles import (bessel_series_direct, bisect_root, central_diff,
-                     gauss_series_direct, mittag_leffler_ratio)
+                     gauss_series_direct, mittag_leffler_ratio, ref_bessel_j_any,
+                     ref_bessel_ratio, ref_series_2f1)
 
 
 class TestGamma:
@@ -346,6 +351,61 @@ class TestHyp2f1:
                                 ref = float(mpmath.hyp2f1(a, b, c, z))
                             assert hyp2f1(a, b, c, z) == pytest.approx(ref, rel=rel)
 
+    @pytest.mark.parametrize("fn", [hyp2f1, hyp2f1_with_dz, hyp2f1ratio, hyp2f1ratio_with_dz])
+    def test_non_finite_arguments_raise_before_any_series(self, fn, monkeypatch):
+        # a NaN a or b raised an untyped ValueError, an infinite a an
+        # OverflowError, and a NaN z, a or c, or c = inf ran all 200000
+        # series terms before a ConvergenceError
+        def no_series(*args):
+            raise AssertionError(f"series summed at {args}")
+
+        monkeypatch.setattr(specfun, "_series_2f1", no_series)
+        nan, inf = math.nan, math.inf
+        for args in ((0.5, nan, 1.5, -50.0), (inf, 0.7, 1.5, -2.0), (0.5, 0.7, 1.5, nan),
+                     (nan, 0.7, 1.5, -0.5), (0.5, 0.7, nan, -0.5), (0.5, 0.7, inf, -0.5),
+                     (0.5, -inf, 1.5, -10.0), (0.0, 0.7, -inf, -2.0), (nan, nan, nan, nan)):
+            with pytest.raises(UnsupportedRangeError, match="finite"):
+                fn(*args)
+
+    def test_minus_infinite_z_keeps_its_value(self):
+        # the 1/z formula's limit, and mpmath's where b - a is an integer
+        assert hyp2f1(0.25, 1.85, 1.3, -math.inf) == 0.0
+        assert hyp2f1(-0.4, 1.1, 2.0, -math.inf) == math.inf
+        assert hyp2f1(0.5, 1.5, 2.0, -math.inf) == 0.0
+
+    def test_mpmath_branch_box(self, monkeypatch):
+        # b - a near an integer and -z > 40: mpmath's own ValueError escaped
+        # after a second at b = 1e5 + 0.5, c = 1e300 did not return, and
+        # (1.5, 0.5; -2.5; -1e100) ran for seconds; outside the documented
+        # box the parameters are refused, each call at once
+        def timeout(*_):
+            raise TimeoutError("hyp2f1 took over 2 s")
+
+        old = signal.signal(signal.SIGALRM, timeout)
+        try:
+            for args in ((0.5, 1e5 + 0.5, 1.5, -50.0), (0.5, 1e6 + 0.5, 1.5, -50.0),
+                         (0.5, 0.5, 1e5, -50.0), (0.5, 0.5, 1e300, -50.0),
+                         (0.5, 5.5, -4.5, -1e6), (1.5, 0.5, -2.5, -1e100),
+                         (0.5, 1.5, 1e-4, -50.0), (0.5, 1.5, 2.5, -1e9)):
+                signal.alarm(2)
+                with pytest.raises(UnsupportedRangeError, match="needs"):
+                    hyp2f1(*args)
+                signal.alarm(0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        # inside the box a failure of mpmath is a ConvergenceError
+        import mpmath
+
+        for exc in (ValueError("hypsum() failed to converge"),
+                    mpmath.libmp.NoConvergence("converges too slowly")):
+            def failing(*args, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(mpmath, "hyp2f1", failing)
+            with pytest.raises(ConvergenceError, match="mpmath.hyp2f1"):
+                hyp2f1(0.5, 1.5, 2.0, -50.0)
+
 
 def _pfaff_rhs(A: float, B: float, z: float) -> float:
     # direct series for F(1-A+B, A+B; 1; w) at w = z/(1+z) in (0,1): fine as
@@ -614,6 +674,142 @@ class TestHyp2f1Ratio:
             hyp2f1ratio_with_dz(-0.4, 1.3, 1.0, z)
             hyp2f1ratio(-0.4, 1.3, 1.0, z)
         assert len(calls) == 8
+
+
+def _gauss_draws(rng, n):
+    """(a, b, c, z) for the hyp2f1 entry points: Ghoussoub-Moradifam shapes,
+    constants-workload shapes with gaps near an integer, and parameters that
+    take the Pfaff form in b, with z on the mapped series and the 1/z one."""
+    draws = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            a, b, c = _gm_shape(rng)
+        elif kind == 3:
+            m = rng.randint(1, 3)
+            a = rng.uniform(0.2, 3.0)
+            c = a - rng.randint(0, m - 1) + rng.uniform(-1e-2, 1e-2)
+            b = c + m + rng.uniform(-1e-3, 1e-3)
+        else:
+            a, c = rng.uniform(0.1, 3.0), rng.uniform(0.3, 5.0)
+            b = a + (rng.randint(0, 3) + rng.uniform(-1e-4, 1e-4) if kind == 1
+                     else rng.uniform(0.05, 3.0))
+        draws.append((a, b, c, -(10.0 ** rng.uniform(-3.0, math.log10(39.0)))))
+    return draws
+
+
+class TestKernelTables:
+    """The per-parameter tables change no bit: every output of the series
+    kernels equals that of their copies from before the tables
+    (tests/oracles.py), whether a parameter set is met cold, warm, after its
+    table was evicted, or between other sets."""
+
+    @staticmethod
+    def _series_calls(monkeypatch, draws):
+        """The (a, b, c, x, second) of every series pass the entry points
+        make on these draws, without and with the second derivative."""
+        calls = []
+        series = specfun._series_2f1
+
+        def recording(*args):
+            calls.append(args)
+            return series(*args)
+
+        monkeypatch.setattr(specfun, "_series_2f1", recording)
+        for a, b, c, z in draws:
+            hyp2f1_with_dz(a, b, c, z)
+            hyp2f1ratio_with_dz(a, b, c, z)
+        monkeypatch.undo()
+        return calls
+
+    @staticmethod
+    def _check(calls):
+        for args in calls:
+            assert specfun._series_2f1(*args) == ref_series_2f1(*args), args
+
+    def test_gauss_series_bitwise_in_every_table_state(self, monkeypatch):
+        rng = random.Random(2401)
+        draws = _gauss_draws(rng, 120)
+        calls = self._series_calls(monkeypatch, draws)
+        kinds = {("1/z" if args[3] < 0.0 else "mapped", args[4]) for args in calls}
+        assert kinds == {("1/z", False), ("1/z", True), ("mapped", False), ("mapped", True)}
+        by_params: dict = {}
+        for args in calls:
+            by_params.setdefault(args[:3], []).append(args)
+        fillers = [(0.1 + 0.01 * i, 0.7, 1.9, 0.6, False) for i in range(specfun._HYP_TABLES + 1)]
+        for group in by_params.values():
+            specfun._gauss_ratios.cache_clear()
+            self._check(group)               # cold, then filling
+            self._check(group[::-1])         # warm
+            self._check(fillers)             # evicts the group's table
+            self._check(group)               # rebuilt
+        shuffled = calls[:]
+        rng.shuffle(shuffled)
+        self._check(shuffled)                # interleaved
+
+    def test_tables_stay_bounded(self):
+        # long passes, a gap near an integer at -z = 39 (w = 0.975, some 1500
+        # terms) and series at x = 0.995, through more parameter sets than
+        # are kept
+        specfun._gauss_ratios.cache_clear()
+        sets = [(0.25 + 0.1 * i, 1.2501 + 0.1 * i, 1.3) for i in range(2 * specfun._HYP_TABLES)]
+        for a, b, c in sets:
+            hyp2f1_with_dz(a, b, c, -39.0)
+            hyp2f1ratio_with_dz(a, b, c, -39.0)
+        for a, b, c in sets[:3]:
+            args = (a, c - b, c, 0.995, True)
+            assert specfun._series_2f1(*args) == ref_series_2f1(*args)
+        assert specfun._gauss_ratios.cache_info().currsize == specfun._HYP_TABLES
+        # the mapped series' tables, least recently used first: looking them
+        # up in that order evicts none
+        kept = [(a, c - b, c) for a, b, c in sets[3 - specfun._HYP_TABLES:] + sets[:3]]
+        rows = [len(specfun._gauss_ratios(*params, get_ident())) for params in kept]
+        assert specfun._gauss_ratios.cache_info().currsize == specfun._HYP_TABLES
+        assert max(rows) == specfun._HYP_TABLE_ROWS
+        assert sum(rows) <= specfun._HYP_TABLES * specfun._HYP_TABLE_ROWS
+
+    def test_a_pass_that_raises_leaves_no_table(self):
+        specfun._gauss_ratios.cache_clear()
+        hyp2f1(0.3, 1.7, 2.2, -0.5)
+        assert specfun._gauss_ratios.cache_info().currsize == 1
+        with pytest.raises(ConvergenceError):
+            specfun._series_2f1(0.5, 0.5, 1.5, math.nan)
+        assert specfun._gauss_ratios.cache_info().currsize == 0
+
+    def test_bessel_ratio_bitwise_in_every_table_state(self):
+        rng = random.Random(2402)
+        points = []
+        for i in range(60):
+            nu = rng.uniform(0.0, 50.0) if i % 3 else float(rng.randint(0, 6)) / 2.0
+            top = min(bessel_zero(nu, 1), 10.0)
+            points += [(nu, top * rng.uniform(1e-3, 0.999)) for _ in range(4)]
+        # x = 2 k, where the rule k > x/2 decides a stop
+        points += [(nu, x) for nu in (1.5, 4.0, 9.5) for x in (2.0, 4.0, 6.0, 8.0)
+                   if x < bessel_zero(nu, 1)]
+        # where a J is subnormal or zero: the normalized series
+        points += [(0.5, 1e-300), (1.0, 1e-200), (50.0, 1e-5), (50.0, 3e-5), (20.0, 1e-15),
+                   (2.5, 1e-150), (0.0, 5e-324), (1.0, 5e-324), (50.0, 1e-7)]
+
+        def check(pts):
+            for nu, x in pts:
+                assert bessel_ratio(nu, x) == ref_bessel_ratio(nu, x), (nu, x)
+                assert bessel_j(nu, x) == ref_bessel_j_any(nu, x), (nu, x)
+
+        fillers = [(0.1 * i, 0.5) for i in range(specfun._BESSEL_ORDERS + 1)]
+        for i in range(0, len(points), 4):
+            group = points[i:i + 4]
+            specfun._bessel_order.cache_clear()
+            check(group)             # cold
+            check(group[::-1])       # warm
+            check(fillers)           # evicts the order's state
+            check(group)
+        shuffled = points[:]
+        rng.shuffle(shuffled)
+        check(shuffled)
+        # on x <= 10 an order's series need few rows: 29 at most
+        for nu in (0.0, 0.5, 7.3, 50.0):
+            bessel_ratio(nu, 0.999 * min(bessel_zero(nu, 1), 10.0))
+            assert len(specfun._bessel_order(nu, get_ident())[2]) <= 32
 
 
 class TestBesselBoxCrossCheck:

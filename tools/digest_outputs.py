@@ -31,8 +31,11 @@ conditions, unbound parameters, a power overflow) with each report's
 reason, witness and max |residual|; then forward and backward
 ``solve_ivp`` trajectories for every radial entry a config file can hold,
 and one that blows up; last, ``hyp2f1ratio`` and ``hyp2f1ratio_with_dz``
-on Ghoussoub-Moradifam-shaped parameters on every branch of ``hyp2f1``.  Floats are printed with ``repr``; long lists are
-hashed.
+on Ghoussoub-Moradifam-shaped parameters on every branch of ``hyp2f1``;
+last, ``bessel_j`` and ``bessel_ratio`` on the float series (x <= 10) for
+eight orders, the ratio on mpmath where the first zero lies above 10, and
+points where a J is subnormal or zero.  Floats are printed with ``repr``;
+long lists are hashed.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from hardykit.catalog import instantiate
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry
 from hardykit.riccati import FuncEval, RiccatiPairSpec, certify, solve_ivp
-from hardykit.specfun import (bessel_j, bessel_zero, hyp2f1, hyp2f1_with_dz, hyp2f1ratio,
-                              hyp2f1ratio_with_dz)
+from hardykit.specfun import (bessel_j, bessel_ratio, bessel_zero, hyp2f1, hyp2f1_with_dz,
+                              hyp2f1ratio, hyp2f1ratio_with_dz)
 from hardykit.spectral import spectral_lambda1
 from hardykit.testfuncs import gaussian_type, random_bumps, talenti
 from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_check,
@@ -464,6 +467,23 @@ def digest_hyp2f1ratio():
                                   for f in (hyp2f1ratio, hyp2f1ratio_with_dz)])
 
 
+def digest_bessel_ratio():
+    # appended after the lines above: bessel_j and bessel_ratio on the float
+    # series (x <= 10) and, for orders whose first zero lies above 10, the
+    # ratio on mpmath; then points where a J is subnormal or zero and the
+    # ratio is taken from the normalized series
+    for nu in (0.0, 0.5, 1.0, 2.5, 7.3, 17.5, 33.0, 50.0):
+        print("bessel_j", nu, [repr(bessel_j(nu, x)) for x in (1e-3, 0.5, 2.0, 5.3, 8.65, 10.0)])
+        j1 = bessel_zero(nu, 1)
+        print("bessel_ratio", nu, [repr(_outcome(bessel_ratio, nu, f * min(j1, 10.0)))
+                                   for f in (1e-3, 0.1, 0.37, 0.5, 0.83, 0.99, 1.0)]
+              + [repr(_outcome(bessel_ratio, nu, f * j1)) for f in (0.6, 0.999)])
+    for nu, x in ((0.5, 1e-300), (1.0, 1e-200), (50.0, 1e-5), (50.0, 3e-5), (20.0, 1e-15),
+                  (2.5, 1e-150), (0.0, 5e-324), (0.5, 5e-324), (1.0, 5e-324), (50.0, 1e-7)):
+        print("bessel_ratio subnormal", nu, x, repr(bessel_ratio(nu, x)),
+              repr(bessel_j(nu, x)), repr(_outcome(bessel_j, nu + 1.0, x)))
+
+
 def main() -> int:
     digest_certify()
     digest_margins()
@@ -477,6 +497,7 @@ def main() -> int:
     digest_certify_failures()
     digest_trajectories()
     digest_hyp2f1ratio()
+    digest_bessel_ratio()
     return 0
 
 
