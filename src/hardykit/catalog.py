@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import HypothesisError, ParameterError
+from .errors import HypothesisError, ParameterError, is_finite_number
 from .exprdsl import ScalarExpr, evaluator, parse
 from .geometry import ComparisonL, ModelGeometry, ct_value
 from .riccati import FuncEval, RiccatiPairSpec
@@ -474,12 +473,16 @@ def instantiate(name: str, geo: ModelGeometry, params: dict | None = None) -> Ca
     names = [n for n, _ in entry.param_schema]
     problems = [f"unknown parameter {k!r}" for k in params if k not in names]
     problems += [f"missing parameter {k!r}" for k in entry.required if k not in params]
-    problems += [f"non-numeric value {v!r} for parameter {k!r}" for k, v in params.items()
-                 if k in entry.numeric and not isinstance(v, numbers.Real)
+    problems += [f"{k}={v!r} is not a finite number" for k, v in params.items()
+                 if k in entry.numeric and not is_finite_number(v)
                  and not (v is None and entry.numeric[k])]
     if problems:
         takes = ", ".join(n + " (required)" * (n in entry.required) for n in names)
         raise ParameterError(f"catalog entry {name!r}: {'; '.join(problems)}; "
                              f"it takes {takes or 'no parameters'}")
-    spec, G, sharp, used, metadata = entry.build(geo, **params)
+    try:
+        spec, G, sharp, used, metadata = entry.build(geo, **params)
+    except OverflowError:
+        raise ParameterError(f"catalog entry {name!r}: a constant built from {params} "
+                             "leaves float range") from None
     return CatalogInstance(name, spec, G, sharp, entry.citation, used, metadata)

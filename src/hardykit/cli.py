@@ -3,7 +3,8 @@
 Subcommands: certify, solve-riccati, verify, sweep, spectrum, bessel-zeros,
 catalog, gm-positivity.  Exit codes: 0 success / certified, 1 usage error,
 2 failed certification or violated margin, 3 inconclusive / numeric
-breakdown.  Machine-readable artifacts (JSON, CSV) print floats at full
+breakdown.  A usage error outside argparse is a ParameterError, which main
+prints as one line, 'hardykit: <message>'.  Machine-readable artifacts (JSON, CSV) print floats at full
 17-significant-digit precision and contain no timestamps, so identical
 inputs give byte-identical output; human summaries use 6 digits.
 """
@@ -18,16 +19,15 @@ import sys
 from . import __version__
 from .catalog import instantiate, list_catalog
 from .config import emit_config, parse_config
-from .errors import HardykitError, ParameterError
+from .errors import HardykitError, ParameterError, check_keys
 from .exprdsl import parse as parse_expr
 from .geometry import ModelGeometry
 from .riccati import certify, solve_ivp
 from .spectral import spectral_lambda1
 from .specfun import bessel_zero
 from .testfuncs import gaussian_type, power_cutoff, random_bumps, talenti
-from .verifier import (_MODE_KEYS, InequalityMargin, additive_margin, ckn_margin,
-                       margin_violated, scaled_family, scaled_params, sharpness_sweep,
-                       up_margin)
+from .verifier import (InequalityMargin, additive_margin, ckn_margin, margin_violated,
+                       scaled_family, scaled_params, sharpness_sweep, up_margin)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,7 +48,7 @@ def _parse_kv(text: str | None) -> dict:
         if not item.strip():
             continue
         if "=" not in item:
-            raise SystemExit(f"bad --params item {item!r} (expected key=value)")
+            raise ParameterError(f"bad item {item!r} in {text!r} (expected key=value)")
         k, v = item.split("=", 1)
         k, v = k.strip(), v.strip()
         try:
@@ -83,8 +83,7 @@ def _report_json(payload: dict, path: str | None):
 
 def _cmd_certify(args) -> int:
     if bool(args.spec) == bool(args.catalog):
-        print("certify: exactly one of --spec or --catalog is required", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError("certify: exactly one of --spec or --catalog is required")
     if args.spec:
         with open(args.spec) as fh:
             spec, G = parse_config(fh.read())
@@ -125,12 +124,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_solve_riccati(args) -> int:
+    lo, hi, count = args.samples
+    if not (count >= 2.0 and count.is_integer() and -math.inf < lo < hi < math.inf):
+        raise ParameterError(f"solve-riccati: bad --samples {lo!r} {hi!r} {count!r} "
+                             "(need finite LO < HI and an integer COUNT >= 2)")
     with open(args.spec) as fh:
         spec, G = parse_config(fh.read())
-    lo, hi, count = args.samples
-    if count < 2 or not (lo < hi):
-        print("solve-riccati: bad --samples", file=sys.stderr)
-        return EXIT_USAGE
     samples = [lo * (hi / lo) ** (i / (count - 1)) for i in range(int(count))] \
         if lo > 0 else [lo + (hi - lo) * i / (count - 1) for i in range(int(count))]
     below = [t for t in samples if t < args.t0]
@@ -156,25 +155,11 @@ def _cmd_solve_riccati(args) -> int:
     return EXIT_OK
 
 
-# (required, optional) keys of each --family kind; every value is a number
-_FAMILY_KEYS = {"bumps": ((), ("count", "seed", "lo", "hi", "span")),
-                "power_cutoff": (("eps", "r0", "R"), ("alpha",)),
-                "gaussian": ((), ("alpha", "scale")),
-                "talenti": ((), ("alpha", "r", "scale"))}
-
-
-def _check_keys(what: str, kind: str, opts: dict, required: tuple, optional: tuple,
-                extra: list[str] | tuple[str, ...] = ()):
-    """Exit 1 naming each missing, unknown or non-numeric key of opts (an
-    ignored key would keep the default it was meant to change), each extra
-    problem, and the keys kind takes."""
-    problems = [f"missing key {k!r}" for k in required if k not in opts] + \
-        [f"unknown key {k!r}" for k in opts if k not in required + optional] + \
-        [f"non-numeric {k}={v!r}" for k, v in opts.items() if isinstance(v, str)] + \
-        list(extra)
-    if problems:
-        takes = ", ".join([k + " (required)" for k in required] + list(optional))
-        raise SystemExit(f"{what}: {'; '.join(problems)} ({kind} takes {takes})")
+# (optional, required) keys of each --family kind; every value is a number
+_FAMILY_KEYS = {"bumps": (("count", "seed", "lo", "hi", "span"), ()),
+                "power_cutoff": (("alpha",), ("eps", "r0", "R")),
+                "gaussian": (("alpha", "scale"), ()),
+                "talenti": (("alpha", "r", "scale"), ())}
 
 
 def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: float = math.inf):
@@ -182,7 +167,8 @@ def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: floa
     default to, the entry's or config's."""
     kind, _, kv = family_spec.partition(":")
     if kind not in _FAMILY_KEYS:
-        raise SystemExit(f"unknown family spec {family_spec!r}")
+        raise ParameterError(f"unknown family {kind!r} in {family_spec!r} "
+                             f"(known: {', '.join(_FAMILY_KEYS)})")
     opts = _parse_kv(kv)
     problems = []
     count, seed = opts.get("count", 20.0), opts.get("seed", 7.0)
@@ -190,7 +176,7 @@ def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: floa
         problems.append(f"count={count!r} is not a positive integer")
     if not isinstance(seed, str) and not seed.is_integer():
         problems.append(f"seed={seed!r} is not an integer")
-    _check_keys(f"bad family spec {family_spec!r}", kind, opts, *_FAMILY_KEYS[kind], problems)
+    check_keys(f"family {family_spec!r}", opts, *_FAMILY_KEYS[kind], problems)
     if kind == "bumps":
         lo, hi = opts.get("lo", lo), opts.get("hi", hi)
         span = opts.get("span", min(10.0, hi - lo) if math.isfinite(hi) else 10.0)
@@ -223,20 +209,15 @@ def _cmd_verify(args) -> int:
     # options a mode would ignore are refused, so a report never names an
     # input that did not enter it
     if inequality in ("up", "ckn") and args.H:
-        print(f"verify {inequality}: --H applies to catalog and generic modes only",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(f"verify {inequality}: --H applies to catalog and generic "
+                             "modes only")
     if inequality != "generic" and args.spec:
-        print(f"verify {inequality}: --spec applies to generic mode only", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(f"verify {inequality}: --spec applies to generic mode only")
     if inequality == "generic" and params:
-        print("verify generic: --params not accepted; the geometry and parameters "
-              "come from the --spec config", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError("verify generic: --params not accepted; the geometry and "
+                             "parameters come from the --spec config")
     members = []
     if inequality in ("up", "ckn"):
-        _check_keys(f"bad --params {args.params!r}", inequality, params, (),
-                    ("kappa", "n", "p") + _MODE_KEYS[inequality])
         given = None if args.family == "default" else _make_family(args.family, geo)
         alpha, r, family = scaled_family(inequality, geo, rest, given)
         for u in family:
@@ -252,8 +233,7 @@ def _cmd_verify(args) -> int:
                 spec, G = parse_config(fh.read())
             target = (spec, G)
         else:
-            print("verify generic: --spec required", file=sys.stderr)
-            return EXIT_USAGE
+            raise ParameterError("verify generic: --spec required")
         H = parse_expr(args.H, var="s") if args.H else None
         # the default family is 20 bumps (seed 7) on the spec's interval
         family = _make_family("bumps" if args.family == "default" else args.family,
@@ -274,8 +254,6 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     params = _parse_kv(args.params)
     geo, rest = _geometry_from_params(params)
-    _check_keys(f"bad --params {args.params!r}", args.inequality, params, (),
-                ("kappa", "n", "p") + _MODE_KEYS[args.inequality])
     sw = sharpness_sweep(args.inequality, geo, rest)
     rows = [{"family_param": r.family_param, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
              "quad_error": r.quad_error, "ratio": r.ratio, "note": r.note} for r in sw.rows]
@@ -323,15 +301,11 @@ def _cmd_catalog(args) -> int:
         return EXIT_OK
     params = _parse_kv(args.params)
     geo, rest = _geometry_from_params(params)
-    try:
-        inst = instantiate(args.name, geo, rest)
-    except HardykitError as exc:
-        print(f"catalog show: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    inst = instantiate(args.name, geo, rest)
     try:
         print(emit_config(inst.spec, inst.G), end="")
-    except HardykitError as exc:
-        print(f"catalog show: {exc}", file=sys.stderr)
+    except HardykitError as exc:  # an entry the config format cannot write
+        print(f"hardykit: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -3,7 +3,11 @@
 Every hardykit error derives from HardykitError so callers can catch the
 whole family; the leaf classes distinguish bad inputs (domain / parameter /
 hypothesis violations) from numerical breakdowns (convergence, quadrature).
+check_keys is the one check of a key-value input.
 """
+
+import math
+import numbers
 
 
 class HardykitError(Exception):
@@ -74,3 +78,23 @@ class UnboundParameterError(EvalError):
 
 class UnsupportedDerivativeError(EvalError):
     """d/dt requested through a builtin with no derivative rule (gamma)."""
+
+
+def is_finite_number(value) -> bool:
+    """Whether value is a real number other than nan and +-inf."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def check_keys(what: str, params: dict, optional: tuple, required: tuple = (),
+               extra=()) -> None:
+    """ParameterError naming each missing or unknown key of params (an
+    ignored key would keep the default it was meant to change), each value
+    that is not a finite number and each extra problem the caller found,
+    with the keys what takes."""
+    problems = [f"missing key {k!r}" for k in required if k not in params] + \
+        [f"unknown key {k!r}" for k in params if k not in required + optional] + \
+        [f"{k}={v!r} is not a finite number" for k, v in params.items()
+         if not is_finite_number(v)] + list(extra)
+    if problems:
+        takes = ", ".join([k + " (required)" for k in required] + list(optional))
+        raise ParameterError(f"{what}: {'; '.join(problems)}; it takes {takes}")

@@ -15,11 +15,10 @@ drag in cut-locus bookkeeping for no benefit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError, ParameterError, UnsupportedDerivativeError
+from .errors import DomainError, ParameterError, UnsupportedDerivativeError, is_finite_number
 from .specfun import gamma
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,7 +47,7 @@ class ModelGeometry:
     def __post_init__(self):
         for name in ("kappa", "n", "p"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not is_finite_number(value):
                 raise ParameterError(f"{name}={value!r} is not a finite number")
         if self.kappa > 0.0:
             raise ParameterError(f"kappa={self.kappa!r} > 0 rejected (model range is kappa <= 0)")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .catalog import CatalogInstance
-from .errors import DomainError, HypothesisError, ParameterError
+from .errors import DomainError, HypothesisError, ParameterError, check_keys
 from .exprdsl import evaluator, fill_template, parse
 from .geometry import (_TAYLOR_CUT, ModelGeometry, ct_value, deficit_value, s_value,
                        unit_ball_volume)
@@ -184,13 +184,13 @@ def _resolve_target(geo, target, u: RadialTestFunction, binding):
 # energy (part 0), I_H (part 1) and J_H (part 2): exprdsl.fill_template
 # inlines G and w (dual), which I_H reads; w_v and g_v are their value
 # functions.  Each node value is, bit for bit, what the integrand of an
-# independent integral would give (a density only where the rest is
-# nonzero), and the sums are kronrod_panel's.  Part 1 also takes J_H's node
-# values from the same G and w, and keeps them with J_H's first error in
-# store[a, b] for part 2, which raises that error; J_H evaluates G and w in
-# value mode where I_H does not evaluate them.  G is inlined once, in the
-# node loop: unrolled per node, its compile would cost a margin of a new
-# shape tens of milliseconds.
+# independent integral would give (the density s_kappa^(n-1), inf where it
+# leaves float range, only where the rest is nonzero), and the sums are
+# kronrod_panel's.  Part 1 also takes J_H's node values from the same G and
+# w, and keeps them with J_H's first error in store[a, b] for part 2, which
+# raises that error; J_H evaluates G and w in value mode where I_H does not
+# evaluate them.  G is inlined once, in the node loop: unrolled per node,
+# its compile would cost a margin of a new shape tens of milliseconds.
 _PANEL = """\
 def margin_panel(part, store, a, b):
     if part == 2 and (a, b) in store:
@@ -204,15 +204,15 @@ def margin_panel(part, store, a, b):
             t = mid + half * x
             rt = r * t
             try:
-                s = t if flat else sinh(rt) / r
+                dens = (t if flat else sinh(rt) / r) ** nm1
             except OverflowError:
-                s = inf
+                dens = inf
             if part == 0:
                 fe = abs(du(t))
                 if fe != 0.0:
                     wv = w_v(t)
                     fe = fe ** p * wv
-                    fe = fe * s ** nm1 if fe != 0.0 else 0.0
+                    fe = fe * dens if fe != 0.0 else 0.0
                 fs.append(fe)
                 continue
             uv = u(t)
@@ -233,7 +233,7 @@ def margin_panel(part, store, a, b):
                     else:
                         ct = ct_value(kappa, t)
                     fi = ((gd * wv + gv * wd) + gv * wv * nm1 * ct) * hval
-                    fi = fi * s ** nm1 if fi != 0.0 else 0.0
+                    fi = fi * dens if fi != 0.0 else 0.0
                 fs.append(fi)
             if jerr is None:
                 try:
@@ -245,7 +245,7 @@ def margin_panel(part, store, a, b):
                             gv = g_v(t)
                             wv = w_v(t)
                         fj = abs(gv) ** pc * wv * hd
-                        fj = fj * s ** nm1 if fj != 0.0 else 0.0
+                        fj = fj * dens if fj != 0.0 else 0.0
                     fjs.append(fj)
                 except Exception as exc:
                     jerr = exc
@@ -491,6 +491,8 @@ def extremal_identity_check(geo: ModelGeometry, alpha: float) -> ExtremalIdentit
     """
     p = geo.p
     gamma = 1.0 + alpha / (p - 1.0)
+    if gamma == math.inf:
+        raise ParameterError(f"gamma = 1 + alpha/(p-1) leaves float range (alpha={alpha!r})")
     if geo.kappa == 0.0:
         if not gamma > 0.0:
             raise HypothesisError("gamma = 1 + alpha/(p-1) > 0", f"gamma={gamma!r}")
@@ -501,10 +503,14 @@ def extremal_identity_check(geo: ModelGeometry, alpha: float) -> ExtremalIdentit
     growth = (geo.n - 1.0) * math.sqrt(-geo.kappa) if geo.kappa < 0.0 else 0.0
     pc = geo.p_conj
     R = 10.0
-    while -(R**gamma) + growth * R + (pc * abs(alpha) + geo.n + 2.0) * math.log(R) > -700.0:
-        R *= 1.25
-        if R > 1e8:
-            raise HypothesisError("integrable tail", "no finite cutoff found")
+    try:
+        while -(R**gamma) + growth * R + (pc * abs(alpha) + geo.n + 2.0) * math.log(R) > -700.0:
+            R *= 1.25
+            if R > 1e8:
+                raise HypothesisError("integrable tail", "no finite cutoff found")
+    except OverflowError:
+        raise ParameterError(f"R^gamma leaves float range at R={R!r} "
+                             f"(gamma={gamma!r})") from None
 
     u0 = gaussian_type(alpha, p)
     u0 = RadialTestFunction(u0.kind, u0.u, u0.du, 0.0, min(R, u0.support_hi),
@@ -602,21 +608,6 @@ def hardy_default_family(geo: ModelGeometry, alpha: float = 0.0) -> list[RadialT
     return out
 
 
-# the params keys each sweep mode reads, those of scaled_family for up and ckn
-_MODE_KEYS = {"hardy": ("alpha",), "up": ("alpha",), "ckn": ("alpha", "r")}
-
-
-def _check_mode_keys(inequality: str, params: dict):
-    """ParameterError for an unknown mode, or naming each key of params the
-    mode does not read: it would run the default it was meant to change."""
-    if inequality not in _MODE_KEYS:
-        raise ParameterError(f"unknown sweep mode {inequality!r}")
-    unknown = [k for k in params if k not in _MODE_KEYS[inequality]]
-    if unknown:
-        raise ParameterError(f"unknown key(s) {', '.join(map(repr, unknown))} "
-                             f"({inequality} reads {', '.join(_MODE_KEYS[inequality])})")
-
-
 def scaled_params(params: dict) -> tuple[float, float]:
     """(alpha, r) of an 'up' or 'ckn' check: the one table of their defaults, 1 and 3."""
     return params.get("alpha", 1.0), params.get("r", 3.0)
@@ -626,12 +617,16 @@ def scaled_family(inequality: str, geo: ModelGeometry, params: dict,
                   family: Sequence[RadialTestFunction] | None = None,
                   ) -> tuple[float, float, Sequence[RadialTestFunction]]:
     """(alpha, r, family) of an 'up' or 'ckn' check; a key of params the
-    mode does not read raises ParameterError.
+    mode does not read, or a value that is not a finite number, raises
+    ParameterError.
 
     Without a given family the members are gaussian_type ('up') or talenti
     ('ckn') profiles at scales 0.5, 1, 2, 4.
     """
-    _check_mode_keys(inequality, params)
+    if inequality not in ("up", "ckn"):
+        raise ParameterError(f"unknown mode {inequality!r}")
+    check_keys(f"{inequality} params", params,
+               ("alpha",) if inequality == "up" else ("alpha", "r"))
     alpha, r = scaled_params(params)
     if family is None:
         if inequality == "up":
@@ -657,17 +652,22 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
     'up' (three-factor uncertainty quotient vs (n+alpha-1)/p), 'ckn'
     (exponent-r quotient vs (n+alpha-1)/r).  Family members outside the
     admissible class (a DomainError) are recorded with a note and skipped;
-    parameters violating the mode's hypotheses, and keys of params the
-    mode does not read, raise.
+    parameters violating the mode's hypotheses, keys of params the mode
+    does not read, values that are not finite numbers and a sharp constant
+    beyond float range raise.
     """
     params = dict(params or {})
-    _check_mode_keys(inequality, params)
     if inequality == "hardy":
+        check_keys("hardy params", params, ("alpha",))
         alpha = params.get("alpha", 0.0)
         p = geo.p
         if not geo.n + alpha > p:
             raise HypothesisError("n + alpha > p", f"n={geo.n!r}, alpha={alpha!r}, p={p!r}")
-        sharp = ((geo.n + alpha - p) / p) ** p
+        try:
+            sharp = ((geo.n + alpha - p) / p) ** p
+        except OverflowError:
+            raise ParameterError(f"sharp constant ((n + alpha - p)/p)^p leaves float range "
+                                 f"(alpha={alpha!r})") from None
         if family is None:
             family = hardy_default_family(geo, alpha=alpha)
         key = "eps"

@@ -435,10 +435,15 @@ def unshared_integrands(geo, target, u, H, binding):
 
 def with_density(geo, f):
     """A margin panel's integrand: f(t) s_kappa(t)^(n-1), the density
-    skipped where f vanishes."""
+    skipped where f vanishes and inf where it leaves float range."""
     def g(t):
         v = f(t)
-        return 0.0 if v == 0.0 else v * geometry.s_value(geo.kappa, t) ** (geo.n - 1)
+        if v == 0.0:
+            return 0.0
+        try:
+            return v * geometry.s_value(geo.kappa, t) ** (geo.n - 1)
+        except OverflowError:
+            return v * math.inf
     return g
 
 

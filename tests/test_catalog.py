@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hardykit.errors import HypothesisError, ParameterError
@@ -80,16 +82,35 @@ class TestListing:
             instantiate("greene_wu_psi", H3, {"t_hi": 10.0})
 
     def test_non_numeric_value_of_numeric_parameter(self):
-        with pytest.raises(ParameterError, match=r"'hardy': non-numeric value 'abc' for "
-                                                 r"parameter 'alpha'; it takes alpha, C$"):
+        with pytest.raises(ParameterError, match=r"'hardy': alpha='abc' is not a finite "
+                                                 r"number; it takes alpha, C$"):
             instantiate("hardy", E3, {"alpha": "abc"})
-        with pytest.raises(ParameterError, match=r"'greene_wu_psi': non-numeric value "
-                                                 r"'x' for parameter 't_hi'"):
+        with pytest.raises(ParameterError, match=r"'greene_wu_psi': t_hi='x' is not a "
+                                                 r"finite number"):
             instantiate("greene_wu_psi", H3, {"psi": "s(t)", "t_hi": "x"})
         # psi is an expression; None is the default of hardy's C
         assert instantiate("greene_wu_psi", H3, {"psi": "s(t)", "t_hi": 10}).name == \
             "greene_wu_psi"
         assert instantiate("hardy", E3, {"C": None}).spec.params["C"] == 2.0
+
+
+    @pytest.mark.parametrize("name, params", [
+        # caccioppoli certified with sharp constant 0.25 on a ball of radius inf
+        ("caccioppoli", {"R": math.inf}),
+        # brezis_vazquez reported a sharp constant of 0.0
+        ("brezis_vazquez", {"D": math.inf}),
+        ("hardy", {"alpha": math.nan}),
+        ("hardy", {"C": -math.inf}),
+    ], ids=["caccioppoli-R", "brezis-vazquez-D", "hardy-alpha-nan", "hardy-C-minus-inf"])
+    def test_non_finite_value_is_refused(self, name, params):
+        ((key, value),) = params.items()
+        with pytest.raises(ParameterError, match=f"{key}={value!r} is not a finite number"):
+            instantiate(name, E3, params)
+
+    def test_constant_beyond_float_range_is_a_parameter_error(self):
+        # ((C + 1 + alpha - p)/p)^p raised an untyped OverflowError
+        with pytest.raises(ParameterError, match="leaves float range"):
+            instantiate("hardy", E3, {"alpha": 1e308})
 
 
 class TestEqualityRegression:

@@ -12,6 +12,16 @@ from hardykit.riccati import certify
 from hardykit.verifier import sharpness_sweep
 
 
+def _refusal(argv, capsys) -> str:
+    """The message of a refused command line: main returns 1 without
+    raising, and stderr is the one line 'hardykit: <message>'."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hardykit: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    return err[len("hardykit: "):-1]
+
+
 class TestCertifyCommand:
     def test_catalog_certified_exit_zero(self, capsys):
         rc = main(["certify", "--catalog", "hardy",
@@ -195,8 +205,7 @@ class TestOtherCommands:
          "catalog entry 'greene_wu_psi': missing parameter 'psi'; "
          "it takes psi (required), t_hi"),
         (["certify", "--catalog", "hardy", "--params", "n=3,p=2,alpha=abc"],
-         "catalog entry 'hardy': non-numeric value 'abc' for parameter 'alpha'; "
-         "it takes alpha, C"),
+         "catalog entry 'hardy': alpha='abc' is not a finite number; it takes alpha, C"),
     ], ids=["certify-unknown", "show-unknown", "certify-missing", "certify-non-numeric"])
     def test_catalog_parameter_names_checked(self, argv, message, capsys):
         assert main(argv) == 1
@@ -233,31 +242,74 @@ class TestOtherCommands:
         assert captured.out == ""
 
     @pytest.mark.parametrize("family, message", [
-        ("power_cutoff:eps=0.1", "bad family spec 'power_cutoff:eps=0.1': missing key 'r0'; "
-                                 "missing key 'R' (power_cutoff takes eps (required), "
-                                 "r0 (required), R (required), alpha)"),
-        ("bumps:count=x", "bad family spec 'bumps:count=x': non-numeric count='x' "
-                          "(bumps takes count, seed, lo, hi, span)"),
+        ("power_cutoff:eps=0.1", "family 'power_cutoff:eps=0.1': missing key 'r0'; "
+                                 "missing key 'R'; it takes eps (required), "
+                                 "r0 (required), R (required), alpha"),
+        ("bumps:count=x", "family 'bumps:count=x': count='x' is not a finite number; "
+                          "it takes count, seed, lo, hi, span"),
         # a family of no members would pass having checked nothing
-        ("bumps:count=0", "bad family spec 'bumps:count=0': count=0.0 is not a positive "
-                          "integer (bumps takes count, seed, lo, hi, span)"),
-        ("bumps:count=-2", "bad family spec 'bumps:count=-2': count=-2.0 is not a positive "
-                           "integer (bumps takes count, seed, lo, hi, span)"),
+        ("bumps:count=0", "family 'bumps:count=0': count=0.0 is not a positive "
+                          "integer; it takes count, seed, lo, hi, span"),
+        ("bumps:count=-2", "family 'bumps:count=-2': count=-2.0 is not a positive "
+                           "integer; it takes count, seed, lo, hi, span"),
         # an ignored key would silently keep the default it was meant to change
-        ("bumps:count=3,bogus=1", "bad family spec 'bumps:count=3,bogus=1': unknown key "
-                                  "'bogus' (bumps takes count, seed, lo, hi, span)"),
-        ("bumps:count=3,sed=3", "bad family spec 'bumps:count=3,sed=3': unknown key 'sed' "
-                                "(bumps takes count, seed, lo, hi, span)"),
+        ("bumps:count=3,bogus=1", "family 'bumps:count=3,bogus=1': unknown key "
+                                  "'bogus'; it takes count, seed, lo, hi, span"),
+        ("bumps:count=3,sed=3", "family 'bumps:count=3,sed=3': unknown key 'sed'; "
+                                "it takes count, seed, lo, hi, span"),
         # seed 7.5 was truncated to seed 7
-        ("bumps:count=3,seed=7.5", "bad family spec 'bumps:count=3,seed=7.5': seed=7.5 is "
-                                   "not an integer (bumps takes count, seed, lo, hi, span)"),
+        ("bumps:count=3,seed=7.5", "family 'bumps:count=3,seed=7.5': seed=7.5 is "
+                                   "not an integer; it takes count, seed, lo, hi, span"),
     ], ids=["missing-key", "non-numeric", "count-zero", "count-negative", "unknown-key",
             "misspelt-key", "seed-fraction"])
-    def test_bad_family_spec_exits_one(self, family, message):
-        # a string SystemExit code is printed to stderr, and the exit status is 1
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--inequality", "hardy", "--params", "n=3,p=2", "--family", family])
-        assert exc.value.code == message
+    def test_bad_family_spec_exits_one(self, family, message, capsys):
+        assert _refusal(["verify", "--inequality", "hardy", "--params", "n=3,p=2",
+                         "--family", family], capsys) == message
+
+    def test_every_refusal_is_one_line(self, tmp_path, capsys):
+        # a bad --params item, a bad --family and an unread sweep key raised
+        # SystemExit out of main; the rest printed their own message form
+        inst = instantiate("hardy", ModelGeometry(0.0, 3, 2.0), {"alpha": 0.0, "C": 2.0})
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(emit_config(inst.spec, inst.G))
+        spec = ["--spec", str(cfg)]
+        refusals = [
+            (["certify", "--catalog", "hardy", "--params", "n=3,p"], "bad item 'p'"),
+            (["verify", "--inequality", "hardy", "--params", "n=3", "--family", "nope"],
+             "unknown family 'nope'"),
+            (["verify", "--inequality", "hardy", "--params", "n=3", "--family",
+              "bumps:cnt=2"], "unknown key 'cnt'"),
+            (["sweep", "--inequality", "ckn", "--params", "n=3,alpha=1,rr=3"],
+             "unknown key 'rr'"),
+            (["certify", "--catalog", "hardy"] + spec, "exactly one of --spec or --catalog"),
+            (["certify"], "exactly one of --spec or --catalog"),
+            (["solve-riccati", "--t0", "1", "--g0", "0.5", "--samples", "2", "1", "5"] + spec,
+             "bad --samples 2.0 1.0 5.0"),
+            (["solve-riccati", "--t0", "1", "--g0", "0.5", "--samples", "1", "2", "1"] + spec,
+             "bad --samples 1.0 2.0 1.0"),
+            # COUNT 2.5 gave 2 samples that stopped short of HI, COUNT nan a
+            # ValueError traceback, and HI inf samples at t = inf
+            *[(["solve-riccati", "--t0", "1", "--g0", "0.5", "--samples", *samples] + spec,
+               "bad --samples") for samples in (("0.1", "10", "2.5"), ("0.1", "10", "nan"),
+                                                ("0", "inf", "3"))],
+            (["verify", "--inequality", "ckn", "--H", "s^2"], "--H applies to catalog"),
+            (["verify", "--inequality", "hardy"] + spec, "--spec applies to generic mode"),
+            (["verify", "--inequality", "generic", "--params", "n=3"] + spec,
+             "--params not accepted"),
+            (["verify", "--inequality", "generic"], "--spec required"),
+            (["catalog", "show", "nothing"], "unknown catalog entry 'nothing'"),
+        ]
+        for argv, message in refusals:
+            assert message in _refusal(argv, capsys), argv
+
+    def test_density_overflow_is_a_quadrature_error(self, capsys):
+        # s_kappa is finite at t = 383 but s_kappa^2 is not: an OverflowError
+        # traceback ended the command
+        rc = main(["verify", "--inequality", "mckean", "--params", "kappa=-1,n=3,p=2",
+                   "--family", "bumps:lo=380,hi=400,count=1"])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            "hardykit: integrand non-finite at t=383.1912683347299\n"
 
     def test_sweep_hypothesis_violation_exit_one(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -324,40 +376,34 @@ class TestOtherCommands:
             [(r.family_param, r.lhs, r.rhs, r.margin, r.quad_error) for r in sw.rows]
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
-    def test_scales_param_is_not_an_option(self, command, tmp_path):
+    def test_scales_param_is_not_an_option(self, command, tmp_path, capsys):
         # the default up family has fixed scales; a 'scales' key is refused
         # like any other key the mode does not read, not iterated
         out = tmp_path / f"{command}.json"
         assert main([command, "--inequality", "up", "--params", "kappa=0,n=3,p=2,alpha=1",
                      "--out", str(out)]) == 0
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--inequality", "up", "--params", "kappa=0,n=3,p=2,alpha=1,scales=2",
-                  "--out", str(out)])
-        assert exc.value.code == ("bad --params 'kappa=0,n=3,p=2,alpha=1,scales=2': unknown "
-                                  "key 'scales' (up takes kappa, n, p, alpha)")
+        capsys.readouterr()
+        assert _refusal([command, "--inequality", "up", "--params",
+                         "kappa=0,n=3,p=2,alpha=1,scales=2", "--out", str(out)], capsys) == \
+            "up params: unknown key 'scales'; it takes alpha"
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--inequality", "hardy", "--params", "n=3,p=2,aplha=0.5"],
-         "bad --params 'n=3,p=2,aplha=0.5': unknown key 'aplha' (hardy takes kappa, n, p, "
-         "alpha)"),
+         "hardy params: unknown key 'aplha'; it takes alpha"),
         (["verify", "--inequality", "up", "--params", "n=3,p=2,alhpa=0.5"],
-         "bad --params 'n=3,p=2,alhpa=0.5': unknown key 'alhpa' (up takes kappa, n, p, alpha)"),
+         "up params: unknown key 'alhpa'; it takes alpha"),
         # r enters ckn only
         (["sweep", "--inequality", "up", "--params", "n=3,p=2,r=3"],
-         "bad --params 'n=3,p=2,r=3': unknown key 'r' (up takes kappa, n, p, alpha)"),
+         "up params: unknown key 'r'; it takes alpha"),
         (["verify", "--inequality", "ckn", "--params", "n=3,p=2,alpha=1,rr=3"],
-         "bad --params 'n=3,p=2,alpha=1,rr=3': unknown key 'rr' (ckn takes kappa, n, p, "
-         "alpha, r)"),
+         "ckn params: unknown key 'rr'; it takes alpha, r"),
         (["sweep", "--inequality", "ckn", "--params", "n=3,p=2,alpha=1,r=x"],
-         "bad --params 'n=3,p=2,alpha=1,r=x': non-numeric r='x' (ckn takes kappa, n, p, "
-         "alpha, r)"),
+         "ckn params: r='x' is not a finite number; it takes alpha, r"),
     ], ids=["sweep-hardy-misspelt", "verify-up-misspelt", "sweep-up-r", "verify-ckn-unknown",
             "sweep-ckn-non-numeric"])
-    def test_unread_params_key_exits_one(self, argv, message, tmp_path):
+    def test_unread_params_key_exits_one(self, argv, message, tmp_path, capsys):
         # an ignored key would silently keep the default it was meant to change
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(tmp_path / "out.json")])
-        assert exc.value.code == message
+        assert _refusal(argv + ["--out", str(tmp_path / "out.json")], capsys) == message
         assert not (tmp_path / "out.json").exists()
 
     def test_verify_catalog_entry_with_bumps(self, tmp_path):

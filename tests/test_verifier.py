@@ -243,6 +243,15 @@ class TestExtremalIdentity:
         with pytest.raises(HypothesisError):
             extremal_identity_check(H2, 0.0)  # gamma = 1 under negative curvature
 
+    def test_alpha_beyond_float_range_is_a_parameter_error(self):
+        # R^gamma raised an untyped OverflowError, and alpha = inf returned nan
+        with pytest.raises(ParameterError, match="R\\^gamma leaves float range"):
+            extremal_identity_check(E3, 1e308)
+        with pytest.raises(ParameterError, match=r"gamma = .* leaves float range \(alpha=inf\)"):
+            extremal_identity_check(E3, math.inf)
+        with pytest.raises(ParameterError, match="gamma = .* leaves float range"):
+            extremal_identity_check(ModelGeometry(0.0, 3, 1.0 + 1e-10), 1e300)
+
 
 class TestSweeps:
     @pytest.mark.parametrize("mode, params, u", [
@@ -368,11 +377,29 @@ class TestSweeps:
         ("up", {"alpha": 1.0, "r": 3.0}, "'r'"),
         ("ckn", {"alpha": 1.0, "r": 3.0, "scale": 2.0, "eps": 0.1}, "'scale', 'eps'")])
     def test_unknown_key_raises(self, mode, params, unknown):
-        with pytest.raises(ParameterError, match=f"unknown key.* {unknown} "):
+        takes = "alpha, r" if mode == "ckn" else "alpha"
+        message = f"^{mode} params: unknown key {unknown.replace(', ', '; unknown key ')}; " \
+                  f"it takes {takes}$"
+        with pytest.raises(ParameterError, match=message):
             sharpness_sweep(mode, E3, params)
         if mode != "hardy":
-            with pytest.raises(ParameterError, match=f"unknown key.* {unknown} "):
+            with pytest.raises(ParameterError, match=message):
                 scaled_family(mode, E3, params)
+
+    # a text alpha raised TypeError; an infinite one a QuadratureError at
+    # "t=-3.4999999999999996", which is x = ln t
+    @pytest.mark.parametrize("mode, params, message", [
+        ("up", {"alpha": "0.5"}, "alpha='0.5' is not a finite number"),
+        ("hardy", {"alpha": math.inf}, "alpha=inf is not a finite number"),
+        ("ckn", {"alpha": 1.0, "r": math.nan}, "r=nan is not a finite number")])
+    def test_value_that_is_not_a_finite_number_raises(self, mode, params, message):
+        with pytest.raises(ParameterError, match=message):
+            sharpness_sweep(mode, E3, params)
+
+    def test_sharp_constant_beyond_float_range_raises(self):
+        # ((n + alpha - p)/p)^p raised an untyped OverflowError
+        with pytest.raises(ParameterError, match="sharp constant .* leaves float range"):
+            sharpness_sweep("hardy", E3, {"alpha": 1e300})
 
     def test_talenti_overflow_is_a_parameter_error(self):
         # (200)^gamma leaves float range at the taper start
@@ -591,7 +618,8 @@ class TestSharedNodeValues:
         out.append(("bad w", _outcome(additive_margin, None, (spec, no_dual), u)))
         # kappa < 0: s_kappa overflows to inf beyond t = 710.5, where the
         # energy fails first, or I_H where u' = 0; s_kappa^2 leaves float
-        # range beyond t = 355
+        # range beyond t = 355, a non-finite node as well (an OverflowError
+        # escaped there)
         one = parse("1 + 0*t")
         out.append(("inf density", _outcome(additive_margin, H2, one, compact_bump(705.0, 10.0))))
         out.append(("inf density, I_H",
@@ -619,7 +647,7 @@ class TestSharedNodeValues:
         assert failed == {"no G'": "UnsupportedDerivativeError", "J = 0": "DomainError",
                           "bad w": "EvalError", "inf density": "QuadratureError",
                           "inf density, I_H": "QuadratureError",
-                          "density overflow": "OverflowError",
+                          "density overflow": "QuadratureError",
                           "J non-finite": "QuadratureError", "J overflow": "OverflowError"}
         assert "'i_term': 0.0, 'j_term': 0.0" not in shared[-1][-1]
 
@@ -673,8 +701,13 @@ class TestMarginPanel:
                 # J_H read from I_H's panel, and alone
                 assert got + [_outcome(panel, 2, {}, a, b)] == want + want[2:]
                 errors.update(o.partition(":")[0] for o in want if "Error" in o)
+                # the energy's only non-finite factor there is the density
+                if want[0].startswith("QuadratureError") and \
+                        355.0 < float(want[0].rpartition("t=")[2]) < 710.5:
+                    errors["density overflow"] += 1
         assert errors["QuadratureError"] > 0
-        assert errors["OverflowError"] > 0 or kappa == 0.0
+        # an OverflowError escaped where s_kappa^2 leaves float range
+        assert (errors["density overflow"] > 0) == (kappa != 0.0)
 
     def test_second_pass_compiles_no_template(self):
         def run():
