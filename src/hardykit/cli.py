@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--t0", type=float, required=True)
     r.add_argument("--g0", type=float, required=True)
     r.add_argument("--samples", nargs=3, type=float, metavar=("LO", "HI", "COUNT"),
-                   default=(0.1, 10.0, 64))
+                   default=(0.1, 10.0, 64.0))
     r.set_defaults(fn=_cmd_solve_riccati)
 
     v = sub.add_parser("verify", help="quadrature margins for an inequality")

@@ -608,6 +608,18 @@ def hardy_default_family(geo: ModelGeometry, alpha: float = 0.0) -> list[RadialT
     return out
 
 
+# the params keys each sweep mode reads beside the geometry's kappa, n and p
+_MODE_KEYS = {"hardy": ("alpha",), "up": ("alpha",), "ckn": ("alpha", "r")}
+
+
+def _check_mode_keys(inequality: str, params: dict, modes: tuple = tuple(_MODE_KEYS)):
+    """check_keys over the keys of a mode in modes; ParameterError for any other mode."""
+    if inequality not in modes:
+        raise ParameterError(f"unknown mode {inequality!r}")
+    check_keys(f"{inequality} params beside the geometry (kappa, n, p)", params,
+               _MODE_KEYS[inequality])
+
+
 def scaled_params(params: dict) -> tuple[float, float]:
     """(alpha, r) of an 'up' or 'ckn' check: the one table of their defaults, 1 and 3."""
     return params.get("alpha", 1.0), params.get("r", 3.0)
@@ -623,10 +635,7 @@ def scaled_family(inequality: str, geo: ModelGeometry, params: dict,
     Without a given family the members are gaussian_type ('up') or talenti
     ('ckn') profiles at scales 0.5, 1, 2, 4.
     """
-    if inequality not in ("up", "ckn"):
-        raise ParameterError(f"unknown mode {inequality!r}")
-    check_keys(f"{inequality} params", params,
-               ("alpha",) if inequality == "up" else ("alpha", "r"))
+    _check_mode_keys(inequality, params, ("up", "ckn"))
     alpha, r = scaled_params(params)
     if family is None:
         if inequality == "up":
@@ -658,7 +667,7 @@ def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = N
     """
     params = dict(params or {})
     if inequality == "hardy":
-        check_keys("hardy params", params, ("alpha",))
+        _check_mode_keys(inequality, params)
         alpha = params.get("alpha", 0.0)
         p = geo.p
         if not geo.n + alpha > p:

@@ -357,6 +357,17 @@ class TestOtherCommands:
         for t_str, g_str in rows:
             assert float(g_str) == pytest.approx(1.0 / (2.0 * float(t_str)), abs=1e-8)
 
+    def test_solve_riccati_default_samples(self, tmp_path, capsys):
+        # the default COUNT is a float like a given one: an int 64 has no
+        # is_integer before Python 3.12
+        cfg = tmp_path / "h.cfg"
+        main(["catalog", "show", "hardy", "--params", "n=3,p=2,alpha=0,C=2"])
+        cfg.write_text(capsys.readouterr().out)
+        assert main(["solve-riccati", "--spec", str(cfg), "--t0", "1", "--g0", "0.5"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()]
+        assert len(rows) == 64
+        assert float(rows[0][0]) == pytest.approx(0.1) and float(rows[-1][0]) == pytest.approx(10.0)
+
     def test_verify_up_report(self, tmp_path):
         out = tmp_path / "up.json"
         rc = main(["verify", "--inequality", "up",
@@ -385,20 +396,21 @@ class TestOtherCommands:
         capsys.readouterr()
         assert _refusal([command, "--inequality", "up", "--params",
                          "kappa=0,n=3,p=2,alpha=1,scales=2", "--out", str(out)], capsys) == \
-            "up params: unknown key 'scales'; it takes alpha"
+            "up params beside the geometry (kappa, n, p): unknown key 'scales'; it takes alpha"
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--inequality", "hardy", "--params", "n=3,p=2,aplha=0.5"],
-         "hardy params: unknown key 'aplha'; it takes alpha"),
+         "hardy params beside the geometry (kappa, n, p): unknown key 'aplha'; it takes alpha"),
         (["verify", "--inequality", "up", "--params", "n=3,p=2,alhpa=0.5"],
-         "up params: unknown key 'alhpa'; it takes alpha"),
+         "up params beside the geometry (kappa, n, p): unknown key 'alhpa'; it takes alpha"),
         # r enters ckn only
         (["sweep", "--inequality", "up", "--params", "n=3,p=2,r=3"],
-         "up params: unknown key 'r'; it takes alpha"),
+         "up params beside the geometry (kappa, n, p): unknown key 'r'; it takes alpha"),
         (["verify", "--inequality", "ckn", "--params", "n=3,p=2,alpha=1,rr=3"],
-         "ckn params: unknown key 'rr'; it takes alpha, r"),
+         "ckn params beside the geometry (kappa, n, p): unknown key 'rr'; it takes alpha, r"),
         (["sweep", "--inequality", "ckn", "--params", "n=3,p=2,alpha=1,r=x"],
-         "ckn params: r='x' is not a finite number; it takes alpha, r"),
+         "ckn params beside the geometry (kappa, n, p): r='x' is not a finite number; "
+         "it takes alpha, r"),
     ], ids=["sweep-hardy-misspelt", "verify-up-misspelt", "sweep-up-r", "verify-ckn-unknown",
             "sweep-ckn-non-numeric"])
     def test_unread_params_key_exits_one(self, argv, message, tmp_path, capsys):

@@ -378,8 +378,8 @@ class TestSweeps:
         ("ckn", {"alpha": 1.0, "r": 3.0, "scale": 2.0, "eps": 0.1}, "'scale', 'eps'")])
     def test_unknown_key_raises(self, mode, params, unknown):
         takes = "alpha, r" if mode == "ckn" else "alpha"
-        message = f"^{mode} params: unknown key {unknown.replace(', ', '; unknown key ')}; " \
-                  f"it takes {takes}$"
+        message = rf"^{mode} params beside the geometry \(kappa, n, p\): " \
+                  f"unknown key {unknown.replace(', ', '; unknown key ')}; it takes {takes}$"
         with pytest.raises(ParameterError, match=message):
             sharpness_sweep(mode, E3, params)
         if mode != "hardy":
