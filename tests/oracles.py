@@ -13,10 +13,8 @@ import math
 
 from hardykit import geometry, specfun
 from hardykit.errors import (ConvergenceError, DomainError, EvalError, HardykitError,
-                             UnboundParameterError, UnsupportedDerivativeError,
-                             UnsupportedRangeError)
-from hardykit.specfun import (_FLOAT_MIN, _HYP_MAX_TERMS, _SERIES_FLOAT_XMAX, BESSEL_NU_MAX,
-                              _bessel_mp, bessel_zero)
+                             UnboundParameterError, UnsupportedDerivativeError)
+from hardykit.specfun import _HYP_MAX_TERMS, _SERIES_FLOAT_XMAX, _bessel_mp
 
 
 def coth_exp(x: float) -> float:
@@ -693,7 +691,7 @@ def ref_ascending_series(nu: float, half: float, term: float) -> float:
             return total
         k += 1
         if k > 10_000:  # series always terminates long before this on the box
-            raise ConvergenceError(f"bessel series stalled at nu={nu}, x={x}")
+            raise ConvergenceError(f"bessel series stalled at nu={nu}, x={2.0 * half}")
 
 
 def ref_bessel_j_any(nu: float, x: float) -> float:
@@ -703,25 +701,3 @@ def ref_bessel_j_any(nu: float, x: float) -> float:
     if x <= _SERIES_FLOAT_XMAX:
         return ref_bessel_series_float(nu, x)
     return _bessel_mp(nu, x)
-
-
-def ref_bessel_ratio(nu: float, x: float) -> float:
-    """J_{nu+1}(x) / J_nu(x) on 0 < x < j_{nu,1}; strictly positive there.
-    Where a J is subnormal or zero, x / (2 nu + 2) times the ratio of the
-    normalized series, and at least 5e-324 (the nearest positive float)."""
-    if not (0.0 <= nu <= BESSEL_NU_MAX):
-        raise UnsupportedRangeError(f"bessel_ratio order nu={nu!r} outside [0, {BESSEL_NU_MAX}]")
-    if not (x > 0.0):
-        raise DomainError(f"bessel_ratio needs x > 0, got {x!r}")
-    j1 = bessel_zero(nu, 1)
-    if x >= j1:
-        raise DomainError(
-            f"bessel_ratio needs x < first zero j_({nu},1) = {j1:.12g}, got {x!r}"
-        )
-    num, den = ref_bessel_j_any(nu + 1.0, x), ref_bessel_j_any(nu, x)
-    if min(num, den) >= _FLOAT_MIN:
-        return num / den
-    half = 0.5 * x
-    return max(x / (2.0 * nu + 2.0) * ref_ascending_series(nu + 1.0, half, 1.0)
-               / ref_ascending_series(nu, half, 1.0), 5e-324)
-

@@ -13,7 +13,7 @@ from hardykit.specfun import (bessel_j, bessel_ratio, bessel_ratio_dx, bessel_ze
                               hyp2f1ratio_with_dz, rgamma)
 from oracles import (bessel_series_direct, bisect_root, central_diff,
                      gauss_series_direct, mittag_leffler_ratio, ref_bessel_j_any,
-                     ref_bessel_ratio, ref_series_2f1)
+                     ref_series_2f1)
 
 
 class TestGamma:
@@ -42,6 +42,11 @@ class TestGamma:
     def test_rgamma_pole_is_zero(self):
         assert rgamma(-3.0) == 0.0
         assert rgamma(2.5) == pytest.approx(1.0 / gamma(2.5), rel=1e-15)
+
+
+# x where J_nu(x) or J_(nu+1)(x) is subnormal or zero
+_BESSEL_TINY_POINTS = [(0.5, 1e-300), (1.0, 1e-200), (50.0, 1e-5), (50.0, 3e-5),
+                       (20.0, 1e-15), (2.5, 1e-150)]
 
 
 class TestBesselJ:
@@ -80,6 +85,23 @@ class TestBesselJ:
             bessel_j(0.0, 201.0)
         with pytest.raises(UnsupportedRangeError):
             bessel_j(0.0, -1.0)
+
+    def test_bitwise_against_the_series_copy(self):
+        # bessel_j equals its copy in tests/oracles.py on seeded points below
+        # each order's first zero and x = 10, where the series serves
+        rng = random.Random(2402)
+        points = []
+        for i in range(60):
+            nu = rng.uniform(0.0, 50.0) if i % 3 else float(rng.randint(0, 6)) / 2.0
+            top = min(bessel_zero(nu, 1), 10.0)
+            points += [(nu, top * rng.uniform(1e-3, 0.999)) for _ in range(4)]
+        # x = 2 k, where the rule k > x/2 decides a stop
+        points += [(nu, x) for nu in (1.5, 4.0, 9.5) for x in (2.0, 4.0, 6.0, 8.0)
+                   if x < bessel_zero(nu, 1)]
+        # where a J is subnormal or zero
+        points += _BESSEL_TINY_POINTS + [(0.0, 5e-324), (1.0, 5e-324), (50.0, 1e-7)]
+        for nu, x in points:
+            assert bessel_j(nu, x) == ref_bessel_j_any(nu, x), (nu, x)
 
 
 class TestBesselZero:
@@ -184,8 +206,7 @@ class TestBesselRatio:
             fd = central_diff(lambda y: bessel_ratio(nu, y), x, 1e-6)
             assert bessel_ratio_dx(nu, x) == pytest.approx(fd, abs=1e-7)
 
-    @pytest.mark.parametrize("nu, x", [(0.5, 1e-300), (1.0, 1e-200), (50.0, 1e-5),
-                                       (50.0, 3e-5), (20.0, 1e-15), (2.5, 1e-150)])
+    @pytest.mark.parametrize("nu, x", _BESSEL_TINY_POINTS)
     def test_underflowing_j_against_mpmath(self, nu, x):
         # a zero J divided by zero, a subnormal one gave 0.0 or lost digits
         import mpmath
@@ -197,6 +218,34 @@ class TestBesselRatio:
         # J_{nu+1}/J_nu ~ x/(2 nu + 2) is below 5e-324 here
         for nu in (0.0, 0.5, 1.0):
             assert bessel_ratio(nu, 5e-324) == 5e-324
+
+    def test_accuracy_against_mpmath_by_gap(self):
+        # seeded draws below each order's first zero and x = 10, where the
+        # continued fraction serves, a third of them at the paper's orders
+        # (n - 2)/2; near the pole the condition number x r'/r, about 1/gap
+        # for gap = 1 - x/j_(nu,1), sets the error of any float method.  The
+        # bounds of the two near bands are the worst of the ascending series
+        # that served before the fraction, on these draws (2.75e-12 and
+        # 3.73e-12; the fraction's are 4.3e-14 and 5.9e-13)
+        import mpmath
+
+        rng = random.Random(2601)
+        bands = {1e-2: (2e-14, []), 1e-3: (2.7e-12, []), 1e-4: (3.7e-12, [])}
+        for i in range(240):
+            nu = rng.uniform(0.0, 50.0) if i % 3 else float(rng.randint(0, 6)) / 2.0
+            j1 = bessel_zero(nu, 1)
+            x = (1.0 - 10.0 ** rng.uniform(-3.99, 0.0)) * j1
+            u = rng.random()
+            if x > 10.0:
+                x = 10.0 * u
+            gap = 1.0 - x / j1
+            with mpmath.workdps(40):
+                ref = mpmath.besselj(mpmath.mpf(nu) + 1, x) / mpmath.besselj(nu, x)
+                err = float(abs(bessel_ratio(nu, x) / ref - 1))
+            band = next(lo for lo in bands if gap >= lo)
+            bands[band][1].append(err)
+        for lo, (bound, errs) in bands.items():
+            assert len(errs) >= 20 and max(errs) <= bound, (lo, len(errs), max(errs))
 
 
 class TestHyp2f1:
@@ -252,6 +301,16 @@ class TestHyp2f1:
                     with mpmath.workdps(30):
                         ref = float(mpmath.hyp2f1(a, a + gap, c, z))
                     assert hyp2f1(a, a + gap, c, z) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.xfail(strict=True, reason="the 1/z connection formula loses digits "
+                       "on parameters unlike the catalog's (c below b, a up to 3)")
+    def test_connection_formula_off_catalog_parameters(self):
+        # 1.25e-11 relative off today
+        import mpmath
+
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp2f1(2.816, 3.814, 1.42, -7.33))
+        assert hyp2f1(2.816, 3.814, 1.42, -7.33) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_integer_gap_closed_forms(self):
         for z in (-41.0, -1e3, -1e5, -1e6):
@@ -775,41 +834,6 @@ class TestKernelTables:
         with pytest.raises(ConvergenceError):
             specfun._series_2f1(0.5, 0.5, 1.5, math.nan)
         assert specfun._gauss_ratios.cache_info().currsize == 0
-
-    def test_bessel_ratio_bitwise_in_every_table_state(self):
-        rng = random.Random(2402)
-        points = []
-        for i in range(60):
-            nu = rng.uniform(0.0, 50.0) if i % 3 else float(rng.randint(0, 6)) / 2.0
-            top = min(bessel_zero(nu, 1), 10.0)
-            points += [(nu, top * rng.uniform(1e-3, 0.999)) for _ in range(4)]
-        # x = 2 k, where the rule k > x/2 decides a stop
-        points += [(nu, x) for nu in (1.5, 4.0, 9.5) for x in (2.0, 4.0, 6.0, 8.0)
-                   if x < bessel_zero(nu, 1)]
-        # where a J is subnormal or zero: the normalized series
-        points += [(0.5, 1e-300), (1.0, 1e-200), (50.0, 1e-5), (50.0, 3e-5), (20.0, 1e-15),
-                   (2.5, 1e-150), (0.0, 5e-324), (1.0, 5e-324), (50.0, 1e-7)]
-
-        def check(pts):
-            for nu, x in pts:
-                assert bessel_ratio(nu, x) == ref_bessel_ratio(nu, x), (nu, x)
-                assert bessel_j(nu, x) == ref_bessel_j_any(nu, x), (nu, x)
-
-        fillers = [(0.1 * i, 0.5) for i in range(specfun._BESSEL_ORDERS + 1)]
-        for i in range(0, len(points), 4):
-            group = points[i:i + 4]
-            specfun._bessel_order.cache_clear()
-            check(group)             # cold
-            check(group[::-1])       # warm
-            check(fillers)           # evicts the order's state
-            check(group)
-        shuffled = points[:]
-        rng.shuffle(shuffled)
-        check(shuffled)
-        # on x <= 10 an order's series need few rows: 29 at most
-        for nu in (0.0, 0.5, 7.3, 50.0):
-            bessel_ratio(nu, 0.999 * min(bessel_zero(nu, 1), 10.0))
-            assert len(specfun._bessel_order(nu, get_ident())[2]) <= 32
 
 
 class TestBesselBoxCrossCheck:

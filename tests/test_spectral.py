@@ -82,6 +82,15 @@ class TestNumericalBehavior:
         with pytest.raises(DomainError, match="leaves float range"):
             spectral_lambda1(ModelGeometry(kappa, n, 2.0), R, 400)
 
+    @pytest.mark.xfail(strict=True, reason="the pencil's bracket and Newton stops are "
+                       "absolute below 1, so a small eigenvalue loses its digits")
+    def test_small_eigenvalue_keeps_its_relative_accuracy(self):
+        # lambda1 R^2 is scale invariant on a flat ball; at R = 1e8 it reads
+        # 30.5 against 5.78
+        geo = ModelGeometry(0.0, 2, 2.0)
+        unit = spectral_lambda1(geo, 1.0, 400).lambda1
+        assert spectral_lambda1(geo, 1e8, 400).lambda1 * 1e16 == pytest.approx(unit, rel=1e-6)
+
 
 def _symmetrized(pencil):
     """B^{-1/2} A B^{-1/2} as a dense matrix."""

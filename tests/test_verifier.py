@@ -7,7 +7,7 @@ import pytest
 
 from hardykit import exprdsl, quadrature, verifier
 from hardykit.catalog import instantiate
-from hardykit.errors import DomainError, HypothesisError, ParameterError
+from hardykit.errors import DomainError, HardykitError, HypothesisError, ParameterError
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry, unit_ball_volume
 from hardykit.quadrature import kronrod_panel
@@ -400,6 +400,17 @@ class TestSweeps:
         # ((n + alpha - p)/p)^p raised an untyped OverflowError
         with pytest.raises(ParameterError, match="sharp constant .* leaves float range"):
             sharpness_sweep("hardy", E3, {"alpha": 1e300})
+
+    @pytest.mark.xfail(strict=True, reason="power_cutoff's log_abs_du takes log(0) where "
+                       "dcut underflows, and where it takes logs the ratios are wrong")
+    @pytest.mark.parametrize("alpha", [1e3, 1e20])
+    def test_huge_alpha_gives_true_ratios_or_raises(self, alpha):
+        # Hardy's inequality puts every ratio at or above the sharp constant
+        try:
+            result = sharpness_sweep("hardy", E3, {"alpha": alpha})
+        except HardykitError:
+            return
+        assert all(row.ratio >= result.sharp_constant - 1e-6 for row in result.rows)
 
     def test_talenti_overflow_is_a_parameter_error(self):
         # (200)^gamma leaves float range at the taper start

@@ -32,7 +32,7 @@ reason, witness and max |residual|; then forward and backward
 ``solve_ivp`` trajectories for every radial entry a config file can hold,
 and one that blows up; last, ``hyp2f1ratio`` and ``hyp2f1ratio_with_dz``
 on Ghoussoub-Moradifam-shaped parameters on every branch of ``hyp2f1``;
-last, ``bessel_j`` and ``bessel_ratio`` on the float series (x <= 10) for
+last, ``bessel_j`` and ``bessel_ratio`` on their float paths (x <= 10) for
 eight orders, the ratio on mpmath where the first zero lies above 10, and
 points where a J is subnormal or zero.  Floats are printed with ``repr``;
 long lists are hashed.
@@ -468,10 +468,9 @@ def digest_hyp2f1ratio():
 
 
 def digest_bessel_ratio():
-    # appended after the lines above: bessel_j and bessel_ratio on the float
-    # series (x <= 10) and, for orders whose first zero lies above 10, the
-    # ratio on mpmath; then points where a J is subnormal or zero and the
-    # ratio is taken from the normalized series
+    # appended after the lines above: bessel_j and bessel_ratio on their
+    # float paths (x <= 10) and, for orders whose first zero lies above 10,
+    # the ratio on mpmath; then points where a J is subnormal or zero
     for nu in (0.0, 0.5, 1.0, 2.5, 7.3, 17.5, 33.0, 50.0):
         print("bessel_j", nu, [repr(bessel_j(nu, x)) for x in (1e-3, 0.5, 2.0, 5.3, 8.65, 10.0)])
         j1 = bessel_zero(nu, 1)
