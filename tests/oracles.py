@@ -14,7 +14,7 @@ import math
 from hardykit import geometry, specfun
 from hardykit.errors import (ConvergenceError, DomainError, EvalError, HardykitError,
                              UnboundParameterError, UnsupportedDerivativeError)
-from hardykit.specfun import _HYP_MAX_TERMS, _SERIES_FLOAT_XMAX, _bessel_mp
+from hardykit.specfun import _HYP_MAX_TERMS, _SERIES_FLOAT_XMAX
 
 
 def coth_exp(x: float) -> float:
@@ -695,9 +695,8 @@ def ref_ascending_series(nu: float, half: float, term: float) -> float:
 
 
 def ref_bessel_j_any(nu: float, x: float) -> float:
-    """Series evaluation without the public box check (internal use)."""
+    """bessel_j on its series path, 0 <= x <= _SERIES_FLOAT_XMAX."""
+    assert x <= _SERIES_FLOAT_XMAX, "above it bessel_j runs the backward recurrence"
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    if x <= _SERIES_FLOAT_XMAX:
-        return ref_bessel_series_float(nu, x)
-    return _bessel_mp(nu, x)
+    return ref_bessel_series_float(nu, x)

@@ -63,15 +63,29 @@ def test_spectral_runs_without_numpy(tmp_path):
         "1.6432844909454107", "1.6432864411960981", "1.64329229194816"]
 
 
-def test_bessel_j_loads_mpmath_on_first_use():
+def test_bessel_paths_never_load_mpmath():
+    # bessel_j over its whole box, cold bessel_zero scans and bessel_ratio
+    # up to x = 10 stay on float code
     out = run_python("import sys\n"
-                     "from hardykit.specfun import bessel_j\n"
-                     "print('mpmath' in sys.modules, repr(bessel_j(0.0, 5.0)), "
+                     "from hardykit.specfun import bessel_j, bessel_ratio, bessel_zero\n"
+                     "for nu in (0.0, 0.5, 7.3, 50.0):\n"
+                     "    [bessel_j(nu, x) for x in (0.0, 5.0, 10.0, 10.5, 99.9, 200.0)]\n"
+                     "    [bessel_zero(nu, k) for k in range(1, 21)]\n"
+                     "    j1 = min(bessel_zero(nu, 1), 10.0)\n"
+                     "    [bessel_ratio(nu, f * j1) for f in (1e-3, 0.5, 0.99)]\n"
+                     "print('mpmath' in sys.modules, repr(bessel_j(0.0, 20.0)), "
+                     "repr(bessel_ratio(50.0, 10.0)), 'mpmath' in sys.modules)")
+    assert out.split() == ["False", "0.16702466434058322", "0.09898091182520535", "False"]
+
+
+def test_bessel_ratio_loads_mpmath_on_first_use():
+    out = run_python("import sys\n"
+                     "from hardykit.specfun import bessel_ratio\n"
+                     "print('mpmath' in sys.modules, repr(bessel_ratio(17.5, 5.0)), "
                      "'mpmath' in sys.modules)\n"
-                     "print(repr(bessel_j(0.0, 20.0)), 'mpmath' in sys.modules)")
-    # x <= 10 stays on the float series; x = 20 takes mpmath
-    assert out.split() == ["False", "-0.1775967713143384", "False",
-                           "0.16702466434058316", "True"]
+                     "print(repr(bessel_ratio(17.5, 20.0)), 'mpmath' in sys.modules)")
+    # x <= 10 stays on the continued fraction; x = 20 takes mpmath's quotient
+    assert out.split() == ["False", "0.13755672056329787", "False", "0.9575763693249936", "True"]
 
 
 # A certify and margin sequence run under perfbench's tracer, which counts

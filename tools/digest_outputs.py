@@ -18,7 +18,8 @@ stdout, stderr and file artifacts of every command in the README, of
 ``catalog list`` and of generic ``verify`` on three emitted specs;
 ``spectral_lambda1`` (extrapolated, raw and
 coarse eigenvalue) on 29 balls, ``bessel_zero`` on a (nu, k) grid,
-``bessel_j`` on its mpmath path (x > 10), ``hyp2f1`` on both sides of
+``bessel_j`` on its backward-recurrence path (x > 10, x < nu included),
+``hyp2f1`` on both sides of
 |z| = 40, integer b - a included, and ``hyp2f1`` and dF/dz
 (``hyp2f1_with_dz``, labelled ``hyp2f1_dz``) on both sides of |z| = 3 for
 non-integer and near-integer b - a; then a 2000-term sum and an
@@ -342,6 +343,9 @@ def digest_constants():
         print("bessel_zero", nu, [repr(bessel_zero(nu, k)) for k in (1, 2, 3, 5, 10, 20)])
     for nu in (0.0, 0.5, 1.0, 7.3, 25.0, 50.0):
         print("bessel_j", nu, [repr(bessel_j(nu, x)) for x in (10.5, 37.0, 99.9, 150.0, 200.0)])
+    # where x < nu, and J falls monotonically toward x = 10
+    print("bessel_j monotone", [repr(bessel_j(nu, x)) for nu, x in
+                                ((50.0, 20.0), (50.0, 10.5), (33.0, 25.0), (17.5, 12.0))])
     for a, b, c in ((1.0, 1.0, 2.0), (1.0, 2.0, 3.0), (0.5, 1.5, 2.0), (2.7, 5.7, 0.3),
                     (0.3, 1.7, 1.0), (0.25, 1.85, 1.3), (-2.0, 1.4, 2.2)):
         print("hyp2f1", a, b, c, [repr(_outcome(hyp2f1, a, b, c, z))
