@@ -187,12 +187,12 @@ def _refuse(moving: str, message: str) -> str:
 # The dual statements of the builtins with arguments that admit no
 # derivative: each refuses a moving one before it computes the value.
 _BESSELJ_DUAL = _refuse("{d0} != 0.0", "no derivative rule through the besselj order argument") + (
-    "{v} = _sf.bessel_j({0}, {1})\n"
-    "if {d1} == 0.0:\n    {d} = 0.0\n"
-    "elif {1} != 0.0:\n    {d} = _sf._bessel_j_dx({0}, {1}, {v}) * {d1}\n"
-    "elif {0} == 1.0:\n    {d} = 0.5 * {d1}\n"
-    "elif {0} == 0.0 or {0} > 1.0:\n    {d} = 0.0\n"
-    "else:\n    raise EvalError(f'besselj({{{0}}}, x) has unbounded derivative at x=0')")
+    "if {d1} == 0.0:\n    {v} = _sf.bessel_j({0}, {1})\n    {d} = 0.0\n"
+    "elif {1} != 0.0:\n    {v}, {d} = _sf._bessel_j_with_dx({0}, {1})\n    {d} = {d} * {d1}\n"
+    "else:\n    {v} = _sf.bessel_j({0}, {1})\n"
+    "    if {0} == 1.0:\n        {d} = 0.5 * {d1}\n"
+    "    elif {0} == 0.0 or {0} > 1.0:\n        {d} = 0.0\n"
+    "    else:\n        raise EvalError(f'besselj({{{0}}}, x) has unbounded derivative at x=0')")
 _BESSELRATIO_DUAL = _refuse(
     "{d0} != 0.0", "no derivative rule through the besselratio order argument") + (
     "{v} = _sf.bessel_ratio({0}, {1})\n{d} = _sf.bessel_ratio_dx({0}, {1}, {v}) * {d1}")

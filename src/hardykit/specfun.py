@@ -14,7 +14,12 @@ holds only the wanted zero.  The Gauss function is evaluated through the
 Pfaff map w = z/(z-1), which turns z <= 0 into w in [0, 1), up to -z = 3
 and by the connection formula in 1/z beyond; where b - a is near an
 integer, and that formula cancels, the Pfaff map serves up to -z = 40 and
-mpmath.hyp2f1 above it.
+above it the formula's limit as b - a tends to the integer, in floats: each
+term of one series paired with its partner in the other, and their
+difference carried as Gamma-function differences that stay finite at the
+integer (DLMF 15.8.8; Forrey, J. Comput. Phys. 137 (1997) 79-100).  Where
+that limit's own error estimate is too large, as for c - a near an integer,
+mpmath.hyp2f1 serves.
 Where c - b is near a negative integer and the Pfaff series in a would sum
 to a small remainder, the other Pfaff form, the series in b, is summed.
 hyp2f1_with_dz returns dF/dz beside F from one series pass: the loop that
@@ -81,11 +86,19 @@ _MP_DPS = 20
 # integer b - a its two Gamma-weighted terms cancel: on Ghoussoub-Moradifam
 # parameters it is within 4e-14 of mpmath at 1e-3 from an integer, but off
 # by 1e-9 and more at 2e-8.  Gaps within _HYP_GAP_GUARD keep the Pfaff series
-# up to -z = _HYP_BIGZ, past which it needs thousands of terms, and
-# mpmath.hyp2f1 above it.
+# up to -z = _HYP_BIGZ, past which it needs thousands of terms, and the
+# formula's logarithmic limit above it (_hyp2f1_bigz_log), where its own
+# error estimate is at most _HYP_LOG_COND units of 2^-53 (7e-15), within
+# _HYP_LOG_TERMS terms; mpmath.hyp2f1 elsewhere.
 _HYP_CONNECT = 3.0
 _HYP_BIGZ = 40.0
 _HYP_GAP_GUARD = 1e-3
+_HYP_LOG_COND = 64.0
+_HYP_LOG_TERMS = 60
+# Stirling's series for lnGamma(y) on y >= _STIRLING_Y, B_2k / (2k (2k - 1))
+# for k = 1..6: the next term's derivative is below 1e-16 there
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_STIRLING_Y = 12.0
 # Where c - a is within this of an integer, and c - b near a negative one,
 # the Pfaff series in b is summed rather than the one in a (_hyp2f1_pair)
 _HYP_SWAP_GAP = 1e-2
@@ -218,22 +231,33 @@ def _bessel_j_any(nu: float, x: float) -> float:
     return _bessel_pair(nu, x)[0]
 
 
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind J_nu(x) on 0<=nu<=50, 0<=x<=200.
-    Above x = 10, within 8e-16 of 40-digit mpmath on 3000 seeded draws, and
-    within 4e-15 relative where x < nu."""
+def _bessel_box(nu: float, x: float) -> None:
     if not (0.0 <= nu <= BESSEL_NU_MAX):
         raise UnsupportedRangeError(f"bessel_j order nu={nu!r} outside [0, {BESSEL_NU_MAX}]")
     if not (0.0 <= x <= BESSEL_X_MAX):
         raise UnsupportedRangeError(f"bessel_j argument x={x!r} outside [0, {BESSEL_X_MAX}]")
+
+
+def bessel_j(nu: float, x: float) -> float:
+    """Bessel function of the first kind J_nu(x) on 0<=nu<=50, 0<=x<=200.
+    Above x = 10, within 8e-16 of 40-digit mpmath on 3000 seeded draws, and
+    within 4e-15 relative where x < nu."""
+    _bessel_box(nu, x)
     return _bessel_j_any(nu, x)
 
 
-def _bessel_j_dx(nu: float, x: float, j: float) -> float:
-    """dJ_nu/dx for x > 0 from j = J_nu(x), via the standard recurrences."""
+def _bessel_j_with_dx(nu: float, x: float) -> tuple[float, float]:
+    """(bessel_j(nu, x), dJ_nu/dx) for x > 0: above x = 10 both from one
+    backward recurrence, J' = (nu/x) J_nu - J_(nu+1); below, by the same
+    recurrence relations from the series at nu and at nu - 1 or nu + 1."""
+    _bessel_box(nu, x)
+    if x > _SERIES_FLOAT_XMAX:
+        j, j1 = _bessel_pair(nu, x)
+        return j, (nu / x) * j - j1
+    j = _bessel_series_float(nu, x)
     if nu >= 1.0:
-        return _bessel_j_any(nu - 1.0, x) - (nu / x) * j
-    return (nu / x) * j - _bessel_j_any(nu + 1.0, x)
+        return j, _bessel_series_float(nu - 1.0, x) - (nu / x) * j
+    return j, (nu / x) * j - _bessel_series_float(nu + 1.0, x)
 
 
 def _first_zero_estimate(nu: float) -> float:
@@ -473,10 +497,157 @@ def _hyp2f1_bigz(a: float, b: float, c: float, z: float,
     return out, inv * dout, inv * inv * ddout
 
 
+def _diff_error(x: float, y: float) -> float:
+    """|(x - y) - fl(x - y)|, exactly (Knuth's TwoSum)."""
+    s = x - y
+    xs = s + y
+    return abs((x - xs) + (-y - (s - xs)))
+
+
+def _log1p_over(x: float) -> float:
+    """log1p(x) / x, and its limit 1 at x = 0."""
+    return math.log1p(x) / x if x else 1.0
+
+
+def _log_step(y: float, e: float, dy: float, de: float) -> tuple[float, float]:
+    """(h, bound) for h = (ln(y + e) - ln(y)) / e, 1/y at e = 0: the step of
+    (lnGamma(y + e) - lnGamma(y)) / e from y to y + 1.  Its error is about
+    bound units of 2^-53, with y off by dy units and e by de units; the
+    rounding of e / y alone moves h by 1 / |y + e| units."""
+    h = _log1p_over(e / y) / y
+    ye = y + e
+    return h, abs(h) + (1.0 + dy / abs(y)) / abs(ye) + de / (2.0 * ye * ye)
+
+
+def _lgamma_slope(k: float, x: float, e: float, dx: float, de: float) -> tuple[float, float]:
+    """(lnGamma(y + e) - lnGamma(y)) / e at y = k + x, psi(y) at e = 0, and the
+    bound of _log_step.  Below y = _STIRLING_Y it steps down from Stirling's
+    series at y + s; each (k + i) + x is one rounding, so exact near a pole."""
+    val = bound = 0.0
+    while k + x < _STIRLING_Y:
+        h, hb = _log_step(k + x, e, dx, de)
+        val -= h
+        bound += hb
+        k += 1.0
+    y = k + x
+    # (y - 1/2) ln(y) - y + sum_k c_k y^(1 - 2k) differenced: with u = 1/(y + e)
+    # and v = 1/y, (u^n - v^n) / e = -u v p_n, p_(n+1) = u p_n + v^n, p_1 = 1
+    u, v = 1.0 / (y + e), 1.0 / y
+    p, vn, series = 1.0, v, 0.0
+    for ck in _STIRLING:
+        series += ck * p
+        p = u * p + vn
+        vn *= v
+        p = u * p + vn
+        vn *= v
+    series *= -u * v
+    lead = (y - 0.5) * v * _log1p_over(e * v)
+    ln = math.log(y + e)
+    return (val + lead + ln - 1.0 + series,
+            bound + abs(lead) + abs(ln) + 1.0 + abs(series))
+
+
+def _hyp2f1_bigz_log(a: float, b: float, c: float, z: float) -> float | None:
+    """F(a, b; c; z) for a <= b, b - a = m + eps with m = round(b - a) and
+    |eps| <= 1e-3, and 40 < -z < inf: the limit eps -> 0 of the 1/z formula
+    (DLMF 15.8.2, and 15.8.8 at eps = 0; R. C. Forrey, J. Comput. Phys. 137
+    (1997) 79-100).  None where its error estimate exceeds _HYP_LOG_COND
+    units of 2^-53 or its terms do not settle in _HYP_LOG_TERMS.
+
+    With d = c - a, P = Gamma(c) / (Gamma(b) Gamma(d)) and (x)_n Pochhammer's,
+    F / (P (-z)^(-a)) = sum_(n<m) Gamma(m - n + eps) (a)_n (1-d)_n / n! (-z)^(-n)
+    + (-z)^(-m) pi eps / sin(pi eps) sum_j V_j z^(-j) S_j, where
+    V_j = (a)_(m+j) (1-d)_(m+j) / (Gamma(1 + j - eps) (m + j)!) pairs the first
+    series' term m + j with the second's term j, S_j = -expm1(eps (lam_j -
+    ln(-z))) / eps (ln(-z) - lam_j at eps = 0) and lam_j = g(a + m + j, eps)
+    + g(1 - d + m + j, eps) - g(m + j + 1, eps) - g(1 + j, -eps) +
+    ln(sin(pi (d - eps)) / sin(pi d)) / eps, g(y, e) = (lnGamma(y + e) -
+    lnGamma(y)) / e, all finite at eps = 0.  The estimate bounds the error
+    of every part of each term against the sum, in units of 2^-53, the
+    exact roundings of d and of b - a included: near a pole of Gamma or of
+    cot(pi d) they move lam_j most.  A pole or an overflow on the way raises
+    ArithmeticError or ValueError."""
+    m = round(b - a)
+    mf = float(m)
+    eps = (b - a) - mf
+    d = c - a
+    r = d - round(d)  # exact: cot(pi d) = cot(pi r) with no rounding of pi d
+    sr = math.sin(math.pi * r)
+    cot = math.cos(math.pi * r) / sr
+    # the roundings of d and of b - a, exact, in units of 2^-53
+    ad, de = _diff_error(c, a) * 2.0 ** 53, _diff_error(b, a) * 2.0 ** 53
+    if eps == 0.0:
+        pe, lrho = 1.0, -math.pi * cot
+        lrho_bound = abs(lrho) + (ad + de) * (math.pi / sr) ** 2
+    else:
+        pe = math.pi * eps / math.sin(math.pi * eps)
+        half = math.sin(0.5 * math.pi * eps)
+        cs = cot * math.sin(math.pi * eps)
+        rho1 = -2.0 * half * half - cs  # rho - 1, rho = sin(pi (d - eps)) / sin(pi d)
+        lrho = rho1 / eps * _log1p_over(rho1)
+        rho = abs(1.0 + rho1)
+        lrho_bound = (abs(lrho) + (2.0 * half * half + abs(cs)) / (rho * abs(eps))
+                      + (ad + de) * (math.pi / (sr * min(rho, 1.0))) ** 2)
+    ln = math.log(-z)
+    lam = lam_bound = 0.0
+    for k, x, e, dx, sign in ((mf, a, eps, 0.0, 1.0), (1.0 + mf, -d, eps, ad, 1.0),
+                              (1.0 + mf, 0.0, eps, 0.0, -1.0), (1.0, 0.0, -eps, 0.0, -1.0)):
+        g, gb = _lgamma_slope(k, x, e, dx, de)
+        lam += sign * g
+        lam_bound += gb
+    lam += lrho
+    lam_bound += lrho_bound
+    # the m finite terms, and p = (a)_m (1-d)_m / m! for V_0
+    q = -1.0 / z
+    head = head_bound = 0.0
+    p = qn = 1.0
+    for n in range(m):
+        nf = float(n)
+        t = math.gamma(mf - nf + eps) * p * qn
+        head += t
+        head_bound += abs(t)
+        p *= (a + nf) * ((1.0 + nf) - d) / (nf + 1.0)
+        qn *= q
+    v = p / math.gamma(1.0 - eps)
+    inv = 1.0 / z
+    tail = tail_bound = 0.0
+    small = 0
+    for j in range(_HYP_LOG_TERMS):
+        u = eps * (lam - ln)
+        eu = math.expm1(u)
+        s = (ln - lam) * (eu / u if u else 1.0)
+        tail += v * s
+        # dS/dlam = -exp(u), and V_j carries about 4 j roundings
+        tb = abs(v) * (abs(s) * (1.0 + 4.0 * j) + (ln + lam_bound) * (1.0 + abs(eu)))
+        tail_bound += tb
+        small = small + 1 if tb <= 1e-17 * abs(tail) else 0
+        if small == 2:
+            break
+        jf = float(j)
+        y1, y2, y3, y4 = (mf + jf) + a, (1.0 + mf + jf) - d, mf + jf + 1.0, 1.0 + jf
+        h1, b1 = _log_step(y1, eps, 0.0, de)
+        h2, b2 = _log_step(y2, eps, ad, de)
+        h3, b3 = _log_step(y3, eps, 0.0, de)
+        h4, b4 = _log_step(y4, -eps, 0.0, de)
+        lam += h1 + h2 - h3 - h4
+        lam_bound += b1 + b2 + b3 + b4
+        v *= y1 * y2 * inv / ((y4 - eps) * y3)
+    else:
+        return None
+    scale = (-z) ** -mf * pe
+    total = head + scale * tail
+    # d's rounding moves 1/Gamma(d) and the factors 1 - d + i by up to ad / |r|
+    # units relative near their zeros
+    if not (head_bound + abs(scale) * tail_bound) / abs(total) + ad / abs(r) <= _HYP_LOG_COND:
+        return None
+    return math.gamma(c) / (math.gamma(b) * math.gamma(d)) * (-z) ** -a * total
+
+
 def _hyp2f1_pair(a: float, b: float, c: float, z: float,
                  second: bool = False) -> tuple[float, float | None, float | None]:
     """F, dF/dz and, when ``second`` is set, d2F/dz2 (else 0.0), all from one
-    series pass; both derivatives are None on the mpmath branch."""
+    series pass; both derivatives are None where b - a is near an integer
+    and -z > 40."""
     if not 0.0 * a * b * c == 0.0 or z != z:  # 0 a b c is 0 when all three are finite
         raise UnsupportedRangeError(
             f"hyp2f1 needs finite a, b, c and a z that is not NaN, got {a!r}, {b!r}, {c!r}, {z!r}")
@@ -498,6 +669,13 @@ def _hyp2f1_pair(a: float, b: float, c: float, z: float,
                 raise UnsupportedRangeError(
                     f"hyp2f1({a!r}, {b!r}, {c!r}, {z!r}) with b - a near an integer needs "
                     "|a|, |b| <= 20, 1e-3 <= c <= 1e3 and -z <= 1e8")
+            if -z < math.inf:
+                try:
+                    f = _hyp2f1_bigz_log(a, b, c, z)
+                except (ArithmeticError, ValueError):  # a pole or an overflow on the way
+                    f = None
+                if f is not None:
+                    return f, None, None
             import mpmath
             try:
                 with mpmath.workdps(_MP_DPS):
@@ -533,11 +711,15 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     series at the mapped argument.  Beyond that, where the mapped series
     slows down, the 1/z connection formula (DLMF 15.8.2) takes over.  For
     b-a within 1e-3 of an integer, where that formula degenerates into its
-    logarithmic form, the mapped series serves up to -z = 40 and
-    mpmath.hyp2f1 above it, for |a|, |b| <= 20, 1e-3 <= c <= 1e3 and
-    -z <= 1e8 or z = -inf only (else UnsupportedRangeError; ConvergenceError
-    where mpmath fails).  All four hyp2f1 entry points raise
-    UnsupportedRangeError for a NaN argument or an infinite a, b or c.
+    logarithmic form, the mapped series serves up to -z = 40; above it, for
+    |a|, |b| <= 20, 1e-3 <= c <= 1e3 and -z <= 1e8 or z = -inf only (else
+    UnsupportedRangeError), the formula's limit in floats, about 35 us a
+    call, where its own error estimate is at most 7e-15 (seeded draws were
+    within 1.4e-14 of 50-digit mpmath), and mpmath.hyp2f1 elsewhere, at 1 to
+    4 ms a call: at z = -inf, and where the estimate is larger, as at or near
+    an integer c - a (ConvergenceError where mpmath fails).
+    All four hyp2f1 entry points raise UnsupportedRangeError for a NaN
+    argument or an infinite a, b or c.
     """
     return _hyp2f1_pair(a, b, c, z)[0]
 
@@ -547,8 +729,8 @@ def hyp2f1_with_dz(a: float, b: float, c: float, z: float) -> tuple[float, float
 
     F is bitwise hyp2f1(a, b, c, z).  On the mapped and the 1/z series the
     derivative is summed from the same terms as F (D = sum k term_k), so it
-    costs no second evaluation; on the mpmath branch it is the contiguous
-    relation dF/dz = (a b / c) F(a+1, b+1; c+1; z).
+    costs no second evaluation; for b - a near an integer and -z > 40 it is
+    the contiguous relation dF/dz = (a b / c) F(a+1, b+1; c+1; z).
     """
     f, dz, _ = _hyp2f1_pair(a, b, c, z)
     if dz is None:
@@ -566,7 +748,7 @@ def _hyp2f1ratio(a: float, b: float, c: float, z: float,
         return hyp2f1(a + 1.0, b + 1.0, c + 1.0, z), None
     f, f1, f2 = _hyp2f1_pair(a, b, c, z, with_dz)
     slope = a * b / c  # dF/dz at z = 0, and F' / F(a+1, b+1; c+1; z)
-    if f1 is None:  # the mpmath branch: the contiguous relations
+    if f1 is None:  # b - a near an integer, -z > 40: the contiguous relations
         f1 = slope * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
         if with_dz:
             f2 = slope * ((a + 1.0) * (b + 1.0) / (c + 1.0)) * hyp2f1(a + 2.0, b + 2.0, c + 2.0, z)
@@ -582,8 +764,8 @@ def hyp2f1ratio(a: float, b: float, c: float, z: float) -> float:
     """The contiguous ratio F(a+1, b+1; c+1; z) / F(a, b; c; z) for z <= 0.
 
     The numerator is (c / (a b)) dF/dz of the denominator (DLMF 15.5.1), so
-    both come from the denominator's one series pass, except on hyp2f1's
-    mpmath branch, where the numerator is evaluated itself.  For a b = 0
+    both come from the denominator's one series pass, except where b - a is
+    near an integer and -z > 40, where the numerator is evaluated itself.  For a b = 0
     the denominator is 1 and the numerator is returned.  A zero denominator
     raises DomainError.
     """

@@ -13,7 +13,9 @@ quotient above 0.2524 for every float-representable r0, blocking the
 documented 0.2510 sweep target.  Its plateau value r0^(-sigma+eps) reaches
 e^(660 sigma) at the float floor r0 = e^-660, beyond float range once sigma
 exceeds about 1.05; it is never stored, and quadrature reads the profile
-through log_abs_u and log_abs_du, so every sigma > 0 is admissible.
+through log_abs_u and log_abs_du, so every sigma > 0 is admissible where
+the cut's derivative stays above the float floor at R (for p = 2 and R = 100,
+n + alpha - p up to 161); beyond, power_cutoff raises ParameterError.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ __all__ = [
     "talenti",
     "from_expr",
 ]
+
+# log of the smallest positive float: a value whose log lies below it underflows to 0
+_LOG_FLOAT_FLOOR = math.log(5e-324)
 
 
 @dataclass
@@ -108,6 +113,14 @@ def power_cutoff(eps: float, r0: float, R: float, n: int, p: float,
 
         def dcut(t: float) -> float:
             return u_rc * ecut * t ** (ecut - 1.0) / denom
+
+        # |dcut| falls toward R; where it underflows to 0 its log does not
+        # exist, and logs taken from the formula give ratios below the sharp
+        # constant (the masses fail there too)
+        if denom > 0.0 and (expo * math.log(rc) + math.log(-ecut) + (ecut - 1.0) * math.log(R)
+                            - math.log(denom)) < _LOG_FLOAT_FLOOR:
+            raise ParameterError(f"the cut's derivative underflows to 0 before R={R!r} "
+                                 f"(n + alpha - p = {exp_np!r})")
     elif exp_np == 0.0:
         lnr = math.log(R / rc)
 

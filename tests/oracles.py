@@ -228,7 +228,7 @@ def _ref_besselj(args, dual):
     if not dual or xd == 0.0:
         return v, 0.0
     if x != 0.0:
-        return v, specfun._bessel_j_dx(nu, x, v) * xd
+        return v, specfun._bessel_j_with_dx(nu, x)[1] * xd
     # at x = 0: J_1' = 1/2, J_0' = J_nu' = 0 for nu > 1, unbounded otherwise
     if nu == 1.0:
         return v, 0.5 * xd

@@ -327,6 +327,12 @@ class TestOtherCommands:
         assert "hypothesis violated: n + alpha > p" in captured.err
         assert captured.out == ""
 
+    def test_sweep_hardy_underflowing_cut_refused(self, capsys):
+        # a traceback from math.log(0) of power_cutoff's cut derivative
+        assert _refusal(["sweep", "--inequality", "hardy", "--params", "n=3,p=2,alpha=1000"],
+                        capsys) == ("the cut's derivative underflows to 0 before R=100.0 "
+                                    "(n + alpha - p = 1001.0)")
+
     def test_spectrum(self, capsys):
         rc = main(["spectrum", "--kappa", "0", "--n", "2", "--R", "1", "--N", "500"])
         assert rc == 0

@@ -6,7 +6,7 @@ import pytest
 
 from hardykit.errors import (EvalError, ExprSyntaxError, UnboundParameterError,
                              UnsupportedDerivativeError)
-from hardykit import exprdsl
+from hardykit import exprdsl, specfun
 from hardykit.exprdsl import ScalarExpr, parse
 from oracles import (REFERENCE_UNARY, central_diff, coth_exp, reference_eval,
                      reference_eval_d)
@@ -545,6 +545,28 @@ class TestReferenceEvaluator:
         for src in ("besselj(t, 1)", "besselratio(t, 1)", "hyp2f1(1, t, 2, -1)"):
             with pytest.raises(UnsupportedDerivativeError, match="no derivative rule"):
                 parse(src).eval_d(0.5)
+
+    def test_besselj_derivative_above_10_is_one_recurrence(self, monkeypatch):
+        # J' = (nu/x) J_nu - J_(nu+1) from one backward recurrence; the value
+        # stays bessel_j's, and J' is within 1e-15 of 40-digit mpmath (the
+        # neighbouring order's recurrence made it two)
+        import mpmath
+
+        calls = []
+        pair = specfun._bessel_pair
+
+        def counting(nu, x):
+            calls.append(nu)
+            return pair(nu, x)
+
+        monkeypatch.setattr(specfun, "_bessel_pair", counting)
+        for nu, x in ((2.5, 50.0), (0.0, 10.5), (1.0, 37.0), (50.0, 199.0), (17.5, 12.0)):
+            calls.clear()
+            v, d = parse(f"besselj({nu}, t)").eval_d(x)
+            assert calls == [nu]
+            assert v == pair(nu, x)[0]
+            with mpmath.workdps(40):
+                assert abs(d - float(mpmath.besselj(nu, x, derivative=1))) <= 1e-15, (nu, x)
 
 
 class TestLongExpressions:

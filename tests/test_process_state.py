@@ -88,6 +88,24 @@ def test_bessel_ratio_loads_mpmath_on_first_use():
     assert out.split() == ["False", "0.13755672056329787", "False", "0.9575763693249936", "True"]
 
 
+def test_near_integer_hyp2f1_stays_on_floats():
+    # b - a within 1e-3 of an integer and -z > 40 through all four entry
+    # points, integer and near-integer gaps, constants- and Ghoussoub-
+    # Moradifam-shaped; c - a = 2, an integer, is left to mpmath
+    out = run_python("import sys\n"
+                     "from hardykit.specfun import (hyp2f1, hyp2f1_with_dz, hyp2f1ratio,\n"
+                     "                              hyp2f1ratio_with_dz)\n"
+                     "for a, b, c in ((1.0, 1.0, 2.5), (0.3, 3.3, 4.1), (0.25, 2.25 + 1e-4, 1.3),\n"
+                     "                (-0.50005, 0.50005, 1.0), (-0.2 - 1e-6, 1.8 + 1e-6, 1.0)):\n"
+                     "    for z in (-40.5, -1e3, -1e8):\n"
+                     "        hyp2f1(a, b, c, z), hyp2f1_with_dz(a, b, c, z)\n"
+                     "        hyp2f1ratio(a, b, c, z), hyp2f1ratio_with_dz(a, b, c, z)\n"
+                     "print('mpmath' in sys.modules)\n"
+                     "hyp2f1(0.5, 1.5, 2.5, -50.0)\n"
+                     "print('mpmath' in sys.modules)")
+    assert out.split() == ["False", "True"]
+
+
 # A certify and margin sequence run under perfbench's tracer, which counts
 # the calls of every public hardykit function and method: cold, untraced,
 # then warm, as `perfbench/run.py --trace 1` runs its op list.

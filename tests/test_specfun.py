@@ -490,7 +490,8 @@ class TestHyp2f1:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
-        # inside the box a failure of mpmath is a ConvergenceError
+        # inside the box a failure of mpmath is a ConvergenceError; c - a = 2,
+        # an integer, is a point the float limit leaves to mpmath
         import mpmath
 
         for exc in (ValueError("hypsum() failed to converge"),
@@ -500,7 +501,7 @@ class TestHyp2f1:
 
             monkeypatch.setattr(mpmath, "hyp2f1", failing)
             with pytest.raises(ConvergenceError, match="mpmath.hyp2f1"):
-                hyp2f1(0.5, 1.5, 2.0, -50.0)
+                hyp2f1(0.5, 1.5, 2.5, -50.0)
 
 
 def _pfaff_rhs(A: float, B: float, z: float) -> float:
@@ -689,14 +690,16 @@ class TestHyp2f1Ratio:
     def test_each_branch_against_mpmath(self, monkeypatch):
         # the mapped series (-z <= 3), the 1/z formula (-z > 3) and, for
         # b - a within 1e-3 of an integer, the mapped series up to -z = 40
-        # and mpmath above it, where the numerator and F(a+2, b+2; c+2; z)
-        # are evaluated too; the branch is checked by counting
+        # and the formula's logarithmic limit above it, where the numerator
+        # and F(a+2, b+2; c+2; z) are evaluated too, with mpmath where the
+        # limit's error estimate is too large (always at an integer c - a);
+        # the branch is checked by counting
         import random
 
         import mpmath
 
-        calls = {"bigz": 0, "mpmath": 0}
-        bigz, mp_hyp2f1 = specfun._hyp2f1_bigz, mpmath.hyp2f1
+        calls = {"bigz": 0, "log": 0, "mpmath": 0}
+        bigz, log, mp_hyp2f1 = specfun._hyp2f1_bigz, specfun._hyp2f1_bigz_log, mpmath.hyp2f1
 
         def counting(name, fn):
             def counted(*args):
@@ -706,21 +709,26 @@ class TestHyp2f1Ratio:
 
         rng = random.Random(1402)
         for branch, lo, hi, expected in (
-                ("pfaff", -6.0, math.log10(3.0), {"bigz": 0, "mpmath": 0}),
-                ("bigz", 0.5, 4.0, {"bigz": 60, "mpmath": 0}),
-                ("near", -1.0, math.log10(40.0), {"bigz": 0, "mpmath": 0}),
-                ("mpmath", 1.7, 4.0, {"bigz": 0, "mpmath": 180})):
+                ("pfaff", -6.0, math.log10(3.0), {"bigz": 0, "log": 0, "mpmath": 0}),
+                ("bigz", 0.5, 4.0, {"bigz": 60, "log": 0, "mpmath": 0}),
+                ("near", -1.0, math.log10(40.0), {"bigz": 0, "log": 0, "mpmath": 0}),
+                ("log", 1.7, 4.0, {"bigz": 0, "log": 180, "mpmath": 0}),
+                ("mpmath", 1.7, 4.0, {"bigz": 0, "log": 180, "mpmath": 180})):
             cases = []
             while len(cases) < 60:
                 a, b, c = _gm_shape(rng)
-                if branch in ("near", "mpmath"):
+                if branch in ("near", "log", "mpmath"):
                     A, gap = (a + b) / 2.0, rng.randint(1, 3) + rng.uniform(-1e-3, 1e-3)
                     a, b = A - gap / 2.0, A + gap / 2.0
+                    if branch == "mpmath":  # a dyadic a, so that c - a is exactly 2, 3 or 4
+                        a = round(a * 1024.0) / 1024.0
+                        b, c = a + gap, a + rng.randint(2, 4)
                 elif abs((b - a) - round(b - a)) <= specfun._HYP_GAP_GUARD:
                     continue
                 cases.append((a, b, c, -(10.0 ** rng.uniform(lo, hi))))
-            calls.update(bigz=0, mpmath=0)
+            calls.update(bigz=0, log=0, mpmath=0)
             monkeypatch.setattr(specfun, "_hyp2f1_bigz", counting("bigz", bigz))
+            monkeypatch.setattr(specfun, "_hyp2f1_bigz_log", counting("log", log))
             monkeypatch.setattr(mpmath, "hyp2f1", counting("mpmath", mp_hyp2f1))
             for case in cases:
                 hyp2f1ratio_with_dz(*case)
@@ -792,6 +800,70 @@ def _gauss_draws(rng, n):
                      else rng.uniform(0.05, 3.0))
         draws.append((a, b, c, -(10.0 ** rng.uniform(-3.0, math.log10(39.0)))))
     return draws
+
+
+def _log_limit(a, b, c, z):
+    """The float limit's value, or None where it leaves the point to mpmath
+    (as _hyp2f1_pair does on a pole or an overflow)."""
+    try:
+        return specfun._hyp2f1_bigz_log(min(a, b), max(a, b), c, z)
+    except (ArithmeticError, ValueError):
+        return None
+
+
+class TestHyp2f1LogLimit:
+    """b - a = m + eps within 1e-3 of an integer and -z > 40: the 1/z
+    formula's limit eps -> 0 in floats, mpmath where its estimate is over."""
+
+    def test_seeded_against_mpmath(self):
+        # constants-shaped and Ghoussoub-Moradifam-shaped parameters (the
+        # latter shifted by s, as the contiguous relations call them), every
+        # eps of the list and -z in [40, 1e8]; each value taken is hyp2f1's
+        # where b - a rounds to within the guard
+        import mpmath
+
+        rng = random.Random(2828)
+        worst, declined = 0.0, 0
+        for i in range(540):
+            eps = (0.0, 1e-16, -1e-16, 1e-8, -1e-8, 1e-4, -1e-4, 1e-3, -1e-3)[i % 9]
+            m = rng.randint(0, 3)
+            if i % 2:
+                a, c = rng.uniform(0.1, 3.0), rng.uniform(0.3, 5.0)
+            else:
+                A, s = sum(_gm_shape(rng)[:2]) / 2.0, rng.randint(0, 2)
+                a, c = A - (m + eps) / 2.0 + s, 1.0 + s
+            b = a + m + eps
+            z = -(10.0 ** rng.uniform(math.log10(40.0), 8.0))
+            f = _log_limit(a, b, c, z)
+            if f is None:
+                declined += 1
+                continue
+            if abs((b - a) - round(b - a)) <= specfun._HYP_GAP_GUARD:  # else the 1/z formula
+                assert repr(hyp2f1(a, b, c, z)) == repr(f)
+            with mpmath.workdps(40):
+                ref = mpmath.hyp2f1(a, b, c, z)
+            worst = max(worst, float(abs((f - ref) / ref)))
+        assert worst <= 1e-13, worst
+        assert declined <= 54, declined  # at most a tenth left to mpmath
+
+    def test_near_integer_c_minus_a_declined_or_accurate(self):
+        # psi(a - c + 1 + m) and pi cot(pi (c - a)) cancel as c - a nears an
+        # integer beyond m; nearer ones scale a term to 0 against a cot that
+        # grows: the estimate leaves such points to mpmath or they are accurate
+        import mpmath
+
+        worst, taken = 0.0, 0
+        for a in (-0.5, 0.3, 2.7):
+            for m, eps in ((0, 0.0), (1, 1e-8), (2, -1e-4), (3, 1e-3)):
+                for c in (a + k + delta for k in range(-2, 5) for delta in (1e-3, -2e-3, -0.05)):
+                    for z in (-50.0, -1e4, -1e8):
+                        if c > 1e-3 and (f := _log_limit(a, a + m + eps, c, z)) is not None:
+                            with mpmath.workdps(40):
+                                ref = mpmath.hyp2f1(a, a + m + eps, c, z)
+                            worst = max(worst, float(abs((f - ref) / ref)))
+                            taken += 1
+        assert taken >= 100 and worst <= 1e-13, (taken, worst)
+        assert _log_limit(0.5, 1.5, 2.5, -50.0) is None  # c - a = 2
 
 
 class TestKernelTables:

@@ -410,8 +410,6 @@ class TestSweeps:
         with pytest.raises(ParameterError, match="sharp constant .* leaves float range"):
             sharpness_sweep("hardy", E3, {"alpha": 1e300})
 
-    @pytest.mark.xfail(strict=True, reason="power_cutoff's log_abs_du takes log(0) where "
-                       "dcut underflows, and where it takes logs the ratios are wrong")
     @pytest.mark.parametrize("alpha", [1e3, 1e20])
     def test_huge_alpha_gives_true_ratios_or_raises(self, alpha):
         # Hardy's inequality puts every ratio at or above the sharp constant

@@ -35,8 +35,10 @@ and one that blows up; last, ``hyp2f1ratio`` and ``hyp2f1ratio_with_dz``
 on Ghoussoub-Moradifam-shaped parameters on every branch of ``hyp2f1``;
 last, ``bessel_j`` and ``bessel_ratio`` on their float paths (x <= 10) for
 eight orders, the ratio on mpmath where the first zero lies above 10, and
-points where a J is subnormal or zero.  Floats are printed with ``repr``;
-long lists are hashed.
+points where a J is subnormal or zero; last, ``hyp2f1`` and
+``hyp2f1ratio_with_dz`` for b - a within 1e-3 of an integer and -z in
+{50, 1e4, 1e8} on the float limit of the 1/z formula, and one point it leaves
+to mpmath.  Floats are printed with ``repr``; long lists are hashed.
 """
 
 from __future__ import annotations
@@ -487,6 +489,21 @@ def digest_bessel_ratio():
               repr(bessel_j(nu, x)), repr(_outcome(bessel_j, nu + 1.0, x)))
 
 
+def digest_near_integer_hyp2f1():
+    # appended after the lines above: b - a = m + eps within 1e-3 of an
+    # integer and -z > 40, on the float limit of the 1/z formula (constants-
+    # shaped F, Ghoussoub-Moradifam-shaped ratio), then at c - a = 2, which
+    # that limit leaves to mpmath
+    for eps in (0.0, 1e-10, -5e-4):
+        print("hyp2f1 near-integer", eps, [repr(_outcome(hyp2f1, 0.3, 2.3 + eps, 4.1, z))
+                                           for z in (-50.0, -1e4, -1e8)])
+        a, b = 0.65 - (1.0 + eps) / 2.0, 0.65 + (1.0 + eps) / 2.0
+        print("hyp2f1ratio_with_dz near-integer", eps,
+              [repr(_outcome(hyp2f1ratio_with_dz, a, b, 1.0, z)) for z in (-50.0, -1e4, -1e8)])
+    print("hyp2f1 near-integer mpmath", [repr(_outcome(f, 0.5, 1.5, 2.5, -1e4))
+                                         for f in (hyp2f1, hyp2f1ratio_with_dz)])
+
+
 def main() -> int:
     digest_certify()
     digest_margins()
@@ -501,6 +518,7 @@ def main() -> int:
     digest_trajectories()
     digest_hyp2f1ratio()
     digest_bessel_ratio()
+    digest_near_integer_hyp2f1()
     return 0
 
 
