@@ -361,7 +361,9 @@ def bessel_to_riccati(y, p: float, binding: dict | None = None) -> FuncEval:
     second-order profile y.
 
     The derivative path needs y''; it is estimated by a central difference
-    of the exact first derivative (O(h^2), h = 1e-6 (1+t)).
+    of the exact first derivative, O((h/t)^2) for a power law, with
+    h = min(1e-6 (1+t), 1e-5 t): the stencil stays inside t > 0, and its
+    error stays near 1e-10 relative as t falls to 0.
     """
     y_d = evaluator(y, binding, dual=True)
 
@@ -380,7 +382,7 @@ def bessel_to_riccati(y, p: float, binding: dict | None = None) -> FuncEval:
 
     def g_d(t: float) -> tuple[float, float]:
         yv, yd = positive(t)
-        h = 1e-6 * (1.0 + abs(t))
+        h = min(1e-6 * (1.0 + abs(t)), 1e-5 * abs(t)) or 1e-6   # t = 0: the full step
         ydp = y_d(t + h)[1]
         ydm = y_d(t - h)[1]
         ypp = (ydp - ydm) / (2.0 * h)

@@ -15,27 +15,43 @@ log det(A - sigma B), evaluated by the LDL^T pivot recurrence with the pivot
 derivative carried alongside.  The pencil's eigenvalues are real, so Newton
 started below the smallest one rises monotonically towards it, and the
 inertia count of each iterate (its negative pivots) must be 0: every iterate
-is a certified lower bound.  Counts at doubling distances from Newton's
-estimate then find where the count turns, and bisection of [0, Gershgorin
-bound] pins that to a Sturm-count bracket of relative width 1e-14, taking
-only the counts that the points counted so far leave open, a handful once
-Newton has converged.  The counts are float64 pivot signs: the bracket
-certifies where the computed count turns, which can lie up to ~2e-11
-relative from the exact eigenvalue of the same pencil (1.8e-11 at kappa = 0,
-n = 2, R = 2.98, N = 4693, against a 40-digit Newton on the pencil).  The
-N/2 eigenvalue starts Newton at N, and the returned estimate is the
-Richardson extrapolation of the N/2 and N eigenvalues.
+is a certified lower bound.  Where m eigenvalues lie about as far away as
+the smallest, each step covers only 1/m of the distance (a stiff pencil at
+large hyperbolic R, whose low eigenvalues cluster); there Newton leaps
+towards the limit of its geometric steps, and a leap past the eigenvalue
+counts >= 1 and is only an upper point.  Counts at doubling distances from
+Newton's estimate, starting at N float epsilons (about the blur of both
+the estimate and the count), then find where the count turns, and bisection
+of [0, Gershgorin bound] pins that to a Sturm-count bracket of relative
+width 1e-14, taking only the counts that the points counted so far leave
+open.  The counts are float64 pivot signs: the bracket certifies where the
+computed count turns, which can lie up to ~2e-11 relative from the exact
+eigenvalue of the same pencil (1.8e-11 at kappa = 0, n = 2, R = 2.98,
+N = 4693, against a 40-digit Newton on the pencil).  The count is monotone
+in sigma and the bisection's points are fixed, so where Newton starts
+changes which points are counted and how many, never the bracket.
 
-The pencil is held in plain float lists, and each pass forms the diagonal
-of A - sigma B inside its loop.  A ball whose pencil leaves float range
-(densities s_kappa^{n-1} that overflow, or a mesh width whose square
-overflows or underflows) raises DomainError.
+Each eigenvalue is taken coarse to fine.  Newton's uncertified estimate on
+a pencil of N/16 cells, lowered by 5%, starts Newton at N/2; the O(h^2)
+error model through that estimate and the N/2 eigenvalue predicts the one
+at N, and the prediction, lowered by a quarter of its distance from the N/2
+eigenvalue, starts Newton at N.  A start with an eigenvalue below it (the
+small pencil of a stiff ball overestimates) costs one pass, and Newton runs
+again from 0.  The returned estimate is the Richardson extrapolation of the
+N/2 and N eigenvalues.
+
+The pencil is held in plain float lists, built in one sweep over the
+multiples of h/2 (faces at the even ones, cells at the odd ones), and each
+pass forms the diagonal of A - sigma B inside its loop.  A ball whose pencil
+leaves float range (densities s_kappa^{n-1} that overflow, or a mesh width
+whose square overflows or underflows) raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
@@ -49,11 +65,20 @@ _BRACKET_REL = 1e-14
 # converges quadratically, so the point reached is at rounding level
 _NEWTON_REL = 1e-9
 _NEWTON_MAX_ITER = 100
+# where Newton crawls, the next iterate goes this fraction of the way to
+# the limit of its geometric steps
+_LEAP = 0.3
 # first distance of the count search around Newton's estimate, relative to
-# max(1, lambda): about the width over which rounding blurs the count
-_GALLOP_REL = 1e-13
-# the N/2 eigenvalue lowered by this fraction starts Newton at N
-_GUESS_MARGIN = 1e-2
+# max(1, lambda) and per cell: rounding blurs Newton's estimate and the
+# count's turning point by about N float epsilons
+_GALLOP_REL = sys.float_info.epsilon
+# the small pencil has N / 16 cells; its eigenvalue lowered by this
+# fraction starts Newton at N/2
+_SMALL_DIV = 16
+_SMALL_MARGIN = 0.05
+# the Richardson prediction of the eigenvalue at N, lowered by this fraction
+# of its distance from the N/2 eigenvalue, starts Newton at N
+_PREDICTION_MARGIN = 0.25
 
 
 @dataclass
@@ -70,11 +95,12 @@ class _Pencil:
 
     def __init__(self, diag: list[float], off: list[float], b: list[float]):
         self.diag, self.off, self.b = diag, off, b
-        # squared couplings, with a leading 0 so the recurrence starts at d_0.
-        # ** is libm pow, which can differ from x*x by an ulp; near the
-        # eigenvalue an ulp moves the count, so the choice fixes the digits
-        # of the result (pinned by tools/digest_outputs.py)
-        self._off2 = [0.0] + [o ** 2 for o in off]
+        # rows (c_j, b_j, o_{j-1}^2) of the pivot recurrence, with o_{-1} = 0
+        # so that it starts at d_0.  ** is libm pow, which can differ from
+        # x*x by an ulp; near the eigenvalue an ulp moves the count, so the
+        # choice fixes the digits of the result (pinned by
+        # tools/digest_outputs.py)
+        self._rows = list(zip(diag, b, [0.0] + [o ** 2 for o in off]))
         # Gershgorin bound of B^{-1} A
         self.top = max(map(operator.truediv, diag, b)) + 2.0 * max(map(abs, off)) / min(b)
 
@@ -82,7 +108,7 @@ class _Pencil:
         """Eigenvalues strictly below sigma: the negative pivots of LDL^T."""
         count = 0
         d = 1.0
-        for c, bj, o2 in zip(self.diag, self.b, self._off2):
+        for c, bj, o2 in self._rows:
             d = c - sigma * bj - o2 / d
             if d <= 0.0:
                 if d == 0.0:
@@ -102,7 +128,7 @@ class _Pencil:
         d = 1.0
         r = 0.0
         g = 0.0
-        for c, bj, o2 in zip(self.diag, self.b, self._off2):
+        for c, bj, o2 in self._rows:
             e = o2 / d
             d = c - sigma * bj - e
             if d <= 0.0:
@@ -122,39 +148,74 @@ class _Pencil:
         not the exact eigenvalue of the pencil to 1e-14: the two can differ
         by up to ~2e-11 relative.
 
-        Newton runs from guess if 0 < guess < Gershgorin bound, else from 0;
-        a count search around its estimate (or around a guess that has
-        eigenvalues below it) leaves the bisection of [0, Gershgorin bound]
-        only the last few counts to take.
+        Newton runs from guess if 0 < guess < Gershgorin bound, else from 0,
+        and again from 0 if the guess has an eigenvalue below it; a count
+        search around its estimate leaves the bisection of [0, Gershgorin
+        bound] only the last few counts to take.  Which points are counted
+        does not change the result: the bisection's points are fixed, and
+        the count is monotone in sigma.
         """
         top = self.top
-        below, above = 0.0, top     # counted points: 0 below / >= 1 below
-        sigma = x = guess if 0.0 < guess < top else 0.0
+        sigma = guess if 0.0 < guess < top else 0.0
+        below, above, x = self._newton(sigma, top)
+        if below < sigma:               # the guess counted >= 1
+            below, above, x = self._newton(0.0, above)
+        if 0.0 < x and below <= x <= above:
+            below, above = self._gallop(x, below, above)
+        lo, hi = self._bisect(top, below, above)
+        return 0.5 * (lo + hi)
+
+    def newton_estimate(self) -> float:
+        """Newton's estimate of the smallest eigenvalue from 0, uncertified."""
+        return self._newton(0.0, self.top)[2]
+
+    def _newton(self, sigma: float, above: float) -> tuple[float, float, float]:
+        """Newton from sigma: (below, above, x), the last iterate counted 0
+        (else 0.0), the last counted >= 1 (else the given above), and the
+        estimate x.
+
+        Started below the smallest eigenvalue, Newton rises towards it, but
+        only by a fraction 1/m of the distance while m eigenvalues lie about
+        as far; there its steps shrink geometrically, and where a step is
+        more than 1 - _LEAP of the one before, the next iterate moves _LEAP
+        of the way to the steps' limit (their sum, which lies beyond the
+        eigenvalue).  An iterate that counts >= 1 ends the search, unless it
+        was such a leap: then it becomes the upper point and Newton goes on
+        from its own iterate.
+        """
+        below = prev = 0.0
+        x = sigma
         for _ in range(_NEWTON_MAX_ITER):
             count, step = self.newton(sigma)
-            if count:                   # rounding once converged, or a bad guess
-                above = x = sigma
-                break
+            if count:
+                if sigma == x:          # rounding once converged, or a bad guess
+                    return below, sigma, sigma
+                above, sigma = sigma, x
+                continue
             below = sigma
             x = sigma + step
             if not (step > _NEWTON_REL * max(1.0, sigma) and x < above):
                 break
             sigma = x
-        if below < x <= above:
-            below, above = self._gallop(x, below, above)
-        lo, hi = self._bisect(top, below, above)
-        return 0.5 * (lo + hi)
+            if step < prev:
+                leap = below + _LEAP * step * prev / (prev - step)
+                if x < leap < above:
+                    sigma = leap
+                    step = 0.0          # the next step starts a new ratio
+            prev = step
+        return below, above, x
 
     def _gallop(self, x: float, below: float, above: float) -> tuple[float, float]:
         """Narrow the counted points (below, above) around an estimate x of
-        the eigenvalue: count at x, then at doubling distances from x on the
-        side the eigenvalue lies, until the count turns."""
-        up = self.count_below(x) == 0
+        the eigenvalue: count at x (unless it is one of them), then at
+        doubling distances from x on the side the eigenvalue lies, until the
+        count turns."""
+        up = x == below or (x < above and self.count_below(x) == 0)
         if up:
             below = x
         else:
             above = x
-        dist = _GALLOP_REL * max(1.0, x)
+        dist = _GALLOP_REL * len(self._rows) * max(1.0, x)
         while True:
             p = x + dist if up else x - dist
             if not below < p < above:
@@ -190,12 +251,15 @@ def _pencil(geo: ModelGeometry, R: float, N: int) -> _Pencil:
     """The finite-volume pencil at resolution N."""
     h = R / (N + 0.5)
     h2 = h * h
+    half = 0.5 * h
     try:
-        # the t = 0 face carries zero density
-        a_face = _s_powers(geo.kappa, [j * h for j in range(N + 1)], geo.n - 1)
-        a_cell = _s_powers(geo.kappa, [(j + 0.5) * h for j in range(N)], geo.n - 1)
+        # one sweep over the multiples of h/2, which are j h and (j + 1/2) h
+        # exactly: faces at even multiples (the t = 0 face carries zero
+        # density), cells at odd ones
+        dens = _s_powers(geo.kappa, [j * half for j in range(2 * N + 1)], geo.n - 1)
+        a_face = dens[0::2]
         pencil = _Pencil([(a + a_next) / h2 for a, a_next in zip(a_face, a_face[1:])],
-                         [-a / h2 for a in a_face[1:N]], a_cell)
+                         [-a / h2 for a in a_face[1:N]], dens[1::2])
         if 0.0 < pencil.top < math.inf:
             return pencil
     except (OverflowError, ZeroDivisionError):
@@ -208,7 +272,8 @@ def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralRes
     """Smallest Dirichlet eigenvalue of the radial ball of radius R.
 
     Solves at N/2 and N and Richardson-extrapolates the O(1/N^2) error.
-    The N/2 eigenvalue, lowered by 1%, starts Newton at N.
+    Newton's estimate on a pencil of N/16 cells starts Newton at N/2, and
+    the O(1/N^2) error model through the two predicts where to start it at N.
     """
     if geo.p != 2.0:
         raise ParameterError(f"spectral solver supports p = 2 only, got p={geo.p!r}")
@@ -220,8 +285,17 @@ def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralRes
         raise ParameterError(f"need an integer N, got {N!r}") from None
     if N < 200:
         raise ParameterError(f"need N >= 200, got {N!r}")
-    lam_coarse = _pencil(geo, R, N // 2).smallest_eigenvalue()
-    lam_fine = _pencil(geo, R, N).smallest_eigenvalue((1.0 - _GUESS_MARGIN) * lam_coarse)
+    small = N // _SMALL_DIV
+    try:
+        lam_small = _pencil(geo, R, small).newton_estimate()
+    except DomainError:     # a mesh width whose square overflows: start from 0
+        lam_small = 0.0
+    lam_coarse = _pencil(geo, R, N // 2).smallest_eigenvalue((1.0 - _SMALL_MARGIN) * lam_small)
+    # lambda(M) = lambda + C / (M + 1/2)^2 through the small and N/2 eigenvalues
+    q_small, q_coarse, q_fine = ((m + 0.5) ** -2 for m in (small, N // 2, N))
+    shift = (lam_coarse - lam_small) * (q_fine - q_coarse) / (q_coarse - q_small)
+    lam_fine = _pencil(geo, R, N).smallest_eigenvalue(
+        lam_coarse + shift - _PREDICTION_MARGIN * abs(shift))
     lam_extrap = lam_fine + (lam_fine - lam_coarse) / 3.0
     return SpectralResult(lambda1=lam_extrap, lambda1_raw=lam_fine,
                           lambda1_coarse=lam_coarse, N=N)

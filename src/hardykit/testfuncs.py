@@ -114,11 +114,14 @@ def power_cutoff(eps: float, r0: float, R: float, n: int, p: float,
         def dcut(t: float) -> float:
             return u_rc * ecut * t ** (ecut - 1.0) / denom
 
+        def log_abs_dcut_closed(t: float) -> float:
+            return expo * math.log(rc) + math.log(-ecut) + (ecut - 1.0) * math.log(t) \
+                - math.log(denom)
+
         # |dcut| falls toward R; where it underflows to 0 its log does not
         # exist, and logs taken from the formula give ratios below the sharp
         # constant (the masses fail there too)
-        if denom > 0.0 and (expo * math.log(rc) + math.log(-ecut) + (ecut - 1.0) * math.log(R)
-                            - math.log(denom)) < _LOG_FLOAT_FLOOR:
+        if denom > 0.0 and log_abs_dcut_closed(R) < _LOG_FLOAT_FLOOR:
             raise ParameterError(f"the cut's derivative underflows to 0 before R={R!r} "
                                  f"(n + alpha - p = {exp_np!r})")
     elif exp_np == 0.0:
@@ -155,7 +158,11 @@ def power_cutoff(eps: float, r0: float, R: float, n: int, p: float,
             return -math.inf
         if t <= rc:
             return math.log(abs(expo)) + (expo - 1.0) * math.log(t)
-        return math.log(abs(dcut(t)))
+        v = dcut(t)
+        if v == 0.0 and exp_np > 0.0:
+            # t^(ecut - 1) underflows before the product does
+            return log_abs_dcut_closed(t)
+        return math.log(abs(v))
 
     def u(t: float) -> float:
         lg = log_abs_u(t)

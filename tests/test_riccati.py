@@ -242,6 +242,15 @@ class TestBesselRiccatiBridge:
         for t in (0.3, 1.0, 4.0):
             assert g.eval(t) == pytest.approx(1.0 / (2.0 * t), rel=1e-12)
 
+    def test_inverse_square_root_profile_certifies_down_to_zero(self):
+        # the stencil of y'' stepped below t = 0 for t < ~1e-6: the log grid
+        # from 1e-12 was inconclusive at its first node ("negative base")
+        g = bessel_to_riccati(parse("t^(-0.5)"), 2.0)
+        for t in (1e-12, 1e-9, 3e-6, 1e-3):
+            assert g.eval_d(t)[1] == pytest.approx(-0.5 / t**2, rel=1e-9)
+        for policy in ("log", "uniform"):
+            assert certify(hardy_spec(), g, grid_policy=policy).verdict == "certified"
+
     def test_hyperbolic_profile(self):
         # y = s(t)^(-1/2) at kappa=-1, n=3: G = (1/2) coth(t)
         g = bessel_to_riccati(parse("s(t)^(-0.5)"), 2.0, binding={"kappa": -1.0})

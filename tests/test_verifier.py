@@ -331,6 +331,18 @@ class TestSweeps:
             assert row.lhs == pytest.approx(energy, rel=1e-12)
             assert row.rhs / sw.sharp_constant == pytest.approx(mass, rel=1e-12)
 
+    def test_power_cutoff_log_derivative_where_the_cut_underflows(self):
+        # |dcut(t)| = 161 t^(-162) on the cut: t^(-162) rounds to 0 above
+        # t ~ 99.2, and log_abs_du raised an untyped ValueError at t = 99.9
+        u = power_cutoff(0.1, 1e-3, 100.0, 3, 2.0, alpha=160.0)
+        for t in (99.5, 99.9, 99.999):
+            assert u.du(t) == 0.0
+            assert u.log_abs_du(t) == pytest.approx(math.log(161.0) - 162.0 * math.log(t),
+                                                    rel=1e-14)
+        # where the product is finite, its log is taken as before
+        for t in (2.0, 50.0, 99.0):
+            assert u.log_abs_du(t) == math.log(abs(u.du(t)))
+
     def test_up_scaling_invariance(self):
         sw = sharpness_sweep("up", E3, {"alpha": 1.0})
         ratios = [r.ratio for r in sw.rows]

@@ -17,7 +17,7 @@ expressions, with the type and message of every error raised; exit code,
 stdout, stderr and file artifacts of every command in the README, of
 ``catalog list`` and of generic ``verify`` on three emitted specs;
 ``spectral_lambda1`` (extrapolated, raw and
-coarse eigenvalue) on 29 balls, ``bessel_zero`` on a (nu, k) grid,
+coarse eigenvalue) on 32 balls, ``bessel_zero`` on a (nu, k) grid,
 ``bessel_j`` on its backward-recurrence path (x > 10, x < nu included),
 ``hyp2f1`` on both sides of
 |z| = 40, integer b - a included, and ``hyp2f1`` and dF/dz
@@ -324,8 +324,11 @@ def _spectral_cases():
     """Six fixed balls (at kappa = -2, n = 4, R = 20, N = 8000 the Gershgorin
     bound caps the bisection), 22 seeded draws over the benchmark's box
     (flat R in [0.5, 3] or hyperbolic -kappa in [0.25, 2] and R in [0.5, 20],
-    n = 2..4, N log-uniform in [400, 8000]), and the ball where the Sturm
-    count turns 1.8e-11 relative away from the pencil's exact eigenvalue."""
+    n = 2..4, N log-uniform in [400, 8000]), the ball where the Sturm
+    count turns 1.8e-11 relative away from the pencil's exact eigenvalue,
+    and three at small N: two stiff hyperbolic balls where the small
+    pencil's estimate lies above the N/2 eigenvalue, so that Newton starts
+    again from 0, and a flat n = 9 ball."""
     cases = [(0.0, 2, 1.0, 4000), (-1.0, 2, 40.0, 8000), (0.0, 3, 2.0, 800),
              (-1.0, 3, 20.0, 4000), (-0.5, 4, 5.0, 1200), (-2.0, 4, 20.0, 8000)]
     rng = random.Random(2020)
@@ -333,7 +336,8 @@ def _spectral_cases():
         kappa = 0.0 if i % 2 == 0 else -(0.25 + 1.75 * rng.random())
         R = 0.5 + (2.5 if kappa == 0.0 else 19.5) * rng.random()
         cases.append((kappa, 2 + i // 2 % 3, R, round(400.0 * 20.0 ** rng.random())))
-    return cases + [(0.0, 2, 2.98, 4693)]
+    return cases + [(0.0, 2, 2.98, 4693), (-2.92, 8, 28.8, 201), (-0.91, 7, 14.0, 200),
+                    (0.0, 9, 1.2, 201)]
 
 
 def digest_constants():
