@@ -1,10 +1,10 @@
 """Special-function core: Gamma, Bessel J of real order, Bessel zeros and
 ratios, and the Gauss hypergeometric function for nonpositive argument.
 
-Everything here is scalar and deterministic.  Bessel functions are evaluated
-by the ascending power series up to x = 10 and above, where float64
-cancellation would eat the series, by Miller's backward recurrence (Gautschi,
-SIAM Rev. 9 (1967) 24-82).  The ratio J_(nu+1)/J_nu is Gauss's continued
+Everything here is scalar and deterministic.  J_nu and J_(nu+1) come from
+one pass of Miller's backward recurrence (Gautschi, SIAM Rev. 9 (1967)
+24-82) at every x, except at tiny x, where the ascending series' first term
+alone serves.  The ratio J_(nu+1)/J_nu is Gauss's continued
 fraction up to x = 10, summed by the modified Lentz method with no state
 kept between calls, and the quotient of two mpmath.besselj values above,
 where near the first zero the fraction falls far behind mpmath.  Bessel
@@ -70,14 +70,13 @@ __all__ = [
 BESSEL_NU_MAX = 50.0
 BESSEL_X_MAX = 200.0
 
-# Above this argument the float64 ascending series has lost too many digits
-# (largest term ~ e^x while J = O(1)), and bessel_j takes the backward
-# recurrence.  bessel_ratio's continued fraction has no such loss, but near
-# the first zero, which lies above 10 for nu > 7.2, its error follows the
-# condition number x r'/r ~ 1/gap (gap = 1 - x/j_(nu,1)): at nu = 7.3 to 50
-# it is 2e-14 to 9e-13 off at gap 1e-4 and up to 1e-10 at 1e-6, where
-# mpmath's quotient is within 2e-16; so bessel_ratio takes that quotient.
-_SERIES_FLOAT_XMAX = 10.0
+# Up to this argument bessel_ratio sums Gauss's continued fraction.  Near
+# the first zero, which lies above 10 for nu > 7.2, the fraction's error
+# follows the condition number x r'/r ~ 1/gap (gap = 1 - x/j_(nu,1)): at
+# nu = 7.3 to 50 it is 2e-14 to 9e-13 off at gap 1e-4 and up to 1e-10 at
+# 1e-6, where mpmath's quotient is within 2e-16; so above it bessel_ratio
+# takes that quotient.
+_RATIO_FRACTION_XMAX = 10.0
 # working precision of mpmath.besselj and mpmath.hyp2f1, a few digits above double
 _MP_DPS = 20
 
@@ -114,7 +113,7 @@ _HYP_MP_ZMAX = 1e8
 # many rows.
 _HYP_TABLES = 8
 _HYP_TABLE_ROWS = 1024
-# A Bessel series or continued fraction takes at most this many terms; the
+# The Bessel continued fraction takes at most this many terms; the
 # modified Lentz method stops where a step moves the value by at most
 # _LENTZ_EPS relative, and puts _LENTZ_TINY for a zero partial quotient.
 _BESSEL_MAX_TERMS = 10_000
@@ -151,38 +150,6 @@ def rgamma(x: float) -> float:
         return 0.0
 
 
-def _first_term(nu: float, half: float, gamma1: float) -> float:
-    """half^nu / Gamma(nu + 1) for gamma1 = Gamma(nu + 1), by logarithms on overflow."""
-    try:
-        return half**nu / gamma1
-    except OverflowError:
-        return math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
-
-
-def _bessel_series_float(nu: float, x: float) -> float:
-    half = 0.5 * x
-    return _ascending_series(nu, half, _first_term(nu, half, math.gamma(nu + 1.0)))
-
-
-def _ascending_series(nu: float, half: float, term: float) -> float:
-    """J_nu(2 half)'s ascending series from its first term, half^nu / Gamma(nu + 1)."""
-    ratio = -(half * half)
-    total = term
-    comp = 0.0  # Kahan carry
-    k = 1
-    while True:
-        term *= ratio / (k * (nu + k))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= 1e-18 * (abs(total) + 1e-300) and k > half:
-            return total
-        k += 1
-        if k > _BESSEL_MAX_TERMS:  # series always terminates long before this on the box
-            raise ConvergenceError(f"bessel series stalled at nu={nu}, x={2.0 * half}")
-
-
 def _bessel_mp(nu: float, x: float) -> float:
     import mpmath
     with mpmath.workdps(_MP_DPS):
@@ -196,16 +163,28 @@ def _miller_start(nu: float, x: float) -> int:
 
 
 def _bessel_pair(nu: float, x: float) -> tuple[float, float]:
-    """(J_nu(x), J_(nu+1)(x)) for x > 0 by Miller's backward recurrence
+    """(J_nu(x), J_(nu+1)(x)) for x >= 0 by Miller's backward recurrence
     f_(j-1) = ((m + j) / (x/2)) f_j - f_(j+1), m = nu - floor(nu), from
     f_N = 1 and f_(N+1) = 0, normalized by the Neumann series (x/2)^m =
     sum_k (m + 2k) Gamma(m + k) / k! J_(m+2k)(x) (DLMF 10.23.E2).  Its weights
     over Gamma(m + 1) are summed by Horner's rule on the way down, with the
     k = 0 weight m Gamma(m) taken as Gamma(m + 1), so no integer nu meets
-    Gamma's pole."""
+    Gamma's pole.
+
+    Where x^2 < 4e-17 (nu + 1), the ascending series' second term is below
+    1e-17 of its first, (x/2)^nu / Gamma(nu + 1), so that term alone is J_nu,
+    and the same for J_(nu+1).  They are taken as products from order m,
+    since math.gamma(nu + 1) is up to 1.3e-14 off near nu = 30.  Below
+    x = 1e-250 or so the recurrence's first step factor would leave float
+    range."""
     n = int(nu)
     m = nu - n
     half = 0.5 * x
+    if x * x < 4e-17 * (nu + 1.0):
+        term = half**m / math.gamma(m + 1.0)
+        for k in range(1, n + 2):
+            jn, term = term, term * half / (m + k)
+        return jn, term
     up, f, tail = 0.0, 1.0, 0.0  # f_(j+1), f_j and the Horner sum over k >= 1
     jn = jn1 = 0.0
     for j in range(_miller_start(nu, x), 0, -1):
@@ -222,15 +201,6 @@ def _bessel_pair(nu: float, x: float) -> tuple[float, float]:
     return jn * scale, jn1 * scale
 
 
-def _bessel_j_any(nu: float, x: float) -> float:
-    """J_nu(x) without the public box check (internal use)."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if x <= _SERIES_FLOAT_XMAX:
-        return _bessel_series_float(nu, x)
-    return _bessel_pair(nu, x)[0]
-
-
 def _bessel_box(nu: float, x: float) -> None:
     if not (0.0 <= nu <= BESSEL_NU_MAX):
         raise UnsupportedRangeError(f"bessel_j order nu={nu!r} outside [0, {BESSEL_NU_MAX}]")
@@ -240,24 +210,19 @@ def _bessel_box(nu: float, x: float) -> None:
 
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind J_nu(x) on 0<=nu<=50, 0<=x<=200.
-    Above x = 10, within 8e-16 of 40-digit mpmath on 3000 seeded draws, and
-    within 4e-15 relative where x < nu."""
+    Within 3e-16 of 40-digit mpmath on 3000 seeded draws with x log-uniform
+    in [1e-9, 10], and within 8e-16 on 3000 with x in [10, 200]; within
+    4e-15 relative where x < nu and |J| > 1e-290."""
     _bessel_box(nu, x)
-    return _bessel_j_any(nu, x)
+    return _bessel_pair(nu, x)[0]
 
 
 def _bessel_j_with_dx(nu: float, x: float) -> tuple[float, float]:
-    """(bessel_j(nu, x), dJ_nu/dx) for x > 0: above x = 10 both from one
-    backward recurrence, J' = (nu/x) J_nu - J_(nu+1); below, by the same
-    recurrence relations from the series at nu and at nu - 1 or nu + 1."""
+    """(bessel_j(nu, x), dJ_nu/dx) for x > 0, both from one backward
+    recurrence: J' = (nu/x) J_nu - J_(nu+1)."""
     _bessel_box(nu, x)
-    if x > _SERIES_FLOAT_XMAX:
-        j, j1 = _bessel_pair(nu, x)
-        return j, (nu / x) * j - j1
-    j = _bessel_series_float(nu, x)
-    if nu >= 1.0:
-        return j, _bessel_series_float(nu - 1.0, x) - (nu / x) * j
-    return j, (nu / x) * j - _bessel_series_float(nu + 1.0, x)
+    j, j1 = _bessel_pair(nu, x)
+    return j, (nu / x) * j - j1
 
 
 def _first_zero_estimate(nu: float) -> float:
@@ -307,8 +272,7 @@ def bessel_zero(nu: float, k: int) -> float:
         x = min(max(_mcmahon(nu, k), lo + 0.1), hi - 0.1)
     positive_below = k % 2 == 1
     for _ in range(80):
-        # J and J' = (nu/x) J - J_(nu+1) from one backward recurrence; below
-        # x = 10 the series' noise (1e-14) would move the zero by as much
+        # J and J' = (nu/x) J - J_(nu+1) from one backward recurrence
         fx, fx1 = _bessel_pair(nu, x)
         if (fx > 0.0) == positive_below:
             lo = x
@@ -359,7 +323,7 @@ def bessel_ratio(nu: float, x: float) -> float:
         raise DomainError(
             f"bessel_ratio needs x < first zero j_({nu},1) = {j1:.12g}, got {x!r}"
         )
-    if x > _SERIES_FLOAT_XMAX:
+    if x > _RATIO_FRACTION_XMAX:
         return _bessel_mp(nu + 1.0, x) / _bessel_mp(nu, x)
     if x < 1e-150:  # the fraction's value to 1e-300 relative
         return max(x / (2.0 * nu + 2.0), 5e-324)
@@ -644,10 +608,13 @@ def _hyp2f1_bigz_log(a: float, b: float, c: float, z: float) -> float | None:
 
 
 def _hyp2f1_pair(a: float, b: float, c: float, z: float,
-                 second: bool = False) -> tuple[float, float | None, float | None]:
-    """F, dF/dz and, when ``second`` is set, d2F/dz2 (else 0.0), all from one
-    series pass; both derivatives are None where b - a is near an integer
-    and -z > 40."""
+                 order: int = 0) -> tuple[float, float, float]:
+    """F, dF/dz and d2F/dz2 up to derivative ``order`` (0, 1 or 2), the
+    derivatives from the same series pass as F; d2F/dz2 is 0.0 below order
+    2.  Where b - a is near an integer and -z > 40, the derivatives asked
+    for come from the contiguous relations dF/dz = (a b / c) F(a+1, b+1;
+    c+1; z) and its repetition, at one more evaluation each, and dF/dz is
+    0.0 at order 0."""
     if not 0.0 * a * b * c == 0.0 or z != z:  # 0 a b c is 0 when all three are finite
         raise UnsupportedRangeError(
             f"hyp2f1 needs finite a, b, c and a z that is not NaN, got {a!r}, {b!r}, {c!r}, {z!r}")
@@ -655,6 +622,7 @@ def _hyp2f1_pair(a: float, b: float, c: float, z: float,
         raise PoleError(f"hyp2f1 third parameter c={c!r} is a nonpositive integer")
     if z > 0.0:
         raise UnsupportedRangeError(f"hyp2f1 argument z={z!r} > 0 unsupported")
+    second = order == 2
     if z == 0.0:
         slope = a * b / c
         return 1.0, slope, slope * ((a + 1.0) * (b + 1.0) / (c + 1.0)) if second else 0.0
@@ -669,19 +637,28 @@ def _hyp2f1_pair(a: float, b: float, c: float, z: float,
                 raise UnsupportedRangeError(
                     f"hyp2f1({a!r}, {b!r}, {c!r}, {z!r}) with b - a near an integer needs "
                     "|a|, |b| <= 20, 1e-3 <= c <= 1e3 and -z <= 1e8")
+            f = None
             if -z < math.inf:
                 try:
                     f = _hyp2f1_bigz_log(a, b, c, z)
                 except (ArithmeticError, ValueError):  # a pole or an overflow on the way
-                    f = None
-                if f is not None:
-                    return f, None, None
-            import mpmath
-            try:
-                with mpmath.workdps(_MP_DPS):
-                    return float(mpmath.hyp2f1(a, b, c, z)), None, None
-            except (ValueError, mpmath.libmp.NoConvergence) as exc:
-                raise ConvergenceError(f"mpmath.hyp2f1({a!r}, {b!r}, {c!r}, {z!r}): {exc}") from exc
+                    pass
+            if f is None:
+                import mpmath
+                try:
+                    with mpmath.workdps(_MP_DPS):
+                        f = float(mpmath.hyp2f1(a, b, c, z))
+                except (ValueError, mpmath.libmp.NoConvergence) as exc:
+                    raise ConvergenceError(
+                        f"mpmath.hyp2f1({a!r}, {b!r}, {c!r}, {z!r}): {exc}") from exc
+            if order == 0:
+                return f, 0.0, 0.0
+            slope = a * b / c
+            f2 = 0.0
+            if second:
+                f2 = (slope * ((a + 1.0) * (b + 1.0) / (c + 1.0))
+                      * hyp2f1(a + 2.0, b + 2.0, c + 2.0, z))
+            return f, slope * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z), f2
     # Where c - b is near a negative integer -m, the mapped series
     # F(a, c-b; c; w) tends to (c-a)_m / (c)_m as w -> 1 (Chu-Vandermonde),
     # a small remainder of O(1) terms if c - a is near one of 0, -1, ...,
@@ -732,10 +709,7 @@ def hyp2f1_with_dz(a: float, b: float, c: float, z: float) -> tuple[float, float
     costs no second evaluation; for b - a near an integer and -z > 40 it is
     the contiguous relation dF/dz = (a b / c) F(a+1, b+1; c+1; z).
     """
-    f, dz, _ = _hyp2f1_pair(a, b, c, z)
-    if dz is None:
-        dz = (a * b / c) * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
-    return f, dz
+    return _hyp2f1_pair(a, b, c, z, 1)[:2]
 
 
 def _hyp2f1ratio(a: float, b: float, c: float, z: float,
@@ -746,14 +720,10 @@ def _hyp2f1ratio(a: float, b: float, c: float, z: float,
         if with_dz:
             return hyp2f1_with_dz(a + 1.0, b + 1.0, c + 1.0, z)
         return hyp2f1(a + 1.0, b + 1.0, c + 1.0, z), None
-    f, f1, f2 = _hyp2f1_pair(a, b, c, z, with_dz)
-    slope = a * b / c  # dF/dz at z = 0, and F' / F(a+1, b+1; c+1; z)
-    if f1 is None:  # b - a near an integer, -z > 40: the contiguous relations
-        f1 = slope * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
-        if with_dz:
-            f2 = slope * ((a + 1.0) * (b + 1.0) / (c + 1.0)) * hyp2f1(a + 2.0, b + 2.0, c + 2.0, z)
+    f, f1, f2 = _hyp2f1_pair(a, b, c, z, 2 if with_dz else 1)
     if f == 0.0:
         raise DomainError(f"hyp2f1ratio denominator F({a!r}, {b!r}; {c!r}; {z!r}) is zero")
+    slope = a * b / c  # dF/dz at z = 0, and F' / F(a+1, b+1; c+1; z)
     g = f1 / f
     if not with_dz:
         return g / slope, None

@@ -14,7 +14,7 @@ import math
 from hardykit import geometry, specfun
 from hardykit.errors import (ConvergenceError, DomainError, EvalError, HardykitError,
                              UnboundParameterError, UnsupportedDerivativeError)
-from hardykit.specfun import _HYP_MAX_TERMS, _SERIES_FLOAT_XMAX
+from hardykit.specfun import _HYP_MAX_TERMS
 
 
 def coth_exp(x: float) -> float:
@@ -664,39 +664,3 @@ def ref_series_2f1(a: float, b: float, c: float, x: float,
             esum += k * k1 * term
     return total, dsum, esum
 
-
-def ref_bessel_series_float(nu: float, x: float) -> float:
-    half = 0.5 * x
-    try:
-        term = half**nu / math.gamma(nu + 1.0)
-    except OverflowError:
-        term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
-    return ref_ascending_series(nu, half, term)
-
-
-def ref_ascending_series(nu: float, half: float, term: float) -> float:
-    """J_nu(2 half)'s ascending series from its first term: J_nu for term =
-    half^nu / Gamma(nu + 1), J_nu Gamma(nu + 1) / half^nu for term = 1."""
-    ratio = -(half * half)
-    total = term
-    comp = 0.0  # Kahan carry
-    k = 1
-    while True:
-        term *= ratio / (k * (nu + k))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= 1e-18 * (abs(total) + 1e-300) and k > half:
-            return total
-        k += 1
-        if k > 10_000:  # series always terminates long before this on the box
-            raise ConvergenceError(f"bessel series stalled at nu={nu}, x={2.0 * half}")
-
-
-def ref_bessel_j_any(nu: float, x: float) -> float:
-    """bessel_j on its series path, 0 <= x <= _SERIES_FLOAT_XMAX."""
-    assert x <= _SERIES_FLOAT_XMAX, "above it bessel_j runs the backward recurrence"
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    return ref_bessel_series_float(nu, x)

@@ -12,8 +12,7 @@ from hardykit.specfun import (bessel_j, bessel_ratio, bessel_ratio_dx, bessel_ze
                               gamma, hyp2f1, hyp2f1_with_dz, hyp2f1ratio,
                               hyp2f1ratio_with_dz, rgamma)
 from oracles import (bessel_series_direct, bisect_root, central_diff,
-                     gauss_series_direct, mittag_leffler_ratio, ref_bessel_j_any,
-                     ref_series_2f1)
+                     gauss_series_direct, mittag_leffler_ratio, ref_series_2f1)
 
 
 class TestGamma:
@@ -107,22 +106,43 @@ class TestBesselJ:
         with pytest.raises(UnsupportedRangeError):
             bessel_j(0.0, -1.0)
 
-    def test_bitwise_against_the_series_copy(self):
-        # bessel_j equals its copy in tests/oracles.py on seeded points below
-        # each order's first zero and x = 10, where the series serves
-        rng = random.Random(2402)
-        points = []
-        for i in range(60):
-            nu = rng.uniform(0.0, 50.0) if i % 3 else float(rng.randint(0, 6)) / 2.0
-            top = min(bessel_zero(nu, 1), 10.0)
-            points += [(nu, top * rng.uniform(1e-3, 0.999)) for _ in range(4)]
-        # x = 2 k, where the rule k > x/2 decides a stop
-        points += [(nu, x) for nu in (1.5, 4.0, 9.5) for x in (2.0, 4.0, 6.0, 8.0)
-                   if x < bessel_zero(nu, 1)]
-        # where a J is subnormal or zero
+    def test_one_kernel_against_mpmath_up_to_10(self):
+        # x <= 10, where the ascending series served before the recurrence:
+        # 3000 seeded draws with nu uniform on [0, 50] and x log-uniform on
+        # [1e-9, 10], then x on both sides of the first-term guard
+        # x^2 < 4e-17 (nu + 1), x << nu, x near zeros and points where a J
+        # is subnormal or zero.  Measured on the draws: 2.3e-16 absolute,
+        # 2.0e-15 relative where x < nu and 5.3e-16 for J' (relative above
+        # |J'| = 1); the series read 2.2e-14, 1.3e-14 and 1.9e-14
+        import mpmath
+
+        rng = random.Random(3001)
+        points = [(rng.uniform(0.0, 50.0), 10.0 ** rng.uniform(-9.0, 1.0)) for _ in range(3000)]
+        for nu in (0.0, 0.5, 2.5, 17.5, 31.3, 50.0):
+            edge = math.sqrt(4e-17 * (nu + 1.0))
+            points += [(nu, edge * f) for f in (0.5, 0.999, 1.001, 2.0)]
+            points += [(nu, x) for x in (1e-3 * nu, 0.05 * nu, 0.2 * nu) if x > 0.0]
+            points += [(nu, bessel_zero(nu, k) * (1.0 + d)) for k in (1, 2, 3)
+                       for d in (-1e-6, 1e-9, 1e-6) if bessel_zero(nu, k) < 9.9]
         points += _BESSEL_TINY_POINTS + [(0.0, 5e-324), (1.0, 5e-324), (50.0, 1e-7)]
-        for nu, x in points:
-            assert bessel_j(nu, x) == ref_bessel_j_any(nu, x), (nu, x)
+        with mpmath.workdps(40):
+            for nu, x in points:
+                j = bessel_j(nu, x)
+                ref = mpmath.besselj(nu, x)
+                assert abs(j - ref) <= 1e-15, (nu, x)
+                if x < nu and abs(ref) > 1e-290:
+                    assert abs((j - ref) / ref) <= 2e-14, (nu, x)
+                if x == 5e-324:  # nu / x overflows there (test below)
+                    continue
+                value, dj = specfun._bessel_j_with_dx(nu, x)
+                assert value == j, (nu, x)
+                dref = mpmath.besselj(nu, x, derivative=1)
+                assert abs(dj - dref) <= 2e-15 * max(1.0, abs(dref)), (nu, x)
+
+    @pytest.mark.xfail(strict=True, reason="FOUND: at x = 5e-324 J' = (nu/x) J_nu - J_(nu+1) "
+                       "is inf * 0 for nu > 0, so _bessel_j_with_dx returns NaN")
+    def test_derivative_at_the_smallest_subnormal(self):
+        assert specfun._bessel_j_with_dx(1.0, 5e-324)[1] == 0.5
 
 
 class TestBesselZero:
@@ -687,6 +707,15 @@ class TestHyp2f1Ratio:
         cases = [(*_gm_shape(rng), -(10.0 ** rng.uniform(-6.0, 4.0))) for _ in range(300)]
         assert self._worst(cases) <= self.BOUND
 
+    @pytest.mark.xfail(strict=True, reason="FOUND: r' = (c/ab) (F''/F - (F'/F)^2) cancels "
+                       "where r' is small against F''/F, here on the 1/z branch")
+    def test_derivative_near_its_zero_within_1e_12(self):
+        # the FOUND's sweep point (1.604, 2.360; 0.4616; -14.85) reads 1.5e-12;
+        # at this z, nearer the zero of r' (r' = -5.7e-7), 1.0e-11
+        a, b, c, z = 1.604, 2.360, 0.4616, -14.8425
+        ref_dr = _ratio_ref(a, b, c, z)[1]
+        assert abs((hyp2f1ratio_with_dz(a, b, c, z)[1] - ref_dr) / ref_dr) <= 1e-12
+
     def test_each_branch_against_mpmath(self, monkeypatch):
         # the mapped series (-z <= 3), the 1/z formula (-z > 3) and, for
         # b - a within 1e-3 of an integer, the mapped series up to -z = 40
@@ -948,8 +977,7 @@ class TestKernelTables:
 class TestBesselBoxCrossCheck:
     def test_random_sample_against_mpmath(self):
         # mpmath.besselj uses hypercomb machinery, independent of the
-        # ascending-series loop that serves x <= 10 and of the backward
-        # recurrence above; the box bound is 1e-11 absolute
+        # backward recurrence; the box bound is 1e-11 absolute
         import random
 
         import mpmath

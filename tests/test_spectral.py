@@ -52,6 +52,15 @@ class TestNumericalBehavior:
         d2 = abs(lams[500] - lams[1000])
         assert d1 / d2 >= 3.5
 
+    @pytest.mark.xfail(strict=True, reason="FOUND: where N is too small for the ball, "
+                       "spectral_lambda1 returns an eigenvalue below McKean's bound and "
+                       "nothing in the result flags it")
+    def test_never_below_mckean_bound(self):
+        # every ball of H^n(kappa) has lambda1 > (n - 1)^2 |kappa| / 4 = 35.77
+        # here; N = 201 gives 35.539
+        res = spectral_lambda1(ModelGeometry(-2.92, 8, 2.0), 28.8, 201)
+        assert res.lambda1 > 7.0**2 * 2.92 / 4.0
+
     def test_richardson_improves(self):
         geo = ModelGeometry(0.0, 2, 2.0)
         exact = bessel_zero(0.0, 1) ** 2

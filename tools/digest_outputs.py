@@ -18,7 +18,7 @@ stdout, stderr and file artifacts of every command in the README, of
 ``catalog list`` and of generic ``verify`` on three emitted specs;
 ``spectral_lambda1`` (extrapolated, raw and
 coarse eigenvalue) on 32 balls, ``bessel_zero`` on a (nu, k) grid,
-``bessel_j`` on its backward-recurrence path (x > 10, x < nu included),
+``bessel_j`` at x > 10 (x < nu included),
 ``hyp2f1`` on both sides of
 |z| = 40, integer b - a included, and ``hyp2f1`` and dF/dz
 (``hyp2f1_with_dz``, labelled ``hyp2f1_dz``) on both sides of |z| = 3 for
@@ -33,12 +33,14 @@ reason, witness and max |residual|; then forward and backward
 ``solve_ivp`` trajectories for every radial entry a config file can hold,
 and one that blows up; last, ``hyp2f1ratio`` and ``hyp2f1ratio_with_dz``
 on Ghoussoub-Moradifam-shaped parameters on every branch of ``hyp2f1``;
-last, ``bessel_j`` and ``bessel_ratio`` on their float paths (x <= 10) for
-eight orders, the ratio on mpmath where the first zero lies above 10, and
+last, ``bessel_j`` and ``bessel_ratio`` at x <= 10 for eight orders, the
+ratio on mpmath where the first zero lies above 10, and
 points where a J is subnormal or zero; last, ``hyp2f1`` and
 ``hyp2f1ratio_with_dz`` for b - a within 1e-3 of an integer and -z in
 {50, 1e4, 1e8} on the float limit of the 1/z formula, and one point it leaves
-to mpmath.  Floats are printed with ``repr``; long lists are hashed.
+to mpmath; last, ``bessel_j`` and J' at j_(0,3) and on both sides of the
+tiny-x guard of the recurrence.  Floats are printed with ``repr``; long
+lists are hashed.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from hardykit.catalog import instantiate
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry
 from hardykit.riccati import FuncEval, RiccatiPairSpec, certify, solve_ivp
-from hardykit.specfun import (bessel_j, bessel_ratio, bessel_zero, hyp2f1, hyp2f1_with_dz,
-                              hyp2f1ratio, hyp2f1ratio_with_dz)
+from hardykit.specfun import (_bessel_j_with_dx, bessel_j, bessel_ratio, bessel_zero, hyp2f1,
+                              hyp2f1_with_dz, hyp2f1ratio, hyp2f1ratio_with_dz)
 from hardykit.spectral import spectral_lambda1
 from hardykit.testfuncs import gaussian_type, random_bumps, talenti
 from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_check,
@@ -478,9 +480,9 @@ def digest_hyp2f1ratio():
 
 
 def digest_bessel_ratio():
-    # appended after the lines above: bessel_j and bessel_ratio on their
-    # float paths (x <= 10) and, for orders whose first zero lies above 10,
-    # the ratio on mpmath; then points where a J is subnormal or zero
+    # appended after the lines above: bessel_j and bessel_ratio at x <= 10
+    # and, for orders whose first zero lies above 10, the ratio on mpmath;
+    # then points where a J is subnormal or zero
     for nu in (0.0, 0.5, 1.0, 2.5, 7.3, 17.5, 33.0, 50.0):
         print("bessel_j", nu, [repr(bessel_j(nu, x)) for x in (1e-3, 0.5, 2.0, 5.3, 8.65, 10.0)])
         j1 = bessel_zero(nu, 1)
@@ -508,6 +510,20 @@ def digest_near_integer_hyp2f1():
                                          for f in (hyp2f1, hyp2f1ratio_with_dz)])
 
 
+def digest_bessel_j_kernel():
+    # appended after the lines above: J and J' = (nu/x) J_nu - J_(nu+1) at
+    # j_(0,3), where the ascending series was 3e-14 off, and at x 0.1%
+    # below and above the guard x^2 = 4e-17 (nu + 1), where the first term
+    # of the ascending series gives way to the recurrence
+    points = [(0.0, 8.653727912911013)]
+    for nu in (0.0, 0.5, 2.5, 17.5, 31.3):
+        edge = math.sqrt(4e-17 * (nu + 1.0))
+        points += [(nu, 0.999 * edge), (nu, 1.001 * edge)]
+    for nu, x in points:
+        print("bessel_j kernel", nu, repr(x), repr(bessel_j(nu, x)),
+              repr(_bessel_j_with_dx(nu, x)[1]))
+
+
 def main() -> int:
     digest_certify()
     digest_margins()
@@ -523,6 +539,7 @@ def main() -> int:
     digest_hyp2f1ratio()
     digest_bessel_ratio()
     digest_near_integer_hyp2f1()
+    digest_bessel_j_kernel()
     return 0
 
 
