@@ -99,17 +99,6 @@ def s_value(kappa: float, t: float) -> float:
         return math.inf
 
 
-def _s_powers(kappa: float, ts: list[float], k: int) -> list[float]:
-    """[s_value(kappa, t) ** k for t in ts] (t >= 0) by the same float
-    operations, without a call per t; OverflowError where s_kappa(t) or its
-    power is beyond float range."""
-    if kappa == 0.0:
-        return [t ** k for t in ts]
-    r = math.sqrt(-kappa)
-    sinh = math.sinh
-    return [(sinh(r * t) / r) ** k for t in ts]
-
-
 def s_value_dt(kappa: float, t: float) -> float:
     """d/dt s_kappa(t) = cosh(sqrt(-kappa) t) (equals 1 at kappa=0)."""
     if kappa == 0.0:

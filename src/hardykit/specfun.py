@@ -219,9 +219,15 @@ def bessel_j(nu: float, x: float) -> float:
 
 def _bessel_j_with_dx(nu: float, x: float) -> tuple[float, float]:
     """(bessel_j(nu, x), dJ_nu/dx) for x > 0, both from one backward
-    recurrence: J' = (nu/x) J_nu - J_(nu+1)."""
+    recurrence: J' = (nu/x) J_nu - J_(nu+1).  Where nu/x overflows (x below
+    nu / 1.8e308), J' is the series' first term (x/2)^(nu-1) / (2 Gamma(nu)),
+    formed without x/2, which rounds to 0 at the smallest subnormal."""
     _bessel_box(nu, x)
     j, j1 = _bessel_pair(nu, x)
+    if nu / x == math.inf:
+        first = 0.5 * 2.0 ** (1.0 - nu) / math.gamma(nu)
+        # x^(nu-1) as x^nu / x below nu = 1/2, where nu - 1 rounds
+        return j, first * x ** nu / x if nu < 0.5 else first * x ** (nu - 1.0)
     return j, (nu / x) * j - j1
 
 

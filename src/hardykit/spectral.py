@@ -31,20 +31,20 @@ N = 4693, against a 40-digit Newton on the pencil).  The count is monotone
 in sigma and the bisection's points are fixed, so where Newton starts
 changes which points are counted and how many, never the bracket.
 
-Each eigenvalue is taken coarse to fine.  Newton's uncertified estimate on
-a pencil of N/16 cells, lowered by 5%, starts Newton at N/2; the O(h^2)
-error model through that estimate and the N/2 eigenvalue predicts the one
-at N, and the prediction, lowered by a quarter of its distance from the N/2
-eigenvalue, starts Newton at N.  A start with an eigenvalue below it (the
-small pencil of a stiff ball overestimates) costs one pass, and Newton runs
-again from 0.  The returned estimate is the Richardson extrapolation of the
-N/2 and N eigenvalues.
+Each eigenvalue is taken coarse to fine.  Newton's uncertified estimates on
+N/32 and N/16 cells (the second started 5% below the first) predict the N/2
+eigenvalue by the O(h^2) error model, and the N/16 estimate and the N/2
+eigenvalue predict the one at N; each prediction, lowered by a quarter of
+its distance from the eigenvalue before, starts Newton.  A start with an
+eigenvalue below it (the small pencils of a stiff ball overestimate) costs
+one pass, and Newton runs again from 0.  The returned estimate is the
+Richardson extrapolation of the N/2 and N eigenvalues.
 
-The pencil is held in plain float lists, built in one sweep over the
-multiples of h/2 (faces at the even ones, cells at the odd ones), and each
-pass forms the diagonal of A - sigma B inside its loop.  A ball whose pencil
-leaves float range (densities s_kappa^{n-1} that overflow, or a mesh width
-whose square overflows or underflows) raises DomainError.
+The pencil is held as the rows of its pivot recurrence, built from one
+sweep over the multiples of h/2 (faces at the even ones, cells at the odd
+ones), and each pass forms the diagonal of A - sigma B inside its loop.  A
+ball whose pencil leaves float range (densities s_kappa^{n-1} that overflow,
+or a mesh width whose square overflows or underflows) raises DomainError.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
-from .geometry import ModelGeometry, _s_powers
+from .geometry import ModelGeometry
 
 __all__ = ["SpectralResult", "spectral_lambda1"]
 
@@ -72,12 +72,12 @@ _LEAP = 0.3
 # max(1, lambda) and per cell: rounding blurs Newton's estimate and the
 # count's turning point by about N float epsilons
 _GALLOP_REL = sys.float_info.epsilon
-# the small pencil has N / 16 cells; its eigenvalue lowered by this
-# fraction starts Newton at N/2
+# the small pencils have N / 32 and N / 16 cells; Newton's estimate on the
+# first, lowered by this fraction, starts Newton on the second
 _SMALL_DIV = 16
 _SMALL_MARGIN = 0.05
-# the Richardson prediction of the eigenvalue at N, lowered by this fraction
-# of its distance from the N/2 eigenvalue, starts Newton at N
+# the Richardson prediction of the eigenvalue at N/2 or N, lowered by this
+# fraction of its distance from the eigenvalue before, starts Newton there
 _PREDICTION_MARGIN = 0.25
 
 
@@ -90,19 +90,12 @@ class SpectralResult:
 
 
 class _Pencil:
-    """A - sigma B, with A symmetric tridiagonal (diag, off) and B positive
-    diagonal, each a list of floats."""
+    """A - sigma B, with A symmetric tridiagonal and B positive diagonal, as
+    the rows (c_j, b_j, o_{j-1}^2) of the pivot recurrence (o_{-1} = 0, so
+    that it starts at d_0), and top, the Gershgorin bound of B^{-1} A."""
 
-    def __init__(self, diag: list[float], off: list[float], b: list[float]):
-        self.diag, self.off, self.b = diag, off, b
-        # rows (c_j, b_j, o_{j-1}^2) of the pivot recurrence, with o_{-1} = 0
-        # so that it starts at d_0.  ** is libm pow, which can differ from
-        # x*x by an ulp; near the eigenvalue an ulp moves the count, so the
-        # choice fixes the digits of the result (pinned by
-        # tools/digest_outputs.py)
-        self._rows = list(zip(diag, b, [0.0] + [o ** 2 for o in off]))
-        # Gershgorin bound of B^{-1} A
-        self.top = max(map(operator.truediv, diag, b)) + 2.0 * max(map(abs, off)) / min(b)
+    def __init__(self, rows: list[tuple[float, float, float]], top: float):
+        self._rows, self.top = rows, top
 
     def count_below(self, sigma: float) -> int:
         """Eigenvalues strictly below sigma: the negative pivots of LDL^T."""
@@ -155,19 +148,20 @@ class _Pencil:
         does not change the result: the bisection's points are fixed, and
         the count is monotone in sigma.
         """
-        top = self.top
-        sigma = guess if 0.0 < guess < top else 0.0
-        below, above, x = self._newton(sigma, top)
-        if below < sigma:               # the guess counted >= 1
-            below, above, x = self._newton(0.0, above)
+        below, above, x = self.newton_from(guess)
         if 0.0 < x and below <= x <= above:
             below, above = self._gallop(x, below, above)
-        lo, hi = self._bisect(top, below, above)
+        lo, hi = self._bisect(self.top, below, above)
         return 0.5 * (lo + hi)
 
-    def newton_estimate(self) -> float:
-        """Newton's estimate of the smallest eigenvalue from 0, uncertified."""
-        return self._newton(0.0, self.top)[2]
+    def newton_from(self, guess: float) -> tuple[float, float, float]:
+        """_newton from guess if 0 < guess < top, else from 0, and again from
+        0 if the guess counts >= 1; its third entry is Newton's estimate."""
+        sigma = guess if 0.0 < guess < self.top else 0.0
+        below, above, x = self._newton(sigma, self.top)
+        if below < sigma:               # the guess counted >= 1
+            below, above, x = self._newton(0.0, above)
+        return below, above, x
 
     def _newton(self, sigma: float, above: float) -> tuple[float, float, float]:
         """Newton from sigma: (below, above, x), the last iterate counted 0
@@ -252,14 +246,29 @@ def _pencil(geo: ModelGeometry, R: float, N: int) -> _Pencil:
     h = R / (N + 0.5)
     h2 = h * h
     half = 0.5 * h
+    k = geo.n - 1
     try:
-        # one sweep over the multiples of h/2, which are j h and (j + 1/2) h
-        # exactly: faces at even multiples (the t = 0 face carries zero
-        # density), cells at odd ones
-        dens = _s_powers(geo.kappa, [j * half for j in range(2 * N + 1)], geo.n - 1)
-        a_face = dens[0::2]
-        pencil = _Pencil([(a + a_next) / h2 for a, a_next in zip(a_face, a_face[1:])],
-                         [-a / h2 for a in a_face[1:N]], dens[1::2])
+        # s_kappa(t)^k by geometry.s_value's float operations at the
+        # multiples t of h/2, which are j h and (j + 1/2) h exactly: faces at
+        # even multiples (the t = 0 face carries zero density), cells at odd
+        if geo.kappa == 0.0:
+            dens = [j * half for j in range(2 * N + 1)]
+        else:
+            r = math.sqrt(-geo.kappa)
+            sinh = math.sinh
+            dens = [sinh(r * (j * half)) / r for j in range(2 * N + 1)]
+        if k > 1:               # x ** 1 is x
+            dens = [s ** k for s in dens]
+        faces, b = dens[0::2], dens[1::2]
+        diag = [(a + a_next) / h2 for a, a_next in zip(faces, faces[1:])]
+        # o_{j-1} = -a_j / h2 (0 at the t = 0 face).  ** is libm pow, which
+        # can differ from x*x by an ulp; near the eigenvalue an ulp moves the
+        # count, so the choice fixes the digits of the result (pinned by
+        # tools/digest_outputs.py).  Division by h2 > 0 is monotone, so
+        # max|o| is max(a) / h2
+        pencil = _Pencil([(c, bj, (a / h2) ** 2) for c, bj, a in zip(diag, b, faces)],
+                         max(map(operator.truediv, diag, b))
+                         + 2.0 * (max(faces[1:N]) / h2) / min(b))
         if 0.0 < pencil.top < math.inf:
             return pencil
     except (OverflowError, ZeroDivisionError):
@@ -268,12 +277,23 @@ def _pencil(geo: ModelGeometry, R: float, N: int) -> _Pencil:
                       f"leaves float range at N={N}")
 
 
+def _predict(m0: int, lam0: float, m1: int, lam1: float, m2: int) -> float:
+    """lambda(m2) of lambda(M) = lambda + C / (M + 1/2)^2 through lambda(m0) =
+    lam0 and lambda(m1) = lam1, lowered by _PREDICTION_MARGIN of its shift."""
+    q0, q1, q2 = ((m + 0.5) ** -2 for m in (m0, m1, m2))
+    shift = (lam1 - lam0) * (q2 - q1) / (q1 - q0)
+    return lam1 + shift - _PREDICTION_MARGIN * abs(shift)
+
+
 def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralResult:
     """Smallest Dirichlet eigenvalue of the radial ball of radius R.
 
     Solves at N/2 and N and Richardson-extrapolates the O(1/N^2) error.
-    Newton's estimate on a pencil of N/16 cells starts Newton at N/2, and
-    the O(1/N^2) error model through the two predicts where to start it at N.
+    Newton's estimates on pencils of N/32 and N/16 cells (the second
+    started from the first) predict by the O(1/N^2) error model where to
+    start Newton at N/2, and the N/16 estimate and the N/2 eigenvalue
+    predict where to start it at N.  Where Newton starts changes how many
+    passes a solve takes, never a bit of the result.
     """
     if geo.p != 2.0:
         raise ParameterError(f"spectral solver supports p = 2 only, got p={geo.p!r}")
@@ -285,17 +305,17 @@ def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralRes
         raise ParameterError(f"need an integer N, got {N!r}") from None
     if N < 200:
         raise ParameterError(f"need N >= 200, got {N!r}")
-    small = N // _SMALL_DIV
+    tiny, small = N // (2 * _SMALL_DIV), N // _SMALL_DIV
+    lam_tiny = lam_small = 0.0
     try:
-        lam_small = _pencil(geo, R, small).newton_estimate()
+        lam_tiny = _pencil(geo, R, tiny).newton_from(0.0)[2]
+        lam_small = _pencil(geo, R, small).newton_from((1.0 - _SMALL_MARGIN) * lam_tiny)[2]
     except DomainError:     # a mesh width whose square overflows: start from 0
-        lam_small = 0.0
-    lam_coarse = _pencil(geo, R, N // 2).smallest_eigenvalue((1.0 - _SMALL_MARGIN) * lam_small)
-    # lambda(M) = lambda + C / (M + 1/2)^2 through the small and N/2 eigenvalues
-    q_small, q_coarse, q_fine = ((m + 0.5) ** -2 for m in (small, N // 2, N))
-    shift = (lam_coarse - lam_small) * (q_fine - q_coarse) / (q_coarse - q_small)
+        pass
+    lam_coarse = _pencil(geo, R, N // 2).smallest_eigenvalue(
+        _predict(tiny, lam_tiny, small, lam_small, N // 2))
     lam_fine = _pencil(geo, R, N).smallest_eigenvalue(
-        lam_coarse + shift - _PREDICTION_MARGIN * abs(shift))
+        _predict(small, lam_small, N // 2, lam_coarse, N))
     lam_extrap = lam_fine + (lam_fine - lam_coarse) / 3.0
     return SpectralResult(lambda1=lam_extrap, lambda1_raw=lam_fine,
                           lambda1_coarse=lam_coarse, N=N)

@@ -77,7 +77,7 @@ def compact_bump(center: float, width: float) -> RadialTestFunction:
         if abs(x) >= 1.0:
             return 0.0
         g = 1.0 - x * x
-        return u(t) * (-2.0 * x / (g * g)) / width
+        return math.exp(1.0 - 1.0 / g) * (-2.0 * x / (g * g)) / width
 
     return RadialTestFunction(
         "compact_bump", u, du, center - width, center + width,

@@ -664,3 +664,25 @@ def ref_series_2f1(a: float, b: float, c: float, x: float,
             esum += k * k1 * term
     return total, dsum, esum
 
+
+
+def ref_pencil(geo, R: float, N: int) -> tuple[list[tuple[float, float, float]], float]:
+    """The finite-volume pencil's rows (c_j, b_j, o_{j-1}^2) and Gershgorin
+    bound, built point by point: s_value ** (n - 1) at each multiple of h/2,
+    the off-diagonal o_j = -a_(j+1) / h^2 as a list, o ** 2 and max|o|.
+    DomainError where the pencil leaves float range."""
+    h = R / (N + 0.5)
+    h2 = h * h
+    half = 0.5 * h
+    try:
+        dens = [geometry.s_value(geo.kappa, j * half) ** (geo.n - 1) for j in range(2 * N + 1)]
+        faces, b = dens[0::2], dens[1::2]
+        diag = [(faces[j] + faces[j + 1]) / h2 for j in range(N)]
+        off = [-faces[j] / h2 for j in range(1, N)]
+        rows = list(zip(diag, b, [0.0] + [o ** 2 for o in off]))
+        top = max(c / bj for c, bj in zip(diag, b)) + 2.0 * max(abs(o) for o in off) / min(b)
+    except (OverflowError, ZeroDivisionError):
+        top = math.inf
+    if not 0.0 < top < math.inf:
+        raise DomainError(f"pencil of R={R!r}, N={N} leaves float range")
+    return rows, top

@@ -4,8 +4,8 @@ import pytest
 
 from hardykit.errors import DomainError, ParameterError
 from hardykit.exprdsl import parse
-from hardykit.geometry import (ComparisonL, ModelGeometry, _s_powers, ct_value, deficit_value,
-                               s_value, unit_ball_volume)
+from hardykit.geometry import (ComparisonL, ModelGeometry, ct_value, deficit_value, s_value,
+                               unit_ball_volume)
 from hardykit.verifier import radial_integral
 from oracles import coth_exp, simpson, sinh_series
 
@@ -140,10 +140,9 @@ class TestDeficit:
 class TestVolumes:
     def test_density_examples(self):
         # s_kappa(t)^(n-1), the radial density the spectral pencil weights
-        assert _s_powers(E3.kappa, [2.0], E3.n - 1) == [4.0]
-        assert _s_powers(E2.kappa, [5.0], E2.n - 1) == [5.0]
-        assert _s_powers(H1_2.kappa, [1.0], H1_2.n - 1)[0] == pytest.approx(math.sinh(1.0),
-                                                                            rel=1e-15)
+        assert s_value(E3.kappa, 2.0) ** (E3.n - 1) == 4.0
+        assert s_value(E2.kappa, 5.0) ** (E2.n - 1) == 5.0
+        assert s_value(H1_2.kappa, 1.0) ** (H1_2.n - 1) == pytest.approx(math.sinh(1.0), rel=1e-15)
 
     def test_omega_n(self):
         assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)

@@ -132,17 +132,27 @@ class TestBesselJ:
                 assert abs(j - ref) <= 1e-15, (nu, x)
                 if x < nu and abs(ref) > 1e-290:
                     assert abs((j - ref) / ref) <= 2e-14, (nu, x)
-                if x == 5e-324:  # nu / x overflows there (test below)
-                    continue
                 value, dj = specfun._bessel_j_with_dx(nu, x)
                 assert value == j, (nu, x)
                 dref = mpmath.besselj(nu, x, derivative=1)
                 assert abs(dj - dref) <= 2e-15 * max(1.0, abs(dref)), (nu, x)
 
-    @pytest.mark.xfail(strict=True, reason="FOUND: at x = 5e-324 J' = (nu/x) J_nu - J_(nu+1) "
-                       "is inf * 0 for nu > 0, so _bessel_j_with_dx returns NaN")
     def test_derivative_at_the_smallest_subnormal(self):
+        # nu / x overflows there and J_nu has underflowed: J' is the series'
+        # first term
+        import mpmath
+
+        from hardykit.exprdsl import parse
+
         assert specfun._bessel_j_with_dx(1.0, 5e-324)[1] == 0.5
+        assert parse("besselj(1, t)").eval_d(5e-324) == (0.0, 0.5)
+        with mpmath.workdps(40):
+            for nu in (0.5, 0.045, 1.5):
+                dj = specfun._bessel_j_with_dx(nu, 5e-324)[1]
+                dref = mpmath.besselj(nu, mpmath.mpf(5e-324), derivative=1)
+                assert abs(dj - dref) <= 1e-15 * dref, (nu, dj)
+        # beyond float range only where J' is
+        assert specfun._bessel_j_with_dx(0.04, 5e-324)[1] == math.inf
 
 
 class TestBesselZero:

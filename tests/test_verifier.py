@@ -36,6 +36,22 @@ def young_holds(extras, tol=1e-9):
     return j ** (1.0 - p) * abs(i) ** p >= p * i - (p - 1.0) * j - 1e-9 * scale
 
 
+class TestCompactBump:
+    def test_derivative_is_the_chain_rule_of_u(self):
+        # du takes exp(1 - 1/g) itself, bitwise the u(t) it stands for
+        rng = random.Random(75)
+        for _ in range(40):
+            width = rng.uniform(0.01, 5.0)
+            center = width + rng.uniform(1e-6, 10.0)
+            bump = compact_bump(center, width)
+            for _ in range(50):
+                t = rng.uniform(center - 1.1 * width, center + 1.1 * width)
+                x = (t - center) / width
+                g = 1.0 - x * x
+                expected = bump.u(t) * (-2.0 * x / (g * g)) / width if abs(x) < 1.0 else 0.0
+                assert bump.du(t) == expected, (center, width, t)
+
+
 class TestRadialIntegral:
     def test_flat_disk_linear_weight(self):
         val, err = radial_integral(E2, lambda t: t, 1.0)
