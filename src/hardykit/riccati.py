@@ -52,7 +52,6 @@ __all__ = [
     "RiccatiTrajectory",
     "bessel_to_riccati",
     "riccati_to_bessel",
-    "golden_section_max",
 ]
 
 
@@ -432,28 +431,3 @@ def riccati_to_bessel(G, p: float, t_anchor: float, binding: dict | None = None)
         return yv, -rate(t) * yv
 
     return FuncEval(y, y_d, "riccati_to_bessel")
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-12, max_iter: int = 500) -> tuple[float, float]:
-    """Deterministic golden-section maximization on [lo, hi]."""
-    a, b = (lo, hi) if lo < hi else (hi, lo)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)

@@ -2,7 +2,7 @@
 
 Everything here reduces to weighted radial integrals against the model
 measure d(mu) = n*omega_n * s_kappa^(n-1)(t) dt, computed by one helper,
-``_integral``, except the three of an additive or multiplicative margin.
+``_log_mass``, except the three of an additive or multiplicative margin.
 The additive margin compares the energy integral with the two-term right
 side built from a candidate G, its weight w (the constant 1 for a plain G)
 and a nonlinearity H; the multiplicative margin assembles
@@ -20,11 +20,12 @@ multiplicative margins and ``radial_integral``, ``_TOL_FINE`` = 1e-11 for
 everything else.
 
 Near-extremal Hardy test functions spread mass over hundreds of decades
-with plateau values far beyond float range, so the sharpness-sweep
-integrals run through a log-space evaluation path, ``_log_mass``, which
-integrates in x = ln t from the first support segment spanning more than a
-decade: one hardy sweep takes ~160 Kronrod panels there, not one panel per
-decade.  The direct integrals expect moderate test functions (bumps,
+with plateau values far beyond float range, so ``_log_mass`` evaluates
+|u|^p, |u'|^p and the density through logs (``radial_integral``'s f and the
+oscillatory margin's s_c terms are read in floats and only the density in
+logs) and integrates in x = ln t from the first segment spanning more than
+a decade: one hardy sweep takes ~160 Kronrod panels there, not one panel
+per decade.  The margin panels expect moderate test functions (bumps,
 gaussians).
 """
 
@@ -89,39 +90,6 @@ def margin_violated(m: InequalityMargin) -> bool:
     return m.margin < -budget
 
 
-def _integral(geo: ModelGeometry, f: Callable[[float], float], lo: float, hi: float,
-              tol: float, breakpoints: Sequence[float] = (),
-              singular_hint: float | None = None) -> tuple[float, float]:
-    """n*omega_n * integral_lo^hi f(t) dt with its error estimate."""
-    val, err = integrate(f, lo, hi, rel_tol=tol, breakpoints=breakpoints,
-                         singular_hint=singular_hint)
-    scale = geo.n * unit_ball_volume(geo.n)
-    return scale * val, scale * err
-
-
-def _radial(geo: ModelGeometry, f: Callable[[float], float], lo: float, hi: float,
-            tol: float, breakpoints: Sequence[float] = (),
-            singular_hint: float | None = None) -> tuple[float, float]:
-    """n*omega_n * integral_lo^hi f(t) s_kappa^(n-1)(t) dt with its error
-    estimate; the density is skipped where f vanishes, and a DomainError
-    names the t where f does not but the density leaves float range."""
-    n, kappa = geo.n, geo.kappa
-
-    def g(t: float) -> float:
-        v = f(t)
-        if v == 0.0:
-            return 0.0
-        try:
-            density = s_value(kappa, t) ** (n - 1)
-        except OverflowError:
-            density = math.inf
-        if density == math.inf:
-            raise DomainError(f"integrand overflow at t={t!r}")
-        return v * density
-
-    return _integral(geo, g, lo, hi, tol, breakpoints, singular_hint)
-
-
 def radial_integral(
     geo: ModelGeometry,
     f: Callable[[float], float],
@@ -129,13 +97,15 @@ def radial_integral(
     singular_exponent_hint: float | None = None,
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
-    """n*omega_n * integral_0^R f(t) s_kappa^(n-1)(t) dt with error estimate."""
+    """n*omega_n * integral_0^R f(t) s_kappa^(n-1)(t) dt with error estimate;
+    a DomainError names the t where f is nonzero and s_kappa^(n-1) exceeds
+    e^700 (t s_kappa^(n-1) where the integral runs in ln t)."""
     if not (R > 0.0 and math.isfinite(R)):
         raise DomainError(f"radial_integral needs a finite R > 0, got {R!r}")
     hint = None
     if singular_exponent_hint is not None:
         hint = singular_exponent_hint + (geo.n - 1)
-    return _radial(geo, f, 0.0, R, _TOL, breakpoints, hint)
+    return _log_mass(geo, None, extra=f, span=(0.0, R, breakpoints, hint), tol=_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -331,50 +301,66 @@ def multiplicative_margin(geo: ModelGeometry | None, target, u: RadialTestFuncti
 # log-space weighted masses (wide-dynamic-range test functions)
 
 
-def _log_mass(geo: ModelGeometry, u: RadialTestFunction, upow: float, tpow: float,
-              use_du: bool = False,
-              extra: Callable[[float], float] | None = None) -> tuple[float, float]:
+def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.0,
+              tpow: float = 0.0, use_du: bool = False,
+              extra: Callable[[float], float] | None = None,
+              span: tuple | None = None, tol: float = _TOL_FINE) -> tuple[float, float]:
     """n*omega_n * integral |b(t)|^upow t^tpow s^(n-1) extra(t) dt with
-    b = u or u'; evaluated through logs so plateau values beyond float
-    range and abscissae ~1e-290 cannot overflow intermediates.
+    b = u or u' and its error estimate, or with u None that of
+    integral extra(t) s^(n-1) dt, a signed extra read in floats; evaluated
+    through logs so plateau values beyond float range and abscissae
+    ~1e-290 cannot overflow intermediates.  A DomainError names the t
+    where the integrand is nonzero and the part of it taken in logs (with
+    the Jacobian t in ln t) exceeds e^700.
 
-    From the first segment between edges (support ends and breakpoints)
+    span = (lo, hi, breakpoints, singular hint) defaults to u's support.
+    From the first segment between edges (span ends and breakpoints)
     that spans more than a decade, the integral runs in x = ln t, where
     the integrand is exp(log f(e^x) + x): a near-extremal power region
     becomes exp(p*eps*x), so a few panels cover hundreds of decades where
     t needs one per decade.  The part before it, the plateau of a
-    power_cutoff, stays in t with the singular hint; a support without
+    power_cutoff, stays in t with the singular hint; a span without
     such a segment is integrated in t alone."""
     n, kappa = geo.n, geo.kappa
-    log_base_fn = u.log_abs_du if use_du else u.log_abs_u
+    if u is not None:
+        log_base_fn = u.log_abs_du if use_du else u.log_abs_u
 
     def f(t: float, log_jac: float = 0.0) -> float:
-        if log_base_fn is not None:
-            lb = log_base_fn(t)
+        if u is None:
+            lg = 0.0
         else:
-            base = abs(u.du(t)) if use_du else abs(u.u(t))
-            lb = math.log(base) if base > 0.0 else -math.inf
-        if lb == -math.inf:
+            if log_base_fn is not None:
+                lb = log_base_fn(t)
+            else:
+                base = abs(u.du(t)) if use_du else abs(u.u(t))
+                lb = math.log(base) if base > 0.0 else -math.inf
+            if lb == -math.inf:
+                return 0.0
+            lg = upow * lb + tpow * math.log(t)
+        v = extra(t) if extra is not None else 1.0
+        if v == 0.0:
             return 0.0
-        lg = upow * lb + tpow * math.log(t) \
-            + (n - 1) * math.log(s_value(kappa, t)) + log_jac
+        lg = lg + (n - 1) * math.log(s_value(kappa, t)) + log_jac
         if lg < -700.0:
             return 0.0
         if lg > 700.0:
             raise DomainError(f"integrand overflow at t={t!r}")
-        v = math.exp(lg)
-        return v * extra(t) if extra is not None else v
+        return math.exp(lg) * v
 
-    lo, hi = max(u.support_lo, 0.0), u.support_hi
-    edges = sorted({lo, hi, *(b for b in u.breakpoints if lo < b < hi)})
+    lo, hi, breakpoints, hint = span or (max(u.support_lo, 0.0), u.support_hi,
+                                         u.breakpoints, u.singular_hint)
+    edges = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
     wide = next((a for a, b in zip(edges, edges[1:]) if a > 0.0 and b / a > 10.0), hi)
+    scale = n * unit_ball_volume(n)
     val, err = 0.0, 0.0
     if wide > lo:
-        val, err = _integral(geo, f, lo, wide, _TOL_FINE, u.breakpoints, u.singular_hint)
+        val, err = integrate(f, lo, wide, rel_tol=tol, breakpoints=breakpoints,
+                             singular_hint=hint)
+        val, err = scale * val, scale * err
     if wide < hi:
-        xv, xe = _integral(geo, lambda x: f(math.exp(x), x), math.log(wide), math.log(hi),
-                           _TOL_FINE, [math.log(b) for b in edges if wide < b < hi])
-        val, err = val + xv, err + xe
+        xv, xe = integrate(lambda x: f(math.exp(x), x), math.log(wide), math.log(hi),
+                           rel_tol=tol, breakpoints=[math.log(b) for b in edges if wide < b < hi])
+        val, err = val + scale * xv, err + scale * xe
     return val, err
 
 
@@ -456,9 +442,9 @@ def sc_margin(geo: ModelGeometry, u: RadialTestFunction, c: float) -> Inequality
     if geo.kappa >= 0.0:
         raise HypothesisError("kappa < 0", f"got kappa={geo.kappa!r}")
     energy, e_err = _log_mass(geo, u, 2.0, 0.0, use_du=True)
-    over = max(u.support_lo, 0.0), u.support_hi, _TOL_FINE, u.breakpoints
-    i1, e1 = _radial(geo, lambda t: _osc_profile(c, u.u(t)) ** 2, *over)
-    i2, e2 = _radial(geo, lambda t: _osc_profile(c, 2.0 * u.u(t)) ** 2, *over)
+    span = max(u.support_lo, 0.0), u.support_hi, u.breakpoints, None
+    i1, e1 = _log_mass(geo, None, extra=lambda t: _osc_profile(c, u.u(t)) ** 2, span=span)
+    i2, e2 = _log_mass(geo, None, extra=lambda t: _osc_profile(c, 2.0 * u.u(t)) ** 2, span=span)
     if i2 <= 10.0 * e2:
         raise DomainError("denominator integral indistinguishable from its error")
     rhs = (geo.n - 1.0) ** 2 * (-geo.kappa) * i1 * i1 / i2
@@ -513,10 +499,9 @@ def extremal_identity_check(geo: ModelGeometry, alpha: float) -> ExtremalIdentit
                              f"(gamma={gamma!r})") from None
 
     u0 = gaussian_type(alpha, p)
-    u0 = RadialTestFunction(u0.kind, u0.u, u0.du, 0.0, min(R, u0.support_hi),
-                            params=u0.params)
-    lhs, e_err = _log_mass(geo, u0, p, 0.0, use_du=True)
-    mass, m_err = _log_mass(geo, u0, p, pc * alpha)
+    span = 0.0, min(R, u0.support_hi), u0.breakpoints, u0.singular_hint
+    lhs, e_err = _log_mass(geo, u0, p, 0.0, use_du=True, span=span)
+    mass, m_err = _log_mass(geo, u0, p, pc * alpha, span=span)
     rhs = (gamma / p) ** p * mass
     disc = abs(lhs - rhs) / max(abs(rhs), _MARGIN_FLOOR)
     return ExtremalIdentityResult(lhs=lhs, rhs=rhs, discrepancy=disc, gamma=gamma,

@@ -446,13 +446,16 @@ def with_density(geo, f):
 
 
 def unshared_additive_terms(geo, target, u, H, binding):
-    from hardykit.verifier import _TOL, _integral
+    from hardykit.quadrature import integrate
+    from hardykit.verifier import _TOL
 
     geo, f_e, f_i, f_j = unshared_integrands(geo, target, u, H, binding)
     lo, hi = max(u.support_lo, 0.0), u.support_hi
+    scale = geo.n * geometry.unit_ball_volume(geo.n)
     (e, e_err), (i, i_err), (j, j_err) = (
-        _integral(geo, with_density(geo, f), lo, hi, _TOL, u.breakpoints) for f in (f_e, f_i, f_j))
-    return geo.p, e, e_err, i, i_err, j, j_err
+        integrate(with_density(geo, f), lo, hi, rel_tol=_TOL, breakpoints=u.breakpoints)
+        for f in (f_e, f_i, f_j))
+    return geo.p, scale * e, scale * e_err, scale * i, scale * i_err, scale * j, scale * j_err
 
 
 # certify as a per-point loop over residual terms built from each object's

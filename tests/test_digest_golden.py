@@ -14,6 +14,7 @@ import difflib
 import itertools
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "digest.txt"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def versions() -> bytes:
@@ -53,6 +55,20 @@ def test_digest_matches_golden():
                                     "tests/golden/digest.txt", "tools/digest_outputs.py",
                                     lineterm="", n=0)
         pytest.fail("digest differs from the golden:\n" + "\n".join(itertools.islice(diff, 40)))
+
+
+def test_workflow_pins_the_golden_versions():
+    # CI installs exactly the versions the golden's header names, so the
+    # digest test compares outputs there, not versions
+    header = GOLDEN.read_text().partition("\n")[0]
+    golden = re.fullmatch(r"# digest made with python (\S+), mpmath (\S+), numpy (\S+)",
+                          header)
+    assert golden, header
+    workflow = WORKFLOW.read_text()
+    pins = (re.findall(r'python-version: "([^"]+)"', workflow),
+            re.findall(r'"mpmath==([^"]+)"', workflow),
+            re.findall(r'"numpy==([^"]+)"', workflow))
+    assert pins == tuple([v] for v in golden.groups())
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from hardykit.errors import (ConvergenceError, DomainError, ParameterError,
 from hardykit.exprdsl import parse
 from hardykit.geometry import ComparisonL, ModelGeometry
 from hardykit.riccati import (FuncEval, RiccatiPairSpec, bessel_to_riccati,
-                              certification_grid, certify, golden_section_max, residual,
+                              certification_grid, certify, residual,
                               residual_parts, riccati_to_bessel, solve_ivp)
 
 E3 = ModelGeometry(0.0, 3, 2.0)
@@ -313,25 +313,6 @@ class TestBesselRiccatiBridge:
         g = bessel_to_riccati(parse("t^(-0.5)"), 2.0)
         for t in (0.5, 1.0, 2.0):
             assert abs(residual(spec, g, t)) < 1e-6
-
-
-class TestOptimizeConstant:
-    def test_internal_golden_section_agrees(self):
-        # c b - (p-1) c^(p') a^p is largest at c* = (b/(p a^p))^(p-1), where
-        # it is b^p / (p^p a^(p(p-1)))
-        a, b, p = 0.7, 2.3, 1.7
-        c_star = (b / (p * a**p)) ** (p - 1.0)
-        value = b**p / (p**p * a ** (p * (p - 1.0)))
-        pc = p / (p - 1.0)
-
-        def target(logc):
-            c = math.exp(logc)
-            return b * c - (p - 1.0) * c**pc * a**p
-
-        x, fx = golden_section_max(target, math.log(c_star) - 2.0,
-                                   math.log(c_star) + 2.0)
-        assert fx == pytest.approx(value, rel=1e-8)
-        assert math.exp(x) == pytest.approx(c_star, rel=1e-6)
 
 
 class TestBlowUpLocatesAssociatedZero:

@@ -3,6 +3,7 @@ import random
 import signal
 from threading import get_ident
 
+import mpmath
 import pytest
 
 from hardykit import specfun
@@ -41,6 +42,19 @@ class TestGamma:
     def test_rgamma_pole_is_zero(self):
         assert rgamma(-3.0) == 0.0
         assert rgamma(2.5) == pytest.approx(1.0 / gamma(2.5), rel=1e-15)
+
+    def test_near_a_pole_is_not_a_pole(self):
+        # within 1e-12 of 0 or -3, every x was taken as a pole: gamma raised
+        # PoleError and rgamma returned 0.0
+        for x in (1e-13, -3.0 + 1e-13, -1e-13):
+            with mpmath.workdps(30):
+                want = mpmath.gamma(x)
+            assert gamma(x) == pytest.approx(float(want), rel=1e-15)
+            assert rgamma(x) == pytest.approx(float(1 / want), rel=1e-15)
+        for x in (0.0, -0.0, -3.0):
+            with pytest.raises(PoleError):
+                gamma(x)
+            assert rgamma(x) == 0.0
 
 
 # x where J_nu(x) or J_(nu+1)(x) is subnormal or zero

@@ -84,6 +84,15 @@ class TestRadialIntegral:
         with pytest.raises(DomainError, match="integrand overflow at t="):
             radial_integral(H3, lambda t: 1.0, 800.0)  # s_kappa itself is inf
 
+    @pytest.mark.parametrize("breakpoints", [(0.01, 0.1, 1.0), (1e-3, 1.0)])
+    def test_signed_integrand_with_breakpoints_over_decades(self, breakpoints):
+        # 4 pi int_0^10 t^2 cos t dt < 0; (1e-3, 1) spans three decades, so
+        # the integral runs in x = ln t from 1e-3
+        val, err = radial_integral(E3, math.cos, 10.0, breakpoints=breakpoints)
+        exact = 4.0 * math.pi * (98.0 * math.sin(10.0) + 20.0 * math.cos(10.0))
+        assert val == pytest.approx(exact, rel=1e-13)
+        assert abs(val - exact) <= err
+
     @pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
     def test_radius_must_be_finite_and_positive(self, R):
         with pytest.raises(DomainError, match="needs a finite R > 0"):
@@ -236,6 +245,14 @@ class TestMultiplicativeMargin:
         for c in (1.0, -1.0, 4.0):
             m = sc_margin(H2, compact_bump(3.0, 2.0), c)
             assert m.margin >= -1e-9
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
+    def test_sc_density_overflow_is_a_domain_error(self, c):
+        # s_kappa^8 leaves float range beyond t = 89 at kappa = -1, where
+        # s_c(u)^2 is about e^-320: the energy is finite, the s_c integrals are not
+        H9 = ModelGeometry(-1.0, 9, 2.0)
+        with pytest.raises(DomainError, match="integrand overflow at t="):
+            sc_margin(H9, gaussian_type(1.0, 2.0, scale=0.2), c)
 
     def test_sc_requires_negative_curvature(self):
         with pytest.raises(HypothesisError):
