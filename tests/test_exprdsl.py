@@ -547,7 +547,7 @@ class TestReferenceEvaluator:
                 parse(src).eval_d(0.5)
 
     def test_besselj_derivative_above_10_is_one_recurrence(self, monkeypatch):
-        # J' = (nu/x) J_nu - J_(nu+1) from one backward recurrence; the value
+        # J' = (nu/x) J_nu - J_(nu+1) from one _bessel_pair pass; the value
         # stays bessel_j's, and J' is within 1e-15 of 40-digit mpmath (the
         # neighbouring order's recurrence made it two)
         import mpmath

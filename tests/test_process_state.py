@@ -65,17 +65,21 @@ def test_spectral_runs_without_numpy(tmp_path):
 
 def test_bessel_paths_never_load_mpmath():
     # bessel_j over its whole box, cold bessel_zero scans and bessel_ratio
-    # up to x = 10 stay on float code
+    # up to x = 10 stay on float code, and so do Hankel's expansion at
+    # x >= 20, x >= nu, through bessel_j, J' and a cold scan's Newton steps;
+    # J_0(20) is on it (40-digit mpmath: 0.1670246643405831...)
     out = run_python("import sys\n"
-                     "from hardykit.specfun import bessel_j, bessel_ratio, bessel_zero\n"
+                     "from hardykit.specfun import (_bessel_j_with_dx, bessel_j, bessel_ratio,\n"
+                     "                              bessel_zero)\n"
                      "for nu in (0.0, 0.5, 7.3, 50.0):\n"
                      "    [bessel_j(nu, x) for x in (0.0, 5.0, 10.0, 10.5, 99.9, 200.0)]\n"
                      "    [bessel_zero(nu, k) for k in range(1, 21)]\n"
                      "    j1 = min(bessel_zero(nu, 1), 10.0)\n"
                      "    [bessel_ratio(nu, f * j1) for f in (1e-3, 0.5, 0.99)]\n"
+                     "bessel_j(7.3, 150.0), _bessel_j_with_dx(50.0, 60.0), bessel_zero(8.0, 20)\n"
                      "print('mpmath' in sys.modules, repr(bessel_j(0.0, 20.0)), "
                      "repr(bessel_ratio(50.0, 10.0)), 'mpmath' in sys.modules)")
-    assert out.split() == ["False", "0.16702466434058322", "0.09898091182520535", "False"]
+    assert out.split() == ["False", "0.16702466434058316", "0.09898091182520535", "False"]
 
 
 def test_bessel_ratio_loads_mpmath_on_first_use():

@@ -56,10 +56,24 @@ class TestGamma:
                 gamma(x)
             assert rgamma(x) == 0.0
 
+    def test_rgamma_beyond_float_range(self):
+        # Gamma is subnormal at -175.5 and rounds to -0.0 at -180.5 and
+        # -200.5: 1/Gamma leaves float range
+        for x in (-175.5, -180.5, -200.5):
+            with pytest.raises(DomainError, match="overflows"):
+                rgamma(x)
+        assert rgamma(-170.5) == pytest.approx(float(1 / mpmath.gamma(-170.5)), rel=1e-13)
+        assert rgamma(180.0) == 0.0
+
 
 # x where J_nu(x) or J_(nu+1)(x) is subnormal or zero
 _BESSEL_TINY_POINTS = [(0.5, 1e-300), (1.0, 1e-200), (50.0, 1e-5), (50.0, 3e-5),
                        (20.0, 1e-15), (2.5, 1e-150)]
+# J and J' where x >= 20 and x >= nu (Hankel's expansion and the forward
+# recurrence), absolute, against 40-digit mpmath: the largest error measured
+# on test_hankel_path_against_mpmath's points was 4.0e-16, at nu = 44.5 and
+# x = nu + 1e-9
+_HANKEL_ABS = 5e-16
 
 
 class TestBesselJ:
@@ -84,7 +98,7 @@ class TestBesselJ:
             assert bessel_j(0.5, x) == pytest.approx(ref, abs=1e-11)
 
     def test_large_argument_precision(self):
-        # backward recurrence path (x > 10)
+        # x >= 20 and x >= nu: Hankel's expansion and the forward recurrence
         for nu, x in ((0.0, 50.0), (7.3, 193.0), (50.0, 200.0), (0.0, 200.0)):
             ref = math.sqrt(2.0 / (math.pi * x)) * math.cos(
                 x - nu * math.pi / 2.0 - math.pi / 4.0)
@@ -92,9 +106,10 @@ class TestBesselJ:
             assert abs(bessel_j(nu, x) - ref) < 2.0 / x + 0.2
 
     def test_recurrence_against_mpmath(self):
-        # above x = 10: within 5e-14 absolute of 40-digit mpmath on seeded
-        # draws and the box corners, and within 1e-14 relative where x < nu,
-        # where J falls monotonically to 1e-30 (measured: 8e-16 and 4e-15)
+        # above x = 10, on both paths: within 5e-14 absolute of 40-digit
+        # mpmath on seeded draws and the box corners, and within 1e-14
+        # relative where x < nu, where J falls monotonically to 1e-30
+        # (measured: 2.2e-16 and 1.5e-15)
         import mpmath
 
         rng = random.Random(2727)
@@ -111,6 +126,46 @@ class TestBesselJ:
             for nu, x in monotone:
                 ref = mpmath.besselj(nu, x)
                 assert abs((bessel_j(nu, x) - ref) / ref) <= 1e-14, (nu, x)
+
+    def test_hankel_path_against_mpmath(self):
+        # x >= 20 and x >= nu: 1500 seeded draws with x uniform on [20, 200]
+        # and nu on [0, min(50, x)], integer orders, x at and just above nu,
+        # where the forward recurrence ends at its turning point, and the box
+        # corners.  Measured: J 4.0e-16 (nu = 44.5, x = nu + 1e-9) and J'
+        # 1.2e-16; the backward recurrence, which served here before, read
+        # 8.1e-16 and 7.4e-16
+        rng = random.Random(3003)
+        points = []
+        for _ in range(1500):
+            x = rng.uniform(20.0, 200.0)
+            points.append((rng.uniform(0.0, min(50.0, x)), x))
+        points += [(float(nu), x) for nu in range(0, 51, 5) for x in (max(20.0, nu), 77.7, 200.0)]
+        points += [(nu, nu + d) for nu in (20.0 + 0.5 * i for i in range(61))
+                   for d in (0.0, 1e-9)]
+        points += [(0.0, 20.0), (0.0, 200.0), (20.0, 200.0), (50.0, 200.0)]
+        with mpmath.workdps(40):
+            for nu, x in points:
+                j, dj = specfun._bessel_j_with_dx(nu, x)
+                assert j == bessel_j(nu, x), (nu, x)
+                assert abs(j - mpmath.besselj(nu, x)) <= _HANKEL_ABS, (nu, x)
+                assert abs(dj - mpmath.besselj(nu, x, derivative=1)) <= _HANKEL_ABS, (nu, x)
+
+    def test_paths_agree_at_the_switch(self):
+        # the backward recurrence just below x = 20 or just below x = nu,
+        # Hankel's expansion at x = 20 and at x = nu or just above: J and J'
+        # carried across the gap h <= 2e-9 by one Taylor step (its remainder
+        # is below 1e-17) agree to the Hankel path's bound
+        cases = [(nu, 20.0, xb) for nu in (0.0, 0.5, 1.0, 2.5, 7.3, 13.0, 19.5, 20.0)
+                 for xb in (math.nextafter(20.0, 0.0), 20.0 - 1e-9)]
+        cases += [(nu, nu + d, nu - 1e-9) for nu in (20.5, 27.0, 33.3, 44.5, 50.0)
+                  for d in (0.0, 1e-9)]
+        for nu, x, xb in cases:
+            j, dj = specfun._bessel_j_with_dx(nu, x)
+            jb, djb = specfun._bessel_j_with_dx(nu, xb)
+            h = xb - x
+            ddj = -dj / x - (1.0 - (nu / x) ** 2) * j  # Bessel's equation
+            assert abs(jb - (j + h * dj)) <= _HANKEL_ABS, (nu, x, xb)
+            assert abs(djb - (dj + h * ddj)) <= _HANKEL_ABS, (nu, x, xb)
 
     def test_box_limits(self):
         with pytest.raises(UnsupportedRangeError):
@@ -198,7 +253,7 @@ class TestBesselZero:
 
     def test_cold_scan_cost(self, monkeypatch):
         # Newton from McMahon seeds takes a few (J, J') evaluations per zero,
-        # one backward recurrence each; a unit-step bracket scan with
+        # one _bessel_pair pass each; a unit-step bracket scan with
         # bisection takes ~1700
         calls = []
         pair = specfun._bessel_pair
@@ -1001,7 +1056,7 @@ class TestKernelTables:
 class TestBesselBoxCrossCheck:
     def test_random_sample_against_mpmath(self):
         # mpmath.besselj uses hypercomb machinery, independent of the
-        # backward recurrence; the box bound is 1e-11 absolute
+        # recurrences and of Hankel's expansion; the box bound is 1e-11 absolute
         import random
 
         import mpmath

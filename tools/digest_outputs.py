@@ -39,8 +39,9 @@ points where a J is subnormal or zero; last, ``hyp2f1`` and
 ``hyp2f1ratio_with_dz`` for b - a within 1e-3 of an integer and -z in
 {50, 1e4, 1e8} on the float limit of the 1/z formula, and one point it leaves
 to mpmath; last, ``bessel_j`` and J' at j_(0,3) and on both sides of the
-tiny-x guard of the recurrence.  Floats are printed with ``repr``; long
-lists are hashed.
+tiny-x guard of the recurrence; last, ``bessel_j`` and J' on both sides of
+x = 20 and of x = nu, where Hankel's expansion takes over from the backward
+recurrence.  Floats are printed with ``repr``; long lists are hashed.
 """
 
 from __future__ import annotations
@@ -524,6 +525,16 @@ def digest_bessel_j_kernel():
               repr(_bessel_j_with_dx(nu, x)[1]))
 
 
+def digest_bessel_j_switch():
+    # appended after the lines above: J and J' on both sides of x = 20 and of
+    # x = nu, where Hankel's expansion takes over from the backward recurrence
+    points = [(nu, x) for nu in (0.0, 0.5, 1.0, 7.3, 19.5) for x in (19.999, 20.0, 20.001)]
+    points += [(nu, x) for nu in (20.5, 33.0, 44.5, 50.0) for x in (nu - 0.001, nu, nu + 0.001)]
+    for nu, x in points:
+        print("bessel_j switch", nu, repr(x), repr(bessel_j(nu, x)),
+              repr(_bessel_j_with_dx(nu, x)[1]))
+
+
 def main() -> int:
     digest_certify()
     digest_margins()
@@ -540,6 +551,7 @@ def main() -> int:
     digest_bessel_ratio()
     digest_near_integer_hyp2f1()
     digest_bessel_j_kernel()
+    digest_bessel_j_switch()
     return 0
 
 
