@@ -438,14 +438,17 @@ class TestIndependentPipelineCrossCheck:
 
 class TestGMWorkCount:
     def test_one_series_pass_per_grid_node(self, monkeypatch):
-        # G's contiguous ratio comes from one pass of its denominator's
-        # series: one _hyp2f1_pair call per grid node (1040 at 1024 points)
+        # G's contiguous ratio comes from one kernel evaluation per grid node
+        # (1040 at 1024 points): one continued fraction inside its band, one
+        # pass of the denominator's series outside it
         from hardykit import specfun
 
         inst = instantiate("ghoussoub_moradifam", E4,
                            {"a": 1.0, "b": 1.0, "alpha": 0.5, "beta": 0.5, "m": 0.3})
         calls = []
-        pair = specfun._hyp2f1_pair
+        fraction, pair = specfun._contiguous_fraction, specfun._hyp2f1_pair
+        monkeypatch.setattr(specfun, "_contiguous_fraction",
+                            lambda *args: calls.append(args[3]) or fraction(*args))
         monkeypatch.setattr(specfun, "_hyp2f1_pair",
                             lambda *args: calls.append(args[3]) or pair(*args))
         rep = certify(inst.spec, inst.G, n_points=1024)

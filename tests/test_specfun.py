@@ -65,6 +65,19 @@ class TestGamma:
         assert rgamma(-170.5) == pytest.approx(float(1 / mpmath.gamma(-170.5)), rel=1e-13)
         assert rgamma(180.0) == 0.0
 
+    def test_nan_and_infinities(self):
+        # NaN and -inf (no pole, and Gamma has no limit there) are outside
+        # the domain, as NaN is for hyp2f1; Gamma overflows at inf as it
+        # does at 172, and 1/Gamma keeps its limit 0 there
+        for fn in (gamma, rgamma):
+            for x in (math.nan, -math.inf):
+                with pytest.raises(UnsupportedRangeError):
+                    fn(x)
+        for x in (math.inf, 172.0):
+            with pytest.raises(DomainError, match="overflows"):
+                gamma(x)
+        assert rgamma(math.inf) == 0.0
+
 
 # x where J_nu(x) or J_(nu+1)(x) is subnormal or zero
 _BESSEL_TINY_POINTS = [(0.5, 1e-300), (1.0, 1e-200), (50.0, 1e-5), (50.0, 3e-5),
@@ -753,6 +766,18 @@ def _gm_shape(rng):
     return A - B, A + B, 1.0
 
 
+def _kernel_calls(monkeypatch):
+    """A list that records "fraction" or "series" for each kernel evaluation
+    of the contiguous ratio."""
+    calls = []
+    fraction, pair = specfun._contiguous_fraction, specfun._hyp2f1_pair
+    monkeypatch.setattr(specfun, "_contiguous_fraction",
+                        lambda *args: calls.append("fraction") or fraction(*args))
+    monkeypatch.setattr(specfun, "_hyp2f1_pair",
+                        lambda *args: calls.append("series") or pair(*args))
+    return calls
+
+
 def _ratio_ref(a, b, c, z):
     """r = F(a+1, b+1; c+1; z)/F(a, b; c; z) and dr/dz at 40 digits, from
     mpmath's F at three contiguous parameter sets."""
@@ -796,18 +821,21 @@ class TestHyp2f1Ratio:
         assert abs((hyp2f1ratio_with_dz(a, b, c, z)[1] - ref_dr) / ref_dr) <= 1e-12
 
     def test_each_branch_against_mpmath(self, monkeypatch):
-        # the mapped series (-z <= 3), the 1/z formula (-z > 3) and, for
-        # b - a within 1e-3 of an integer, the mapped series up to -z = 40
-        # and the formula's logarithmic limit above it, where the numerator
-        # and F(a+2, b+2; c+2; z) are evaluated too, with mpmath where the
-        # limit's error estimate is too large (always at an integer c - a);
-        # the branch is checked by counting
+        # for c > 0 the continued fraction (-z <= 12, and up to 40 for b - a
+        # within 1e-3 of an integer), for c <= 0 the mapped series (-z <=
+        # 3), the 1/z formula (-z > 12, and > 3 for c <= 0) and, for b - a
+        # near an integer, the formula's logarithmic limit above -z = 40,
+        # where the numerator and F(a+2, b+2; c+2; z) are evaluated too, with
+        # mpmath where the limit's error estimate is too large (always at an
+        # integer c - a); the branch is checked by counting, one fraction
+        # counted per call
         import random
 
         import mpmath
 
-        calls = {"bigz": 0, "log": 0, "mpmath": 0}
-        bigz, log, mp_hyp2f1 = specfun._hyp2f1_bigz, specfun._hyp2f1_bigz_log, mpmath.hyp2f1
+        calls = {"fraction": 0, "bigz": 0, "log": 0, "mpmath": 0}
+        fraction, bigz, log, mp_hyp2f1 = (specfun._contiguous_fraction, specfun._hyp2f1_bigz,
+                                          specfun._hyp2f1_bigz_log, mpmath.hyp2f1)
 
         def counting(name, fn):
             def counted(*args):
@@ -816,12 +844,14 @@ class TestHyp2f1Ratio:
             return counted
 
         rng = random.Random(1402)
+        none = {"fraction": 0, "bigz": 0, "log": 0, "mpmath": 0}
         for branch, lo, hi, expected in (
-                ("pfaff", -6.0, math.log10(3.0), {"bigz": 0, "log": 0, "mpmath": 0}),
-                ("bigz", 0.5, 4.0, {"bigz": 60, "log": 0, "mpmath": 0}),
-                ("near", -1.0, math.log10(40.0), {"bigz": 0, "log": 0, "mpmath": 0}),
-                ("log", 1.7, 4.0, {"bigz": 0, "log": 180, "mpmath": 0}),
-                ("mpmath", 1.7, 4.0, {"bigz": 0, "log": 180, "mpmath": 180})):
+                ("fraction", -6.0, math.log10(12.0), {**none, "fraction": 60}),
+                ("pfaff", -6.0, math.log10(3.0), none),
+                ("bigz", math.log10(12.0) + 1e-9, 4.0, {**none, "bigz": 60}),
+                ("near", -1.0, math.log10(40.0), {**none, "fraction": 60}),
+                ("log", 1.7, 4.0, {**none, "log": 180}),
+                ("mpmath", 1.7, 4.0, {**none, "log": 180, "mpmath": 180})):
             cases = []
             while len(cases) < 60:
                 a, b, c = _gm_shape(rng)
@@ -833,8 +863,11 @@ class TestHyp2f1Ratio:
                         b, c = a + gap, a + rng.randint(2, 4)
                 elif abs((b - a) - round(b - a)) <= specfun._HYP_GAP_GUARD:
                     continue
+                if branch == "pfaff":
+                    c = -rng.uniform(0.1, 0.9)
                 cases.append((a, b, c, -(10.0 ** rng.uniform(lo, hi))))
-            calls.update(bigz=0, log=0, mpmath=0)
+            calls.update(none)
+            monkeypatch.setattr(specfun, "_contiguous_fraction", counting("fraction", fraction))
             monkeypatch.setattr(specfun, "_hyp2f1_bigz", counting("bigz", bigz))
             monkeypatch.setattr(specfun, "_hyp2f1_bigz_log", counting("log", log))
             monkeypatch.setattr(mpmath, "hyp2f1", counting("mpmath", mp_hyp2f1))
@@ -862,9 +895,14 @@ class TestHyp2f1Ratio:
             if i % 3 == 0:
                 b = a + rng.randint(1, 3) + rng.uniform(-1e-4, 1e-4)
             z = 0.0 if i % 50 == 0 else -(10.0 ** rng.uniform(-4.0, 4.0))
-            r, dr = hyp2f1ratio_with_dz(a, b, c, z)
-            assert repr(hyp2f1ratio_with_dz(b, a, c, z)) == repr((r, dr))
-            assert repr(hyp2f1ratio(a, b, c, z)) == repr(hyp2f1ratio(b, a, c, z)) == repr(r)
+            cases = [(a, b, c, z)]
+            if i % 10 == 0:  # the fraction's band edges, and a tie |a| = |b|
+                cases += [(a, b, c, -5e-324), (a, b, c, -12.0), (a, b, c, -40.0),
+                          (-b, b, c, -2.0)]
+            for a, b, c, z in cases:
+                r, dr = hyp2f1ratio_with_dz(a, b, c, z)
+                assert repr(hyp2f1ratio_with_dz(b, a, c, z)) == repr((r, dr))
+                assert repr(hyp2f1ratio(a, b, c, z)) == repr(hyp2f1ratio(b, a, c, z)) == repr(r)
 
     def test_at_zero(self):
         a, b, c = 0.3, 1.7, 1.0
@@ -879,13 +917,122 @@ class TestHyp2f1Ratio:
                 fn(-1.0, -1.0, 2.0, -2.0)
 
     def test_one_series_pass(self, monkeypatch):
-        calls = []
-        pair = specfun._hyp2f1_pair
-        monkeypatch.setattr(specfun, "_hyp2f1_pair", lambda *args: calls.append(args) or pair(*args))
+        # one kernel evaluation per call: one continued fraction inside its
+        # band, one series pass outside
+        calls = _kernel_calls(monkeypatch)
         for z in (-0.5, -2.0, -10.0, -1e3):
             hyp2f1ratio_with_dz(-0.4, 1.3, 1.0, z)
             hyp2f1ratio(-0.4, 1.3, 1.0, z)
-        assert len(calls) == 8
+        assert calls == ["fraction"] * 6 + ["series"] * 2
+
+
+def _near_integer_gap(rng, a, b):
+    """a, b moved about their mean so that b - a is within 1e-3 of 1, 2 or 3."""
+    A, gap = (a + b) / 2.0, rng.randint(1, 3) + rng.uniform(-1e-3, 1e-3)
+    return A - gap / 2.0, A + gap / 2.0
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+class TestHyp2f1RatioFraction:
+    """The contiguous ratio where Gauss's continued fraction serves: c > 0
+    and 0 < -z <= _FRAC_ZHI, or up to _HYP_BIGZ where b - a is within
+    _HYP_GAP_GUARD of an integer."""
+
+    @staticmethod
+    def _errors(cases, refs):
+        er, ed = [], []
+        for case, (ref, ref_dr) in zip(cases, refs):
+            r, dr = hyp2f1ratio_with_dz(*case)
+            er.append(float(abs((r - ref) / ref)))
+            ed.append(float(abs((dr - ref_dr) / ref_dr)))
+        return er, ed
+
+    def test_gm_draws_against_mpmath(self):
+        # the Ghoussoub-Moradifam entry's box, every third draw with b - a
+        # moved near an integer, where the band reaches -z = 40: r within
+        # 4.5e-16 and r' within 2.6e-15, where the series read 1.8e-15 and
+        # 3.5e-15 on the same draws
+        rng = random.Random(3401)
+        cases = []
+        for i in range(1500):
+            a, b, c = _gm_shape(rng)
+            top = specfun._FRAC_ZHI
+            if i % 3 == 0:
+                (a, b), top = _near_integer_gap(rng, a, b), specfun._HYP_BIGZ
+            cases.append((a, b, c, -_log_uniform(rng, 1e-6, top)))
+        er, ed = self._errors(cases, [_ratio_ref(*case) for case in cases])
+        assert max(er) <= 1e-15 and max(ed) <= 5e-15, (max(er), max(ed))
+
+    def test_general_box_no_worse_than_the_series(self, monkeypatch):
+        # the worst error of r and of r' no larger than the series path's on
+        # the same draws, and the median at most 1.5 times its median; with
+        # no fraction, every point takes the series.  Measured: r 6.2e-14 and
+        # 7.5e-17 (worst, median) against 1.6e-12 and 1.7e-16, r' 2.5e-13 and
+        # 5.4e-16 against 1.4e-11 and 5.4e-16
+        import statistics
+
+        rng = random.Random(3402)
+        cases = []
+        for _ in range(600):
+            a = rng.uniform(-1.5, 3.0)
+            b, c = a + rng.uniform(0.05, 3.0), rng.uniform(0.3, 5.0)
+            cases.append((a, b, c, -_log_uniform(rng, 1e-6, specfun._FRAC_ZHI)))
+        refs = [_ratio_ref(*case) for case in cases]
+        fraction = self._errors(cases, refs)
+        monkeypatch.setattr(specfun, "_contiguous_fraction", lambda *args: None)
+        series = self._errors(cases, refs)
+        for new, old in zip(fraction, series):
+            assert max(new) <= max(old), (max(new), max(old))
+            assert statistics.median(new) <= 1.5 * statistics.median(old)
+
+    def test_continuous_across_the_band_edges(self):
+        # at z = 0, where the series gives r = 1 and r' = (a+1)(b+1)/(c+1) -
+        # ab/c, against the smallest subnormal -z, and at the two floats on
+        # either side of the top edge: r inside against r outside plus one
+        # first-order step r' dz, and r' against r' (r'' dz is below an ulp
+        # of r' there); at most 9 and 17 ulps were measured
+        def ulps(x, ref):
+            return abs(x - ref) / math.ulp(ref)
+
+        rng = random.Random(3403)
+        for i in range(200):
+            a, b, c = _gm_shape(rng)
+            top = specfun._FRAC_ZHI
+            if i % 2:
+                (a, b), top = _near_integer_gap(rng, a, b), specfun._HYP_BIGZ
+            for z_in, z_out in ((-5e-324, 0.0), (-top, -math.nextafter(top, math.inf))):
+                r_in, dr_in = hyp2f1ratio_with_dz(a, b, c, z_in)
+                r_out, dr_out = hyp2f1ratio_with_dz(a, b, c, z_out)
+                assert ulps(r_in, r_out + dr_out * (z_in - z_out)) <= 16.0, (a, b, z_in)
+                assert ulps(dr_in, dr_out) <= 32.0, (a, b, z_in)
+
+    def test_band_and_fallback(self, monkeypatch):
+        # inside the band one fraction per call; at z = 0, above the band and
+        # for c <= 0 the series.  A fraction that fails, or whose r cancels
+        # (r near 0, as for c near 0), leaves the point to the series, which
+        # is within 1e-13 of mpmath there
+        calls = _kernel_calls(monkeypatch)
+        a, b = -0.25, 1.05
+        near = (0.15 - 5e-4, 1.15 + 5e-4)
+        for args, kernels in (((a, b, 1.0, 0.0), ["series"]), ((a, b, 1.0, -5e-324), ["fraction"]),
+                              ((a, b, 1.0, -12.0), ["fraction"]), ((a, b, 1.0, -12.5), ["series"]),
+                              ((*near, 1.0, -12.5), ["fraction"]), ((*near, 1.0, -40.0), ["fraction"]),
+                              ((a, b, -0.5, -2.0), ["series"]),
+                              ((a, b, 1e-11, -2.0), ["fraction", "series"])):
+            calls.clear()
+            r, dr = hyp2f1ratio_with_dz(*args)
+            assert calls == kernels, args
+            if args[3] < 0.0:
+                ref, ref_dr = _ratio_ref(*args)
+                assert abs((r - ref) / ref) <= 1e-13 and abs((dr - ref_dr) / ref_dr) <= 1e-13
+        monkeypatch.setattr(specfun, "_contiguous_fraction",
+                            lambda *args: calls.append("fraction") and None)
+        calls.clear()
+        hyp2f1ratio_with_dz(a, b, 1.0, -2.0)
+        assert calls == ["fraction", "series"]
 
 
 def _gauss_draws(rng, n):

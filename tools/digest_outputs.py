@@ -41,7 +41,9 @@ points where a J is subnormal or zero; last, ``hyp2f1`` and
 to mpmath; last, ``bessel_j`` and J' at j_(0,3) and on both sides of the
 tiny-x guard of the recurrence; last, ``bessel_j`` and J' on both sides of
 x = 20 and of x = nu, where Hankel's expansion takes over from the backward
-recurrence.  Floats are printed with ``repr``; long lists are hashed.
+recurrence; last, ``hyp2f1ratio`` and ``hyp2f1ratio_with_dz`` on both sides
+of the edges of the band where Gauss's continued fraction gives the ratio.
+Floats are printed with ``repr``; long lists are hashed.
 """
 
 from __future__ import annotations
@@ -535,6 +537,24 @@ def digest_bessel_j_switch():
               repr(_bessel_j_with_dx(nu, x)[1]))
 
 
+def digest_hyp2f1ratio_band():
+    # appended after the lines above: hyp2f1ratio and hyp2f1ratio_with_dz on
+    # both sides of each edge of the continued fraction's band (z = 0 and
+    # the smallest subnormal -z; the floats at and above -z = 12, or 40 where
+    # b - a is within 1e-3 of an integer) at a Ghoussoub-Moradifam parameter
+    # set and a near-integer gap, that gap also at -z = 35; then c <= 0 and
+    # c near 0, where the series serves
+    def above(x):
+        return -math.nextafter(x, math.inf)
+
+    for (a, b, c), zs in (((-0.25, 1.05, 1.0), (0.0, -5e-324, -12.0, above(12.0))),
+                          ((-0.2 - 1e-6, 1.8 + 1e-6, 1.0),
+                           (0.0, -5e-324, -35.0, -40.0, above(40.0))),
+                          ((-0.25, 1.05, -0.5), (-2.0,)), ((-0.25, 1.05, 1e-11), (-2.0,))):
+        for f in (hyp2f1ratio, hyp2f1ratio_with_dz):
+            print(f.__name__, "band", a, b, c, [repr(_outcome(f, a, b, c, z)) for z in zs])
+
+
 def main() -> int:
     digest_certify()
     digest_margins()
@@ -552,6 +572,7 @@ def main() -> int:
     digest_near_integer_hyp2f1()
     digest_bessel_j_kernel()
     digest_bessel_j_switch()
+    digest_hyp2f1ratio_band()
     return 0
 
 
