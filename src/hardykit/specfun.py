@@ -38,12 +38,14 @@ mpmath is imported on first use, by the two mpmath branches, so a process
 that stays on the float paths never loads it.
 
 Certificates and margins call these kernels at every node with the same
-parameters, so what depends on them alone is kept per parameter set and
-thread, in small caches filled on first use: the term ratios of each Gauss
-series and the partial numerators of the continued fraction as rows of
-tables that the passes reading them extend, and the 1/z formula's Gamma
-coefficients.  The float operations and their order are the same with or
-without the caches, so every value is bitwise the same.
+parameters, so what depends on them alone is kept in small caches filled
+on first use: one plan per parameter set (_Plan), with the decisions the
+contiguous ratio takes from (a, b, c) alone, the continued fraction's
+partial numerators and the 1/z formula's Gamma coefficients, so that a
+ratio call checks only z; and per parameter set and thread, the term ratios
+of each Gauss series, as rows of tables that the passes reading them
+extend.  The float operations and their order are the same with or without
+the caches, so every value is bitwise the same.
 """
 
 from __future__ import annotations
@@ -115,19 +117,21 @@ _HYP_MP_CMIN, _HYP_MP_CMAX = 1e-3, 1e3
 _HYP_MP_ZMAX = 1e8
 # For c > 0 and 0 < -z <= _FRAC_ZHI (_HYP_BIGZ for b - a within
 # _HYP_GAP_GUARD of an integer) the contiguous ratio is Gauss's continued
-# fraction: 17 steps at -z = 0.5, 53 at 8, 140 at 40, 2 to 12 us a call on a
-# 2 vCPU x86 host where the series took 3 to 31 us (263 at -z = 35 near an
-# integer gap); past 12 the 1/z formula costs less.  The series serves for
-# c <= 0 (c + k near 0: 1.9e-12 off, the series 2.2e-13), past
-# _FRAC_MAX_STEPS, and where r's numerator cancels more than _FRAC_CANCEL-
-# fold (r near 0, as for c near 0: 1e-5 off at c = 1e-11; Ghoussoub-
-# Moradifam draws cancel at most 6.2-fold, 16 of 3000 general ones more).
+# fraction: 17 steps at -z = 0.5, 53 at 8, 140 at 40, past 12 the 1/z
+# formula costs less.  The series serves for c <= 0 (c + k near 0: 1.9e-12
+# off, the series 2.2e-13), past _FRAC_MAX_STEPS, and where r's numerator
+# cancels more than _FRAC_CANCEL-fold (r near 0, as for c near 0: 1e-5 off
+# at c = 1e-11; Ghoussoub-Moradifam draws cancel at most 6.2-fold, 16 of
+# 3000 general ones more).
 _FRAC_ZHI = 12.0
 _FRAC_MAX_STEPS = 200
 _FRAC_CANCEL = 16.0
-# At most this many least recently used parameter sets keep their state (a
-# Ghoussoub-Moradifam certify uses three), and a Gauss table at most this
-# many rows.
+# Below this z^2, the smallest normal float, the series' d2F/dz2 = E / z^2
+# underflows; r = 1 + O(z) rounds to 1 there, and r' to its value at 0
+_TINY_Z2 = 2.0 ** -1022
+# At most this many least recently used parameter sets keep a plan and, per
+# thread, a Gauss table of at most _HYP_TABLE_ROWS rows (a Ghoussoub-Moradifam
+# certify uses one plan, and the 1/z formula two tables, past -z = 12).
 _HYP_TABLES = 8
 _HYP_TABLE_ROWS = 1024
 # The Bessel continued fraction takes at most this many terms; the
@@ -521,13 +525,69 @@ def _series_2f1(a: float, b: float, c: float, x: float,
             del ratios[_HYP_TABLE_ROWS:]
 
 
-@lru_cache(maxsize=_HYP_TABLES)
-def _connection_coefficients(a: float, b: float, c: float,
-                             gamma=gamma, rgamma=rgamma) -> tuple[float, float]:
-    """The 1/z formula's two Gamma coefficients (DLMF 15.8.2); gamma and
-    rgamma are bound here, so the public calls made do not depend on caching."""
-    return (gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a),
-            gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b))
+class _Plan:
+    """What the contiguous ratio takes from one parameter set (a, b, c),
+    a <= b, alone, so that a call checks only z: whether the set is refused
+    (a non-finite parameter, or c a pole), whether a b = 0 (F = 1), and the
+    continued fraction's band, band <= z < 0 (empty, band = inf, where the
+    fraction never serves; up to -z = 40 where b - a is within
+    _HYP_GAP_GUARD of an integer); and, formed on first use, what the
+    fraction reads and the 1/z formula's Gamma coefficients.  Nothing
+    changes once formed (two threads may both form a part, with the same
+    values), so threads share a plan.  0.0 and -0.0 share one too; where a
+    zero's sign reaches a value, the kernels take it from the call.
+
+    _hyp2f1_pair keeps its own per-call checks: a plan met once costs a call
+    more than they do (the lru entry, the object and, with caches cold, the
+    memory they touch), and reading them from one put 9 to 14% on the median
+    op of perfbench's constants workload, whose hyp2f1 calls all take fresh
+    parameters."""
+
+    __slots__ = ("a", "b", "c", "refused", "unit", "band", "_fraction", "_connection")
+
+    def __init__(self, a: float, b: float, c: float):
+        self.a, self.b, self.c = a, b, c
+        self._fraction = self._connection = None
+        self.unit = a * b == 0.0
+        self.band = math.inf
+        # 0 a b c is 0 when all three are finite, as round() needs them
+        self.refused = not 0.0 * a * b * c == 0.0 or _is_nonpositive_integer(c)
+        if self.refused:
+            return
+        if c > 0.0 and not self.unit:
+            near = abs((b - a) - round(b - a)) <= _HYP_GAP_GUARD
+            self.band = -(_HYP_BIGZ if near else _FRAC_ZHI)
+
+    def fraction(self) -> tuple:
+        """(p, c - p, a + b + 1, a b / c, d_1, (d_2, ..., d_200)) for the
+        continued fraction, formed on the first call: p the one of a, b
+        larger in magnitude, ties broken by sign, so that r is symmetric in
+        a, b, and s the other."""
+        if self._fraction is None:
+            a, b, c = self.a, self.b, self.c
+            p, s = (a, b) if abs(a) > abs(b) or abs(a) == abs(b) and a > b else (b, a)
+            cs, cp = c - s, c - p
+            table = []
+            for k in range(1, _FRAC_MAX_STEPS):
+                h, ck = float(k // 2), c + k
+                num = (p + h) * (cs + h) if k % 2 == 0 else (s + h + 1.0) * (cp + h + 1.0)
+                table.append(num / (ck * (ck + 1.0)))
+            self._fraction = (p, cp, a + b + 1.0, a * b / c, p * cs / (c * (c + 1.0)),
+                              tuple(table))
+        return self._fraction
+
+    def connection(self, gamma=gamma, rgamma=rgamma) -> tuple[float, float]:
+        """The 1/z formula's two Gamma coefficients (DLMF 15.8.2), formed on
+        the first call; gamma and rgamma are bound here, so the public calls
+        made do not depend on caching."""
+        if self._connection is None:
+            a, b, c = self.a, self.b, self.c
+            self._connection = (gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a),
+                                gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b))
+        return self._connection
+
+
+_plan = lru_cache(maxsize=_HYP_TABLES)(_Plan)
 
 
 def _hyp2f1_bigz(a: float, b: float, c: float, z: float,
@@ -538,7 +598,7 @@ def _hyp2f1_bigz(a: float, b: float, c: float, z: float,
     C (-z)^(-a_i) (-a_i S_i - D_i) / z and second derivative
     C (-z)^(-a_i) (a_i (a_i+1) S_i + 2 (a_i+1) D_i + E_i) / z^2."""
     inv = 1.0 / z
-    coef_a, coef_b = _connection_coefficients(a, b, c)
+    coef_a, coef_b = _plan(a, b, c).connection()
     out = dout = ddout = 0.0
     for ai, other, coef in ((a, b, coef_a), (b, a, coef_b)):
         if coef != 0.0:
@@ -698,6 +758,8 @@ def _hyp2f1_bigz_log(a: float, b: float, c: float, z: float) -> float | None:
 
 
 def _hyp2f1_args(a: float, b: float, c: float, z: float) -> None:
+    """Raises the error for arguments the kernels refuse: a non-finite a, b
+    or c or a pole c (what a plan marks refused), or a NaN or positive z."""
     if not 0.0 * a * b * c == 0.0 or z != z:  # 0 a b c is 0 when all three are finite
         raise UnsupportedRangeError(
             f"hyp2f1 needs finite a, b, c and a z that is not NaN, got {a!r}, {b!r}, {c!r}, {z!r}")
@@ -806,83 +868,61 @@ def hyp2f1_with_dz(a: float, b: float, c: float, z: float) -> tuple[float, float
     return _hyp2f1_pair(a, b, c, z, 1)[:2]
 
 
-@lru_cache(maxsize=_HYP_TABLES)
-def _fraction_coefficients(a: float, b: float, c: float, thread: int) -> list[float]:
-    return [a * (c - b) / (c * (c + 1.0))]  # d_1
-
-
-def _contiguous_fraction(a: float, b: float, c: float, z: float) -> float | None:
-    """(q - 1) / z = d_1 / (1/S - d_1 z) for q = F(a, b+1; c+1; z) / F(a, b;
+def _contiguous_fraction(d1: float, table: tuple[float, ...], z: float) -> float | None:
+    """(q - 1) / z = d_1 / (1/S - d_1 z) for q = F(p, s+1; c+1; z) / F(p, s;
     c; z) = 1 / (1 - d_1 z S), S = 1 / (1 - d_2 z / (1 - d_3 z / ...)), by
     Gauss's continued fraction (DLMF 15.7; A. Cuyt et al., Handbook of
     Continued Fractions for Special Functions, 2008, ch. 15), with
-      d_(2k+1) = (a + k)(c - b + k) / ((c + 2k)(c + 2k + 1)),
-      d_(2k+2) = (b + k + 1)(c - a + k + 1) / ((c + 2k + 1)(c + 2k + 2)),
-    kept per (a, b, c) and thread, and 1/S by the modified Lentz method.
-    None at a zero denominator or past _FRAC_MAX_STEPS steps."""
-    coefs = _fraction_coefficients(a, b, c, get_ident())
-    n = len(coefs)
+      d_(2k+1) = (p + k)(c - s + k) / ((c + 2k)(c + 2k + 1)),
+      d_(2k+2) = (s + k + 1)(c - p + k + 1) / ((c + 2k + 1)(c + 2k + 2)),
+    d_2 ... d_200 in ``table``, and 1/S by the modified Lentz method.  None
+    at a zero denominator or past _FRAC_MAX_STEPS steps."""
     f = cc = 1.0
     dd = 0.0
-    for k in range(1, _FRAC_MAX_STEPS):
-        if k == n:
-            h, ck = float(k // 2), c + k
-            num = (a + h) * (c - b + h) if k % 2 == 0 else (b + h + 1.0) * (c - a + h + 1.0)
-            coefs.append(num / (ck * (ck + 1.0)))
-            n += 1
-        t = coefs[k] * z
-        dd = 1.0 - t * dd
-        cc = 1.0 - t / cc
-        if dd == 0.0 or cc == 0.0:
-            return None
-        dd = 1.0 / dd
-        delta = cc * dd
-        f *= delta
-        if abs(delta - 1.0) <= _LENTZ_EPS:
-            f -= coefs[0] * z
-            return coefs[0] / f if f else None
+    try:
+        for d in table:
+            t = d * z
+            dd = 1.0 / (1.0 - t * dd)
+            cc = 1.0 - t / cc  # a zero cc raises at the next step
+            delta = cc * dd
+            f *= delta
+            if abs(delta - 1.0) <= _LENTZ_EPS:
+                f -= d1 * z
+                return d1 / f
+    except ZeroDivisionError:
+        pass
     return None
-
-
-def _fraction_ratio(a: float, b: float, c: float, z: float,
-                    with_dz: bool) -> tuple[float, float | None] | None:
-    """_hyp2f1ratio by the continued fraction for c > 0 and z < 0; None
-    outside its band, where it fails, or where r cancels (_FRAC_CANCEL)."""
-    _hyp2f1_args(a, b, c, z)
-    gap = b - a
-    if -z > (_HYP_BIGZ if abs(gap - round(gap)) <= _HYP_GAP_GUARD else _FRAC_ZHI):
-        return None
-    # the larger |a| as p, ties broken by sign, so r is symmetric in a, b
-    p, s = (a, b) if abs(a) > abs(b) or abs(a) == abs(b) and a > b else (b, a)
-    w = _contiguous_fraction(p, s, c, z)
-    if w is None:
-        return None
-    # p (1 - z) F(p+1, s+1; c+1) = c F - (c - p) F(p, s+1; c+1), so with
-    # q = 1 + z w, r = (c - (c - p) q) / (p (1 - z)) = (p - t) / (p (1 - z))
-    t = (c - p) * z * w
-    if _FRAC_CANCEL * abs(p - t) < abs(p) + abs(t):
-        return None
-    den = p * (1.0 - z)
-    r = (p - t) / den
-    if not with_dz:
-        return r, None
-    # F''/F from the hypergeometric equation; c (1 - r) / z from w, as
-    # c / z - c r / z would cancel like 1/|z|
-    one_r = ((c - p) * w - p) / den
-    return r, (c * one_r + (a + b + 1.0) * r) / (1.0 - z) - a * b / c * r * r
 
 
 def _hyp2f1ratio(a: float, b: float, c: float, z: float,
                  with_dz: bool) -> tuple[float, float | None]:
     """r = F(a+1, b+1; c+1; z) / F(a, b; c; z) and, when ``with_dz``,
-    dr/dz (else None), from one continued fraction (_fraction_ratio) or one
-    series pass of the denominator."""
-    if a * b == 0.0:  # F(a, b; c; z) = 1: r is the numerator itself
+    dr/dz (else None), from one continued fraction or one series pass of
+    the denominator."""
+    plan = _plan(a, b, c) if a <= b else _plan(b, a, c)
+    if plan.unit:  # F(a, b; c; z) = 1: r is the numerator itself
         if with_dz:
             return hyp2f1_with_dz(a + 1.0, b + 1.0, c + 1.0, z)
         return hyp2f1(a + 1.0, b + 1.0, c + 1.0, z), None
-    if c > 0.0 and z < 0.0 and (out := _fraction_ratio(a, b, c, z, with_dz)) is not None:
-        return out
+    if plan.band <= z < 0.0:
+        p, cp, sum1, slope, d1, table = plan.fraction()
+        w = _contiguous_fraction(d1, table, z)
+        # p (1 - z) F(p+1, s+1; c+1) = c F - (c - p) F(p, s+1; c+1), so with
+        # q = 1 + z w, r = (c - (c - p) q) / (p (1 - z)) = (p - t) / (p (1 - z));
+        # where r cancels (_FRAC_CANCEL) the series serves
+        if w is not None:
+            t = cp * z * w
+            if not _FRAC_CANCEL * abs(p - t) < abs(p) + abs(t):
+                den = p * (1.0 - z)
+                r = (p - t) / den
+                if not with_dz:
+                    return r, None
+                # F''/F from the hypergeometric equation; c (1 - r) / z from
+                # w, as c / z - c r / z would cancel like 1/|z|
+                one_r = (cp * w - p) / den
+                return r, (c * one_r + sum1 * r) / (1.0 - z) - slope * r * r
+    if z < 0.0 and z * z < _TINY_Z2 and not plan.refused:  # r = 1 + O(z), r' = r'(0) + O(z)
+        return 1.0, (a + 1.0) * (b + 1.0) / (c + 1.0) - a * b / c if with_dz else None
     f, f1, f2 = _hyp2f1_pair(a, b, c, z, 2 if with_dz else 1)
     if f == 0.0:
         raise DomainError(f"hyp2f1ratio denominator F({a!r}, {b!r}; {c!r}; {z!r}) is zero")
@@ -899,12 +939,16 @@ def hyp2f1ratio(a: float, b: float, c: float, z: float) -> float:
     For c > 0 and 0 < -z <= 12 (40 for b - a within 1e-3 of an integer),
     r = (c - (c - p) q) / (p (1 - z)), with p the one of a, b larger in
     magnitude, s the other and q = F(p, s+1; c+1; z) / F(p, s; c; z) from
-    Gauss's continued fraction.
+    Gauss's continued fraction, its partial numerators read from a table
+    built once per parameter set: on Ghoussoub-Moradifam parameters 1.2 to
+    10 us a call for -z from 1e-6 to 12, 23 us at -z = 35 near an integer
+    gap, where the series took 3 to 31 us (263 us) (2 vCPU x86 host).
     Elsewhere the numerator is (c / (a b)) dF/dz of the denominator (DLMF
     15.5.1), both from the denominator's one series pass, except where b - a
-    is near an integer and -z > 40, where the numerator is evaluated itself.
-    For a b = 0 the denominator is 1 and the numerator is returned.  A zero
-    denominator raises DomainError.
+    is near an integer and -z > 40, where the numerator is evaluated itself;
+    and where z^2 is subnormal or underflows to 0 (0 < -z < 1.5e-154), r = 1,
+    to which r = 1 + O(z) rounds.  For a b = 0 the denominator is 1 and the
+    numerator is returned.  A zero denominator raises DomainError.
     """
     return _hyp2f1ratio(a, b, c, z, False)[0]
 
@@ -915,7 +959,10 @@ def hyp2f1ratio_with_dz(a: float, b: float, c: float, z: float) -> tuple[float, 
 
     dr/dz = (c / ab) (F''/F - (F'/F)^2) with F'/F = (ab / c) r.  F''/F comes
     from the hypergeometric equation where r comes from the fraction (within
-    2.6e-15 of 40-digit mpmath on Ghoussoub-Moradifam parameters), and from
-    a third accumulator of the series pass elsewhere.
+    2.6e-15 of 40-digit mpmath on Ghoussoub-Moradifam parameters; 1.4 to 10 us
+    a call for -z from 1e-6 to 12, 16 us at -z = 35 near an integer gap), and
+    from a third accumulator of the series pass elsewhere, except where z^2
+    is subnormal or underflows to 0: there the series' d2F/dz2 = E / z^2
+    fails, and dr/dz is its value at 0, (a+1)(b+1)/(c+1) - ab/c.
     """
     return _hyp2f1ratio(a, b, c, z, True)

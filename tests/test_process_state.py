@@ -28,13 +28,15 @@ def run_python(code: str) -> str:
 
 
 def test_import_parses_and_plans_nothing():
-    # nor compiles a template: certify's loop or a margin's panel
+    # nor compiles a template: certify's loop or a margin's panel; nor
+    # builds a hypergeometric plan
     out = run_python("import hardykit.cli\n"
-                     "from hardykit import exprdsl\n"
+                     "from hardykit import exprdsl, specfun\n"
                      "print(exprdsl._parse_tree.cache_info().currsize, "
                      "exprdsl._plan.cache_info().currsize, "
-                     "exprdsl._template_code.cache_info().misses)")
-    assert out.split() == ["0", "0", "0"]
+                     "exprdsl._template_code.cache_info().misses, "
+                     "specfun._plan.cache_info().currsize)")
+    assert out.split() == ["0", "0", "0", "0"]
 
 
 def test_import_loads_neither_numpy_nor_mpmath():

@@ -910,6 +910,18 @@ class TestHyp2f1Ratio:
         assert r == 1.0
         assert dr == pytest.approx((a + 1) * (b + 1) / (c + 1) - a * b / c, rel=1e-15)
 
+    def test_tiny_z_on_the_series(self):
+        # c <= 0, so the series serves; where z^2 is subnormal or underflows
+        # to 0 its d2F/dz2 = E / z^2 gives no r' (a ZeroDivisionError at
+        # -1e-300, 5e-9 off at -1e-158), and r = 1 + O(z) rounds to 1 and r'
+        # to its value at 0, (a+1)(b+1)/(c+1) - ab/c = 2.55
+        a, b, c = -0.25, 1.05, -0.5
+        dr0 = (a + 1.0) * (b + 1.0) / (c + 1.0) - a * b / c
+        for z in (-1e-300, -1e-158, -1e-140):
+            r, dr = hyp2f1ratio_with_dz(a, b, c, z)
+            assert r == hyp2f1ratio(a, b, c, z) == 1.0, z
+            assert abs(dr - dr0) <= math.ulp(dr0), (z, dr)
+
     def test_zero_denominator_raises(self):
         # F(-1, -1; 2; z) = 1 + z/2 vanishes at z = -2
         for fn in (hyp2f1ratio, hyp2f1ratio_with_dz):
@@ -1033,6 +1045,61 @@ class TestHyp2f1RatioFraction:
         calls.clear()
         hyp2f1ratio_with_dz(a, b, 1.0, -2.0)
         assert calls == ["fraction", "series"]
+
+
+class TestHyp2f1Plan:
+    """One plan per parameter set, shared by every thread and bounded."""
+
+    def test_threads_share_a_plan(self):
+        # four threads evaluate the same fresh parameter set at interleaved
+        # z, so that they reach its plan's lazily built parts,
+        # the fraction's table and (past -z = 12) the 1/z formula's
+        # coefficients, while the first of them builds each; every value is
+        # bitwise a single thread's.  The plan is made first, so that all
+        # share it from their first call; a build that let the others read a
+        # partial table showed in 2 to 9 of 100 rounds
+        import sys
+        import threading
+
+        rng = random.Random(3501)
+        zs = [-_log_uniform(rng, 1e-6, 30.0) for _ in range(200)]
+        count = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(60):
+                a, b, c = _gm_shape(rng)
+                specfun._plan.cache_clear()
+                specfun._plan(a, b, c)
+                out: dict = {}
+                barrier = threading.Barrier(count, timeout=60.0)
+
+                def work(k, a=a, b=b, c=c, out=out, barrier=barrier):
+                    barrier.wait()
+                    for z in zs[k::count]:
+                        out[z] = repr(hyp2f1ratio_with_dz(a, b, c, z))
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(count)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                specfun._plan.cache_clear()
+                assert out == {z: repr(hyp2f1ratio_with_dz(a, b, c, z)) for z in zs}, (a, b)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_plans_stay_bounded(self):
+        # the fraction's table and the 1/z formula's coefficients for more
+        # parameter sets than are kept
+        specfun._plan.cache_clear()
+        for i in range(3 * specfun._HYP_TABLES):
+            a, b = -0.2 - 0.01 * i, 1.1 + 0.01 * i
+            hyp2f1ratio_with_dz(a, b, 1.0, -2.0)
+            hyp2f1_with_dz(a, b, 1.0, -20.0)
+        info = specfun._plan.cache_info()
+        assert info.currsize == info.maxsize == specfun._HYP_TABLES
 
 
 def _gauss_draws(rng, n):
