@@ -11,8 +11,9 @@ exactly.  After seeding, standard worst-panel-first refinement runs until
 the summed Kronrod-vs-Gauss error estimate meets the tolerance.
 integrate_panels is that loop over any panel function, (a, b) -> (value,
 error estimate); integrate runs it over kronrod_panel of a plain
-integrand, and a generated panel (the verifier's margins) over the same
-nodes in the same order sums its node values with kronrod_panel's code.
+integrand, and the verifier's panels (a margin's generated one and
+_log_mass's) loop over the same nodes in the same order and sum their
+node values with kronrod_panel's code.
 """
 
 from __future__ import annotations
@@ -124,16 +125,18 @@ def _graded_edges(
     out = [base[0]]
     for a, b in zip(base, base[1:]):
         if a > 0.0 and b / a > 10.0:
-            # geometric subdivision, one panel per decade
-            steps = int(math.ceil(math.log10(b / a)))
-            for k in range(1, steps):
-                e = a * 10.0**k
+            # geometric subdivision, one panel per decade (b/a, 10^k overflow at a subnormal a)
+            decades = math.log10(b / a) if b / a < math.inf else math.log10(b) - math.log10(a)
+            for k in range(1, int(math.ceil(decades))):
+                e = a * 10.0**k if k <= 308 else a * 1e308 * 10.0**(k - 308)
                 if e < b:
                     out.append(e)
         elif a == 0.0 and (singular_hint is not None and singular_hint < 0.0):
-            # geometric tail toward the singular endpoint
+            # geometric tail toward the singular endpoint, none at 0 or repeated
             for k in range(8, 0, -1):
-                out.append(b * 10.0**-k)
+                e = b * 10.0**-k
+                if e > out[-1]:
+                    out.append(e)
         out.append(b)
     return out
 

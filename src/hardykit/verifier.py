@@ -1,32 +1,29 @@
 """Quadrature validation of the additive and multiplicative inequalities.
 
 Everything here reduces to weighted radial integrals against the model
-measure d(mu) = n*omega_n * s_kappa^(n-1)(t) dt, computed by one helper,
-``_log_mass``, except the three of an additive or multiplicative margin.
+measure d(mu) = n*omega_n * s_kappa^(n-1)(t) dt, each run by
+quadrature.integrate_panels over a Kronrod panel function built for it.
 The additive margin compares the energy integral with the two-term right
 side built from a candidate G, its weight w (the constant 1 for a plain G)
 and a nonlinearity H; the multiplicative margin assembles
-|I_H|^p / J_H^(p-1) from the same integrals.  Their adaptive integrals run
-over one generated Kronrod panel function per margin, this module's panel
-template with G and w inlined by exprdsl.fill_template and the density
-inlined for the margin's kappa; I_H's panels also give J_H's sums from the
-same G values.  The uncertainty and interpolation-type modes specialize H
-and add the curvature deficit factor.  Margins carry their quadrature
-error estimates, and a margin only counts as a violation when it is more
-negative than 10x the combined error (numerical noise must never
-masquerade as a counterexample to a theorem).
-The relative quadrature tolerance is ``_TOL`` = 1e-10 for the additive and
-multiplicative margins and ``radial_integral``, ``_TOL_FINE`` = 1e-11 for
-everything else.
+|I_H|^p / J_H^(p-1) from the same integrals, which share one panel per
+margin: this module's template with G and w inlined by
+exprdsl.fill_template and the density inlined for the margin's kappa;
+I_H's panels also give J_H's sums from the same G values.  Margins carry
+their quadrature error estimates, and a margin only counts as a violation
+when it is more negative than 10x the combined error (numerical noise must
+never masquerade as a counterexample to a theorem).  The relative
+tolerance is ``_TOL`` = 1e-10 for the additive and multiplicative margins
+and ``radial_integral``, ``_TOL_FINE`` = 1e-11 for everything else.
 
-Near-extremal Hardy test functions spread mass over hundreds of decades
-with plateau values far beyond float range, so ``_log_mass`` evaluates
-|u|^p, |u'|^p and the density through logs (``radial_integral``'s f and the
-oscillatory margin's s_c terms are read in floats and only the density in
-logs) and integrates in x = ln t from the first segment spanning more than
-a decade: one hardy sweep takes ~160 Kronrod panels there, not one panel
-per decade.  The margin panels expect moderate test functions (bumps,
-gaussians).
+Every other integral (``radial_integral``, the uncertainty, interpolation,
+oscillatory, extremal and sweep modes) runs through ``_log_mass``, whose
+panel takes |u|^p, |u'|^p and the density in logs, as near-extremal Hardy
+test functions spread mass over hundreds of decades with plateau values
+beyond float range (``radial_integral``'s f and the s_c terms are read in
+floats).  It integrates in x = ln t from the first segment spanning more
+than a decade: one hardy sweep takes ~160 Kronrod panels there, not one
+per decade.  The margin panels expect moderate test functions.
 """
 
 from __future__ import annotations
@@ -39,9 +36,8 @@ from typing import Callable, Sequence
 from .catalog import CatalogInstance
 from .errors import DomainError, HypothesisError, ParameterError, check_keys
 from .exprdsl import evaluator, fill_template, parse
-from .geometry import (_TAYLOR_CUT, ModelGeometry, ct_value, deficit_value, s_value,
-                       unit_ball_volume)
-from .quadrature import _NODES, _panel_sums, integrate, integrate_panels
+from .geometry import _TAYLOR_CUT, ModelGeometry, ct_value, deficit_value, unit_ball_volume
+from .quadrature import _NODES, _panel_sums, integrate_panels
 from .testfuncs import RadialTestFunction, gaussian_type, power_cutoff, talenti
 
 __all__ = [
@@ -311,7 +307,9 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
     through logs so plateau values beyond float range and abscissae
     ~1e-290 cannot overflow intermediates.  A DomainError names the t
     where the integrand is nonzero and the part of it taken in logs (with
-    the Jacobian t in ln t) exceeds e^700.
+    the Jacobian t in ln t) exceeds e^700.  extra=None is the constant 1.0
+    without a call per node: pass it where the factor is exactly 1 (the up
+    and ckn deficit factor at kappa = 0).
 
     span = (lo, hi, breakpoints, singular hint) defaults to u's support.
     From the first segment between edges (span ends and breakpoints)
@@ -320,32 +318,59 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
     becomes exp(p*eps*x), so a few panels cover hundreds of decades where
     t needs one per decade.  The part before it, the plateau of a
     power_cutoff, stays in t with the singular hint; a span without
-    such a segment is integrated in t alone."""
+    such a segment is integrated in t alone.  Both parts run
+    integrate_panels over one panel function built per call: a loop over
+    the Kronrod nodes with u's evaluators resolved once and log t taken
+    once per node, which is log s_kappa at kappa = 0."""
     n, kappa = geo.n, geo.kappa
+    nm1, flat, r = n - 1, kappa == 0.0, math.sqrt(-kappa)
+    log, exp, sinh, inf = math.log, math.exp, math.sinh, math.inf
+    log_value = value = None
     if u is not None:
-        log_base_fn = u.log_abs_du if use_du else u.log_abs_u
+        log_value = u.log_abs_du if use_du else u.log_abs_u
+        if log_value is None:
+            value = u.du if use_du else u.u
 
-    def f(t: float, log_jac: float = 0.0) -> float:
-        if u is None:
-            lg = 0.0
-        else:
-            if log_base_fn is not None:
-                lb = log_base_fn(t)
-            else:
-                base = abs(u.du(t)) if use_du else abs(u.u(t))
-                lb = math.log(base) if base > 0.0 else -math.inf
-            if lb == -math.inf:
-                return 0.0
-            lg = upow * lb + tpow * math.log(t)
-        v = extra(t) if extra is not None else 1.0
-        if v == 0.0:
-            return 0.0
-        lg = lg + (n - 1) * math.log(s_value(kappa, t)) + log_jac
-        if lg < -700.0:
-            return 0.0
-        if lg > 700.0:
-            raise DomainError(f"integrand overflow at t={t!r}")
-        return math.exp(lg) * v
+    def panel(in_x: bool, a: float, b: float) -> tuple[float, float]:
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        fs: list[float] = []
+        try:
+            for x in _NODES:
+                t, jac = mid + half * x, 0.0
+                if in_x:
+                    t, jac = exp(t), t
+                if t == 0.0:  # only in a panel narrower than the least normal
+                    fs.append(0.0)  # float: 0, as any other value takes log 0
+                    continue
+                lt, lg = log(t), 0.0
+                if u is not None:
+                    lb = log_value(t) if value is None else abs(value(t))
+                    if value is not None:  # |b| read in floats
+                        lb = log(lb) if lb > 0.0 else -inf
+                    if lb == -inf:
+                        fs.append(0.0)
+                        continue
+                    lg = upow * lb + tpow * lt
+                v = extra(t) if extra is not None else 1.0
+                if v == 0.0:
+                    fs.append(0.0)
+                    continue
+                if flat:
+                    ls = lt
+                else:
+                    try:
+                        s = sinh(r * t) / r  # 0 only where r*t underflows: s = t there
+                        ls = log(s) if s > 0.0 else lt
+                    except OverflowError:
+                        ls = inf
+                lg = lg + nm1 * ls + jac
+                if lg > 700.0:
+                    raise DomainError(f"integrand overflow at t={t!r}")
+                fs.append(0.0 if lg < -700.0 else exp(lg) * v)
+        except Exception as exc:
+            return _panel_sums(fs, mid, half, exc)
+        return _panel_sums(fs, mid, half)
 
     lo, hi, breakpoints, hint = span or (max(u.support_lo, 0.0), u.support_hi,
                                          u.breakpoints, u.singular_hint)
@@ -354,12 +379,12 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
     scale = n * unit_ball_volume(n)
     val, err = 0.0, 0.0
     if wide > lo:
-        val, err = integrate(f, lo, wide, rel_tol=tol, breakpoints=breakpoints,
-                             singular_hint=hint)
+        val, err = integrate_panels(functools.partial(panel, False), lo, wide, rel_tol=tol,
+                                    breakpoints=breakpoints, singular_hint=hint)
         val, err = scale * val, scale * err
     if wide < hi:
-        xv, xe = integrate(lambda x: f(math.exp(x), x), math.log(wide), math.log(hi),
-                           rel_tol=tol, breakpoints=[math.log(b) for b in edges if wide < b < hi])
+        xv, xe = integrate_panels(functools.partial(panel, True), log(wide), log(hi),
+                                  rel_tol=tol, breakpoints=[log(b) for b in edges if wide < b < hi])
         val, err = val + scale * xv, err + scale * xe
     return val, err
 
@@ -385,7 +410,9 @@ def _scaled_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
     def deficit_factor(t: float) -> float:
         return 1.0 + dcoef * deficit_value(geo.kappa, t)
 
-    dint, d_err = _log_mass(geo, u, rhs_pow, alpha - 1.0, extra=deficit_factor)
+    # at kappa = 0 the factor is exactly 1.0 (D_0 = 0), the value of extra=None
+    dint, d_err = _log_mass(geo, u, rhs_pow, alpha - 1.0,
+                            extra=deficit_factor if geo.kappa != 0.0 else None)
 
     lhs = energy ** (1.0 / p) * mass2 ** (1.0 / pc)
     rhs = const * dint

@@ -458,6 +458,63 @@ def unshared_additive_terms(geo, target, u, H, binding):
     return geo.p, scale * e, scale * e_err, scale * i, scale * i_err, scale * j, scale * j_err
 
 
+# verifier._log_mass as a per-node integrand run through quadrature.integrate,
+# in its former form: the t part calls f(t) at each node, the ln t part
+# f(e^x, x) through a lambda; every node re-reads u, extra and kappa and
+# takes log s_kappa from geometry.s_value.  The mesh, the tolerance and the
+# split at the first segment spanning more than a decade are the verifier's,
+# so verifier._log_mass must give the same value and error to the last bit,
+# or raise the same exception with the same message.
+
+
+def reference_log_mass(geo, u, upow=0.0, tpow=0.0, use_du=False, extra=None, span=None,
+                       tol=None):
+    from hardykit.quadrature import integrate
+    from hardykit.verifier import _TOL_FINE
+
+    tol = _TOL_FINE if tol is None else tol
+    n, kappa = geo.n, geo.kappa
+    if u is not None:
+        log_base_fn = u.log_abs_du if use_du else u.log_abs_u
+
+    def f(t, log_jac=0.0):
+        if u is None:
+            lg = 0.0
+        else:
+            if log_base_fn is not None:
+                lb = log_base_fn(t)
+            else:
+                base = abs(u.du(t)) if use_du else abs(u.u(t))
+                lb = math.log(base) if base > 0.0 else -math.inf
+            if lb == -math.inf:
+                return 0.0
+            lg = upow * lb + tpow * math.log(t)
+        v = extra(t) if extra is not None else 1.0
+        if v == 0.0:
+            return 0.0
+        lg = lg + (n - 1) * math.log(geometry.s_value(kappa, t)) + log_jac
+        if lg < -700.0:
+            return 0.0
+        if lg > 700.0:
+            raise DomainError(f"integrand overflow at t={t!r}")
+        return math.exp(lg) * v
+
+    lo, hi, breakpoints, hint = span or (max(u.support_lo, 0.0), u.support_hi,
+                                         u.breakpoints, u.singular_hint)
+    edges = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
+    wide = next((a for a, b in zip(edges, edges[1:]) if a > 0.0 and b / a > 10.0), hi)
+    scale = n * geometry.unit_ball_volume(n)
+    val, err = 0.0, 0.0
+    if wide > lo:
+        val, err = integrate(f, lo, wide, rel_tol=tol, breakpoints=breakpoints,
+                             singular_hint=hint)
+        val, err = scale * val, scale * err
+    if wide < hi:
+        xv, xe = integrate(lambda x: f(math.exp(x), x), math.log(wide), math.log(hi),
+                           rel_tol=tol, breakpoints=[math.log(b) for b in edges if wide < b < hi])
+        val, err = val + scale * xv, err + scale * xe
+    return val, err
+
 # certify as a per-point loop over residual terms built from each object's
 # own eval/eval_d at every t, in their former order: G' and G, w' and w (w > 0
 # checked first), L, W; the residual G' + (w'/w + L) G - (p-1)|G|^{p'} - W,

@@ -311,6 +311,13 @@ class TestOtherCommands:
         assert capsys.readouterr().err == \
             "hardykit: integrand non-finite at t=383.1912683347299\n"
 
+    def test_subnormal_plateau_radius_is_a_quadrature_error(self, capsys):
+        # b/a = inf in quadrature._graded_edges: an OverflowError traceback
+        rc = main(["verify", "--inequality", "hardy", "--params", "kappa=0,n=3,p=2,alpha=0",
+                   "--family", "power_cutoff:eps=0.1,r0=5e-324,R=100"])
+        assert rc == 3
+        assert capsys.readouterr().err == "hardykit: integrand non-finite at t=3e-323\n"
+
     def test_sweep_hypothesis_violation_exit_one(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         rc = main(["sweep", "--inequality", "up", "--params", "n=3,p=2,alpha=5",

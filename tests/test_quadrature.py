@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hardykit.errors import QuadratureError
-from hardykit.quadrature import integrate, kronrod_panel
+from hardykit.quadrature import _graded_edges, integrate, kronrod_panel
 
 
 class TestKronrodPanel:
@@ -69,3 +69,12 @@ class TestAdaptiveIntegrate:
     def test_error_estimate_scale(self):
         val, err = integrate(lambda x: math.cos(3.0 * x), 0.0, 2.0, rel_tol=1e-12)
         assert abs(val - math.sin(6.0) / 3.0) <= 10.0 * max(err, 1e-15)
+
+    def test_subnormal_edges(self):
+        # b/a = inf raised OverflowError in the decade count, and the tail
+        # toward a singular 0 underflowed to eight edges at 0
+        assert _graded_edges(0.0, 5e-324, (), -0.5) == [0.0, 5e-324]
+        assert _graded_edges(0.0, 1e-320, (), -0.5) == [0.0, 1e-323, 1e-322, 1e-321, 1e-320]
+        edges = _graded_edges(5e-324, 100.0, (), None)
+        assert edges == sorted(set(edges)) and len(edges) == 327
+        assert edges[-2] == 5e-324 * 1e308 * 1e17 and edges[-1] == 100.0

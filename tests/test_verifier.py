@@ -5,11 +5,11 @@ from collections import Counter
 
 import pytest
 
-from hardykit import exprdsl, quadrature, verifier
+from hardykit import exprdsl, verifier
 from hardykit.catalog import instantiate
 from hardykit.errors import DomainError, HardykitError, HypothesisError, ParameterError
 from hardykit.exprdsl import parse
-from hardykit.geometry import ModelGeometry, unit_ball_volume
+from hardykit.geometry import ModelGeometry, deficit_value, unit_ball_volume
 from hardykit.quadrature import kronrod_panel
 from hardykit.riccati import FuncEval, RiccatiPairSpec
 from hardykit.testfuncs import (RadialTestFunction, compact_bump, from_expr, gaussian_type,
@@ -18,8 +18,8 @@ from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_ch
                                gm_positivity_study, hardy_default_family,
                                margin_violated, multiplicative_margin, radial_integral,
                                sc_margin, scaled_family, sharpness_sweep, up_margin)
-from oracles import (power_cutoff_masses_mp, simpson, unshared_additive_terms,
-                     unshared_integrands, with_density)
+from oracles import (power_cutoff_masses_mp, reference_log_mass, simpson,
+                     unshared_additive_terms, unshared_integrands, with_density)
 
 E2 = ModelGeometry(0.0, 2, 2.0)
 E3 = ModelGeometry(0.0, 3, 2.0)
@@ -318,14 +318,42 @@ class TestSweeps:
     def test_hardy_sweep_panel_count(self, monkeypatch):
         # the power region [e^-660, 1] and the cut [1, 100] integrate in
         # x = ln t: 162 Kronrod panels for the 14 integrals (9310 one panel
-        # per decade in t), at a ratio within rounding of the t-domain one
+        # per decade in t), at a ratio within rounding of the t-domain one;
+        # counted on the panel functions _log_mass hands integrate_panels
         panels = []
-        real_panel = quadrature.kronrod_panel
-        monkeypatch.setattr(quadrature, "kronrod_panel",
-                            lambda f, a, b: panels.append((a, b)) or real_panel(f, a, b))
+        real = verifier.integrate_panels
+
+        def counting(panel, *args, **kwargs):
+            return real(lambda a, b: panels.append((a, b)) or panel(a, b), *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "integrate_panels", counting)
         sw = sharpness_sweep("hardy", E3, {"alpha": 0.0})
+        assert len(panels) == 162
         assert len(panels) <= 300
         assert sw.achieved_extremum == pytest.approx(0.2509403426359339, rel=1e-12)
+
+    # r0 = 5e-324 is inside power_cutoff's domain: the plateau's geometric
+    # tail underflowed to t = 0, where _log_mass took log 0 (ValueError);
+    # at kappa = -0.01 r*t underflows too, and log s_kappa took log 0
+    @pytest.mark.parametrize("kappa", [0.0, -0.01])
+    @pytest.mark.parametrize("r0", [5e-324, 1e-320, 1e-310])
+    def test_subnormal_plateau_radius(self, kappa, r0):
+        geo = ModelGeometry(kappa, 3, 2.0)
+
+        def ratio(r0):
+            family = [power_cutoff(0.1, r0, 100.0, 3, 2.0)]
+            return sharpness_sweep("hardy", geo, {"alpha": 0.0}, family).rows[0].ratio
+
+        try:
+            got = ratio(r0)
+        except HardykitError:
+            # at kappa = -0.01 from r0 = 1e-320 to 1e-315 the plateau's
+            # t-panels, where r*t is subnormal, never reach the tolerance
+            assert (kappa, r0) == (-0.01, 1e-320)
+            return
+        assert got == pytest.approx(ratio(1e-300), rel=1e-9)
+        if kappa == 0.0:
+            assert got == pytest.approx(0.30543894764880963, rel=1e-9)
 
     # sigma = (n + alpha - p)/p > 0 is the whole hypothesis; the plateau
     # value r0^(-sigma+eps) overflowed a float for 660 sigma > 690
@@ -794,3 +822,79 @@ class TestMarginPanel:
         misses = exprdsl._template_code.cache_info().misses
         run()
         assert exprdsl._template_code.cache_info().misses == misses
+
+
+def _log_mass_cases(kappa: float, seed: int):
+    """Seeded (geo, u, kwargs, reference kwargs) cases of _log_mass."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(6):
+        # power_cutoff: log evaluators, a plateau in t and the ln t segment
+        n, p = rng.choice([3, 4, 6, 10]), rng.choice([1.5, 2.0, 3.0])
+        alpha = p * rng.uniform(0.2, 2.0) + p - n
+        eps = rng.choice([0.1, 0.02, 0.001])
+        u = power_cutoff(eps, math.exp(max(-0.7 / eps, -660.0)), 100.0, n, p, alpha=alpha)
+        geo = ModelGeometry(kappa, n, p)
+        cases += [(geo, u, {"upow": p, "tpow": alpha, "use_du": True}),
+                  (geo, u, {"upow": p, "tpow": alpha - p})]
+    for _ in range(4):
+        n, p = rng.choice([2, 3, 5]), rng.uniform(1.3, 3.0)
+        geo = ModelGeometry(kappa, n, p)
+        alpha, scale = rng.uniform(0.1, 1.5), math.exp(rng.uniform(-1.0, 2.0))
+        for u in (gaussian_type(alpha, p, scale=scale),
+                  talenti(alpha, p, p + rng.uniform(0.5, 2.0), scale=scale),
+                  compact_bump(rng.uniform(1.0, 5.0), rng.uniform(0.1, 0.9))):
+            for use_du in (False, True):
+                cases.append((geo, u, {"upow": p, "use_du": use_du,
+                                       "tpow": rng.choice([0.0, rng.uniform(-1.0, 2.0)])}))
+        u = gaussian_type(alpha, p, scale=scale)
+        span = (0.0, u.support_hi, u.breakpoints, None)
+        c = rng.uniform(9.0, 30.0)
+        cases += [
+            # the oscillatory margin's signed s_c profile, read in floats
+            (geo, None, {"extra": lambda t, u=u, c=c: verifier._osc_profile(c, 3.0 * u.u(t)),
+                         "span": span}),
+            (geo, u, {"upow": p, "extra": lambda t: math.cos(3.0 * t)}),
+            # an extra that raises ValueError beyond t = 1.5
+            (geo, u, {"upow": p, "extra": lambda t: math.sqrt(1.5 - t)})]
+    # one of margins_mix's extremal draws: log s_kappa overflows at kappa < 0
+    geo = ModelGeometry(-1.470658545052082 if kappa else 0.0, 2, 2.5466385401436398)
+    u = gaussian_type(0.20068103046217056, geo.p)
+    cases.append((geo, u, {"upow": geo.p, "use_du": True}))
+    return [(geo, u, kw, kw) for geo, u, kw in cases]
+
+
+class TestLogMassPanel:
+    """_log_mass's panel is its former per-node integrand run through
+    quadrature.integrate, to the bit: the same value and error, or the
+    same exception with the same message."""
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    def test_panel_equals_reference(self, kappa):
+        outcomes = Counter()
+        cases = _log_mass_cases(kappa, seed=36)
+        if kappa == 0.0:
+            # the up/ckn deficit factor, exactly 1.0 at kappa = 0, where
+            # _scaled_margin passes extra=None
+            u = gaussian_type(1.0, 2.0)
+            cases.append((E3, u, {"upow": 2.0},
+                          {"upow": 2.0, "extra": lambda t: 1.0 + 0.5 * deficit_value(0.0, t)}))
+        for geo, u, kw, ref_kw in cases:
+            got = _outcome(verifier._log_mass, geo, u, **kw)
+            assert got == _outcome(reference_log_mass, geo, u, **ref_kw), (geo, u, kw)
+            outcomes[got.partition(":")[0] if "Error" in got else "value"] += 1
+        assert outcomes["value"] > 30 and outcomes["ValueError"] > 0
+        assert (outcomes["DomainError"] > 0) == (kappa != 0.0)
+
+    @pytest.mark.parametrize("run", [
+        lambda: sharpness_sweep("hardy", E3, {"alpha": 0.0}),
+        lambda: sharpness_sweep("up", H3, {"alpha": 1.0}),
+        lambda: sharpness_sweep("ckn", E3, {"alpha": 0.5, "r": 3.0}),
+        lambda: sc_margin(H3, gaussian_type(1.0, 2.0), 4.0),
+        lambda: extremal_identity_check(ModelGeometry(-1.470658545052082, 2, 2.5466385401436398),
+                                        0.20068103046217056),
+        lambda: radial_integral(H2, lambda t: math.sin(t), 3.0, breakpoints=(1.0,))])
+    def test_callers_equal_reference(self, run, monkeypatch):
+        got = _outcome(run)
+        monkeypatch.setattr(verifier, "_log_mass", reference_log_mass)
+        assert got == _outcome(run)
