@@ -27,7 +27,8 @@ Where c - b is near a negative integer and the Pfaff series in a would sum
 to a small remainder, the other Pfaff form, the series in b, is summed.
 hyp2f1_with_dz returns dF/dz beside F from one series pass: the loop that
 sums F also sums k times each term, for a few terms more once F has
-converged, and a closed form turns that into the derivative.
+converged, and a closed form turns that into the derivative; for hyp2f1
+alone the pass sums F only.
 hyp2f1ratio and hyp2f1ratio_with_dz give the contiguous ratio
 r = F(a+1, b+1; c+1; z) / F(a, b; c; z) = (c / ab) F'/F (DLMF 15.5.1) and
 its z-derivative: for c > 0 and 0 < -z <= 12 (40 for b - a near an integer)
@@ -38,21 +39,20 @@ mpmath is imported on first use, by the two mpmath branches, so a process
 that stays on the float paths never loads it.
 
 Certificates and margins call these kernels at every node with the same
-parameters, so what depends on them alone is kept in small caches filled
-on first use: one plan per parameter set (_Plan), with the decisions the
-contiguous ratio takes from (a, b, c) alone, the continued fraction's
-partial numerators and the 1/z formula's Gamma coefficients, so that a
-ratio call checks only z; and per parameter set and thread, the term ratios
-of each Gauss series, as rows of tables that the passes reading them
-extend.  The float operations and their order are the same with or without
-the caches, so every value is bitwise the same.
+parameters, so what depends on them alone is kept in one small cache,
+filled on first use: a plan per parameter set (_Plan), with the decisions
+the contiguous ratio takes from (a, b, c) alone, the continued fraction's
+partial numerators, and the 1/z formula's Gamma coefficients and first
+term ratios of its two series, so that a ratio call checks only z.  A plan
+never changes once formed, so threads share it.  The float operations and
+their order are the same with or without the plans, so every value is
+bitwise the same.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from threading import get_ident
 
 from .errors import (
     ConvergenceError,
@@ -129,11 +129,13 @@ _FRAC_CANCEL = 16.0
 # Below this z^2, the smallest normal float, the series' d2F/dz2 = E / z^2
 # underflows; r = 1 + O(z) rounds to 1 there, and r' to its value at 0
 _TINY_Z2 = 2.0 ** -1022
-# At most this many least recently used parameter sets keep a plan and, per
-# thread, a Gauss table of at most _HYP_TABLE_ROWS rows (a Ghoussoub-Moradifam
-# certify uses one plan, and the 1/z formula two tables, past -z = 12).
-_HYP_TABLES = 8
-_HYP_TABLE_ROWS = 1024
+# At most this many least recently used parameter sets keep a plan (a
+# Ghoussoub-Moradifam certify uses one), with the first _HYP_CONNECT_ROWS
+# term ratios of each of the 1/z formula's two series: the passes of plans
+# met again read at most 24 (perfbench's certify_mix and margins_mix), and
+# more rows would cost fresh parameters more to build than they save.
+_HYP_PLANS = 8
+_HYP_CONNECT_ROWS = 24
 # The Bessel continued fraction takes at most this many terms; the
 # modified Lentz method stops where a step moves the value by at most
 # _LENTZ_EPS relative, and puts _LENTZ_TINY for a zero partial quotient.
@@ -448,81 +450,64 @@ def bessel_ratio_dx(nu: float, x: float, ratio: float | None = None) -> float:
     return 1.0 - (2.0 * nu + 1.0) * r / x + r * r
 
 
-@lru_cache(maxsize=_HYP_TABLES)
-def _gauss_ratios(a: float, b: float, c: float, thread: int) -> list[float]:
-    # row 0: the formula's (a + 0)(b + 0) / ((c + 0) 1) but for the sign of a
-    # zero, which changes no sum
-    return [a * b / c]
-
-
-def _series_2f1(a: float, b: float, c: float, x: float,
-                second: bool = False) -> tuple[float, float, float]:
-    """Plain ascending Gauss series at argument x, |x| < 1: its sum S,
-    D = sum k term_k = x dS/dx and, when ``second`` is set,
-    E = sum k (k-1) term_k = x^2 d2S/dx2, all from the same terms; E is 0.0
-    unless asked for, and S and D do not depend on whether it was.  The term
-    ratios are rows of the (a, b, c) table, which passes extend; a failed pass drops
-    the tables."""
-    ratios = _gauss_ratios(a, b, c, get_ident())
-    n = float(len(ratios))
-    total = 1.0
-    comp = 0.0
-    dsum = 0.0
-    esum = 0.0
-    term = 1.0
+def _series_2f1(a: float, b: float, c: float, x: float, order: int,
+                ratios: tuple[float, ...] = ()) -> tuple[float, float, float]:
+    """Plain ascending Gauss series at argument x, |x| < 1: its sum S and,
+    up to derivative ``order`` (0, 1 or 2), D = sum k term_k = x dS/dx and
+    E = sum k (k-1) term_k = x^2 d2S/dx2, all from the same terms; those not
+    asked for are 0.0, and what is asked for does not depend on the rest.
+    The term ratios (a + k)(b + k) / ((c + k)(k + 1)) are read from
+    ``ratios`` as far as it goes, and formed inline past its end, with the
+    same float operations."""
+    n = len(ratios)
+    second = order == 2
+    total = term = 1.0
+    comp = dsum = esum = 0.0
     k = 0.0  # a float counter: k + 1.0 is formed once, for the term and for D
     small = 0
-    rows = iter(ratios)
-    try:
-        for ratio in rows:
-            k1 = k + 1.0
-            if k1 == n and n < _HYP_MAX_TERMS:
-                ratios.append((a + k1) * (b + k1) / ((c + k1) * (k1 + 1.0)))
-                n += 1.0
-            term *= ratio * x
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
+    for i in range(_HYP_MAX_TERMS):
+        k1 = k + 1.0
+        term *= (ratios[i] if i < n else (a + k) * (b + k) / ((c + k) * k1)) * x
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if order:
             dsum += k1 * term
             if second:
                 esum += k * k1 * term
-            if term == 0.0:
-                return total, dsum, esum
-            if abs(term) <= 1e-17 * (abs(total) + 1e-300):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            k = k1
+        if term == 0.0:
+            return total, dsum, esum
+        if abs(term) <= 1e-17 * (abs(total) + 1e-300):
+            small += 1
+            if small >= 3:
+                break
         else:
-            _gauss_ratios.cache_clear()
-            raise ConvergenceError(
-                f"hypergeometric series did not converge at x={x!r} "
-                f"(parameters {a!r}, {b!r}, {c!r})"
-            )
-        # D's terms are k times S's, so D's tail outlasts S's stopping rule;
-        # past it the terms shrink geometrically, and the first one below
-        # 1e-17 of D ends D's sum.  E's terms are k - 1 times D's, so E's tail
-        # goes on the same way past D's.
-        d_open = abs(k1 * term) > 1e-17 * (abs(dsum) + 1e-300)
-        while d_open or second and abs(k * k1 * term) > 1e-17 * (abs(esum) + 1e-300):
-            k = k1
-            k1 = k + 1.0
-            if k == n:
-                ratios.append((a + k) * (b + k) / ((c + k) * k1))
-                n += 1.0
-            term *= next(rows) * x
-            if d_open:
-                dsum += k1 * term
-                d_open = abs(k1 * term) > 1e-17 * (abs(dsum) + 1e-300)
-            if second:
-                esum += k * k1 * term
+            small = 0
+        k = k1
+    else:
+        raise ConvergenceError(
+            f"hypergeometric series did not converge at x={x!r} "
+            f"(parameters {a!r}, {b!r}, {c!r})"
+        )
+    if not order:
         return total, dsum, esum
-    finally:
-        if n > _HYP_TABLE_ROWS:
-            del ratios[_HYP_TABLE_ROWS:]
+    # D's terms are k times S's, so D's tail outlasts S's stopping rule; past
+    # it the terms shrink geometrically, and the first one below 1e-17 of D
+    # ends D's sum.  E's terms are k - 1 times D's, so E's tail goes on the
+    # same way past D's.
+    d_open = abs(k1 * term) > 1e-17 * (abs(dsum) + 1e-300)
+    while d_open or second and abs(k * k1 * term) > 1e-17 * (abs(esum) + 1e-300):
+        i += 1
+        k = k1
+        k1 = k + 1.0
+        term *= (ratios[i] if i < n else (a + k) * (b + k) / ((c + k) * k1)) * x
+        if d_open:
+            dsum += k1 * term
+            d_open = abs(k1 * term) > 1e-17 * (abs(dsum) + 1e-300)
+        if second:
+            esum += k * k1 * term
+    return total, dsum, esum
 
 
 class _Plan:
@@ -532,10 +517,11 @@ class _Plan:
     continued fraction's band, band <= z < 0 (empty, band = inf, where the
     fraction never serves; up to -z = 40 where b - a is within
     _HYP_GAP_GUARD of an integer); and, formed on first use, what the
-    fraction reads and the 1/z formula's Gamma coefficients.  Nothing
+    fraction reads and what the 1/z formula reads (connection).  Nothing
     changes once formed (two threads may both form a part, with the same
-    values), so threads share a plan.  0.0 and -0.0 share one too; where a
-    zero's sign reaches a value, the kernels take it from the call.
+    values), so threads share a plan.  0.0 and -0.0 share one too: no part
+    depends on a zero's sign, and where one reaches a value, the kernels
+    take it from the call.
 
     _hyp2f1_pair keeps its own per-call checks: a plan met once costs a call
     more than they do (the lru entry, the object and, with caches cold, the
@@ -576,38 +562,47 @@ class _Plan:
                               tuple(table))
         return self._fraction
 
-    def connection(self, gamma=gamma, rgamma=rgamma) -> tuple[float, float]:
-        """The 1/z formula's two Gamma coefficients (DLMF 15.8.2), formed on
-        the first call; gamma and rgamma are bound here, so the public calls
-        made do not depend on caching."""
+    def connection(self, gamma=gamma, rgamma=rgamma) -> tuple:
+        """The 1/z formula's two Gamma coefficients (DLMF 15.8.2) and the
+        first _HYP_CONNECT_ROWS term ratios of each of its two series, formed
+        on the first call; gamma and rgamma are bound here, so the public
+        calls made do not depend on caching."""
         if self._connection is None:
             a, b, c = self.a, self.b, self.c
-            self._connection = (gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a),
-                                gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b))
+            coefs = (gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a),
+                     gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b))
+            # the series' parameters as _hyp2f1_bigz forms them
+            self._connection = coefs + tuple(
+                tuple([(p + k) * (q + k) / ((r + k) * (k + 1.0))
+                       for k in map(float, range(_HYP_CONNECT_ROWS))])
+                for p, q, r in ((a, a - c + 1.0, a - b + 1.0), (b, b - c + 1.0, b - a + 1.0)))
         return self._connection
 
 
-_plan = lru_cache(maxsize=_HYP_TABLES)(_Plan)
+_plan = lru_cache(maxsize=_HYP_PLANS)(_Plan)
 
 
 def _hyp2f1_bigz(a: float, b: float, c: float, z: float,
-                 second: bool = False) -> tuple[float, float, float]:
-    """Connection formula in 1/z for z -> -inf, and its first two
-    derivatives (the second 0.0 unless ``second`` is set); needs b - a
-    non-integer.  Each term C (-z)^(-a_i) S_i(1/z) has derivative
-    C (-z)^(-a_i) (-a_i S_i - D_i) / z and second derivative
+                 order: int) -> tuple[float, float, float]:
+    """Connection formula in 1/z for z -> -inf, and its derivatives up to
+    ``order`` (0.0 above it); needs a <= b, b - a non-integer, and reads its
+    coefficients and term ratios from the (a, b, c) plan.  Each term
+    C (-z)^(-a_i) S_i(1/z) has derivative C (-z)^(-a_i) (-a_i S_i - D_i) / z
+    and second derivative
     C (-z)^(-a_i) (a_i (a_i+1) S_i + 2 (a_i+1) D_i + E_i) / z^2."""
     inv = 1.0 / z
-    coef_a, coef_b = _plan(a, b, c).connection()
+    coef_a, coef_b, rows_a, rows_b = _plan(a, b, c).connection()
     out = dout = ddout = 0.0
-    for ai, other, coef in ((a, b, coef_a), (b, a, coef_b)):
+    for ai, other, coef, rows in ((a, b, coef_a, rows_a), (b, a, coef_b, rows_b)):
         if coef != 0.0:
             scale = coef * (-z) ** (-ai)
-            s, d, e = _series_2f1(ai, ai - c + 1.0, ai - other + 1.0, inv, second)
+            s, d, e = _series_2f1(ai, ai - c + 1.0, ai - other + 1.0, inv, order, rows)
             out += scale * s
             dout += scale * (-ai * s - d)
-            if second:
+            if order == 2:
                 ddout += scale * (ai * (ai + 1.0) * s + 2.0 * (ai + 1.0) * d + e)
+    if not order:
+        return out, 0.0, 0.0
     return out, inv * dout, inv * inv * ddout
 
 
@@ -773,20 +768,20 @@ def _hyp2f1_pair(a: float, b: float, c: float, z: float,
                  order: int = 0) -> tuple[float, float, float]:
     """F, dF/dz and d2F/dz2 up to derivative ``order`` (0, 1 or 2), the
     derivatives from the same series pass as F; d2F/dz2 is 0.0 below order
-    2.  Where b - a is near an integer and -z > 40, the derivatives asked
-    for come from the contiguous relations dF/dz = (a b / c) F(a+1, b+1;
-    c+1; z) and its repetition, at one more evaluation each, and dF/dz is
-    0.0 at order 0."""
+    2 and dF/dz 0.0 at order 0, the order hyp2f1 asks for, on every branch.
+    Where b - a is near an integer and -z > 40, the derivatives asked for
+    come from the contiguous relations dF/dz = (a b / c) F(a+1, b+1; c+1; z)
+    and its repetition, at one more evaluation each."""
     _hyp2f1_args(a, b, c, z)
     second = order == 2
     if z == 0.0:
-        slope = a * b / c
+        slope = a * b / c if order else 0.0
         return 1.0, slope, slope * ((a + 1.0) * (b + 1.0) / (c + 1.0)) if second else 0.0
     if a > b:
         a, b = b, a  # series symmetry; keeps f(a,b,...) == f(b,a,...) bitwise
     if -z > _HYP_CONNECT:
         if abs((b - a) - round(b - a)) > _HYP_GAP_GUARD:
-            return _hyp2f1_bigz(a, b, c, z, second)
+            return _hyp2f1_bigz(a, b, c, z, order)
         if -z > _HYP_BIGZ:
             if (abs(a) > _HYP_MP_AB or abs(b) > _HYP_MP_AB or not _HYP_MP_CMIN <= c <= _HYP_MP_CMAX
                     or _HYP_MP_ZMAX < -z < math.inf):
@@ -830,7 +825,9 @@ def _hyp2f1_pair(a: float, b: float, c: float, z: float,
     # d2F/dz2 = q^(-a-2) (a (a+1) S + 2 (a+1) D/z + E/z^2) with E = w^2 d2S/dw2
     q = 1.0 - z
     qa = q ** (-a)
-    s, d, e = _series_2f1(a, c - b, c, z / (z - 1.0), second)
+    s, d, e = _series_2f1(a, c - b, c, z / (z - 1.0), order)
+    if not order:
+        return qa * s, 0.0, 0.0
     dz = qa / q * (a * s + d / z)
     if not second:
         return qa * s, dz, 0.0

@@ -662,18 +662,19 @@ def power_cutoff_masses_mp(u, geo, alpha):
 
 
 # ---------------------------------------------------------------------------
-# The special-function kernels as they were before their per-parameter
-# tables: specfun's float operations must stay bitwise those of these copies,
-# whatever state its tables are in.  Kept verbatim, names prefixed ref_;
-# the errors, constants and mpmath branch are specfun's own.
+# The Gauss series kernel as it was before its per-parameter term ratios:
+# specfun's float operations must stay bitwise those of this copy, whatever
+# state its plans are in.  Kept verbatim but for the derivative order, which
+# took the place of a flag for the second derivative; name prefixed ref_,
+# the errors and constants specfun's own.
 
 
 def ref_series_2f1(a: float, b: float, c: float, x: float,
-                    second: bool = False) -> tuple[float, float, float]:
-    """Plain ascending Gauss series at argument x, |x| < 1: its sum S,
-    D = sum k term_k = x dS/dx and, when ``second`` is set,
-    E = sum k (k-1) term_k = x^2 d2S/dx2, all from the same terms; E is 0.0
-    unless asked for, and S and D do not depend on whether it was."""
+                   order: int) -> tuple[float, float, float]:
+    """Plain ascending Gauss series at argument x, |x| < 1: its sum S and,
+    up to derivative ``order`` (0, 1 or 2), D = sum k term_k = x dS/dx and
+    E = sum k (k-1) term_k = x^2 d2S/dx2, all from the same terms; those not
+    asked for are 0.0."""
     total = 1.0
     comp = 0.0
     dsum = 0.0
@@ -688,8 +689,9 @@ def ref_series_2f1(a: float, b: float, c: float, x: float,
         t = total + y
         comp = (t - total) - y
         total = t
-        dsum += k1 * term
-        if second:
+        if order >= 1:
+            dsum += k1 * term
+        if order == 2:
             esum += k * k1 * term
         if term == 0.0:
             return total, dsum, esum
@@ -705,6 +707,8 @@ def ref_series_2f1(a: float, b: float, c: float, x: float,
             f"hypergeometric series did not converge at x={x!r} "
             f"(parameters {a!r}, {b!r}, {c!r})"
         )
+    if order == 0:
+        return total, dsum, esum
     # D's terms are k times S's, so D's tail outlasts S's stopping rule; past
     # it the terms shrink geometrically, and the first one below 1e-17 of D
     # ends D's sum.  E's terms are k - 1 times D's, so E's tail goes on the
@@ -714,9 +718,9 @@ def ref_series_2f1(a: float, b: float, c: float, x: float,
         k1 = k + 1.0
         term *= (a + k) * (b + k) / ((c + k) * k1) * x
         dsum += k1 * term
-        if second:
+        if order == 2:
             esum += k * k1 * term
-    if second:
+    if order == 2:
         while abs(k * k1 * term) > 1e-17 * (abs(esum) + 1e-300):
             k = k1
             k1 = k + 1.0

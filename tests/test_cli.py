@@ -532,6 +532,50 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert out.startswith("hardy: sharp constant 2.25, achieved extremum 2.25259,")
 
+    @pytest.mark.parametrize("inequality, params, family", [
+        ("up", "kappa=0,n=3,p=2,alpha=1", "gaussian:alpha=1,scale=2"),
+        ("ckn", "kappa=0,n=3,p=2,alpha=1,r=3", "talenti:alpha=1,r=3,scale=2"),
+    ])
+    def test_verify_given_scaled_family(self, inequality, params, family, tmp_path):
+        # a --family member is the default family's member at its scale
+        # (0.5, 1, 2, 4): the same lhs, rhs and margin
+        given, default = tmp_path / "given.json", tmp_path / "default.json"
+        argv = ["verify", "--inequality", inequality, "--params", params]
+        assert main(argv + ["--family", family, "--out", str(given)]) == 0
+        assert main(argv + ["--out", str(default)]) == 0
+        members = json.loads(given.read_text())["members"]
+        assert [m["family_param"] for m in members] == [2.0]
+        assert members[0] == json.loads(default.read_text())["members"][2]
+
+    def test_solve_riccati_blow_up_exits_three(self, tmp_path, capsys):
+        # the equality ODE grows like G' ~ G^2 for large G, so from G(1) = 50
+        # the trajectory passes the cap near t = 1 + 1/50, before the second
+        # sample; the sample at t0 is printed, the blow-up goes to stderr
+        cfg = tmp_path / "h.cfg"
+        main(["catalog", "show", "hardy", "--params", "n=3,p=2,alpha=0,C=2"])
+        cfg.write_text(capsys.readouterr().out)
+        rc = main(["solve-riccati", "--spec", str(cfg), "--t0", "1", "--g0", "50",
+                   "--samples", "1", "10", "5"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("# blow-up near t = ")
+        assert "Traceback" not in captured.err
+        rows = [line.split() for line in captured.out.strip().splitlines()]
+        assert rows == [["1.0", "50.0"]]
+        assert float(lines[0].split()[5]) == pytest.approx(1.02, abs=1e-3)
+
+    def test_gm_positivity_csv_to_stdout(self, tmp_path, capsys):
+        # without --out the CSV goes to stdout, byte for byte the file's
+        out = tmp_path / "gm.csv"
+        assert main(["gm-positivity", "--out", str(out), "--t-points", "20"]) == 0
+        to_file = capsys.readouterr()
+        assert main(["gm-positivity", "--t-points", "20"]) == 0
+        to_stdout = capsys.readouterr()
+        assert to_file.out == ""
+        assert to_stdout.out == out.read_text()
+        assert to_stdout.err == to_file.err and to_stdout.err.startswith("# 216 parameter points")
+
     def test_gm_positivity_csv(self, tmp_path):
         out = tmp_path / "gm.csv"
         rc = main(["gm-positivity", "--out", str(out), "--t-points", "40"])
@@ -552,6 +596,18 @@ class TestDeterminism:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_spectrum_json_byte_identical(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["spectrum", "--kappa", "-1", "--n", "3", "--R", "2", "--N", "400"]
+        assert main(argv + ["--json", str(a)]) == 0
+        assert main(argv + ["--json", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        payload = json.loads(a.read_text())
+        assert {k: payload[k] for k in ("kappa", "n", "R", "N")} == \
+            {"kappa": -1.0, "n": 3, "R": 2.0, "N": 400}
+        # the printed value is the report's
+        assert f"lambda1 = {payload['lambda1']:.6g}" in capsys.readouterr().out
 
     def test_gm_csv_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,7 +1,6 @@
 import math
 import random
 import signal
-from threading import get_ident
 
 import mpmath
 import pytest
@@ -434,8 +433,8 @@ class TestHyp2f1:
         for (a, b, c) in ((0.25, 1.85, 1.3), (0.3, 1.7, 1.0), (-0.4, 1.1, 2.0)):
             for z in (-50.0, -100.0, -2000.0):
                 w = z / (z - 1.0)
-                pfaff = (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, w)[0]
-                bigz = _hyp2f1_bigz(a, b, c, z)[0]
+                pfaff = (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, w, 0)[0]
+                bigz = _hyp2f1_bigz(a, b, c, z, 0)[0]
                 assert bigz == pytest.approx(pfaff, rel=1e-9)
 
     @pytest.mark.parametrize("gap", [0, 1, 2, 3])
@@ -1052,12 +1051,12 @@ class TestHyp2f1Plan:
 
     def test_threads_share_a_plan(self):
         # four threads evaluate the same fresh parameter set at interleaved
-        # z, so that they reach its plan's lazily built parts,
-        # the fraction's table and (past -z = 12) the 1/z formula's
-        # coefficients, while the first of them builds each; every value is
-        # bitwise a single thread's.  The plan is made first, so that all
-        # share it from their first call; a build that let the others read a
-        # partial table showed in 2 to 9 of 100 rounds
+        # z, so that they reach its plan's lazily built parts, the
+        # fraction's table and (past -z = 12) the 1/z formula's
+        # coefficients and term-ratio tables, while the first of them builds
+        # each; every value is bitwise a single thread's.  The plan is made
+        # first, so that all share it from their first call; a build that
+        # let the others read a partial table showed in 2 to 9 of 100 rounds
         import sys
         import threading
 
@@ -1070,7 +1069,7 @@ class TestHyp2f1Plan:
             for _ in range(60):
                 a, b, c = _gm_shape(rng)
                 specfun._plan.cache_clear()
-                specfun._plan(a, b, c)
+                plan = specfun._plan(a, b, c)
                 out: dict = {}
                 barrier = threading.Barrier(count, timeout=60.0)
 
@@ -1085,6 +1084,7 @@ class TestHyp2f1Plan:
                 for thread in threads:
                     thread.join(timeout=60.0)
                 assert not any(thread.is_alive() for thread in threads)
+                assert plan._fraction is not None and plan._connection is not None
                 specfun._plan.cache_clear()
                 assert out == {z: repr(hyp2f1ratio_with_dz(a, b, c, z)) for z in zs}, (a, b)
         finally:
@@ -1094,12 +1094,12 @@ class TestHyp2f1Plan:
         # the fraction's table and the 1/z formula's coefficients for more
         # parameter sets than are kept
         specfun._plan.cache_clear()
-        for i in range(3 * specfun._HYP_TABLES):
+        for i in range(3 * specfun._HYP_PLANS):
             a, b = -0.2 - 0.01 * i, 1.1 + 0.01 * i
             hyp2f1ratio_with_dz(a, b, 1.0, -2.0)
             hyp2f1_with_dz(a, b, 1.0, -20.0)
         info = specfun._plan.cache_info()
-        assert info.currsize == info.maxsize == specfun._HYP_TABLES
+        assert info.currsize == info.maxsize == specfun._HYP_PLANS
 
 
 def _gauss_draws(rng, n):
@@ -1189,82 +1189,82 @@ class TestHyp2f1LogLimit:
 
 
 class TestKernelTables:
-    """The per-parameter tables change no bit: every output of the series
-    kernels equals that of their copies from before the tables
-    (tests/oracles.py), whether a parameter set is met cold, warm, after its
-    table was evicted, or between other sets."""
+    """The plans' term-ratio tables change no bit: every output of the
+    series kernel equals that of its copy from before them
+    (tests/oracles.py), whether a parameter set's plan is cold, warm,
+    evicted and rebuilt, or met between other sets, and past a table's end."""
 
     @staticmethod
-    def _series_calls(monkeypatch, draws):
-        """The (a, b, c, x, second) of every series pass the entry points
-        make on these draws, without and with the second derivative."""
+    def _checked(monkeypatch):
+        """A list that records the (a, b, c, x, order) of every series pass,
+        each checked against the oracle as it is made."""
         calls = []
         series = specfun._series_2f1
 
-        def recording(*args):
-            calls.append(args)
-            return series(*args)
+        def checking(a, b, c, x, order, ratios=()):
+            out = series(a, b, c, x, order, ratios)
+            assert out == ref_series_2f1(a, b, c, x, order), (a, b, c, x, order)
+            calls.append((a, b, c, x, order))
+            return out
 
-        monkeypatch.setattr(specfun, "_series_2f1", recording)
-        for a, b, c, z in draws:
-            hyp2f1_with_dz(a, b, c, z)
-            hyp2f1ratio_with_dz(a, b, c, z)
-        monkeypatch.undo()
+        monkeypatch.setattr(specfun, "_series_2f1", checking)
         return calls
 
     @staticmethod
-    def _check(calls):
-        for args in calls:
-            assert specfun._series_2f1(*args) == ref_series_2f1(*args), args
+    def _evaluate(draws):
+        for a, b, c, z in draws:
+            hyp2f1(a, b, c, z)
+            hyp2f1_with_dz(a, b, c, z)
+            hyp2f1ratio(a, b, c, z)
+            hyp2f1ratio_with_dz(a, b, c, z)
 
     def test_gauss_series_bitwise_in_every_table_state(self, monkeypatch):
         rng = random.Random(2401)
         draws = _gauss_draws(rng, 120)
-        calls = self._series_calls(monkeypatch, draws)
-        kinds = {("1/z" if args[3] < 0.0 else "mapped", args[4]) for args in calls}
-        assert kinds == {("1/z", False), ("1/z", True), ("mapped", False), ("mapped", True)}
-        by_params: dict = {}
-        for args in calls:
-            by_params.setdefault(args[:3], []).append(args)
-        fillers = [(0.1 + 0.01 * i, 0.7, 1.9, 0.6, False) for i in range(specfun._HYP_TABLES + 1)]
-        for group in by_params.values():
-            specfun._gauss_ratios.cache_clear()
-            self._check(group)               # cold, then filling
-            self._check(group[::-1])         # warm
-            self._check(fillers)             # evicts the group's table
-            self._check(group)               # rebuilt
-        shuffled = calls[:]
+        calls = self._checked(monkeypatch)
+        fillers = [(0.1 + 0.01 * i, 0.7, 1.9, -20.0) for i in range(specfun._HYP_PLANS + 1)]
+        for draw in draws:
+            specfun._plan.cache_clear()
+            self._evaluate([draw])           # cold
+            self._evaluate([draw])           # warm
+            self._evaluate(fillers)          # evicts the draw's plan
+            self._evaluate([draw])           # rebuilt
+        kinds = {("1/z" if x < 0.0 else "mapped", order) for _, _, _, x, order in calls}
+        assert kinds == {(kind, order) for kind in ("1/z", "mapped") for order in (0, 1, 2)}
+        shuffled = draws + fillers
         rng.shuffle(shuffled)
-        self._check(shuffled)                # interleaved
+        self._evaluate(shuffled)             # interleaved
 
-    def test_tables_stay_bounded(self):
-        # long passes, a gap near an integer at -z = 39 (w = 0.975, some 1500
-        # terms) and series at x = 0.995, through more parameter sets than
-        # are kept
-        specfun._gauss_ratios.cache_clear()
-        sets = [(0.25 + 0.1 * i, 1.2501 + 0.1 * i, 1.3) for i in range(2 * specfun._HYP_TABLES)]
-        for a, b, c in sets:
-            hyp2f1_with_dz(a, b, c, -39.0)
-            hyp2f1ratio_with_dz(a, b, c, -39.0)
-        for a, b, c in sets[:3]:
-            args = (a, c - b, c, 0.995, True)
-            assert specfun._series_2f1(*args) == ref_series_2f1(*args)
-        assert specfun._gauss_ratios.cache_info().currsize == specfun._HYP_TABLES
-        # the mapped series' tables, least recently used first: looking them
-        # up in that order evicts none
-        kept = [(a, c - b, c) for a, b, c in sets[3 - specfun._HYP_TABLES:] + sets[:3]]
-        rows = [len(specfun._gauss_ratios(*params, get_ident())) for params in kept]
-        assert specfun._gauss_ratios.cache_info().currsize == specfun._HYP_TABLES
-        assert max(rows) == specfun._HYP_TABLE_ROWS
-        assert sum(rows) <= specfun._HYP_TABLES * specfun._HYP_TABLE_ROWS
+    def test_signed_zeros_share_a_plan(self, monkeypatch):
+        # 0.0 and -0.0 are one lru key, so a plan formed from either serves
+        # both; where a zero's sign reaches a value, the pass takes it from
+        # the call
+        calls = self._checked(monkeypatch)
+        for group in (((-0.35, 0.0, 1.7), (-0.35, -0.0, 1.7)),
+                      ((0.0, 0.6, 1.7), (-0.0, 0.6, 1.7)),
+                      ((-0.0, 0.0, 1.3), (0.0, -0.0, 1.3), (0.0, 0.0, 1.3))):
+            specfun._plan.cache_clear()
+            for a, b, c in group:
+                assert specfun._plan(a, b, c) is specfun._plan(*group[0])
+                self._evaluate([(a, b, c, -5.0), (a, b, c, -0.5)])
+        assert {x < 0.0 for _, _, _, x, _ in calls} == {True, False}
 
-    def test_a_pass_that_raises_leaves_no_table(self):
-        specfun._gauss_ratios.cache_clear()
-        hyp2f1(0.3, 1.7, 2.2, -0.5)
-        assert specfun._gauss_ratios.cache_info().currsize == 1
-        with pytest.raises(ConvergenceError):
-            specfun._series_2f1(0.5, 0.5, 1.5, math.nan)
-        assert specfun._gauss_ratios.cache_info().currsize == 0
+    def test_a_pass_past_the_tables_end(self, monkeypatch):
+        # near -z = 3 the 1/z series' terms shrink slowest; here the term
+        # after the table's last ratio is still far above the stopping rule,
+        # so the pass goes on with ratios formed inline.  At c <= 0 the
+        # contiguous ratio takes the series, so all three orders are summed
+        a, b, c, z = 2.3, 4.6, -0.5, -3.01
+        specfun._plan.cache_clear()
+        rows = specfun._plan(a, b, c).connection()[2]
+        term = 1.0
+        for ratio in rows:
+            term *= ratio / z
+        assert len(rows) == specfun._HYP_CONNECT_ROWS and abs(term) > 1e-15
+        calls = self._checked(monkeypatch)
+        for _ in range(2):
+            self._evaluate([(a, b, c, z)])
+        assert {order for _, _, _, x, order in calls if x < 0.0} == {0, 1, 2}
 
 
 class TestBesselBoxCrossCheck:
