@@ -3,7 +3,8 @@
 Subcommands: certify, solve-riccati, verify, sweep, spectrum, bessel-zeros,
 catalog, gm-positivity.  Exit codes: 0 success / certified, 1 usage error,
 2 failed certification or violated margin, 3 inconclusive / numeric
-breakdown.  A usage error outside argparse is a ParameterError, which main
+breakdown, 141 (128 + SIGPIPE, as a shell reports it) where stdout was
+closed early, as in `hardykit catalog list | head -3`.  A usage error outside argparse is a ParameterError, which main
 prints as one line, 'hardykit: <message>'.  Machine-readable artifacts (JSON, CSV) print floats at full
 17-significant-digit precision and contain no timestamps, so identical
 inputs give byte-identical output; human summaries use 6 digits.
@@ -12,8 +13,10 @@ inputs give byte-identical output; human summaries use 6 digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_CLOSED_STDOUT = 141
 
 
 def _fmt17(x: float) -> str:
@@ -412,7 +416,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "catalog" and args.action == "show" and not args.name:
         ap.error("catalog show requires an entry name")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head -3` does: what is still buffered
+        # goes to devnull, so that the flush at exit does not raise again
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except HardykitError as exc:
         print(f"hardykit: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE if isinstance(exc, ArithmeticError) else EXIT_USAGE

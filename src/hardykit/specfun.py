@@ -536,8 +536,8 @@ class _Plan:
         self._fraction = self._connection = None
         self.unit = a * b == 0.0
         self.band = math.inf
-        # 0 a b c is 0 when all three are finite, as round() needs them
-        self.refused = not 0.0 * a * b * c == 0.0 or _is_nonpositive_integer(c)
+        # 0 (b-a) (c-a) (c-b) is 0 when a, b, c and their differences are finite
+        self.refused = not 0.0 * (b - a) * (c - a) * (c - b) == 0.0 or _is_nonpositive_integer(c)
         if self.refused:
             return
         if c > 0.0 and not self.unit:
@@ -595,7 +595,10 @@ def _hyp2f1_bigz(a: float, b: float, c: float, z: float,
     out = dout = ddout = 0.0
     for ai, other, coef, rows in ((a, b, coef_a, rows_a), (b, a, coef_b, rows_b)):
         if coef != 0.0:
-            scale = coef * (-z) ** (-ai)
+            try:
+                scale = coef * (-z) ** (-ai)
+            except OverflowError:
+                raise _power_error((a, b, c, z), -z, -ai) from None
             s, d, e = _series_2f1(ai, ai - c + 1.0, ai - other + 1.0, inv, order, rows)
             out += scale * s
             dout += scale * (-ai * s - d)
@@ -752,12 +755,19 @@ def _hyp2f1_bigz_log(a: float, b: float, c: float, z: float) -> float | None:
     return math.gamma(c) / (math.gamma(b) * math.gamma(d)) * (-z) ** -a * total
 
 
+def _power_error(args: tuple, x: float, y: float) -> UnsupportedRangeError:
+    """The error of a hyp2f1 kernel called with args where x^y leaves float range."""
+    return UnsupportedRangeError(f"hyp2f1{args!r}: {x!r}^{y!r} leaves float range")
+
+
 def _hyp2f1_args(a: float, b: float, c: float, z: float) -> None:
-    """Raises the error for arguments the kernels refuse: a non-finite a, b
-    or c or a pole c (what a plan marks refused), or a NaN or positive z."""
-    if not 0.0 * a * b * c == 0.0 or z != z:  # 0 a b c is 0 when all three are finite
+    """Raises the error for arguments the kernels refuse: a non-finite a, b,
+    c, b - a, c - a or c - b or a pole c (what a plan marks refused), or a
+    NaN or positive z."""
+    if not 0.0 * (b - a) * (c - a) * (c - b) == 0.0 or z != z:  # as in _Plan
         raise UnsupportedRangeError(
-            f"hyp2f1 needs finite a, b, c and a z that is not NaN, got {a!r}, {b!r}, {c!r}, {z!r}")
+            f"hyp2f1 needs finite a, b, c, b - a, c - a, c - b and a z that is not NaN, "
+            f"got {a!r}, {b!r}, {c!r}, {z!r}")
     if _is_nonpositive_integer(c):
         raise PoleError(f"hyp2f1 third parameter c={c!r} is a nonpositive integer")
     if z > 0.0:
@@ -824,7 +834,10 @@ def _hyp2f1_pair(a: float, b: float, c: float, z: float,
     # dF/dz = q^(-a-1) (a S + D/z) with D = w dS/dw, and
     # d2F/dz2 = q^(-a-2) (a (a+1) S + 2 (a+1) D/z + E/z^2) with E = w^2 d2S/dw2
     q = 1.0 - z
-    qa = q ** (-a)
+    try:
+        qa = q ** (-a)
+    except OverflowError:
+        raise _power_error((a, b, c, z), q, -a) from None
     s, d, e = _series_2f1(a, c - b, c, z / (z - 1.0), order)
     if not order:
         return qa * s, 0.0, 0.0
@@ -849,7 +862,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     4 ms a call: at z = -inf, and where the estimate is larger, as at or near
     an integer c - a (ConvergenceError where mpmath fails).
     All four hyp2f1 entry points raise UnsupportedRangeError for a NaN
-    argument or an infinite a, b or c.
+    argument, an infinite a, b or c or difference of two, and where (1 - z)^(-a),
+    or (-z)^(-a) or (-z)^(-b) in the 1/z formula, leaves float range.
     """
     return _hyp2f1_pair(a, b, c, z)[0]
 

@@ -1,8 +1,10 @@
 """Radial test functions for quadrature-based inequality checks.
 
 All profiles are piecewise C^1 with u and u' evaluable at quadrature nodes,
-vanishing (exactly, or below 1e-300) at the outer support boundary.  Kink
-abscissae are exported as quadrature breakpoints.
+vanishing (exactly, or below 1e-300) at the outer support boundary.  Their
+breakpoints are where an adaptive mesh starts: kink abscissae and, for
+gaussian_type and talenti, the scale marks (0.25, 1, 4)/scale near their
+mass.  power_cutoff declares its plateau, whose mass has a closed form.
 
 power_cutoff is the near-extremal Hardy profile: an inner plateau on
 (0, r0], the power t^(-sigma+eps) up to the cut start, then a p-capacitor
@@ -40,8 +42,16 @@ __all__ = [
 _LOG_FLOAT_FLOOR = math.log(5e-324)
 
 
+def _scale_marks(scale: float, end: float) -> tuple[float, ...]:
+    """The scale marks (0.25, 1, 4)/scale that lie inside (0, end)."""
+    return tuple(b for b in (0.25 / scale, 1.0 / scale, 4.0 / scale) if 0.0 < b < end)
+
+
 @dataclass
 class RadialTestFunction:
+    """u and du on [support_lo, support_hi]; breakpoints are kinks and scale
+    marks; plateau is (r0, log|u|) where u is that constant on (0, r0]."""
+
     kind: str
     u: Callable[[float], float]
     du: Callable[[float], float]
@@ -55,6 +65,7 @@ class RadialTestFunction:
     # assembled in log space without ever materializing u or u'
     log_abs_u: Callable[[float], float] | None = None
     log_abs_du: Callable[[float], float] | None = None
+    plateau: tuple[float, float] | None = None
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
@@ -184,7 +195,7 @@ def power_cutoff(eps: float, r0: float, R: float, n: int, p: float,
         breakpoints=(r0, rc),
         singular_hint=p * eps - 1.0,
         params={"eps": eps, "r0": r0, "R": R, "sigma": sigma},
-        log_abs_u=log_abs_u, log_abs_du=log_abs_du)
+        log_abs_u=log_abs_u, log_abs_du=log_abs_du, plateau=(r0, expo * log_r0))
 
 
 def gaussian_type(alpha: float, p: float, scale: float = 1.0) -> RadialTestFunction:
@@ -205,7 +216,7 @@ def gaussian_type(alpha: float, p: float, scale: float = 1.0) -> RadialTestFunct
         return -(gamma / p) * scale * (scale * t) ** (gamma - 1.0) * u(t)
 
     return RadialTestFunction(
-        "gaussian_type", u, du, 0.0, R,
+        "gaussian_type", u, du, 0.0, R, breakpoints=_scale_marks(scale, R),
         params={"alpha": alpha, "p": p, "scale": scale, "gamma": gamma})
 
 
@@ -258,7 +269,8 @@ def talenti(alpha: float, p: float, r: float, scale: float = 1.0) -> RadialTestF
         return 0.0
 
     return RadialTestFunction(
-        "talenti", u, du, 0.0, R, breakpoints=(taper_start,),
+        "talenti", u, du, 0.0, R,
+        breakpoints=(*_scale_marks(scale, taper_start), taper_start),
         params={"alpha": alpha, "p": p, "r": r, "scale": scale, "gamma": gamma})
 
 

@@ -21,9 +21,10 @@ oscillatory, extremal and sweep modes) runs through ``_log_mass``, whose
 panel takes |u|^p, |u'|^p and the density in logs, as near-extremal Hardy
 test functions spread mass over hundreds of decades with plateau values
 beyond float range (``radial_integral``'s f and the s_c terms are read in
-floats).  It integrates in x = ln t from the first segment spanning more
-than a decade: one hardy sweep takes ~160 Kronrod panels there, not one
-per decade.  The margin panels expect moderate test functions.
+floats).  It takes a power_cutoff's plateau in closed form where the
+density allows and integrates in x = ln t from the first segment spanning
+more than a decade: one hardy sweep takes 36 Kronrod panels, not one per
+decade.  The margin panels expect moderate test functions.
 """
 
 from __future__ import annotations
@@ -312,16 +313,22 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
     and ckn deficit factor at kappa = 0).
 
     span = (lo, hi, breakpoints, singular hint) defaults to u's support.
+    The plateau rule: where u declares a plateau (r0, log|u|), the span
+    starts at 0 and extra is None, the piece on [0, r0] is taken in closed
+    form, exp(upow log|u| + q log r0 - log q) with q = tpow + n (0 for the
+    energy), if s_kappa(t)^(n-1) = t^(n-1) to float precision across
+    [0, r0] (kappa = 0, or (n-1) (sqrt(-kappa) r0)^2 / 6 < 2^-53), q > 0
+    and the mass is within float range; elsewhere, as at kappa = -1 for
+    eps = 0.1, the plateau is integrated like any other piece.
     From the first segment between edges (span ends and breakpoints)
     that spans more than a decade, the integral runs in x = ln t, where
     the integrand is exp(log f(e^x) + x): a near-extremal power region
     becomes exp(p*eps*x), so a few panels cover hundreds of decades where
-    t needs one per decade.  The part before it, the plateau of a
-    power_cutoff, stays in t with the singular hint; a span without
-    such a segment is integrated in t alone.  Both parts run
-    integrate_panels over one panel function built per call: a loop over
-    the Kronrod nodes with u's evaluators resolved once and log t taken
-    once per node, which is log s_kappa at kappa = 0."""
+    t needs one per decade.  The part before it stays in t with the
+    singular hint; a span without such a segment is integrated in t
+    alone.  Both parts run integrate_panels over one panel function built
+    per call: a loop over the Kronrod nodes with u's evaluators resolved
+    once and log t taken once per node, which is log s_kappa at kappa = 0."""
     n, kappa = geo.n, geo.kappa
     nm1, flat, r = n - 1, kappa == 0.0, math.sqrt(-kappa)
     log, exp, sinh, inf = math.log, math.exp, math.sinh, math.inf
@@ -374,14 +381,21 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
 
     lo, hi, breakpoints, hint = span or (max(u.support_lo, 0.0), u.support_hi,
                                          u.breakpoints, u.singular_hint)
-    edges = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
-    wide = next((a for a, b in zip(edges, edges[1:]) if a > 0.0 and b / a > 10.0), hi)
     scale = n * unit_ball_volume(n)
     val, err = 0.0, 0.0
+    if u is not None and u.plateau is not None and extra is None and lo == 0.0:
+        r0, log_u = u.plateau
+        q = tpow + n
+        if r0 < hi and q > 0.0 and (flat or nm1 * (r * r0) ** 2 / 6.0 < 2.0 ** -53):
+            lm = upow * log_u + q * log(r0) - log(q)
+            if use_du or lm <= 700.0:
+                lo, val = r0, 0.0 if use_du else scale * exp(lm)
+    edges = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
+    wide = next((a for a, b in zip(edges, edges[1:]) if a > 0.0 and b / a > 10.0), hi)
     if wide > lo:
-        val, err = integrate_panels(functools.partial(panel, False), lo, wide, rel_tol=tol,
-                                    breakpoints=breakpoints, singular_hint=hint)
-        val, err = scale * val, scale * err
+        tv, te = integrate_panels(functools.partial(panel, False), lo, wide, rel_tol=tol,
+                                  breakpoints=breakpoints, singular_hint=hint)
+        val, err = val + scale * tv, scale * te
     if wide < hi:
         xv, xe = integrate_panels(functools.partial(panel, True), log(wide), log(hi),
                                   rel_tol=tol, breakpoints=[log(b) for b in edges if wide < b < hi])

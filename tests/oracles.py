@@ -464,7 +464,10 @@ def unshared_additive_terms(geo, target, u, H, binding):
 # takes log s_kappa from geometry.s_value.  The mesh, the tolerance and the
 # split at the first segment spanning more than a decade are the verifier's,
 # so verifier._log_mass must give the same value and error to the last bit,
-# or raise the same exception with the same message.
+# or raise the same exception with the same message.  So is the plateau
+# rule: a power_cutoff's mass on (0, r0], where u is constant, in closed
+# form (its energy there is 0) wherever extra is None and s_kappa(t)^(n-1)
+# is t^(n-1) to float precision up to r0.
 
 
 def reference_log_mass(geo, u, upow=0.0, tpow=0.0, use_du=False, extra=None, span=None,
@@ -501,14 +504,24 @@ def reference_log_mass(geo, u, upow=0.0, tpow=0.0, use_du=False, extra=None, spa
 
     lo, hi, breakpoints, hint = span or (max(u.support_lo, 0.0), u.support_hi,
                                          u.breakpoints, u.singular_hint)
-    edges = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
-    wide = next((a for a, b in zip(edges, edges[1:]) if a > 0.0 and b / a > 10.0), hi)
     scale = n * geometry.unit_ball_volume(n)
     val, err = 0.0, 0.0
+    if extra is None and lo == 0.0 and u is not None and u.plateau is not None:
+        r0, log_u = u.plateau
+        q = tpow + n
+        s_is_t = kappa == 0.0 or (n - 1) * (math.sqrt(-kappa) * r0) ** 2 / 6.0 < 2.0 ** -53
+        if r0 < hi and q > 0.0 and s_is_t:
+            log_mass = upow * log_u + q * math.log(r0) - math.log(q)
+            if use_du:
+                lo, val = r0, 0.0
+            elif log_mass <= 700.0:
+                lo, val = r0, scale * math.exp(log_mass)
+    edges = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
+    wide = next((a for a, b in zip(edges, edges[1:]) if a > 0.0 and b / a > 10.0), hi)
     if wide > lo:
-        val, err = integrate(f, lo, wide, rel_tol=tol, breakpoints=breakpoints,
-                             singular_hint=hint)
-        val, err = scale * val, scale * err
+        tv, te = integrate(f, lo, wide, rel_tol=tol, breakpoints=breakpoints,
+                           singular_hint=hint)
+        val, err = val + scale * tv, scale * te
     if wide < hi:
         xv, xe = integrate(lambda x: f(math.exp(x), x), math.log(wide), math.log(hi),
                            rel_tol=tol, breakpoints=[math.log(b) for b in edges if wide < b < hi])

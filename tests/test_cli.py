@@ -1,6 +1,11 @@
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,6 +315,40 @@ class TestOtherCommands:
         assert rc == 3
         assert capsys.readouterr().err == \
             "hardykit: integrand non-finite at t=383.1912683347299\n"
+
+    def test_closed_stdout_ends_without_a_traceback(self, monkeypatch, capsys):
+        # print into a closed pipe raised BrokenPipeError out of main
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["catalog", "list"]) == 141
+        assert capsys.readouterr().err == ""
+
+    # a pipe whose read end is closed, stdout buffered: the flush at exit met
+    # EPIPE ("Exception ignored ... BrokenPipeError", exit 120); unbuffered,
+    # print raised it out of main (a traceback, exit 1)
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("argv", [["catalog", "list"],
+                                      ["bessel-zeros", "--nu", "0", "--count", "3"]])
+    def test_stdout_whose_reader_is_gone(self, argv, buffered):
+        root = Path(__file__).resolve().parents[1]
+        path = os.environ.get("PYTHONPATH")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), path]))
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from hardykit.cli import main; "
+                 "sys.exit(main())", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_subnormal_plateau_radius_is_a_quadrature_error(self, capsys):
         # b/a = inf in quadrature._graded_edges: an OverflowError traceback

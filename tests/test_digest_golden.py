@@ -6,6 +6,9 @@ was made with; on other versions the test fails and names both.  A change
 that moves digest lines explains each one and regenerates the golden:
 
     PYTHONPATH=src python tests/test_digest_golden.py > tests/golden/digest.txt
+
+``python tools/golden_diff.py OLD NEW`` lists the moved lines, the largest
+relative move per numeric field and a summary per line kind.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import signal
 
 import mpmath
@@ -572,6 +573,20 @@ class TestHyp2f1:
                      (nan, 0.7, 1.5, -0.5), (0.5, 0.7, nan, -0.5), (0.5, 0.7, inf, -0.5),
                      (0.5, -inf, 1.5, -10.0), (0.0, 0.7, -inf, -2.0), (nan, nan, nan, nan)):
             with pytest.raises(UnsupportedRangeError, match="finite"):
+                fn(*args)
+
+    @pytest.mark.parametrize("fn", [hyp2f1, hyp2f1_with_dz, hyp2f1ratio, hyp2f1ratio_with_dz])
+    def test_overflowing_differences_and_powers_are_typed(self, fn):
+        # an untyped OverflowError: b - a = inf reached round() in the gap
+        # guard and the plan, and (1 - z)^(-a) or (-z)^(-a) left float range
+        for args in ((-1e308, 1e308, 1.5, -5.0), (-1e308, 1e308, 1.5, -0.5),
+                     (1.0, 1e308, -1e308, -0.5), (0.5, -1e308, 1e308, -2.0)):
+            with pytest.raises(UnsupportedRangeError, match="c - b and a z"):
+                fn(*args)
+        for args, power in (((-2000.0, 1.0, 1.5, -3.0), "4.0^2000.0"),
+                            ((-1e300, 1.0, 1.5, -0.5), "1.5^1e+300"),
+                            ((-150.3, 0.5, 1.5, -1e6), "1000000.0^150.3")):
+            with pytest.raises(UnsupportedRangeError, match=re.escape(f"{power} leaves float")):
                 fn(*args)
 
     def test_minus_infinite_z_keeps_its_value(self):

@@ -295,6 +295,20 @@ class TestExtremalIdentity:
         assert res.discrepancy <= 1e-8
 
 
+def _panels(monkeypatch, run, *args):
+    """(the Kronrod panels run(*args) asks for, its result), the panels
+    counted on the panel functions the verifier hands integrate_panels."""
+    panels = []
+    real = verifier.integrate_panels
+
+    def counting(panel, *a, **kw):
+        return real(lambda lo, hi: panels.append((lo, hi)) or panel(lo, hi), *a, **kw)
+
+    monkeypatch.setattr(verifier, "integrate_panels", counting)
+    result = run(*args)
+    return len(panels), result
+
+
 class TestSweeps:
     @pytest.mark.parametrize("mode, params, u", [
         ("ckn", {"alpha": 1.0, "r": 3.0}, talenti(1.0, 2.0, 3.0, scale=1e300)),
@@ -316,25 +330,25 @@ class TestSweeps:
         assert sw.sharp_constant == 0.25
 
     def test_hardy_sweep_panel_count(self, monkeypatch):
-        # the power region [e^-660, 1] and the cut [1, 100] integrate in
-        # x = ln t: 162 Kronrod panels for the 14 integrals (9310 one panel
-        # per decade in t), at a ratio within rounding of the t-domain one;
-        # counted on the panel functions _log_mass hands integrate_panels
-        panels = []
-        real = verifier.integrate_panels
-
-        def counting(panel, *args, **kwargs):
-            return real(lambda a, b: panels.append((a, b)) or panel(a, b), *args, **kwargs)
-
-        monkeypatch.setattr(verifier, "integrate_panels", counting)
-        sw = sharpness_sweep("hardy", E3, {"alpha": 0.0})
-        assert len(panels) == 162
-        assert len(panels) <= 300
+        # the plateau's mass in closed form, the power region [e^-660, 1] and
+        # the cut [1, 100] in x = ln t: 36 Kronrod panels for the 14 integrals
+        # (162 with the plateau in t, 9310 one panel per decade in t)
+        panels, sw = _panels(monkeypatch, sharpness_sweep, "hardy", E3, {"alpha": 0.0})
+        assert panels == 36
         assert sw.achieved_extremum == pytest.approx(0.2509403426359339, rel=1e-12)
+
+    # meshes seeded at the scale marks: 232 panels (228 from one panel over
+    # the support, which is short at gamma = 2) and 180 (352)
+    @pytest.mark.parametrize("mode, params, want", [("up", {"alpha": 1.0}, 232),
+                                                    ("ckn", {"alpha": 1.0, "r": 3.0}, 180)])
+    def test_scaled_sweep_panel_count(self, monkeypatch, mode, params, want):
+        assert _panels(monkeypatch, sharpness_sweep, mode, E3, params)[0] == want
 
     # r0 = 5e-324 is inside power_cutoff's domain: the plateau's geometric
     # tail underflowed to t = 0, where _log_mass took log 0 (ValueError);
-    # at kappa = -0.01 r*t underflows too, and log s_kappa took log 0
+    # at kappa = -0.01 r*t underflows too, and log s_kappa took log 0; and
+    # at kappa = -0.01, r0 = 1e-320 the plateau's t-panels, where r*t is
+    # subnormal, never reached the tolerance (QuadratureError)
     @pytest.mark.parametrize("kappa", [0.0, -0.01])
     @pytest.mark.parametrize("r0", [5e-324, 1e-320, 1e-310])
     def test_subnormal_plateau_radius(self, kappa, r0):
@@ -344,13 +358,7 @@ class TestSweeps:
             family = [power_cutoff(0.1, r0, 100.0, 3, 2.0)]
             return sharpness_sweep("hardy", geo, {"alpha": 0.0}, family).rows[0].ratio
 
-        try:
-            got = ratio(r0)
-        except HardykitError:
-            # at kappa = -0.01 from r0 = 1e-320 to 1e-315 the plateau's
-            # t-panels, where r*t is subnormal, never reach the tolerance
-            assert (kappa, r0) == (-0.01, 1e-320)
-            return
+        got = ratio(r0)
         assert got == pytest.approx(ratio(1e-300), rel=1e-9)
         if kappa == 0.0:
             assert got == pytest.approx(0.30543894764880963, rel=1e-9)
@@ -368,10 +376,9 @@ class TestSweeps:
             finite = [r.ratio for r in sw.rows if math.isfinite(r.ratio)]
             assert all(r >= sharp - 1e-6 for r in finite)
             # the eps = 0.001 member within 5e-2 of sharp (4.96e-2 at p = 3,
-            # sigma = 0.2); at p = 1.5, sigma = 0.2 that member overflows in
-            # its plateau panel and is skipped, leaving eps = 0.002
-            skipped = 1 if (p, sigma) == (1.5, 0.2) else 0
-            assert len(finite) >= 7 - skipped
+            # sigma = 0.2); at p = 1.5, sigma = 0.2 that member was skipped:
+            # its plateau integrand e^197 t^-0.7 overflowed at a subnormal t
+            assert len(finite) == 7 and not any(r.note for r in sw.rows)
             assert finite[-1] == sw.achieved_extremum <= sharp * (1.0 + 5e-2)
 
     @pytest.mark.parametrize("n, want, tol", [(5, 2.2525916, 5e-8), (8, 9.0052, 5e-5)])
@@ -391,6 +398,30 @@ class TestSweeps:
             energy, mass = power_cutoff_masses_mp(u, geo, alpha)
             assert row.lhs == pytest.approx(energy, rel=1e-12)
             assert row.rhs / sw.sharp_constant == pytest.approx(mass, rel=1e-12)
+
+    # the plateau rule: on (0, r0] a power_cutoff's mass is exp(p log|u| +
+    # q log r0 - log q), q = tpow + n, and its energy 0, where s_kappa(t)^(n-1)
+    # is t^(n-1) to float precision up to r0; else the plateau runs in t
+    @pytest.mark.parametrize("kappa, eps, r0, closed", [
+        (0.0, 0.1, None, True), (0.0, 0.001, None, True), (-1.0, 0.001, None, True),
+        (-0.01, 0.1, 1e-320, True), (-1.0, 0.1, None, False)])
+    def test_plateau_mass_in_closed_form(self, monkeypatch, kappa, eps, r0, closed):
+        geo = ModelGeometry(kappa, 3, 2.0)
+        u = power_cutoff(eps, r0 or math.exp(max(-0.7 / eps, -660.0)), 100.0, 3, 2.0)
+        starts = []
+        real = verifier.integrate_panels
+
+        def spy(panel, lo, *args, **kwargs):
+            starts.append(lo)
+            return real(panel, lo, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "integrate_panels", spy)
+        energy, _ = verifier._log_mass(geo, u, 2.0, 0.0, use_du=True)
+        mass, _ = verifier._log_mass(geo, u, 2.0, -2.0)
+        assert (0.0 in starts) == (not closed)
+        want_energy, want_mass = power_cutoff_masses_mp(u, geo, 0.0)
+        assert energy == pytest.approx(want_energy, rel=1e-12)
+        assert mass == pytest.approx(want_mass, rel=1e-12)
 
     def test_power_cutoff_log_derivative_where_the_cut_underflows(self):
         # |dcut(t)| = 161 t^(-162) on the cut: t^(-162) rounds to 0 above
@@ -885,6 +916,14 @@ class TestLogMassPanel:
             outcomes[got.partition(":")[0] if "Error" in got else "value"] += 1
         assert outcomes["value"] > 30 and outcomes["ValueError"] > 0
         assert (outcomes["DomainError"] > 0) == (kappa != 0.0)
+
+    def test_plateau_mass_beyond_float_range(self):
+        # the closed form's exp would raise OverflowError: the plateau runs in
+        # t, where its integrand's overflow is a DomainError
+        u = power_cutoff(0.1, 1e-300, 100.0, 3, 2.0, alpha=50.0)
+        got = _outcome(verifier._log_mass, E3, u, 2.0, 2.0)
+        assert got.startswith("DomainError: integrand overflow at t=")
+        assert got == _outcome(reference_log_mass, E3, u, 2.0, 2.0)
 
     @pytest.mark.parametrize("run", [
         lambda: sharpness_sweep("hardy", E3, {"alpha": 0.0}),
