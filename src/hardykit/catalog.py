@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import HypothesisError, ParameterError, is_finite_number
+from .errors import DomainError, HypothesisError, ParameterError, is_finite_number
 from .exprdsl import ScalarExpr, evaluator, parse
-from .geometry import ComparisonL, ModelGeometry, ct_value
+from .geometry import ModelGeometry, ct_value
 from .riccati import FuncEval, RiccatiPairSpec
 from .specfun import bessel_zero
 
@@ -244,7 +244,7 @@ def _build_mckean(geo: ModelGeometry):
     sharp = (K / p) ** p
     spec = RiccatiPairSpec(
         geo=geo, t_lo=0.0, t_hi=math.inf,
-        w=parse("1"), L=ComparisonL(geo, "constant_floor"), W=parse("Ws + 0*t"),
+        w=parse("1"), L=parse("(n-1)*sqrt(-kappa)"), W=parse("Ws + 0*t"),
         params={"Ws": sharp, "gc": gc}, g_sign_required=1)
     G = parse("gc + 0*t")
     return spec, G, sharp, {}, {}
@@ -263,7 +263,7 @@ def _build_mckean_improved(geo: ModelGeometry):
     remainder = (geo.n - 1.0) ** p / p ** (p - 1.0) * (-geo.kappa) ** (p / 2.0)
     spec = RiccatiPairSpec(
         geo=geo, t_lo=0.0, t_hi=math.inf,
-        w=parse("1"), L=ComparisonL(geo, "constant_curvature"),
+        w=parse("1"), L=parse("(n-1)*ct(t)"),
         W=parse("Ws + B*(coth(sq*t) - 1)"),
         params={"Ws": sharp, "B": remainder, "sq": sq, "gc": gc},
         g_sign_required=0)
@@ -289,7 +289,7 @@ def _build_interpolation(geo: ModelGeometry, lam: float | None = None):
     kabs = -geo.kappa
     spec = RiccatiPairSpec(
         geo=geo, t_lo=0.0, t_hi=math.inf,
-        w=parse("1"), L=ComparisonL(geo, "constant_curvature"),
+        w=parse("1"), L=parse("(n-1)*ct(t)"),
         W=parse("lam*kabs + h^2/t^2 + ((n-2)^2/4 - h^2)/s(t)^2 + h*gam*D(t)/t^2"),
         params={"lam": lam, "kabs": kabs, "h": h, "gam": gam},
         g_sign_required=0)
@@ -311,7 +311,7 @@ def _build_akutagawa_kumura(geo: ModelGeometry, R: float = 1.0):
     sharp = (n - 1.0) ** 2 * kabs / 4.0
     spec = RiccatiPairSpec(
         geo=geo, t_lo=R, t_hi=math.inf,
-        w=parse("1"), L=ComparisonL(geo, "constant_curvature"),
+        w=parse("1"), L=parse("(n-1)*ct(t)"),
         W=parse("Ws + 1/(4*(t - R + cR)^2) + (n-1)*(n-3)/(4*s(t)^2)"),
         params={"R": R, "cR": cR, "Ws": sharp}, g_sign_required=0)
     G = parse("-(1/(2*(t - R + cR))) + ((n-1)/2)*ct(t)")
@@ -354,7 +354,7 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
     last = [None, None]  # [t, (psi, psi', psi'')] of the last point; psi is pure
 
     def psi_terms(t: float) -> tuple[float, float, float]:
-        # one psi evaluation at t serves G, G' and W; the stencil adds two more
+        # one psi evaluation at t serves G, G', L and W; the stencil adds two more
         if last[0] != t:
             last[:] = t, (*psi_d(t), psi_dd(t))
         return last[1]
@@ -369,6 +369,13 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
         r = d / v
         return g, 0.5 / (t * t) + half_ratio * (dd / v - r * r)
 
+    def L_val(t: float) -> float:
+        # the Greene-Wu bound (n-1) psi'/psi
+        v, d, _ = psi_terms(t)
+        if v <= 0.0:
+            raise DomainError(f"psi({t!r}) = {v!r} <= 0")
+        return (n - 1) * d / v
+
     def W_val(t: float) -> float:
         v, d, dd = psi_terms(t)
         r = d / v
@@ -378,7 +385,7 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
 
     spec = RiccatiPairSpec(
         geo=geo, t_lo=0.0, t_hi=t_hi,
-        w=parse("1"), L=ComparisonL(geo, "psi", psi),
+        w=parse("1"), L=FuncEval(L_val, name="L[psi]"),
         W=FuncEval(W_val, name="W[psi]"), params={},
         g_sign_required=1)
     G = FuncEval(G_val, G_dual, name="G[psi]")

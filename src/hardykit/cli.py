@@ -4,8 +4,9 @@ Subcommands: certify, solve-riccati, verify, sweep, spectrum, bessel-zeros,
 catalog, gm-positivity.  Exit codes: 0 success / certified, 1 usage error,
 2 failed certification or violated margin, 3 inconclusive / numeric
 breakdown, 141 (128 + SIGPIPE, as a shell reports it) where stdout was
-closed early, as in `hardykit catalog list | head -3`.  A usage error outside argparse is a ParameterError, which main
-prints as one line, 'hardykit: <message>'.  Machine-readable artifacts (JSON, CSV) print floats at full
+closed early, as in `hardykit catalog list | head -3`.  A usage error,
+argparse's included, is a ParameterError, which main prints as one line,
+'hardykit: <message>'.  Machine-readable artifacts (JSON, CSV) print floats at full
 17-significant-digit precision and contain no timestamps, so identical
 inputs give byte-identical output; human summaries use 6 digits.
 """
@@ -29,14 +30,24 @@ from .riccati import certify, solve_ivp
 from .spectral import spectral_lambda1
 from .specfun import bessel_zero
 from .testfuncs import gaussian_type, power_cutoff, random_bumps, talenti
-from .verifier import (InequalityMargin, additive_margin, ckn_margin, margin_violated,
-                       scaled_family, scaled_params, sharpness_sweep, up_margin)
+from .verifier import (InequalityMargin, additive_margin, ckn_margin, gm_positivity_study,
+                       margin_violated, scaled_family, scaled_params, sharpness_sweep, up_margin)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_CLOSED_STDOUT = 141
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals raise ParameterError, named by the
+    subcommand, instead of printing the usage and exiting with 2, the code
+    of a failed certification."""
+
+    def error(self, message: str):
+        command = self.prog.partition(" ")[2]
+        raise ParameterError(f"{command}: {message}" if command else message)
 
 
 def _fmt17(x: float) -> str:
@@ -303,6 +314,8 @@ def _cmd_catalog(args) -> int:
             print(f"{'':22s} requires: {entry['requires']}")
             print(f"{'':22s} source: {entry['citation']}")
         return EXIT_OK
+    if not args.name:
+        raise ParameterError("catalog show requires an entry name")
     params = _parse_kv(args.params)
     geo, rest = _geometry_from_params(params)
     inst = instantiate(args.name, geo, rest)
@@ -315,8 +328,6 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_gm_positivity(args) -> int:
-    from .verifier import gm_positivity_study
-
     rows = gm_positivity_study(t_points=args.t_points)
     lines = ["a,b,alpha,beta,m,n,min_G,argmin_t,in_thm422_region"]
     failures_in_region = 0
@@ -344,7 +355,7 @@ def _cmd_gm_positivity(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hardykit",
         description="Certify Riccati-pair weight triples and validate the "
                     "resulting Hardy-type inequalities on model space forms.")
@@ -412,10 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     gm.add_argument("--t-points", type=int, default=120, dest="t_points")
     gm.set_defaults(fn=_cmd_gm_positivity)
 
-    args = ap.parse_args(argv)
-    if args.command == "catalog" and args.action == "show" and not args.name:
-        ap.error("catalog show requires an entry name")
     try:
+        args = ap.parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not in the flush at exit
         return code
@@ -427,12 +436,9 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, fd)
             os.close(devnull)
         return EXIT_CLOSED_STDOUT
-    except HardykitError as exc:
+    except (HardykitError, FileNotFoundError) as exc:
         print(f"hardykit: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE if isinstance(exc, ArithmeticError) else EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"hardykit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

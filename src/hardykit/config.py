@@ -1,9 +1,9 @@
 """Flat key-value config format for certification problems.
 
 Sections: [geometry] kappa/n/p, [interval] lo/hi ("inf" is the only
-non-numeric bound), [expressions] w/L/W/G (either L = <expr> or
-L_kind = constant_curvature|constant_floor|psi with psi = <expr>),
-[params] free name=value pairs, [flags] g_sign_required, homogeneity_hint,
+non-numeric bound), [expressions] w/L/W/G, each an expression (the
+comparison bounds too: L = (n-1)*ct(t) or (n-1)*sqrt(-kappa)), [params]
+free name=value pairs, [flags] g_sign_required, homogeneity_hint,
 rho_kind.  Any other section, or any other key outside [params], is
 refused.  A ';' after whitespace starts a comment, inline too.
 Emission and ingestion round-trip: a file written by emit_config certifies
@@ -18,14 +18,14 @@ import math
 
 from .errors import ParameterError
 from .exprdsl import ScalarExpr, parse as parse_expr
-from .geometry import ComparisonL, ModelGeometry
+from .geometry import ModelGeometry
 from .riccati import RiccatiPairSpec
 
 __all__ = ["parse_config", "emit_config"]
 
 # the keys of each section; [params] takes any name
 _KEYS = {"geometry": ("kappa", "n", "p"), "interval": ("lo", "hi"),
-         "expressions": ("w", "L", "L_kind", "psi", "W", "G"), "params": None,
+         "expressions": ("w", "L", "W", "G"), "params": None,
          "flags": ("g_sign_required", "homogeneity_hint", "rho_kind")}
 
 
@@ -79,17 +79,7 @@ def parse_config(text: str) -> tuple[RiccatiPairSpec, ScalarExpr]:
                 raise ParameterError(f"config [params] {k} = {need('params', k)!r} "
                                      "is not a finite number")
 
-    w = parse_expr(need("expressions", "w"))
-    W = parse_expr(need("expressions", "W"))
-    G = parse_expr(need("expressions", "G"))
-    if cp.has_option("expressions", "L_kind"):
-        kind = cp.get("expressions", "L_kind").strip()
-        psi = None
-        if kind == "psi":
-            psi = parse_expr(need("expressions", "psi"))
-        L = ComparisonL(geo, kind, psi)
-    else:
-        L = parse_expr(need("expressions", "L"))
+    w, L, W, G = (parse_expr(need("expressions", k)) for k in ("w", "L", "W", "G"))
 
     g_sign = 1
     hint = None
@@ -119,10 +109,8 @@ def emit_config(spec: RiccatiPairSpec, G) -> str:
     if not isinstance(G, ScalarExpr):
         raise ParameterError(
             "only expression-backed candidates can be written to a config file")
-    # w and W are written as expressions, L as one or as a comparison kind
-    for name, obj, kinds in (("w", spec.w, ScalarExpr), ("L", spec.L, (ScalarExpr, ComparisonL)),
-                             ("W", spec.W, ScalarExpr)):
-        if not isinstance(obj, kinds):
+    for name, obj in (("w", spec.w), ("L", spec.L), ("W", spec.W)):
+        if not isinstance(obj, ScalarExpr):
             raise ParameterError(f"{name} is not expression-backed; cannot emit config")
 
     out = io.StringIO()
@@ -134,15 +122,9 @@ def emit_config(spec: RiccatiPairSpec, G) -> str:
     out.write(f"lo = {_fmt(spec.t_lo)}\n")
     out.write(f"hi = {_fmt(spec.t_hi)}\n\n")
     out.write("[expressions]\n")
-    out.write(f"w = {spec.w.source}\n")
-    if isinstance(spec.L, ComparisonL):
-        out.write(f"L_kind = {spec.L.kind}\n")
-        if spec.L.kind == "psi":
-            out.write(f"psi = {spec.L.psi.source}\n")
-    else:
-        out.write(f"L = {spec.L.source}\n")
-    out.write(f"W = {spec.W.source}\n")
-    out.write(f"G = {G.source}\n\n")
+    for name, obj in (("w", spec.w), ("L", spec.L), ("W", spec.W), ("G", G)):
+        out.write(f"{name} = {obj.source}\n")
+    out.write("\n")
     if spec.params:
         out.write("[params]\n")
         for k in sorted(spec.params):

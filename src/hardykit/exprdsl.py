@@ -816,11 +816,9 @@ def evaluator(e, binding: Mapping[str, float] | None = None, dual: bool = False)
     dual, resolved once for a loop over t under one binding.  For a
     ScalarExpr it is the generated function eval/eval_d call, compiled
     against a snapshot of the binding; for an evaluable with an
-    ``_evaluator(binding, dual)`` (riccati.FuncEval, geometry.ComparisonL),
-    what that returns; for any other, its method with the binding passed
-    along.  Every evaluation error raises at a call, not here; only the
-    derivative of an object that has none (a ComparisonL) raises
-    UnsupportedDerivativeError here."""
+    ``_evaluator(binding, dual)`` (riccati.FuncEval), what that returns;
+    for any other, its method with the binding passed along.  Every
+    evaluation error raises at a call, not here."""
     binding = binding or {}
     if isinstance(e, ScalarExpr):
         return e._compiled(binding, int(dual))

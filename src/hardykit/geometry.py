@@ -3,9 +3,10 @@
 All quantities are functions of the distance t from a base point: the
 curvature-trig functions ct_kappa and s_kappa (the radial measure is
 n*omega_n*s_kappa(t)^(n-1) dt, with omega_n = unit_ball_volume(n)), the
-comparison deficit D_kappa(t) = t*ct_kappa(t) - 1, and the Laplacian
-comparison bounds used as the lower-bound function L in Riccati pair
-specifications.
+comparison deficit D_kappa(t) = t*ct_kappa(t) - 1, and the unit-ball
+volume.  The Laplacian comparison bounds that serve as the lower-bound
+function L of a Riccati pair are expressions over these: (n-1)*ct(t) is the
+exact model-space Laplacian and (n-1)*sqrt(-kappa) its large-t floor.
 
 Positive curvature is rejected throughout: every certified inequality in
 this toolkit lives on the kappa <= 0 range, and supporting spheres would
@@ -16,18 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError, ParameterError, UnsupportedDerivativeError, is_finite_number
+from .errors import DomainError, ParameterError, is_finite_number
 from .specfun import gamma
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .exprdsl import ScalarExpr
 
 __all__ = [
     "ModelGeometry",
     "unit_ball_volume",
-    "ComparisonL",
 ]
 
 # Below sqrt(-kappa)*t = 1e-4 the direct t*coth - 1 form of the deficit loses
@@ -141,56 +137,3 @@ def unit_ball_volume(n: int) -> float:
     """omega_n = pi^(n/2) / Gamma(1 + n/2)."""
     return math.pi ** (n / 2.0) / gamma(1.0 + n / 2.0)
 
-
-class ComparisonL:
-    """Comparison-function L wrapped as an evaluable object.
-
-    constant_curvature: (n-1) ct_kappa(t), the exact model-space Laplacian.
-    constant_floor:     (n-1) sqrt(-kappa), the large-t floor (kappa < 0 only).
-    psi:                (n-1) psi'(t)/psi(t) for a user-supplied profile psi.
-
-    Carries the kind tag so catalog entries and config files can round-trip
-    it without flattening to an expression string.
-    """
-
-    def __init__(self, geo: ModelGeometry, kind: str, psi: "ScalarExpr | None" = None):
-        if kind not in ("constant_curvature", "constant_floor", "psi"):
-            raise ParameterError(f"unknown comparison kind {kind!r}")
-        if kind == "psi" and psi is None:
-            raise ParameterError("psi comparison kind needs the psi expression")
-        if kind == "constant_floor" and geo.kappa >= 0.0:
-            raise ParameterError("constant_floor comparison needs kappa < 0")
-        self.geo = geo
-        self.kind = kind
-        self.psi = psi
-        self._geo_binding = geo.binding()  # for psi, unless the given binding overrides it
-
-    def eval(self, t: float, binding: dict | None = None) -> float:
-        return self._evaluator(binding or {}, False)(t)
-
-    def _evaluator(self, binding: dict, dual: bool) -> Callable[[float], float]:
-        """L as a function of t (exprdsl.evaluator's); for the psi kind, psi
-        and psi' are resolved once, under the binding merged over the
-        geometry's.  L has no derivative rule."""
-        if dual:
-            raise UnsupportedDerivativeError(f"{self!r} has no derivative rule")
-        geo = self.geo
-        scale = geo.n - 1
-        if self.kind == "constant_curvature":
-            kappa = geo.kappa
-            return lambda t: scale * ct_value(kappa, t)
-        if self.kind == "constant_floor":
-            floor = scale * math.sqrt(-geo.kappa)
-            return lambda t: floor
-        from .exprdsl import evaluator  # exprdsl imports this module
-        psi_d = evaluator(self.psi, {**self._geo_binding, **binding}, dual=True)
-
-        def L(t: float) -> float:
-            v, dv = psi_d(t)
-            if v <= 0.0:
-                raise DomainError(f"psi({t!r}) = {v!r} <= 0")
-            return scale * dv / v
-        return L
-
-    def __repr__(self):
-        return f"ComparisonL({self.kind})"

@@ -87,6 +87,10 @@ class FuncEval:
 class RiccatiPairSpec:
     """The data of one weighted Riccati-pair certification problem.
 
+    w, L and W are each a ScalarExpr or another evaluable exprdsl.evaluator
+    takes (greene_wu_psi's are FuncEvals).  L bounds the Laplacian of the
+    distance from below: (n-1)*ct(t) exactly, (n-1)*sqrt(-kappa) as a floor.
+
     g_sign_required encodes the sign condition on admissible G: +1 requires
     G >= 0 (the default; mandatory whenever L is a strict lower bound for
     the Laplacian of the distance function), -1 requires G <= 0 (triples
@@ -98,7 +102,7 @@ class RiccatiPairSpec:
     geo: ModelGeometry
     t_lo: float
     t_hi: float
-    w: object  # each a ScalarExpr, or any object exprdsl.evaluator takes
+    w: object
     L: object
     W: object
     params: dict = field(default_factory=dict)
@@ -313,11 +317,13 @@ def solve_ivp(
     spec: RiccatiPairSpec,
     t0: float,
     G0: float,
-    direction: str = "forward",
-    sample_ts: Sequence[float] | None = None,
+    direction: str,
+    sample_ts: Sequence[float],
 ) -> RiccatiTrajectory:
-    """Integrate the equality ODE G' = W + (p-1)|G|^{p'} - (w'/w + L) G,
-    with w, L and W resolved to their evaluators once per call.
+    """Integrate the equality ODE G' = W + (p-1)|G|^{p'} - (w'/w + L) G
+    from (t0, G0) in direction "forward" or "backward", reporting G at
+    sample_ts, which must lie that way of t0; w, L and W are resolved to
+    their evaluators once per call.
 
     A reported blow-up abscissa approximates a zero of the positive solution
     of the associated second-order equation.
@@ -336,10 +342,6 @@ def solve_ivp(
         wt = w_v(t)
         return wt + pm1 * abs(g) ** pp - (wd / wv + lv) * g
 
-    if sample_ts is None:
-        lo = max(spec.t_lo * 1.001, t0 / 10.0) if spec.t_lo > 0 else t0 / 10.0
-        hi = min(spec.t_hi, t0 * 10.0)
-        sample_ts = [lo + (hi - lo) * i / 63.0 for i in range(64)]
     samples = sorted(sample_ts, reverse=(direction == "backward"))
     if samples:
         ahead = samples[-1] >= t0 if direction == "forward" else samples[-1] <= t0

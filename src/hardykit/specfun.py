@@ -566,13 +566,25 @@ class _Plan:
         """The 1/z formula's two Gamma coefficients (DLMF 15.8.2) and the
         first _HYP_CONNECT_ROWS term ratios of each of its two series, formed
         on the first call; gamma and rgamma are bound here, so the public
-        calls made do not depend on caching."""
+        calls made do not depend on caching.  Where a coefficient's plain
+        product Gamma(c) Gamma(q-p) / (Gamma(q) Gamma(c-p)) leaves float
+        range, as near c = q = 150, it is (Gamma(c) / Gamma(q)) (Gamma(q-p) /
+        Gamma(c-p)); DomainError where that does too, or where a 1/Gamma
+        is 0 off its poles (Gamma overflows: the term would be dropped)."""
         if self._connection is None:
             a, b, c = self.a, self.b, self.c
-            coefs = (gamma(c) * gamma(b - a) * rgamma(b) * rgamma(c - a),
-                     gamma(c) * gamma(a - b) * rgamma(a) * rgamma(c - b))
+            coefs = []
+            for p, q in ((a, b), (b, a)):
+                gc, gqp, rq, rcp = gamma(c), gamma(q - p), rgamma(q), rgamma(c - p)
+                coef = gc * gqp * rq * rcp
+                if not math.isfinite(coef):
+                    coef = (gc * rq) * (gqp * rcp)
+                if not math.isfinite(coef) or rq == 0.0 < q or rcp == 0.0 < c - p:
+                    raise DomainError(f"hyp2f1({a!r}, {b!r}, {c!r}, z): the 1/z formula's "
+                                      "Gamma coefficient leaves float range")
+                coefs.append(coef)
             # the series' parameters as _hyp2f1_bigz forms them
-            self._connection = coefs + tuple(
+            self._connection = tuple(coefs) + tuple(
                 tuple([(p + k) * (q + k) / ((r + k) * (k + 1.0))
                        for k in map(float, range(_HYP_CONNECT_ROWS))])
                 for p, q, r in ((a, a - c + 1.0, a - b + 1.0), (b, b - c + 1.0, b - a + 1.0)))
@@ -863,7 +875,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     an integer c - a (ConvergenceError where mpmath fails).
     All four hyp2f1 entry points raise UnsupportedRangeError for a NaN
     argument, an infinite a, b or c or difference of two, and where (1 - z)^(-a),
-    or (-z)^(-a) or (-z)^(-b) in the 1/z formula, leaves float range.
+    or (-z)^(-a) or (-z)^(-b) in the 1/z formula, leaves float range, and
+    DomainError where one of that formula's Gamma coefficients does, or
+    needs a Gamma that overflows (a parameter or c - a, c - b above 171.6).
     """
     return _hyp2f1_pair(a, b, c, z)[0]
 

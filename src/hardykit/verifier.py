@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .catalog import CatalogInstance
+from .catalog import CatalogInstance, instantiate
 from .errors import DomainError, HypothesisError, ParameterError, check_keys
 from .exprdsl import evaluator, fill_template, parse
 from .geometry import _TAYLOR_CUT, ModelGeometry, ct_value, deficit_value, unit_ball_volume
@@ -574,8 +574,6 @@ def gm_positivity_study(t_points: int = 120) -> list[GmStudyRow]:
     (a/b)^(1/alpha).  Positivity is proven only inside the region flagged by
     each row; outside it the minimum is reported as an observation.
     """
-    from .catalog import instantiate as _instantiate
-
     rows: list[GmStudyRow] = []
     for n in (3, 5):
         geo = ModelGeometry(0.0, n, 2.0)
@@ -585,7 +583,7 @@ def gm_positivity_study(t_points: int = 120) -> list[GmStudyRow]:
                     for beta in (0.35, 1.2, 2.6):
                         for delta in (0.15, 0.6, 1.1):
                             m = (n - 2.0) / 2.0 - delta
-                            inst = _instantiate(
+                            inst = instantiate(
                                 "ghoussoub_moradifam", geo,
                                 {"a": a, "b": b, "alpha": alpha, "beta": beta, "m": m})
                             g_v = evaluator(inst.G, inst.spec.binding())

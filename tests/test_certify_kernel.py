@@ -160,9 +160,8 @@ homogeneity_hint = -2
     assert main(["certify", "--spec", str(cfg)]) == 3
 
 
-def test_greene_wu_psi_evaluates_psi_four_times_per_node(monkeypatch):
-    # G and W share psi, psi' and the psi'' stencil at t (3 evaluations);
-    # the psi-comparison L evaluates psi once more
+def test_greene_wu_psi_evaluates_psi_three_times_per_node(monkeypatch):
+    # G, L and W share psi, psi' and the psi'' stencil at t (3 evaluations)
     source = "s(t)"
     count = [0]
     compiled = ScalarExpr._compiled
@@ -185,4 +184,4 @@ def test_greene_wu_psi_evaluates_psi_four_times_per_node(monkeypatch):
     rep = certify(inst.spec, inst.G, n_points=512)
     assert rep.verdict == "certified"
     assert len(rep.grid) == 528
-    assert count[0] == 4 * 528
+    assert count[0] == 3 * 528

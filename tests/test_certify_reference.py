@@ -13,7 +13,7 @@ import pytest
 
 from hardykit.catalog import instantiate
 from hardykit.exprdsl import parse
-from hardykit.geometry import ComparisonL, ModelGeometry
+from hardykit.geometry import ModelGeometry
 from hardykit.riccati import (FuncEval, RiccatiPairSpec, bessel_to_riccati, certify,
                               riccati_to_bessel, solve_ivp)
 from hardykit.rk45 import integrate_to_samples
@@ -83,7 +83,7 @@ CANDIDATES = {
     "no-derivative": (_spec(), FuncEval(lambda t: 0.5 / t, name="half"), "inconclusive",
                       "no derivative"),
     "comparison-L": (RiccatiPairSpec(geo=H2, t_lo=0.0, t_hi=math.inf, w=parse("1"),
-                                     L=ComparisonL(H2, "constant_floor"),
+                                     L=parse("(n-1)*sqrt(-kappa)"),
                                      W=parse("0.25 + 0*t")),
                      parse("0.5 + 0*t"), "certified", ""),
 }

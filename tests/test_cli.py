@@ -166,12 +166,10 @@ class TestConfigRoundTrip:
         from dataclasses import replace
 
         from hardykit.errors import ParameterError
-        from hardykit.geometry import ComparisonL
         from hardykit.riccati import FuncEval
 
         inst = instantiate("hardy", ModelGeometry(0.0, 3, 2.0), {"alpha": 0.0, "C": 2.0})
-        other = (FuncEval(lambda t: 2.0 / t, name="2/t") if field == "L"
-                 else ComparisonL(inst.spec.geo, "constant_curvature"))
+        other = FuncEval(lambda t: 2.0 / t, name="2/t")
         with pytest.raises(ParameterError, match=f"^{field} is not expression-backed"):
             emit_config(replace(inst.spec, **{field: other}), inst.G)
 
@@ -306,6 +304,26 @@ class TestOtherCommands:
         ]
         for argv, message in refusals:
             assert message in _refusal(argv, capsys), argv
+
+    @pytest.mark.parametrize("argv, message", [
+        (["catalog", "show"], "catalog show requires an entry name"),
+        (["verify"], "verify: the following arguments are required: --inequality"),
+        (["certify", "--points", "abc", "--catalog", "hardy"],
+         "certify: argument --points: invalid int value: 'abc'"),
+        (["nosuchcmd"], "argument command: invalid choice: 'nosuchcmd' (choose from "),
+    ], ids=["catalog-show-unnamed", "verify-no-inequality", "certify-points", "unknown-command"])
+    def test_argparse_refusal_is_one_line(self, argv, message, capsys):
+        # argparse printed its usage block and exited 2, the code of a failed
+        # certification
+        assert _refusal(argv, capsys).startswith(message)
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hardykit" if flag == "--help"
+                                                  else "hardykit ")
 
     def test_density_overflow_is_a_quadrature_error(self, capsys):
         # s_kappa is finite at t = 383 but s_kappa^2 is not: an OverflowError

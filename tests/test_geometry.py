@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from hardykit.errors import DomainError, ParameterError
+from hardykit.catalog import instantiate
+from hardykit.errors import DomainError, HypothesisError, ParameterError
 from hardykit.exprdsl import parse
-from hardykit.geometry import (ComparisonL, ModelGeometry, ct_value, deficit_value, s_value,
-                               unit_ball_volume)
+from hardykit.geometry import ModelGeometry, ct_value, deficit_value, s_value, unit_ball_volume
 from hardykit.verifier import radial_integral
 from oracles import coth_exp, simpson, sinh_series
 
@@ -160,42 +160,50 @@ class TestVolumes:
 
 
 class TestComparisonL:
+    """The Laplacian comparison bounds L of the catalog: (n-1)*ct(t) and
+    (n-1)*sqrt(-kappa) as expressions, and greene_wu_psi's (n-1) psi'/psi."""
+
+    CURVATURE, FLOOR = parse("(n-1)*ct(t)"), parse("(n-1)*sqrt(-kappa)")
+
+    @staticmethod
+    def _psi_L(geo, psi, t_hi=50.0):
+        return instantiate("greene_wu_psi", geo, {"psi": psi, "t_hi": t_hi}).spec.L
+
     def test_flat_curvature_kind(self):
-        assert ComparisonL(E3, "constant_curvature").eval(1.0) == 2.0
+        assert self.CURVATURE.eval(1.0, E3.binding()) == 2.0
 
     def test_floor_value(self):
-        assert ComparisonL(H1_4, "constant_floor").eval(123.0) == 3.0
+        assert self.FLOOR.eval(123.0, H1_4.binding()) == 3.0
 
     def test_floor_rejected_for_flat(self):
-        with pytest.raises(ParameterError):
-            ComparisonL(E3, "constant_floor").eval(1.0)
+        # McKean's entry, the one with the floor, refuses kappa = 0
+        with pytest.raises(HypothesisError, match="kappa < 0"):
+            instantiate("mckean", E3)
 
     def test_psi_kind_matches_curvature_kind(self):
-        psi = parse("s(t)")
         for kappa in (0.0, -1.0, -2.0):
             geo = ModelGeometry(kappa, 3, 2.0)
+            L = self._psi_L(geo, "s(t)")
             for t in (0.3, 1.0, 4.0):
-                a = ComparisonL(geo, "psi", psi).eval(t)
-                b = ComparisonL(geo, "constant_curvature").eval(t)
-                assert a == pytest.approx(b, rel=1e-12)
+                assert L.eval(t) == pytest.approx(self.CURVATURE.eval(t, geo.binding()),
+                                                  rel=1e-12)
 
     def test_psi_sinh_explicit(self):
-        psi = parse("sinh(t)")
-        geo = ModelGeometry(-1.0, 2, 2.0)
-        assert ComparisonL(geo, "psi", psi).eval(1.0) == pytest.approx(
-            coth_exp(1.0), rel=1e-13)
+        L = self._psi_L(H1_3, "sinh(t)")
+        assert L.eval(1.0) == pytest.approx(2.0 * coth_exp(1.0), rel=1e-13)
 
     def test_psi_nonpositive_rejected(self):
-        psi = parse("t - 5")
-        with pytest.raises(DomainError):
-            ComparisonL(E3, "psi", psi).eval(1.0)
+        # psi = t - t^2/100 is admissible on the probes of (0, 10), and
+        # negative past t = 100
+        L = self._psi_L(H1_3, "t - t^2/100", t_hi=10.0)
+        with pytest.raises(DomainError, match=r"psi\(150.0\) = .* <= 0"):
+            L.eval(150.0)
 
     def test_curvature_dominates_floor(self):
-        geo = ModelGeometry(-1.5, 4, 2.0)
+        b = ModelGeometry(-1.5, 4, 2.0).binding()
         for t in log_grid(1e-3, 50.0, 50):
-            assert ComparisonL(geo, "constant_curvature").eval(t) >= \
-                ComparisonL(geo, "constant_floor").eval(t)
+            assert self.CURVATURE.eval(t, b) >= self.FLOOR.eval(t, b)
 
     def test_comparison_object_round_trip(self):
-        layer = ComparisonL(H1_2, "constant_curvature")
-        assert layer.eval(1.0) == pytest.approx(coth_exp(1.0), rel=1e-13)
+        assert self.CURVATURE.eval(1.0, H1_2.binding()) == pytest.approx(coth_exp(1.0),
+                                                                         rel=1e-13)

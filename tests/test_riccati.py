@@ -7,7 +7,7 @@ import pytest
 from hardykit.errors import (ConvergenceError, DomainError, ParameterError,
                              UnsupportedDerivativeError)
 from hardykit.exprdsl import parse
-from hardykit.geometry import ComparisonL, ModelGeometry
+from hardykit.geometry import ModelGeometry
 from hardykit.riccati import (FuncEval, RiccatiPairSpec, bessel_to_riccati,
                               certification_grid, certify, residual,
                               residual_parts, riccati_to_bessel, solve_ivp)
@@ -25,7 +25,7 @@ def hardy_spec():
 
 def mckean_spec():
     return RiccatiPairSpec(geo=H2, t_lo=0.0, t_hi=math.inf, w=parse("1"),
-                           L=ComparisonL(H2, "constant_floor"), W=parse("0.25 + 0*t"))
+                           L=parse("(n-1)*sqrt(-kappa)"), W=parse("0.25 + 0*t"))
 
 
 class TestResidual:
@@ -234,6 +234,14 @@ class TestSolveIvp:
             solve_ivp(hardy_spec(), 1.0, 0.5, "sideways", [2.0])
         with pytest.raises(ConvergenceError):
             solve_ivp(hardy_spec(), 1.0, 0.5, "forward", [0.5])
+
+    def test_direction_and_samples_are_required(self):
+        # the default samples, a window [t0/10, 10 t0] around t0, lay on both
+        # sides of t0 and so raised ConvergenceError in either direction
+        with pytest.raises(TypeError, match="direction.*sample_ts"):
+            solve_ivp(hardy_spec(), 1.0, 0.5)
+        with pytest.raises(TypeError, match="sample_ts"):
+            solve_ivp(hardy_spec(), 1.0, 0.5, "forward")
 
 
 class TestBesselRiccatiBridge:

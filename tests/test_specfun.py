@@ -589,6 +589,32 @@ class TestHyp2f1:
             with pytest.raises(UnsupportedRangeError, match=re.escape(f"{power} leaves float")):
                 fn(*args)
 
+    @pytest.mark.parametrize("z", [-50.0, -1e10])
+    def test_connection_coefficient_past_float_range(self, z):
+        # Gamma(c) Gamma(b - a) overflowed before 1/(Gamma(b) Gamma(c - a))
+        # brought the 1/z coefficient back: F was inf, r nan, (F, F') (inf, -inf)
+        a, b, c = -0.3, 150.5, 151.5
+        with mpmath.workdps(40):
+            f = [mpmath.hyp2f1(a + k, b + k, c + k, z) for k in range(3)]
+            slopes = [(a + k) * (b + k) / (c + k) for k in range(2)]
+            df = slopes[0] * f[1]
+            r = f[1] / f[0]
+            dr = (slopes[1] * f[2] * f[0] - f[1] * df) / f[0] ** 2
+        rel = 4e-15
+        assert hyp2f1(a, b, c, z) == pytest.approx(float(f[0]), rel=rel)
+        assert hyp2f1_with_dz(a, b, c, z) == pytest.approx((float(f[0]), float(df)), rel=rel)
+        assert hyp2f1ratio(a, b, c, z) == pytest.approx(float(r), rel=rel)
+        assert hyp2f1ratio_with_dz(a, b, c, z) == pytest.approx((float(r), float(dr)), rel=rel)
+
+    @pytest.mark.parametrize("fn", [hyp2f1, hyp2f1_with_dz, hyp2f1ratio, hyp2f1ratio_with_dz])
+    def test_connection_coefficient_with_overflowing_gamma_is_refused(self, fn):
+        # 1/Gamma(c - a) is 0 where Gamma(c - a) overflows: the coefficient
+        # was 0, its term dropped (0.88 for mpmath's 171.5 at the first
+        # point), or nan at the second
+        for args in ((-10.3, 0.5, 165.5, -50.0), (-100.3, 60.5, 170.5, -50.0)):
+            with pytest.raises(DomainError, match="Gamma coefficient leaves float range"):
+                fn(*args)
+
     def test_minus_infinite_z_keeps_its_value(self):
         # the 1/z formula's limit, and mpmath's where b - a is an integer
         assert hyp2f1(0.25, 1.85, 1.3, -math.inf) == 0.0

@@ -672,44 +672,15 @@ class TestEvaluatorsResolvedOnce:
         assert len(seen) == len(set(seen)) == 216
 
     def test_psi_comparison_certify(self, monkeypatch):
-        # a certify resolves the psi-comparison L once: psi is looked up in
-        # its compile cache once, not at every grid point
+        # psi is resolved once per instance, when greene_wu_psi builds G, L
+        # and W over it: a certify looks up no psi in its compile cache
         from hardykit.riccati import certify
 
         inst = instantiate("greene_wu_psi", ModelGeometry(-1.0, 3, 2.0),
                            {"psi": "s(t) + 0.1*t^3", "t_hi": 20.0})
         seen = self._lookups(monkeypatch, lambda: certify(inst.spec, inst.G, n_points=1024))
-        # psi for L and the weight w = 1, each in dual mode
-        assert len(seen) == len(set(seen)) == 2
-
-    def test_psi_comparison_evaluator_is_eval(self):
-        # the resolved L returns L.eval's values, and raises its DomainError
-        from hardykit.exprdsl import evaluator
-        from hardykit.geometry import ComparisonL
-
-        geo = ModelGeometry(-1.0, 3, 2.0)
-        L = ComparisonL(geo, "psi", parse("s(t) + c*t^3"))
-        for binding in ({"c": 0.1}, {"c": -0.001, "kappa": -0.25}):
-            resolved = evaluator(L, binding)
-            for t in (0.01, 0.3, 1.0, 2.7, 9.5):
-                assert repr(resolved(t)) == repr(L.eval(t, binding))
-        errors = []
-        for evaluate in (evaluator(L, {"c": -0.5}), lambda t: L.eval(t, {"c": -0.5})):
-            with pytest.raises(DomainError, match=r"psi\(3.0\) = .* <= 0") as err:
-                evaluate(3.0)
-            errors.append(str(err.value))
-        assert errors[0] == errors[1]
-
-    def test_comparison_has_no_derivative(self):
-        # evaluator fell back to the missing eval_d: an untyped AttributeError
-        from hardykit.errors import UnsupportedDerivativeError
-        from hardykit.exprdsl import evaluator
-        from hardykit.geometry import ComparisonL
-
-        for L in (ComparisonL(H3, "constant_curvature"), ComparisonL(H3, "constant_floor"),
-                  ComparisonL(H3, "psi", parse("s(t)"))):
-            with pytest.raises(UnsupportedDerivativeError, match="has no derivative rule"):
-                evaluator(L, dual=True)
+        # the weight w = 1 alone, in dual mode
+        assert len(seen) == len(set(seen)) == 1
 
 
 def _constant_u(value, lo, hi):
