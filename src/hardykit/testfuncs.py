@@ -2,9 +2,11 @@
 
 All profiles are piecewise C^1 with u and u' evaluable at quadrature nodes,
 vanishing (exactly, or below 1e-300) at the outer support boundary.  Their
-breakpoints are where an adaptive mesh starts: kink abscissae and, for
+breakpoints are where an adaptive mesh starts: kink abscissae; for
 gaussian_type and talenti, the scale marks (0.25, 1, 4)/scale near their
-mass.  power_cutoff declares its plateau, whose mass has a closed form.
+mass; for compact_bump, the dyadic marks (1/2, 3/4, 7/8, 15/16) of the
+half-width toward both ends of its support, where |u'| is steepest.
+power_cutoff declares its plateau, whose mass has a closed form.
 
 power_cutoff is the near-extremal Hardy profile: an inner plateau on
 (0, r0], the power t^(-sigma+eps) up to the cut start, then a p-capacitor
@@ -49,8 +51,9 @@ def _scale_marks(scale: float, end: float) -> tuple[float, ...]:
 
 @dataclass
 class RadialTestFunction:
-    """u and du on [support_lo, support_hi]; breakpoints are kinks and scale
-    marks; plateau is (r0, log|u|) where u is that constant on (0, r0]."""
+    """u and du on [support_lo, support_hi]; breakpoints are kinks, scale
+    marks and a bump's dyadic marks, where adaptive meshes start; plateau is
+    (r0, log|u|) where u is that constant on (0, r0]."""
 
     kind: str
     u: Callable[[float], float]
@@ -73,7 +76,12 @@ class RadialTestFunction:
 
 
 def compact_bump(center: float, width: float) -> RadialTestFunction:
-    """Smooth bump exp(1 - 1/(1-x^2)) on (center-width, center+width)."""
+    """Smooth bump exp(1 - 1/(1-x^2)), x = (t-center)/width, on
+    (center-width, center+width), with breakpoints at x = 0, +-1 and the
+    dyadic marks +-(1/2, 3/4, 7/8, 15/16), toward the ends, where |u'| is
+    steepest.  Where width > 0.9931*center the mark at x = -15/16 lies more
+    than a decade above center-width, and log-space integrals run in ln t
+    from center-width."""
     if not (0.0 < width < center):
         raise ParameterError(f"need 0 < width < center, got center={center!r}, width={width!r}")
 
@@ -92,7 +100,8 @@ def compact_bump(center: float, width: float) -> RadialTestFunction:
 
     return RadialTestFunction(
         "compact_bump", u, du, center - width, center + width,
-        breakpoints=(center - width, center, center + width),
+        breakpoints=tuple(center + x * width for x in (-1.0, -0.9375, -0.875, -0.75, -0.5,
+                                                       0.0, 0.5, 0.75, 0.875, 0.9375, 1.0)),
         params={"center": center, "width": width})
 
 

@@ -674,6 +674,56 @@ def power_cutoff_masses_mp(u, geo, alpha):
         return float(area * energy), float(area * mass)
 
 
+# the energy, I_H and J_H of a catalog margin (H = |s|^p/p) on a compact_bump
+# at 30 digits: mpmath.quad over the bump's support split at its
+# breakpoints, with the bump, the volume density and ct in mpmath; G, G', w
+# and w' are the entry's float evaluators, read at the float nearest each
+# node, so the reference integrates the same functions as the verifier
+
+
+def bump_margin_terms_mp(inst, u):
+    """(energy, I_H, J_H) of additive_margin(None, inst, u) for u =
+    testfuncs.compact_bump(...)."""
+    import mpmath as mp
+
+    geo, G, w, binding = inst.spec.geo, inst.G, inst.spec.w, inst.spec.binding()
+    with mp.workdps(30):
+        n, p, pc = geo.n, mp.mpf(geo.p), mp.mpf(geo.p_conj)
+        r = mp.sqrt(-mp.mpf(geo.kappa))
+        c, half = mp.mpf(u.params["center"]), mp.mpf(u.params["width"])
+
+        def bump(t):  # 0 past c +- half, where the float breakpoints may reach
+            x = (t - c) / half
+            g = 1 - x * x
+            if g <= 0:
+                return mp.mpf(0), mp.mpf(0)
+            v = mp.exp(1 - 1 / g)
+            return v, v * (-2 * x / (g * g)) / half
+
+        def s(t):
+            return t if r == 0 else mp.sinh(r * t) / r
+
+        def ct(t):
+            return 1 / t if r == 0 else r * mp.coth(r * t)
+
+        def energy(t):
+            return abs(bump(t)[1]) ** p * w.eval(float(t), binding) * s(t) ** (n - 1)
+
+        def i_h(t):
+            gv, gd = G.eval_d(float(t), binding)
+            wv, wd = w.eval_d(float(t), binding)
+            drift = gd * wv + gv * wd + gv * wv * (n - 1) * ct(t)
+            return drift * abs(bump(t)[0]) ** p / p * s(t) ** (n - 1)
+
+        def j_h(t):
+            gv, wv = G.eval(float(t), binding), w.eval(float(t), binding)
+            return abs(mp.mpf(gv)) ** pc * wv * abs(bump(t)[0]) ** p * s(t) ** (n - 1)
+
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        points = [mp.mpf(b) for b in u.breakpoints]
+        return tuple(float(area * mp.quad(f, points)) for f in (energy, i_h, j_h))
+
+
 # ---------------------------------------------------------------------------
 # The Gauss series kernel as it was before its per-parameter term ratios:
 # specfun's float operations must stay bitwise those of this copy, whatever

@@ -18,7 +18,7 @@ from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_ch
                                gm_positivity_study, hardy_default_family,
                                margin_violated, multiplicative_margin, radial_integral,
                                sc_margin, scaled_family, sharpness_sweep, up_margin)
-from oracles import (power_cutoff_masses_mp, reference_log_mass, simpson,
+from oracles import (bump_margin_terms_mp, power_cutoff_masses_mp, reference_log_mass, simpson,
                      unshared_additive_terms, unshared_integrands, with_density)
 
 E2 = ModelGeometry(0.0, 2, 2.0)
@@ -50,6 +50,30 @@ class TestCompactBump:
                 g = 1.0 - x * x
                 expected = bump.u(t) * (-2.0 * x / (g * g)) / width if abs(x) < 1.0 else 0.0
                 assert bump.du(t) == expected, (center, width, t)
+
+    def test_breakpoints_are_the_ends_centre_and_dyadic_marks(self):
+        assert compact_bump(2.0, 1.0).breakpoints == (
+            1.0, 1.0625, 1.125, 1.25, 1.5, 2.0, 2.5, 2.75, 2.875, 2.9375, 3.0)
+
+    # the mark at x = -15/16 lies more than a decade above center - width
+    # once width > 0.9931 center, and _log_mass runs in ln t from there;
+    # below, no segment between breakpoints spans a decade, and it runs in t
+    @pytest.mark.parametrize("width, in_log", [(0.995, True), (0.99, False), (0.95, False)])
+    def test_log_mass_runs_in_ln_t_where_the_first_mark_is_a_decade_up(
+            self, monkeypatch, width, in_log):
+        u = compact_bump(1.0, width)
+        spans = []
+        real = verifier.integrate_panels
+
+        def spy(panel, lo, hi, *a, **kw):
+            spans.append((lo, hi))
+            return real(panel, lo, hi, *a, **kw)
+
+        monkeypatch.setattr(verifier, "integrate_panels", spy)
+        got = verifier._log_mass(E3, u, upow=2.0, use_du=True)
+        lo, hi = u.support_lo, u.support_hi
+        assert spans == [(math.log(lo), math.log(hi)) if in_log else (lo, hi)]
+        assert got == reference_log_mass(E3, u, upow=2.0, use_du=True)
 
 
 class TestRadialIntegral:
@@ -770,6 +794,45 @@ class TestSharedNodeValues:
         assert sorted(G.duals) == sorted(G_ref.duals)
         assert len(set(G.duals)) == len(G.duals) > 0
         assert G.values == [] and len(G_ref.values) > 0
+
+
+class TestBumpMesh:
+    """Catalog margins on compact_bump meshes seeded at the dyadic marks."""
+
+    def test_catalog_margin_panel_count(self, monkeypatch):
+        # additive and multiplicative margins of a Bessel entry, GM at
+        # kappa = -1, McKean and a p = 2.5 entry, 4 bumps each: 1324 panels
+        # (1900 with the bump's ends and centre alone)
+        cases = [("brezis_vazquez", H4, {"nu": 0.7, "D": 2.0}),
+                 ("ghoussoub_moradifam", ModelGeometry(-1.0, 5, 2.0),
+                  {"a": 0.7, "b": 2.0, "alpha": 1.3, "beta": 1.1, "m": -0.4}),
+                 ("mckean", H2, {}),
+                 ("carvalho_cavalcante", ModelGeometry(0.0, 3, 2.5), {"a": 1.3, "b": 0.8})]
+
+        def margins():
+            for name, geo, params in cases:
+                inst = instantiate(name, geo, params)
+                for u in _bumps(inst, 4, seed=31):
+                    additive_margin(None, inst, u)
+                    multiplicative_margin(None, inst, u)
+
+        assert _panels(monkeypatch, margins)[0] == 1324
+
+    # p = 2 (a Bessel entry and McKean), p = 2.5, and the margin of the
+    # seed-9191 benchmark stream whose energy moved most with the marks
+    @pytest.mark.parametrize("name, geo, params, seed, count", [
+        ("brezis_vazquez", H4, {"nu": 0.7, "D": 2.0}, 31, 1),
+        ("mckean", H2, {}, 31, 1),
+        ("carvalho_cavalcante", ModelGeometry(0.0, 3, 2.5), {"a": 1.3, "b": 0.8}, 31, 2),
+        ("carvalho_cavalcante", ModelGeometry(-1.8426469865961792, 5, 2.9588249691299495),
+         {"a": 1.8404228279760844, "b": 1.8844231933871924}, 604164, 1)])
+    def test_terms_against_mpmath(self, name, geo, params, seed, count):
+        inst = instantiate(name, geo, params)
+        for u in _bumps(inst, count, seed):
+            _, e, _, i, _, j, _ = verifier._additive_terms(None, inst, u, None, None)
+            ref = bump_margin_terms_mp(inst, u)
+            for got, want in zip((e, i, j), ref):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (u, ref)
 
 
 class TestMarginPanel:
