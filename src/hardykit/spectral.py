@@ -20,16 +20,17 @@ the smallest, each step covers only 1/m of the distance (a stiff pencil at
 large hyperbolic R, whose low eigenvalues cluster); there Newton leaps
 towards the limit of its geometric steps, and a leap past the eigenvalue
 counts >= 1 and is only an upper point.  Counts at doubling distances from
-Newton's estimate, starting at N float epsilons (about the blur of both
-the estimate and the count), then find where the count turns, and bisection
-of [0, Gershgorin bound] pins that to a Sturm-count bracket of relative
-width 1e-14, taking only the counts that the points counted so far leave
-open.  The counts are float64 pivot signs: the bracket certifies where the
-computed count turns, which can lie up to ~2e-11 relative from the exact
-eigenvalue of the same pencil (1.8e-11 at kappa = 0, n = 2, R = 2.98,
-N = 4693, against a 40-digit Newton on the pencil).  The count is monotone
-in sigma and the bisection's points are fixed, so where Newton starts
-changes which points are counted and how many, never the bracket.
+Newton's estimate, starting at N eps relative to it, then find where the
+count turns, and bisection of [0, 2 max(c_j / b_j)] (the row-wise Gershgorin
+bound: each row's off-diagonals sum to at most c_j) pins that to a bracket
+of relative width N eps, taking only the counts that the points counted so
+far leave open.  That is the count's own resolution: float64 pivot signs are
+exact only for a pencil perturbed by about N eps (Kahan 1966; Demmel, Dhillon
+and Ren 1995), and the computed count turns about that far from the pencil's
+exact eigenvalue (1.4e-12 relative, N eps = 1.0e-12, at kappa = 0, n = 2,
+R = 2.98, N = 4693, against a 40-digit bisection of its count).  The count
+is monotone in sigma and the bisection's points are fixed, so where Newton
+starts changes which points are counted and how many, never the bracket.
 
 Each eigenvalue is taken coarse to fine.  Newton's uncertified estimates on
 N/32 and N/16 cells (the second started 5% below the first) predict the N/2
@@ -59,18 +60,16 @@ from .geometry import ModelGeometry
 
 __all__ = ["SpectralResult", "spectral_lambda1"]
 
-# bracket width of the certified eigenvalue, relative to max(1, lambda)
-_BRACKET_REL = 1e-14
-# Newton stops when its step is this small relative to max(1, sigma): it
-# converges quadratically, so the point reached is at rounding level
+# Newton stops when its step is this small relative to sigma: it converges
+# quadratically, so the point reached is at rounding level
 _NEWTON_REL = 1e-9
 _NEWTON_MAX_ITER = 100
 # where Newton crawls, the next iterate goes this fraction of the way to
 # the limit of its geometric steps
 _LEAP = 0.3
-# first distance of the count search around Newton's estimate, relative to
-# max(1, lambda) and per cell: rounding blurs Newton's estimate and the
-# count's turning point by about N float epsilons
+# the count's resolution per cell, relative to lambda: a float64 count is
+# exact only for a pencil perturbed by about N eps.  The count search starts
+# this far from Newton's estimate, and the bisection stops at this width
 _GALLOP_REL = sys.float_info.epsilon
 # the small pencils have N / 32 and N / 16 cells; Newton's estimate on the
 # first, lowered by this fraction, starts Newton on the second
@@ -92,7 +91,7 @@ class SpectralResult:
 class _Pencil:
     """A - sigma B, with A symmetric tridiagonal and B positive diagonal, as
     the rows (c_j, b_j, o_{j-1}^2) of the pivot recurrence (o_{-1} = 0, so
-    that it starts at d_0), and top, the Gershgorin bound of B^{-1} A."""
+    that it starts at d_0), and top, the row-wise Gershgorin bound of B^-1 A."""
 
     def __init__(self, rows: list[tuple[float, float, float]], top: float):
         self._rows, self.top = rows, top
@@ -135,11 +134,11 @@ class _Pencil:
 
     def smallest_eigenvalue(self, guess: float = 0.0) -> float:
         """Smallest eigenvalue, certified by inertia: the midpoint of a bracket
-        [lo, hi] of width <= 1e-14 max(1, hi) holding a counted point with no
-        eigenvalue below it and one with at least one.  The counts are taken
-        in float64, so the bracket holds the computed count's turning point,
-        not the exact eigenvalue of the pencil to 1e-14: the two can differ
-        by up to ~2e-11 relative.
+        [lo, hi] of width <= N eps hi (or one float apart) holding a counted
+        point with no eigenvalue below it and one with at least one.  The
+        counts are taken in float64, so the bracket holds the computed
+        count's turning point, about N eps relative from the exact eigenvalue
+        of the pencil (1.4e-12 at N = 4693): a narrower one resolves rounding.
 
         Newton runs from guess if 0 < guess < Gershgorin bound, else from 0,
         and again from 0 if the guess has an eigenvalue below it; a count
@@ -188,7 +187,7 @@ class _Pencil:
                 continue
             below = sigma
             x = sigma + step
-            if not (step > _NEWTON_REL * max(1.0, sigma) and x < above):
+            if not (step > _NEWTON_REL * sigma and x < above):
                 break
             sigma = x
             if step < prev:
@@ -209,7 +208,7 @@ class _Pencil:
             below = x
         else:
             above = x
-        dist = _GALLOP_REL * len(self._rows) * max(1.0, x)
+        dist = _GALLOP_REL * len(self._rows) * x
         while True:
             p = x + dist if up else x - dist
             if not below < p < above:
@@ -225,11 +224,11 @@ class _Pencil:
             dist *= 2.0
 
     def _bisect(self, top: float, below: float, above: float) -> tuple[float, float]:
-        """Bisection of [0, top] to width 1e-14 max(1, hi), taking counts only
-        strictly between below (read as 0) and above (read as >= 1)."""
+        """Bisection of [0, top] to width N eps hi, or until the midpoint is an
+        end, taking counts only strictly between below (read as 0) and above
+        (read as >= 1)."""
         lo, hi = 0.0, top
-        while hi - lo > _BRACKET_REL * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
+        while hi - lo > _GALLOP_REL * len(self._rows) * hi and lo < (mid := 0.5 * (lo + hi)) < hi:
             if mid <= below:
                 lo = mid
             elif mid >= above:
@@ -264,11 +263,10 @@ def _pencil(geo: ModelGeometry, R: float, N: int) -> _Pencil:
         # o_{j-1} = -a_j / h2 (0 at the t = 0 face).  ** is libm pow, which
         # can differ from x*x by an ulp; near the eigenvalue an ulp moves the
         # count, so the choice fixes the digits of the result (pinned by
-        # tools/digest_outputs.py).  Division by h2 > 0 is monotone, so
-        # max|o| is max(a) / h2
+        # tools/digest_outputs.py).  Row j's off-diagonals sum to at most c_j,
+        # so the row-wise Gershgorin bound is 2 max(c_j / b_j)
         pencil = _Pencil([(c, bj, (a / h2) ** 2) for c, bj, a in zip(diag, b, faces)],
-                         max(map(operator.truediv, diag, b))
-                         + 2.0 * (max(faces[1:N]) / h2) / min(b))
+                         2.0 * max(map(operator.truediv, diag, b)))
         if 0.0 < pencil.top < math.inf:
             return pencil
     except (OverflowError, ZeroDivisionError):

@@ -794,9 +794,9 @@ def ref_series_2f1(a: float, b: float, c: float, x: float,
 
 
 def ref_pencil(geo, R: float, N: int) -> tuple[list[tuple[float, float, float]], float]:
-    """The finite-volume pencil's rows (c_j, b_j, o_{j-1}^2) and Gershgorin
-    bound, built point by point: s_value ** (n - 1) at each multiple of h/2,
-    the off-diagonal o_j = -a_(j+1) / h^2 as a list, o ** 2 and max|o|.
+    """The finite-volume pencil's rows (c_j, b_j, o_{j-1}^2) and row-wise
+    Gershgorin bound, built point by point: s_value ** (n - 1) at each
+    multiple of h/2, the off-diagonal o_j = -a_(j+1) / h^2 as a list, o ** 2.
     DomainError where the pencil leaves float range."""
     h = R / (N + 0.5)
     h2 = h * h
@@ -807,9 +807,37 @@ def ref_pencil(geo, R: float, N: int) -> tuple[list[tuple[float, float, float]],
         diag = [(faces[j] + faces[j + 1]) / h2 for j in range(N)]
         off = [-faces[j] / h2 for j in range(1, N)]
         rows = list(zip(diag, b, [0.0] + [o ** 2 for o in off]))
-        top = max(c / bj for c, bj in zip(diag, b)) + 2.0 * max(abs(o) for o in off) / min(b)
+        # row j's off-diagonals, a_j / h^2 and a_(j+1) / h^2 (none at the
+        # ends), sum to at most c_j: the row-wise bound is 2 max(c_j / b_j)
+        top = 2.0 * max(c / bj for c, bj in zip(diag, b))
     except (OverflowError, ZeroDivisionError):
         top = math.inf
     if not 0.0 < top < math.inf:
         raise DomainError(f"pencil of R={R!r}, N={N} leaves float range")
     return rows, top
+
+
+def ref_smallest_eigenvalue_mp(rows, guess: float, rel: float = 1e-8, halvings: int = 40) -> float:
+    """Smallest eigenvalue of the pencil whose float rows (c_j, b_j, o_{j-1}^2)
+    are taken exactly: bisection of guess (1 -+ rel) on the inertia count of
+    LDL^T in 40-digit mpmath, to a relative width 2 rel 2^-halvings."""
+    import mpmath as mp
+    with mp.workdps(40):
+        rows = [(mp.mpf(c), mp.mpf(bj), mp.mpf(o2)) for c, bj, o2 in rows]
+
+        def count_below(sigma):
+            count, d = 0, mp.mpf(1)
+            for c, bj, o2 in rows:
+                d = c - sigma * bj - o2 / d
+                count += d < 0
+            return count
+
+        lo, hi = mp.mpf(guess) * (1 - rel), mp.mpf(guess) * (1 + rel)
+        assert count_below(lo) == 0 and count_below(hi) >= 1, "the bracket misses lambda_1"
+        for _ in range(halvings):
+            mid = (lo + hi) / 2
+            if count_below(mid):
+                hi = mid
+            else:
+                lo = mid
+        return float((lo + hi) / 2)

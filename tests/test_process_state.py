@@ -57,12 +57,12 @@ def test_spectral_runs_without_numpy(tmp_path):
                      "cli.main(['spectrum', '--kappa', '-0.5', '--n', '4', '--R', '5',\n"
                      f"          '--N', '1200', '--json', {str(tmp_path / 'sp.json')!r}])\n")
     assert out.splitlines() == [
-        "SpectralResult(lambda1=3.467401098545253, lambda1_raw=3.467400295554775, "
-        "lambda1_coarse=3.467397886583341, N=600)",
+        "SpectralResult(lambda1=3.46740109854522, lambda1_raw=3.467400295554733, "
+        "lambda1_coarse=3.4673978865832726, N=600)",
         "lambda1 = 1.64328  (raw N=1200: 1.64329, N/2: 1.64329)"]
     report = json.loads((tmp_path / "sp.json").read_text())
     assert [repr(report[k]) for k in ("lambda1", "lambda1_raw", "lambda1_coarse")] == [
-        "1.6432844909454107", "1.6432864411960981", "1.64329229194816"]
+        "1.6432844909454813", "1.6432864411961283", "1.643292291948069"]
 
 
 def test_bessel_paths_never_load_mpmath():

@@ -326,14 +326,16 @@ def digest_commands(commands):
 
 
 def _spectral_cases():
-    """Six fixed balls (at kappa = -2, n = 4, R = 20, N = 8000 the Gershgorin
-    bound caps the bisection), 22 seeded draws over the benchmark's box
-    (flat R in [0.5, 3] or hyperbolic -kappa in [0.25, 2] and R in [0.5, 20],
-    n = 2..4, N log-uniform in [400, 8000]), the ball where the Sturm
-    count turns 1.8e-11 relative away from the pencil's exact eigenvalue,
-    and three at small N: two stiff hyperbolic balls where the small
-    pencil's estimate lies above the N/2 eigenvalue, so that Newton starts
-    again from 0, and a flat n = 9 ball."""
+    """Six fixed balls (at kappa = -2, n = 4, R = 20, N = 8000 a Gershgorin
+    bound that mixes rows would be 5e49; the row-wise one is 2.6e6), 22
+    seeded draws over the benchmark's box (flat R in [0.5, 3] or hyperbolic
+    -kappa in [0.25, 2] and R in [0.5, 20], n = 2..4, N log-uniform in
+    [400, 8000]), the ball where the Sturm count turns 1.4e-12 relative away
+    from the pencil's exact eigenvalue (N eps = 1.0e-12: the count's own
+    resolution, where the bisection stops), and three at small N: two
+    stiff hyperbolic balls where the small pencil's estimate lies above the
+    N/2 eigenvalue, so that Newton starts again from 0, and a flat n = 9
+    ball."""
     cases = [(0.0, 2, 1.0, 4000), (-1.0, 2, 40.0, 8000), (0.0, 3, 2.0, 800),
              (-1.0, 3, 20.0, 4000), (-0.5, 4, 5.0, 1200), (-2.0, 4, 20.0, 8000)]
     rng = random.Random(2020)
