@@ -19,18 +19,21 @@ is a certified lower bound.  Where m eigenvalues lie about as far away as
 the smallest, each step covers only 1/m of the distance (a stiff pencil at
 large hyperbolic R, whose low eigenvalues cluster); there Newton leaps
 towards the limit of its geometric steps, and a leap past the eigenvalue
-counts >= 1 and is only an upper point.  Counts at doubling distances from
-Newton's estimate, starting at N eps relative to it, then find where the
-count turns, and bisection of [0, 2 max(c_j / b_j)] (the row-wise Gershgorin
-bound: each row's off-diagonals sum to at most c_j) pins that to a bracket
-of relative width N eps, taking only the counts that the points counted so
-far leave open.  That is the count's own resolution: float64 pivot signs are
-exact only for a pencil perturbed by about N eps (Kahan 1966; Demmel, Dhillon
-and Ren 1995), and the computed count turns about that far from the pencil's
-exact eigenvalue (1.4e-12 relative, N eps = 1.0e-12, at kappa = 0, n = 2,
-R = 2.98, N = 4693, against a 40-digit bisection of its count).  The count
-is monotone in sigma and the bisection's points are fixed, so where Newton
-starts changes which points are counted and how many, never the bracket.
+counts >= 1 and is only an upper point.  Bisection of [0, 2 max(c_j / b_j)]
+(the row-wise Gershgorin bound: each row's off-diagonals sum to at most c_j)
+then pins the eigenvalue to a bracket of relative width N eps.  That is the
+count's own resolution: float64 pivot signs are exact only for a pencil
+perturbed by about N eps (Kahan 1966; Demmel, Dhillon and Ren 1995), and the
+computed count turns about that far from the pencil's exact eigenvalue
+(1.4e-12 relative, N eps = 1.0e-12, at kappa = 0, n = 2, R = 2.98, N = 4693,
+against a 40-digit bisection of its count).  The bisection follows Newton's
+estimate: midpoints between the points counted so far go its way uncounted,
+and the two ends of the cell reached are counted; where one disagrees, the
+estimate moves 1/2, 1, 2, ... cell widths past it and the descent repeats,
+and once it leaves the counted points every open midpoint is counted.  The
+count is monotone in sigma and the bisection's points are fixed, so where
+Newton starts and where its estimate lies change which points are counted
+and how many, never the bracket.
 
 Each eigenvalue is taken coarse to fine.  Newton's uncertified estimates on
 N/32 and N/16 cells (the second started 5% below the first) predict the N/2
@@ -68,9 +71,9 @@ _NEWTON_MAX_ITER = 100
 # the limit of its geometric steps
 _LEAP = 0.3
 # the count's resolution per cell, relative to lambda: a float64 count is
-# exact only for a pencil perturbed by about N eps.  The count search starts
-# this far from Newton's estimate, and the bisection stops at this width
-_GALLOP_REL = sys.float_info.epsilon
+# exact only for a pencil perturbed by about N eps, so the bisection stops at
+# a bracket this wide per cell
+_BRACKET_REL = sys.float_info.epsilon
 # the small pencils have N / 32 and N / 16 cells; Newton's estimate on the
 # first, lowered by this fraction, starts Newton on the second
 _SMALL_DIV = 16
@@ -141,16 +144,13 @@ class _Pencil:
         of the pencil (1.4e-12 at N = 4693): a narrower one resolves rounding.
 
         Newton runs from guess if 0 < guess < Gershgorin bound, else from 0,
-        and again from 0 if the guess has an eigenvalue below it; a count
-        search around its estimate leaves the bisection of [0, Gershgorin
-        bound] only the last few counts to take.  Which points are counted
-        does not change the result: the bisection's points are fixed, and
-        the count is monotone in sigma.
+        and again from 0 if the guess has an eigenvalue below it; the
+        bisection of [0, Gershgorin bound] follows its estimate and counts
+        the two ends of the cell it reaches.  Which points are counted does
+        not change the result: the bisection's points are fixed, and the
+        count is monotone in sigma.
         """
-        below, above, x = self.newton_from(guess)
-        if 0.0 < x and below <= x <= above:
-            below, above = self._gallop(x, below, above)
-        lo, hi = self._bisect(self.top, below, above)
+        lo, hi = self._bisect(*self.newton_from(guess))
         return 0.5 * (lo + hi)
 
     def newton_from(self, guess: float) -> tuple[float, float, float]:
@@ -198,46 +198,43 @@ class _Pencil:
             prev = step
         return below, above, x
 
-    def _gallop(self, x: float, below: float, above: float) -> tuple[float, float]:
-        """Narrow the counted points (below, above) around an estimate x of
-        the eigenvalue: count at x (unless it is one of them), then at
-        doubling distances from x on the side the eigenvalue lies, until the
-        count turns."""
-        up = x == below or (x < above and self.count_below(x) == 0)
-        if up:
-            below = x
-        else:
-            above = x
-        dist = _GALLOP_REL * len(self._rows) * x
-        while True:
-            p = x + dist if up else x - dist
-            if not below < p < above:
-                return below, above
-            if self.count_below(p):
-                above = p
-                if up:
-                    return below, above
-            else:
-                below = p
-                if not up:
-                    return below, above
-            dist *= 2.0
-
-    def _bisect(self, top: float, below: float, above: float) -> tuple[float, float]:
+    def _bisect(self, below: float, above: float, x: float) -> tuple[float, float]:
         """Bisection of [0, top] to width N eps hi, or until the midpoint is an
         end, taking counts only strictly between below (read as 0) and above
-        (read as >= 1)."""
-        lo, hi = 0.0, top
-        while hi - lo > _GALLOP_REL * len(self._rows) * hi and lo < (mid := 0.5 * (lo + hi)) < hi:
-            if mid <= below:
-                lo = mid
-            elif mid >= above:
-                hi = mid
-            elif self.count_below(mid):
-                hi = above = mid
-            else:
-                lo = below = mid
-        return lo, hi
+        (read as >= 1).  While 0 < x and below <= x <= above, those go x's
+        way uncounted and the ends of the cell reached are counted, the one
+        nearer the last disagreement first; an end that disagrees becomes
+        below or above, x moves 1/2, 1, 2, ... cell widths past it, and the
+        descent repeats.  So a far x costs the doublings that take it out of
+        (below, above), not a walk cell by cell."""
+        past, up = 0.5, False
+        while True:
+            guided = 0.0 < x and below <= x <= above
+            lo, hi = 0.0, self.top
+            while hi - lo > _BRACKET_REL * len(self._rows) * hi and lo < (mid := 0.5 * (lo + hi)) < hi:
+                if mid <= below:
+                    lo = mid
+                elif mid >= above:
+                    hi = mid
+                elif guided:
+                    lo, hi = (mid, hi) if mid < x else (lo, mid)
+                elif self.count_below(mid):
+                    hi = above = mid
+                else:
+                    lo = below = mid
+            if not guided:
+                return lo, hi
+            for end in (hi, lo) if up else (lo, hi):
+                if below < end < above:
+                    if self.count_below(end):
+                        above = end
+                    else:
+                        below = end
+            up = below == hi
+            if not up and above != lo:
+                return lo, hi
+            x = hi + past * (hi - lo) if up else lo - past * (hi - lo)
+            past *= 2.0
 
 
 def _pencil(geo: ModelGeometry, R: float, N: int) -> _Pencil:
@@ -249,15 +246,14 @@ def _pencil(geo: ModelGeometry, R: float, N: int) -> _Pencil:
     try:
         # s_kappa(t)^k by geometry.s_value's float operations at the
         # multiples t of h/2, which are j h and (j + 1/2) h exactly: faces at
-        # even multiples (the t = 0 face carries zero density), cells at odd
+        # even multiples (the t = 0 face carries zero density), cells at odd.
+        # x ** 1 is x, bit for bit
         if geo.kappa == 0.0:
-            dens = [j * half for j in range(2 * N + 1)]
+            dens = [(j * half) ** k for j in range(2 * N + 1)]
         else:
             r = math.sqrt(-geo.kappa)
             sinh = math.sinh
-            dens = [sinh(r * (j * half)) / r for j in range(2 * N + 1)]
-        if k > 1:               # x ** 1 is x
-            dens = [s ** k for s in dens]
+            dens = [(sinh(r * (j * half)) / r) ** k for j in range(2 * N + 1)]
         faces, b = dens[0::2], dens[1::2]
         diag = [(a + a_next) / h2 for a, a_next in zip(faces, faces[1:])]
         # o_{j-1} = -a_j / h2 (0 at the t = 0 face).  ** is libm pow, which

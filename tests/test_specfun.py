@@ -368,6 +368,18 @@ class TestBesselRatio:
         for nu in (0.0, 0.5, 1.0):
             assert bessel_ratio(nu, 5e-324) == 5e-324
 
+    # above x = 10 the ratio is mpmath's quotient of two 20-digit J values,
+    # each rounded to a float: within 1e-15 relative (2.2e-16 measured, up to
+    # gap 1e-6), at orders whose first zero lies beyond 10
+    @pytest.mark.parametrize("nu", [7.0, 20.0, 50.0])
+    def test_quotient_above_10_against_mpmath(self, nu):
+        import mpmath
+        j1 = bessel_zero(nu, 1)
+        for x in [10.0 + f * (0.99 * j1 - 10.0) for f in (1e-9, 0.3, 0.7, 1.0)]:
+            with mpmath.workdps(40):
+                ref = mpmath.besselj(nu + 1, x) / mpmath.besselj(nu, x)
+                assert abs(bessel_ratio(nu, x) / ref - 1) <= 1e-15, (nu, x)
+
     def test_accuracy_against_mpmath_by_gap(self):
         # seeded draws below each order's first zero and x = 10, where the
         # continued fraction serves, a third of them at the paper's orders
