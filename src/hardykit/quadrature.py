@@ -11,9 +11,9 @@ exactly.  After seeding, standard worst-panel-first refinement runs until
 the summed Kronrod-vs-Gauss error estimate meets the tolerance.
 integrate_panels is that loop over any panel function, (a, b) -> (value,
 error estimate); integrate runs it over kronrod_panel of a plain
-integrand, and the verifier's panels (a margin's generated one and
-_log_mass's) loop over the same nodes in the same order and sum their
-node values with kronrod_panel's code.
+integrand, and the verifier's one radial panel loops over the same
+nodes in the same order and sums its node values with kronrod_panel's
+code.
 """
 
 from __future__ import annotations

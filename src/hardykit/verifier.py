@@ -2,29 +2,27 @@
 
 Everything here reduces to weighted radial integrals against the model
 measure d(mu) = n*omega_n * s_kappa^(n-1)(t) dt, each run by
-quadrature.integrate_panels over a Kronrod panel function built for it.
+quadrature.integrate_panels over one Kronrod panel, ``_PANEL``, that sums
+the power factors of the integrand in logs (|u|^p or |u'|^p, through the
+profile's log evaluators where it has them, |G|^p', |H'(u)|^p', t^a,
+s_kappa^(n-1) and the Jacobian of x = ln t) and multiplies exp of the sum
+by the plain or signed factors (w, I_H's drift, a general H's h(u), an
+extra factor), so near-extremal test functions, whose plateau values lie
+beyond float range, never overflow an intermediate.  One rule covers every
+integral: where the plain factors are nonzero and the log sum exceeds 700,
+a DomainError names the t (``integrand overflow at t=...``).
+
 The additive margin compares the energy integral with the two-term right
 side built from a candidate G, its weight w (the constant 1 for a plain G)
 and a nonlinearity H; the multiplicative margin assembles
-|I_H|^p / J_H^(p-1) from the same integrals, which share one panel per
-margin: this module's template with G and w inlined by
-exprdsl.fill_template and the density inlined for the margin's kappa;
-I_H's panels also give J_H's sums from the same G values.  Margins carry
-their quadrature error estimates, and a margin only counts as a violation
-when it is more negative than 10x the combined error (numerical noise must
-never masquerade as a counterexample to a theorem).  The relative
-tolerance is ``_TOL`` = 1e-10 for the additive and multiplicative margins
-and ``radial_integral``, ``_TOL_FINE`` = 1e-11 for everything else.
-
-Every other integral (``radial_integral``, the uncertainty, interpolation,
-oscillatory, extremal and sweep modes) runs through ``_log_mass``, whose
-panel takes |u|^p, |u'|^p and the density in logs, as near-extremal Hardy
-test functions spread mass over hundreds of decades with plateau values
-beyond float range (``radial_integral``'s f and the s_c terms are read in
-floats).  It takes a power_cutoff's plateau in closed form where the
-density allows and integrates in x = ln t from the first segment spanning
-more than a decade: one hardy sweep takes 36 Kronrod panels, not one per
-decade.  The margin panels expect moderate test functions.
+|I_H|^p / J_H^(p-1) from the same integrals, which run in t on u's
+breakpoints, and I_H's panels also give J_H's sums.  Margins carry their
+quadrature error estimates, and a margin only counts as a violation when
+it is more negative than 10x the combined error (numerical noise must
+never masquerade as a counterexample to a theorem).  Every other integral
+is a weighted mass (``_log_mass``).  The relative tolerance is ``_TOL`` =
+1e-10 for the additive and multiplicative margins and
+``radial_integral``, ``_TOL_FINE`` = 1e-11 for everything else.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ __all__ = [
 _MARGIN_FLOOR = 1e-300
 _TOL = 1e-10
 _TOL_FINE = 1e-11
+_LN2 = math.log(2.0)
 # the near-extremal Hardy family: eps -> 0
 _HARDY_EPS = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
@@ -87,6 +86,155 @@ def margin_violated(m: InequalityMargin) -> bool:
     return m.margin < -budget
 
 
+# ---------------------------------------------------------------------------
+# the radial panel
+
+# The Kronrod panel of every radial integral, by part: 0 a mass
+# |b|^upow t^tpow extra in t with b = u or u' (a margin's energy |u'|^p w,
+# extra = w, which J_H reads too), 1 the same in x = ln t, 2 a margin's I_H
+# and 3 its J_H.  A node is exp(lg) v, lg in nats; it is 0 where b (u in
+# I_H and J_H) or v is 0, and at t = 0, met only in a panel narrower than
+# the least normal float.  log is math.log in a mass, bitwise, and
+# math.log2 in a margin (a third of the cost on CPython 3.11, whose
+# math.log packs its argument in a tuple): per_nat converts a profile's log
+# evaluators, in nats, to its unit, and the coefficients, the names ending
+# in _l, carry it.  Part 2 keeps J_H's node values from the same G and w,
+# with J_H's first error, in store[a, b] for part 3; J_H evaluates G and w
+# in value mode only where I_H did not.  G is inlined once, in the node
+# loop: unrolled per node, its compile would cost a margin of a new shape
+# tens of milliseconds.
+_PANEL = """\
+def radial_panel(part, store, a, b):
+    if part == 3 and (a, b) in store:
+        return sums(*store[a, b])
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fs, jerr = [], None
+    fjs = fs if part == 3 else []
+    try:
+        for x in nodes:
+            t, jac = mid + half * x, 0.0
+            if part == 1:
+                t, jac = exp(t), t
+            if t == 0.0:
+                fs.append(0.0)
+                if part == 2 and jerr is None:
+                    fjs.append(0.0)
+                continue
+            if flat:
+                ls = log(t)
+            else:
+                rt = r * t
+                try:
+                    s = sinh(rt) / r  # 0 only where r*t underflows: s = t there
+                    ls = log(s) if s > 0.0 else log(t)
+                except OverflowError:
+                    ls = inf
+            if part < 2:
+                lg = 0.0
+                if base is not None:
+                    if log_base is None:  # |b| read in floats
+                        lg = abs(base(t))
+                        lg = log(lg) if lg != 0.0 else -inf
+                    else:
+                        lg = log_base(t) * per_nat
+                    if lg == -inf:
+                        fs.append(0.0)
+                        continue
+                    lg = upow_l * lg
+                    if tpow_l != 0.0:
+                        lg = lg + tpow_l * (ls if flat else log(t))
+                v = extra(t) if extra is not None else 1.0
+            else:
+                if h is None:  # p H(u) = |H'(u)|^p' = |u|^p
+                    if log_u is None:
+                        lj = abs(u(t))
+                        lj = log(lj) if lj != 0.0 else -inf
+                    else:
+                        lj = log_u(t) * per_nat
+                    lg = lj = p_l * lj
+                    hval = rp if lj != -inf else 0.0
+                else:
+                    uv = u(t)
+                    lg, hval = 0.0, h(uv) if part == 2 else 0.0
+                v = 0.0
+                if part == 2 and hval != 0.0:
+                    gv, gd = G(t)
+                    wv, wd = w(t)
+                    if flat:
+                        ct = 1.0 / t
+                    elif cut <= rt <= 350.0:
+                        ct = r * (1.0 + 2.0 / expm1(2.0 * rt))
+                    else:
+                        ct = ct_value(kappa, t)
+                    v = ((gd * wv + gv * wd) + gv * wv * nm1 * ct) * hval
+                if jerr is None:
+                    try:
+                        if h is not None:
+                            lj = abs(h_d(uv)[1])
+                            lj = pc_l * log(lj) if lj != 0.0 else -inf
+                        fj = 0.0
+                        if lj != -inf:
+                            if part == 3 or hval == 0.0:
+                                gv, wv = g_v(t), extra(t)
+                            gv = abs(gv)
+                            if gv != 0.0 and wv != 0.0:
+                                lj = lj + pc_l * log(gv) + dens_l * ls
+                                if lj > 700.0:
+                                    raise DomainError(f"integrand overflow at t={t!r}")
+                                fj = 0.0 if lj < -700.0 else exp(lj) * wv
+                        fjs.append(fj)
+                    except Exception as exc:
+                        jerr = exc
+                        if part == 3:
+                            break
+                if part == 3:
+                    continue
+            if v == 0.0:
+                fs.append(0.0)
+                continue
+            lg = lg + dens_l * ls + jac
+            if lg > 700.0:
+                raise DomainError(f"integrand overflow at t={t!r}")
+            fs.append(0.0 if lg < -700.0 else exp(lg) * v)
+    except Exception as exc:
+        return sums(fs, mid, half, exc)
+    if part == 2:
+        store[a, b] = fjs, mid, half, jerr
+        jerr = None
+    return sums(fs, mid, half, jerr)
+"""
+
+
+def _radial_panel(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.0,
+                  tpow: float = 0.0, use_du: bool = False,
+                  extra: Callable[[float], float] | None = None, G=None, w=None, H=None,
+                  binding: dict | None = None):
+    """panel(part, store, a, b): _PANEL for the mass of |b|^upow t^tpow extra,
+    b = u' if use_du else u (none where u is None), or, given G, for a
+    margin's G, w and H: G and w inlined, H's functions resolved once."""
+    binding = binding or {}
+    unit = 1.0 if G is None else _LN2
+    if G is not None:  # the energy: the mass of |u'|^p w
+        upow, tpow, use_du, extra = geo.p, 0.0, True, evaluator(w, binding)
+    h, h_d = _nonlinearity(H, binding)
+    p, pc, kappa = geo.p, geo.p_conj, geo.kappa
+    env = {"nodes": _NODES, "sums": _panel_sums, "log": math.log if G is None else math.log2,
+           "exp": math.exp, "sinh": math.sinh, "expm1": math.expm1, "inf": math.inf,
+           "DomainError": DomainError, "ct_value": ct_value, "cut": _TAYLOR_CUT,
+           "kappa": kappa, "flat": kappa == 0.0, "r": math.sqrt(-kappa), "nm1": geo.n - 1,
+           "base": None if u is None else u.du if use_du else u.u,
+           "log_base": None if u is None else u.log_abs_du if use_du else u.log_abs_u,
+           "u": None if u is None else u.u, "log_u": None if u is None else u.log_abs_u,
+           "extra": extra, "h": h, "h_d": h_d, "rp": 1.0 / p,
+           "g_v": None if G is None else evaluator(G, binding),
+           "per_nat": 1.0 / unit, "upow_l": upow * unit, "tpow_l": tpow * unit,
+           "p_l": p * unit, "pc_l": pc * unit, "dens_l": (geo.n - 1) * unit}
+    if G is None:
+        return fill_template(_PANEL, {}, binding, {**env, "G": None, "w": None})
+    return fill_template(_PANEL, {"G": (G, True), "w": (w, True)}, binding, env)
+
+
 def radial_integral(
     geo: ModelGeometry,
     f: Callable[[float], float],
@@ -94,9 +242,10 @@ def radial_integral(
     singular_exponent_hint: float | None = None,
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
-    """n*omega_n * integral_0^R f(t) s_kappa^(n-1)(t) dt with error estimate;
-    a DomainError names the t where f is nonzero and s_kappa^(n-1) exceeds
-    e^700 (t s_kappa^(n-1) where the integral runs in ln t)."""
+    """n*omega_n * integral_0^R f(t) s_kappa^(n-1)(t) dt with error estimate,
+    f read in floats: _log_mass with no u, so a DomainError names the t
+    where f is nonzero and s_kappa^(n-1) exceeds e^700 (t s_kappa^(n-1)
+    where the integral runs in ln t)."""
     if not (R > 0.0 and math.isfinite(R)):
         raise DomainError(f"radial_integral needs a finite R > 0, got {R!r}")
     hint = None
@@ -147,112 +296,15 @@ def _resolve_target(geo, target, u: RadialTestFunction, binding):
     return spec.geo, G, spec.w, spec.binding()
 
 
-# The Kronrod panel of an additive or multiplicative margin's integrals, the
-# energy (part 0), I_H (part 1) and J_H (part 2): exprdsl.fill_template
-# inlines G and w (dual), which I_H reads; w_v and g_v are their value
-# functions.  Each node value is, bit for bit, what the integrand of an
-# independent integral would give (the density s_kappa^(n-1), inf where it
-# leaves float range, only where the rest is nonzero), and the sums are
-# kronrod_panel's.  Part 1 also takes J_H's node values from the same G and
-# w, and keeps them with J_H's first error in store[a, b] for part 2, which
-# raises that error; J_H evaluates G and w in value mode where I_H does not
-# evaluate them.  G is inlined once, in the node loop: unrolled per node,
-# its compile would cost a margin of a new shape tens of milliseconds.
-_PANEL = """\
-def margin_panel(part, store, a, b):
-    if part == 2 and (a, b) in store:
-        return sums(*store[a, b])
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fs, jerr = [], None
-    fjs = fs if part == 2 else []
-    try:
-        for x in nodes:
-            t = mid + half * x
-            rt = r * t
-            try:
-                dens = (t if flat else sinh(rt) / r) ** nm1
-            except OverflowError:
-                dens = inf
-            if part == 0:
-                fe = abs(du(t))
-                if fe != 0.0:
-                    wv = w_v(t)
-                    fe = fe ** p * wv
-                    fe = fe * dens if fe != 0.0 else 0.0
-                fs.append(fe)
-                continue
-            uv = u(t)
-            if h is None:
-                hd = abs(uv) ** p
-                hval = hd / p
-            if part == 1:
-                if h is not None:
-                    hval = h(uv)
-                fi = 0.0
-                if hval != 0.0:
-                    gv, gd = G(t)
-                    wv, wd = w(t)
-                    if flat and t > 0.0:
-                        ct = 1.0 / t
-                    elif cut <= rt <= 350.0:
-                        ct = r * (1.0 + 2.0 / expm1(2.0 * rt))
-                    else:
-                        ct = ct_value(kappa, t)
-                    fi = ((gd * wv + gv * wd) + gv * wv * nm1 * ct) * hval
-                    fi = fi * dens if fi != 0.0 else 0.0
-                fs.append(fi)
-            if jerr is None:
-                try:
-                    if h is not None:
-                        hd = abs(h_d(uv)[1]) ** pc
-                    fj = 0.0
-                    if hd != 0.0:
-                        if part == 2 or hval == 0.0:
-                            gv = g_v(t)
-                            wv = w_v(t)
-                        fj = abs(gv) ** pc * wv * hd
-                        fj = fj * dens if fj != 0.0 else 0.0
-                    fjs.append(fj)
-                except Exception as exc:
-                    jerr = exc
-                    if part == 2:
-                        break
-    except Exception as exc:
-        return sums(fs, mid, half, exc)
-    if part == 1:
-        store[a, b] = fjs, mid, half, jerr
-        jerr = None
-    return sums(fs, mid, half, jerr)
-"""
-
-
-def _margin_panel(geo: ModelGeometry, G, w, H, u: RadialTestFunction, binding: dict):
-    """_PANEL filled for G, w, the binding, the geometry and u, with H's
-    functions resolved once, as certify resolves its own:
-    panel(part, store, a, b) is a panel function of part 0, 1 or 2."""
-    n, kappa, p = geo.n, geo.kappa, geo.p
-    h, h_d = _nonlinearity(H, binding)
-    env = {"nodes": _NODES, "sums": _panel_sums, "u": u.u, "du": u.du, "h": h, "h_d": h_d,
-           "g_v": evaluator(G, binding), "w_v": evaluator(w, binding), "p": p,
-           "pc": geo.p_conj, "nm1": n - 1, "kappa": kappa, "flat": kappa == 0.0,
-           "r": math.sqrt(-kappa), "cut": _TAYLOR_CUT, "sinh": math.sinh,
-           "expm1": math.expm1, "inf": math.inf, "ct_value": ct_value}
-    return fill_template(_PANEL, {"G": (G, True), "w": (w, True)}, binding, env)
-
-
 def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
     """(p, energy, I_H, J_H) with the three error estimates: the terms both
-    margins combine, for a target as ``_resolve_target`` takes it.
-
-    The energy, I_H and J_H integrals run in this order over one
-    _margin_panel.  I_H's panels also sum J_H's node values from the same
-    G and w, so J_H evaluates G, in value mode, only on panels I_H did not
-    take and where h(u) is 0 but |H'(u)|^p' is not.  Every result, mesh and error is that of three independent
+    margins combine, for a target as ``_resolve_target`` takes it.  The
+    three integrals run in this order over one _radial_panel, in t on u's
+    breakpoints.  Every result, mesh and error is that of three independent
     integrals, and an error of the energy wins over one of I_H, which wins
     over one of J_H."""
     geo, G, w, binding = _resolve_target(geo, target, u, binding)
-    panel = _margin_panel(geo, G, w, H, u, binding)
+    panel = _radial_panel(geo, u, G=G, w=w, H=H, binding=binding)
     lo, hi = max(u.support_lo, 0.0), u.support_hi
     scale = geo.n * unit_ball_volume(geo.n)
     store: dict = {}
@@ -262,7 +314,7 @@ def _additive_terms(geo, target, u: RadialTestFunction, H, binding):
                                     rel_tol=_TOL, breakpoints=u.breakpoints)
         return scale * val, scale * err
 
-    return (geo.p, *integral(0), *integral(1), *integral(2))
+    return (geo.p, *integral(0), *integral(2), *integral(3))
 
 
 def additive_margin(geo: ModelGeometry | None, target, u: RadialTestFunction,
@@ -271,7 +323,9 @@ def additive_margin(geo: ModelGeometry | None, target, u: RadialTestFunction,
 
     target is a CatalogInstance, a (RiccatiPairSpec, G) pair or a plain G
     evaluable; H defaults to |s|^p/p.  On model spaces the distance Laplacian
-    is the exact (n-1) ct_kappa, which is what the right side uses.
+    is the exact (n-1) ct_kappa, which is what the right side uses.  A node
+    of the energy, I_H or J_H whose power factors exceed e^700 (as
+    |G|^p' |u|^p s_kappa^(n-1) in J_H) raises DomainError.
     """
     p, lhs, e_err, i_val, i_err, j_val, j_err = _additive_terms(geo, target, u, H, binding)
     rhs = p * i_val - (p - 1.0) * j_val
@@ -295,7 +349,7 @@ def multiplicative_margin(geo: ModelGeometry | None, target, u: RadialTestFuncti
 
 
 # ---------------------------------------------------------------------------
-# log-space weighted masses (wide-dynamic-range test functions)
+# weighted masses (wide-dynamic-range test functions)
 
 
 def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.0,
@@ -303,82 +357,22 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
               extra: Callable[[float], float] | None = None,
               span: tuple | None = None, tol: float = _TOL_FINE) -> tuple[float, float]:
     """n*omega_n * integral |b(t)|^upow t^tpow s^(n-1) extra(t) dt with
-    b = u or u' and its error estimate, or with u None that of
-    integral extra(t) s^(n-1) dt, a signed extra read in floats; evaluated
-    through logs so plateau values beyond float range and abscissae
-    ~1e-290 cannot overflow intermediates.  A DomainError names the t
-    where the integrand is nonzero and the part of it taken in logs (with
-    the Jacobian t in ln t) exceeds e^700.  extra=None is the constant 1.0
-    without a call per node: pass it where the factor is exactly 1 (the up
-    and ckn deficit factor at kappa = 0).
+    b = u or u', or with u None n*omega_n * integral extra(t) s^(n-1) dt,
+    a signed extra read in floats, and its error estimate: parts 0 and 1 of
+    _radial_panel.  extra=None is the constant 1.0 without a call per node.
 
     span = (lo, hi, breakpoints, singular hint) defaults to u's support.
-    The plateau rule: where u declares a plateau (r0, log|u|), the span
-    starts at 0 and extra is None, the piece on [0, r0] is taken in closed
-    form, exp(upow log|u| + q log r0 - log q) with q = tpow + n (0 for the
+    Where u declares a plateau (r0, log|u|), the span starts at 0 and extra
+    is None, the piece on [0, r0] is taken in closed form,
+    exp(upow log|u| + q log r0 - log q) with q = tpow + n (0 for the
     energy), if s_kappa(t)^(n-1) = t^(n-1) to float precision across
     [0, r0] (kappa = 0, or (n-1) (sqrt(-kappa) r0)^2 / 6 < 2^-53), q > 0
-    and the mass is within float range; elsewhere, as at kappa = -1 for
-    eps = 0.1, the plateau is integrated like any other piece.
-    From the first segment between edges (span ends and breakpoints)
-    that spans more than a decade, the integral runs in x = ln t, where
-    the integrand is exp(log f(e^x) + x): a near-extremal power region
-    becomes exp(p*eps*x), so a few panels cover hundreds of decades where
-    t needs one per decade.  The part before it stays in t with the
-    singular hint; a span without such a segment is integrated in t
-    alone.  Both parts run integrate_panels over one panel function built
-    per call: a loop over the Kronrod nodes with u's evaluators resolved
-    once and log t taken once per node, which is log s_kappa at kappa = 0."""
+    and the mass is within float range.  From the first segment between
+    edges that spans more than a decade the integral runs in x = ln t,
+    where a near-extremal power region becomes exp(p*eps*x): a few panels
+    cover hundreds of decades.  The part before it stays in t."""
     n, kappa = geo.n, geo.kappa
-    nm1, flat, r = n - 1, kappa == 0.0, math.sqrt(-kappa)
-    log, exp, sinh, inf = math.log, math.exp, math.sinh, math.inf
-    log_value = value = None
-    if u is not None:
-        log_value = u.log_abs_du if use_du else u.log_abs_u
-        if log_value is None:
-            value = u.du if use_du else u.u
-
-    def panel(in_x: bool, a: float, b: float) -> tuple[float, float]:
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        fs: list[float] = []
-        try:
-            for x in _NODES:
-                t, jac = mid + half * x, 0.0
-                if in_x:
-                    t, jac = exp(t), t
-                if t == 0.0:  # only in a panel narrower than the least normal
-                    fs.append(0.0)  # float: 0, as any other value takes log 0
-                    continue
-                lt, lg = log(t), 0.0
-                if u is not None:
-                    lb = log_value(t) if value is None else abs(value(t))
-                    if value is not None:  # |b| read in floats
-                        lb = log(lb) if lb > 0.0 else -inf
-                    if lb == -inf:
-                        fs.append(0.0)
-                        continue
-                    lg = upow * lb + tpow * lt
-                v = extra(t) if extra is not None else 1.0
-                if v == 0.0:
-                    fs.append(0.0)
-                    continue
-                if flat:
-                    ls = lt
-                else:
-                    try:
-                        s = sinh(r * t) / r  # 0 only where r*t underflows: s = t there
-                        ls = log(s) if s > 0.0 else lt
-                    except OverflowError:
-                        ls = inf
-                lg = lg + nm1 * ls + jac
-                if lg > 700.0:
-                    raise DomainError(f"integrand overflow at t={t!r}")
-                fs.append(0.0 if lg < -700.0 else exp(lg) * v)
-        except Exception as exc:
-            return _panel_sums(fs, mid, half, exc)
-        return _panel_sums(fs, mid, half)
-
+    panel = _radial_panel(geo, u, upow, tpow, use_du, extra)
     lo, hi, breakpoints, hint = span or (max(u.support_lo, 0.0), u.support_hi,
                                          u.breakpoints, u.singular_hint)
     scale = n * unit_ball_volume(n)
@@ -386,19 +380,21 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
     if u is not None and u.plateau is not None and extra is None and lo == 0.0:
         r0, log_u = u.plateau
         q = tpow + n
-        if r0 < hi and q > 0.0 and (flat or nm1 * (r * r0) ** 2 / 6.0 < 2.0 ** -53):
-            lm = upow * log_u + q * log(r0) - log(q)
+        flat_r0 = kappa == 0.0 or (n - 1) * (math.sqrt(-kappa) * r0) ** 2 / 6.0 < 2.0 ** -53
+        if r0 < hi and q > 0.0 and flat_r0:
+            lm = upow * log_u + q * math.log(r0) - math.log(q)
             if use_du or lm <= 700.0:
-                lo, val = r0, 0.0 if use_du else scale * exp(lm)
+                lo, val = r0, 0.0 if use_du else scale * math.exp(lm)
     edges = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
     wide = next((a for a, b in zip(edges, edges[1:]) if a > 0.0 and b / a > 10.0), hi)
     if wide > lo:
-        tv, te = integrate_panels(functools.partial(panel, False), lo, wide, rel_tol=tol,
+        tv, te = integrate_panels(functools.partial(panel, 0, None), lo, wide, rel_tol=tol,
                                   breakpoints=breakpoints, singular_hint=hint)
         val, err = val + scale * tv, scale * te
     if wide < hi:
-        xv, xe = integrate_panels(functools.partial(panel, True), log(wide), log(hi),
-                                  rel_tol=tol, breakpoints=[log(b) for b in edges if wide < b < hi])
+        xv, xe = integrate_panels(functools.partial(panel, 1, None), math.log(wide),
+                                  math.log(hi), rel_tol=tol,
+                                  breakpoints=[math.log(b) for b in edges if wide < b < hi])
         val, err = val + scale * xv, err + scale * xe
     return val, err
 

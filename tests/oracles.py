@@ -16,6 +16,8 @@ from hardykit.errors import (ConvergenceError, DomainError, EvalError, HardykitE
                              UnboundParameterError, UnsupportedDerivativeError)
 from hardykit.specfun import _HYP_MAX_TERMS
 
+_LN2 = math.log(2.0)
+
 
 def coth_exp(x: float) -> float:
     """coth via the exponential, valid away from 0 and overflow."""
@@ -370,8 +372,9 @@ def reference_eval_d(expr, t, binding):
 # ---------------------------------------------------------------------------
 # the additive terms as three independent integrals, in their former order:
 # the energy, I_H and J_H evaluate u, G, w and the volume density at every
-# node of their own, each through its own object's eval/eval_d.  The
-# quadrature, the target resolution and H's contract check are the
+# node of their own, each through its own object's eval/eval_d, and sum the
+# logs of their power factors per node as the verifier's radial panel does.
+# The quadrature, the target resolution and H's contract check are the
 # verifier's.  Left out are the sharing of node values between the
 # integrals and the evaluators resolved once; and a plain G keeps its former
 # drift without w, where the verifier multiplies by the weight 1.  A margin
@@ -381,8 +384,11 @@ def reference_eval_d(expr, t, binding):
 
 def unshared_integrands(geo, target, u, H, binding):
     """(geo, f_e, f_i, f_j): the resolved geometry and the energy, I_H and
-    J_H integrands without the volume density, as with_density takes
-    them."""
+    J_H integrands without the volume density, each a function of t giving
+    (lg, v): the sum of its power factors in logs, in nats, and its plain
+    or signed factor, as with_density takes them.  A profile's log
+    evaluators give nats; every other c log x is (c ln 2) log2 x, as the
+    verifier's margins take it."""
     from hardykit.catalog import CatalogInstance
     from hardykit.geometry import ct_value
     from hardykit.verifier import _nonlinearity, _resolve_target
@@ -395,53 +401,67 @@ def unshared_integrands(geo, target, u, H, binding):
     pc = geo.p_conj
     _, h_d = _nonlinearity(H, binding)
 
-    def h(s):
-        return abs(s) ** p / p if H is None else H.eval(s, binding)
+    def log_abs(value):
+        return math.log2(abs(value)) if value != 0.0 else -math.inf
 
-    def h_dp(s):
-        return abs(s) ** p if H is None else abs(h_d(s)[1]) ** pc
+    def log2_abs(value, log_value, t):  # a profile's log evaluators give nats
+        if log_value is not None:
+            return log_value(t) * (1.0 / _LN2)
+        return log_abs(value(t))
+
+    def p_log_u(t):
+        return p * _LN2 * log2_abs(u.u, u.log_abs_u, t)
 
     def f_e(t):
-        m = abs(u.du(t))
-        if m == 0.0:
-            return 0.0
-        wv = 1.0 if plain else w.eval(t, binding)
-        return m**p * wv
+        lb = log2_abs(u.du, u.log_abs_du, t)
+        if lb == -math.inf:
+            return -math.inf, 0.0
+        return p * _LN2 * lb, 1.0 if plain else w.eval(t, binding)
 
     def f_i(t):
-        hval = h(u.u(t))
+        if H is None:  # |u|^p in logs, 1/p plain
+            lg = p_log_u(t)
+            hval = 1.0 / p if lg != -math.inf else 0.0
+        else:
+            lg, hval = 0.0, H.eval(u.u(t), binding)
         if hval == 0.0:
-            return 0.0
+            return lg, 0.0
         gv, gd = G.eval_d(t, binding)
         if plain:
             drift = gd + gv * (n - 1) * ct_value(kappa, t)
         else:
             wv, wd = w.eval_d(t, binding)
             drift = (gd * wv + gv * wd) + gv * wv * (n - 1) * ct_value(kappa, t)
-        return drift * hval
+        return lg, drift * hval
 
     def f_j(t):
-        hd = h_dp(u.u(t))
-        if hd == 0.0:
-            return 0.0
+        if H is None:
+            lg = p_log_u(t)
+        else:
+            lg = pc * _LN2 * log_abs(h_d(u.u(t))[1])
+        if lg == -math.inf:
+            return lg, 0.0
         gv = G.eval(t, binding)
         wv = 1.0 if plain else w.eval(t, binding)
-        return abs(gv) ** pc * wv * hd
+        if gv == 0.0:
+            return -math.inf, 0.0
+        return lg + pc * _LN2 * math.log2(abs(gv)), wv
 
     return geo, f_e, f_i, f_j
 
 
 def with_density(geo, f):
-    """A margin panel's integrand: f(t) s_kappa(t)^(n-1), the density
-    skipped where f vanishes and inf where it leaves float range."""
+    """A margin panel's integrand: exp(lg + (n-1) ln s_kappa(t)) v for f's
+    (lg, v), 0 where v is 0 (the density skipped) or the sum is below -700,
+    a DomainError where it is above 700."""
     def g(t):
-        v = f(t)
+        lg, v = f(t)
         if v == 0.0:
             return 0.0
-        try:
-            return v * geometry.s_value(geo.kappa, t) ** (geo.n - 1)
-        except OverflowError:
-            return v * math.inf
+        lg = lg + (geo.n - 1) * _LN2 * math.log2(geometry.s_value(geo.kappa, t))
+        if lg > 700.0:
+            raise DomainError(f"integrand overflow at t={t!r}")
+        return 0.0 if lg < -700.0 else math.exp(lg) * v
     return g
 
 

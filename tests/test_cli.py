@@ -325,15 +325,33 @@ class TestOtherCommands:
         assert capsys.readouterr().out.startswith("usage: hardykit" if flag == "--help"
                                                   else "hardykit ")
 
-    def test_density_overflow_is_a_quadrature_error(self, capsys):
+    def test_density_overflow_is_a_domain_error(self, capsys):
         # s_kappa is finite at t = 383 but s_kappa^2 is not: an OverflowError
-        # traceback ended the command.  The first non-finite node lies on the
-        # mesh that the bump's breakpoints seed
-        rc = main(["verify", "--inequality", "mckean", "--params", "kappa=-1,n=3,p=2",
-                   "--family", "bumps:lo=380,hi=400,count=1"])
+        # traceback ended the command, and the float density then made the
+        # node non-finite (exit 3).  The first node whose log sum exceeds 700
+        # lies on the mesh that the bump's breakpoints seed
+        assert _refusal(["verify", "--inequality", "mckean", "--params", "kappa=-1,n=3,p=2",
+                         "--family", "bumps:lo=380,hi=400,count=1"], capsys) == \
+            "integrand overflow at t=382.6516798793215"
+
+    def test_j_term_overflow_is_a_domain_error(self, tmp_path, capsys):
+        # |G|^p' = 1e400 in J_H: an OverflowError traceback
+        main(["catalog", "show", "hardy", "--params", "kappa=0,n=3,p=2,alpha=0"])
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(re.sub(r"(?m)^G = .*$", "G = 1e200 + 0*t", capsys.readouterr().out))
+        assert _refusal(["verify", "--inequality", "generic", "--spec", str(cfg),
+                         "--family", "bumps:count=2,seed=7"], capsys) == \
+            "integrand overflow at t=2.6516798793215006"
+
+    def test_energy_beyond_float_range_is_a_quadrature_error(self, capsys):
+        # |u'|^p of a plateau at r0 = 1e-152 overflowed a float: an
+        # OverflowError traceback.  The energy is taken in logs now, and I_H
+        # fails where G' = -t^-2/2 leaves float range
+        rc = main(["verify", "--inequality", "hardy", "--params", "kappa=0,n=3,p=2",
+                   "--family", "power_cutoff:eps=0.002,r0=1e-152,R=100"])
         assert rc == 3
         assert capsys.readouterr().err == \
-            "hardykit: integrand non-finite at t=382.6516798793215\n"
+            "hardykit: integrand non-finite at t=4.27231443959372e-155\n"
 
     def test_closed_stdout_ends_without_a_traceback(self, monkeypatch, capsys):
         # print into a closed pipe raised BrokenPipeError out of main
@@ -370,11 +388,14 @@ class TestOtherCommands:
         assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_subnormal_plateau_radius_is_a_quadrature_error(self, capsys):
-        # b/a = inf in quadrature._graded_edges: an OverflowError traceback
+        # b/a = inf in quadrature._graded_edges: an OverflowError traceback.
+        # I_H's drift G' + 2G/t is inf - inf below t = 1e-154; its node
+        # is 0 where |u|^2 t^2 lies below e^-700, and not finite above
         rc = main(["verify", "--inequality", "hardy", "--params", "kappa=0,n=3,p=2,alpha=0",
                    "--family", "power_cutoff:eps=0.1,r0=5e-324,R=100"])
         assert rc == 3
-        assert capsys.readouterr().err == "hardykit: integrand non-finite at t=3e-323\n"
+        assert capsys.readouterr().err == \
+            "hardykit: integrand non-finite at t=4.6402101516424836e-254\n"
 
     def test_sweep_hypothesis_violation_exit_one(self, tmp_path, capsys):
         out = tmp_path / "s.json"

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hardykit.errors import QuadratureError
-from hardykit.quadrature import _graded_edges, integrate, kronrod_panel
+from hardykit.quadrature import _graded_edges, integrate, integrate_panels, kronrod_panel
 
 
 class TestKronrodPanel:
@@ -61,6 +61,41 @@ class TestAdaptiveIntegrate:
         with pytest.raises(QuadratureError):
             integrate(lambda x: abs(x - 1.0 / math.pi) ** -0.9, 0.0, 1.0,
                       rel_tol=1e-13, max_subdivisions=5)
+
+    def test_success_at_the_last_allowed_subdivision(self):
+        # sqrt on [0, 1] takes k subdivisions at 1e-14: with a budget of k the
+        # loop ends on its last subdivision and returns what an unbounded
+        # run returns; with k - 1 it raises
+        asked = []
+
+        def panel(a, b):
+            asked.append((a, b))
+            return kronrod_panel(math.sqrt, a, b)
+
+        val, err = integrate_panels(panel, 0.0, 1.0, rel_tol=1e-14)
+        k = (len(asked) - 1) // 2
+        assert k > 1 and val == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert integrate(math.sqrt, 0.0, 1.0, rel_tol=1e-14, max_subdivisions=k) == (val, err)
+        with pytest.raises(QuadratureError, match=f"not reached after {k - 1} subdivisions"):
+            integrate(math.sqrt, 0.0, 1.0, rel_tol=1e-14, max_subdivisions=k - 1)
+
+    def test_panel_at_float_resolution_is_not_split(self):
+        # the integrand 1 on [0, 1] with an error estimate of 1e-12 on the
+        # panel holding 1/pi, whatever its width: that panel is halved down
+        # to adjacent floats and then kept, never asked for again
+        c = 1.0 / math.pi
+        asked = []
+
+        def panel(a, b):
+            asked.append((a, b))
+            return b - a, 1e-12 if a <= c < b else 0.0
+
+        with pytest.raises(QuadratureError,
+                           match=r"after 100 subdivisions \(value 1\.0, error estimate 1e-12\)"):
+            integrate_panels(panel, 0.0, 1.0, rel_tol=1e-13, max_subdivisions=100)
+        # 54 halvings; the other 46 subdivisions kept the last panel
+        assert len(set(asked)) == len(asked) == 1 + 2 * 54
+        assert asked[-1] == (c, math.nextafter(c, 2.0))
 
     def test_empty_interval_rejected(self):
         with pytest.raises(QuadratureError):

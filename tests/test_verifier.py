@@ -7,7 +7,8 @@ import pytest
 
 from hardykit import exprdsl, verifier
 from hardykit.catalog import instantiate
-from hardykit.errors import DomainError, HardykitError, HypothesisError, ParameterError
+from hardykit.errors import (DomainError, HardykitError, HypothesisError, ParameterError,
+                             QuadratureError)
 from hardykit.exprdsl import parse
 from hardykit.geometry import ModelGeometry, deficit_value, unit_ball_volume
 from hardykit.quadrature import kronrod_panel
@@ -130,6 +131,24 @@ class TestAdditiveMargin:
         m = additive_margin(None, inst, u)
         assert m.margin >= -1e-6
         assert young_holds(m.extras)
+
+    def test_hardy_entry_agrees_with_its_sweep(self):
+        # the margin's energy runs in t at _TOL, the sweep's through
+        # _log_mass in ln t at _TOL_FINE; eps = 0.002 raised a bare
+        # OverflowError in |u'|^p
+        inst = instantiate("hardy", E3, {"alpha": 0.0})
+        sweep = sharpness_sweep("hardy", E3, {"alpha": 0.0})
+        margins = []
+        for u, row in zip(hardy_default_family(E3), sweep.rows):
+            try:
+                m = additive_margin(None, inst, u)
+            except HardykitError:
+                continue
+            assert m.lhs == pytest.approx(row.lhs, rel=1e-13, abs=0.0), u
+            assert not margin_violated(m)
+            margins.append(m.margin)
+        assert len(margins) >= 5
+        assert margins == sorted(margins, reverse=True)
 
     def test_zero_candidate_rhs_vanishes(self):
         # H(s) = s^2/2 with G == 0: both right-side integrals vanish
@@ -277,6 +296,12 @@ class TestMultiplicativeMargin:
         H9 = ModelGeometry(-1.0, 9, 2.0)
         with pytest.raises(DomainError, match="integrand overflow at t="):
             sc_margin(H9, gaussian_type(1.0, 2.0, scale=0.2), c)
+
+    def test_sc_zero_profile_is_a_domain_error(self):
+        # u = 0: every integral is 0, and the right side 0 * 0 / 0 is refused
+        zero = RadialTestFunction("zero", lambda t: 0.0, lambda t: 0.0, 0.5, 1.5)
+        with pytest.raises(DomainError, match="denominator integral indistinguishable"):
+            sc_margin(H3, zero, 1.0)
 
     def test_sc_requires_negative_curvature(self):
         with pytest.raises(HypothesisError):
@@ -743,23 +768,24 @@ class TestSharedNodeValues:
         spec = dataclasses.replace(hardy, w=parse("log(t - 5)"))
         out.append(("bad w", _outcome(additive_margin, None, (spec, no_dual), u)))
         # kappa < 0: s_kappa overflows to inf beyond t = 710.5, where the
-        # energy fails first, or I_H where u' = 0; s_kappa^2 leaves float
-        # range beyond t = 355, a non-finite node as well (an OverflowError
-        # escaped there)
+        # energy fails first, or I_H where u' = 0; s_kappa^2 exceeds e^700
+        # beyond t = 350.7: each an integrand overflow (an OverflowError
+        # escaped there, and the float density made the others non-finite)
         one = parse("1 + 0*t")
         out.append(("inf density", _outcome(additive_margin, H2, one, compact_bump(705.0, 10.0))))
         out.append(("inf density, I_H",
                     _outcome(additive_margin, H2, one, _constant_u(0.5, 700.0, 720.0))))
         out.append(("density overflow",
                     _outcome(additive_margin, H3, one, _constant_u(0.5, 400.0, 420.0))))
-        # only J_H fails: a non-finite node, and OverflowError in |G|^p'
+        # only J_H fails: a non-finite node (w = 1e10 times e^690.8), and
+        # |G|^p' above e^700 (an OverflowError escaped there)
         spec = dataclasses.replace(hardy, w=parse("1e10 + 0*t"))
         out.append(("J non-finite", _outcome(additive_margin, None, (spec, parse("1e150 + 0*t")), u)))
         out.append(("J overflow", _outcome(multiplicative_margin, E3, parse("1e200 + 0*t"), u)))
-        # h(u) = |u|^2/2 underflows to 0 where |u|^2 does not: J_H alone
-        # evaluates G and w there
+        # |u|^2 s^2 lies below e^-700, so I_H's nodes are 0, where J_H's
+        # |G|^2 |u|^2 s^2 does not
         tiny = _constant_u(2.2250738585072014e-162, 0.5, 1.5)
-        out.append(("h(u) = 0", _outcome(additive_margin, E3, parse("1e10 + 0*t"), tiny)))
+        out.append(("I_H below e^-700", _outcome(additive_margin, E3, parse("1e10 + 0*t"), tiny)))
         return out
 
     def test_margins_equal_independent_integrals(self, monkeypatch):
@@ -771,10 +797,10 @@ class TestSharedNodeValues:
             assert got == want
         failed = {o[0]: o[-1].partition(":")[0] for o in shared if "Error" in o[-1]}
         assert failed == {"no G'": "UnsupportedDerivativeError", "J = 0": "DomainError",
-                          "bad w": "EvalError", "inf density": "QuadratureError",
-                          "inf density, I_H": "QuadratureError",
-                          "density overflow": "QuadratureError",
-                          "J non-finite": "QuadratureError", "J overflow": "OverflowError"}
+                          "bad w": "EvalError", "inf density": "DomainError",
+                          "inf density, I_H": "DomainError",
+                          "density overflow": "DomainError",
+                          "J non-finite": "QuadratureError", "J overflow": "DomainError"}
         assert "'i_term': 0.0, 'j_term': 0.0" not in shared[-1][-1]
 
     def test_j_term_reads_g_from_the_i_term(self, monkeypatch):
@@ -836,8 +862,8 @@ class TestBumpMesh:
 
 
 class TestMarginPanel:
-    """The generated panel of a margin's integrals is kronrod_panel over
-    the integrands of independent integrals, to the bit, errors included."""
+    """The radial panel's margin parts are kronrod_panel over the log-space
+    integrands of independent integrals, to the bit, errors included."""
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0])
     @pytest.mark.parametrize("H", [None, "s^2/2 + s^4"])
@@ -845,8 +871,8 @@ class TestMarginPanel:
         geo = ModelGeometry(kappa, 3, 2.0)
         spec = RiccatiPairSpec(geo, 0.0, math.inf, w=parse("1 + t^2/4"), L=parse("0"),
                                W=parse("1"))
-        # G is inf beyond t = 26.6, and s_kappa^2 (kappa < 0) leaves float
-        # range beyond t = 355 and s_kappa beyond 710.5
+        # G is inf beyond t = 26.6, and s_kappa^2 (kappa < 0) exceeds e^700
+        # beyond t = 350.7 and s_kappa leaves float range beyond 710.5
         target = (spec, parse("(n-2)/2/t + 0.3*sin(t) + 1e-300*exp(t^2)"))
         H = None if H is None else parse(H, var="s")
         rng = random.Random(2026)
@@ -855,24 +881,48 @@ class TestMarginPanel:
             center = math.exp(rng.uniform(math.log(0.5), math.log(800.0)))
             u = compact_bump(center, center * rng.uniform(0.05, 0.9))
             _, G, w, binding = verifier._resolve_target(None, target, u, None)
-            panel = verifier._margin_panel(geo, G, w, H, u, binding)
+            panel = verifier._radial_panel(geo, u, G=G, w=w, H=H, binding=binding)
             integrands = unshared_integrands(None, target, u, H, None)[1:]
             for _ in range(4):
                 a = rng.uniform(u.support_lo, u.support_hi)
                 b = rng.uniform(a, u.support_hi)
                 want = [_outcome(kronrod_panel, with_density(geo, f), a, b) for f in integrands]
                 store = {}
-                got = [_outcome(panel, part, store, a, b) for part in (0, 1, 2)]
+                got = [_outcome(panel, part, store, a, b) for part in (0, 2, 3)]
                 # J_H read from I_H's panel, and alone
-                assert got + [_outcome(panel, 2, {}, a, b)] == want + want[2:]
+                assert got + [_outcome(panel, 3, {}, a, b)] == want + want[2:]
                 errors.update(o.partition(":")[0] for o in want if "Error" in o)
-                # the energy's only non-finite factor there is the density
-                if want[0].startswith("QuadratureError") and \
-                        355.0 < float(want[0].rpartition("t=")[2]) < 710.5:
+                # the energy's only factor that can overflow there is the density
+                if want[0].startswith("DomainError: integrand overflow"):
+                    assert float(want[0].rpartition("t=")[2]) > 300.0
                     errors["density overflow"] += 1
-        assert errors["QuadratureError"] > 0
-        # an OverflowError escaped where s_kappa^2 leaves float range
+        # G = inf: I_H's drift is not finite, and |G|^2 overflows in J_H
+        assert errors["QuadratureError"] > 0 and errors["DomainError"] > 0
         assert (errors["density overflow"] > 0) == (kappa != 0.0)
+
+    @pytest.mark.parametrize("eps, r0", [(0.1, 0.01), (0.002, 1e-30)])
+    def test_log_evaluators_equal_kronrod_panel(self, eps, r0):
+        # power_cutoff's u and u' are read through its log evaluators, in nats
+        inst = instantiate("hardy", E3, {"alpha": 0.0})
+        u = power_cutoff(eps, r0, 100.0, 3, 2.0)
+        _, G, w, binding = verifier._resolve_target(None, inst, u, None)
+        panel = verifier._radial_panel(E3, u, G=G, w=w, binding=binding)
+        integrands = unshared_integrands(None, inst, u, None, None)[1:]
+        for a, b in [(0.5 * r0, 2.0 * r0), (1e-3, 0.1), (0.5, 1.5), (20.0, 99.0)]:
+            want = [_outcome(kronrod_panel, with_density(E3, f), a, b) for f in integrands]
+            got = [_outcome(panel, part, {}, a, b) for part in (0, 2, 3)]
+            assert got == want and "Error" not in "".join(got)
+
+    def test_nan_profile_is_not_finite(self):
+        # a profile value that is nan is no zero: the node is not finite
+        def u(t):
+            return math.nan if 1.2 < t < 1.3 else 1.0 - (t - 1.0) ** 2
+
+        prof = RadialTestFunction("nan", u, lambda t: -2.0 * (t - 1.0), 0.0, 2.0)
+        for run in (lambda: additive_margin(E3, parse("1 + 0*t"), prof),
+                    lambda: verifier._log_mass(E3, prof, 2.0)):
+            with pytest.raises(QuadratureError, match="integrand non-finite at t=1.2"):
+                run()
 
     def test_second_pass_compiles_no_template(self):
         def run():
