@@ -1,14 +1,14 @@
 """Adaptive Gauss-Kronrod (7-15) quadrature with graded meshes.
 
 The integrands this package meets are smooth away from the interval ends but
-may carry integrable power singularities at the left endpoint and spread
-their mass over hundreds of decades (near-extremal Hardy test functions).
-Plain bisection-adaptivity cannot find that structure, so the initial panel
-list is graded: any panel spanning more than a decade is split
-geometrically, and panels reaching down to 0 get a geometric tail.  Caller
-supplied breakpoints (kinks of piecewise test functions) are honored
+may carry integrable power singularities at an end and spread their mass
+over hundreds of decades (near-extremal Hardy test functions).  Plain
+bisection-adaptivity cannot find the decades, so the initial panel list is
+graded: any panel spanning more than a decade is split geometrically.
+Caller supplied breakpoints (kinks of piecewise test functions) are honored
 exactly.  After seeding, standard worst-panel-first refinement runs until
-the summed Kronrod-vs-Gauss error estimate meets the tolerance.
+the summed Kronrod-vs-Gauss error estimate meets the tolerance, within
+_MAX_SUBDIVISIONS subdivisions; it halves its way into a singular end.
 integrate_panels is that loop over any panel function, (a, b) -> (value,
 error estimate); integrate runs it over kronrod_panel of a plain
 integrand, and the verifier's one radial panel loops over the same
@@ -29,6 +29,8 @@ __all__ = ["integrate", "integrate_panels", "kronrod_panel"]
 
 # the error estimate below which any integral is accepted, whatever its value
 _ABS_TOL = 1e-300
+# the refinements integrate_panels takes before it gives up
+_MAX_SUBDIVISIONS = 2000
 
 # 15-point Kronrod abscissae (positive half) with weights, and the embedded
 # 7-point Gauss weights on the shared nodes.  Values generated from the
@@ -111,12 +113,7 @@ def _panel_sums(fs: list[float], mid: float, half: float,
     return sk * half, abs(sk - sg) * abs(half)
 
 
-def _graded_edges(
-    lo: float,
-    hi: float,
-    breakpoints: Iterable[float],
-    singular_hint: float | None,
-) -> list[float]:
+def _graded_edges(lo: float, hi: float, breakpoints: Iterable[float]) -> list[float]:
     edges = {lo, hi}
     for b in breakpoints:
         if lo < b < hi:
@@ -131,12 +128,6 @@ def _graded_edges(
                 e = a * 10.0**k if k <= 308 else a * 1e308 * 10.0**(k - 308)
                 if e < b:
                     out.append(e)
-        elif a == 0.0 and (singular_hint is not None and singular_hint < 0.0):
-            # geometric tail toward the singular endpoint, none at 0 or repeated
-            for k in range(8, 0, -1):
-                e = b * 10.0**-k
-                if e > out[-1]:
-                    out.append(e)
         out.append(b)
     return out
 
@@ -147,18 +138,14 @@ def integrate(
     hi: float,
     rel_tol: float = 1e-10,
     breakpoints: Iterable[float] = (),
-    singular_hint: float | None = None,
-    max_subdivisions: int = 2000,
 ) -> tuple[float, float]:
     """Adaptive integral of f over [lo, hi]; returns (value, error estimate).
 
-    singular_hint declares power-law behavior f ~ t^hint near a left endpoint
-    at 0 so the initial mesh is graded there.  Raises QuadratureError if the
-    tolerance is not met within max_subdivisions refinements.  It is
-    integrate_panels over kronrod_panel of f.
+    Raises QuadratureError if the tolerance is not met within
+    _MAX_SUBDIVISIONS refinements.  It is integrate_panels over
+    kronrod_panel of f.
     """
-    return integrate_panels(functools.partial(kronrod_panel, f), lo, hi, rel_tol,
-                            breakpoints, singular_hint, max_subdivisions)
+    return integrate_panels(functools.partial(kronrod_panel, f), lo, hi, rel_tol, breakpoints)
 
 
 def integrate_panels(
@@ -167,15 +154,13 @@ def integrate_panels(
     hi: float,
     rel_tol: float = 1e-10,
     breakpoints: Iterable[float] = (),
-    singular_hint: float | None = None,
-    max_subdivisions: int = 2000,
 ) -> tuple[float, float]:
     """integrate's adaptive loop over a panel function: panel(a, b) is the
     (value, error estimate) of the integral on [a, b], as kronrod_panel
     gives it for a plain integrand.  Each panel is asked for once."""
     if hi <= lo:
         raise QuadratureError(f"empty integration interval [{lo!r}, {hi!r}]")
-    edges = _graded_edges(lo, hi, breakpoints, singular_hint)
+    edges = _graded_edges(lo, hi, breakpoints)
     heap: list[tuple[float, float, float, float]] = []  # (-err, a, b, value)
     total = 0.0
     total_err = 0.0
@@ -185,7 +170,7 @@ def integrate_panels(
         total_err += err
         heapq.heappush(heap, (-err, a, b, val))
 
-    for _ in range(max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         if total_err <= max(_ABS_TOL, rel_tol * abs(total)):
             return total, total_err
         neg_err, a, b, val = heapq.heappop(heap)
@@ -203,6 +188,6 @@ def integrate_panels(
     if total_err <= max(_ABS_TOL, rel_tol * abs(total)):
         return total, total_err
     raise QuadratureError(
-        f"tolerance not reached after {max_subdivisions} subdivisions "
+        f"tolerance not reached after {_MAX_SUBDIVISIONS} subdivisions "
         f"(value {total!r}, error estimate {total_err!r})"
     )

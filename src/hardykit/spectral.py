@@ -27,22 +27,24 @@ perturbed by about N eps (Kahan 1966; Demmel, Dhillon and Ren 1995), and the
 computed count turns about that far from the pencil's exact eigenvalue
 (1.4e-12 relative, N eps = 1.0e-12, at kappa = 0, n = 2, R = 2.98, N = 4693,
 against a 40-digit bisection of its count).  The bisection follows Newton's
-estimate: midpoints between the points counted so far go its way uncounted,
-and the two ends of the cell reached are counted; where one disagrees, the
-estimate moves 1/2, 1, 2, ... cell widths past it and the descent repeats,
-and once it leaves the counted points every open midpoint is counted.  The
-count is monotone in sigma and the bisection's points are fixed, so where
-Newton starts and where its estimate lies change which points are counted
-and how many, never the bracket.
+estimate (none where Newton stops at _NEWTON_MAX_ITER unconverged):
+midpoints between the points counted so far go its way uncounted, and the
+two ends of the cell reached are counted; where one disagrees, the estimate
+moves 1/2, 1, 2, ... cell widths past it and the descent repeats, and once
+it leaves the counted points, or without an estimate, every open midpoint
+is counted.  The count is monotone in sigma and the bisection's points are
+fixed, so where Newton starts and where its estimate lies change which
+points are counted and how many, never the bracket.
 
 Each eigenvalue is taken coarse to fine.  Newton's uncertified estimates on
-N/32 and N/16 cells (the second started 5% below the first) predict the N/2
-eigenvalue by the O(h^2) error model, and the N/16 estimate and the N/2
-eigenvalue predict the one at N; each prediction, lowered by a quarter of
-its distance from the eigenvalue before, starts Newton.  A start with an
-eigenvalue below it (the small pencils of a stiff ball overestimate) costs
-one pass, and Newton runs again from 0.  The returned estimate is the
-Richardson extrapolation of the N/2 and N eigenvalues.
+N/32 and N/16 cells (the second started 5% below the first; where Newton
+stops unconverged, its last lower point) predict the N/2 eigenvalue by the
+O(h^2) error model, and the N/16 estimate and the N/2 eigenvalue predict
+the one at N; each prediction, lowered by a quarter of its distance from
+the eigenvalue before, starts Newton.  A start with an eigenvalue below it
+(the small pencils of a stiff ball overestimate) costs one pass, and Newton
+runs again from 0.  The returned estimate is the Richardson extrapolation
+of the N/2 and N eigenvalues.
 
 The pencil is held as the rows of its pivot recurrence, built from one
 sweep over the multiples of h/2 (faces at the even ones, cells at the odd
@@ -165,7 +167,7 @@ class _Pencil:
     def _newton(self, sigma: float, above: float) -> tuple[float, float, float]:
         """Newton from sigma: (below, above, x), the last iterate counted 0
         (else 0.0), the last counted >= 1 (else the given above), and the
-        estimate x.
+        estimate x, 0.0 where Newton stops at _NEWTON_MAX_ITER unconverged.
 
         Started below the smallest eigenvalue, Newton rises towards it, but
         only by a fraction 1/m of the distance while m eigenvalues lie about
@@ -196,6 +198,8 @@ class _Pencil:
                     sigma = leap
                     step = 0.0          # the next step starts a new ratio
             prev = step
+        else:                           # crawled to the end: no estimate
+            x = 0.0
         return below, above, x
 
     def _bisect(self, below: float, above: float, x: float) -> tuple[float, float]:
@@ -301,9 +305,15 @@ def spectral_lambda1(geo: ModelGeometry, R: float, N: int = 2000) -> SpectralRes
         raise ParameterError(f"need N >= 200, got {N!r}")
     tiny, small = N // (2 * _SMALL_DIV), N // _SMALL_DIV
     lam_tiny = lam_small = 0.0
+
+    def estimate(pencil: _Pencil, guess: float) -> float:
+        """Newton's estimate, or its last lower point where it has none."""
+        below, _, x = pencil.newton_from(guess)
+        return x or below
+
     try:
-        lam_tiny = _pencil(geo, R, tiny).newton_from(0.0)[2]
-        lam_small = _pencil(geo, R, small).newton_from((1.0 - _SMALL_MARGIN) * lam_tiny)[2]
+        lam_tiny = estimate(_pencil(geo, R, tiny), 0.0)
+        lam_small = estimate(_pencil(geo, R, small), (1.0 - _SMALL_MARGIN) * lam_tiny)
     except DomainError:     # a mesh width whose square overflows: start from 0
         pass
     lam_coarse = _pencil(geo, R, N // 2).smallest_eigenvalue(

@@ -52,8 +52,9 @@ def _scale_marks(scale: float, end: float) -> tuple[float, ...]:
 @dataclass
 class RadialTestFunction:
     """u and du on [support_lo, support_hi]; breakpoints are kinks, scale
-    marks and a bump's dyadic marks, where adaptive meshes start; plateau is
-    (r0, log|u|) where u is that constant on (0, r0]."""
+    marks and a bump's dyadic marks, where adaptive meshes start, and all a
+    profile tells the mesh (a singular end is found by bisection); plateau
+    is (r0, log|u|) where u is that constant on (0, r0]."""
 
     kind: str
     u: Callable[[float], float]
@@ -61,7 +62,6 @@ class RadialTestFunction:
     support_lo: float
     support_hi: float
     breakpoints: tuple[float, ...] = ()
-    singular_hint: float | None = None
     params: dict = field(default_factory=dict)
     # log-magnitude evaluators (-inf where the value is 0); near-extremal
     # profiles span magnitudes far beyond float range, so integrands must be
@@ -202,7 +202,6 @@ def power_cutoff(eps: float, r0: float, R: float, n: int, p: float,
     return RadialTestFunction(
         "power_cutoff", u, du, 0.0, R,
         breakpoints=(r0, rc),
-        singular_hint=p * eps - 1.0,
         params={"eps": eps, "r0": r0, "R": R, "sigma": sigma},
         log_abs_u=log_abs_u, log_abs_du=log_abs_du, plateau=(r0, expo * log_r0))
 

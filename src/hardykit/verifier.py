@@ -94,15 +94,14 @@ def margin_violated(m: InequalityMargin) -> bool:
 # extra = w, which J_H reads too), 1 the same in x = ln t, 2 a margin's I_H
 # and 3 its J_H.  A node is exp(lg) v, lg in nats; it is 0 where b (u in
 # I_H and J_H) or v is 0, and at t = 0, met only in a panel narrower than
-# the least normal float.  log is math.log in a mass, bitwise, and
-# math.log2 in a margin (a third of the cost on CPython 3.11, whose
-# math.log packs its argument in a tuple): per_nat converts a profile's log
-# evaluators, in nats, to its unit, and the coefficients, the names ending
-# in _l, carry it.  Part 2 keeps J_H's node values from the same G and w,
-# with J_H's first error, in store[a, b] for part 3; J_H evaluates G and w
-# in value mode only where I_H did not.  G is inlined once, in the node
-# loop: unrolled per node, its compile would cost a margin of a new shape
-# tens of milliseconds.
+# the least normal float.  log is math.log2 (a third of math.log's cost on
+# CPython 3.11, whose math.log packs its argument in a tuple): per_nat
+# converts a profile's log evaluators, in nats, to bits, and the
+# coefficients, the names ending in _l, carry ln 2 back to nats.  Part 2
+# keeps J_H's node values from the same G and w, with J_H's first error, in
+# store[a, b] for part 3; J_H evaluates G and w in value mode only where
+# I_H did not.  G is inlined once, in the node loop: unrolled per node, its
+# compile would cost a margin of a new shape tens of milliseconds.
 _PANEL = """\
 def radial_panel(part, store, a, b):
     if part == 3 and (a, b) in store:
@@ -214,12 +213,11 @@ def _radial_panel(geo: ModelGeometry, u: RadialTestFunction | None, upow: float 
     b = u' if use_du else u (none where u is None), or, given G, for a
     margin's G, w and H: G and w inlined, H's functions resolved once."""
     binding = binding or {}
-    unit = 1.0 if G is None else _LN2
     if G is not None:  # the energy: the mass of |u'|^p w
         upow, tpow, use_du, extra = geo.p, 0.0, True, evaluator(w, binding)
     h, h_d = _nonlinearity(H, binding)
     p, pc, kappa = geo.p, geo.p_conj, geo.kappa
-    env = {"nodes": _NODES, "sums": _panel_sums, "log": math.log if G is None else math.log2,
+    env = {"nodes": _NODES, "sums": _panel_sums, "log": math.log2,
            "exp": math.exp, "sinh": math.sinh, "expm1": math.expm1, "inf": math.inf,
            "DomainError": DomainError, "ct_value": ct_value, "cut": _TAYLOR_CUT,
            "kappa": kappa, "flat": kappa == 0.0, "r": math.sqrt(-kappa), "nm1": geo.n - 1,
@@ -228,8 +226,8 @@ def _radial_panel(geo: ModelGeometry, u: RadialTestFunction | None, upow: float 
            "u": None if u is None else u.u, "log_u": None if u is None else u.log_abs_u,
            "extra": extra, "h": h, "h_d": h_d, "rp": 1.0 / p,
            "g_v": None if G is None else evaluator(G, binding),
-           "per_nat": 1.0 / unit, "upow_l": upow * unit, "tpow_l": tpow * unit,
-           "p_l": p * unit, "pc_l": pc * unit, "dens_l": (geo.n - 1) * unit}
+           "per_nat": 1.0 / _LN2, "upow_l": upow * _LN2, "tpow_l": tpow * _LN2,
+           "p_l": p * _LN2, "pc_l": pc * _LN2, "dens_l": (geo.n - 1) * _LN2}
     if G is None:
         return fill_template(_PANEL, {}, binding, {**env, "G": None, "w": None})
     return fill_template(_PANEL, {"G": (G, True), "w": (w, True)}, binding, env)
@@ -239,19 +237,16 @@ def radial_integral(
     geo: ModelGeometry,
     f: Callable[[float], float],
     R: float,
-    singular_exponent_hint: float | None = None,
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
     """n*omega_n * integral_0^R f(t) s_kappa^(n-1)(t) dt with error estimate,
     f read in floats: _log_mass with no u, so a DomainError names the t
     where f is nonzero and s_kappa^(n-1) exceeds e^700 (t s_kappa^(n-1)
-    where the integral runs in ln t)."""
+    where the integral runs in ln t).  An integrable power singularity of f
+    at 0 needs no declaring: the adaptive loop halves its way into it."""
     if not (R > 0.0 and math.isfinite(R)):
         raise DomainError(f"radial_integral needs a finite R > 0, got {R!r}")
-    hint = None
-    if singular_exponent_hint is not None:
-        hint = singular_exponent_hint + (geo.n - 1)
-    return _log_mass(geo, None, extra=f, span=(0.0, R, breakpoints, hint), tol=_TOL)
+    return _log_mass(geo, None, extra=f, span=(0.0, R, breakpoints), tol=_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +356,7 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
     a signed extra read in floats, and its error estimate: parts 0 and 1 of
     _radial_panel.  extra=None is the constant 1.0 without a call per node.
 
-    span = (lo, hi, breakpoints, singular hint) defaults to u's support.
+    span = (lo, hi, breakpoints) defaults to u's support and breakpoints.
     Where u declares a plateau (r0, log|u|), the span starts at 0 and extra
     is None, the piece on [0, r0] is taken in closed form,
     exp(upow log|u| + q log r0 - log q) with q = tpow + n (0 for the
@@ -373,8 +368,7 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
     cover hundreds of decades.  The part before it stays in t."""
     n, kappa = geo.n, geo.kappa
     panel = _radial_panel(geo, u, upow, tpow, use_du, extra)
-    lo, hi, breakpoints, hint = span or (max(u.support_lo, 0.0), u.support_hi,
-                                         u.breakpoints, u.singular_hint)
+    lo, hi, breakpoints = span or (max(u.support_lo, 0.0), u.support_hi, u.breakpoints)
     scale = n * unit_ball_volume(n)
     val, err = 0.0, 0.0
     if u is not None and u.plateau is not None and extra is None and lo == 0.0:
@@ -389,7 +383,7 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
     wide = next((a for a, b in zip(edges, edges[1:]) if a > 0.0 and b / a > 10.0), hi)
     if wide > lo:
         tv, te = integrate_panels(functools.partial(panel, 0, None), lo, wide, rel_tol=tol,
-                                  breakpoints=breakpoints, singular_hint=hint)
+                                  breakpoints=breakpoints)
         val, err = val + scale * tv, scale * te
     if wide < hi:
         xv, xe = integrate_panels(functools.partial(panel, 1, None), math.log(wide),
@@ -479,7 +473,7 @@ def sc_margin(geo: ModelGeometry, u: RadialTestFunction, c: float) -> Inequality
     if geo.kappa >= 0.0:
         raise HypothesisError("kappa < 0", f"got kappa={geo.kappa!r}")
     energy, e_err = _log_mass(geo, u, 2.0, 0.0, use_du=True)
-    span = max(u.support_lo, 0.0), u.support_hi, u.breakpoints, None
+    span = max(u.support_lo, 0.0), u.support_hi, u.breakpoints
     i1, e1 = _log_mass(geo, None, extra=lambda t: _osc_profile(c, u.u(t)) ** 2, span=span)
     i2, e2 = _log_mass(geo, None, extra=lambda t: _osc_profile(c, 2.0 * u.u(t)) ** 2, span=span)
     if i2 <= 10.0 * e2:
@@ -536,7 +530,7 @@ def extremal_identity_check(geo: ModelGeometry, alpha: float) -> ExtremalIdentit
                              f"(gamma={gamma!r})") from None
 
     u0 = gaussian_type(alpha, p)
-    span = 0.0, min(R, u0.support_hi), u0.breakpoints, u0.singular_hint
+    span = 0.0, min(R, u0.support_hi), u0.breakpoints
     lhs, e_err = _log_mass(geo, u0, p, 0.0, use_du=True, span=span)
     mass, m_err = _log_mass(geo, u0, p, pc * alpha, span=span)
     rhs = (gamma / p) ** p * mass

@@ -481,7 +481,9 @@ def unshared_additive_terms(geo, target, u, H, binding):
 # verifier._log_mass as a per-node integrand run through quadrature.integrate,
 # in its former form: the t part calls f(t) at each node, the ln t part
 # f(e^x, x) through a lambda; every node re-reads u, extra and kappa and
-# takes log s_kappa from geometry.s_value.  The mesh, the tolerance and the
+# takes log s_kappa from geometry.s_value.  Logs are math.log2 with the
+# exponents scaled by ln 2 (a log evaluator's nats times 1 / ln 2), as in
+# the verifier's panel, so the exponent of each node is in nats.  The mesh, the tolerance and the
 # split at the first segment spanning more than a decade are the verifier's,
 # so verifier._log_mass must give the same value and error to the last bit,
 # or raise the same exception with the same message.  So is the plateau
@@ -497,6 +499,7 @@ def reference_log_mass(geo, u, upow=0.0, tpow=0.0, use_du=False, extra=None, spa
 
     tol = _TOL_FINE if tol is None else tol
     n, kappa = geo.n, geo.kappa
+    ln2 = math.log(2.0)
     if u is not None:
         log_base_fn = u.log_abs_du if use_du else u.log_abs_u
 
@@ -505,25 +508,24 @@ def reference_log_mass(geo, u, upow=0.0, tpow=0.0, use_du=False, extra=None, spa
             lg = 0.0
         else:
             if log_base_fn is not None:
-                lb = log_base_fn(t)
+                lb = log_base_fn(t) * (1.0 / ln2)
             else:
                 base = abs(u.du(t)) if use_du else abs(u.u(t))
-                lb = math.log(base) if base > 0.0 else -math.inf
+                lb = math.log2(base) if base > 0.0 else -math.inf
             if lb == -math.inf:
                 return 0.0
-            lg = upow * lb + tpow * math.log(t)
+            lg = (upow * ln2) * lb + (tpow * ln2) * math.log2(t)
         v = extra(t) if extra is not None else 1.0
         if v == 0.0:
             return 0.0
-        lg = lg + (n - 1) * math.log(geometry.s_value(kappa, t)) + log_jac
+        lg = lg + ((n - 1) * ln2) * math.log2(geometry.s_value(kappa, t)) + log_jac
         if lg < -700.0:
             return 0.0
         if lg > 700.0:
             raise DomainError(f"integrand overflow at t={t!r}")
         return math.exp(lg) * v
 
-    lo, hi, breakpoints, hint = span or (max(u.support_lo, 0.0), u.support_hi,
-                                         u.breakpoints, u.singular_hint)
+    lo, hi, breakpoints = span or (max(u.support_lo, 0.0), u.support_hi, u.breakpoints)
     scale = n * geometry.unit_ball_volume(n)
     val, err = 0.0, 0.0
     if extra is None and lo == 0.0 and u is not None and u.plateau is not None:
@@ -539,8 +541,7 @@ def reference_log_mass(geo, u, upow=0.0, tpow=0.0, use_du=False, extra=None, spa
     edges = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
     wide = next((a for a, b in zip(edges, edges[1:]) if a > 0.0 and b / a > 10.0), hi)
     if wide > lo:
-        tv, te = integrate(f, lo, wide, rel_tol=tol, breakpoints=breakpoints,
-                           singular_hint=hint)
+        tv, te = integrate(f, lo, wide, rel_tol=tol, breakpoints=breakpoints)
         val, err = val + scale * tv, scale * te
     if wide < hi:
         xv, xe = integrate(lambda x: f(math.exp(x), x), math.log(wide), math.log(hi),

@@ -228,10 +228,53 @@ class TestEigenSolver:
         passes = _count_passes(pencil)
         lam = pencil.smallest_eigenvalue()
         with_leaps = len(passes)
-        passes.clear()
         monkeypatch.setattr(spectral, "_LEAP", 0.0)
+        newton = []
+        counted = pencil.newton
+        pencil.newton = lambda sigma: newton.append(sigma) or counted(sigma)
         assert pencil.smallest_eigenvalue() == lam
-        assert with_leaps <= 30 and len(passes) >= 150, (with_leaps, len(passes))
+        assert with_leaps <= 30 and len(newton) == spectral._NEWTON_MAX_ITER == 100, \
+            (with_leaps, len(newton))
+
+    def test_newton_stopped_short_gives_no_estimate(self, monkeypatch):
+        # without leaps Newton stops at _NEWTON_MAX_ITER at 0.885 lambda on the
+        # stiff pencil.  Its last iterate steers nothing: the bisection counts
+        # every open midpoint from Newton's counted points, 52 counts, where
+        # following that iterate up to lambda took 90
+        pencil = _pencil(ModelGeometry(-2.9, 8, 2.0), 26.7, 136)
+        lam = pencil.smallest_eigenvalue()
+        monkeypatch.setattr(spectral, "_LEAP", 0.0)
+        below, above, x = pencil.newton_from(0.0)
+        assert x == 0.0 and 0.88 < below / lam < 0.89
+        counts = []
+        counted = pencil.count_below
+        pencil.count_below = lambda sigma: counts.append(sigma) or counted(sigma)
+        plain = pencil._bisect(below, above, 0.0)
+        n_plain = len(counts)
+        counts.clear()
+        assert pencil.smallest_eigenvalue() == lam == 0.5 * sum(plain)
+        assert len(counts) <= n_plain == 52, (len(counts), n_plain)
+
+    # the N/32 pencil stops short too, and its prediction reads Newton's last
+    # lower point: 359040 cells in all passes (443360 following the last
+    # iterate everywhere, 989536 predicting from 0), and the solver's bits
+    def test_predictions_from_newton_stopped_short(self, monkeypatch):
+        geo = ModelGeometry(-2.9, 8, 2.0)
+        res = spectral_lambda1(geo, 26.7, 136 * 32)
+        monkeypatch.setattr(spectral, "_LEAP", 0.0)
+        assert _pencil(geo, 26.7, 136).newton_from(0.0)[2] == 0.0
+        cells = [0]
+
+        def counting(f):
+            def one_pass(self, sigma):
+                cells[0] += len(self._rows)
+                return f(self, sigma)
+            return one_pass
+
+        for name in ("newton", "count_below"):
+            monkeypatch.setattr(spectral._Pencil, name, counting(getattr(spectral._Pencil, name)))
+        assert spectral_lambda1(geo, 26.7, 136 * 32) == res
+        assert cells[0] <= 359040, cells
 
     @pytest.mark.parametrize("kappa,n,R", [(0.0, 2, 1.0), (-2.0, 2, 20.0), (-2.0, 4, 20.0)])
     def test_newton_saves_most_passes(self, kappa, n, R, monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hardykit.testfuncs import power_cutoff
+from hardykit.testfuncs import gaussian_type, power_cutoff, talenti
 
 
 class TestPowerCutoffCuts:
@@ -81,3 +81,37 @@ class TestPowerCutoffCuts:
         assert f.breakpoints == (r0, rc)
         assert f.u(rc * (1.0 + 1e-13)) == pytest.approx(f.u(rc), rel=1e-11)
         assert f.u(R) == 0.0
+
+
+class TestDerivativeAtZeroAndTails:
+    """u'(0) of gaussian_type and of talenti's core against the closed-form
+    limit of u'(t) as t -> 0 at gamma = 1 + alpha/(p-1) above, at and below
+    1, and talenti's zero tail at t >= R."""
+
+    # p = 2.5, scale = 1.7: alpha = 0.75, 0 and -0.75 give gamma = 1.5, 1 and
+    # 0.5.  gaussian_type: u' = -(gamma/p) s (s t)^(gamma-1) u tends to 0,
+    # -s/p and -inf; talenti (r = 4, exponent (p-1)/(p-r) = -1): u' = -(1 +
+    # (s t)^gamma)^-2 gamma s (s t)^(gamma-1) tends to 0, -s and -inf
+    @pytest.mark.parametrize("alpha, gauss, tal", [(0.75, 0.0, 0.0), (0.0, -1.7 / 2.5, -1.7),
+                                                   (-0.75, -math.inf, -math.inf)])
+    def test_derivative_at_zero(self, alpha, gauss, tal):
+        g, t = gaussian_type(alpha, 2.5, scale=1.7), talenti(alpha, 2.5, 4.0, scale=1.7)
+        assert g.du(0.0) == gauss and t.du(0.0) == tal
+        # the limit of the values just above 0
+        for u, want in ((g, gauss), (t, tal)):
+            near = u.du(1e-200)
+            if math.isinf(want):
+                assert near < -1e90
+            else:
+                assert near == pytest.approx(want, rel=1e-15, abs=1e-99)
+
+    def test_talenti_is_zero_from_R_on(self):
+        # the linear taper u(200/s) (R - t)/(R - 200/s) ends at R = 400/s
+        u = talenti(1.0, 2.0, 3.0, scale=2.0)
+        R = u.support_hi
+        assert R == 200.0
+        taper = u.u(100.0) * (R - 150.0) / (R - 100.0)
+        assert u.u(150.0) == pytest.approx(taper, rel=1e-15)
+        assert u.du(150.0) == pytest.approx(-u.u(100.0) / (R - 100.0), rel=1e-15)
+        for t in (R, 2.0 * R, 1e300):
+            assert u.u(t) == 0.0 and u.du(t) == 0.0

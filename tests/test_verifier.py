@@ -91,11 +91,11 @@ class TestRadialIntegral:
         val, _ = radial_integral(H2, lambda t: 1.0, 1.0)
         assert val == pytest.approx(2.0 * math.pi * (math.cosh(1.0) - 1.0), rel=1e-12)
 
-    def test_singular_hint(self):
-        # integral of t^(-1/2) against the 3-d density t^2
-        val, _ = radial_integral(E3, lambda t: t**-0.5, 1.0,
-                                 singular_exponent_hint=-0.5)
-        exact = 3.0 * unit_ball_volume(3) / 2.5
+    @pytest.mark.parametrize("expo", [-0.5, -2.5])
+    def test_power_singularity_at_zero(self, expo):
+        # integral of t^expo against the 3-d density t^2, declared nowhere
+        val, _ = radial_integral(E3, lambda t: t**expo, 1.0)
+        exact = 3.0 * unit_ball_volume(3) / (expo + 3.0)
         assert val == pytest.approx(exact, rel=1e-9)
 
     def test_density_overflow_is_a_domain_error(self):
@@ -385,6 +385,16 @@ class TestSweeps:
         panels, sw = _panels(monkeypatch, sharpness_sweep, "hardy", E3, {"alpha": 0.0})
         assert panels == 36
         assert sw.achieved_extremum == pytest.approx(0.2509403426359339, rel=1e-12)
+
+    # at kappa = -1 the plateau (0, r0], where u is constant and the mass a
+    # plain power of t, is integrated in t at eps = 0.1 and 0.05: 410 and 340
+    # panels (442 and 372 with a geometric tail of eight decades toward 0)
+    @pytest.mark.parametrize("n, p, alpha, want", [(4, 2.5, 0.5, 410), (5, 2.0, 0.0, 340)])
+    def test_hyperbolic_hardy_sweep_panel_count(self, monkeypatch, n, p, alpha, want):
+        geo = ModelGeometry(-1.0, n, p)
+        panels, sw = _panels(monkeypatch, sharpness_sweep, "hardy", geo, {"alpha": alpha})
+        assert panels == want
+        assert not any(r.note for r in sw.rows)
 
     # meshes seeded at the scale marks: 232 panels (228 from one panel over
     # the support, which is short at gamma = 2) and 180 (352)
@@ -963,7 +973,7 @@ def _log_mass_cases(kappa: float, seed: int):
                 cases.append((geo, u, {"upow": p, "use_du": use_du,
                                        "tpow": rng.choice([0.0, rng.uniform(-1.0, 2.0)])}))
         u = gaussian_type(alpha, p, scale=scale)
-        span = (0.0, u.support_hi, u.breakpoints, None)
+        span = (0.0, u.support_hi, u.breakpoints)
         c = rng.uniform(9.0, 30.0)
         cases += [
             # the oscillatory margin's signed s_c profile, read in floats

@@ -7,9 +7,9 @@ identical results must leave the digest unchanged:
 
 Covered: the residual list of ``certify`` for two instances of every
 catalog entry (log and uniform grids, 512 and 1024 points);
-``radial_integral`` with and without a singular hint; additive,
-multiplicative (also with an H expression; Ghoussoub-Moradifam on a flat
-and a hyperbolic geometry), uncertainty,
+``radial_integral`` of smooth integrands and of powers singular at 0;
+additive, multiplicative (also with an H expression; Ghoussoub-Moradifam on
+a flat and a hyperbolic geometry), uncertainty,
 interpolation-exponent and oscillatory margins on seeded families;
 hardy sharpness sweeps from sigma = 0.5 to 3 and the up and ckn sweeps,
 and extremal-identity checks; value and derivative of 2000 seeded random
@@ -191,12 +191,10 @@ def digest_catalog_margins(name, geo, params, seed):
 
 
 def digest_margins():
-    for geo, label, f, R, hint in ((E3, "t", lambda t: t, 1.0, None),
-                                   (H2, "cos", math.cos, 1.5, None),
-                                   (E3, "t^-0.5", lambda t: t**-0.5, 1.0, -0.5),
-                                   (H3, "t^-0.9", lambda t: t**-0.9, 2.0, -0.9)):
-        print("radial_integral", geo, label, R, hint,
-              _outcome(radial_integral, geo, f, R, singular_exponent_hint=hint))
+    for geo, label, f, R in ((E3, "t", lambda t: t, 1.0), (H2, "cos", math.cos, 1.5),
+                             (E3, "t^-0.5", lambda t: t**-0.5, 1.0),
+                             (H3, "t^-0.9", lambda t: t**-0.9, 2.0)):
+        print("radial_integral", geo, label, R, _outcome(radial_integral, geo, f, R))
     for name, geo, params, seed in (("hardy", E3, {"alpha": 0.0, "C": 2.0}, 3),
                                     ("mckean", H2, {}, 5),
                                     ("interpolation", H3, {"lam": 1.0}, 11),
