@@ -341,14 +341,15 @@ def _build_greene_wu_psi(geo: ModelGeometry, psi: ScalarExpr | str,
     v0, d0 = psi_d(eps)
     _need(abs(v0 / eps - 1.0) < 1e-3 and abs(d0 - 1.0) < 1e-3,
           "psi(0) = 0, psi'(0) = 1", f"psi({eps}) = {v0!r}, psi'({eps}) = {d0!r}")
-    # sampled admissibility: (n-2) psi' + (n-1) t psi'' >= 0
+    # sampled admissibility: (n-2) psi' + (n-1) t psi'' >= 0, detailed only on failure
     probe = [t_hi * (k + 0.5) / 64.0 for k in range(64)]
     for t in probe:
         v, d = psi_d(t)
-        _need(v > 0.0, "psi > 0", f"psi({t!r}) = {v!r}")
+        if not v > 0.0:
+            raise HypothesisError("psi > 0", f"psi({t!r}) = {v!r}")
         c = (n - 2.0) * d + (n - 1.0) * t * psi_dd(t)
-        _need(c >= -1e-9 * (1.0 + abs(d)), "(n-2) psi' + (n-1) t psi'' >= 0",
-              f"value {c!r} at t={t!r}")
+        if not c >= -1e-9 * (1.0 + abs(d)):
+            raise HypothesisError("(n-2) psi' + (n-1) t psi'' >= 0", f"value {c!r} at t={t!r}")
 
     half_ratio = (n - 1.0) / 2.0
     last = [None, None]  # [t, (psi, psi', psi'')] of the last point; psi is pure

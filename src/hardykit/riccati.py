@@ -8,12 +8,12 @@ satisfies the first-order differential inequality
 when the pair is admissible; the residual is the left side minus W.
 Certification samples the residual on a dense grid (512 log-spaced points
 plus endpoint refinement; a pure function of the interval, size and policy,
-kept in a small cache, and mapped from fractions cached per size and
-policy), normalizes by 1 + |W| so the verdict is relative near singular
-endpoints and absolute elsewhere, and checks the sign condition on G
-required when L is a strict Laplacian lower bound.  Each
-call runs one generated function over the grid: this module's loop
-template, whose G, w, L and W slots exprdsl.fill_template fills for the
+kept in a small cache, mapped from fractions cached per size and policy and
+merged with the refinement by one sort), normalizes by 1 + |W| so the
+verdict is relative near singular endpoints and absolute elsewhere, and
+checks the sign condition on G required when L is a strict Laplacian lower
+bound.  Each call runs one generated function over the grid: this module's
+loop template, whose G, w, L and W slots exprdsl.fill_template fills for the
 spec's binding (an expression's statements inline, any other evaluable a
 call to its evaluator).  residual_parts runs the same function on the grid
 (t,), so certify's residuals are its values to the bit.
@@ -27,8 +27,10 @@ G = -|y'|^(p-2) y' / y^(p-1); each returns a FuncEval.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -211,8 +213,18 @@ def certification_grid(
     return list(_grid(t_lo, t_hi, n, policy))
 
 
+# the factors of the 16 endpoint points: of t_lo > 0, or of span * 1e-12
+_NEAR = tuple(1.0 + k * 1e-3 / 16.0 for k in range(1, 17))
+_DEEP = tuple(1e4 ** (k / 15.0) for k in range(16))
+
+
 @functools.lru_cache(maxsize=32, typed=True)
 def _grid(t_lo: float, t_hi: float, n: int, policy: str) -> tuple[float, ...]:
+    """The nodes inside (t_lo, t_hi): the fractions mapped by a + span * s
+    (then by u/(1-u) when t_hi = inf) and 16 endpoint points.  Rounding is
+    monotone, so both runs ascend: one sort merges them in linear time, equal
+    nodes (the log policy's 1e-8 can meet the last deep point) are adjacent,
+    and a bisection cuts the open bounds, giving the nodes' sorted set."""
     if not (0.0 <= t_lo < t_hi):
         raise ParameterError(f"invalid interval ({t_lo!r}, {t_hi!r})")
     if n < 2:
@@ -220,16 +232,18 @@ def _grid(t_lo: float, t_hi: float, n: int, policy: str) -> tuple[float, ...]:
 
     infinite = math.isinf(t_hi)
     a = t_lo / (1.0 + t_lo) if infinite else t_lo
-    b = 1.0 if infinite else t_hi
-    span = b - a
-
-    ts = [u / (1.0 - u) if infinite else u for u in (a + span * s for s in _fractions(n, policy))]
+    span = (1.0 if infinite else t_hi) - a
+    ts = [a + span * s for s in _fractions(n, policy)]
+    if t_lo == 0.0:
+        ts += [a + span * 1e-12 * c for c in _DEEP]
+    if infinite:
+        ts = [u / (1.0 - u) for u in ts]
     if t_lo > 0.0:
-        ts.extend(t_lo * (1.0 + k * 1e-3 / 16.0) for k in range(1, 17))
-    else:
-        deep = (a + span * 1e-12 * (1e4 ** (k / 15.0)) for k in range(16))
-        ts.extend(u / (1.0 - u) if infinite else u for u in deep)
-    grid = tuple(t for t in sorted(set(ts)) if t_lo < t < t_hi)
+        ts += [t_lo * c for c in _NEAR]
+    ts.sort()
+    if any(map(operator.eq, ts, ts[1:])):
+        ts = list(dict.fromkeys(ts))
+    grid = tuple(ts[bisect.bisect_right(ts, t_lo):bisect.bisect_left(ts, t_hi)])
     if not grid:
         raise ParameterError(f"no {policy} grid node lies inside ({t_lo!r}, {t_hi!r})")
     return grid
@@ -299,9 +313,9 @@ def certify(
         verdict = "certified"
     return CertificationReport(
         grid=grid, residuals=residuals, min_residual=min_r, argmin_t=argmin,
-        max_abs_residual=max(map(abs, residuals), default=0.0), min_G=min_g, max_G=max_g,
-        verdict=verdict, witness_t=witness, reason=reason, tolerance_used=tol,
-        g_sign_required=spec.g_sign_required)
+        max_abs_residual=abs(max(max(residuals), -min_r)) if residuals else 0.0,
+        min_G=min_g, max_G=max_g, verdict=verdict, witness_t=witness, reason=reason,
+        tolerance_used=tol, g_sign_required=spec.g_sign_required)
 
 
 @dataclass

@@ -240,13 +240,20 @@ def radial_integral(
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
     """n*omega_n * integral_0^R f(t) s_kappa^(n-1)(t) dt with error estimate,
-    f read in floats: _log_mass with no u, so a DomainError names the t
-    where f is nonzero and s_kappa^(n-1) exceeds e^700 (t s_kappa^(n-1)
-    where the integral runs in ln t).  An integrable power singularity of f
-    at 0 needs no declaring: the adaptive loop halves its way into it."""
+    f read in floats: _log_mass with no u, so a DomainError names the t where
+    f overflows, or where f is nonzero and s_kappa^(n-1) (t s_kappa^(n-1) in
+    ln t) exceeds e^700.  An integrable power singularity of f at 0 needs no
+    declaring: the adaptive loop halves its way into it."""
     if not (R > 0.0 and math.isfinite(R)):
         raise DomainError(f"radial_integral needs a finite R > 0, got {R!r}")
-    return _log_mass(geo, None, extra=f, span=(0.0, R, breakpoints), tol=_TOL)
+
+    def extra(t: float) -> float:
+        try:
+            return f(t)
+        except OverflowError:
+            raise DomainError(f"integrand overflow at t={t!r}") from None
+
+    return _log_mass(geo, None, extra=extra, span=(0.0, R, breakpoints), tol=_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,41 @@ def simpson(f, lo: float, hi: float, n: int = 4096) -> float:
     return total * h / 3.0
 
 
+def reference_grid(t_lo, t_hi, n, policy):
+    """The certification grid as a sorted set: every node, fractions and the
+    16 endpoint points, hashed into a set, sorted, and filtered node by node
+    to (t_lo, t_hi), with the float operations of riccati's grid."""
+    from hardykit.errors import ParameterError
+    if not (0.0 <= t_lo < t_hi):
+        raise ParameterError(f"invalid interval ({t_lo!r}, {t_hi!r})")
+    if n < 2:
+        raise ParameterError("grid needs at least 2 points")
+    if policy == "log":
+        lg_lo, lg_hi = math.log(1e-8), math.log(1.0 - 1e-3)
+        fractions = [math.exp(lg_lo + (lg_hi - lg_lo) * i / (n - 1)) for i in range(n)]
+    elif policy == "uniform":
+        s_lo, s_hi = 1e-6, 1.0 - 1e-3
+        fractions = [s_lo + (s_hi - s_lo) * i / (n - 1) for i in range(n)]
+    else:
+        raise ParameterError(f"unknown grid policy {policy!r}")
+
+    infinite = math.isinf(t_hi)
+    a = t_lo / (1.0 + t_lo) if infinite else t_lo
+    b = 1.0 if infinite else t_hi
+    span = b - a
+
+    ts = [u / (1.0 - u) if infinite else u for u in (a + span * s for s in fractions)]
+    if t_lo > 0.0:
+        ts.extend(t_lo * (1.0 + k * 1e-3 / 16.0) for k in range(1, 17))
+    else:
+        deep = (a + span * 1e-12 * (1e4 ** (k / 15.0)) for k in range(16))
+        ts.extend(u / (1.0 - u) if infinite else u for u in deep)
+    grid = tuple(t for t in sorted(set(ts)) if t_lo < t < t_hi)
+    if not grid:
+        raise ParameterError(f"no {policy} grid node lies inside ({t_lo!r}, {t_hi!r})")
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # reference evaluator for the expression language: a plain recursive walk of
 # the parsed AST (read through its attributes, by class name), with the

@@ -209,10 +209,16 @@ class TestHypothesisRejections:
         # psi(0) != 0
         with pytest.raises(HypothesisError):
             instantiate("greene_wu_psi", H3, {"psi": "1 + t", "t_hi": 10.0})
+        # the two probe failures name the first failing probe point and value
+        with pytest.raises(HypothesisError) as err:
+            instantiate("greene_wu_psi", H3, {"psi": "t/(1 - 0.2*t)", "t_hi": 10.0})
+        assert str(err.value) == "hypothesis violated: psi > 0 (psi(5.078125) = -325.0)"
         # violates (n-2) psi' + (n-1) t psi'' >= 0 (psi'' << 0)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError) as err:
             instantiate("greene_wu_psi", H3, {"psi": "t - 0.4*t^3 + 0.001*t^5",
                                               "t_hi": 10.0})
+        assert str(err.value) == ("hypothesis violated: (n-2) psi' + (n-1) t psi'' >= 0"
+                                  " (value -0.7904086038451843 at t=0.546875)")
 
 
 class TestStructuralInvariants:

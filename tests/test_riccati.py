@@ -11,6 +11,7 @@ from hardykit.geometry import ModelGeometry
 from hardykit.riccati import (FuncEval, RiccatiPairSpec, bessel_to_riccati,
                               certification_grid, certify, residual,
                               residual_parts, riccati_to_bessel, solve_ivp)
+from oracles import reference_grid
 
 E3 = ModelGeometry(0.0, 3, 2.0)
 H2 = ModelGeometry(-1.0, 2, 2.0)
@@ -112,6 +113,36 @@ class TestCertificationGrid:
         with pytest.raises(ParameterError, match="invalid interval"):
             certification_grid(t_lo, t_hi)
 
+    @pytest.mark.parametrize("policy", ["log", "uniform"])
+    def test_grid_is_the_sorted_set_of_its_nodes(self, policy):
+        # bitwise the sorted set of every node cut to (t_lo, t_hi), or the
+        # same error: seeded intervals, a subnormal t_lo, t_hi one or two
+        # ulps above t_lo (no node inside at one), t_hi = 1e308 and
+        # (t_lo > 0, inf)
+        def outcome(grid, *args):
+            try:
+                return [t.hex() for t in grid(*args)]
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(45)
+        cases = [(0.0, 1.0, 512), (5e-324, 1.0, 512), (3 * 5e-324, 1e-300, 17),
+                 (1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0), 512),
+                 (1.0, math.nextafter(1.0, 2.0), 512), (5e-324, 1e-323, 2),
+                 (0.0, 4 * 5e-324, 512), (0.0, 1e308, 512), (1e-3, 1e308, 2),
+                 (2.5, math.inf, 512), (0.0, math.inf, 2), (7.0, math.inf, 2)]
+        for _ in range(120):
+            t_lo = 0.0 if rng.random() < 0.4 else 10.0 ** rng.uniform(-300, 5)
+            t_hi = math.inf if rng.random() < 0.3 else t_lo + 10.0 ** rng.uniform(-300, 6)
+            cases.append((t_lo, t_hi, rng.choice([2, 3, 17, 512])))
+        empty = 0
+        for t_lo, t_hi, n in cases:
+            got = outcome(certification_grid, t_lo, t_hi, n, policy)
+            assert got == outcome(reference_grid, t_lo, t_hi, n, policy), (t_lo, t_hi, n)
+            empty += got == (ParameterError, f"no {policy} grid node lies inside "
+                                              f"({t_lo!r}, {t_hi!r})")
+        assert empty >= 2
+
 
 class TestCertify:
     def test_hardy_certifies(self):
@@ -163,6 +194,20 @@ class TestCertify:
         assert rep.verdict == "inconclusive"
         assert rep.witness_t is not None
         assert "failed" in rep.reason
+
+    def test_max_abs_residual_is_the_largest_absolute_residual(self):
+        # G = 1, L = 2: the residual 1 - W takes both signs
+        spec = RiccatiPairSpec(geo=E3, t_lo=0.0, t_hi=20.0, w=parse("1"), L=parse("2"),
+                               W=parse("1 + 0.5*sin(t)"))
+        rep = certify(spec, parse("1"))
+        assert min(rep.residuals) < 0.0 < max(rep.residuals)
+        assert rep.max_abs_residual.hex() == max(map(abs, rep.residuals)).hex()
+        # G = 0: the residual -1e-10 times t^2 < 1e-324 underflows to -0.0
+        spec = RiccatiPairSpec(geo=E3, t_lo=0.0, t_hi=1e-162, w=parse("1"), L=parse("0"),
+                               W=parse("1e-10 + 0*t"), homogeneity_hint=-2.0)
+        rep = certify(spec, parse("0"))
+        assert {r.hex() for r in rep.residuals} == {"-0x0.0p+0"}
+        assert rep.max_abs_residual.hex() == max(map(abs, rep.residuals)).hex() == "0x0.0p+0"
 
     def test_tolerance_recorded(self):
         rep = certify(hardy_spec(), parse("1/(2*t)"), tol=1e-10)

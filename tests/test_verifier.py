@@ -109,6 +109,14 @@ class TestRadialIntegral:
         with pytest.raises(DomainError, match="integrand overflow at t="):
             radial_integral(H3, lambda t: 1.0, 800.0)  # s_kappa itself is inf
 
+    def test_f_overflow_is_a_domain_error(self):
+        # t^-2.99 is integrable against t^2, but f leaves float range as the
+        # bisection closes in on 0: an untyped OverflowError escaped
+        with pytest.raises(DomainError, match="integrand overflow at t="):
+            radial_integral(ModelGeometry(0.0, 3, 2.0), lambda t: t**-2.99, 1.0)
+        val, err = radial_integral(ModelGeometry(0.0, 3, 2.0), lambda t: t**-2.9, 1.0)
+        assert abs(val - 125.663706097) <= err
+
     @pytest.mark.parametrize("breakpoints", [(0.01, 0.1, 1.0), (1e-3, 1.0)])
     def test_signed_integrand_with_breakpoints_over_decades(self, breakpoints):
         # 4 pi int_0^10 t^2 cos t dt < 0; (1e-3, 1) spans three decades, so
