@@ -221,6 +221,8 @@ def _build_brezis_vazquez(geo: ModelGeometry, nu: float = 0.0, D: float = 1.0):
 def _build_faber_krahn(geo: ModelGeometry, R: float = 1.0):
     _p2(geo)
     _need(R > 0.0, "R > 0")
+    if R * R < math.ldexp(1.0, -1022):  # C = j1^2 / R^2 would divide by 0 or a subnormal
+        raise ParameterError(f"faber_krahn: R={R!r} squares below the least normal float")
     nu = (geo.n - 2.0) / 2.0
     j1 = bessel_zero(nu, 1)
     C = j1 * j1 / (R * R)

@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .catalog import instantiate, list_catalog
+from .catalog import entry_names, instantiate, list_catalog
 from .config import emit_config, parse_config
 from .errors import HardykitError, ParameterError, check_keys
 from .exprdsl import parse as parse_expr
@@ -29,9 +29,9 @@ from .geometry import ModelGeometry
 from .riccati import certify, solve_ivp
 from .spectral import spectral_lambda1
 from .specfun import bessel_zero
-from .testfuncs import gaussian_type, power_cutoff, random_bumps, talenti
-from .verifier import (InequalityMargin, additive_margin, ckn_margin, gm_positivity_study,
-                       margin_violated, scaled_family, scaled_params, sharpness_sweep, up_margin)
+from .testfuncs import power_cutoff, random_bumps
+from .verifier import (SWEEP_MODES, InequalityMargin, additive_margin, gm_positivity_study,
+                       margin_violated, sharpness_sweep, sweep_mode)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,11 +170,12 @@ def _cmd_solve_riccati(args) -> int:
     return EXIT_OK
 
 
+# the --family kinds that are one profile of a sweep mode, at a scale
+_PROFILES = {"gaussian": "up", "talenti": "ckn"}
 # (optional, required) keys of each --family kind; every value is a number
 _FAMILY_KEYS = {"bumps": (("count", "seed", "lo", "hi", "span"), ()),
                 "power_cutoff": (("alpha",), ("eps", "r0", "R")),
-                "gaussian": (("alpha", "scale"), ()),
-                "talenti": (("alpha", "r", "scale"), ())}
+                **{k: ((*SWEEP_MODES[m].defaults, "scale"), ()) for k, m in _PROFILES.items()}}
 
 
 def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: float = math.inf):
@@ -200,10 +201,9 @@ def _make_family(family_spec: str, geo: ModelGeometry, lo: float = 0.0, hi: floa
     if kind == "power_cutoff":
         return [power_cutoff(opts["eps"], opts["r0"], opts["R"], geo.n, geo.p,
                              alpha=opts.get("alpha", 0.0))]
-    alpha, r = scaled_params(opts)
-    if kind == "gaussian":
-        return [gaussian_type(alpha, geo.p, scale=opts.get("scale", 1.0))]
-    return [talenti(alpha, geo.p, r, scale=opts.get("scale", 1.0))]
+    mode = SWEEP_MODES[_PROFILES[kind]]
+    args = {**mode.defaults, **opts}
+    return [mode.profile(geo, args.pop("scale", 1.0), **args)]
 
 
 def _margins_json(path: str | None, inequality: str, params: dict, rows: list[dict],
@@ -221,9 +221,11 @@ def _cmd_verify(args) -> int:
     params = _parse_kv(args.params)
     geo, rest = _geometry_from_params(params)
     inequality = args.inequality
+    # a sweep mode that is no catalog entry (up, ckn) checks its table record's margins
+    sweep = inequality in SWEEP_MODES and inequality not in entry_names()
     # options a mode would ignore are refused, so a report never names an
     # input that did not enter it
-    if inequality in ("up", "ckn") and args.H:
+    if sweep and args.H:
         raise ParameterError(f"verify {inequality}: --H applies to catalog and generic "
                              "modes only")
     if inequality != "generic" and args.spec:
@@ -231,13 +233,12 @@ def _cmd_verify(args) -> int:
     if inequality == "generic" and params:
         raise ParameterError("verify generic: --params not accepted; the geometry and "
                              "parameters come from the --spec config")
-    members = []
-    if inequality in ("up", "ckn"):
-        given = None if args.family == "default" else _make_family(args.family, geo)
-        alpha, r, family = scaled_family(inequality, geo, rest, given)
-        for u in family:
-            m = up_margin(geo, u, alpha) if inequality == "up" else ckn_margin(geo, u, alpha, r)
-            members.append((u.params.get("scale", math.nan), m))
+    if sweep:
+        mode, margs, sharp = sweep_mode(inequality, geo, rest)
+        family = mode.family(geo, **margs) if args.family == "default" else \
+            _make_family(args.family, geo)
+        members = [(u.params.get(mode.member_key, math.nan),
+                    mode.member(geo, sharp, u, **margs)[0]) for u in family]
     else:
         # a catalog entry or a (spec, G) config: its w, interval and rho
         if inequality != "generic":
@@ -253,9 +254,8 @@ def _cmd_verify(args) -> int:
         # the default family is 20 bumps (seed 7) on the spec's interval
         family = _make_family("bumps" if args.family == "default" else args.family,
                               spec.geo, spec.t_lo, spec.t_hi)
-        for u in family:
-            m = additive_margin(None, target, u, H=H)
-            members.append((u.params.get("center", u.params.get("eps", math.nan)), m))
+        members = [(u.params.get("center", u.params.get("eps", math.nan)),
+                    additive_margin(None, target, u, H=H)) for u in family]
     rows = [{"family_param": fam_param, "lhs": m.lhs, "rhs": m.rhs, "margin": m.margin,
              "quad_error": m.quadrature_error_estimate} for fam_param, m in members]
     worst = min([math.inf] + [m.margin for _, m in members])
@@ -270,8 +270,7 @@ def _cmd_sweep(args) -> int:
     params = _parse_kv(args.params)
     geo, rest = _geometry_from_params(params)
     sw = sharpness_sweep(args.inequality, geo, rest)
-    rows = [{"family_param": r.family_param, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
-             "quad_error": r.quad_error, "ratio": r.ratio, "note": r.note} for r in sw.rows]
+    rows = [vars(r) for r in sw.rows]  # a SweepRow's fields, in the report's order
     _margins_json(args.out, args.inequality, params, rows, sw.min_margin,
                   sw.achieved_extremum, sw.sharp_constant)
     print(f"{args.inequality}: sharp constant {sw.sharp_constant:.6g}, "
@@ -382,8 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     r.set_defaults(fn=_cmd_solve_riccati)
 
     v = sub.add_parser("verify", help="quadrature margins for an inequality")
-    v.add_argument("--inequality", required=True,
-                   help="catalog name, 'up', 'ckn', or 'generic'")
+    sweeps = ", ".join(repr(m) for m in SWEEP_MODES if m not in entry_names())
+    v.add_argument("--inequality", required=True, help=f"catalog name, {sweeps}, or 'generic'")
     v.add_argument("--params", help="k=v,...")
     v.add_argument("--family", default="default")
     v.add_argument("--spec", help="config file (generic mode)")
@@ -393,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     v.set_defaults(fn=_cmd_verify)
 
     s = sub.add_parser("sweep", help="sharpness sweep toward the sharp constant")
-    s.add_argument("--inequality", required=True, choices=("hardy", "up", "ckn"))
+    s.add_argument("--inequality", required=True, choices=tuple(SWEEP_MODES))
     s.add_argument("--params", help="k=v,...")
     s.add_argument("--out", help="JSON report path")
     s.set_defaults(fn=_cmd_sweep)

@@ -23,7 +23,7 @@ import heapq
 import math
 from typing import Callable, Iterable
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 __all__ = ["integrate", "integrate_panels", "kronrod_panel"]
 
@@ -93,7 +93,7 @@ def _panel_sums(fs: list[float], mid: float, half: float,
 
     fs ends where exc, if given, was raised.  The midpoint's value, then
     each pair's once both are in, must be finite: the first that is not
-    raises QuadratureError naming its t; else exc is raised."""
+    raises QuadratureError naming its t; else exc, or DomainError: the sum overflowed."""
     if exc is None and len(fs) == 15:
         sk = _WGK[0] * fs[0]
         sg = _WG[0] * fs[0]
@@ -102,7 +102,7 @@ def _panel_sums(fs: list[float], mid: float, half: float,
             sk += wk * pair
             if wg is not None:
                 sg += wg * pair
-        if math.isfinite(sk):  # every value is finite
+        if math.isfinite(sk * half):  # every value is finite, and so is the sum
             return sk * half, abs(sk - sg) * abs(half)
     for k in range(0, len(fs), 2):
         for i in (k - 1, k) if k else (0,):
@@ -110,7 +110,7 @@ def _panel_sums(fs: list[float], mid: float, half: float,
                 raise QuadratureError(f"integrand non-finite at t={mid + half * _NODES[i]!r}")
     if exc is not None:
         raise exc
-    return sk * half, abs(sk - sg) * abs(half)
+    raise DomainError(f"panel sum overflows on [{mid - half!r}, {mid + half!r}]")
 
 
 def _graded_edges(lo: float, hi: float, breakpoints: Iterable[float]) -> list[float]:
@@ -172,7 +172,7 @@ def integrate_panels(
 
     for _ in range(_MAX_SUBDIVISIONS):
         if total_err <= max(_ABS_TOL, rel_tol * abs(total)):
-            return total, total_err
+            break
         neg_err, a, b, val = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:  # interval exhausted at float resolution
@@ -185,6 +185,8 @@ def integrate_panels(
         heapq.heappush(heap, (-e1, a, mid, v1))
         heapq.heappush(heap, (-e2, mid, b, v2))
 
+    if not math.isfinite(total):
+        raise DomainError(f"integral overflows from finite panel sums on [{lo!r}, {hi!r}]")
     if total_err <= max(_ABS_TOL, rel_tol * abs(total)):
         return total, total_err
     raise QuadratureError(

@@ -237,6 +237,8 @@ def _grid(t_lo: float, t_hi: float, n: int, policy: str) -> tuple[float, ...]:
     if t_lo == 0.0:
         ts += [a + span * 1e-12 * c for c in _DEEP]
     if infinite:
+        if ts[n - 1] == 1.0:  # the fractions ascend: the last is the largest
+            raise ParameterError(f"t_lo={t_lo!r} leaves no grid: a node rounds to u = 1")
         ts = [u / (1.0 - u) for u in ts]
     if t_lo > 0.0:
         ts += [t_lo * c for c in _NEAR]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .catalog import CatalogInstance, instantiate
 from .errors import DomainError, HypothesisError, ParameterError, check_keys
@@ -53,16 +53,15 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "margin_violated",
-    "hardy_default_family",
-    "scaled_family",
+    "SweepMode",
+    "SWEEP_MODES",
+    "sweep_mode",
 ]
 
 _MARGIN_FLOOR = 1e-300
 _TOL = 1e-10
 _TOL_FINE = 1e-11
 _LN2 = math.log(2.0)
-# the near-extremal Hardy family: eps -> 0
-_HARDY_EPS = (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
 
 
 @dataclass
@@ -404,15 +403,14 @@ def _log_mass(geo: ModelGeometry, u: RadialTestFunction | None, upow: float = 0.
 # uncertainty / interpolation margins
 
 
-def _scaled_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
-                   mass_pow: float, rhs_pow: float, rhs_key: str) -> InequalityMargin:
+def _scaled_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float, mass_pow: float,
+                   rhs_pow: float, rhs_key: str, const: float) -> InequalityMargin:
     """lhs = (energy)^(1/p) (integral t^(p' alpha)|u|^mass_pow dmu)^(1/p'),
-    rhs = (n+alpha-1)/rhs_pow * integral (1 + (n-1)/(n+alpha-1) D_kappa)
-    t^(alpha-1)|u|^rhs_pow dmu; the up and ckn margins differ only in the
+    rhs = const * integral (1 + (n-1)/(n+alpha-1) D_kappa) t^(alpha-1)|u|^rhs_pow dmu,
+    const = (n+alpha-1)/rhs_pow; the up and ckn margins differ only in the
     two exponents and in the extras key of the right-side integral."""
     n, p = geo.n, geo.p
     pc = geo.p_conj
-    const = (n + alpha - 1.0) / rhs_pow
     dcoef = (n - 1.0) / (n + alpha - 1.0)
 
     energy, e_err = _log_mass(geo, u, p, 0.0, use_du=True)
@@ -434,23 +432,27 @@ def _scaled_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
                        "i_term": rhs, "j_term": mass2, "p": p})
 
 
+def _up_sharp(geo: ModelGeometry, alpha: float) -> float:
+    """(n+alpha-1)/p, where n > p > 1 and -p + 1 < alpha <= 1 (HypothesisError)."""
+    n, p = geo.n, geo.p
+    if not (n > p > 1.0):
+        raise HypothesisError("n > p > 1", f"n={n!r}, p={p!r}")
+    if not (-p + 1.0 < alpha <= 1.0):
+        raise HypothesisError("-p + 1 < alpha <= 1", f"alpha={alpha!r}")
+    return (n + alpha - 1.0) / p
+
+
 def up_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float) -> InequalityMargin:
     """Three-factor uncertainty margin with the curvature deficit term.
 
     lhs = (energy)^(1/p) (integral t^(p' alpha)|u|^p dmu)^(1/p'),
     rhs = (n+alpha-1)/p * integral (1 + (n-1)/(n+alpha-1) D_kappa) t^(alpha-1)|u|^p dmu.
     """
-    n, p = geo.n, geo.p
-    if not (n > p > 1.0):
-        raise HypothesisError("n > p > 1", f"n={n!r}, p={p!r}")
-    if not (-p + 1.0 < alpha <= 1.0):
-        raise HypothesisError("-p + 1 < alpha <= 1", f"alpha={alpha!r}")
-    return _scaled_margin(geo, u, alpha, p, p, "deficit_integral")
+    return _scaled_margin(geo, u, alpha, geo.p, geo.p, "deficit_integral", _up_sharp(geo, alpha))
 
 
-def ckn_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
-               r: float) -> InequalityMargin:
-    """Interpolation-type multiplicative margin with exponent r > p."""
+def _ckn_sharp(geo: ModelGeometry, alpha: float, r: float) -> float:
+    """(n+alpha-1)/r, where r > p > 1, alpha + p > 1, p(n+alpha-1) > r(n-p) > 0."""
     n, p = geo.n, geo.p
     if not (r > p > 1.0):
         raise HypothesisError("r > p > 1", f"r={r!r}, p={p!r}")
@@ -459,7 +461,14 @@ def ckn_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
     if not (p * (n + alpha - 1.0) > r * (n - p) > 0.0):
         raise HypothesisError("p(n+alpha-1) > r(n-p) > 0",
                               f"n={n!r}, p={p!r}, r={r!r}, alpha={alpha!r}")
-    return _scaled_margin(geo, u, alpha, geo.p_conj * (r - 1.0), r, "rhs_integral")
+    return (n + alpha - 1.0) / r
+
+
+def ckn_margin(geo: ModelGeometry, u: RadialTestFunction, alpha: float,
+               r: float) -> InequalityMargin:
+    """Interpolation-type multiplicative margin with exponent r > p."""
+    return _scaled_margin(geo, u, alpha, geo.p_conj * (r - 1.0), r, "rhs_integral",
+                          _ckn_sharp(geo, alpha, r))
 
 
 def _osc_profile(c: float, x: float) -> float:
@@ -619,121 +628,105 @@ class SweepResult:
     min_margin: float
 
 
-def hardy_default_family(geo: ModelGeometry, alpha: float = 0.0) -> list[RadialTestFunction]:
-    """Near-extremal family: eps -> 0 with the plateau radius shrinking like
-    exp(-0.7/eps) (clamped at the float floor)."""
-    out = []
-    for eps in _HARDY_EPS:
-        r0 = math.exp(max(-0.7 / eps, -660.0))
-        out.append(power_cutoff(eps, r0, 100.0, geo.n, geo.p, alpha=alpha))
-    return out
+def _hardy_sharp(geo: ModelGeometry, alpha: float) -> float:
+    """((n+alpha-p)/p)^p, where n + alpha > p (HypothesisError) and finite (ParameterError)."""
+    p = geo.p
+    if not geo.n + alpha > p:
+        raise HypothesisError("n + alpha > p", f"n={geo.n!r}, alpha={alpha!r}, p={p!r}")
+    try:
+        return ((geo.n + alpha - p) / p) ** p
+    except OverflowError:
+        raise ParameterError(f"sharp constant ((n + alpha - p)/p)^p leaves float range "
+                             f"(alpha={alpha!r})") from None
 
 
-# the params keys each sweep mode reads beside the geometry's kappa, n and p
-_MODE_KEYS = {"hardy": ("alpha",), "up": ("alpha",), "ckn": ("alpha", "r")}
+def _hardy_member(geo: ModelGeometry, sharp: float, u: RadialTestFunction,
+                  alpha: float) -> tuple[InequalityMargin, float]:
+    """The additive Hardy quotient's margin and its bare right side, the mass."""
+    energy, e_err = _log_mass(geo, u, geo.p, alpha, use_du=True)
+    mass, m_err = _log_mass(geo, u, geo.p, alpha - geo.p)
+    rel = e_err / max(energy, _MARGIN_FLOOR) + m_err / max(mass, _MARGIN_FLOOR)
+    rhs = sharp * mass
+    return _margin_of(energy, rhs, rel * max(rhs, energy)), mass
 
 
-def _check_mode_keys(inequality: str, params: dict, modes: tuple = tuple(_MODE_KEYS)):
-    """check_keys over the keys of a mode in modes; ParameterError for any other mode."""
-    if inequality not in modes:
+class SweepMode(NamedTuple):
+    """A sweep mode: its params keys beside kappa, n and p, with defaults;
+    sharp(geo, **args), which checks its hypotheses; the member key a row
+    reports, its values in the default family and profile(geo, value, **args);
+    member(geo, sharp, u, **args), a member's (margin, bare rhs): lhs / bare is its ratio."""
+
+    defaults: dict
+    sharp: Callable[..., float]
+    member_key: str
+    values: tuple
+    profile: Callable[..., RadialTestFunction]
+    member: Callable[..., tuple[InequalityMargin, float]]
+
+    def family(self, geo: ModelGeometry, **args) -> list[RadialTestFunction]:
+        return [self.profile(geo, value, **args) for value in self.values]
+
+
+# sharpness_sweep, `verify up|ckn` and the CLI's choices read every mode here
+SWEEP_MODES = {
+    # power_cutoff as eps -> 0, its plateau radius exp(-0.7/eps) clamped at the float floor
+    "hardy": SweepMode(
+        {"alpha": 0.0}, _hardy_sharp, "eps", (0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001),
+        lambda geo, eps, alpha: power_cutoff(eps, math.exp(max(-0.7 / eps, -660.0)), 100.0,
+                                             geo.n, geo.p, alpha=alpha),
+        _hardy_member),
+    "up": SweepMode(
+        {"alpha": 1.0}, _up_sharp, "scale", (0.5, 1.0, 2.0, 4.0),
+        lambda geo, scale, alpha: gaussian_type(alpha, geo.p, scale=scale),
+        lambda geo, sharp, u, alpha: (m := up_margin(geo, u, alpha), m.rhs / sharp)),
+    "ckn": SweepMode(
+        {"alpha": 1.0, "r": 3.0}, _ckn_sharp, "scale", (0.5, 1.0, 2.0, 4.0),
+        lambda geo, scale, alpha, r: talenti(alpha, geo.p, r, scale=scale),
+        lambda geo, sharp, u, alpha, r: (m := ckn_margin(geo, u, alpha, r), m.rhs / sharp)),
+}
+
+
+def sweep_mode(inequality: str, geo: ModelGeometry, params: dict) -> tuple[SweepMode, dict, float]:
+    """The mode's record, params over its defaults and its sharp constant; ParameterError
+    for an unknown mode, a key it does not read, a non-finite value, or from sharp."""
+    if inequality not in SWEEP_MODES:
         raise ParameterError(f"unknown mode {inequality!r}")
+    mode = SWEEP_MODES[inequality]
     check_keys(f"{inequality} params beside the geometry (kappa, n, p)", params,
-               _MODE_KEYS[inequality])
-
-
-def scaled_params(params: dict) -> tuple[float, float]:
-    """(alpha, r) of an 'up' or 'ckn' check: the one table of their defaults, 1 and 3."""
-    return params.get("alpha", 1.0), params.get("r", 3.0)
-
-
-def scaled_family(inequality: str, geo: ModelGeometry, params: dict,
-                  family: Sequence[RadialTestFunction] | None = None,
-                  ) -> tuple[float, float, Sequence[RadialTestFunction]]:
-    """(alpha, r, family) of an 'up' or 'ckn' check; a key of params the
-    mode does not read, or a value that is not a finite number, raises
-    ParameterError.
-
-    Without a given family the members are gaussian_type ('up') or talenti
-    ('ckn') profiles at scales 0.5, 1, 2, 4.
-    """
-    _check_mode_keys(inequality, params, ("up", "ckn"))
-    alpha, r = scaled_params(params)
-    if family is None:
-        if inequality == "up":
-            family = [gaussian_type(alpha, geo.p, scale=lam) for lam in (0.5, 1.0, 2.0, 4.0)]
-        else:
-            family = [talenti(alpha, geo.p, r, scale=lam) for lam in (0.5, 1.0, 2.0, 4.0)]
-    return alpha, r, family
-
-
-def _achieved(lhs: float, bare_rhs: float) -> float:
-    """A sweep member's achieved constant; a DomainError where its right
-    side underflowed to 0."""
-    if bare_rhs == 0.0:
-        raise DomainError("right side underflows to 0")
-    return lhs / bare_rhs
+               tuple(mode.defaults))
+    args = {**mode.defaults, **params}
+    return mode, args, mode.sharp(geo, **args)
 
 
 def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = None,
                     family: Sequence[RadialTestFunction] | None = None) -> SweepResult:
-    """Achieved-constant sweep over a family of test functions.
+    """Achieved-constant sweep over a family of test functions, by the mode's
+    SWEEP_MODES record; family defaults to the mode's.
 
-    Modes: 'hardy' (additive quotient vs ((C+1+alpha-p)/p)^p with C = n-1),
-    'up' (three-factor uncertainty quotient vs (n+alpha-1)/p), 'ckn'
-    (exponent-r quotient vs (n+alpha-1)/r).  Family members outside the
-    admissible class (a DomainError) are recorded with a note and skipped;
-    parameters violating the mode's hypotheses, keys of params the mode
-    does not read, values that are not finite numbers and a sharp constant
-    beyond float range raise.
+    Modes: 'hardy' (additive quotient vs ((n+alpha-p)/p)^p), 'up'
+    (three-factor uncertainty quotient vs (n+alpha-1)/p), 'ckn' (exponent-r
+    quotient vs (n+alpha-1)/r).  Family members outside the admissible class
+    (a DomainError, as where the right side underflows to 0) are recorded
+    with a note and skipped.  Before any member is built, an unknown mode,
+    keys of params the mode does not read, values that are not finite
+    numbers, parameters violating the mode's hypotheses and a sharp
+    constant beyond float range raise ParameterError.
     """
     params = dict(params or {})
-    if inequality == "hardy":
-        _check_mode_keys(inequality, params)
-        alpha = params.get("alpha", 0.0)
-        p = geo.p
-        if not geo.n + alpha > p:
-            raise HypothesisError("n + alpha > p", f"n={geo.n!r}, alpha={alpha!r}, p={p!r}")
-        try:
-            sharp = ((geo.n + alpha - p) / p) ** p
-        except OverflowError:
-            raise ParameterError(f"sharp constant ((n + alpha - p)/p)^p leaves float range "
-                                 f"(alpha={alpha!r})") from None
-        if family is None:
-            family = hardy_default_family(geo, alpha=alpha)
-        key = "eps"
-
-        def member(u: RadialTestFunction) -> tuple[InequalityMargin, float]:
-            energy, e_err = _log_mass(geo, u, p, alpha, use_du=True)
-            mass, m_err = _log_mass(geo, u, p, alpha - p)
-            rel = e_err / max(energy, _MARGIN_FLOOR) + m_err / max(mass, _MARGIN_FLOOR)
-            rhs = sharp * mass
-            return _margin_of(energy, rhs, rel * max(rhs, energy)), _achieved(energy, mass)
-    else:
-        alpha, r, family = scaled_family(inequality, geo, params, family)
-        sharp = (geo.n + alpha - 1.0) / (geo.p if inequality == "up" else r)
-        key = "scale"
-
-        def member(u: RadialTestFunction) -> tuple[InequalityMargin, float]:
-            if inequality == "up":
-                m = up_margin(geo, u, alpha)
-            else:
-                m = ckn_margin(geo, u, alpha, r)
-            # achieved constant: lhs over the bare rhs integral
-            return m, _achieved(m.lhs, m.rhs / sharp)
-
+    mode, args, sharp = sweep_mode(inequality, geo, params)
     rows: list[SweepRow] = []
-    for u in family:
-        param = u.params.get(key, math.nan)
+    for u in mode.family(geo, **args) if family is None else family:
+        param = u.params.get(mode.member_key, math.nan)
         try:
-            m, ratio = member(u)
+            m, bare = mode.member(geo, sharp, u, **args)
+            if bare == 0.0:  # no achieved constant: skipped like an inadmissible member
+                raise DomainError("right side underflows to 0")
         except DomainError as exc:
-            rows.append(SweepRow(param, math.nan, math.nan, math.nan, math.nan, math.nan,
-                                 note=f"skipped: {exc}"))
+            rows.append(SweepRow(param, *[math.nan] * 5, note=f"skipped: {exc}"))
             continue
         rows.append(SweepRow(param, m.lhs, m.rhs, m.margin, m.quadrature_error_estimate,
-                             ratio))
+                             m.lhs / bare))
     achieved = min((r.ratio for r in rows if math.isfinite(r.ratio)), default=math.nan)
-    margins = [r.margin for r in rows if math.isfinite(r.margin)]
-    return SweepResult(inequality=inequality, params=params, rows=rows,
-                       sharp_constant=sharp, achieved_extremum=achieved,
-                       min_margin=min(margins) if margins else math.nan)
+    least = min((r.margin for r in rows if math.isfinite(r.margin)), default=math.nan)
+    return SweepResult(inequality=inequality, params=params, rows=rows, sharp_constant=sharp,
+                       achieved_extremum=achieved, min_margin=least)

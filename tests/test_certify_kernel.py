@@ -106,6 +106,16 @@ def test_new_parameter_values_compile_no_code(name, geo, first, second):
     assert exprdsl._template_code.cache_info().misses == before
 
 
+def test_node_at_u_one_is_a_parameter_error():
+    # u = t/(1+t) of the last fraction rounds to 1, and u/(1-u) divided by 0;
+    # at t_lo = 1e13 the nodes are few (140 of 528) but finite
+    for policy in ("log", "uniform"):
+        with pytest.raises(ParameterError, match=r"^t_lo=30000000000000\.0 leaves no grid: "
+                                                 r"a node rounds to u = 1$"):
+            certification_grid(3e13, math.inf, policy=policy)
+    assert len(certification_grid(1e13, math.inf)) == 140
+
+
 @pytest.mark.parametrize("t_lo,t_hi", [(1.0, math.nextafter(1.0, 2.0)), (0.0, 5e-324)])
 def test_interval_without_grid_nodes_is_a_parameter_error(t_lo, t_hi):
     for policy in ("log", "uniform"):

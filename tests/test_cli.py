@@ -13,6 +13,7 @@ from hardykit.cli import main
 from hardykit.config import emit_config, parse_config
 from hardykit.catalog import instantiate
 from hardykit.geometry import ModelGeometry
+from hardykit import verifier
 from hardykit.riccati import certify
 from hardykit.verifier import sharpness_sweep
 
@@ -75,6 +76,24 @@ homogeneity_hint = -2
         payload = json.loads(out.read_text())
         assert payload["verdict"] == "certified"
         assert payload["max_abs_residual"] <= 1e-10
+
+    # R^2 underflowed to 0 and ended in a ZeroDivisionError traceback, as did
+    # a compactified grid node that rounds to u = 1
+    @pytest.mark.parametrize("name, params, message", [
+        ("faber_krahn", "kappa=0,n=3,p=2,R=1e-163",
+         "faber_krahn: R=1e-163 squares below the least normal float"),
+        ("faber_krahn", "kappa=0,n=3,p=2,R=1e-310",
+         "faber_krahn: R=1e-310 squares below the least normal float"),
+        ("akutagawa_kumura", "kappa=-1,n=3,p=2,R=1e17",
+         "t_lo=1e+17 leaves no grid: a node rounds to u = 1")])
+    def test_parameter_beyond_float_range_exits_one(self, name, params, message, capsys):
+        assert _refusal(["certify", "--catalog", name, "--params", params], capsys) == message
+
+    def test_faber_krahn_at_small_radius_certifies(self, capsys):
+        # R^2 = 1e-300 is a normal float
+        assert main(["certify", "--catalog", "faber_krahn",
+                     "--params", "kappa=0,n=3,p=2,R=1e-150"]) == 0
+        assert capsys.readouterr().out.startswith("faber_krahn: certified\n")
 
 
 class TestConfigRoundTrip:
@@ -460,20 +479,22 @@ class TestOtherCommands:
         assert len(rows) == 64
         assert float(rows[0][0]) == pytest.approx(0.1) and float(rows[-1][0]) == pytest.approx(10.0)
 
-    def test_verify_up_report(self, tmp_path):
-        out = tmp_path / "up.json"
-        rc = main(["verify", "--inequality", "up",
-                   "--params", "kappa=0,n=3,p=2,alpha=1", "--out", str(out)])
+    @pytest.mark.parametrize("inequality, params, sweep_params", [
+        ("up", "kappa=0,n=3,p=2,alpha=1", {"alpha": 1.0}),
+        ("ckn", "kappa=0,n=3,p=2,alpha=1,r=3", {"alpha": 1.0, "r": 3.0})], ids=["up", "ckn"])
+    def test_verify_up_report(self, inequality, params, sweep_params, tmp_path):
+        out = tmp_path / f"{inequality}.json"
+        rc = main(["verify", "--inequality", inequality, "--params", params, "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
-        assert payload["inequality"] == "up"
+        assert payload["inequality"] == inequality
         assert len(payload["members"]) == 4
         for member in payload["members"]:
             assert member["margin"] >= -1e-9
         assert set(payload["members"][0]) == {"family_param", "lhs", "rhs",
                                               "margin", "quad_error"}
         # the default family is the sweep's: same members, same margins
-        sw = sharpness_sweep("up", ModelGeometry(0.0, 3, 2.0), {"alpha": 1.0})
+        sw = sharpness_sweep(inequality, ModelGeometry(0.0, 3, 2.0), sweep_params)
         assert [(m["family_param"], m["lhs"], m["rhs"], m["margin"], m["quad_error"])
                 for m in payload["members"]] == \
             [(r.family_param, r.lhs, r.rhs, r.margin, r.quad_error) for r in sw.rows]
@@ -625,6 +646,24 @@ class TestOtherCommands:
         members = json.loads(given.read_text())["members"]
         assert [m["family_param"] for m in members] == [2.0]
         assert members[0] == json.loads(default.read_text())["members"][2]
+
+    def test_new_sweep_mode_is_one_table_entry(self, monkeypatch, tmp_path, capsys):
+        # an entry under a new name is a sweep choice, a verify mode and a
+        # refusal's name, with the reports of the entry it copies
+        monkeypatch.setitem(verifier.SWEEP_MODES, "up2", verifier.SWEEP_MODES["up"])
+        reports = {}
+        for command in ("sweep", "verify"):
+            for mode in ("up", "up2"):
+                out = tmp_path / f"{command}-{mode}.json"
+                assert main([command, "--inequality", mode, "--params",
+                             "kappa=0,n=3,p=2,alpha=1", "--out", str(out)]) == 0
+                reports[command, mode] = json.loads(out.read_text())
+            assert reports[command, "up2"].pop("inequality") == "up2"
+            assert reports[command, "up"].pop("inequality") == "up"
+            assert reports[command, "up2"] == reports[command, "up"]
+        capsys.readouterr()
+        assert _refusal(["sweep", "--inequality", "up2", "--params", "n=3,p=2,r=3"], capsys) == \
+            "up2 params beside the geometry (kappa, n, p): unknown key 'r'; it takes alpha"
 
     def test_solve_riccati_blow_up_exits_three(self, tmp_path, capsys):
         # the equality ODE grows like G' ~ G^2 for large G, so from G(1) = 50

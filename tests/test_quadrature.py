@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hardykit import quadrature
-from hardykit.errors import QuadratureError
+from hardykit.errors import DomainError, QuadratureError
 from hardykit.quadrature import _graded_edges, integrate, integrate_panels, kronrod_panel
 
 
@@ -119,6 +119,22 @@ class TestAdaptiveIntegrate:
         # 54 halvings; the other 46 subdivisions kept the last panel
         assert len(set(asked)) == len(asked) == 1 + 2 * 54
         assert asked[-1] == (c, math.nextafter(c, 2.0))
+
+    # finite node values: one panel's sum times its half-width, and the total
+    # of three finite panel values, leave float range; inf was returned.  A
+    # shorter interval, or one panel less, gives a finite integral
+    @pytest.mark.parametrize("f, hi, breakpoints, message, finite", [
+        (lambda x: 1e300, 1e10, (),
+         r"panel sum overflows on \[0\.0, 10000000000\.0\]", (1e8, ())),
+        (lambda x: 8e307, 3.0, (1.0, 2.0),
+         r"integral overflows from finite panel sums on \[0\.0, 3\.0\]", (2.0, (1.0,)))])
+    def test_overflow_from_finite_values_is_a_domain_error(self, f, hi, breakpoints, message,
+                                                           finite):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            integrate(f, 0.0, hi, breakpoints=breakpoints)
+        hi, breakpoints = finite
+        assert integrate(f, 0.0, hi, breakpoints=breakpoints)[0] == \
+            pytest.approx(f(0.0) * hi, rel=1e-14)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(QuadratureError):

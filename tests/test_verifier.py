@@ -15,10 +15,10 @@ from hardykit.quadrature import kronrod_panel
 from hardykit.riccati import FuncEval, RiccatiPairSpec
 from hardykit.testfuncs import (RadialTestFunction, compact_bump, from_expr, gaussian_type,
                                 power_cutoff, random_bumps, talenti)
-from hardykit.verifier import (additive_margin, ckn_margin, extremal_identity_check,
-                               gm_positivity_study, hardy_default_family,
-                               margin_violated, multiplicative_margin, radial_integral,
-                               sc_margin, scaled_family, sharpness_sweep, up_margin)
+from hardykit.verifier import (SWEEP_MODES, additive_margin, ckn_margin,
+                               extremal_identity_check, gm_positivity_study, margin_violated,
+                               multiplicative_margin, radial_integral, sc_margin,
+                               sharpness_sweep, up_margin)
 from oracles import (bump_margin_terms_mp, power_cutoff_masses_mp, reference_log_mass, simpson,
                      unshared_additive_terms, unshared_integrands, with_density)
 
@@ -117,6 +117,13 @@ class TestRadialIntegral:
         val, err = radial_integral(ModelGeometry(0.0, 3, 2.0), lambda t: t**-2.9, 1.0)
         assert abs(val - 125.663706097) <= err
 
+    def test_sum_overflow_from_finite_nodes_is_a_domain_error(self):
+        # every node value is about 6e300, and the panel's sum times its
+        # half-width 5e9 is not finite: inf was returned as the integral
+        message = r"^panel sum overflows on \[0\.0, 10000000000\.0\]$"
+        with pytest.raises(DomainError, match=message):
+            radial_integral(ModelGeometry(0.0, 2, 2.0), lambda t: 1e290, 1e10)
+
     @pytest.mark.parametrize("breakpoints", [(0.01, 0.1, 1.0), (1e-3, 1.0)])
     def test_signed_integrand_with_breakpoints_over_decades(self, breakpoints):
         # 4 pi int_0^10 t^2 cos t dt < 0; (1e-3, 1) spans three decades, so
@@ -147,7 +154,7 @@ class TestAdditiveMargin:
         inst = instantiate("hardy", E3, {"alpha": 0.0})
         sweep = sharpness_sweep("hardy", E3, {"alpha": 0.0})
         margins = []
-        for u, row in zip(hardy_default_family(E3), sweep.rows):
+        for u, row in zip(SWEEP_MODES["hardy"].family(E3, alpha=0.0), sweep.rows):
             try:
                 m = additive_margin(None, inst, u)
             except HardykitError:
@@ -377,7 +384,7 @@ class TestSweeps:
         assert math.isnan(sw.rows[0].ratio) and math.isnan(sw.achieved_extremum)
 
     def test_hardy_family_shape(self):
-        fam = hardy_default_family(E3)
+        fam = SWEEP_MODES["hardy"].family(E3, alpha=0.0)
         assert len(fam) == 7
         sw = sharpness_sweep("hardy", E3, {"alpha": 0.0})
         ratios = [r.ratio for r in sw.rows]
@@ -461,7 +468,7 @@ class TestSweeps:
     def test_hardy_sweep_against_mpmath(self, kappa, n, p, alpha):
         geo = ModelGeometry(kappa, n, p)
         sw = sharpness_sweep("hardy", geo, {"alpha": alpha})
-        for u, row in zip(hardy_default_family(geo, alpha=alpha), sw.rows):
+        for u, row in zip(SWEEP_MODES["hardy"].family(geo, alpha=alpha), sw.rows):
             energy, mass = power_cutoff_masses_mp(u, geo, alpha)
             assert row.lhs == pytest.approx(energy, rel=1e-12)
             assert row.rhs / sw.sharp_constant == pytest.approx(mass, rel=1e-12)
@@ -538,14 +545,23 @@ class TestSweeps:
         assert all(r.note == "" and math.isfinite(r.ratio) for r in sw.rows[2:])
         assert sw.achieved_extremum == min(r.ratio for r in sw.rows[2:])
 
-    # hardy reported the sharp constant ((n + alpha - p)/p)^p = 0 and 0.0625
+    # hardy reported the sharp constant ((n + alpha - p)/p)^p = 0 and 0.0625;
+    # the last two break the default profile's domain too, which up and ckn
+    # refused first, before their hypotheses
     @pytest.mark.parametrize("mode, params", [("up", {"alpha": 5.0}),
                                               ("ckn", {"alpha": 1.0, "r": 7.0}),
                                               ("hardy", {"alpha": -1.0}),
-                                              ("hardy", {"alpha": -1.5})])
+                                              ("hardy", {"alpha": -1.5}),
+                                              ("up", {"alpha": -1.5}),
+                                              ("ckn", {"alpha": 1.0, "r": 1.5})])
     def test_hypothesis_violation_raises(self, mode, params):
         with pytest.raises(HypothesisError):
             sharpness_sweep(mode, E3, params)
+
+    @pytest.mark.parametrize("mode, defaults", [("hardy", {"alpha": 0.0}), ("up", {"alpha": 1.0}),
+                                                ("ckn", {"alpha": 1.0, "r": 3.0})])
+    def test_params_default_to_the_mode_table(self, mode, defaults):
+        assert sharpness_sweep(mode, E3, {}).rows == sharpness_sweep(mode, E3, defaults).rows
 
     def test_unknown_mode(self):
         with pytest.raises(Exception):
@@ -562,9 +578,6 @@ class TestSweeps:
                   f"unknown key {unknown.replace(', ', '; unknown key ')}; it takes {takes}$"
         with pytest.raises(ParameterError, match=message):
             sharpness_sweep(mode, E3, params)
-        if mode != "hardy":
-            with pytest.raises(ParameterError, match=message):
-                scaled_family(mode, E3, params)
 
     # a text alpha raised TypeError; an infinite one a QuadratureError at
     # "t=-3.4999999999999996", which is x = ln t
