@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from .catalog import entry_names, instantiate, list_catalog
 from .config import emit_config, parse_config
-from .errors import HardykitError, ParameterError, check_keys
+from .errors import DomainError, HardykitError, ParameterError, check_keys
 from .exprdsl import parse as parse_expr
 from .geometry import ModelGeometry
 from .riccati import certify, solve_ivp
@@ -31,7 +31,7 @@ from .spectral import spectral_lambda1
 from .specfun import bessel_zero
 from .testfuncs import power_cutoff, random_bumps
 from .verifier import (SWEEP_MODES, InequalityMargin, additive_margin, gm_positivity_study,
-                       margin_violated, sharpness_sweep, sweep_mode)
+                       margin_violated, sharpness_sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,7 +88,8 @@ def _geometry_from_params(params: dict) -> tuple[ModelGeometry, dict]:
 
 
 def _report_json(payload: dict, path: str | None):
-    text = json.dumps(payload, indent=2)
+    text = json.dumps({"meta": {"tool": "hardykit", "version": __version__}, **payload},
+                      indent=2)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -122,7 +123,6 @@ def _cmd_certify(args) -> int:
         print(f"  reason           : {rep.reason}")
     if args.json:
         _report_json({
-            "meta": {"tool": "hardykit", "version": __version__},
             "problem": name,
             "verdict": rep.verdict,
             "tolerance": rep.tolerance_used,
@@ -210,8 +210,7 @@ def _margins_json(path: str | None, inequality: str, params: dict, rows: list[di
                   min_margin: float, extremum: float | None, sharp: float | None):
     """verify's and sweep's JSON report, written to path if one is given."""
     if path:
-        _report_json({"meta": {"tool": "hardykit", "version": __version__},
-                      "inequality": inequality, "params": dict(sorted(params.items())),
+        _report_json({"inequality": inequality, "params": dict(sorted(params.items())),
                       "members": rows,
                       "summary": {"min_margin": min_margin, "achieved_ratio_extremum": extremum,
                                   "sharp_constant": sharp}}, path)
@@ -234,11 +233,15 @@ def _cmd_verify(args) -> int:
         raise ParameterError("verify generic: --params not accepted; the geometry and "
                              "parameters come from the --spec config")
     if sweep:
-        mode, margs, sharp = sweep_mode(inequality, geo, rest)
-        family = mode.family(geo, **margs) if args.family == "default" else \
-            _make_family(args.family, geo)
-        members = [(u.params.get(mode.member_key, math.nan),
-                    mode.member(geo, sharp, u, **margs)[0]) for u in family]
+        # the sweep's rows; a member it skips is refused, not passed
+        sw = sharpness_sweep(inequality, geo, rest,
+                             None if args.family == "default" else _make_family(args.family, geo))
+        for r in sw.rows:
+            if r.note:
+                raise DomainError(f"{inequality} member {SWEEP_MODES[inequality].member_key}="
+                                  f"{r.family_param!r} {r.note}")
+        members = [(r.family_param, InequalityMargin(r.lhs, r.rhs, r.margin, r.quad_error))
+                   for r in sw.rows]
     else:
         # a catalog entry or a (spec, G) config: its w, interval and rho
         if inequality != "generic":
@@ -290,7 +293,6 @@ def _cmd_spectrum(args) -> int:
           f"N/2: {res.lambda1_coarse:.6g})")
     if args.json:
         _report_json({
-            "meta": {"tool": "hardykit", "version": __version__},
             "kappa": args.kappa, "n": args.n, "R": args.R, "N": args.N,
             "lambda1": res.lambda1,
             "lambda1_raw": res.lambda1_raw,

@@ -110,8 +110,10 @@ def power_cutoff(eps: float, r0: float, R: float, n: int, p: float,
     """Near-extremal Hardy profile for the weight t^alpha in dimension n.
 
     Plateau on (0, r0], power law t^(-sigma+eps) with sigma = (n+alpha-p)/p
-    on [r0, 0.01*R], capacitor cut to 0 at R.
+    on [r0, 0.01*R], capacitor cut to 0 at R.  The domain is a finite p > 1.
     """
+    if not 1.0 < p < math.inf:  # the cut's exponent divides by p - 1
+        raise ParameterError(f"power_cutoff needs a finite p > 1, got p={p!r}")
     sigma = (n + alpha - p) / p
     if not (r0 > 0.0 and R > r0):
         raise ParameterError(f"need 0 < r0 < R, got r0={r0!r}, R={R!r}")
@@ -207,13 +209,23 @@ def power_cutoff(eps: float, r0: float, R: float, n: int, p: float,
 
 
 def gaussian_type(alpha: float, p: float, scale: float = 1.0) -> RadialTestFunction:
-    """u(t) = exp(-(scale*t)^gamma / p), gamma = 1 + alpha/(p-1)."""
+    """u(t) = exp(-(scale*t)^gamma / p), gamma = 1 + alpha/(p-1), on [0, R]
+    with R = (700p)^(1/gamma)/scale, where u is e^-700.  The domain is a finite
+    p > 1, gamma > 0 and a scale > 0 whose R is a positive float."""
+    if not 1.0 < p < math.inf:
+        raise ParameterError(f"gaussian_type needs a finite p > 1, got p={p!r}")
     gamma = 1.0 + alpha / (p - 1.0)
     if gamma <= 0.0:
         raise ParameterError(f"need gamma = 1 + alpha/(p-1) > 0, got {gamma!r}")
     if scale <= 0.0:
         raise ParameterError(f"need scale > 0, got {scale!r}")
-    R = (700.0 * p) ** (1.0 / gamma) / scale
+    try:
+        R = (700.0 * p) ** (1.0 / gamma) / scale
+    except OverflowError:  # (700p)^(1/gamma) beyond float range
+        R = math.inf
+    if not 0.0 < R < math.inf:
+        raise ParameterError(f"support end (700p)^(1/gamma)/scale = {R!r} is not a positive "
+                             f"float (gamma={gamma!r}, scale={scale!r})")
 
     def u(t: float) -> float:
         return math.exp(-((scale * t) ** gamma) / p)

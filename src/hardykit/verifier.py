@@ -55,7 +55,6 @@ __all__ = [
     "margin_violated",
     "SweepMode",
     "SWEEP_MODES",
-    "sweep_mode",
 ]
 
 _MARGIN_FLOOR = 1e-300
@@ -686,34 +685,29 @@ SWEEP_MODES = {
 }
 
 
-def sweep_mode(inequality: str, geo: ModelGeometry, params: dict) -> tuple[SweepMode, dict, float]:
-    """The mode's record, params over its defaults and its sharp constant; ParameterError
-    for an unknown mode, a key it does not read, a non-finite value, or from sharp."""
-    if inequality not in SWEEP_MODES:
-        raise ParameterError(f"unknown mode {inequality!r}")
-    mode = SWEEP_MODES[inequality]
-    check_keys(f"{inequality} params beside the geometry (kappa, n, p)", params,
-               tuple(mode.defaults))
-    args = {**mode.defaults, **params}
-    return mode, args, mode.sharp(geo, **args)
-
-
 def sharpness_sweep(inequality: str, geo: ModelGeometry, params: dict | None = None,
                     family: Sequence[RadialTestFunction] | None = None) -> SweepResult:
     """Achieved-constant sweep over a family of test functions, by the mode's
-    SWEEP_MODES record; family defaults to the mode's.
+    SWEEP_MODES record; family defaults to the mode's.  The one loop over a
+    mode's members: `verify up|ckn` reports these rows and refuses a skipped one.
 
     Modes: 'hardy' (additive quotient vs ((n+alpha-p)/p)^p), 'up'
     (three-factor uncertainty quotient vs (n+alpha-1)/p), 'ckn' (exponent-r
     quotient vs (n+alpha-1)/r).  Family members outside the admissible class
-    (a DomainError, as where the right side underflows to 0) are recorded
+    (a DomainError, or a right side that underflows to 0) are recorded
     with a note and skipped.  Before any member is built, an unknown mode,
     keys of params the mode does not read, values that are not finite
     numbers, parameters violating the mode's hypotheses and a sharp
     constant beyond float range raise ParameterError.
     """
     params = dict(params or {})
-    mode, args, sharp = sweep_mode(inequality, geo, params)
+    if inequality not in SWEEP_MODES:
+        raise ParameterError(f"unknown mode {inequality!r}")
+    mode = SWEEP_MODES[inequality]
+    check_keys(f"{inequality} params beside the geometry (kappa, n, p)", params,
+               tuple(mode.defaults))
+    args = {**mode.defaults, **params}
+    sharp = mode.sharp(geo, **args)
     rows: list[SweepRow] = []
     for u in mode.family(geo, **args) if family is None else family:
         param = u.params.get(mode.member_key, math.nan)

@@ -647,6 +647,26 @@ class TestOtherCommands:
         assert [m["family_param"] for m in members] == [2.0]
         assert members[0] == json.loads(default.read_text())["members"][2]
 
+    @pytest.mark.parametrize("inequality, family", [
+        ("up", "gaussian:alpha=1,scale=1e300"), ("ckn", "talenti:alpha=1,r=3,scale=1e300")])
+    def test_verify_refuses_a_member_the_sweep_skips(self, inequality, family, tmp_path,
+                                                     capsys):
+        # every integral underflows: lhs = rhs = 0 was reported as a pass
+        # with min margin 0, while the sweep skipped the same member
+        # (test_verifier's test_member_whose_right_side_underflows_is_skipped)
+        out = tmp_path / "v.json"
+        assert _refusal(["verify", "--inequality", inequality, "--params", "n=3,p=2",
+                         "--family", family, "--out", str(out)], capsys) == \
+            f"{inequality} member scale=1e+300 skipped: right side underflows to 0"
+        assert not out.exists()
+
+    def test_verify_gaussian_scale_without_support_end_exits_one(self, capsys):
+        # (700p)^(1/gamma)/scale is inf: the quadrature met t = nan, exit 3
+        assert _refusal(["verify", "--inequality", "up", "--params", "n=3,p=2",
+                         "--family", "gaussian:alpha=1,scale=1e-320"], capsys) == \
+            ("support end (700p)^(1/gamma)/scale = inf is not a positive float "
+             "(gamma=2.0, scale=1e-320)")
+
     def test_new_sweep_mode_is_one_table_entry(self, monkeypatch, tmp_path, capsys):
         # an entry under a new name is a sweep choice, a verify mode and a
         # refusal's name, with the reports of the entry it copies

@@ -53,6 +53,23 @@ CASES = {
                        ParameterError, r"need gamma = 1 \+ alpha/\(p-1\) > 0, got 0\.0"),
     "gaussian-scale": (lambda: gaussian_type(0.0, 2.0, 0.0),
                        ParameterError, r"need scale > 0, got 0\.0"),
+    # alpha/(p-1) at p = 1 was an untyped ZeroDivisionError
+    "gaussian-p-one": (lambda: gaussian_type(0.5, 1.0),
+                       ParameterError, r"^gaussian_type needs a finite p > 1, got p=1\.0$"),
+    "gaussian-p-inf": (lambda: gaussian_type(1.0, math.inf),
+                       ParameterError, r"^gaussian_type needs a finite p > 1, got p=inf$"),
+    "power-cutoff-p-one": (lambda: power_cutoff(0.1, 0.01, 1.0, 3, 1.0),
+                           ParameterError, r"^power_cutoff needs a finite p > 1, got p=1\.0$"),
+    "power-cutoff-p-nan": (lambda: power_cutoff(0.1, 0.01, 1.0, 3, math.nan),
+                           ParameterError, r"^power_cutoff needs a finite p > 1, got p=nan$"),
+    # a support end that is no positive float: the quadrature met t = nan
+    "gaussian-subnormal-scale": (lambda: gaussian_type(1.0, 2.0, 1e-320), ParameterError,
+                                 r"= inf is not a positive float \(gamma=2\.0, scale=1e-320\)"),
+    "gaussian-infinite-scale": (lambda: gaussian_type(1.0, 2.0, math.inf), ParameterError,
+                                r"= 0\.0 is not a positive float \(gamma=2\.0, scale=inf\)"),
+    # (700p)^(1/gamma) overflows at gamma = 1e-6: an untyped OverflowError
+    "gaussian-support-overflow": (lambda: gaussian_type(-0.999999, 2.0), ParameterError,
+                                  r"^support end \(700p\)\^\(1/gamma\)/scale = inf is not"),
     "bessel-zero-order-above": (lambda: bessel_zero(50.5, 1), UnsupportedRangeError,
                                 r"bessel_zero order nu=50\.5 outside \[0, 50\.0\]"),
     "bessel-zero-order-below": (lambda: bessel_zero(-0.5, 1), UnsupportedRangeError,

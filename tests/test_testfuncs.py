@@ -115,3 +115,15 @@ class TestDerivativeAtZeroAndTails:
         assert u.du(150.0) == pytest.approx(-u.u(100.0) / (R - 100.0), rel=1e-15)
         for t in (R, 2.0 * R, 1e300):
             assert u.u(t) == 0.0 and u.du(t) == 0.0
+
+
+class TestGaussianSupportEnd:
+    # the support end R = (700p)^(1/gamma)/scale, where u = e^-700, for
+    # scales across the float range: as before the domain checks, bitwise
+    @pytest.mark.parametrize("alpha, p, scale", [(1.0, 2.0, 1e300), (1.0, 2.0, 1e-300),
+                                                 (0.5, 1.5, 1.0), (-0.5, 3.0, 7.0)])
+    def test_support_end_is_unchanged(self, alpha, p, scale):
+        u = gaussian_type(alpha, p, scale=scale)
+        gamma = 1.0 + alpha / (p - 1.0)
+        assert u.support_hi == (700.0 * p) ** (1.0 / gamma) / scale
+        assert u.u(u.support_hi) == math.exp(-((scale * u.support_hi) ** gamma) / p)

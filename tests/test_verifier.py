@@ -376,7 +376,8 @@ def _panels(monkeypatch, run, *args):
 class TestSweeps:
     @pytest.mark.parametrize("mode, params, u", [
         ("ckn", {"alpha": 1.0, "r": 3.0}, talenti(1.0, 2.0, 3.0, scale=1e300)),
-        ("hardy", {"alpha": 10.0}, compact_bump(1e-40, 1e-41))])
+        ("hardy", {"alpha": 10.0}, compact_bump(1e-40, 1e-41)),
+        ("up", {"alpha": 1.0}, gaussian_type(1.0, 2.0, scale=1e300))])
     def test_member_whose_right_side_underflows_is_skipped(self, mode, params, u):
         # the achieved constant divided by the 0 right side: ZeroDivisionError
         sw = sharpness_sweep(mode, E3, params, [u])
